@@ -51,9 +51,7 @@ def run_one(seed: int, args) -> tuple[dict, np.ndarray, int]:
         init_seed=seed,
     )
     policy = SchedulerPolicy("fifo", args.epochs)
-    result = execute_search(
-        grid, policy, task_spec.make(), ArchSpec(tuple(args.hidden)), config, jobs=args.jobs
-    )
+    result = execute_search(grid, policy, task_spec.make(), ArchSpec(tuple(args.hidden)), config)
     mats = assemble(result.records.values(), grid)
     surfaces = build_metric_surfaces(result.records.values(), grid, "fifo")
     artifacts = twin_pipeline(mats, grid, default_params(grid))
@@ -66,7 +64,7 @@ def run_one(seed: int, args) -> tuple[dict, np.ndarray, int]:
     return selections, surfaces.test_acc, artifacts.segments.n_regions
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     parser.add_argument("--n-grid", type=int, default=7)
@@ -81,8 +79,7 @@ def main() -> int:
     parser.add_argument("--batch-size", type=int, default=16)
     parser.add_argument("--momentum", type=float, default=0.9)
     parser.add_argument("--hidden", type=int, nargs="+", default=[32])
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     t0 = time.time()
     per_config = []

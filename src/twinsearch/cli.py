@@ -97,7 +97,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--kernel-size", type=float, default=None)
     p_run.add_argument("--max-dist", type=float, default=None)
     p_run.add_argument("--ratio", type=float, default=1.0)
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_run.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
 
     p_sel = sub.add_parser("select", help="recompute the selection offline from run logs")
     p_sel.add_argument("run_id")
@@ -199,7 +201,6 @@ def _cmd_run(args) -> int:
         arch,
         base_config,
         quickshift_params=params,
-        jobs=max(1, args.jobs),
     )
     sel = result.artifacts.selection
     print(

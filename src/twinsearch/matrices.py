@@ -27,6 +27,7 @@ __all__ = [
     "zscore_outlier_mask",
     "normalize_invert",
     "build_metric_surfaces",
+    "metric_window",
 ]
 
 LAST_K = 5  # epochs averaged into the loss summary
@@ -155,13 +156,20 @@ def normalize_invert(psi: np.ndarray, outlier_mask: np.ndarray) -> NormalizedLos
     return NormalizedLoss(values=values, outlier_mask=outlier_mask)
 
 
+def metric_window(scheduler_kind: str) -> int:
+    """How many of the last logged epochs a metric summary reads.
+
+    1 under FIFO, ``LAST_K`` under early stopping. The trainer scores val/test
+    accuracy on exactly this many final finite epochs of each trial.
+    """
+    return 1 if scheduler_kind == "fifo" else LAST_K
+
+
 def _summarize_metric(values: list[float | None], kind: str) -> float:
     logged = [v for v in values if v is not None]
     if not logged:
         return math.nan
-    if kind == "fifo":
-        return float(logged[-1])
-    return float(np.mean(logged[-LAST_K:]))
+    return float(np.mean(logged[-metric_window(kind):]))
 
 
 def build_metric_surfaces(

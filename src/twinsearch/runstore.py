@@ -1,10 +1,10 @@
-"""Durable, replayable run persistence.
+"""Replayable run persistence.
 
 Directory layout (the public contract for external training systems):
 
     runs/<run_id>/
         manifest.json        grid, scheduler policy, trainer/arch/task specs, seeds
-        trials/<row>_<col>.jsonl   one line per epoch, append-only
+        trials/<row>_<col>.jsonl   one line per epoch, in epoch order, append-only
         decisions.jsonl      scheduler decision log (rung outcomes + terminal stops)
         matrices.json        psi/theta/masks/epochs_run, row-major
         selection.json       the twin pick with full provenance
@@ -16,6 +16,16 @@ strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
 shortest-round-trip repr, which makes write/load cycles bit-exact. A torn
 final trial line (crash mid-append) is dropped with a warning on load;
 corruption anywhere else is an error.
+
+Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
+only on the epochs the baseline summaries read: the last finite epoch under
+FIFO, the last five under early stopping (``matrices.metric_window``).
+Every other line has null metrics. Metrics are known only when a trial
+ends, so an alive trial's last ``w + 1`` lines (the current one and the
+``w`` before it) are written when it ends. Loading does not depend on
+this: files with metrics on every epoch, as older runs have, load to the
+same summaries. Appends are flushed to the operating system but not
+fsynced, so a machine crash can lose recent lines.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .grid import GridCell, HyperGrid
-from .scheduler import SchedulerPolicy, rung_levels
+from .scheduler import SchedulerPolicy
 from .trainer import (
     STATUS_RUNNING,
     TERMINAL_STATUSES,
@@ -274,11 +284,8 @@ class RunStore:
                     continue
                 cell = GridCell(int(m.group(1)), int(m.group(2)))
                 records[cell] = self._load_trial_file(trials_dir / name, cell)
-        decisions = []
         decisions_path = run_dir / "decisions.jsonl"
-        if decisions_path.exists():
-            for i, raw in enumerate(self._read_jsonl(decisions_path), start=1):
-                decisions.append(raw)
+        decisions = self._read_jsonl(decisions_path) if decisions_path.exists() else []
         return manifest, records, decisions
 
     def _load_trial_file(self, path: Path, cell: GridCell) -> TrialRecord:
@@ -319,11 +326,6 @@ class RunStore:
             warnings.warn(f"{path}: dropping unterminated final line {len(lines)}")
             return out[:-1]
         return out
-
-    def list_runs(self) -> list[str]:
-        if not self.root.exists():
-            return []
-        return sorted(p.name for p in self.root.iterdir() if (p / "manifest.json").exists())
 
     @staticmethod
     def _last_epoch(path: Path) -> int | None:

@@ -1,19 +1,22 @@
 """End-to-end search orchestration.
 
-Drives every grid cell's trial in lockstep epoch rounds: each round advances
-all alive trials by one epoch (optionally on a thread pool; every trial owns
-its state, so worker count never changes the numbers), then feeds the
+Drives every grid cell's trial in lockstep epoch rounds on one thread: each
+round advances all alive trials by one epoch in cell order, then feeds the
 scheduler in cell order. Rung outcomes therefore always resolve within the
-round, and trial lines are appended with their final per-epoch status.
+round, and each trial line carries the status its epoch ended with.
+
+Val/test accuracy is computed only when a trial ends, on the last
+``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
+a trial's most recent lines are held back while it is alive and written,
+metrics included, when it ends.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .grid import GridCell, HyperGrid, cell_params
-from .matrices import LogMatrices, assemble, zscore_outlier_mask
+from .matrices import LogMatrices, assemble, metric_window, zscore_outlier_mask
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunStore, TrialLine
 from .scheduler import Schedule, SchedulerPolicy, init_schedule
@@ -22,6 +25,7 @@ from .tasks import SyntheticTask, make_synthetic_task
 from .trainer import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
+    STATUS_RUNNING,
     STATUS_STOPPED_EARLY,
     ArchSpec,
     TrainerConfig,
@@ -78,69 +82,63 @@ class SearchResult:
     artifacts: TwinArtifacts | None = None
 
 
-def _trial_config(base: TrainerConfig, lr: float, wd: float) -> TrainerConfig:
-    return TrainerConfig(
-        lr=lr,
-        wd=wd,
-        momentum=base.momentum,
-        epochs=base.epochs,
-        batch_size=base.batch_size,
-        lr_schedule=base.lr_schedule,
-        init_seed=base.init_seed,
-    )
-
-
 def execute_search(
     grid: HyperGrid,
     policy: SchedulerPolicy,
     task: SyntheticTask,
     arch: ArchSpec,
     base_config: TrainerConfig,
-    jobs: int = 1,
     store: RunStore | None = None,
     run_id: str | None = None,
 ) -> SearchResult:
-    """Train every grid cell under the policy; optionally persist as it goes."""
+    """Train every grid cell under the policy; optionally persist as it goes.
+
+    With a store, every epoch gets one trial line, appended in epoch order.
+    An alive trial's last ``w`` lines (``w = metric_window(policy.kind)``)
+    stay unwritten; together with the line of the current round that is
+    ``w + 1`` lines held back when the round's outcome is known. A trial
+    that ends at epoch e gets metrics on epochs e-w+1..e, or on e-w..e-1 if
+    it diverged, so none of them is on disk before its metrics are.
+    """
     schedule = init_schedule(policy, grid.n_trials)
+    window = metric_window(policy.kind)
     runners: dict[GridCell, TrialRunner] = {}
     for cell in grid.cells():
         lr, wd = cell_params(grid, cell)
-        runners[cell] = TrialRunner(task, arch, _trial_config(base_config, lr, wd), cell)
+        runners[cell] = TrialRunner(task, arch, replace(base_config, lr=lr, wd=wd), cell, window)
 
     records: dict[GridCell, TrialRecord] = {cell: r.record for cell, r in runners.items()}
+    persist = store is not None and run_id is not None
+    lines_written = dict.fromkeys(runners, 0)
     alive = sorted(runners)
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     decisions_written = 0
-    try:
-        while alive:
-            if pool is not None:
-                list(pool.map(lambda c: runners[c].step_epoch(), alive))
+    while alive:
+        for cell in alive:
+            runners[cell].step_epoch()
+
+        for cell in alive:
+            rec = records[cell]
+            if rec.status == STATUS_DIVERGED:
+                schedule.mark_diverged(cell, rec.epochs_run)
             else:
-                for cell in alive:
-                    runners[cell].step_epoch()
+                schedule.decide(cell, rec.epochs_run, rec.epochs[-1].train_loss)
 
-            for cell in alive:
-                rec = records[cell]
-                if rec.status == STATUS_DIVERGED:
-                    schedule.mark_diverged(cell, rec.epochs_run)
-                else:
-                    schedule.decide(cell, rec.epochs_run, rec.epochs[-1].train_loss)
-
-            still_alive = []
-            for cell in alive:
-                rec = records[cell]
-                if rec.status == STATUS_DIVERGED:
-                    pass
-                elif not schedule.is_alive(cell):
-                    runners[cell].finish(
-                        STATUS_COMPLETED
-                        if rec.epochs_run == policy.epoch_budget
-                        else STATUS_STOPPED_EARLY
-                    )
-                else:
-                    still_alive.append(cell)
-                if store is not None and run_id is not None:
-                    entry = rec.epochs[-1]
+        still_alive = []
+        for cell in alive:
+            rec = records[cell]
+            if rec.status == STATUS_DIVERGED:
+                pass
+            elif not schedule.is_alive(cell):
+                runners[cell].finish(
+                    STATUS_COMPLETED
+                    if rec.epochs_run == policy.epoch_budget
+                    else STATUS_STOPPED_EARLY
+                )
+            else:
+                still_alive.append(cell)
+            if persist:
+                end = rec.epochs_run if runners[cell].done else max(0, rec.epochs_run - window)
+                for entry in rec.epochs[lines_written[cell] : end]:
                     store.append_trial_line(
                         run_id,
                         TrialLine(
@@ -151,18 +149,16 @@ def execute_search(
                             param_norm=entry.param_norm,
                             val_acc=entry.val_metric,
                             test_acc=entry.test_metric,
-                            status=rec.status,
+                            status=rec.status if entry.epoch + 1 == rec.epochs_run else STATUS_RUNNING,
                         ),
                     )
-            if store is not None and run_id is not None:
-                new = schedule.decision_log[decisions_written:]
-                if new:
-                    store.append_decisions(run_id, new)
-                    decisions_written += len(new)
-            alive = still_alive
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                lines_written[cell] = end
+        if persist:
+            new = schedule.decision_log[decisions_written:]
+            if new:
+                store.append_decisions(run_id, new)
+                decisions_written += len(new)
+        alive = still_alive
 
     return SearchResult(records=records, schedule=schedule)
 
@@ -209,7 +205,6 @@ def run_and_store(
     arch: ArchSpec,
     base_config: TrainerConfig,
     quickshift_params: QuickshiftParams | None = None,
-    jobs: int = 1,
 ) -> SearchResult:
     """Full pipeline with persistence: manifest, trials, decisions, matrices, selection."""
     manifest = {
@@ -227,7 +222,7 @@ def run_and_store(
     }
     store.create_run(run_id, manifest)
     result = execute_search(
-        grid, policy, task_spec.make(), arch, base_config, jobs=jobs, store=store, run_id=run_id
+        grid, policy, task_spec.make(), arch, base_config, store=store, run_id=run_id
     )
     result.matrices, result.artifacts = select_from_records(
         result.records, grid, quickshift_params

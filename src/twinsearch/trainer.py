@@ -5,12 +5,15 @@ checked against central finite differences. Parameters live in one flat
 float64 vector; the L2 term enters the update as grad + wd * theta, and the
 logged train loss is the plain cross-entropy (mean of the epoch's batch
 means). The logged norm covers all trainable parameters, biases included.
+Val/test accuracy is not computed per epoch: a trial scores its last few
+finite epochs once, when it reaches a terminal status.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,6 +247,11 @@ class TrialRunner:
 
     Batch order and initialization derive from (init_seed, cell), so every
     trial is an independent, replayable stream.
+
+    Val/test accuracy is computed when the trial reaches a terminal status
+    (completed, diverged, or ``finish``), for its last ``metric_window``
+    finite epochs; ``None`` scores every finite epoch. Other epochs keep
+    ``None`` metrics. A task with no val or test set keeps no parameters.
     """
 
     def __init__(
@@ -252,6 +260,7 @@ class TrialRunner:
         arch: ArchSpec,
         config: TrainerConfig,
         cell: GridCell = GridCell(0, 0),
+        metric_window: int | None = None,
     ):
         self.task = task
         self.config = config
@@ -263,6 +272,11 @@ class TrialRunner:
         self.theta = self.model.init_params(self.rng)
         self.velocity = np.zeros_like(self.theta)
         self.record = TrialRecord(cell=cell)
+        window = config.epochs if metric_window is None else metric_window
+        # (epoch, theta) of the last finite epochs, scored when the trial ends
+        self._recent: deque[tuple[int, np.ndarray]] = deque(
+            maxlen=window if task.n_val or task.n_test else 0
+        )
 
     @property
     def done(self) -> bool:
@@ -272,11 +286,28 @@ class TrialRunner:
         if status not in TERMINAL_STATUSES:
             raise ValueError(f"not a terminal status: {status!r}")
         if not self.done:
-            self.record.status = status
+            self._end(status)
         return self.record
 
+    def _end(self, status: str) -> None:
+        """Set the terminal status and score the kept epochs on val/test."""
+        self.record.status = status
+        task, epochs = self.task, self.record.epochs
+        with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+            for epoch, theta in self._recent:
+                val_metric = test_metric = None
+                if task.n_val:
+                    val_metric = self.model.accuracy(theta, task.val_inputs, task.val_labels)
+                if task.n_test:
+                    test_metric = self.model.accuracy(theta, task.test_inputs, task.test_labels)
+                epochs[epoch] = replace(epochs[epoch], val_metric=val_metric, test_metric=test_metric)
+        self._recent.clear()
+
     def step_epoch(self) -> EpochLog:
-        """Run one epoch; logs metrics and flags divergence on non-finite values."""
+        """Run one epoch; logs loss and norm and flags divergence on non-finite values.
+
+        Metrics stay ``None`` until the epoch that ends the trial; see the class doc.
+        """
         if self.done:
             raise RuntimeError(f"trial {self.cell} already finished ({self.record.status})")
         epoch = self.record.epochs_run
@@ -296,19 +327,15 @@ class TrialRunner:
                 batch_losses.append(loss)
             train_loss = float(np.mean(batch_losses))
             norm = param_l2_norm(self.theta)
-            val_metric = test_metric = None
-            if math.isfinite(train_loss) and math.isfinite(norm):
-                if self.task.n_val:
-                    val_metric = self.model.accuracy(self.theta, self.task.val_inputs, self.task.val_labels)
-                if self.task.n_test:
-                    test_metric = self.model.accuracy(self.theta, self.task.test_inputs, self.task.test_labels)
-        entry = EpochLog(epoch, train_loss, norm, val_metric, test_metric)
-        self.record.epochs.append(entry)
+        self.record.epochs.append(EpochLog(epoch, train_loss, norm))
         if not (math.isfinite(train_loss) and math.isfinite(norm)):
-            self.record.status = STATUS_DIVERGED
-        elif epoch + 1 == self.config.epochs:
-            self.record.status = STATUS_COMPLETED
-        return entry
+            self._end(STATUS_DIVERGED)
+        else:
+            # sgdm_step returns a new array, so the kept reference is this epoch's theta
+            self._recent.append((epoch, self.theta))
+            if epoch + 1 == self.config.epochs:
+                self._end(STATUS_COMPLETED)
+        return self.record.epochs[-1]
 
 
 def run_trial(

@@ -15,7 +15,6 @@ RUN_FLAGS = [
     "--hidden", "12",
     "--n-train", "80", "--n-val", "16", "--n-test", "300",
     "--input-dim", "6", "--n-classes", "2", "--class-sep", "3.0", "--label-noise", "0.0",
-    "--jobs", "1",
 ]
 
 
@@ -41,7 +40,8 @@ class TestRun:
 
     def test_same_seed_reruns_identical_artifacts(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "a", *RUN_FLAGS) == 0
-        assert run_cli(tmp_path, "run", "--run-id", "b", *RUN_FLAGS) == 0
+        # --jobs is still accepted and has no effect
+        assert run_cli(tmp_path, "run", "--run-id", "b", *RUN_FLAGS, "--jobs", "3") == 0
         for name in ("matrices.json", "selection.json"):
             a = artifact(tmp_path, "a", name).read_bytes()
             b = artifact(tmp_path, "b", name).read_bytes()
@@ -57,7 +57,6 @@ class TestRun:
             "--epochs", "20", "--hidden", "8",
             "--n-train", "60", "--n-val", "0", "--n-test", "100",
             "--input-dim", "4", "--n-classes", "2", "--class-sep", "4.0", "--label-noise", "0.0",
-            "--jobs", "2",
         )
         assert code == 0
         lines = [

@@ -1,0 +1,192 @@
+"""execute_search scores val/test only at trial end and holds back trial lines.
+
+The reference replays every trial eagerly, scoring each finite epoch with
+MLP.accuracy, and the baseline surfaces built from the search's records (in
+memory and reloaded from the store) must equal the reference's exactly.
+"""
+
+import dataclasses
+import json
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from twinsearch.grid import build_log_grid, cell_params
+from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
+from twinsearch.runstore import RunStore, TrialLine
+from twinsearch.scheduler import SchedulerPolicy
+from twinsearch.search import TaskSpec, execute_search
+from twinsearch.trainer import (
+    MLP,
+    STATUS_COMPLETED,
+    STATUS_DIVERGED,
+    STATUS_RUNNING,
+    STATUS_STOPPED_EARLY,
+    ArchSpec,
+    EpochLog,
+    TrainerConfig,
+    TrialRecord,
+    TrialRunner,
+)
+
+TASK_SPEC = TaskSpec(seed=0, n_train=40, n_val=8, n_test=30, input_dim=4, n_classes=3)
+ARCH = ArchSpec((8,))
+CONFIG = TrainerConfig(lr=0.1, wd=0.0, epochs=10, batch_size=2, lr_schedule="constant")
+
+# A constant LR up to 1e8 (FIFO) or 1e7 (HB) with WD up to 100 makes cells
+# diverge at epochs 0 to 5; HB at stop fraction 0.5 also stops cells at its
+# first rung (epoch 1). test_grid_covers_the_edge_cases pins that down.
+CASES = {
+    "fifo": (SchedulerPolicy("fifo", 10), build_log_grid(1e-2, 1e8, 4, 1e-3, 100, 4)),
+    "hb": (
+        SchedulerPolicy("hb", 10, stop_fraction=0.5),
+        build_log_grid(1e-2, 1e7, 4, 1e-3, 100, 4),
+    ),
+}
+
+
+def _finite(entry: EpochLog) -> bool:
+    return math.isfinite(entry.train_loss) and math.isfinite(entry.param_norm)
+
+
+def eager_records(records, grid, task):
+    """Replay each trial for the epochs the search ran, scoring every finite epoch."""
+    out = {}
+    for cell, rec in records.items():
+        lr, wd = cell_params(grid, cell)
+        runner = TrialRunner(task, ARCH, dataclasses.replace(CONFIG, lr=lr, wd=wd), cell)
+        epochs = []
+        for _ in range(rec.epochs_run):
+            entry = runner.step_epoch()
+            val = test = None
+            if _finite(entry):
+                val = runner.model.accuracy(runner.theta, task.val_inputs, task.val_labels)
+                test = runner.model.accuracy(runner.theta, task.test_inputs, task.test_labels)
+            epochs.append(EpochLog(entry.epoch, entry.train_loss, entry.param_norm, val, test))
+        out[cell] = TrialRecord(cell=cell, epochs=epochs, status=rec.status)
+    return out
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def searched(request, tmp_path_factory):
+    kind = request.param
+    policy, grid = CASES[kind]
+    task = TASK_SPEC.make()
+    store = RunStore(tmp_path_factory.mktemp(kind) / "runs")
+    store.create_run("run", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
+
+    calls = []
+    original = MLP.accuracy
+
+    def counting(self, theta, x, y):
+        calls.append(1)
+        return original(self, theta, x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MLP, "accuracy", counting)
+        result = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
+    return SimpleNamespace(
+        kind=kind,
+        grid=grid,
+        store=store,
+        result=result,
+        eager=eager_records(result.records, grid, task),
+        accuracy_calls=len(calls),
+    )
+
+
+def assert_same_surfaces(a, b):
+    for name in ("train_loss", "val_acc", "test_acc"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+def test_grid_covers_the_edge_cases(searched):
+    w = metric_window(searched.kind)
+    finite_by_status: dict[str, list[int]] = {}
+    for rec in searched.result.records.values():
+        finite_by_status.setdefault(rec.status, []).append(sum(_finite(e) for e in rec.epochs))
+    diverged = finite_by_status[STATUS_DIVERGED]
+    assert min(diverged) < w  # diverged before w finite epochs existed
+    assert max(diverged) >= w  # needs metrics on w epochs before its last
+    assert STATUS_COMPLETED in finite_by_status
+    if searched.kind == "hb":
+        assert any(0 < d < w for d in diverged)
+        assert min(finite_by_status[STATUS_STOPPED_EARLY]) < LAST_K  # stopped at the first rung
+
+
+def test_surfaces_equal_the_eager_reference(searched):
+    kind, grid, eager = searched.kind, searched.grid, searched.eager
+    expected = build_metric_surfaces(eager.values(), grid, kind)
+    _, loaded, _ = searched.store.load_run("run")
+    for records in (searched.result.records, loaded):
+        assert {c: r.status for c, r in records.items()} == {c: r.status for c, r in eager.items()}
+        assert_same_surfaces(build_metric_surfaces(records.values(), grid, kind), expected)
+    assert np.any(np.isfinite(expected.val_acc)) and np.any(np.isfinite(expected.test_acc))
+
+
+def test_accuracy_runs_only_on_the_scored_epochs(searched):
+    w = metric_window(searched.kind)
+    records = searched.result.records.values()
+    scored = sum(min(w, sum(_finite(e) for e in rec.epochs)) for rec in records)
+    assert searched.accuracy_calls == 2 * scored  # one val and one test call per scored epoch
+
+
+def test_trial_files_hold_metrics_only_on_the_last_finite_epochs(searched):
+    w = metric_window(searched.kind)
+    trials = searched.store.run_dir("run") / "trials"
+    for cell, rec in searched.result.records.items():
+        path = trials / f"{cell.row}_{cell.col}.jsonl"
+        lines = [json.loads(raw) for raw in path.read_text().splitlines()]
+        assert [d["epoch"] for d in lines] == list(range(rec.epochs_run))
+        assert [d["status"] for d in lines] == [STATUS_RUNNING] * (rec.epochs_run - 1) + [rec.status]
+        finite = [e.epoch for e in rec.epochs if _finite(e)]
+        scored = set(finite[-w:])
+        for key in ("val_acc", "test_acc"):
+            assert {d["epoch"] for d in lines if d[key] is not None} == scored, (cell, key)
+        in_memory = {e.epoch for e in rec.epochs if e.val_metric is not None}
+        assert in_memory == scored
+
+
+def test_old_format_files_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched):
+    kind, grid, store = searched.kind, searched.grid, searched.store
+    policy, _ = CASES[kind]
+    store.create_run("old", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
+    for cell, rec in searched.eager.items():
+        for entry in rec.epochs:
+            last = entry.epoch + 1 == rec.epochs_run
+            store.append_trial_line(
+                "old",
+                TrialLine(
+                    cell.row,
+                    cell.col,
+                    entry.epoch,
+                    entry.train_loss,
+                    entry.param_norm,
+                    entry.val_metric,
+                    entry.test_metric,
+                    rec.status if last else STATUS_RUNNING,
+                ),
+            )
+    _, old, _ = store.load_run("old")
+    _, new, _ = store.load_run("run")
+    assert_same_surfaces(
+        build_metric_surfaces(old.values(), grid, kind),
+        build_metric_surfaces(new.values(), grid, kind),
+    )
+
+
+def test_valfree_task_never_scores(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("accuracy called on a task with no val or test set")
+
+    monkeypatch.setattr(MLP, "accuracy", refuse)
+    policy, grid = CASES["hb"]
+    task = dataclasses.replace(TASK_SPEC, n_val=0, n_test=0).make()
+    result = execute_search(grid, policy, task, ARCH, CONFIG)
+    assert all(
+        e.val_metric is None and e.test_metric is None
+        for rec in result.records.values()
+        for e in rec.epochs
+    )
