@@ -127,13 +127,21 @@ def zscore_outlier_mask(psi: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:
     """Mask cells whose |z| exceeds 2 over the valid population, plus invalid cells.
 
     Population standard deviation; strict inequality; a constant surface
-    (sigma = 0) has no outliers.
+    (sigma = 0) has no outliers. If the moments overflow (a finite loss near
+    the float64 limit), z is taken over the losses scaled by their largest
+    magnitude, which leaves z unchanged up to rounding.
     """
     if not np.any(valid_mask):
         raise ValueError("no trainable configuration: all grid cells are invalid")
     values = psi[valid_mask]
-    mean = float(np.mean(values))
-    std = float(np.std(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        std = float(np.std(values))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        scale = float(np.max(np.abs(values)))
+        psi, values = psi / scale, values / scale
+        mean = float(np.mean(values))
+        std = float(np.std(values))
     outliers = np.zeros_like(valid_mask)
     if std > 0:
         z = np.abs(psi - mean) / std

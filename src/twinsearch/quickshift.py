@@ -6,6 +6,10 @@ summed exactly over every non-masked cell, and a link to its nearest
 higher-density neighbor within ``max_dist``. The resulting forest's trees
 are the regions. Masked cells are invisible throughout, not zero pixels.
 
+Density and linking each make a single pass over the pairs: the squared
+distances are accumulated axis by axis into one (M, M) array for the M
+non-masked cells, and every cell's link is one masked row ``argmin``.
+
 A deterministic ``1e-12 * flat_index`` density perturbation totally orders
 plateaus, replacing the randomized tie-breaking of common implementations.
 """
@@ -75,6 +79,22 @@ def _augmented_coords(values: np.ndarray, mask: np.ndarray, ratio: float) -> tup
     return coords, flat
 
 
+def _pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
+    """(M, M) squared distances between the (M, 3) augmented coordinates.
+
+    Summed as (row^2 + value^2) + col^2: that order keeps the densities, and
+    so the labels, bit-identical to those of earlier releases.
+    """
+    sq = np.subtract.outer(coords[:, 0], coords[:, 0])
+    sq *= sq
+    diff = np.empty_like(sq)
+    for axis in (2, 1):
+        np.subtract.outer(coords[:, axis], coords[:, axis], out=diff)
+        diff *= diff
+        sq += diff
+    return sq
+
+
 def compute_density(
     values: np.ndarray, mask: np.ndarray, kernel_size: float, ratio: float
 ) -> np.ndarray:
@@ -87,10 +107,11 @@ def compute_density(
     coords, flat = _augmented_coords(values, mask, ratio)
     if len(flat) == 0:
         return density
-    diff = coords[:, None, :] - coords[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    d = np.exp(-sq / (2.0 * kernel_size**2)).sum(axis=1)
-    d = d + DENSITY_TIE_EPS * flat
+    kernel = _pairwise_sq_dists(coords)
+    np.negative(kernel, out=kernel)
+    kernel /= 2.0 * kernel_size**2
+    np.exp(kernel, out=kernel)
+    d = kernel.sum(axis=1) + DENSITY_TIE_EPS * flat
     density[np.unravel_index(flat, values.shape)] = d
     return density
 
@@ -111,22 +132,19 @@ def link_parents(
     _check_inputs(values, mask)
     parent = np.full(values.shape, -1, dtype=np.int64)
     coords, flat = _augmented_coords(values, mask, ratio)
-    m = len(flat)
-    if m == 0:
+    if len(flat) == 0:
         return parent
-    d = density[np.unravel_index(flat, values.shape)]
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    cells = np.unravel_index(flat, values.shape)
+    d = density[cells]
+    dist = _pairwise_sq_dists(coords)
+    np.sqrt(dist, out=dist)
+    # strictly denser, so a cell is never its own candidate
     eligible = (d[None, :] > d[:, None]) & (dist <= max_dist)
-    np.fill_diagonal(eligible, False)
-    dist = np.where(eligible, dist, np.inf)
-    rows, cols = np.unravel_index(flat, values.shape)
-    for i in range(m):
-        if np.isinf(dist[i]).all():
-            parent[rows[i], cols[i]] = flat[i]
-        else:
-            # argmin returns the first minimum; candidates are flat-ascending
-            parent[rows[i], cols[i]] = flat[int(np.argmin(dist[i]))]
+    dist[~eligible] = np.inf
+    # argmin returns the first minimum; candidates are flat-ascending
+    nearest = dist.argmin(axis=1)
+    linked = np.isfinite(dist[np.arange(len(flat)), nearest])
+    parent[cells] = np.where(linked, flat[nearest], flat)
     return parent
 
 

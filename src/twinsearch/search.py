@@ -3,7 +3,10 @@
 Drives every grid cell's trial in lockstep epoch rounds on one thread: each
 round advances all alive trials by one epoch in cell order, then feeds the
 scheduler in cell order. Rung outcomes therefore always resolve within the
-round, and each trial line carries the status its epoch ended with.
+round, and each trial line carries the status its epoch ended with. All
+trials share one ``Cohort``, so a round's epoch is computed as stacked
+passes over the alive trials, bit for bit what each trial would compute
+alone; a trial leaves the cohort when it ends.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
@@ -28,6 +31,7 @@ from .trainer import (
     STATUS_RUNNING,
     STATUS_STOPPED_EARLY,
     ArchSpec,
+    Cohort,
     TrainerConfig,
     TrialRecord,
     TrialRunner,
@@ -102,10 +106,12 @@ def execute_search(
     """
     schedule = init_schedule(policy, grid.n_trials)
     window = metric_window(policy.kind)
+    cohort = Cohort()
     runners: dict[GridCell, TrialRunner] = {}
     for cell in grid.cells():
         lr, wd = cell_params(grid, cell)
-        runners[cell] = TrialRunner(task, arch, replace(base_config, lr=lr, wd=wd), cell, window)
+        config = replace(base_config, lr=lr, wd=wd)
+        runners[cell] = TrialRunner(task, arch, config, cell, window, cohort)
 
     records: dict[GridCell, TrialRecord] = {cell: r.record for cell, r in runners.items()}
     persist = store is not None and run_id is not None

@@ -7,6 +7,16 @@ logged train loss is the plain cross-entropy (mean of the epoch's batch
 means). The logged norm covers all trainable parameters, biases included.
 Val/test accuracy is not computed per epoch: a trial scores its last few
 finite epochs once, when it reaches a terminal status.
+
+Trials that advance in lockstep share a ``Cohort``. The first
+``TrialRunner.step_epoch`` call of a round runs that epoch for every live
+member at once: parameters and velocities are stacked to (T, P), each
+member's minibatch (from its own permutation) to (T, B, D), and each
+minibatch is one stacked forward/backward pass and one momentum update with
+per-row lr and wd, in slices of ``STACK_SLICE`` members. Later calls of the
+round only take their own row. Every row is computed exactly as a lone
+trial's would be, so results do not depend on who else is in the cohort. A
+runner made without a cohort is a cohort of one.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "EpochLog",
     "TrialRecord",
     "MLP",
+    "Cohort",
     "TrialRunner",
     "cosine_lr",
     "schedule_lr",
@@ -45,6 +56,11 @@ STATUS_DIVERGED = "diverged"
 TERMINAL_STATUSES = frozenset({STATUS_COMPLETED, STATUS_STOPPED_EARLY, STATUS_DIVERGED})
 
 LR_SCHEDULES = ("cosine", "piecewise", "constant")
+
+# Trials per stacked pass. It bounds the (T, B, width) activations: one
+# unsliced pass over a 30x30 grid raised peak RSS by a third. 16 had the
+# lowest peak RSS and no slower wall time than 8, 32 or 64 (CHANGES.md).
+STACK_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -153,6 +169,7 @@ def sgdm_step(
     """One momentum-SGD update with L2-coupled decay.
 
     g = grad + wd * theta; v' = momentum * v + g; theta' = theta - lr_t * v'.
+    For a (T, P) stack, lr_t, wd and momentum may be (T, 1) columns.
     """
     g = grad + wd * theta
     velocity = momentum * velocity + g
@@ -186,8 +203,10 @@ class MLP:
         return theta
 
     def _layers(self, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weights, bias) views per layer, for one theta (P,) or a stack (T, P)."""
+        lead = theta.shape[:-1]
         return [
-            (theta[w].reshape(n_in, n_out), theta[b])
+            (theta[..., w].reshape(*lead, n_in, n_out), theta[..., None, b])
             for w, b, n_in, n_out in self._slices
         ]
 
@@ -207,7 +226,12 @@ class MLP:
 
     def loss_and_grad(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Minibatch losses (T,) and gradients (T, P) for a stack of T trials.
+
+        ``theta`` is (T, P), ``x`` is (T, B, D) and ``y`` is (T, B): row t is
+        trial t's minibatch. Each row gets the same bits as a stack of one.
+        """
         layers = self._layers(theta)
         pre: list[np.ndarray] = []
         acts = [x]
@@ -220,33 +244,99 @@ class MLP:
         wm, bv = layers[-1]
         z = a @ wm + bv
 
-        zs = z - z.max(axis=1, keepdims=True)
+        zs = z - z.max(axis=2, keepdims=True)
         expz = np.exp(zs)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        n = len(y)
-        loss = float(np.mean(np.log(expz.sum(axis=1)) - zs[np.arange(n), y]))
+        sums = expz.sum(axis=2, keepdims=True)
+        probs = expz / sums
+        t, n = y.shape
+        picked = (np.arange(t)[:, None], np.arange(n), y)
+        losses = np.mean(np.log(sums[..., 0]) - zs[picked], axis=1)
 
         grad = np.zeros_like(theta)
         delta = probs
-        delta[np.arange(n), y] -= 1.0
+        delta[picked] -= 1.0
         delta /= n
         for i in range(len(layers) - 1, -1, -1):
             w_sl, b_sl, n_in, n_out = self._slices[i]
-            grad[w_sl] = (acts[i].T @ delta).ravel()
-            grad[b_sl] = delta.sum(axis=0)
+            grad[:, w_sl] = (acts[i].swapaxes(1, 2) @ delta).reshape(t, n_in * n_out)
+            grad[:, b_sl] = delta.sum(axis=1)
             if i > 0:
-                delta = (delta @ layers[i][0].T) * (pre[i - 1] > 0.0)
-        return loss, grad
+                delta = (delta @ layers[i][0].swapaxes(1, 2)) * (pre[i - 1] > 0.0)
+        return losses, grad
 
     def accuracy(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(self.logits(theta, x).argmax(axis=1) == y))
+
+
+class Cohort:
+    """Trials stepped in lockstep, one stacked pass per epoch for every live member.
+
+    A runner joins when it is made and leaves when it ends (completed,
+    diverged or finished), so an ended runner is not referenced from here.
+    Each round, every live member takes exactly one step: a member that steps
+    again before the others have taken theirs, or members at different
+    epochs, raise ``RuntimeError``.
+    """
+
+    def __init__(self) -> None:
+        self._members: dict[TrialRunner, None] = {}  # live runners in join order
+
+    def join(self, runner: TrialRunner) -> None:
+        first = next(iter(self._members), None)
+        if first is not None and (
+            runner.task is not first.task
+            or runner.model.sizes != first.model.sizes
+            or runner.config.batch_size != first.config.batch_size
+        ):
+            raise ValueError("cohort members must share the task, architecture and batch size")
+        self._members[runner] = None
+
+    def leave(self, runner: TrialRunner) -> None:
+        self._members.pop(runner, None)
+        runner._stepped = None
+
+    def step(self, caller: TrialRunner) -> None:
+        """Run the next epoch for every live member; each then takes its row."""
+        live = list(self._members)
+        if any(r._stepped is not None for r in live) or len({r.record.epochs_run for r in live}) > 1:
+            raise RuntimeError(f"trial {caller.cell} stepped out of lockstep with its cohort")
+        for start in range(0, len(live), STACK_SLICE):
+            _step_stack(live[start : start + STACK_SLICE])
+
+
+def _step_stack(runners: list[TrialRunner]) -> None:
+    """One epoch for a stack of runners; leaves each its own copy of its row."""
+    first = runners[0]
+    model, batch_size = first.model, first.config.batch_size
+    x, y = first.task.train_inputs, first.task.train_labels
+    order = np.stack([r.rng.permutation(len(y)) for r in runners])
+    lr_t = np.array([[schedule_lr(r.config, r.record.epochs_run)] for r in runners])
+    wd = np.array([[r.config.wd] for r in runners])
+    momentum = np.array([[r.config.momentum] for r in runners])
+    theta = np.stack([r.theta for r in runners])
+    velocity = np.stack([r.velocity for r in runners])
+    batch_losses = []
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        for start in range(0, len(y), batch_size):
+            idx = order[:, start : start + batch_size]
+            losses, grad = model.loss_and_grad(theta, x[idx], y[idx])
+            theta, velocity = sgdm_step(theta, velocity, grad, lr_t, wd, momentum)
+            batch_losses.append(losses)
+        train_loss = np.mean(np.stack(batch_losses, axis=1), axis=1)
+        # row by row: a norm along axis 1 does not give the same bits
+        norms = [param_l2_norm(row) for row in theta]
+    for r, th, v, loss, norm in zip(runners, theta, velocity, train_loss, norms):
+        # copies, so a kept or ended trial's theta does not pin the whole stack
+        r._stepped = (th.copy(), v.copy(), float(loss), norm)
 
 
 class TrialRunner:
     """Owns one trial's model state and advances it one epoch at a time.
 
     Batch order and initialization derive from (init_seed, cell), so every
-    trial is an independent, replayable stream.
+    trial is an independent, replayable stream. Runners that share a
+    ``cohort`` are stepped together (see ``Cohort``); without one, the runner
+    is a cohort of one.
 
     Val/test accuracy is computed when the trial reaches a terminal status
     (completed, diverged, or ``finish``), for its last ``metric_window``
@@ -261,6 +351,7 @@ class TrialRunner:
         config: TrainerConfig,
         cell: GridCell = GridCell(0, 0),
         metric_window: int | None = None,
+        cohort: Cohort | None = None,
     ):
         self.task = task
         self.config = config
@@ -277,6 +368,10 @@ class TrialRunner:
         self._recent: deque[tuple[int, np.ndarray]] = deque(
             maxlen=window if task.n_val or task.n_test else 0
         )
+        # (theta, velocity, train_loss, norm) of this round, set by the cohort
+        self._stepped: tuple[np.ndarray, np.ndarray, float, float] | None = None
+        self._cohort = Cohort() if cohort is None else cohort
+        self._cohort.join(self)
 
     @property
     def done(self) -> bool:
@@ -290,8 +385,9 @@ class TrialRunner:
         return self.record
 
     def _end(self, status: str) -> None:
-        """Set the terminal status and score the kept epochs on val/test."""
+        """Set the terminal status, leave the cohort and score the kept epochs."""
         self.record.status = status
+        self._cohort.leave(self)
         task, epochs = self.task, self.record.epochs
         with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
             for epoch, theta in self._recent:
@@ -306,32 +402,21 @@ class TrialRunner:
     def step_epoch(self) -> EpochLog:
         """Run one epoch; logs loss and norm and flags divergence on non-finite values.
 
-        Metrics stay ``None`` until the epoch that ends the trial; see the class doc.
+        The first call of a round steps the whole cohort. Metrics stay
+        ``None`` until the epoch that ends the trial; see the class doc.
         """
         if self.done:
             raise RuntimeError(f"trial {self.cell} already finished ({self.record.status})")
         epoch = self.record.epochs_run
         if epoch >= self.config.epochs:
             raise RuntimeError(f"trial {self.cell} exhausted its {self.config.epochs}-epoch budget")
-        lr_t = schedule_lr(self.config, epoch)
-        x, y = self.task.train_inputs, self.task.train_labels
-        order = self.rng.permutation(len(y))
-        batch_losses = []
-        with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-            for start in range(0, len(y), self.config.batch_size):
-                idx = order[start : start + self.config.batch_size]
-                loss, grad = self.model.loss_and_grad(self.theta, x[idx], y[idx])
-                self.theta, self.velocity = sgdm_step(
-                    self.theta, self.velocity, grad, lr_t, self.config.wd, self.config.momentum
-                )
-                batch_losses.append(loss)
-            train_loss = float(np.mean(batch_losses))
-            norm = param_l2_norm(self.theta)
+        if self._stepped is None:
+            self._cohort.step(self)
+        (self.theta, self.velocity, train_loss, norm), self._stepped = self._stepped, None
         self.record.epochs.append(EpochLog(epoch, train_loss, norm))
         if not (math.isfinite(train_loss) and math.isfinite(norm)):
             self._end(STATUS_DIVERGED)
         else:
-            # sgdm_step returns a new array, so the kept reference is this epoch's theta
             self._recent.append((epoch, self.theta))
             if epoch + 1 == self.config.epochs:
                 self._end(STATUS_COMPLETED)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ class TestZscore:
         mask = zscore_outlier_mask(psi, valid)
         assert mask[0, 1]
         assert mask.sum() == 1
+
+    def test_huge_finite_loss_is_masked_without_overflow(self):
+        # squaring 4.1e252 overflows float64; the cell must still be an outlier
+        psi = np.random.default_rng(0).uniform(0.5, 1.2, size=(5, 13))
+        psi[2, 7] = 4.1e252
+        psi[4, 12] = math.nan
+        valid = np.isfinite(psi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mask = zscore_outlier_mask(psi, valid)
+        assert mask[2, 7] and mask[4, 12]
+        assert mask.sum() == 2
 
     def test_all_invalid_raises(self):
         psi = np.full((2, 2), math.nan)

@@ -153,6 +153,16 @@ class TestLinking:
         assert int(np.argmax(d)) == 4  # center of the 3x3
         assert segments.parent[1, 1] == 4
 
+    def test_equidistant_denser_neighbors_tie_break_on_flat_index(self):
+        # corner (0, 0) has denser neighbors (0, 1) and (1, 0), both at distance
+        # 1; corner (2, 2) has (1, 2) and (2, 1)
+        values = np.full((3, 3), 0.5)
+        mask = np.zeros((3, 3), dtype=bool)
+        d = compute_density(values, mask, 1.0, 0.0)
+        parent = link_parents(d, values, mask, 1.0, 0.0)
+        assert parent[0, 0] == 1
+        assert parent[2, 2] == 5
+
     def test_two_minima_separated_by_masked_ridge(self):
         values = np.array(
             [

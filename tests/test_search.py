@@ -1,22 +1,27 @@
 """execute_search scores val/test only at trial end and holds back trial lines.
 
-The reference replays every trial eagerly, scoring each finite epoch with
-MLP.accuracy, and the baseline surfaces built from the search's records (in
-memory and reloaded from the store) must equal the reference's exactly.
+The reference replays every trial eagerly in a runner of its own, scoring
+each finite epoch with MLP.accuracy. The search steps all trials as one
+cohort, in stacked slices; its epochs must equal the reference's bit for bit,
+and the baseline surfaces built from its records (in memory and reloaded
+from the store) must equal the reference's exactly.
 """
 
 import dataclasses
+import gc
 import json
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from twinsearch.grid import build_log_grid, cell_params
+from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
 from twinsearch.runstore import RunStore, TrialLine
 from twinsearch.scheduler import SchedulerPolicy
+from twinsearch import trainer
 from twinsearch.search import TaskSpec, execute_search
 from twinsearch.trainer import (
     MLP,
@@ -25,10 +30,13 @@ from twinsearch.trainer import (
     STATUS_RUNNING,
     STATUS_STOPPED_EARLY,
     ArchSpec,
+    Cohort,
     EpochLog,
     TrainerConfig,
     TrialRecord,
     TrialRunner,
+    schedule_lr,
+    sgdm_step,
 )
 
 TASK_SPEC = TaskSpec(seed=0, n_train=40, n_val=8, n_test=30, input_dim=4, n_classes=3)
@@ -52,7 +60,10 @@ def _finite(entry: EpochLog) -> bool:
 
 
 def eager_records(records, grid, task):
-    """Replay each trial for the epochs the search ran, scoring every finite epoch."""
+    """Replay each trial alone for the epochs the search ran, scoring every finite epoch.
+
+    A replayed trial that is still running was stopped by the scheduler.
+    """
     out = {}
     for cell, rec in records.items():
         lr, wd = cell_params(grid, cell)
@@ -65,7 +76,8 @@ def eager_records(records, grid, task):
                 val = runner.model.accuracy(runner.theta, task.val_inputs, task.val_labels)
                 test = runner.model.accuracy(runner.theta, task.test_inputs, task.test_labels)
             epochs.append(EpochLog(entry.epoch, entry.train_loss, entry.param_norm, val, test))
-        out[cell] = TrialRecord(cell=cell, epochs=epochs, status=rec.status)
+        status = runner.record.status if runner.done else STATUS_STOPPED_EARLY
+        out[cell] = TrialRecord(cell=cell, epochs=epochs, status=status)
     return out
 
 
@@ -86,6 +98,7 @@ def searched(request, tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MLP, "accuracy", counting)
+        mp.setattr(trainer, "STACK_SLICE", 5)  # uneven slices of the 16 cells
         result = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
     return SimpleNamespace(
         kind=kind,
@@ -114,6 +127,42 @@ def test_grid_covers_the_edge_cases(searched):
     if searched.kind == "hb":
         assert any(0 < d < w for d in diverged)
         assert min(finite_by_status[STATUS_STOPPED_EARLY]) < LAST_K  # stopped at the first rung
+
+
+def loop_reference(task, config, cell, epochs):
+    """(train_loss, param_norm) per epoch of one trial, updated one vector at a time."""
+    model = MLP(task.input_dim, ARCH.hidden, task.n_classes)
+    rng = np.random.default_rng(np.random.SeedSequence([config.init_seed, cell.row, cell.col]))
+    theta = model.init_params(rng)
+    velocity = np.zeros_like(theta)
+    x, y = task.train_inputs, task.train_labels
+    out = []
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(len(y))
+            losses = []
+            for start in range(0, len(y), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                loss, grad = model.loss_and_grad(theta[None], x[idx][None], y[idx][None])
+                theta, velocity = sgdm_step(
+                    theta, velocity, grad[0], schedule_lr(config, epoch), config.wd, config.momentum
+                )
+                losses.append(float(loss[0]))
+            out.append((float(np.mean(losses)), float(np.linalg.norm(theta))))
+    return out
+
+
+def test_epochs_equal_the_one_runner_per_cell_replay_bit_for_bit(searched):
+    task = TASK_SPEC.make()
+    for cell, rec in searched.result.records.items():
+        reference = searched.eager[cell]
+        assert rec.status == reference.status, cell
+        logged = np.array([(e.train_loss, e.param_norm) for e in rec.epochs])
+        replayed = np.array([(e.train_loss, e.param_norm) for e in reference.epochs])
+        lr, wd = cell_params(searched.grid, cell)
+        config = dataclasses.replace(CONFIG, lr=lr, wd=wd)
+        looped = np.array(loop_reference(task, config, cell, rec.epochs_run))
+        assert logged.tobytes() == replayed.tobytes() == looped.tobytes(), cell
 
 
 def test_surfaces_equal_the_eager_reference(searched):
@@ -190,3 +239,54 @@ def test_valfree_task_never_scores(monkeypatch):
         for rec in result.records.values()
         for e in rec.epochs
     )
+
+
+def _runner(task, cohort, epochs=3, cell=(0, 0)):
+    config = dataclasses.replace(CONFIG, epochs=epochs)
+    return TrialRunner(task, ARCH, config, GridCell(*cell), cohort=cohort)
+
+
+def test_cohort_raises_when_a_member_steps_out_of_lockstep():
+    task = TASK_SPEC.make()
+    cohort = Cohort()
+    a, b = _runner(task, cohort), _runner(task, cohort, cell=(0, 1))
+    a.step_epoch()
+    with pytest.raises(RuntimeError, match="lockstep"):
+        a.step_epoch()  # b has not taken its step of this round
+    b.step_epoch()
+    a.step_epoch()  # next round
+    late = _runner(task, cohort, cell=(1, 0))
+    with pytest.raises(RuntimeError, match="lockstep"):
+        late.step_epoch()  # at epoch 0 while a is at epoch 2
+
+
+def test_cohort_rejects_members_that_cannot_share_a_stack():
+    task = TASK_SPEC.make()
+    cohort = Cohort()
+    _runner(task, cohort)
+    with pytest.raises(ValueError):
+        TrialRunner(task, ArchSpec((5,)), CONFIG, cohort=cohort)
+    with pytest.raises(ValueError):
+        TrialRunner(TASK_SPEC.make(), ARCH, CONFIG, cohort=cohort)
+
+
+def test_ended_runners_are_freed_without_the_cycle_collector():
+    task = TASK_SPEC.make()
+    cohort = Cohort()
+    completes = _runner(task, cohort, epochs=1)
+    stopped = _runner(task, cohort, cell=(0, 1))
+    survivor = _runner(task, cohort, cell=(0, 2))
+    for runner in (completes, stopped, survivor):
+        runner.step_epoch()
+    stopped.finish(STATUS_STOPPED_EARLY)
+    assert completes.record.status == STATUS_COMPLETED
+    refs = [weakref.ref(completes), weakref.ref(stopped)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del completes, stopped
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    survivor.step_epoch()  # the cohort goes on without them

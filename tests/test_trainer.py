@@ -140,29 +140,36 @@ class TestGradients:
         dim = int(rng.integers(2, 6))
         model = MLP(dim, hidden, n_classes)
         assert model.n_params <= 500
-        x = rng.standard_normal((12, dim))
-        y = rng.integers(0, n_classes, size=12)
-        theta = random_checkable_point(model, rng, x)
-        _, grad = model.loss_and_grad(theta, x, y)
+        # a stack of independently drawn trials; every row is checked
+        xs = rng.standard_normal((3, 12, dim))
+        ys = rng.integers(0, n_classes, size=(3, 12))
+        thetas = np.stack([random_checkable_point(model, rng, x) for x in xs])
+        _, grads = model.loss_and_grad(thetas, xs, ys)
         h = 1e-5
-        for i in rng.choice(model.n_params, size=min(40, model.n_params), replace=False):
-            probe = theta.copy()
-            probe[i] += h
-            up = model.loss(probe, x, y)
-            probe[i] -= 2 * h
-            down = model.loss(probe, x, y)
-            fd = (up - down) / (2 * h)
-            if abs(grad[i]) > 1e-8:
-                assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd)) < 1e-4
+        for theta, x, y, grad in zip(thetas, xs, ys, grads):
+            for i in rng.choice(model.n_params, size=min(40, model.n_params), replace=False):
+                probe = theta.copy()
+                probe[i] += h
+                up = model.loss(probe, x, y)
+                probe[i] -= 2 * h
+                down = model.loss(probe, x, y)
+                fd = (up - down) / (2 * h)
+                if abs(grad[i]) > 1e-8:
+                    assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd)) < 1e-4
 
     def test_loss_and_grad_loss_matches_loss(self):
         rng = np.random.default_rng(3)
-        model = MLP(4, (6,), 3)
-        theta = model.init_params(rng)
-        x = rng.standard_normal((9, 4))
-        y = rng.integers(0, 3, size=9)
-        loss_a, _ = model.loss_and_grad(theta, x, y)
-        assert loss_a == pytest.approx(model.loss(theta, x, y), rel=1e-14)
+        model = MLP(4, (6, 5), 3)
+        thetas = np.stack([model.init_params(rng) for _ in range(4)])
+        xs = rng.standard_normal((4, 9, 4))
+        ys = rng.integers(0, 3, size=(4, 9))
+        losses, grads = model.loss_and_grad(thetas, xs, ys)
+        assert losses.shape == (4,) and grads.shape == thetas.shape
+        for t in range(4):
+            assert losses[t] == model.loss(thetas[t], xs[t], ys[t])
+            alone_loss, alone_grad = model.loss_and_grad(thetas[t : t + 1], xs[t : t + 1], ys[t : t + 1])
+            assert alone_loss[0] == losses[t]
+            assert np.array_equal(alone_grad[0], grads[t])
 
 
 class TestRunTrial:
