@@ -26,7 +26,7 @@ from .quickshift import (
     link_parents,
     quickshift,
 )
-from .scheduler import Decision, Schedule, SchedulerPolicy, ScheduleError, init_schedule
+from .scheduler import Decision, Schedule, SchedulerPolicy, ScheduleError
 from .search import TaskSpec, execute_search, run_and_store, select_from_records, slice_records
 from .selector import (
     EvalReport,

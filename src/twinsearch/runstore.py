@@ -13,7 +13,9 @@ Directory layout (the public contract for external training systems):
 
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
-shortest-round-trip repr, which makes write/load cycles bit-exact. A torn
+shortest-round-trip repr, which makes write/load cycles bit-exact.
+``TrialLine.to_json``, the only trial-line encoder, builds its text
+directly, byte for byte what ``encode_json`` gives for its fields. A torn
 final trial line (crash mid-append) is dropped with a warning on load;
 corruption anywhere else is an error.
 
@@ -24,8 +26,12 @@ Every other line has null metrics. Metrics are known only when a trial
 ends, so an alive trial's last ``w + 1`` lines (the current one and the
 ``w`` before it) are written when it ends. Loading does not depend on
 this: files with metrics on every epoch, as older runs have, load to the
-same summaries. Appends are flushed to the operating system but not
-fsynced, so a machine crash can lose recent lines.
+same summaries.
+
+Each trial line is one unbuffered ``os.write`` to the trial file, opened
+for appending and closed again; a short write raises. Lines reach the
+operating system at once but are not fsynced, so a machine crash can lose
+recent lines.
 """
 
 from __future__ import annotations
@@ -85,6 +91,20 @@ def _encode(obj):
     return obj
 
 
+def _float_text(value: float | None) -> str:
+    """One float field of a trial line, as ``encode_json`` writes it."""
+    if value is None:
+        return "null"
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return '"NaN"'
+    return '"Inf"' if value > 0 else '"-Inf"'
+
+
+_STATUS_TEXT = {s: json.dumps(s) for s in (STATUS_RUNNING, *sorted(TERMINAL_STATUSES))}
+
+
 def _decode_float(value):
     if value is None:
         return None
@@ -124,17 +144,14 @@ class TrialLine:
     status: str = STATUS_RUNNING
 
     def to_json(self) -> str:
-        payload = {
-            "row": self.row,
-            "col": self.col,
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "param_norm": self.param_norm,
-            "val_acc": self.val_acc,
-            "test_acc": self.test_acc,
-            "status": self.status,
-        }
-        return encode_json(payload, indent=None)
+        """Compact JSON text: ``encode_json(fields, indent=None)``, built directly."""
+        return (
+            f'{{"row":{self.row:d},"col":{self.col:d},"epoch":{self.epoch:d},'
+            f'"train_loss":{_float_text(self.train_loss)},'
+            f'"param_norm":{_float_text(self.param_norm)},'
+            f'"val_acc":{_float_text(self.val_acc)},"test_acc":{_float_text(self.test_acc)},'
+            f'"status":{_STATUS_TEXT.get(self.status) or json.dumps(self.status)}}}'
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialLine":
@@ -164,7 +181,8 @@ class RunStore:
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self._manifest_cache: dict[str, dict] = {}
+        # run_id -> (grid rows, grid cols, trials directory as a plain string)
+        self._trial_targets: dict[str, tuple[int, int, str]] = {}
         self._epoch_cache: dict[tuple[str, int, int], int] = {}
 
     def run_dir(self, run_id: str) -> Path:
@@ -182,27 +200,35 @@ class RunStore:
         return run_dir
 
     def append_trial_line(self, run_id: str, line: TrialLine) -> None:
-        run_dir = self.run_dir(run_id)
-        if run_id not in self._manifest_cache:
+        target = self._trial_targets.get(run_id)
+        if target is None:
+            run_dir = self.run_dir(run_id)
             if not (run_dir / "manifest.json").exists():
                 raise RunStoreError(f"run {run_id!r} has no manifest; create the run first")
-            self._manifest_cache[run_id] = self.load_manifest(run_id)
-        shape = _grid_shape(self._manifest_cache[run_id])
-        if not (0 <= line.row < shape[0] and 0 <= line.col < shape[1]):
-            raise RunStoreError(f"cell ({line.row}, {line.col}) outside grid of shape {shape}")
-        path = run_dir / "trials" / f"{line.row}_{line.col}.jsonl"
-        key = (run_id, line.row, line.col)
-        if key not in self._epoch_cache:
+            shape = _grid_shape(self.load_manifest(run_id))
+            target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"))
+        n_rows, n_cols, trials_dir = target
+        row, col = line.row, line.col
+        if not (0 <= row < n_rows and 0 <= col < n_cols):
+            raise RunStoreError(f"cell ({row}, {col}) outside grid of shape {(n_rows, n_cols)}")
+        path = f"{trials_dir}/{row}_{col}.jsonl"
+        key = (run_id, row, col)
+        last = self._epoch_cache.get(key)
+        if last is None:
             last = self._last_epoch(path)
-            self._epoch_cache[key] = -1 if last is None else last
-        if line.epoch <= self._epoch_cache[key]:
+            last = self._epoch_cache[key] = -1 if last is None else last
+        if line.epoch <= last:
             raise RunStoreError(
-                f"epoch {line.epoch} not after last logged epoch {self._epoch_cache[key]} "
-                f"for cell ({line.row}, {line.col})"
+                f"epoch {line.epoch} not after last logged epoch {last} for cell ({row}, {col})"
             )
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line.to_json() + "\n")
-            fh.flush()
+        data = (line.to_json() + "\n").encode()
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        if written != len(data):
+            raise RunStoreError(f"{path}: short write, {written} of {len(data)} bytes")
         self._epoch_cache[key] = line.epoch
 
     def append_decisions(self, run_id: str, decisions: Iterable[dict]) -> None:
@@ -328,8 +354,8 @@ class RunStore:
         return out
 
     @staticmethod
-    def _last_epoch(path: Path) -> int | None:
-        if not path.exists():
+    def _last_epoch(path: str) -> int | None:
+        if not os.path.exists(path):
             return None
         last = None
         with open(path, "rb") as fh:

@@ -27,7 +27,6 @@ __all__ = [
     "SchedulerPolicy",
     "Schedule",
     "ScheduleError",
-    "init_schedule",
     "rung_levels",
 ]
 
@@ -217,8 +216,3 @@ class Schedule:
                 self._stop(cell, level)
             self._log(cell, level, decision, level)
         return outcome
-
-
-def init_schedule(policy: SchedulerPolicy, n_trials: int) -> Schedule:
-    """Fresh scheduler state: FIFO has no rungs; halving builds its ladder."""
-    return Schedule(policy, n_trials)

@@ -22,7 +22,7 @@ from .grid import GridCell, HyperGrid, cell_params
 from .matrices import LogMatrices, assemble, metric_window, zscore_outlier_mask
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunStore, TrialLine
-from .scheduler import Schedule, SchedulerPolicy, init_schedule
+from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
 from .tasks import SyntheticTask, make_synthetic_task
 from .trainer import (
@@ -104,7 +104,7 @@ def execute_search(
     that ends at epoch e gets metrics on epochs e-w+1..e, or on e-w..e-1 if
     it diverged, so none of them is on disk before its metrics are.
     """
-    schedule = init_schedule(policy, grid.n_trials)
+    schedule = Schedule(policy, grid.n_trials)
     window = metric_window(policy.kind)
     cohort = Cohort()
     runners: dict[GridCell, TrialRunner] = {}

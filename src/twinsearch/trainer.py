@@ -17,6 +17,14 @@ per-row lr and wd, in slices of ``STACK_SLICE`` members. Later calls of the
 round only take their own row. Every row is computed exactly as a lone
 trial's would be, so results do not depend on who else is in the cohort. A
 runner made without a cohort is a cohort of one.
+
+``MLP.loss_and_grad`` gives the bits of the frozen reference kernel in
+``tests/kernel_oracle.py`` (NaN payloads aside). Element-wise steps (bias
+adds, the softmax division, the one-hot subtraction, the ReLU mask) may run
+in place, and the class-axis max may be taken in any order, since max is
+exact. No sum may be reordered: the class-axis sum stays one
+``.sum(axis=2)`` reduction, because numpy sums eight or more terms pairwise
+and a running column sum rounds differently.
 """
 
 from __future__ import annotations
@@ -237,31 +245,39 @@ class MLP:
         acts = [x]
         a = x
         for wm, bv in layers[:-1]:
-            z = a @ wm + bv
+            z = a @ wm
+            z += bv
             pre.append(z)
             a = np.maximum(z, 0.0)
             acts.append(a)
         wm, bv = layers[-1]
-        z = a @ wm + bv
+        z = a @ wm
+        z += bv
 
-        zs = z - z.max(axis=2, keepdims=True)
-        expz = np.exp(zs)
-        sums = expz.sum(axis=2, keepdims=True)
-        probs = expz / sums
+        # a running max is exact; the class-axis sum must stay one reduction
+        n_classes = z.shape[2]
+        zmax = z[..., 0]
+        for c in range(1, n_classes):
+            zmax = np.maximum(zmax, z[..., c])
+        z -= zmax[..., None]
+        expz = np.exp(z)
+        sums = expz.sum(axis=2)
+        picked = np.take_along_axis(z, y[..., None], axis=2)[..., 0]
         t, n = y.shape
-        picked = (np.arange(t)[:, None], np.arange(n), y)
-        losses = np.mean(np.log(sums[..., 0]) - zs[picked], axis=1)
+        losses = np.mean(np.log(sums) - picked, axis=1)
 
-        grad = np.zeros_like(theta)
-        delta = probs
-        delta[picked] -= 1.0
+        grad = np.empty_like(theta)
+        delta = expz
+        delta /= sums[..., None]
+        delta -= y[..., None] == np.arange(n_classes)
         delta /= n
         for i in range(len(layers) - 1, -1, -1):
             w_sl, b_sl, n_in, n_out = self._slices[i]
             grad[:, w_sl] = (acts[i].swapaxes(1, 2) @ delta).reshape(t, n_in * n_out)
             grad[:, b_sl] = delta.sum(axis=1)
             if i > 0:
-                delta = (delta @ layers[i][0].swapaxes(1, 2)) * (pre[i - 1] > 0.0)
+                delta = delta @ layers[i][0].swapaxes(1, 2)
+                delta *= pre[i - 1] > 0.0
         return losses, grad
 
     def accuracy(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

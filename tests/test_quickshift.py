@@ -14,7 +14,7 @@ from twinsearch.quickshift import (
     link_parents,
     quickshift,
 )
-from twinsearch.quickshift_oracle import brute_force_labels
+from quickshift_oracle import brute_force_labels
 
 
 def canonical(labels):

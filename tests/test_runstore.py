@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
-from twinsearch.runstore import RunStore, RunStoreError, TrialLine, resume_plan
+from twinsearch.runstore import RunStore, RunStoreError, TrialLine, encode_json, resume_plan
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import TaskSpec, run_and_store, select_from_records
 from twinsearch.trainer import ArchSpec, TrainerConfig
@@ -93,6 +94,67 @@ class TestAppend:
             )
         with pytest.raises(RunStoreError, match="param_norm"):
             TrialLine.from_dict({"row": 0, "col": 0, "epoch": 0, "train_loss": 1.0, "status": "running"})
+
+
+    def test_short_write_raises(self, store, monkeypatch):
+        grid = small_grid()
+        store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:-1]))
+        with pytest.raises(RunStoreError, match="short write"):
+            store.append_trial_line("r1", TrialLine(0, 0, 0, 1.0, 2.0))
+
+
+FLOAT_FIELDS = ("train_loss", "param_norm", "val_acc", "test_acc")
+FLOAT_VALUES = (
+    0.1,
+    1.0 / 3.0,
+    -2.5e-8,
+    1e300,
+    123456789.0,
+    0.0,
+    -0.0,
+    5e-324,
+    -2.2250738585072014e-309,
+    math.nan,
+    -math.nan,
+    math.inf,
+    -math.inf,
+    None,
+    np.float64(0.7),
+    np.float64(np.nan),
+)
+
+
+def legacy_encoding(line: TrialLine) -> str:
+    """A trial line as the generic encoder writes its field dict."""
+    payload = {
+        "row": line.row,
+        "col": line.col,
+        "epoch": line.epoch,
+        "train_loss": line.train_loss,
+        "param_norm": line.param_norm,
+        "val_acc": line.val_acc,
+        "test_acc": line.test_acc,
+        "status": line.status,
+    }
+    return encode_json(payload, indent=None)
+
+
+class TestTrialLineEncoding:
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", FLOAT_VALUES, ids=repr)
+    def test_float_fields_match_generic_encoder(self, field, value):
+        fields = dict(row=1, col=2, epoch=3, train_loss=0.25, param_norm=4.5)
+        fields[field] = value
+        line = TrialLine(**fields)
+        assert line.to_json() == legacy_encoding(line)
+
+    @pytest.mark.parametrize("status", ["running", "completed", "stopped_early", "diverged", 'odd "x"'])
+    @pytest.mark.parametrize("index", [0, 7, 10**6, 2**62])
+    def test_statuses_and_large_indices_match_generic_encoder(self, status, index):
+        line = TrialLine(index, index + 1, 2 * index, math.nan, 1.5, 0.5, None, status)
+        assert line.to_json() == legacy_encoding(line)
 
 
 class TestLoad:

@@ -10,7 +10,6 @@ from twinsearch.scheduler import (
     Schedule,
     SchedulerPolicy,
     ScheduleError,
-    init_schedule,
     rung_levels,
 )
 
@@ -25,7 +24,7 @@ def drive_lockstep(policy, cells, losses_at):
 
     ``losses_at(cell, epoch_completed)`` supplies the loss curve.
     """
-    schedule = init_schedule(policy, len(cells))
+    schedule = Schedule(policy, len(cells))
     alive = sorted(cells)
     epochs_run = {cell: 0 for cell in cells}
     alive_after_rung = []
@@ -70,19 +69,19 @@ class TestPolicyAndLadder:
 
     def test_init_requires_trials(self):
         with pytest.raises(ValueError):
-            init_schedule(SchedulerPolicy("fifo", 10), 0)
+            Schedule(SchedulerPolicy("fifo", 10), 0)
 
 
 class TestFifo:
     def test_continue_until_budget(self):
-        schedule = init_schedule(SchedulerPolicy("fifo", 100), 4)
+        schedule = Schedule(SchedulerPolicy("fifo", 100), 4)
         cell = GridCell(0, 0)
         assert schedule.decide(cell, 50, 1.0) is Decision.CONTINUE
         assert schedule.decide(cell, 100, 0.5) is Decision.STOP
 
     def test_alive_fraction_stays_one_before_budget(self):
         cells = cells_grid(2, 2)
-        schedule = init_schedule(SchedulerPolicy("fifo", 3), 4)
+        schedule = Schedule(SchedulerPolicy("fifo", 3), 4)
         for epoch in (1, 2):
             for cell in cells:
                 assert schedule.decide(cell, epoch, 1.0) is Decision.CONTINUE
@@ -95,7 +94,7 @@ class TestFifo:
         assert sum(epochs_run.values()) == 9 * 7
 
     def test_stopped_trial_raises(self):
-        schedule = init_schedule(SchedulerPolicy("fifo", 2), 2)
+        schedule = Schedule(SchedulerPolicy("fifo", 2), 2)
         cell = GridCell(0, 0)
         schedule.decide(cell, 2, 1.0)
         with pytest.raises(ScheduleError, match="stopped"):
@@ -150,7 +149,7 @@ class TestHalving:
     def test_diverged_trials_rank_worst(self):
         cells = cells_grid(2, 2)
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.5, grace_fraction=0.05)
-        schedule = init_schedule(policy, 4)
+        schedule = Schedule(policy, 4)
         nan_cell = GridCell(0, 0)
         for cell in cells:
             loss = math.nan if cell == nan_cell else 0.5
@@ -161,7 +160,7 @@ class TestHalving:
         cells = cells_grid(1, 3)
         # cap = ceil(0.3 * 3) = 1, so the two survivors still halve 2 -> 1
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.3, grace_fraction=0.05)
-        schedule = init_schedule(policy, 3)
+        schedule = Schedule(policy, 3)
         schedule.decide(GridCell(0, 0), 2, 0.3)
         schedule.decide(GridCell(0, 1), 2, 0.4)
         # the last trial dies before reporting; the rung must resolve without it
@@ -172,7 +171,7 @@ class TestHalving:
     def test_alive_fraction_tracks_halving(self):
         cells = cells_grid(10, 10)
         policy = SchedulerPolicy("hb", 100, stop_fraction=0.25)
-        schedule = init_schedule(policy, 100)
+        schedule = Schedule(policy, 100)
         assert schedule.alive_fraction() == 1.0
         for epoch in range(1, 6):
             for cell in cells:

@@ -21,3 +21,26 @@ def test_compare_selectors_runs_on_a_tiny_setting(capsys):
     assert out.startswith("seed 0: regions=")
     for method in ("twin", "selts", "selvs"):
         assert f"MAE vs oracle [{method}]" in out
+
+
+def test_parity_reports_one_tree_identical_to_itself(capsys):
+    script = load_script("parity")
+    src = SCRIPTS.parent / "src"
+    argv = [str(src), str(src), "--recipes", "fifo-grid,hb-valfree", "--seeds", "0"]
+    assert script.main([*argv, "--grid", "3", "--epochs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["fifo-grid seed 0", "hb-valfree seed 0"]
+    assert all(": identical (" in line for line in out)
+
+
+def test_parity_names_a_changed_and_a_missing_file(tmp_path):
+    script = load_script("parity")
+    for side in ("a", "b"):
+        (tmp_path / side / "trials").mkdir(parents=True)
+        (tmp_path / side / "trials" / "0_0.jsonl").write_bytes(b'{"epoch":0}\n')
+        (tmp_path / side / "selection.json").write_bytes(b"{}\n")
+    (tmp_path / "b" / "trials" / "0_0.jsonl").write_bytes(b'{"epoch":1}\n')
+    (tmp_path / "a" / "baselines.json").write_bytes(b"{}\n")
+    n_files, problems = script.compare_dirs(tmp_path / "a", tmp_path / "b")
+    assert n_files == 3
+    assert problems == ["only in A: baselines.json", "differs: trials/0_0.jsonl"]

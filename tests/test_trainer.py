@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import reference_loss_and_grad
 
 from twinsearch.grid import GridCell
 from twinsearch.tasks import make_synthetic_task
@@ -170,6 +172,49 @@ class TestGradients:
             alone_loss, alone_grad = model.loss_and_grad(thetas[t : t + 1], xs[t : t + 1], ys[t : t + 1])
             assert alone_loss[0] == losses[t]
             assert np.array_equal(alone_grad[0], grads[t])
+
+
+def same_bits(got, want):
+    """Byte equality, except that a NaN matches any NaN (payloads may differ)."""
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    )
+
+
+class TestKernelParity:
+    """``loss_and_grad`` against the frozen reference in ``tests/kernel_oracle.py``."""
+
+    DRAWS = 9  # 24 cases x 9 draws = 216 stacks
+
+    @pytest.mark.parametrize(
+        "stack,hidden,n_classes",
+        list(itertools.product((1, 5, 16), ((32,), (32, 16)), (2, 3, 8, 10))),
+    )
+    def test_bit_equal_to_frozen_reference(self, stack, hidden, n_classes):
+        rng = np.random.default_rng([stack, len(hidden), n_classes])
+        nan_rows = 0
+        for draw in range(self.DRAWS):
+            dim = int(rng.integers(2, 17))
+            batch = int(rng.choice([1, 7, 32]))
+            model = MLP(dim, hidden, n_classes)
+            scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(stack, 1))
+            theta = rng.standard_normal((stack, model.n_params)) * scale
+            if draw % 3 == 2:
+                huge = rng.random(stack) < 0.3
+                huge[rng.integers(stack)] = True
+                theta[huge] *= 1e200
+            x = rng.standard_normal((stack, batch, dim)) * 10.0 ** rng.uniform(-2.0, 2.0)
+            y = rng.integers(0, n_classes, size=(stack, batch))
+            with np.errstate(all="ignore"):
+                losses, grad = model.loss_and_grad(theta, x, y)
+                want_losses, want_grad = reference_loss_and_grad(model.sizes, theta, x, y)
+            assert same_bits(losses, want_losses), f"losses differ, draw {draw}"
+            assert same_bits(grad, want_grad), f"gradients differ, draw {draw}"
+            nan_rows += int(np.isnan(want_losses).sum())
+        assert nan_rows > 0  # the rows scaled by 1e200 overflow to NaN losses
 
 
 class TestRunTrial:
