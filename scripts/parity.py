@@ -29,6 +29,8 @@ EVAL_OPS = [
     ["eval", RUN_ID, "--allow-test-metrics"],
 ]
 
+SEGMENT_RUN = ["--n-lr", "16", "--n-wd", "16", "--epochs", "6"]
+
 # name -> (flags of the run command, commands after it)
 RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     "fifo-grid": ([], EVAL_OPS),
@@ -45,6 +47,12 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     "hb-val": (["--scheduler", "hb", "--stop-fraction", "0.25"], EVAL_OPS),
     "deep-5class": (["--hidden", "32,16", "--n-classes", "5"], EVAL_OPS),
     "binary": (["--n-classes", "2"], EVAL_OPS),
+    # At default Quickshift parameters every recipe above selects from one
+    # region; these re-select a 16x16 run with parameters that segment it
+    # into several, so linking and labelling are compared too.
+    "select-ratio20": (SEGMENT_RUN, [["select", RUN_ID, "--ratio", "20"]]),
+    "select-near": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "1.5", "--ratio", "20"]]),
+    "select-maxdist-inf": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "inf"]]),
 }
 
 # Runs every job's commands against its own store; prints one JSON line.

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridCell, HyperGrid, build_log_grid
-from .matrices import assemble, build_metric_surfaces, zscore_outlier_mask
+from .matrices import assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunNotFoundError, RunStore, RunStoreError, resume_plan
 from .scheduler import SchedulerPolicy
@@ -218,8 +218,9 @@ def _cmd_select(args) -> int:
     params = _quickshift_overrides(args, grid)
     mats, artifacts = select_from_records(records, grid, params)
     if args.lr_stride == 1 and args.wd_stride == 1:
-        outliers = zscore_outlier_mask(mats.psi, mats.valid_mask)
-        store.write_matrices(args.run_id, mats, grid, outlier_mask=outliers)
+        store.write_matrices(
+            args.run_id, mats, grid, outlier_mask=artifacts.normalized.outlier_mask
+        )
         store.write_selection(args.run_id, artifacts)
     sel = artifacts.selection
     print(

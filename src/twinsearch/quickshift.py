@@ -6,9 +6,23 @@ summed exactly over every non-masked cell, and a link to its nearest
 higher-density neighbor within ``max_dist``. The resulting forest's trees
 are the regions. Masked cells are invisible throughout, not zero pixels.
 
-Density and linking each make a single pass over the pairs: the squared
-distances are accumulated axis by axis into one (M, M) array for the M
-non-masked cells, and every cell's link is one masked row ``argmin``.
+The M non-masked cells are walked in flat-index order, ``BLOCK`` at a
+time, so density and linking hold O(BLOCK * M) floats, never an (M, M)
+array. Squared distances are accumulated axis by axis, (row^2 + value^2)
++ col^2, for one block against a contiguous slice of cells:
+
+- Density sums each block row over all M cells. Every row is the same
+  reduction over the same values as a full (M, M) row, so its bits do not
+  depend on the blocking.
+- Linking compares a block only with the cells whose grid row lies within
+  ``max_dist`` rows of the block's rows, which in flat order is one
+  contiguous slice. That window is exact: the augmented distance is never
+  smaller than the row difference (also after rounding), so no cell
+  outside it can be eligible. Each cell's link is one masked row
+  ``argmin`` over flat-ascending candidates, whose first minimum keeps the
+  smaller-flat-index tie-break.
+- Labelling follows the parent forest by vectorised pointer jumping and
+  numbers the roots in ascending flat order.
 
 A deterministic ``1e-12 * flat_index`` density perturbation totally orders
 plateaus, replacing the randomized tie-breaking of common implementations.
@@ -34,6 +48,7 @@ __all__ = [
 ]
 
 DENSITY_TIE_EPS = 1e-12
+BLOCK = 128  # cells per block; density and linking hold O(BLOCK * M) floats
 
 
 @dataclass(frozen=True)
@@ -70,29 +85,37 @@ def default_params(grid: HyperGrid) -> QuickshiftParams:
 
 
 def _augmented_coords(values: np.ndarray, mask: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M, 3) coordinates for non-masked cells in flat-index order, plus flat indices."""
-    rows, cols = np.nonzero(~mask)
+    """(3, M) row/col/value coordinates of the non-masked cells, plus their flat indices.
+
+    Cells come in flat-index order, which fixes every summation order.
+    """
+    rows, cols = np.nonzero(~mask)  # row-major, so flat-index ascending
     flat = rows * values.shape[1] + cols
-    order = np.argsort(flat)  # flat-index ascending fixes the summation order
-    rows, cols, flat = rows[order], cols[order], flat[order]
-    coords = np.stack([rows.astype(float), cols.astype(float), ratio * values[rows, cols]], axis=1)
+    coords = np.stack([rows.astype(float), cols.astype(float), ratio * values[rows, cols]])
     return coords, flat
 
 
-def _pairwise_sq_dists(coords: np.ndarray) -> np.ndarray:
-    """(M, M) squared distances between the (M, 3) augmented coordinates.
+def _sq_dists(coords: np.ndarray, block: slice, others: slice) -> np.ndarray:
+    """Squared distances between the cells of ``block`` and those of ``others``.
 
     Summed as (row^2 + value^2) + col^2: that order keeps the densities, and
     so the labels, bit-identical to those of earlier releases.
     """
-    sq = np.subtract.outer(coords[:, 0], coords[:, 0])
+    a, b = coords[:, block], coords[:, others]
+    sq = np.subtract.outer(a[0], b[0])
     sq *= sq
     diff = np.empty_like(sq)
     for axis in (2, 1):
-        np.subtract.outer(coords[:, axis], coords[:, axis], out=diff)
+        np.subtract.outer(a[axis], b[axis], out=diff)
         diff *= diff
         sq += diff
     return sq
+
+
+def _blocks(n: int):
+    """Consecutive slices of at most ``BLOCK`` cells covering ``range(n)``."""
+    for start in range(0, n, BLOCK):
+        yield slice(start, min(start + BLOCK, n))
 
 
 def compute_density(
@@ -105,13 +128,14 @@ def compute_density(
     _check_inputs(values, mask)
     density = np.full(values.shape, np.nan)
     coords, flat = _augmented_coords(values, mask, ratio)
-    if len(flat) == 0:
-        return density
-    kernel = _pairwise_sq_dists(coords)
-    np.negative(kernel, out=kernel)
-    kernel /= 2.0 * kernel_size**2
-    np.exp(kernel, out=kernel)
-    d = kernel.sum(axis=1) + DENSITY_TIE_EPS * flat
+    d = np.empty(len(flat))
+    for block in _blocks(len(flat)):
+        kernel = _sq_dists(coords, block, slice(None))
+        np.negative(kernel, out=kernel)
+        kernel /= 2.0 * kernel_size**2
+        np.exp(kernel, out=kernel)
+        d[block] = kernel.sum(axis=1)
+    d += DENSITY_TIE_EPS * flat
     density[np.unravel_index(flat, values.shape)] = d
     return density
 
@@ -136,41 +160,49 @@ def link_parents(
         return parent
     cells = np.unravel_index(flat, values.shape)
     d = density[cells]
-    dist = _pairwise_sq_dists(coords)
-    np.sqrt(dist, out=dist)
-    # strictly denser, so a cell is never its own candidate
-    eligible = (d[None, :] > d[:, None]) & (dist <= max_dist)
-    dist[~eligible] = np.inf
-    # argmin returns the first minimum; candidates are flat-ascending
-    nearest = dist.argmin(axis=1)
-    linked = np.isfinite(dist[np.arange(len(flat)), nearest])
-    parent[cells] = np.where(linked, flat[nearest], flat)
+    rows = coords[0]
+    n_rows = values.shape[0]
+    # distance >= |row difference|, an integer, so no cell more than
+    # int(max_dist) rows away is eligible
+    reach = n_rows if max_dist >= n_rows else int(max_dist)
+    links = np.empty(len(flat), dtype=np.int64)
+    for block in _blocks(len(flat)):
+        lo = np.searchsorted(rows, rows[block.start] - reach, side="left")
+        hi = np.searchsorted(rows, rows[block.stop - 1] + reach, side="right")
+        dist = _sq_dists(coords, block, slice(lo, hi))
+        np.sqrt(dist, out=dist)
+        # strictly denser, so a cell is never its own candidate
+        eligible = (d[None, lo:hi] > d[block, None]) & (dist <= max_dist)
+        dist[~eligible] = np.inf
+        # argmin returns the first minimum; candidates are flat-ascending
+        nearest = dist.argmin(axis=1)
+        linked = np.isfinite(dist[np.arange(len(nearest)), nearest])
+        links[block] = np.where(linked, flat[lo + nearest], flat[block])
+    parent[cells] = links
     return parent
 
 
 def label_segments(parent: np.ndarray, mask: np.ndarray) -> SegmentLabels:
     """Collapse parent trees into region labels, numbered by ascending root index."""
-    shape = parent.shape
-    labels = np.full(shape, -1, dtype=np.int64)
     flat_parent = parent.ravel()
     n_cells = flat_parent.size
-    roots: dict[int, int] = {}
-    root_of = {}
-    for idx in np.nonzero(~mask.ravel())[0]:
-        node = int(idx)
-        steps = 0
-        while flat_parent[node] != node:
-            node = int(flat_parent[node])
-            steps += 1
-            if steps > n_cells:
-                raise AssertionError("cycle in parent forest; density ordering violated")
-        root_of[int(idx)] = node
-        roots.setdefault(node, 0)
-    label_of_root = {root: i for i, root in enumerate(sorted(roots))}
-    flat_labels = labels.ravel()
-    for idx, root in root_of.items():
-        flat_labels[idx] = label_of_root[root]
-    return SegmentLabels(labels=labels, n_regions=len(label_of_root), parent=parent)
+    active = np.flatnonzero(~mask.ravel())
+    # pointer jumping: after k rounds each cell points 2**k steps up its
+    # tree, so every chain (at most n_cells long) ends at its root
+    anc = np.where(mask.ravel(), np.arange(n_cells), flat_parent)
+    for _ in range(n_cells.bit_length() + 1):
+        up = anc[anc]
+        if np.array_equal(up, anc):
+            break
+        anc = up
+    roots = anc[active]
+    if np.any(flat_parent[roots] != roots):
+        raise AssertionError("cycle in parent forest; density ordering violated")
+    root_ids, region_of = np.unique(roots, return_inverse=True)
+    labels = np.full(n_cells, -1, dtype=np.int64)
+    labels[active] = region_of
+    labels = labels.reshape(parent.shape)
+    return SegmentLabels(labels=labels, n_regions=len(root_ids), parent=parent)
 
 
 def quickshift(values: np.ndarray, mask: np.ndarray, params: QuickshiftParams) -> SegmentLabels:

@@ -19,6 +19,13 @@ directly, byte for byte what ``encode_json`` gives for its fields. A torn
 final trial line (crash mid-append) is dropped with a warning on load;
 corruption anywhere else is an error.
 
+``load_run`` reads each trial file in one piece, parses it line by line
+and builds the ``EpochLog`` of each line directly, checking the line as it
+goes: every field present, non-negative integer row/col/epoch, a known
+status, decodable floats, the file's own cell and contiguous epochs from 0.
+A line that fails a check raises ``RunStoreError`` naming the field, or the
+file for a wrong cell or a gap.
+
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
 FIFO, the last five under early stopping (``matrices.metric_window``).
@@ -103,6 +110,8 @@ def _float_text(value: float | None) -> str:
 
 
 _STATUS_TEXT = {s: json.dumps(s) for s in (STATUS_RUNNING, *sorted(TERMINAL_STATUSES))}
+# every field a trial line must carry, in the order a missing one is reported
+_TRIAL_FIELDS = ("row", "col", "epoch", "train_loss", "param_norm", "status")
 
 
 def _decode_float(value):
@@ -153,27 +162,9 @@ class TrialLine:
             f'"status":{_STATUS_TEXT.get(self.status) or json.dumps(self.status)}}}'
         )
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialLine":
-        required = ("row", "col", "epoch", "train_loss", "param_norm", "status")
-        for key in required:
-            if key not in d:
-                raise RunStoreError(f"trial line missing field {key!r}")
-        for key in ("row", "col", "epoch"):
-            if not isinstance(d[key], int) or d[key] < 0:
-                raise RunStoreError(f"trial line field {key!r} must be a non-negative integer")
-        if d["status"] not in TERMINAL_STATUSES and d["status"] != STATUS_RUNNING:
-            raise RunStoreError(f"trial line field 'status' has unknown value {d['status']!r}")
-        return cls(
-            row=d["row"],
-            col=d["col"],
-            epoch=d["epoch"],
-            train_loss=_decode_float(d["train_loss"]),
-            param_norm=_decode_float(d["param_norm"]),
-            val_acc=_decode_float(d.get("val_acc")),
-            test_acc=_decode_float(d.get("test_acc")),
-            status=d["status"],
-        )
+
+def _not_an_index(key: str) -> RunStoreError:
+    return RunStoreError(f"trial line field {key!r} must be a non-negative integer")
 
 
 class RunStore:
@@ -300,41 +291,58 @@ class RunStore:
     def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord], list[dict]]:
         """Manifest, per-cell records (partial trials included), decision log."""
         manifest = self.load_manifest(run_id)
-        run_dir = self.run_dir(run_id)
+        run_dir = str(self.run_dir(run_id))
         records: dict[GridCell, TrialRecord] = {}
-        trials_dir = run_dir / "trials"
-        if trials_dir.exists():
+        trials_dir = f"{run_dir}/trials"
+        if os.path.isdir(trials_dir):
             for name in sorted(os.listdir(trials_dir)):
                 m = _TRIAL_FILE_RE.match(name)
                 if not m:
                     continue
                 cell = GridCell(int(m.group(1)), int(m.group(2)))
-                records[cell] = self._load_trial_file(trials_dir / name, cell)
-        decisions_path = run_dir / "decisions.jsonl"
-        decisions = self._read_jsonl(decisions_path) if decisions_path.exists() else []
+                records[cell] = self._load_trial_file(f"{trials_dir}/{name}", cell)
+        decisions_path = f"{run_dir}/decisions.jsonl"
+        decisions = self._read_jsonl(decisions_path) if os.path.exists(decisions_path) else []
         return manifest, records, decisions
 
-    def _load_trial_file(self, path: Path, cell: GridCell) -> TrialRecord:
+    def _load_trial_file(self, path: str, cell: GridCell) -> TrialRecord:
+        """One trial's record, checking every line against the trial-line schema."""
         record = TrialRecord(cell=cell)
-        last_epoch = -1
+        epochs = record.epochs
         for d in self._read_jsonl(path):
-            line = TrialLine.from_dict(d)
-            if (line.row, line.col) != (cell.row, cell.col):
-                raise RunStoreError(f"{path}: line for cell ({line.row}, {line.col}) in wrong file")
-            if line.epoch != last_epoch + 1:
-                raise RunStoreError(
-                    f"{path}: epoch {line.epoch} breaks contiguity after {last_epoch}"
-                )
-            last_epoch = line.epoch
-            record.epochs.append(
-                EpochLog(line.epoch, line.train_loss, line.param_norm, line.val_acc, line.test_acc)
+            for key in _TRIAL_FIELDS:
+                if key not in d:
+                    raise RunStoreError(f"trial line missing field {key!r}")
+            row, col, epoch, status = d["row"], d["col"], d["epoch"], d["status"]
+            if not (isinstance(row, int) and row >= 0):
+                raise _not_an_index("row")
+            if not (isinstance(col, int) and col >= 0):
+                raise _not_an_index("col")
+            if not (isinstance(epoch, int) and epoch >= 0):
+                raise _not_an_index("epoch")
+            if status not in _STATUS_TEXT:
+                raise RunStoreError(f"trial line field 'status' has unknown value {status!r}")
+            log = EpochLog(
+                epoch,
+                _decode_float(d["train_loss"]),
+                _decode_float(d["param_norm"]),
+                _decode_float(d.get("val_acc")),
+                _decode_float(d.get("test_acc")),
             )
-            if line.status in TERMINAL_STATUSES:
-                record.status = line.status
+            if row != cell.row or col != cell.col:
+                raise RunStoreError(f"{path}: line for cell ({row}, {col}) in wrong file")
+            if epoch != len(epochs):
+                raise RunStoreError(
+                    f"{path}: epoch {epoch} breaks contiguity after {len(epochs) - 1}"
+                )
+            epochs.append(log)
+            if status in TERMINAL_STATUSES:
+                record.status = status
         return record
 
-    def _read_jsonl(self, path: Path) -> list[dict]:
-        raw = path.read_bytes()
+    def _read_jsonl(self, path: str) -> list[dict]:
+        with open(path, "rb") as fh:
+            raw = fh.read()
         out = []
         chunks = raw.split(b"\n")
         torn_tail = chunks[-1] != b""  # no trailing newline: final append was cut short

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .grid import GridCell, HyperGrid, cell_params
-from .matrices import LogMatrices, assemble, metric_window, zscore_outlier_mask
+from .matrices import LogMatrices, assemble, metric_window
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunStore, TrialLine
 from .scheduler import Schedule, SchedulerPolicy
@@ -233,7 +233,8 @@ def run_and_store(
     result.matrices, result.artifacts = select_from_records(
         result.records, grid, quickshift_params
     )
-    outliers = zscore_outlier_mask(result.matrices.psi, result.matrices.valid_mask)
-    store.write_matrices(run_id, result.matrices, grid, outlier_mask=outliers)
+    store.write_matrices(
+        run_id, result.matrices, grid, outlier_mask=result.artifacts.normalized.outlier_mask
+    )
     store.write_selection(run_id, result.artifacts)
     return result

@@ -152,6 +152,13 @@ class TestSelect:
             return int(s.rsplit("regions=", 1)[1].split()[0])
         assert regions(large_out) <= regions(default_out)
 
+    def test_select_with_infinite_max_dist(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        assert run_cli(tmp_path, "select", "r", "--max-dist", "inf", "--ratio", "20") == 0
+        assert "regions=" in capsys.readouterr().out
+        doc = json.loads(artifact(tmp_path, "r", "selection.json").read_text())
+        assert doc["quickshift_params"]["max_dist"] == "Inf"
+
 
 class TestBaselineAndEval:
     def test_baseline_requires_flag_for_oracle(self, tmp_path, capsys):

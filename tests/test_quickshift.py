@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from twinsearch.quickshift import (
     link_parents,
     quickshift,
 )
+from quickshift_frozen import reference_density, reference_labels, reference_parents
 from quickshift_oracle import brute_force_labels
 
 
@@ -269,3 +271,104 @@ class TestOracleEquivalence:
         # the partition itself is transpose-equivariant
         straight = quickshift(values, mask, params)
         assert canonical(straight.labels.T) == canonical(mine.labels)
+
+
+# None stands for the default link range of the instance's grid
+FROZEN_MAX_DISTS = (0.5, 1.0, 1.5, None, 100.0, math.inf)
+FROZEN_RATIOS = (0.0, 1.0, 20.0, 100.0)
+
+
+def large_instance(seed):
+    """Grids of side 1-50 (up to 2,500 cells, so many 128-cell blocks), with
+    masks, plateaus, and every (max_dist, ratio) pair of the lists above."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = (int(n) for n in rng.integers(1, 51, size=2))
+    values = rng.random((n_rows, n_cols))
+    if seed % 3 == 0:
+        # plateaus: a few levels, so densities tie up to the flat-index term
+        values = np.floor(values * int(rng.integers(1, 4))) / 3.0
+    mask = rng.random((n_rows, n_cols)) < rng.uniform(0.0, 0.9)
+    max_dist = FROZEN_MAX_DISTS[seed % len(FROZEN_MAX_DISTS)]
+    ratio = FROZEN_RATIOS[(seed // len(FROZEN_MAX_DISTS)) % len(FROZEN_RATIOS)]
+    side = math.sqrt(max(n_rows, n_cols))
+    kernel_size = side if seed % 2 else float(rng.uniform(0.3, 8.0))
+    return values, mask, kernel_size, side if max_dist is None else max_dist, ratio
+
+
+def assert_matches_frozen(values, mask, kernel_size, max_dist, ratio):
+    density = compute_density(values, mask, kernel_size, ratio)
+    expected_density = reference_density(values, mask, kernel_size, ratio)
+    assert density.tobytes() == expected_density.tobytes()
+    parent = link_parents(density, values, mask, max_dist, ratio)
+    np.testing.assert_array_equal(
+        parent, reference_parents(expected_density, values, mask, max_dist, ratio)
+    )
+    segments = label_segments(parent, mask)
+    expected_labels, expected_regions = reference_labels(parent, mask)
+    np.testing.assert_array_equal(segments.labels, expected_labels)
+    assert segments.n_regions == expected_regions
+
+
+class TestFrozenParity:
+    """Bit parity with the single-pass (M, M) implementation in quickshift_frozen."""
+
+    @pytest.mark.parametrize("seed", range(240))
+    def test_random_large_instances(self, seed):
+        assert_matches_frozen(*large_instance(seed))
+
+    @pytest.mark.parametrize("max_dist", [math.inf, 31.0, 1e6])
+    def test_link_range_beyond_the_grid(self, max_dist):
+        rng = np.random.default_rng(5)
+        values = rng.random((30, 30))
+        mask = rng.random((30, 30)) < 0.1
+        assert_matches_frozen(values, mask, math.sqrt(30), max_dist, 20.0)
+
+    def test_unmasked_forty_by_forty_at_defaults(self):
+        values = np.random.default_rng(6).random((40, 40))
+        params = default_params(build_log_grid(5e-5, 5e-1, 40, 5e-5, 5e-1, 40))
+        mask = np.zeros((40, 40), dtype=bool)
+        assert_matches_frozen(values, mask, params.kernel_size, params.max_dist, params.ratio)
+
+    def test_single_row_and_single_column(self):
+        for shape in ((1, 300), (300, 1)):
+            values = np.random.default_rng(7).random(shape)
+            assert_matches_frozen(values, np.zeros(shape, dtype=bool), 2.0, 3.0, 1.0)
+
+    def test_everything_masked(self):
+        values = np.zeros((20, 20))
+        mask = np.ones((20, 20), dtype=bool)
+        assert_matches_frozen(values, mask, 2.0, 2.0, 1.0)
+        assert quickshift(values, mask, QuickshiftParams(2.0, 2.0)).n_regions == 0
+
+
+class TestCycleDetection:
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            [[1, 0]],  # two cells pointing at each other
+            [[1, 2, 3, 1]],  # a tail running into a three-cycle
+            [[0, 2], [1, 3]],  # one root, one two-cycle
+        ],
+    )
+    def test_cyclic_parent_array_raises(self, parent):
+        parent = np.array(parent, dtype=np.int64)
+        mask = np.zeros(parent.shape, dtype=bool)
+        with pytest.raises(AssertionError, match="cycle"):
+            label_segments(parent, mask)
+        with pytest.raises(AssertionError, match="cycle"):
+            reference_labels(parent, mask)
+
+
+class TestMemory:
+    def test_sixty_by_sixty_peak_stays_bounded(self):
+        # one (M, M) float64 array alone is 104 MB at M = 3,600
+        values = np.random.default_rng(8).random((60, 60))
+        mask = np.zeros((60, 60), dtype=bool)
+        params = default_params(build_log_grid(5e-5, 5e-1, 60, 5e-5, 5e-1, 60))
+        tracemalloc.start()
+        try:
+            quickshift(values, mask, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

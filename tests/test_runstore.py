@@ -87,15 +87,6 @@ class TestAppend:
         with pytest.raises(RunStoreError, match="manifest"):
             store.append_trial_line("ghost", TrialLine(0, 0, 0, 1.0, 2.0))
 
-    def test_schema_violation_names_field(self, store):
-        with pytest.raises(RunStoreError, match="status"):
-            TrialLine.from_dict(
-                {"row": 0, "col": 0, "epoch": 0, "train_loss": 1.0, "param_norm": 1.0, "status": "paused"}
-            )
-        with pytest.raises(RunStoreError, match="param_norm"):
-            TrialLine.from_dict({"row": 0, "col": 0, "epoch": 0, "train_loss": 1.0, "status": "running"})
-
-
     def test_short_write_raises(self, store, monkeypatch):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
@@ -223,6 +214,44 @@ class TestLoad:
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         with pytest.raises(RunStoreError, match="already exists"):
             store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+
+
+def edit_line(fields, **changes):
+    """Trial-line fields with ``changes`` applied; a value of None removes the field."""
+    edited = dict(fields, **changes)
+    return {k: v for k, v in edited.items() if v is not None}
+
+
+class TestLoadSchema:
+    """Trial lines on disk that break the schema stop ``load_run`` with a named error."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(status="paused"), "trial line field 'status' has unknown value 'paused'"),
+            (dict(param_norm=None), "trial line missing field 'param_norm'"),
+            (dict(row=None, status=None), "trial line missing field 'row'"),
+            (dict(row=1), r"0_0.jsonl: line for cell \(1, 0\) in wrong file"),
+            (dict(epoch=1.0), "trial line field 'epoch' must be a non-negative integer"),
+            (dict(epoch="1"), "trial line field 'epoch' must be a non-negative integer"),
+            (dict(col=-1), "trial line field 'col' must be a non-negative integer"),
+            (dict(train_loss="nan"), "not a float encoding: 'nan'"),
+            (dict(val_acc="Infinity"), "not a float encoding: 'Infinity'"),
+        ],
+        ids=[
+            "status", "param_norm", "row-first", "cell", "epoch-float", "epoch-str", "col",
+            "nan", "val_acc",
+        ],
+    )
+    def test_bad_interior_line_raises(self, store, changes, message):
+        grid = small_grid()
+        write_full_run(store, "r1", grid, epochs=3)
+        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps(edit_line(json.loads(lines[1]), **changes))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RunStoreError, match=message):
+            store.load_run("r1")
 
 
 class TestArtifactsRoundTrip:

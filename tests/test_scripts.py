@@ -44,3 +44,20 @@ def test_parity_names_a_changed_and_a_missing_file(tmp_path):
     n_files, problems = script.compare_dirs(tmp_path / "a", tmp_path / "b")
     assert n_files == 3
     assert problems == ["only in A: baselines.json", "differs: trials/0_0.jsonl"]
+
+
+def test_parity_segmenting_recipes_run_select_with_their_flags(capsys):
+    script = load_script("parity")
+    src = SCRIPTS.parent / "src"
+    recipes = "select-ratio20,select-near,select-maxdist-inf"
+    argv = [str(src), str(src), "--recipes", recipes, "--seeds", "0"]
+    assert script.main([*argv, "--grid", "3", "--epochs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == [f"{r} seed 0" for r in recipes.split(",")]
+    assert all(": identical (" in line for line in out)
+    selects = [job["ops"][-1] for job in script.build_jobs(recipes.split(","), [0], None, None)]
+    assert [op[2:] for op in selects] == [
+        ["--ratio", "20"],
+        ["--max-dist", "1.5", "--ratio", "20"],
+        ["--max-dist", "inf"],
+    ]
