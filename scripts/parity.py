@@ -4,7 +4,10 @@
 Runs a fixed set of CLI recipes, for each seed, once with the ``twinsearch``
 package from ``SRC_A`` and once with the one from ``SRC_B``, and compares
 every file of the resulting run directories byte for byte: manifest, trial
-lines, decision log, matrices, selection, baselines and eval report.
+lines, decision log, matrices, selection, baselines and eval report. The
+``select-foreign`` recipe rewrites every trial file the way another writer
+might (spaced separators, reversed keys, CRLF, integral floats as ints)
+before it selects, so the loader's handling of such lines is compared too.
 
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
@@ -30,6 +33,9 @@ EVAL_OPS = [
 ]
 
 SEGMENT_RUN = ["--n-lr", "16", "--n-wd", "16", "--epochs", "6"]
+# not a CLI command: rewrites every trial file of the run with ", "/": "
+# separators, reversed key order, CRLF line ends and integral floats as ints
+FOREIGN = "rewrite-trials-foreign"
 
 # name -> (flags of the run command, commands after it)
 RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
@@ -53,17 +59,40 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     "select-ratio20": (SEGMENT_RUN, [["select", RUN_ID, "--ratio", "20"]]),
     "select-near": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "1.5", "--ratio", "20"]]),
     "select-maxdist-inf": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "inf"]]),
+    # Every recipe above reads only the lines the package writes itself; this
+    # one re-selects from trial files rewritten as another writer might. Four
+    # val/test examples make accuracies of 0 and 1, which it writes as ints.
+    "select-foreign": (
+        ["--n-lr", "8", "--n-wd", "8", "--epochs", "6", "--n-val", "4", "--n-test", "4"],
+        [[FOREIGN], ["select", RUN_ID], EVAL_OPS[0]],
+    ),
 }
 
 # Runs every job's commands against its own store; prints one JSON line.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, pathlib, sys
 spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from twinsearch.cli import main
+
+def rewrite_foreign(trials):
+    for path in sorted(pathlib.Path(trials).glob("*.jsonl")):
+        out = []
+        for line in path.read_bytes().decode("utf-8").splitlines():
+            fields = json.loads(line)
+            fields = {
+                k: int(v) if isinstance(v, float) and v.is_integer() else v
+                for k, v in reversed(fields.items())
+            }
+            out.append(json.dumps(fields, separators=(", ", ": ")) + "\\r\\n")
+        path.write_bytes("".join(out).encode("utf-8"))
+
 failures = []
 for job in spec["jobs"]:
     for argv in job["ops"]:
+        if argv == [spec["foreign"]]:
+            rewrite_foreign(pathlib.Path(job["store"]) / spec["run_id"] / "trials")
+            continue
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(["--store-root", job["store"], *argv])
@@ -96,6 +125,8 @@ def run_tree(src: Path, store_root: Path, jobs: list[dict]) -> list[str]:
     """Run every job with the package under ``src``; returns the failed commands."""
     spec = {
         "src": str(src),
+        "run_id": RUN_ID,
+        "foreign": FOREIGN,
         "jobs": [{"store": str(store_root / j["store"]), "ops": j["ops"]} for j in jobs],
     }
     proc = subprocess.run(

@@ -14,7 +14,6 @@ from .matrices import (
     assemble,
     build_metric_surfaces,
     normalize_invert,
-    summarize_loss,
     zscore_outlier_mask,
 )
 from .quickshift import (

@@ -22,7 +22,6 @@ __all__ = [
     "LogMatrices",
     "NormalizedLoss",
     "MetricSurfaces",
-    "summarize_loss",
     "assemble",
     "zscore_outlier_mask",
     "normalize_invert",
@@ -75,18 +74,6 @@ class MetricSurfaces:
     test_acc: np.ndarray
 
 
-def summarize_loss(record: TrialRecord, scheduler_kind: str | None = None) -> float:
-    """Mean train loss over the last ``min(5, epochs_run)`` epochs.
-
-    Scheduler-independent by design: early-stopped trials summarize the same
-    way as full runs (``scheduler_kind`` is accepted for interface parity).
-    """
-    if record.epochs_run == 0:
-        raise ValueError(f"trial {record.cell} has no logged epochs")
-    losses = record.train_losses()
-    return float(np.mean(losses[-LAST_K:]))
-
-
 def _records_by_cell(records: Iterable[TrialRecord], grid: HyperGrid) -> dict[GridCell, TrialRecord]:
     expected = set(grid.cells())
     by_cell: dict[GridCell, TrialRecord] = {}
@@ -107,18 +94,37 @@ def _records_by_cell(records: Iterable[TrialRecord], grid: HyperGrid) -> dict[Gr
 
 
 def assemble(records: Iterable[TrialRecord], grid: HyperGrid) -> LogMatrices:
-    """Build the loss/norm matrices from exactly one record per grid cell."""
+    """Build the loss/norm matrices from exactly one record per grid cell.
+
+    ``psi`` is the mean train loss over the last ``k = min(LAST_K,
+    epochs_run)`` epochs, the same for every scheduler. Cells are grouped by
+    ``k`` and each group is one ``np.mean(axis=1)``: numpy sums rows this
+    short in order, so every entry has the bits of a per-record ``np.mean``.
+    """
     by_cell = _records_by_cell(records, grid)
     shape = grid.shape
-    psi = np.full(shape, np.nan)
-    theta = np.full(shape, np.nan)
-    epochs_run = np.zeros(shape, dtype=np.int64)
+    flat, norms, runs = [], [], []
+    # k -> (flat indices, last-k losses of each cell)
+    groups: dict[int, tuple[list[int], list[list[float]]]] = {}
     for cell, rec in by_cell.items():
-        if rec.epochs_run == 0:
+        epochs = rec.epochs
+        if not epochs:
             raise ValueError(f"trial {cell} has no logged epochs")
-        psi[cell.row, cell.col] = summarize_loss(rec)
-        theta[cell.row, cell.col] = rec.epochs[-1].param_norm
-        epochs_run[cell.row, cell.col] = rec.epochs_run
+        i = cell.row * shape[1] + cell.col
+        flat.append(i)
+        norms.append(epochs[-1].param_norm)
+        runs.append(len(epochs))
+        tail = epochs[-LAST_K:]
+        cells, losses = groups.setdefault(len(tail), ([], []))
+        cells.append(i)
+        losses.append([e.train_loss for e in tail])
+    psi = np.empty(shape)
+    for cells, losses in groups.values():
+        psi.flat[cells] = np.mean(np.array(losses, dtype=np.float64), axis=1)
+    theta = np.empty(shape)
+    theta.flat[flat] = norms
+    epochs_run = np.empty(shape, dtype=np.int64)
+    epochs_run.flat[flat] = runs
     valid = np.isfinite(psi) & np.isfinite(theta)
     return LogMatrices(psi=psi, theta=theta, valid_mask=valid, epochs_run=epochs_run)
 

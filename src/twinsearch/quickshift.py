@@ -9,7 +9,11 @@ are the regions. Masked cells are invisible throughout, not zero pixels.
 The M non-masked cells are walked in flat-index order, ``BLOCK`` at a
 time, so density and linking hold O(BLOCK * M) floats, never an (M, M)
 array. Squared distances are accumulated axis by axis, (row^2 + value^2)
-+ col^2, for one block against a contiguous slice of cells:
++ col^2, for one block against a contiguous slice of cells. Density and
+linking each allocate two flat (BLOCK * M) buffers once and write every
+block's distances into their leading elements, so no block allocates (or
+page-faults in) fresh arrays; the operations and their order are those of
+fresh arrays, and so are the bits:
 
 - Density sums each block row over all M cells. Every row is the same
   reduction over the same values as a full (M, M) row, so its bits do not
@@ -95,21 +99,34 @@ def _augmented_coords(values: np.ndarray, mask: np.ndarray, ratio: float) -> tup
     return coords, flat
 
 
-def _sq_dists(coords: np.ndarray, block: slice, others: slice) -> np.ndarray:
+def _sq_dists(
+    coords: np.ndarray, block: slice, others: slice, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Squared distances between the cells of ``block`` and those of ``others``.
 
-    Summed as (row^2 + value^2) + col^2: that order keeps the densities, and
-    so the labels, bit-identical to those of earlier releases.
+    Written into the leading elements of the flat buffers ``out`` and
+    ``scratch`` (see ``_buffers``); returns the C-contiguous (block, others)
+    view of ``out``. Summed as (row^2 + value^2) + col^2: that order keeps
+    the densities, and so the labels, bit-identical to those of earlier
+    releases.
     """
     a, b = coords[:, block], coords[:, others]
-    sq = np.subtract.outer(a[0], b[0])
+    shape = (a.shape[1], b.shape[1])
+    size = shape[0] * shape[1]
+    sq = out[:size].reshape(shape)
+    diff = scratch[:size].reshape(shape)
+    np.subtract.outer(a[0], b[0], out=sq)
     sq *= sq
-    diff = np.empty_like(sq)
     for axis in (2, 1):
         np.subtract.outer(a[axis], b[axis], out=diff)
         diff *= diff
         sq += diff
     return sq
+
+
+def _buffers(n: int) -> np.ndarray:
+    """The two flat (BLOCK * n) buffers ``_sq_dists`` writes into, for n cells."""
+    return np.empty((2, min(BLOCK, n) * n))
 
 
 def _blocks(n: int):
@@ -129,8 +146,9 @@ def compute_density(
     density = np.full(values.shape, np.nan)
     coords, flat = _augmented_coords(values, mask, ratio)
     d = np.empty(len(flat))
+    out, scratch = _buffers(len(flat))
     for block in _blocks(len(flat)):
-        kernel = _sq_dists(coords, block, slice(None))
+        kernel = _sq_dists(coords, block, slice(None), out, scratch)
         np.negative(kernel, out=kernel)
         kernel /= 2.0 * kernel_size**2
         np.exp(kernel, out=kernel)
@@ -166,10 +184,11 @@ def link_parents(
     # int(max_dist) rows away is eligible
     reach = n_rows if max_dist >= n_rows else int(max_dist)
     links = np.empty(len(flat), dtype=np.int64)
+    out, scratch = _buffers(len(flat))
     for block in _blocks(len(flat)):
         lo = np.searchsorted(rows, rows[block.start] - reach, side="left")
         hi = np.searchsorted(rows, rows[block.stop - 1] + reach, side="right")
-        dist = _sq_dists(coords, block, slice(lo, hi))
+        dist = _sq_dists(coords, block, slice(lo, hi), out, scratch)
         np.sqrt(dist, out=dist)
         # strictly denser, so a cell is never its own candidate
         eligible = (d[None, lo:hi] > d[block, None]) & (dist <= max_dist)

@@ -19,12 +19,18 @@ directly, byte for byte what ``encode_json`` gives for its fields. A torn
 final trial line (crash mid-append) is dropped with a warning on load;
 corruption anywhere else is an error.
 
-``load_run`` reads each trial file in one piece, parses it line by line
-and builds the ``EpochLog`` of each line directly, checking the line as it
-goes: every field present, non-negative integer row/col/epoch, a known
-status, decodable floats, the file's own cell and contiguous epochs from 0.
-A line that fails a check raises ``RunStoreError`` naming the field, or the
-file for a wrong cell or a gap.
+``load_run`` reads each trial file in one piece and parses it line by
+line with one call of the JSON scanner (``JSONDecoder.raw_decode``). A
+line that the scanner rejects, or does not consume to its end, is parsed
+again with ``json.loads``, which accepts it with surrounding whitespace
+and otherwise raises the canonical error (extra data, a BOM, bad JSON), so
+what loads and what fails is exactly what ``json.loads`` gives. Each line
+is checked as it goes, one lookup per field: every field present,
+non-negative integer row/col/epoch (booleans are not integers here), a
+known status, decodable floats, the file's own cell and contiguous epochs
+from 0. A line that fails a check raises ``RunStoreError`` naming the
+field, or the file for a wrong cell or a gap. ``EpochLog`` is built
+directly from the checked values.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
@@ -112,6 +118,8 @@ def _float_text(value: float | None) -> str:
 _STATUS_TEXT = {s: json.dumps(s) for s in (STATUS_RUNNING, *sorted(TERMINAL_STATUSES))}
 # every field a trial line must carry, in the order a missing one is reported
 _TRIAL_FIELDS = ("row", "col", "epoch", "train_loss", "param_norm", "status")
+# one scanner call per line: (object, index just past it)
+_scan = json.JSONDecoder().raw_decode
 
 
 def _decode_float(value):
@@ -310,32 +318,41 @@ class RunStore:
         record = TrialRecord(cell=cell)
         epochs = record.epochs
         for d in self._read_jsonl(path):
-            for key in _TRIAL_FIELDS:
-                if key not in d:
-                    raise RunStoreError(f"trial line missing field {key!r}")
-            row, col, epoch, status = d["row"], d["col"], d["epoch"], d["status"]
-            if not (isinstance(row, int) and row >= 0):
+            try:
+                row, col, epoch, loss, norm, status = (
+                    d["row"], d["col"], d["epoch"], d["train_loss"], d["param_norm"], d["status"]
+                )
+            except (KeyError, TypeError):
+                # a missing field, or a line that is no object: fail as the
+                # field-by-field presence check always has
+                for key in _TRIAL_FIELDS:
+                    if key not in d:
+                        raise RunStoreError(f"trial line missing field {key!r}") from None
+                raise
+            if type(row) is not int or row < 0:
                 raise _not_an_index("row")
-            if not (isinstance(col, int) and col >= 0):
+            if type(col) is not int or col < 0:
                 raise _not_an_index("col")
-            if not (isinstance(epoch, int) and epoch >= 0):
+            if type(epoch) is not int or epoch < 0:
                 raise _not_an_index("epoch")
             if status not in _STATUS_TEXT:
                 raise RunStoreError(f"trial line field 'status' has unknown value {status!r}")
-            log = EpochLog(
-                epoch,
-                _decode_float(d["train_loss"]),
-                _decode_float(d["param_norm"]),
-                _decode_float(d.get("val_acc")),
-                _decode_float(d.get("test_acc")),
-            )
+            if type(loss) is not float:
+                loss = _decode_float(loss)
+            if type(norm) is not float:
+                norm = _decode_float(norm)
+            val, test = d.get("val_acc"), d.get("test_acc")
+            if val is not None and type(val) is not float:
+                val = _decode_float(val)
+            if test is not None and type(test) is not float:
+                test = _decode_float(test)
             if row != cell.row or col != cell.col:
                 raise RunStoreError(f"{path}: line for cell ({row}, {col}) in wrong file")
             if epoch != len(epochs):
                 raise RunStoreError(
                     f"{path}: epoch {epoch} breaks contiguity after {len(epochs) - 1}"
                 )
-            epochs.append(log)
+            epochs.append(EpochLog(epoch, loss, norm, val, test))
             if status in TERMINAL_STATUSES:
                 record.status = status
         return record
@@ -349,7 +366,14 @@ class RunStore:
         lines = [c for c in chunks if c != b""]
         for i, chunk in enumerate(lines, start=1):
             try:
-                out.append(json.loads(chunk.decode("utf-8")))
+                text = chunk.decode("utf-8")
+                try:
+                    obj, end = _scan(text)
+                except json.JSONDecodeError:
+                    end = -1
+                # anything the scanner does not take whole, json.loads accepts
+                # (surrounding whitespace) or rejects with its own error
+                out.append(obj if end == len(text) else json.loads(text))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 if i == len(lines):
                     warnings.warn(f"{path}: dropping torn final line {i}: {exc}")
@@ -378,8 +402,15 @@ class RunStore:
 
     @staticmethod
     def _write_text(path: Path, text: str) -> None:
+        """Replace ``path`` atomically with ``text``; a file that already holds it is left alone."""
+        data = text.encode("utf-8")
+        try:
+            if os.stat(path).st_size == len(data) and path.read_bytes() == data:
+                return
+        except FileNotFoundError:
+            pass
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
 
 

@@ -101,6 +101,30 @@ class TestSelect:
         assert run_cli(tmp_path, "select", "r") == 0
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == first
 
+    def test_unchanged_artifacts_are_not_rewritten(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        names = ("matrices.json", "selection.json")
+
+        def stamps():
+            return {
+                name: (st.st_ino, st.st_mtime_ns, st.st_size)
+                for name in names
+                for st in [artifact(tmp_path, "r", name).stat()]
+            }
+
+        before = stamps()
+        for _ in range(2):
+            assert run_cli(tmp_path, "select", "r") == 0
+            assert stamps() == before
+        plain = artifact(tmp_path, "r", "selection.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r", "--ratio", "20") == 0
+        assert int(capsys.readouterr().out.rsplit("regions=", 1)[1].split()[0]) > 1
+        assert artifact(tmp_path, "r", "selection.json").read_bytes() != plain
+        after = stamps()
+        assert after["selection.json"] != before["selection.json"]
+        assert not list((tmp_path / "runs" / "r").glob("*.tmp"))
+
     def test_external_fixture_run(self, tmp_path, capsys):
         # hand-authored 3x3 run: no trainer involved
         from twinsearch.grid import build_log_grid

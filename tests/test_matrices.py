@@ -11,7 +11,6 @@ from twinsearch.matrices import (
     assemble,
     build_metric_surfaces,
     normalize_invert,
-    summarize_loss,
     zscore_outlier_mask,
 )
 from twinsearch.trainer import EpochLog, TrialRecord
@@ -37,26 +36,56 @@ def grid_2x2():
     return build_log_grid(1e-4, 1e-1, 2, 1e-4, 1e-1, 2)
 
 
-class TestSummarize:
+def psi_of(losses):
+    """psi of a cell with these losses, assembled next to three one-epoch cells."""
+    grid = grid_2x2()
+    records = [record_for(GridCell(0, 0), losses)]
+    records += [record_for(cell, [1.0]) for cell in grid.cells() if cell != GridCell(0, 0)]
+    return assemble(records, grid).psi[0, 0]
+
+
+class TestPsiSummary:
     def test_mean_of_last_five(self):
-        rec = record_for(GridCell(0, 0), [2.0, 1.0, 0.5, 0.4, 0.3, 0.2])
-        assert summarize_loss(rec) == pytest.approx(0.48)
+        assert psi_of([2.0, 1.0, 0.5, 0.4, 0.3, 0.2]) == pytest.approx(0.48)
 
     def test_single_epoch(self):
-        rec = record_for(GridCell(0, 0), [0.7])
-        assert summarize_loss(rec) == 0.7
+        assert psi_of([0.7]) == 0.7
 
     def test_nan_propagates(self):
-        rec = record_for(GridCell(0, 0), [0.5, 0.4, math.nan])
-        assert math.isnan(summarize_loss(rec))
+        assert math.isnan(psi_of([0.5, 0.4, math.nan]))
 
     def test_empty_record_rejected(self):
-        with pytest.raises(ValueError, match="no logged epochs"):
-            summarize_loss(TrialRecord(cell=GridCell(0, 0)))
+        grid = grid_2x2()
+        records = [record_for(cell, [1.0]) for cell in grid.cells() if cell != GridCell(1, 0)]
+        records.append(TrialRecord(cell=GridCell(1, 0)))
+        with pytest.raises(ValueError, match=r"trial GridCell\(row=1, col=0\) has no logged epochs"):
+            assemble(records, grid)
 
-    def test_scheduler_kind_does_not_change_summary(self):
-        rec = record_for(GridCell(0, 0), [3.0, 1.0, 0.5])
-        assert summarize_loss(rec, "fifo") == summarize_loss(rec, "hb")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_psi_bits_match_per_record_mean(self, seed):
+        """Grouped psi equals np.mean of each record's last min(5, n) losses, bit for bit."""
+        rng = np.random.default_rng(seed)
+        grid = build_log_grid(1e-4, 1e-1, 9, 1e-4, 1e-1, 11)
+        records = []
+        for cell in grid.cells():
+            n = int(rng.integers(1, 13))
+            # one magnitude per cell, so the summation order shows in the last bits
+            losses = rng.uniform(0.1, 10.0, n) * 10.0 ** rng.uniform(-300, 300)
+            losses *= rng.choice([-1.0, 1.0], n, p=[0.1, 0.9])
+            odd = rng.random(n)
+            losses[odd < 0.04] = math.nan
+            losses[(odd >= 0.04) & (odd < 0.07)] = math.inf
+            losses[(odd >= 0.07) & (odd < 0.1)] = -math.inf
+            records.append(record_for(cell, [float(v) for v in losses]))
+        order = rng.permutation(len(records))
+        expected = np.empty(grid.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = assemble([records[i] for i in order], grid)
+            for rec in records:
+                losses = np.array([e.train_loss for e in rec.epochs], dtype=np.float64)
+                expected[rec.cell.row, rec.cell.col] = np.mean(losses[-5:])
+        assert mats.psi.tobytes() == expected.tobytes()
+        assert set(np.minimum(mats.epochs_run, 5).ravel()) == {1, 2, 3, 4, 5}
 
 
 class TestAssemble:

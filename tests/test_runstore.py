@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twinsearch.runstore import RunStore, RunStoreError, TrialLine, encode_json,
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import TaskSpec, run_and_store, select_from_records
 from twinsearch.trainer import ArchSpec, TrainerConfig
+from runstore_frozen import reference_load_trial_file
 
 
 @pytest.fixture()
@@ -235,12 +237,16 @@ class TestLoadSchema:
             (dict(epoch=1.0), "trial line field 'epoch' must be a non-negative integer"),
             (dict(epoch="1"), "trial line field 'epoch' must be a non-negative integer"),
             (dict(col=-1), "trial line field 'col' must be a non-negative integer"),
+            # JSON booleans are not indices, although Python's bool is an int
+            (dict(row=False), "trial line field 'row' must be a non-negative integer"),
+            (dict(col=False), "trial line field 'col' must be a non-negative integer"),
+            (dict(epoch=True), "trial line field 'epoch' must be a non-negative integer"),
             (dict(train_loss="nan"), "not a float encoding: 'nan'"),
             (dict(val_acc="Infinity"), "not a float encoding: 'Infinity'"),
         ],
         ids=[
             "status", "param_norm", "row-first", "cell", "epoch-float", "epoch-str", "col",
-            "nan", "val_acc",
+            "row-false", "col-false", "epoch-true", "nan", "val_acc",
         ],
     )
     def test_bad_interior_line_raises(self, store, changes, message):
@@ -252,6 +258,153 @@ class TestLoadSchema:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RunStoreError, match=message):
             store.load_run("r1")
+
+
+# -- the loader against its frozen reference -----------------------------
+
+LINE_KEYS = ("row", "col", "epoch", "train_loss", "param_norm", "val_acc", "test_acc", "status")
+# one fault per file; val_acc and test_acc are optional, so missing them is no fault
+FAULTS = (
+    "bom", "extra-object", "extra-text", "bad-utf8", "torn", "unterminated", "wrong-cell",
+    "gap", "bad-status", "bad-float-text", "negative-index", "float-index", "list-line",
+    "short-list-line", "number-line", "string-line", "form-feed", "overflow-int",
+    *(f"missing-{key}" for key in LINE_KEYS),
+)
+
+
+def random_float(rng):
+    pick = rng.random()
+    if pick < 0.12:
+        return [math.nan, math.inf, -math.inf][int(rng.integers(3))]
+    if pick < 0.25:
+        return float(rng.integers(-5, 10**6))  # integral, may be written as an int
+    if pick < 0.3:
+        return None
+    if pick < 0.32:
+        return bool(rng.integers(2))
+    return float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
+
+
+def encode_value(rng, value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if value != value else ("Inf" if value > 0 else "-Inf")
+    if isinstance(value, float) and value.is_integer() and rng.random() < 0.5:
+        return int(value)
+    return value
+
+
+def trial_file_bytes(rng, cell, n_lines, fault):
+    """A trial file for ``cell`` as an external writer might leave it, with at most one fault."""
+    at = int(rng.integers(n_lines))
+    out = []
+    for epoch in range(n_lines):
+        status = "completed" if epoch == n_lines - 1 and rng.random() < 0.7 else "running"
+        fields = {"row": cell.row, "col": cell.col, "epoch": epoch}
+        for key in ("train_loss", "param_norm", "val_acc", "test_acc"):
+            fields[key] = encode_value(rng, random_float(rng))
+        fields["status"] = status
+        bad = epoch == at
+        if bad and fault.startswith("missing-"):
+            del fields[fault[len("missing-"):]]
+        elif bad and fault == "wrong-cell":
+            fields["row"] += 1
+        elif bad and fault == "gap":
+            fields["epoch"] += 1
+        elif bad and fault == "bad-status":
+            fields["status"] = "paused"
+        elif bad and fault == "bad-float-text":
+            fields["param_norm"] = "nan"
+        elif bad and fault == "negative-index":
+            fields["col"] = -1
+        elif bad and fault == "float-index":
+            fields["epoch"] = float(epoch)
+        elif bad and fault == "overflow-int":
+            fields["train_loss"] = 10**400
+        keys = list(fields)
+        if rng.random() < 0.3:
+            keys = [keys[i] for i in rng.permutation(len(keys))]
+        separators = (",", ":") if rng.random() < 0.6 else (", ", ": ")
+        text = json.dumps({k: fields[k] for k in keys}, separators=separators)
+        if bad and fault == "list-line":
+            text = json.dumps(list(fields))
+        elif bad and fault == "short-list-line":
+            text = "[1, 2]"
+        elif bad and fault == "number-line":
+            text = "3"
+        elif bad and fault == "string-line":
+            text = json.dumps(" ".join(fields))
+        if rng.random() < 0.3:
+            text = "".join(rng.choice([" ", "\t", "\r"], int(rng.integers(1, 3)))) + text
+        if rng.random() < 0.3:
+            text += "".join(rng.choice([" ", "\t", "\r"], int(rng.integers(1, 3))))
+        if bad and fault == "bom":
+            text = "\ufeff" + text
+        elif bad and fault == "extra-object":
+            text += " {}"
+        elif bad and fault == "extra-text":
+            text += "x"
+        elif bad and fault == "form-feed":
+            text = "\f" + text
+        data = text.encode("utf-8")
+        if bad and fault == "bad-utf8":
+            cut = int(rng.integers(len(data) + 1))
+            data = data[:cut] + b"\xff" + data[cut:]
+        if rng.random() < 0.1:
+            out.append(b"\n")  # blank lines are skipped
+        out.append(data + b"\n")
+    if fault == "torn":
+        out[-1] = out[-1][: int(rng.integers(1, len(out[-1]) - 1))]
+    elif fault == "unterminated":
+        out[-1] = out[-1].rstrip(b"\n")
+    return b"".join(out)
+
+
+def outcome(load, path, cell):
+    """What loading gives: the record's cell, status and typed fields, or the error; plus warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            record = load(path, cell)
+            result = (
+                record.cell,
+                record.status,
+                # (type, repr) of each field: NaN-aware, and it tells -0.0 from 0.0
+                [[(type(v), repr(v)) for v in log] for log in record.epochs],
+            )
+        except Exception as exc:  # whatever it is, both loaders must raise it alike
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLoaderMatchesFrozenReference:
+    """``_load_trial_file`` loads and rejects exactly what the per-line json.loads loader did."""
+
+    def check(self, store, tmp_path, data, cell):
+        path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
+        path.write_bytes(data)
+        new = outcome(store._load_trial_file, str(path), cell)
+        assert new == outcome(reference_load_trial_file, str(path), cell)
+        return new
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_clean_files(self, store, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
+        (result, caught) = self.check(
+            store, tmp_path, trial_file_bytes(rng, cell, int(rng.integers(1, 9)), "none"), cell
+        )
+        assert isinstance(result[0], GridCell) and not caught
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_faulty_files(self, store, tmp_path, fault, seed):
+        rng = np.random.default_rng([seed, FAULTS.index(fault)])
+        cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
+        self.check(store, tmp_path, trial_file_bytes(rng, cell, int(rng.integers(1, 7)), fault), cell)
+
+    def test_empty_and_blank_files(self, store, tmp_path):
+        for data in (b"", b"\n", b"\n\n\n"):
+            assert self.check(store, tmp_path, data, GridCell(0, 0))[0][2] == []
 
 
 class TestArtifactsRoundTrip:

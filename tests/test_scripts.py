@@ -61,3 +61,20 @@ def test_parity_segmenting_recipes_run_select_with_their_flags(capsys):
         ["--max-dist", "1.5", "--ratio", "20"],
         ["--max-dist", "inf"],
     ]
+
+
+def test_parity_foreign_recipe_rewrites_trial_files_before_select(tmp_path):
+    script = load_script("parity")
+    src = SCRIPTS.parent / "src"
+    jobs = script.build_jobs(["select-foreign"], [0], 3, 2)
+    assert [op[0] for op in jobs[0]["ops"]] == ["run", script.FOREIGN, "select", "baseline"]
+    assert script.run_tree(src, tmp_path, jobs) == []
+    run_dir = tmp_path / jobs[0]["store"] / script.RUN_ID
+    trials = sorted((run_dir / "trials").glob("*.jsonl"))
+    assert len(trials) == 9
+    for path in trials:
+        lines = path.read_bytes().split(b"\r\n")
+        assert len(lines) == 3 and lines[-1] == b""
+        assert lines[0].startswith(b'{"status": "running", "test_acc": ')
+        assert lines[0].endswith(b', "col": %d, "row": %d}' % tuple(map(int, path.stem.split("_")[::-1])))
+    assert (run_dir / "selection.json").is_file() and (run_dir / "baselines.json").is_file()
