@@ -51,9 +51,9 @@ def run_one(seed: int, args) -> tuple[dict, np.ndarray, int]:
         init_seed=seed,
     )
     policy = SchedulerPolicy("fifo", args.epochs)
-    result = execute_search(grid, policy, task_spec.make(), ArchSpec(tuple(args.hidden)), config)
-    mats = assemble(result.records.values(), grid)
-    surfaces = build_metric_surfaces(result.records.values(), grid, "fifo")
+    records = execute_search(grid, policy, task_spec.make(), ArchSpec(tuple(args.hidden)), config)
+    mats = assemble(records.values(), grid)
+    surfaces = build_metric_surfaces(records.values(), grid, "fifo")
     artifacts = twin_pipeline(mats, grid, default_params(grid))
     selections = {"twin": artifacts.selection}
     for method in (METHOD_SELTS, METHOD_SELVS, METHOD_ORACLE):

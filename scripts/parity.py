@@ -51,6 +51,12 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     ),
     "fifo-diverge": (["--lr-high", "1e6", "--wd-high", "50"], EVAL_OPS),
     "hb-val": (["--scheduler", "hb", "--stop-fraction", "0.25"], EVAL_OPS),
+    # The only recipe with trials that diverge under HB, some in rung rounds.
+    "hb-diverge": (
+        ["--lr-high", "1e6", "--wd-high", "50", "--scheduler", "hb", "--stop-fraction", "0.25",
+         "--grace", "0.3", "--epochs", "30"],
+        EVAL_OPS,
+    ),
     "deep-5class": (["--hidden", "32,16", "--n-classes", "5"], EVAL_OPS),
     "binary": (["--n-classes", "2"], EVAL_OPS),
     # At default Quickshift parameters every recipe above selects from one

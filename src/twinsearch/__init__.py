@@ -6,7 +6,7 @@ configuration inside the best-fitting region. Baselines and an evaluation
 harness score the pick against train-loss-only and oracle selection.
 """
 
-from .grid import GridCell, HyperGrid, build_log_grid, cell_params, nearest_cell, slice_grid
+from .grid import GridCell, HyperGrid, build_log_grid, cell_params, slice_grid
 from .matrices import (
     LogMatrices,
     MetricSurfaces,
@@ -25,7 +25,7 @@ from .quickshift import (
     link_parents,
     quickshift,
 )
-from .scheduler import Decision, Schedule, SchedulerPolicy, ScheduleError
+from .scheduler import Schedule, SchedulerPolicy, ScheduleError
 from .search import TaskSpec, execute_search, run_and_store, select_from_records, slice_records
 from .selector import (
     EvalReport,
@@ -34,7 +34,6 @@ from .selector import (
     evaluate,
     region_stats,
     twin_pipeline,
-    twin_select,
 )
 from .tasks import SyntheticTask, make_synthetic_task
 from .trainer import (
@@ -44,7 +43,6 @@ from .trainer import (
     TrialRunner,
     cosine_lr,
     param_l2_norm,
-    run_trial,
     sgdm_step,
 )
 

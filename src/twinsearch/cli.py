@@ -192,7 +192,7 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     store = _store(args)
-    result = run_and_store(
+    artifacts = run_and_store(
         store,
         args.run_id,
         grid,
@@ -202,7 +202,7 @@ def _cmd_run(args) -> int:
         base_config,
         quickshift_params=params,
     )
-    sel = result.artifacts.selection
+    sel = artifacts.selection
     print(
         f"run {args.run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "
         f"lr={sel.lr:g} wd={sel.wd:g} region={sel.region_id}"

@@ -18,7 +18,6 @@ __all__ = [
     "build_log_grid",
     "slice_grid",
     "cell_params",
-    "nearest_cell",
 ]
 
 
@@ -87,9 +86,6 @@ class HyperGrid:
     def cells(self) -> list[GridCell]:
         """All cells in row-major (flat-index) order."""
         return [GridCell(r, c) for r in range(self.n_wd) for c in range(self.n_lr)]
-
-    def flat_index(self, cell: GridCell) -> int:
-        return cell.row * self.n_lr + cell.col
 
     def to_dict(self) -> dict:
         return {
@@ -164,10 +160,3 @@ def cell_params(grid: HyperGrid, cell: GridCell) -> tuple[float, float]:
     if not (0 <= cell.row < grid.n_wd and 0 <= cell.col < grid.n_lr):
         raise IndexError(f"cell {cell} outside grid of shape {grid.shape}")
     return grid.lr_values[cell.col], grid.wd_values[cell.row]
-
-
-def nearest_cell(grid: HyperGrid, lr: float, wd: float) -> GridCell:
-    """Cell whose (lr, wd) is closest in log10 space; used for ingest lookups."""
-    col = int(np.argmin(np.abs(np.log10(np.asarray(grid.lr_values)) - math.log10(lr))))
-    row = int(np.argmin(np.abs(np.log10(np.asarray(grid.wd_values)) - math.log10(wd))))
-    return GridCell(row, col)

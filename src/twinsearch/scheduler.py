@@ -5,25 +5,22 @@ eta) and prunes at each rung until at most ceil(stop_fraction * n_trials)
 trials remain alive; the survivors then run to the full epoch budget with no
 further stopping.
 
-Rungs are synchronous: a rung's outcome is computed once every alive trial
-has reported its loss there. Because ``decide`` answers one cell at a time,
-the value returned to a non-final reporter at a rung is a provisional
-``CONTINUE``; the authoritative per-cell outcomes are published to the
-decision log (and to ``is_alive``) the moment the final report lands. A
-lockstep driver therefore feeds one epoch for every alive cell, then checks
-``is_alive`` before advancing anyone.
+The driver advances every alive trial by one epoch per lockstep round and
+then calls ``Schedule.decide`` once with the round's outcome: each alive
+trial's train loss, or ``None`` for a trial that diverged in the round.
+Rungs are synchronous, so a rung resolves within its round, over every
+trial that reported a loss there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from typing import Mapping
 
 from .grid import GridCell
 
 __all__ = [
-    "Decision",
     "SchedulerPolicy",
     "Schedule",
     "ScheduleError",
@@ -32,12 +29,7 @@ __all__ = [
 
 
 class ScheduleError(RuntimeError):
-    """Contract violation: a decision was requested for a stopped trial."""
-
-
-class Decision(Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
+    """Contract violation: a round that does not match the alive set or the budget."""
 
 
 @dataclass(frozen=True)
@@ -94,11 +86,6 @@ def rung_levels(policy: SchedulerPolicy) -> list[int]:
     return levels
 
 
-@dataclass
-class _RungReports:
-    losses: dict[GridCell, float] = field(default_factory=dict)
-
-
 class Schedule:
     """Mutable scheduler state for one search: alive set, rungs, decision log."""
 
@@ -112,107 +99,64 @@ class Schedule:
             math.ceil(policy.stop_fraction * n_trials) if policy.kind == "hb" else n_trials
         )
         self.halving_ceased = policy.kind == "fifo"
-        self._stopped: dict[GridCell, int] = {}  # cell -> epoch stopped at
-        self._seen: set[GridCell] = set()
-        self._reports: dict[int, _RungReports] = {}
+        self._stopped: set[GridCell] = set()
         self.decision_log: list[dict] = []
-
-    # -- queries ---------------------------------------------------------
 
     @property
     def alive_count(self) -> int:
         return self.n_trials - len(self._stopped)
 
-    def alive_fraction(self) -> float:
-        return self.alive_count / self.n_trials
-
     def is_alive(self, cell: GridCell) -> bool:
         return cell not in self._stopped
 
-    def stopped_epoch(self, cell: GridCell) -> int | None:
-        return self._stopped.get(cell)
+    def _stop(self, cell: GridCell, epoch: int, rung: int | None) -> None:
+        self._stopped.add(cell)
+        self._log(cell, epoch, "stop", rung)
 
-    # -- events ----------------------------------------------------------
-
-    def _log(self, cell: GridCell, epoch: int, decision: Decision, rung: int | None) -> None:
+    def _log(self, cell: GridCell, epoch: int, decision: str, rung: int | None) -> None:
         self.decision_log.append(
-            {
-                "row": cell.row,
-                "col": cell.col,
-                "epoch": epoch,
-                "decision": decision.value,
-                "rung": rung,
-            }
+            {"row": cell.row, "col": cell.col, "epoch": epoch, "decision": decision, "rung": rung}
         )
 
-    def _stop(self, cell: GridCell, epoch: int) -> None:
-        self._stopped[cell] = epoch
+    def decide(self, epoch: int, losses: Mapping[GridCell, float | None]) -> None:
+        """Apply one lockstep round: every alive trial has completed ``epoch`` epochs.
 
-    def mark_diverged(self, cell: GridCell, epoch_completed: int) -> None:
-        """Remove a diverged trial; it counts as stopped at its divergence epoch."""
-        if cell in self._stopped:
-            raise ScheduleError(f"trial {cell} already stopped")
-        self._seen.add(cell)
-        self._stop(cell, epoch_completed)
-        self._log(cell, epoch_completed, Decision.STOP, None)
-        # its departure may complete a rung the others are waiting on
-        self._maybe_resolve_pending_rungs()
+        ``losses`` maps each alive cell, in cell order, to its train loss, or
+        to ``None`` if it diverged this round. Divergences and budget stops
+        are logged first, in cell order; then the rung at ``epoch``, if any,
+        resolves over the cells that reported a loss, logged in rank order.
+        """
+        stopped = [cell for cell in losses if cell in self._stopped]
+        if stopped:
+            raise ScheduleError(f"loss reported for stopped trial {stopped[0]}")
+        if len(losses) != self.alive_count:
+            raise ScheduleError(f"round reports {len(losses)} trials, {self.alive_count} alive")
+        if epoch > self.policy.epoch_budget:
+            raise ScheduleError(f"epoch {epoch} beyond budget {self.policy.epoch_budget}")
+        reported = {}
+        for cell, loss in losses.items():
+            if loss is None or epoch == self.policy.epoch_budget:
+                self._stop(cell, epoch, None)
+            else:
+                reported[cell] = loss
+        if reported and not self.halving_ceased and epoch in self.levels:
+            self._resolve_rung(epoch, reported)
 
-    def decide(self, cell: GridCell, epoch_completed: int, train_loss: float) -> Decision:
-        """Continue-or-stop for one trial after ``epoch_completed`` epochs."""
-        if cell in self._stopped:
-            raise ScheduleError(f"decision requested for stopped trial {cell}")
-        if epoch_completed > self.policy.epoch_budget:
-            raise ScheduleError(f"epoch {epoch_completed} beyond budget {self.policy.epoch_budget}")
-        self._seen.add(cell)
-
-        if epoch_completed == self.policy.epoch_budget:
-            self._stop(cell, epoch_completed)
-            self._log(cell, epoch_completed, Decision.STOP, None)
-            return Decision.STOP
-
-        if self.policy.kind == "fifo" or self.halving_ceased:
-            return Decision.CONTINUE
-        if epoch_completed not in self.levels:
-            return Decision.CONTINUE
-
-        reports = self._reports.setdefault(epoch_completed, _RungReports())
-        reports.losses[cell] = train_loss
-        if len(reports.losses) >= self.alive_count:
-            outcome = self._resolve_rung(epoch_completed)
-            return outcome[cell]
-        return Decision.CONTINUE  # provisional; rung resolves on the final report
-
-    def _maybe_resolve_pending_rungs(self) -> None:
-        for level in sorted(self._reports):
-            reports = self._reports[level]
-            pending = {c: l for c, l in reports.losses.items() if c not in self._stopped}
-            reports.losses = pending
-            if pending and len(pending) >= self.alive_count and not self.halving_ceased:
-                self._resolve_rung(level)
-
-    def _resolve_rung(self, level: int) -> dict[GridCell, Decision]:
-        reports = self._reports.pop(level)
-        entries = sorted(
-            reports.losses.items(),
+    def _resolve_rung(self, level: int, losses: dict[GridCell, float]) -> None:
+        ranked = sorted(
+            losses,
             # NaN losses rank worst; ties break on (row, col)
-            key=lambda kv: (math.isnan(kv[1]), kv[1] if not math.isnan(kv[1]) else 0.0, kv[0]),
+            key=lambda c: (math.isnan(losses[c]), 0.0 if math.isnan(losses[c]) else losses[c], c),
         )
-        alive = len(entries)
-        if alive <= self.survivor_cap:
+        if len(ranked) <= self.survivor_cap:
             # cap already met (e.g. through divergences): no halving here or later
-            self.halving_ceased = True
-            outcome = {cell: Decision.CONTINUE for cell, _ in entries}
+            n_promote = len(ranked)
         else:
-            n_promote = math.ceil(alive / self.policy.halving_rate)
-            outcome = {}
-            for rank, (cell, _loss) in enumerate(entries):
-                outcome[cell] = Decision.CONTINUE if rank < n_promote else Decision.STOP
-            if n_promote <= self.survivor_cap:
-                self.halving_ceased = True
-        for cell, _loss in entries:
-            decision = outcome[cell]
-            if decision is Decision.STOP:
-                self._stop(cell, level)
-            self._log(cell, level, decision, level)
-        return outcome
+            n_promote = math.ceil(len(ranked) / self.policy.halving_rate)
+        if n_promote <= self.survivor_cap:
+            self.halving_ceased = True
+        for rank, cell in enumerate(ranked):
+            if rank < n_promote:
+                self._log(cell, level, "continue", level)
+            else:
+                self._stop(cell, level, level)

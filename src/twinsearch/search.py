@@ -1,12 +1,12 @@
 """End-to-end search orchestration.
 
 Drives every grid cell's trial in lockstep epoch rounds on one thread: each
-round advances all alive trials by one epoch in cell order, then feeds the
-scheduler in cell order. Rung outcomes therefore always resolve within the
-round, and each trial line carries the status its epoch ended with. All
-trials share one ``Cohort``, so a round's epoch is computed as stacked
-passes over the alive trials, bit for bit what each trial would compute
-alone; a trial leaves the cohort when it ends.
+round advances all alive trials by one epoch in cell order, then hands the
+whole round to the scheduler in one ``Schedule.decide`` call, so rung
+outcomes resolve within the round and each trial line carries the status
+its epoch ended with. All trials share one ``Cohort``, so a round's epoch is
+computed as stacked passes over the alive trials, bit for bit what each
+trial would compute alone; a trial leaves the cohort when it ends.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
@@ -16,7 +16,7 @@ metrics included, when it ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .grid import GridCell, HyperGrid, cell_params
 from .matrices import LogMatrices, assemble, metric_window
@@ -37,7 +37,7 @@ from .trainer import (
     TrialRunner,
 )
 
-__all__ = ["TaskSpec", "SearchResult", "execute_search", "run_and_store", "select_from_records", "slice_records"]
+__all__ = ["TaskSpec", "execute_search", "run_and_store", "select_from_records", "slice_records"]
 
 
 @dataclass(frozen=True)
@@ -54,36 +54,10 @@ class TaskSpec:
     label_noise: float = 0.15
 
     def make(self) -> SyntheticTask:
-        return make_synthetic_task(
-            self.seed,
-            self.n_train,
-            self.n_val,
-            self.n_test,
-            self.n_classes,
-            self.input_dim,
-            self.class_separation,
-            self.label_noise,
-        )
+        return make_synthetic_task(**asdict(self))
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "n_classes": self.n_classes,
-            "input_dim": self.input_dim,
-            "class_separation": self.class_separation,
-            "label_noise": self.label_noise,
-        }
-
-
-@dataclass
-class SearchResult:
-    records: dict[GridCell, TrialRecord]
-    schedule: Schedule
-    matrices: LogMatrices | None = None
-    artifacts: TwinArtifacts | None = None
+        return asdict(self)
 
 
 def execute_search(
@@ -94,7 +68,7 @@ def execute_search(
     base_config: TrainerConfig,
     store: RunStore | None = None,
     run_id: str | None = None,
-) -> SearchResult:
+) -> dict[GridCell, TrialRecord]:
     """Train every grid cell under the policy; optionally persist as it goes.
 
     With a store, every epoch gets one trial line, appended in epoch order.
@@ -118,16 +92,14 @@ def execute_search(
     lines_written = dict.fromkeys(runners, 0)
     alive = sorted(runners)
     decisions_written = 0
+    epoch = 0
     while alive:
+        epoch += 1
+        losses: dict[GridCell, float | None] = {}
         for cell in alive:
-            runners[cell].step_epoch()
-
-        for cell in alive:
-            rec = records[cell]
-            if rec.status == STATUS_DIVERGED:
-                schedule.mark_diverged(cell, rec.epochs_run)
-            else:
-                schedule.decide(cell, rec.epochs_run, rec.epochs[-1].train_loss)
+            last = runners[cell].step_epoch()
+            losses[cell] = None if records[cell].status == STATUS_DIVERGED else last.train_loss
+        schedule.decide(epoch, losses)
 
         still_alive = []
         for cell in alive:
@@ -166,7 +138,7 @@ def execute_search(
                 decisions_written += len(new)
         alive = still_alive
 
-    return SearchResult(records=records, schedule=schedule)
+    return records
 
 
 def select_from_records(
@@ -211,7 +183,7 @@ def run_and_store(
     arch: ArchSpec,
     base_config: TrainerConfig,
     quickshift_params: QuickshiftParams | None = None,
-) -> SearchResult:
+) -> TwinArtifacts:
     """Full pipeline with persistence: manifest, trials, decisions, matrices, selection."""
     manifest = {
         "grid": grid.to_dict(),
@@ -227,14 +199,10 @@ def run_and_store(
         "seeds": {"init_seed": base_config.init_seed, "task_seed": task_spec.seed},
     }
     store.create_run(run_id, manifest)
-    result = execute_search(
+    records = execute_search(
         grid, policy, task_spec.make(), arch, base_config, store=store, run_id=run_id
     )
-    result.matrices, result.artifacts = select_from_records(
-        result.records, grid, quickshift_params
-    )
-    store.write_matrices(
-        run_id, result.matrices, grid, outlier_mask=result.artifacts.normalized.outlier_mask
-    )
-    store.write_selection(run_id, result.artifacts)
-    return result
+    mats, artifacts = select_from_records(records, grid, quickshift_params)
+    store.write_matrices(run_id, mats, grid, outlier_mask=artifacts.normalized.outlier_mask)
+    store.write_selection(run_id, artifacts)
+    return artifacts

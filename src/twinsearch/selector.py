@@ -30,7 +30,6 @@ __all__ = [
     "TwinArtifacts",
     "EvalReport",
     "region_stats",
-    "twin_select",
     "twin_pipeline",
     "baseline_select",
     "evaluate",
@@ -93,7 +92,10 @@ def region_stats(norm_loss: NormalizedLoss, labels: SegmentLabels) -> np.ndarray
 def twin_pipeline(
     matrices: LogMatrices, grid: HyperGrid, params: QuickshiftParams
 ) -> TwinArtifacts:
-    """Filter -> normalize/invert -> segment -> argmax-mean region -> argmin norm."""
+    """Filter -> normalize/invert -> segment -> argmax-mean region -> argmin norm.
+
+    The validation-free pick: the signature takes no val/test surface on purpose.
+    """
     outliers = zscore_outlier_mask(matrices.psi, matrices.valid_mask)
     normalized = normalize_invert(matrices.psi, outliers)
     segments = quickshift(normalized.values, normalized.outlier_mask, params)
@@ -122,11 +124,6 @@ def twin_pipeline(
         region_means=means,
         params=params,
     )
-
-
-def twin_select(matrices: LogMatrices, grid: HyperGrid, params: QuickshiftParams) -> Selection:
-    """The validation-free pick. Signature takes no val/test surface on purpose."""
-    return twin_pipeline(matrices, grid, params).selection
 
 
 def _lex_arg_best(values: np.ndarray, pick_max: bool) -> GridCell:

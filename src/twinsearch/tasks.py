@@ -25,7 +25,6 @@ class SyntheticTask:
     test_labels: np.ndarray
     n_classes: int
     input_dim: int
-    generator_seed: int
 
     @property
     def n_train(self) -> int:
@@ -38,16 +37,6 @@ class SyntheticTask:
     @property
     def n_test(self) -> int:
         return len(self.test_labels)
-
-    def to_dict(self) -> dict:
-        return {
-            "generator_seed": self.generator_seed,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "n_classes": self.n_classes,
-            "input_dim": self.input_dim,
-        }
 
 
 def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -72,7 +61,7 @@ def _sample_split(
 
 
 def make_synthetic_task(
-    spec_seed: int,
+    seed: int,
     n_train: int,
     n_val: int,
     n_test: int,
@@ -101,7 +90,7 @@ def make_synthetic_task(
     if not 0 <= label_noise < 1:
         raise ValueError(f"label_noise must be in [0, 1), got {label_noise}")
 
-    rng = np.random.default_rng(np.random.SeedSequence(spec_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     base = np.zeros((n_classes, input_dim))
     base[np.arange(n_classes), np.arange(n_classes)] = class_separation / np.sqrt(2.0)
     means = (base - base.mean(axis=0)) @ _random_rotation(input_dim, rng).T
@@ -125,5 +114,4 @@ def make_synthetic_task(
         test_labels=test_y,
         n_classes=n_classes,
         input_dim=input_dim,
-        generator_seed=spec_seed,
     )

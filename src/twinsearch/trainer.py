@@ -51,7 +51,6 @@ __all__ = [
     "schedule_lr",
     "sgdm_step",
     "param_l2_norm",
-    "run_trial",
     "STATUS_COMPLETED",
     "STATUS_STOPPED_EARLY",
     "STATUS_DIVERGED",
@@ -109,17 +108,6 @@ class TrainerConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "wd": self.wd,
-            "momentum": self.momentum,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_schedule": self.lr_schedule,
-            "init_seed": self.init_seed,
-        }
 
 
 class EpochLog(NamedTuple):
@@ -441,23 +429,3 @@ class TrialRunner:
             if epoch + 1 == self.config.epochs:
                 self._end(STATUS_COMPLETED)
         return self.record.epochs[-1]
-
-
-def run_trial(
-    task: SyntheticTask,
-    arch: ArchSpec,
-    config: TrainerConfig,
-    stop_signal=None,
-    cell: GridCell = GridCell(0, 0),
-) -> TrialRecord:
-    """Train one (lr, wd) trial to completion, divergence, or external stop.
-
-    ``stop_signal`` is anything with ``is_set()`` (e.g. threading.Event),
-    polled between epochs only.
-    """
-    runner = TrialRunner(task, arch, config, cell)
-    while not runner.done:
-        if stop_signal is not None and stop_signal.is_set():
-            return runner.finish(STATUS_STOPPED_EARLY)
-        runner.step_epoch()
-    return runner.record

@@ -1,12 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scheduler_frozen import FrozenSchedule
 
 from twinsearch.grid import GridCell
 from twinsearch.scheduler import (
-    Decision,
     Schedule,
     SchedulerPolicy,
     ScheduleError,
@@ -19,8 +20,8 @@ def cells_grid(n_rows, n_cols):
 
 
 def drive_lockstep(policy, cells, losses_at):
-    """Advance all trials one epoch per round, feeding the scheduler in cell
-    order; returns the schedule plus per-cell epochs consumed.
+    """Advance all trials one epoch per round and hand each round to the
+    scheduler; returns the schedule plus per-cell epochs consumed.
 
     ``losses_at(cell, epoch_completed)`` supplies the loss curve.
     """
@@ -28,16 +29,21 @@ def drive_lockstep(policy, cells, losses_at):
     alive = sorted(cells)
     epochs_run = {cell: 0 for cell in cells}
     alive_after_rung = []
+    epoch = 0
     while alive:
+        epoch += 1
         for cell in alive:
             epochs_run[cell] += 1
-        for cell in alive:
-            schedule.decide(cell, epochs_run[cell], losses_at(cell, epochs_run[cell]))
+        schedule.decide(epoch, {cell: losses_at(cell, epoch) for cell in alive})
         survivors = [c for c in alive if schedule.is_alive(c)]
-        if epochs_run[alive[0]] in schedule.levels:
+        if epoch in schedule.levels:
             alive_after_rung.append(len(survivors))
         alive = survivors
     return schedule, epochs_run, alive_after_rung
+
+
+def log_entry(cell, epoch, decision, rung=None):
+    return {"row": cell.row, "col": cell.col, "epoch": epoch, "decision": decision, "rung": rung}
 
 
 class TestPolicyAndLadder:
@@ -74,18 +80,21 @@ class TestPolicyAndLadder:
 
 class TestFifo:
     def test_continue_until_budget(self):
-        schedule = Schedule(SchedulerPolicy("fifo", 100), 4)
+        schedule = Schedule(SchedulerPolicy("fifo", 100), 1)
         cell = GridCell(0, 0)
-        assert schedule.decide(cell, 50, 1.0) is Decision.CONTINUE
-        assert schedule.decide(cell, 100, 0.5) is Decision.STOP
+        schedule.decide(50, {cell: 1.0})
+        assert schedule.is_alive(cell)
+        schedule.decide(100, {cell: 0.5})
+        assert not schedule.is_alive(cell)
+        assert schedule.decision_log == [log_entry(cell, 100, "stop")]
 
     def test_alive_fraction_stays_one_before_budget(self):
         cells = cells_grid(2, 2)
         schedule = Schedule(SchedulerPolicy("fifo", 3), 4)
         for epoch in (1, 2):
-            for cell in cells:
-                assert schedule.decide(cell, epoch, 1.0) is Decision.CONTINUE
-            assert schedule.alive_fraction() == 1.0
+            schedule.decide(epoch, {cell: 1.0 for cell in cells})
+            assert schedule.alive_count / schedule.n_trials == 1.0
+        assert schedule.decision_log == []
 
     def test_consumes_exactly_budget_epochs(self):
         cells = cells_grid(3, 3)
@@ -95,10 +104,23 @@ class TestFifo:
 
     def test_stopped_trial_raises(self):
         schedule = Schedule(SchedulerPolicy("fifo", 2), 2)
-        cell = GridCell(0, 0)
-        schedule.decide(cell, 2, 1.0)
+        a, b = GridCell(0, 0), GridCell(0, 1)
+        schedule.decide(2, {a: 1.0, b: 1.0})
         with pytest.raises(ScheduleError, match="stopped"):
-            schedule.decide(cell, 2, 1.0)
+            schedule.decide(2, {a: 1.0})
+
+    def test_epoch_beyond_budget_raises(self):
+        schedule = Schedule(SchedulerPolicy("fifo", 2), 1)
+        cell = GridCell(0, 0)
+        with pytest.raises(ScheduleError, match="beyond budget"):
+            schedule.decide(3, {cell: 1.0})
+        assert schedule.is_alive(cell) and schedule.decision_log == []
+
+    def test_round_must_report_every_alive_trial(self):
+        schedule = Schedule(SchedulerPolicy("hb", 40, stop_fraction=0.5), 3)
+        with pytest.raises(ScheduleError, match="3 alive"):
+            schedule.decide(2, {GridCell(0, 0): 1.0, GridCell(0, 1): 2.0})
+        assert schedule.alive_count == 3 and schedule.decision_log == []
 
 
 class TestHalving:
@@ -151,38 +173,47 @@ class TestHalving:
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.5, grace_fraction=0.05)
         schedule = Schedule(policy, 4)
         nan_cell = GridCell(0, 0)
-        for cell in cells:
-            loss = math.nan if cell == nan_cell else 0.5
-            schedule.decide(cell, 2, loss)
+        schedule.decide(2, {cell: math.nan if cell == nan_cell else 0.5 for cell in cells})
         assert not schedule.is_alive(nan_cell)
 
-    def test_mark_diverged_resolves_pending_rung(self):
-        cells = cells_grid(1, 3)
+    def test_divergence_in_a_rung_round_resolves_the_rung_without_it(self):
         # cap = ceil(0.3 * 3) = 1, so the two survivors still halve 2 -> 1
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.3, grace_fraction=0.05)
         schedule = Schedule(policy, 3)
-        schedule.decide(GridCell(0, 0), 2, 0.3)
-        schedule.decide(GridCell(0, 1), 2, 0.4)
-        # the last trial dies before reporting; the rung must resolve without it
-        schedule.mark_diverged(GridCell(0, 2), 1)
+        schedule.decide(2, {GridCell(0, 0): 0.3, GridCell(0, 1): 0.4, GridCell(0, 2): None})
         assert schedule.is_alive(GridCell(0, 0))
         assert not schedule.is_alive(GridCell(0, 1))
+        assert not schedule.is_alive(GridCell(0, 2))
+
+    def test_round_logs_stops_in_cell_order_then_rung_in_rank_order(self):
+        # cap = ceil(0.25 * 6) = 2; the four reporters halve to 2, which ends halving
+        policy = SchedulerPolicy("hb", 40, stop_fraction=0.25, grace_fraction=0.05)
+        schedule = Schedule(policy, 6)
+        c = cells_grid(2, 3)
+        losses = {c[0]: 0.9, c[1]: None, c[2]: 0.1, c[3]: 0.5, c[4]: 0.3, c[5]: None}
+        schedule.decide(2, losses)
+        assert schedule.decision_log == [
+            log_entry(c[1], 2, "stop"),
+            log_entry(c[5], 2, "stop"),
+            log_entry(c[2], 2, "continue", 2),
+            log_entry(c[4], 2, "continue", 2),
+            log_entry(c[3], 2, "stop", 2),
+            log_entry(c[0], 2, "stop", 2),
+        ]
+        assert schedule.halving_ceased
+        assert [cell for cell in c if schedule.is_alive(cell)] == [c[2], c[4]]
 
     def test_alive_fraction_tracks_halving(self):
         cells = cells_grid(10, 10)
         policy = SchedulerPolicy("hb", 100, stop_fraction=0.25)
         schedule = Schedule(policy, 100)
-        assert schedule.alive_fraction() == 1.0
-        for epoch in range(1, 6):
-            for cell in cells:
-                if schedule.is_alive(cell):
-                    schedule.decide(cell, epoch, cell.row + cell.col / 10)
-        assert schedule.alive_fraction() == 0.5
-        for epoch in range(6, 11):
-            for cell in cells:
-                if schedule.is_alive(cell):
-                    schedule.decide(cell, epoch, cell.row + cell.col / 10)
-        assert schedule.alive_fraction() == 0.25
+        assert schedule.alive_count / schedule.n_trials == 1.0
+        for epoch in range(1, 11):
+            alive = [cell for cell in cells if schedule.is_alive(cell)]
+            schedule.decide(epoch, {cell: cell.row + cell.col / 10 for cell in alive})
+            if epoch == 5:
+                assert schedule.alive_count / schedule.n_trials == 0.5
+        assert schedule.alive_count / schedule.n_trials == 0.25
 
     def test_stop_fraction_one_never_halves(self):
         cells = cells_grid(2, 2)
@@ -203,8 +234,6 @@ class TestReplayDeterminism:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_budget_accounting_randomized(self, seed):
-        import random
-
         rng = random.Random(seed)
         n_rows, n_cols = rng.choice([(3, 3), (4, 5), (6, 6)])
         cells = cells_grid(n_rows, n_cols)
@@ -226,3 +255,61 @@ class TestReplayDeterminism:
         assert len(stops) == len(cells)
         from_log = sum(stops.values())
         assert total == from_log
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A grid, a policy, a per-cell loss cycle and per-cell divergence epochs."""
+    cells = cells_grid(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    budget = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        policy = SchedulerPolicy(
+            "hb",
+            budget,
+            stop_fraction=draw(st.floats(0.12, 1.0)),
+            halving_rate=draw(st.integers(2, 4)),
+            grace_fraction=draw(st.floats(0.05, 0.4)),
+        )
+    else:
+        policy = SchedulerPolicy("fifo", budget)
+    # tables drawn from a seed: per-cell hypothesis draws made the test ten times slower
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shared = [0.0, 0.25, 1.0, math.nan]  # ties, and NaN that ranks worst
+    losses = {
+        cell: [rng.choice(shared) if rng.random() < 0.5 else rng.uniform(0.0, 10.0) for _ in range(3)]
+        for cell in cells
+    }
+    # divergence anywhere, at a rung epoch or at the budget
+    share = rng.choice([0.0, 0.1, 0.3, 0.6])
+    marked = [*rung_levels(policy), budget]
+    diverged = {
+        cell: (rng.choice([rng.randint(1, budget), rng.choice(marked)]) if rng.random() < share else None)
+        for cell in cells
+    }
+    return policy, cells, losses, diverged
+
+
+class TestFrozenReference:
+    @given(case=lockstep_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rounds_match_the_per_cell_protocol(self, case):
+        policy, cells, losses, diverged = case
+        schedule = Schedule(policy, len(cells))
+        frozen = FrozenSchedule(policy, len(cells))
+        alive = list(cells)
+        epoch = 0
+        while alive:
+            epoch += 1
+            round_losses = {
+                cell: None if diverged[cell] == epoch else losses[cell][epoch % 3] for cell in alive
+            }
+            for cell, loss in round_losses.items():
+                if loss is None:
+                    frozen.mark_diverged(cell, epoch)
+                else:
+                    frozen.decide(cell, epoch, loss)
+            schedule.decide(epoch, round_losses)
+            assert schedule.decision_log == frozen.decision_log
+            assert [c for c in cells if schedule.is_alive(c)] == [c for c in cells if frozen.is_alive(c)]
+            alive = [c for c in alive if schedule.is_alive(c)]
+        assert epoch <= policy.epoch_budget

@@ -99,13 +99,13 @@ def searched(request, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MLP, "accuracy", counting)
         mp.setattr(trainer, "STACK_SLICE", 5)  # uneven slices of the 16 cells
-        result = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
+        records = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
     return SimpleNamespace(
         kind=kind,
         grid=grid,
         store=store,
-        result=result,
-        eager=eager_records(result.records, grid, task),
+        records=records,
+        eager=eager_records(records, grid, task),
         accuracy_calls=len(calls),
     )
 
@@ -118,7 +118,7 @@ def assert_same_surfaces(a, b):
 def test_grid_covers_the_edge_cases(searched):
     w = metric_window(searched.kind)
     finite_by_status: dict[str, list[int]] = {}
-    for rec in searched.result.records.values():
+    for rec in searched.records.values():
         finite_by_status.setdefault(rec.status, []).append(sum(_finite(e) for e in rec.epochs))
     diverged = finite_by_status[STATUS_DIVERGED]
     assert min(diverged) < w  # diverged before w finite epochs existed
@@ -154,7 +154,7 @@ def loop_reference(task, config, cell, epochs):
 
 def test_epochs_equal_the_one_runner_per_cell_replay_bit_for_bit(searched):
     task = TASK_SPEC.make()
-    for cell, rec in searched.result.records.items():
+    for cell, rec in searched.records.items():
         reference = searched.eager[cell]
         assert rec.status == reference.status, cell
         logged = np.array([(e.train_loss, e.param_norm) for e in rec.epochs])
@@ -169,7 +169,7 @@ def test_surfaces_equal_the_eager_reference(searched):
     kind, grid, eager = searched.kind, searched.grid, searched.eager
     expected = build_metric_surfaces(eager.values(), grid, kind)
     _, loaded, _ = searched.store.load_run("run")
-    for records in (searched.result.records, loaded):
+    for records in (searched.records, loaded):
         assert {c: r.status for c, r in records.items()} == {c: r.status for c, r in eager.items()}
         assert_same_surfaces(build_metric_surfaces(records.values(), grid, kind), expected)
     assert np.any(np.isfinite(expected.val_acc)) and np.any(np.isfinite(expected.test_acc))
@@ -177,7 +177,7 @@ def test_surfaces_equal_the_eager_reference(searched):
 
 def test_accuracy_runs_only_on_the_scored_epochs(searched):
     w = metric_window(searched.kind)
-    records = searched.result.records.values()
+    records = searched.records.values()
     scored = sum(min(w, sum(_finite(e) for e in rec.epochs)) for rec in records)
     assert searched.accuracy_calls == 2 * scored  # one val and one test call per scored epoch
 
@@ -185,7 +185,7 @@ def test_accuracy_runs_only_on_the_scored_epochs(searched):
 def test_trial_files_hold_metrics_only_on_the_last_finite_epochs(searched):
     w = metric_window(searched.kind)
     trials = searched.store.run_dir("run") / "trials"
-    for cell, rec in searched.result.records.items():
+    for cell, rec in searched.records.items():
         path = trials / f"{cell.row}_{cell.col}.jsonl"
         lines = [json.loads(raw) for raw in path.read_text().splitlines()]
         assert [d["epoch"] for d in lines] == list(range(rec.epochs_run))
@@ -233,10 +233,10 @@ def test_valfree_task_never_scores(monkeypatch):
     monkeypatch.setattr(MLP, "accuracy", refuse)
     policy, grid = CASES["hb"]
     task = dataclasses.replace(TASK_SPEC, n_val=0, n_test=0).make()
-    result = execute_search(grid, policy, task, ARCH, CONFIG)
+    records = execute_search(grid, policy, task, ARCH, CONFIG)
     assert all(
         e.val_metric is None and e.test_metric is None
-        for rec in result.records.values()
+        for rec in records.values()
         for e in rec.epochs
     )
 

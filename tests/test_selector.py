@@ -19,7 +19,6 @@ from twinsearch.selector import (
     evaluate,
     region_stats,
     twin_pipeline,
-    twin_select,
 )
 
 
@@ -86,7 +85,7 @@ class TestTwinSelect:
         theta = np.full((3, 3), math.nan)
         theta[1, 2] = 2.0
         mats = mats_from(psi, theta)
-        sel = twin_select(mats, grid_of((3, 3)), QuickshiftParams(2.0, 2.0))
+        sel = twin_pipeline(mats, grid_of((3, 3)), QuickshiftParams(2.0, 2.0)).selection
         assert sel.cell == GridCell(1, 2)
         assert sel.norm_at_cell == 2.0
 
@@ -113,16 +112,17 @@ class TestTwinSelect:
     def test_tie_breaks_lexicographic_on_norm(self):
         psi = np.array([[0.1, 0.1], [0.1, 0.1]])
         theta = np.array([[3.0, 1.0], [1.0, 2.0]])
-        sel = twin_select(mats_from(psi, theta), grid_of((2, 2)), QuickshiftParams(2.0, 2.0))
+        artifacts = twin_pipeline(mats_from(psi, theta), grid_of((2, 2)), QuickshiftParams(2.0, 2.0))
+        sel = artifacts.selection
         assert sel.cell == GridCell(0, 1)  # first of the two 1.0-norm cells
 
     def test_all_masked_raises(self):
         psi = np.full((2, 2), math.nan)
         with pytest.raises(ValueError, match="no trainable"):
-            twin_select(mats_from(psi), grid_of((2, 2)), QuickshiftParams(1.0, 1.0))
+            twin_pipeline(mats_from(psi), grid_of((2, 2)), QuickshiftParams(1.0, 1.0))
 
     def test_signature_cannot_receive_metric_surfaces(self):
-        params = inspect.signature(twin_select).parameters
+        params = inspect.signature(twin_pipeline).parameters
         assert set(params) == {"matrices", "grid", "params"}
 
     @given(
@@ -138,8 +138,8 @@ class TestTwinSelect:
         theta = rng.random((5, 5)) * 10
         grid = grid_of((5, 5))
         params = QuickshiftParams(kernel_size=math.sqrt(5), max_dist=math.sqrt(5))
-        base = twin_select(mats_from(psi, theta), grid, params)
-        transformed = twin_select(mats_from(a * psi + b, c * theta), grid, params)
+        base = twin_pipeline(mats_from(psi, theta), grid, params).selection
+        transformed = twin_pipeline(mats_from(a * psi + b, c * theta), grid, params).selection
         assert base.cell == transformed.cell
 
 

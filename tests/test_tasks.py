@@ -74,7 +74,7 @@ def test_huge_separation_is_linearly_separable():
 )
 def test_invalid_arguments(kwargs, match):
     base = dict(
-        spec_seed=0,
+        seed=0,
         n_train=50,
         n_val=0,
         n_test=100,

@@ -1,6 +1,5 @@
 import itertools
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -14,13 +13,11 @@ from twinsearch.trainer import (
     MLP,
     STATUS_COMPLETED,
     STATUS_DIVERGED,
-    STATUS_STOPPED_EARLY,
     ArchSpec,
     TrainerConfig,
     TrialRunner,
     cosine_lr,
     param_l2_norm,
-    run_trial,
     schedule_lr,
     sgdm_step,
 )
@@ -28,6 +25,14 @@ from twinsearch.trainer import (
 
 def small_task(seed=1, n_train=60):
     return make_synthetic_task(seed, n_train, 10, 200, 3, 6, 3.0, 0.0)
+
+
+def run_to_end(task, arch, config, cell=GridCell(0, 0)):
+    """Step one trial alone until it completes or diverges."""
+    runner = TrialRunner(task, arch, config, cell)
+    while not runner.done:
+        runner.step_epoch()
+    return runner.record
 
 
 class TestCosine:
@@ -221,20 +226,20 @@ class TestRunTrial:
     def test_loss_decreases_on_separable_task(self):
         task = make_synthetic_task(1, 100, 0, 200, 2, 4, 8.0, 0.0)
         cfg = TrainerConfig(lr=0.05, wd=0.0, momentum=0.0, epochs=5, lr_schedule="constant")
-        record = run_trial(task, ArchSpec((8,)), cfg)
+        record = run_to_end(task, ArchSpec((8,)), cfg)
         assert record.status == STATUS_COMPLETED
         assert record.epochs[-1].train_loss < record.epochs[0].train_loss
 
     def test_huge_separation_converges_to_tiny_loss(self):
         task = make_synthetic_task(2, 100, 0, 200, 2, 4, 60.0, 0.0)
         cfg = TrainerConfig(lr=0.1, wd=0.0, epochs=30)
-        record = run_trial(task, ArchSpec((8,)), cfg)
+        record = run_to_end(task, ArchSpec((8,)), cfg)
         assert record.epochs[-1].train_loss < 1e-2
 
     def test_extreme_lr_wd_diverges_and_retains_record(self):
         task = small_task()
         cfg = TrainerConfig(lr=0.5, wd=0.5, momentum=0.95, epochs=40, lr_schedule="constant")
-        record = run_trial(task, ArchSpec((128, 128)), cfg)
+        record = run_to_end(task, ArchSpec((128, 128)), cfg)
         assert record.status == STATUS_DIVERGED
         assert record.epochs_run >= 1
         last = record.epochs[-1]
@@ -244,31 +249,22 @@ class TestRunTrial:
     def test_bit_identical_reruns(self):
         task = small_task()
         cfg = TrainerConfig(lr=0.03, wd=1e-3, epochs=6, init_seed=5)
-        a = run_trial(task, ArchSpec((12,)), cfg, cell=GridCell(1, 2))
-        b = run_trial(task, ArchSpec((12,)), cfg, cell=GridCell(1, 2))
+        a = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(1, 2))
+        b = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(1, 2))
         assert a.epochs == b.epochs
         assert a.status == b.status
 
     def test_different_cells_use_independent_streams(self):
         task = small_task()
         cfg = TrainerConfig(lr=0.03, wd=1e-3, epochs=2, init_seed=5)
-        a = run_trial(task, ArchSpec((12,)), cfg, cell=GridCell(0, 0))
-        b = run_trial(task, ArchSpec((12,)), cfg, cell=GridCell(0, 1))
+        a = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(0, 0))
+        b = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(0, 1))
         assert a.epochs[-1].train_loss != b.epochs[-1].train_loss
-
-    def test_stop_signal_checked_between_epochs(self):
-        task = small_task()
-        cfg = TrainerConfig(lr=0.03, wd=0.0, epochs=50)
-        signal = threading.Event()
-        signal.set()
-        record = run_trial(task, ArchSpec((12,)), cfg, stop_signal=signal)
-        assert record.status == STATUS_STOPPED_EARLY
-        assert record.epochs_run == 0
 
     def test_val_and_test_metrics_logged(self):
         task = small_task()
         cfg = TrainerConfig(lr=0.05, wd=0.0, epochs=3)
-        record = run_trial(task, ArchSpec((12,)), cfg)
+        record = run_to_end(task, ArchSpec((12,)), cfg)
         for entry in record.epochs:
             assert 0.0 <= entry.val_metric <= 1.0
             assert 0.0 <= entry.test_metric <= 1.0
@@ -276,7 +272,7 @@ class TestRunTrial:
     def test_epoch_indices_contiguous(self):
         task = small_task()
         cfg = TrainerConfig(lr=0.05, wd=0.0, epochs=4)
-        record = run_trial(task, ArchSpec((12,)), cfg)
+        record = run_to_end(task, ArchSpec((12,)), cfg)
         assert [e.epoch for e in record.epochs] == [0, 1, 2, 3]
 
     def test_runner_refuses_stepping_after_done(self):
