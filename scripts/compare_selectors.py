@@ -42,14 +42,7 @@ def run_one(seed: int, args) -> tuple[dict, np.ndarray, int]:
         class_separation=args.class_sep,
         label_noise=args.label_noise,
     )
-    config = TrainerConfig(
-        lr=0.1,
-        wd=0.0,
-        momentum=args.momentum,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        init_seed=seed,
-    )
+    config = TrainerConfig(momentum=args.momentum, batch_size=args.batch_size, init_seed=seed)
     policy = SchedulerPolicy("fifo", args.epochs)
     records = execute_search(grid, policy, task_spec.make(), ArchSpec(tuple(args.hidden)), config)
     mats = assemble(records.values(), grid)

@@ -59,6 +59,13 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     ),
     "deep-5class": (["--hidden", "32,16", "--n-classes", "5"], EVAL_OPS),
     "binary": (["--n-classes", "2"], EVAL_OPS),
+    # Every recipe above trains with the default cosine schedule, momentum
+    # and batch size; these two cover the other LR schedules and settings.
+    "fifo-piecewise": (["--lr-schedule", "piecewise"], EVAL_OPS),
+    "fifo-constant": (
+        ["--lr-schedule", "constant", "--momentum", "0.5", "--batch-size", "16"],
+        EVAL_OPS,
+    ),
     # At default Quickshift parameters every recipe above selects from one
     # region; these re-select a 16x16 run with parameters that segment it
     # into several, so linking and labelling are compared too.

@@ -32,6 +32,7 @@ from .selector import (
     METHOD_SELVS,
     baseline_select,
     evaluate,
+    twin_pipeline,
 )
 from .svgplot import heatmap_svg, labels_svg, scatter_svg
 from .trainer import ArchSpec, TrainerConfig
@@ -168,11 +169,8 @@ def _cmd_run(args) -> int:
         )
         hidden = tuple(int(h) for h in args.hidden.split(",") if h.strip())
         arch = ArchSpec(hidden=hidden)
-        base_config = TrainerConfig(
-            lr=grid.lr_values[0],
-            wd=grid.wd_values[0],
+        config = TrainerConfig(
             momentum=args.momentum,
-            epochs=args.epochs,
             batch_size=args.batch_size,
             lr_schedule=args.lr_schedule,
             init_seed=args.init_seed,
@@ -199,7 +197,7 @@ def _cmd_run(args) -> int:
         policy,
         task_spec,
         arch,
-        base_config,
+        config,
         quickshift_params=params,
     )
     sel = artifacts.selection
@@ -268,7 +266,7 @@ def _cmd_eval(args) -> int:
         manifest, records, _decisions, grid = _load_complete_run(store, run_id)
         mats = assemble(records.values(), grid)
         surfaces = _surfaces_for(manifest, records, grid)
-        _, artifacts = select_from_records(records, grid)
+        artifacts = twin_pipeline(mats, grid, default_params(grid))
         sels = {artifacts.selection.method: artifacts.selection}
         for m in (METHOD_SELTS, METHOD_SELVS, METHOD_ORACLE):
             try:

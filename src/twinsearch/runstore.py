@@ -17,7 +17,10 @@ shortest-round-trip repr, which makes write/load cycles bit-exact.
 ``TrialLine.to_json``, the only trial-line encoder, builds its text
 directly, byte for byte what ``encode_json`` gives for its fields. A torn
 final trial line (crash mid-append) is dropped with a warning on load;
-corruption anywhere else is an error.
+corruption anywhere else is an error. Appending to a trial file that an
+earlier store left behind first loads it with the same checks, and a torn
+final line is an error there too, so a new line is never glued onto torn
+bytes.
 
 ``load_run`` reads each trial file in one piece and parses it line by
 line with one call of the JSON scanner (``JSONDecoder.raw_decode``). A
@@ -214,8 +217,11 @@ class RunStore:
         key = (run_id, row, col)
         last = self._epoch_cache.get(key)
         if last is None:
-            last = self._last_epoch(path)
-            last = self._epoch_cache[key] = -1 if last is None else last
+            # a file from before this store: only a whole, well-formed one is appended to
+            last = -1
+            if os.path.exists(path):
+                last = self._load_trial_file(path, GridCell(row, col), torn_tail_ok=False).epochs_run - 1
+            self._epoch_cache[key] = last
         if line.epoch <= last:
             raise RunStoreError(
                 f"epoch {line.epoch} not after last logged epoch {last} for cell ({row}, {col})"
@@ -313,11 +319,11 @@ class RunStore:
         decisions = self._read_jsonl(decisions_path) if os.path.exists(decisions_path) else []
         return manifest, records, decisions
 
-    def _load_trial_file(self, path: str, cell: GridCell) -> TrialRecord:
+    def _load_trial_file(self, path: str, cell: GridCell, torn_tail_ok: bool = True) -> TrialRecord:
         """One trial's record, checking every line against the trial-line schema."""
         record = TrialRecord(cell=cell)
         epochs = record.epochs
-        for d in self._read_jsonl(path):
+        for d in self._read_jsonl(path, torn_tail_ok):
             try:
                 row, col, epoch, loss, norm, status = (
                     d["row"], d["col"], d["epoch"], d["train_loss"], d["param_norm"], d["status"]
@@ -357,7 +363,9 @@ class RunStore:
                 record.status = status
         return record
 
-    def _read_jsonl(self, path: str) -> list[dict]:
+    def _read_jsonl(self, path: str, torn_tail_ok: bool = True) -> list[dict]:
+        """Every line of ``path``; a torn final line is dropped with a warning, or
+        raises ``RunStoreError`` when ``torn_tail_ok`` is false."""
         with open(path, "rb") as fh:
             raw = fh.read()
         out = []
@@ -375,30 +383,17 @@ class RunStore:
                 # (surrounding whitespace) or rejects with its own error
                 out.append(obj if end == len(text) else json.loads(text))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if i == len(lines):
+                if i == len(lines) and torn_tail_ok:
                     warnings.warn(f"{path}: dropping torn final line {i}: {exc}")
                     return out
                 raise RunStoreError(f"{path}: corrupt line {i}: {exc}") from exc
         if torn_tail and lines:
             # parsed fine but unterminated: treat as torn, the writer always ends lines
+            if not torn_tail_ok:
+                raise RunStoreError(f"{path}: unterminated final line {len(lines)}")
             warnings.warn(f"{path}: dropping unterminated final line {len(lines)}")
             return out[:-1]
         return out
-
-    @staticmethod
-    def _last_epoch(path: str) -> int | None:
-        if not os.path.exists(path):
-            return None
-        last = None
-        with open(path, "rb") as fh:
-            for chunk in fh.read().split(b"\n"):
-                if not chunk:
-                    continue
-                try:
-                    last = json.loads(chunk.decode("utf-8")).get("epoch", last)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    continue  # torn tail; load_run reports it
-        return last
 
     @staticmethod
     def _write_text(path: Path, text: str) -> None:

@@ -4,9 +4,12 @@ Drives every grid cell's trial in lockstep epoch rounds on one thread: each
 round advances all alive trials by one epoch in cell order, then hands the
 whole round to the scheduler in one ``Schedule.decide`` call, so rung
 outcomes resolve within the round and each trial line carries the status
-its epoch ended with. All trials share one ``Cohort``, so a round's epoch is
-computed as stacked passes over the alive trials, bit for bit what each
-trial would compute alone; a trial leaves the cohort when it ends.
+its epoch ended with. All trials share one ``Cohort``, which holds the
+task, the model, the ``TrainerConfig`` and the epoch horizon: the
+scheduler's budget, the one epoch budget of the search. Each trial adds
+only its cell's (lr, wd). A round's epoch is computed as stacked passes over
+the alive trials, bit for bit what each trial would compute alone; a trial
+leaves the cohort when it ends.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
@@ -16,7 +19,7 @@ metrics included, when it ends.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .grid import GridCell, HyperGrid, cell_params
 from .matrices import LogMatrices, assemble, metric_window
@@ -26,7 +29,6 @@ from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
 from .tasks import SyntheticTask, make_synthetic_task
 from .trainer import (
-    STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_RUNNING,
     STATUS_STOPPED_EARLY,
@@ -65,11 +67,11 @@ def execute_search(
     policy: SchedulerPolicy,
     task: SyntheticTask,
     arch: ArchSpec,
-    base_config: TrainerConfig,
+    config: TrainerConfig,
     store: RunStore | None = None,
     run_id: str | None = None,
 ) -> dict[GridCell, TrialRecord]:
-    """Train every grid cell under the policy; optionally persist as it goes.
+    """Train every grid cell for up to ``policy.epoch_budget`` epochs; optionally persist.
 
     With a store, every epoch gets one trial line, appended in epoch order.
     An alive trial's last ``w`` lines (``w = metric_window(policy.kind)``)
@@ -80,12 +82,8 @@ def execute_search(
     """
     schedule = Schedule(policy, grid.n_trials)
     window = metric_window(policy.kind)
-    cohort = Cohort()
-    runners: dict[GridCell, TrialRunner] = {}
-    for cell in grid.cells():
-        lr, wd = cell_params(grid, cell)
-        config = replace(base_config, lr=lr, wd=wd)
-        runners[cell] = TrialRunner(task, arch, config, cell, window, cohort)
+    cohort = Cohort(task, arch, config, policy.epoch_budget)
+    runners = {cell: TrialRunner(cohort, cell, *cell_params(grid, cell), window) for cell in grid.cells()}
 
     records: dict[GridCell, TrialRecord] = {cell: r.record for cell, r in runners.items()}
     persist = store is not None and run_id is not None
@@ -107,11 +105,7 @@ def execute_search(
             if rec.status == STATUS_DIVERGED:
                 pass
             elif not schedule.is_alive(cell):
-                runners[cell].finish(
-                    STATUS_COMPLETED
-                    if rec.epochs_run == policy.epoch_budget
-                    else STATUS_STOPPED_EARLY
-                )
+                runners[cell].finish(STATUS_STOPPED_EARLY)  # no-op once completed
             else:
                 still_alive.append(cell)
             if persist:
@@ -181,7 +175,7 @@ def run_and_store(
     policy: SchedulerPolicy,
     task_spec: TaskSpec,
     arch: ArchSpec,
-    base_config: TrainerConfig,
+    config: TrainerConfig,
     quickshift_params: QuickshiftParams | None = None,
 ) -> TwinArtifacts:
     """Full pipeline with persistence: manifest, trials, decisions, matrices, selection."""
@@ -191,17 +185,15 @@ def run_and_store(
         "task": task_spec.to_dict(),
         "arch": arch.to_dict(),
         "trainer": {
-            "momentum": base_config.momentum,
-            "epochs": base_config.epochs,
-            "batch_size": base_config.batch_size,
-            "lr_schedule": base_config.lr_schedule,
+            "momentum": config.momentum,
+            "epochs": policy.epoch_budget,
+            "batch_size": config.batch_size,
+            "lr_schedule": config.lr_schedule,
         },
-        "seeds": {"init_seed": base_config.init_seed, "task_seed": task_spec.seed},
+        "seeds": {"init_seed": config.init_seed, "task_seed": task_spec.seed},
     }
     store.create_run(run_id, manifest)
-    records = execute_search(
-        grid, policy, task_spec.make(), arch, base_config, store=store, run_id=run_id
-    )
+    records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
     mats, artifacts = select_from_records(records, grid, quickshift_params)
     store.write_matrices(run_id, mats, grid, outlier_mask=artifacts.normalized.outlier_mask)
     store.write_selection(run_id, artifacts)

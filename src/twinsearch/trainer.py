@@ -8,15 +8,16 @@ means). The logged norm covers all trainable parameters, biases included.
 Val/test accuracy is not computed per epoch: a trial scores its last few
 finite epochs once, when it reaches a terminal status.
 
-Trials that advance in lockstep share a ``Cohort``. The first
+The trials of one search form a ``Cohort``: it holds what they share (the
+task, the one ``MLP``, the ``TrainerConfig`` and the epoch horizon), and each
+``TrialRunner`` holds only its own cell, lr0, wd and state. The first
 ``TrialRunner.step_epoch`` call of a round runs that epoch for every live
 member at once: parameters and velocities are stacked to (T, P), each
 member's minibatch (from its own permutation) to (T, B, D), and each
 minibatch is one stacked forward/backward pass and one momentum update with
 per-row lr and wd, in slices of ``STACK_SLICE`` members. Later calls of the
 round only take their own row. Every row is computed exactly as a lone
-trial's would be, so results do not depend on who else is in the cohort. A
-runner made without a cohort is a cohort of one.
+trial's would be, so results do not depend on who else is in the cohort.
 
 ``MLP.loss_and_grad`` gives the bits of the frozen reference kernel in
 ``tests/kernel_oracle.py`` (NaN payloads aside). Element-wise steps (bias
@@ -87,23 +88,20 @@ class ArchSpec:
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    lr: float
-    wd: float
+    """Training settings every trial of a search shares.
+
+    Each trial's lr0 and wd come from its grid cell, and the epoch horizon
+    of the LR schedule is the scheduler's budget.
+    """
+
     momentum: float = 0.9
-    epochs: int = 50
     batch_size: int = 32
     lr_schedule: str = "cosine"
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.wd < 0:
-            raise ValueError(f"wd must be non-negative, got {self.wd}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_schedule not in LR_SCHEDULES:
@@ -145,17 +143,18 @@ def cosine_lr(lr0: float, t: int, epochs: int) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * t / epochs))
 
 
-def schedule_lr(config: TrainerConfig, t: int) -> float:
-    if config.lr_schedule == "cosine":
-        return cosine_lr(config.lr, t, config.epochs)
-    if config.lr_schedule == "piecewise":
+def schedule_lr(schedule: str, lr0: float, t: int, epochs: int) -> float:
+    """The LR of epoch ``t`` of an ``epochs``-epoch horizon, starting from lr0."""
+    if schedule == "cosine":
+        return cosine_lr(lr0, t, epochs)
+    if schedule == "piecewise":
         # step decay: x0.1 at 50% of the budget, x0.01 at 75%
-        if t >= 0.75 * config.epochs:
-            return config.lr * 0.01
-        if t >= 0.5 * config.epochs:
-            return config.lr * 0.1
-        return config.lr
-    return config.lr
+        if t >= 0.75 * epochs:
+            return lr0 * 0.01
+        if t >= 0.5 * epochs:
+            return lr0 * 0.1
+        return lr0
+    return lr0
 
 
 def sgdm_step(
@@ -218,12 +217,6 @@ class MLP:
         wm, bv = layers[-1]
         return a @ wm + bv
 
-    def loss(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        z = self.logits(theta, x)
-        z = z - z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1))
-        return float(np.mean(lse - z[np.arange(len(y)), y]))
-
     def loss_and_grad(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -277,26 +270,24 @@ class MLP:
 
 
 class Cohort:
-    """Trials stepped in lockstep, one stacked pass per epoch for every live member.
+    """The trials of one search, stepped in lockstep with one stacked pass per epoch.
 
-    A runner joins when it is made and leaves when it ends (completed,
-    diverged or finished), so an ended runner is not referenced from here.
-    Each round, every live member takes exactly one step: a member that steps
-    again before the others have taken theirs, or members at different
-    epochs, raise ``RuntimeError``.
+    It owns what they share: the task, the one ``MLP``, the ``TrainerConfig``
+    and the epoch horizon ``epochs``. A runner joins when it is made and
+    leaves when it ends (completed, diverged or finished), so an ended runner
+    is not referenced from here. Each round, every live member takes exactly
+    one step: a member that steps again before the others have taken theirs,
+    or members at different epochs, raise ``RuntimeError``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, task: SyntheticTask, arch: ArchSpec, config: TrainerConfig, epochs: int):
+        self.task = task
+        self.model = MLP(task.input_dim, arch.hidden, task.n_classes)
+        self.config = config
+        self.epochs = epochs
         self._members: dict[TrialRunner, None] = {}  # live runners in join order
 
     def join(self, runner: TrialRunner) -> None:
-        first = next(iter(self._members), None)
-        if first is not None and (
-            runner.task is not first.task
-            or runner.model.sizes != first.model.sizes
-            or runner.config.batch_size != first.config.batch_size
-        ):
-            raise ValueError("cohort members must share the task, architecture and batch size")
         self._members[runner] = None
 
     def leave(self, runner: TrialRunner) -> None:
@@ -309,77 +300,64 @@ class Cohort:
         if any(r._stepped is not None for r in live) or len({r.record.epochs_run for r in live}) > 1:
             raise RuntimeError(f"trial {caller.cell} stepped out of lockstep with its cohort")
         for start in range(0, len(live), STACK_SLICE):
-            _step_stack(live[start : start + STACK_SLICE])
+            self._step_stack(live[start : start + STACK_SLICE])
 
-
-def _step_stack(runners: list[TrialRunner]) -> None:
-    """One epoch for a stack of runners; leaves each its own copy of its row."""
-    first = runners[0]
-    model, batch_size = first.model, first.config.batch_size
-    x, y = first.task.train_inputs, first.task.train_labels
-    order = np.stack([r.rng.permutation(len(y)) for r in runners])
-    lr_t = np.array([[schedule_lr(r.config, r.record.epochs_run)] for r in runners])
-    wd = np.array([[r.config.wd] for r in runners])
-    momentum = np.array([[r.config.momentum] for r in runners])
-    theta = np.stack([r.theta for r in runners])
-    velocity = np.stack([r.velocity for r in runners])
-    batch_losses = []
-    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-        for start in range(0, len(y), batch_size):
-            idx = order[:, start : start + batch_size]
-            losses, grad = model.loss_and_grad(theta, x[idx], y[idx])
-            theta, velocity = sgdm_step(theta, velocity, grad, lr_t, wd, momentum)
-            batch_losses.append(losses)
-        train_loss = np.mean(np.stack(batch_losses, axis=1), axis=1)
-        # row by row: a norm along axis 1 does not give the same bits
-        norms = [param_l2_norm(row) for row in theta]
-    for r, th, v, loss, norm in zip(runners, theta, velocity, train_loss, norms):
-        # copies, so a kept or ended trial's theta does not pin the whole stack
-        r._stepped = (th.copy(), v.copy(), float(loss), norm)
+    def _step_stack(self, runners: list[TrialRunner]) -> None:
+        """One epoch for a stack of runners; leaves each its own copy of its row."""
+        model, config, epoch = self.model, self.config, runners[0].record.epochs_run
+        x, y = self.task.train_inputs, self.task.train_labels
+        order = np.stack([r.rng.permutation(len(y)) for r in runners])
+        lr_t = np.array([[schedule_lr(config.lr_schedule, r.lr, epoch, self.epochs)] for r in runners])
+        wd = np.array([[r.wd] for r in runners])
+        theta = np.stack([r.theta for r in runners])
+        velocity = np.stack([r.velocity for r in runners])
+        batch_losses = []
+        with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+            for start in range(0, len(y), config.batch_size):
+                idx = order[:, start : start + config.batch_size]
+                losses, grad = model.loss_and_grad(theta, x[idx], y[idx])
+                theta, velocity = sgdm_step(theta, velocity, grad, lr_t, wd, config.momentum)
+                batch_losses.append(losses)
+            train_loss = np.mean(np.stack(batch_losses, axis=1), axis=1)
+            # row by row: a norm along axis 1 does not give the same bits
+            norms = [param_l2_norm(row) for row in theta]
+        for r, th, v, loss, norm in zip(runners, theta, velocity, train_loss, norms):
+            # copies, so a kept or ended trial's theta does not pin the whole stack
+            r._stepped = (th.copy(), v.copy(), float(loss), norm)
 
 
 class TrialRunner:
-    """Owns one trial's model state and advances it one epoch at a time.
+    """Owns one trial's state and advances it one epoch at a time.
 
     Batch order and initialization derive from (init_seed, cell), so every
-    trial is an independent, replayable stream. Runners that share a
-    ``cohort`` are stepped together (see ``Cohort``); without one, the runner
-    is a cohort of one.
+    trial is an independent, replayable stream. Runners of one ``cohort``
+    are stepped together (see ``Cohort``).
 
     Val/test accuracy is computed when the trial reaches a terminal status
     (completed, diverged, or ``finish``), for its last ``metric_window``
-    finite epochs; ``None`` scores every finite epoch. Other epochs keep
-    ``None`` metrics. A task with no val or test set keeps no parameters.
+    finite epochs. Other epochs keep ``None`` metrics. A task with no val or
+    test set keeps no parameters.
     """
 
-    def __init__(
-        self,
-        task: SyntheticTask,
-        arch: ArchSpec,
-        config: TrainerConfig,
-        cell: GridCell = GridCell(0, 0),
-        metric_window: int | None = None,
-        cohort: Cohort | None = None,
-    ):
-        self.task = task
-        self.config = config
+    def __init__(self, cohort: Cohort, cell: GridCell, lr: float, wd: float, metric_window: int):
+        self.cohort = cohort
         self.cell = cell
-        self.model = MLP(task.input_dim, arch.hidden, task.n_classes)
+        self.lr = lr
+        self.wd = wd
         self.rng = np.random.default_rng(
-            np.random.SeedSequence([config.init_seed, cell.row, cell.col])
+            np.random.SeedSequence([cohort.config.init_seed, cell.row, cell.col])
         )
-        self.theta = self.model.init_params(self.rng)
+        self.theta = cohort.model.init_params(self.rng)
         self.velocity = np.zeros_like(self.theta)
         self.record = TrialRecord(cell=cell)
-        window = config.epochs if metric_window is None else metric_window
+        task = cohort.task
         # (epoch, theta) of the last finite epochs, scored when the trial ends
         self._recent: deque[tuple[int, np.ndarray]] = deque(
-            maxlen=window if task.n_val or task.n_test else 0
+            maxlen=metric_window if task.n_val or task.n_test else 0
         )
         # (theta, velocity, train_loss, norm) of this round, set by the cohort
         self._stepped: tuple[np.ndarray, np.ndarray, float, float] | None = None
-        self._cohort = Cohort() if cohort is None else cohort
-        self._cohort.join(self)
+        cohort.join(self)
 
     @property
     def done(self) -> bool:
@@ -395,15 +373,15 @@ class TrialRunner:
     def _end(self, status: str) -> None:
         """Set the terminal status, leave the cohort and score the kept epochs."""
         self.record.status = status
-        self._cohort.leave(self)
-        task, epochs = self.task, self.record.epochs
+        self.cohort.leave(self)
+        task, model, epochs = self.cohort.task, self.cohort.model, self.record.epochs
         with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
             for epoch, theta in self._recent:
                 val_metric = test_metric = None
                 if task.n_val:
-                    val_metric = self.model.accuracy(theta, task.val_inputs, task.val_labels)
+                    val_metric = model.accuracy(theta, task.val_inputs, task.val_labels)
                 if task.n_test:
-                    test_metric = self.model.accuracy(theta, task.test_inputs, task.test_labels)
+                    test_metric = model.accuracy(theta, task.test_inputs, task.test_labels)
                 epochs[epoch] = epochs[epoch]._replace(val_metric=val_metric, test_metric=test_metric)
         self._recent.clear()
 
@@ -415,17 +393,15 @@ class TrialRunner:
         """
         if self.done:
             raise RuntimeError(f"trial {self.cell} already finished ({self.record.status})")
-        epoch = self.record.epochs_run
-        if epoch >= self.config.epochs:
-            raise RuntimeError(f"trial {self.cell} exhausted its {self.config.epochs}-epoch budget")
         if self._stepped is None:
-            self._cohort.step(self)
+            self.cohort.step(self)
+        epoch = self.record.epochs_run
         (self.theta, self.velocity, train_loss, norm), self._stepped = self._stepped, None
         self.record.epochs.append(EpochLog(epoch, train_loss, norm))
         if not (math.isfinite(train_loss) and math.isfinite(norm)):
             self._end(STATUS_DIVERGED)
         else:
             self._recent.append((epoch, self.theta))
-            if epoch + 1 == self.config.epochs:
+            if epoch + 1 == self.cohort.epochs:
                 self._end(STATUS_COMPLETED)
         return self.record.epochs[-1]

@@ -67,6 +67,37 @@ class TestAppend:
         with pytest.raises(RunStoreError, match="not after"):
             store.append_trial_line("r1", TrialLine(0, 0, 5, 1.0, 2.0))
 
+    @pytest.mark.parametrize("damage", ["torn", "unterminated", "corrupt-interior"])
+    def test_append_after_a_damaged_file_raises_and_writes_nothing(self, store, damage):
+        # a fresh store must not glue a line onto torn bytes or append past a
+        # corrupt line: either would make the file fail to load later
+        grid = small_grid()
+        write_full_run(store, "r1", grid, epochs=3)
+        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
+        data = path.read_bytes()
+        if damage == "torn":
+            data = data[:-10]
+        elif damage == "unterminated":
+            data = data[:-1]
+        else:
+            lines = data.split(b"\n")
+            lines[1] = b'{"broken":'
+            data = b"\n".join(lines)
+        path.write_bytes(data)
+        with pytest.raises(RunStoreError, match="0_0.jsonl"):
+            RunStore(store.root).append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0))
+        assert path.read_bytes() == data
+
+    def test_fresh_store_appends_after_a_whole_file(self, store):
+        grid = small_grid()
+        write_full_run(store, "r1", grid, epochs=3)
+        fresh = RunStore(store.root)
+        fresh.append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0))
+        with pytest.raises(RunStoreError, match="not after"):
+            RunStore(store.root).append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0))
+        _, records, _ = fresh.load_run("r1")
+        assert records[GridCell(0, 0)].epochs_run == 4
+
     def test_nan_encoded_as_string(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
@@ -418,7 +449,7 @@ class TestArtifactsRoundTrip:
             policy,
             TaskSpec(seed=1, n_train=40, n_val=8, n_test=60, input_dim=4, n_classes=2),
             ArchSpec((8,)),
-            TrainerConfig(lr=0.1, wd=0.0, epochs=4, batch_size=16, init_seed=1),
+            TrainerConfig(batch_size=16, init_seed=1),
         )
         mats = store.load_matrices("run_a")
         _, records, _ = store.load_run("run_a")

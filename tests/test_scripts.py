@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ still run against the package API."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -61,6 +62,23 @@ def test_parity_segmenting_recipes_run_select_with_their_flags(capsys):
         ["--max-dist", "1.5", "--ratio", "20"],
         ["--max-dist", "inf"],
     ]
+
+
+def test_parity_schedule_recipes_train_with_their_settings(tmp_path):
+    script = load_script("parity")
+    src = SCRIPTS.parent / "src"
+    jobs = script.build_jobs(["fifo-piecewise", "fifo-constant"], [0], 3, 4)
+    assert script.run_tree(src, tmp_path, jobs) == []
+    trainers = [
+        json.loads((tmp_path / job["store"] / script.RUN_ID / "manifest.json").read_text())["trainer"]
+        for job in jobs
+    ]
+    assert trainers == [
+        {"momentum": 0.9, "epochs": 4, "batch_size": 32, "lr_schedule": "piecewise"},
+        {"momentum": 0.5, "epochs": 4, "batch_size": 16, "lr_schedule": "constant"},
+    ]
+    for job in jobs:
+        assert (tmp_path / job["store"] / script.RUN_ID / "eval_report.json").is_file()
 
 
 def test_parity_foreign_recipe_rewrites_trial_files_before_select(tmp_path):

@@ -41,7 +41,7 @@ from twinsearch.trainer import (
 
 TASK_SPEC = TaskSpec(seed=0, n_train=40, n_val=8, n_test=30, input_dim=4, n_classes=3)
 ARCH = ArchSpec((8,))
-CONFIG = TrainerConfig(lr=0.1, wd=0.0, epochs=10, batch_size=2, lr_schedule="constant")
+CONFIG = TrainerConfig(batch_size=2, lr_schedule="constant")
 
 # A constant LR up to 1e8 (FIFO) or 1e7 (HB) with WD up to 100 makes cells
 # diverge at epochs 0 to 5; HB at stop fraction 0.5 also stops cells at its
@@ -59,22 +59,23 @@ def _finite(entry: EpochLog) -> bool:
     return math.isfinite(entry.train_loss) and math.isfinite(entry.param_norm)
 
 
-def eager_records(records, grid, task):
+def eager_records(records, grid, task, policy):
     """Replay each trial alone for the epochs the search ran, scoring every finite epoch.
 
     A replayed trial that is still running was stopped by the scheduler.
     """
     out = {}
     for cell, rec in records.items():
-        lr, wd = cell_params(grid, cell)
-        runner = TrialRunner(task, ARCH, dataclasses.replace(CONFIG, lr=lr, wd=wd), cell)
+        cohort = Cohort(task, ARCH, CONFIG, policy.epoch_budget)
+        runner = TrialRunner(cohort, cell, *cell_params(grid, cell), metric_window(policy.kind))
+        model = cohort.model
         epochs = []
         for _ in range(rec.epochs_run):
             entry = runner.step_epoch()
             val = test = None
             if _finite(entry):
-                val = runner.model.accuracy(runner.theta, task.val_inputs, task.val_labels)
-                test = runner.model.accuracy(runner.theta, task.test_inputs, task.test_labels)
+                val = model.accuracy(runner.theta, task.val_inputs, task.val_labels)
+                test = model.accuracy(runner.theta, task.test_inputs, task.test_labels)
             epochs.append(EpochLog(entry.epoch, entry.train_loss, entry.param_norm, val, test))
         status = runner.record.status if runner.done else STATUS_STOPPED_EARLY
         out[cell] = TrialRecord(cell=cell, epochs=epochs, status=status)
@@ -105,7 +106,7 @@ def searched(request, tmp_path_factory):
         grid=grid,
         store=store,
         records=records,
-        eager=eager_records(records, grid, task),
+        eager=eager_records(records, grid, task, policy),
         accuracy_calls=len(calls),
     )
 
@@ -129,8 +130,11 @@ def test_grid_covers_the_edge_cases(searched):
         assert min(finite_by_status[STATUS_STOPPED_EARLY]) < LAST_K  # stopped at the first rung
 
 
-def loop_reference(task, config, cell, epochs):
-    """(train_loss, param_norm) per epoch of one trial, updated one vector at a time."""
+def loop_reference(task, config, cell, lr, wd, epochs, horizon):
+    """(train_loss, param_norm) per epoch of one trial, updated one vector at a time.
+
+    The LR schedule runs over ``horizon`` epochs, of which the first ``epochs`` are run.
+    """
     model = MLP(task.input_dim, ARCH.hidden, task.n_classes)
     rng = np.random.default_rng(np.random.SeedSequence([config.init_seed, cell.row, cell.col]))
     theta = model.init_params(rng)
@@ -144,9 +148,8 @@ def loop_reference(task, config, cell, epochs):
             for start in range(0, len(y), config.batch_size):
                 idx = order[start : start + config.batch_size]
                 loss, grad = model.loss_and_grad(theta[None], x[idx][None], y[idx][None])
-                theta, velocity = sgdm_step(
-                    theta, velocity, grad[0], schedule_lr(config, epoch), config.wd, config.momentum
-                )
+                lr_t = schedule_lr(config.lr_schedule, lr, epoch, horizon)
+                theta, velocity = sgdm_step(theta, velocity, grad[0], lr_t, wd, config.momentum)
                 losses.append(float(loss[0]))
             out.append((float(np.mean(losses)), float(np.linalg.norm(theta))))
     return out
@@ -160,9 +163,28 @@ def test_epochs_equal_the_one_runner_per_cell_replay_bit_for_bit(searched):
         logged = np.array([(e.train_loss, e.param_norm) for e in rec.epochs])
         replayed = np.array([(e.train_loss, e.param_norm) for e in reference.epochs])
         lr, wd = cell_params(searched.grid, cell)
-        config = dataclasses.replace(CONFIG, lr=lr, wd=wd)
-        looped = np.array(loop_reference(task, config, cell, rec.epochs_run))
+        budget = CASES[searched.kind][0].epoch_budget
+        looped = np.array(loop_reference(task, CONFIG, cell, lr, wd, rec.epochs_run, budget))
         assert logged.tobytes() == replayed.tobytes() == looped.tobytes(), cell
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_cosine_epochs_follow_the_policy_budget_bit_for_bit(kind):
+    # every trial's cosine schedule runs over the scheduler's budget, also
+    # for trials that stop early, and completed trials run all of it
+    policy = CASES[kind][0]
+    grid = build_log_grid(1e-3, 1.0, 3, 1e-4, 1e-1, 3)
+    config = dataclasses.replace(CONFIG, lr_schedule="cosine")
+    task = TASK_SPEC.make()
+    records = execute_search(grid, policy, task, ARCH, config)
+    statuses = {rec.status for rec in records.values()}
+    assert STATUS_COMPLETED in statuses and (kind == "fifo" or STATUS_STOPPED_EARLY in statuses)
+    for cell, rec in records.items():
+        assert rec.epochs_run == policy.epoch_budget or rec.status != STATUS_COMPLETED
+        logged = np.array([(e.train_loss, e.param_norm) for e in rec.epochs])
+        lr, wd = cell_params(grid, cell)
+        looped = np.array(loop_reference(task, config, cell, lr, wd, rec.epochs_run, policy.epoch_budget))
+        assert logged.tobytes() == looped.tobytes(), cell
 
 
 def test_surfaces_equal_the_eager_reference(searched):
@@ -241,44 +263,32 @@ def test_valfree_task_never_scores(monkeypatch):
     )
 
 
-def _runner(task, cohort, epochs=3, cell=(0, 0)):
-    config = dataclasses.replace(CONFIG, epochs=epochs)
-    return TrialRunner(task, ARCH, config, GridCell(*cell), cohort=cohort)
+def _runner(cohort, cell=(0, 0)):
+    return TrialRunner(cohort, GridCell(*cell), 0.1, 0.0, 1)
 
 
 def test_cohort_raises_when_a_member_steps_out_of_lockstep():
-    task = TASK_SPEC.make()
-    cohort = Cohort()
-    a, b = _runner(task, cohort), _runner(task, cohort, cell=(0, 1))
+    cohort = Cohort(TASK_SPEC.make(), ARCH, CONFIG, 3)
+    a, b = _runner(cohort), _runner(cohort, cell=(0, 1))
     a.step_epoch()
     with pytest.raises(RuntimeError, match="lockstep"):
         a.step_epoch()  # b has not taken its step of this round
     b.step_epoch()
     a.step_epoch()  # next round
-    late = _runner(task, cohort, cell=(1, 0))
+    late = _runner(cohort, cell=(1, 0))
     with pytest.raises(RuntimeError, match="lockstep"):
         late.step_epoch()  # at epoch 0 while a is at epoch 2
 
 
-def test_cohort_rejects_members_that_cannot_share_a_stack():
-    task = TASK_SPEC.make()
-    cohort = Cohort()
-    _runner(task, cohort)
-    with pytest.raises(ValueError):
-        TrialRunner(task, ArchSpec((5,)), CONFIG, cohort=cohort)
-    with pytest.raises(ValueError):
-        TrialRunner(TASK_SPEC.make(), ARCH, CONFIG, cohort=cohort)
-
-
 def test_ended_runners_are_freed_without_the_cycle_collector():
-    task = TASK_SPEC.make()
-    cohort = Cohort()
-    completes = _runner(task, cohort, epochs=1)
-    stopped = _runner(task, cohort, cell=(0, 1))
-    survivor = _runner(task, cohort, cell=(0, 2))
+    cohort = Cohort(TASK_SPEC.make(), ARCH, CONFIG, 2)
+    completes = _runner(cohort)
+    stopped = _runner(cohort, cell=(0, 1))
+    survivor = _runner(cohort, cell=(0, 2))
     for runner in (completes, stopped, survivor):
         runner.step_epoch()
     stopped.finish(STATUS_STOPPED_EARLY)
+    completes.step_epoch()  # steps the last round; the survivor's row waits
     assert completes.record.status == STATUS_COMPLETED
     refs = [weakref.ref(completes), weakref.ref(stopped)]
     enabled = gc.isenabled()

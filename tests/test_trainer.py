@@ -14,6 +14,7 @@ from twinsearch.trainer import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     ArchSpec,
+    Cohort,
     TrainerConfig,
     TrialRunner,
     cosine_lr,
@@ -27,12 +28,20 @@ def small_task(seed=1, n_train=60):
     return make_synthetic_task(seed, n_train, 10, 200, 3, 6, 3.0, 0.0)
 
 
-def run_to_end(task, arch, config, cell=GridCell(0, 0)):
-    """Step one trial alone until it completes or diverges."""
-    runner = TrialRunner(task, arch, config, cell)
+def run_to_end(task, arch, lr, wd, epochs, config=TrainerConfig(), cell=GridCell(0, 0)):
+    """Step one trial alone, scoring every finite epoch, until it completes or diverges."""
+    runner = TrialRunner(Cohort(task, arch, config, epochs), cell, lr, wd, epochs)
     while not runner.done:
         runner.step_epoch()
     return runner.record
+
+
+def single_loss(model, theta, x, y):
+    """Mean cross-entropy of one trial's minibatch, computed unstacked."""
+    z = model.logits(theta, x)
+    z = z - z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
 class TestCosine:
@@ -51,15 +60,13 @@ class TestCosine:
             cosine_lr(0.1, 10, 10)
 
     def test_piecewise_steps(self):
-        cfg = TrainerConfig(lr=1.0, wd=0.0, epochs=100, lr_schedule="piecewise")
-        assert schedule_lr(cfg, 0) == 1.0
-        assert schedule_lr(cfg, 49) == 1.0
-        assert schedule_lr(cfg, 50) == 0.1
-        assert schedule_lr(cfg, 75) == 0.01
+        assert schedule_lr("piecewise", 1.0, 0, 100) == 1.0
+        assert schedule_lr("piecewise", 1.0, 49, 100) == 1.0
+        assert schedule_lr("piecewise", 1.0, 50, 100) == 0.1
+        assert schedule_lr("piecewise", 1.0, 75, 100) == 0.01
 
     def test_constant(self):
-        cfg = TrainerConfig(lr=0.3, wd=0.0, epochs=10, lr_schedule="constant")
-        assert all(schedule_lr(cfg, t) == 0.3 for t in range(10))
+        assert all(schedule_lr("constant", 0.3, t, 10) == 0.3 for t in range(10))
 
 
 class TestSgdmStep:
@@ -157,9 +164,9 @@ class TestGradients:
             for i in rng.choice(model.n_params, size=min(40, model.n_params), replace=False):
                 probe = theta.copy()
                 probe[i] += h
-                up = model.loss(probe, x, y)
+                up = single_loss(model, probe, x, y)
                 probe[i] -= 2 * h
-                down = model.loss(probe, x, y)
+                down = single_loss(model, probe, x, y)
                 fd = (up - down) / (2 * h)
                 if abs(grad[i]) > 1e-8:
                     assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd)) < 1e-4
@@ -173,7 +180,7 @@ class TestGradients:
         losses, grads = model.loss_and_grad(thetas, xs, ys)
         assert losses.shape == (4,) and grads.shape == thetas.shape
         for t in range(4):
-            assert losses[t] == model.loss(thetas[t], xs[t], ys[t])
+            assert losses[t] == single_loss(model, thetas[t], xs[t], ys[t])
             alone_loss, alone_grad = model.loss_and_grad(thetas[t : t + 1], xs[t : t + 1], ys[t : t + 1])
             assert alone_loss[0] == losses[t]
             assert np.array_equal(alone_grad[0], grads[t])
@@ -225,21 +232,20 @@ class TestKernelParity:
 class TestRunTrial:
     def test_loss_decreases_on_separable_task(self):
         task = make_synthetic_task(1, 100, 0, 200, 2, 4, 8.0, 0.0)
-        cfg = TrainerConfig(lr=0.05, wd=0.0, momentum=0.0, epochs=5, lr_schedule="constant")
-        record = run_to_end(task, ArchSpec((8,)), cfg)
+        cfg = TrainerConfig(momentum=0.0, lr_schedule="constant")
+        record = run_to_end(task, ArchSpec((8,)), 0.05, 0.0, 5, cfg)
         assert record.status == STATUS_COMPLETED
         assert record.epochs[-1].train_loss < record.epochs[0].train_loss
 
     def test_huge_separation_converges_to_tiny_loss(self):
         task = make_synthetic_task(2, 100, 0, 200, 2, 4, 60.0, 0.0)
-        cfg = TrainerConfig(lr=0.1, wd=0.0, epochs=30)
-        record = run_to_end(task, ArchSpec((8,)), cfg)
+        record = run_to_end(task, ArchSpec((8,)), 0.1, 0.0, 30)
         assert record.epochs[-1].train_loss < 1e-2
 
     def test_extreme_lr_wd_diverges_and_retains_record(self):
         task = small_task()
-        cfg = TrainerConfig(lr=0.5, wd=0.5, momentum=0.95, epochs=40, lr_schedule="constant")
-        record = run_to_end(task, ArchSpec((128, 128)), cfg)
+        cfg = TrainerConfig(momentum=0.95, lr_schedule="constant")
+        record = run_to_end(task, ArchSpec((128, 128)), 0.5, 0.5, 40, cfg)
         assert record.status == STATUS_DIVERGED
         assert record.epochs_run >= 1
         last = record.epochs[-1]
@@ -248,36 +254,35 @@ class TestRunTrial:
 
     def test_bit_identical_reruns(self):
         task = small_task()
-        cfg = TrainerConfig(lr=0.03, wd=1e-3, epochs=6, init_seed=5)
-        a = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(1, 2))
-        b = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(1, 2))
+        cfg = TrainerConfig(init_seed=5)
+        a = run_to_end(task, ArchSpec((12,)), 0.03, 1e-3, 6, cfg, cell=GridCell(1, 2))
+        b = run_to_end(task, ArchSpec((12,)), 0.03, 1e-3, 6, cfg, cell=GridCell(1, 2))
         assert a.epochs == b.epochs
         assert a.status == b.status
 
     def test_different_cells_use_independent_streams(self):
         task = small_task()
-        cfg = TrainerConfig(lr=0.03, wd=1e-3, epochs=2, init_seed=5)
-        a = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(0, 0))
-        b = run_to_end(task, ArchSpec((12,)), cfg, cell=GridCell(0, 1))
+        cfg = TrainerConfig(init_seed=5)
+        a = run_to_end(task, ArchSpec((12,)), 0.03, 1e-3, 2, cfg, cell=GridCell(0, 0))
+        b = run_to_end(task, ArchSpec((12,)), 0.03, 1e-3, 2, cfg, cell=GridCell(0, 1))
         assert a.epochs[-1].train_loss != b.epochs[-1].train_loss
 
     def test_val_and_test_metrics_logged(self):
         task = small_task()
-        cfg = TrainerConfig(lr=0.05, wd=0.0, epochs=3)
-        record = run_to_end(task, ArchSpec((12,)), cfg)
+        record = run_to_end(task, ArchSpec((12,)), 0.05, 0.0, 3)
         for entry in record.epochs:
             assert 0.0 <= entry.val_metric <= 1.0
             assert 0.0 <= entry.test_metric <= 1.0
 
     def test_epoch_indices_contiguous(self):
         task = small_task()
-        cfg = TrainerConfig(lr=0.05, wd=0.0, epochs=4)
-        record = run_to_end(task, ArchSpec((12,)), cfg)
+        record = run_to_end(task, ArchSpec((12,)), 0.05, 0.0, 4)
         assert [e.epoch for e in record.epochs] == [0, 1, 2, 3]
 
     def test_runner_refuses_stepping_after_done(self):
         task = small_task()
-        runner = TrialRunner(task, ArchSpec((8,)), TrainerConfig(lr=0.05, wd=0.0, epochs=1))
+        cohort = Cohort(task, ArchSpec((8,)), TrainerConfig(), 1)
+        runner = TrialRunner(cohort, GridCell(0, 0), 0.05, 0.0, 1)
         runner.step_epoch()
         with pytest.raises(RuntimeError):
             runner.step_epoch()
@@ -287,18 +292,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(lr=0.0),
-            dict(lr=-0.1),
-            dict(wd=-1e-4),
             dict(momentum=1.0),
             dict(momentum=-0.1),
-            dict(epochs=0),
             dict(batch_size=0),
             dict(lr_schedule="linear"),
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        base = dict(lr=0.1, wd=0.0)
-        base.update(kwargs)
         with pytest.raises(ValueError):
-            TrainerConfig(**base)
+            TrainerConfig(**kwargs)
