@@ -18,7 +18,7 @@ from twinsearch.grid import build_log_grid
 from twinsearch.matrices import assemble, build_metric_surfaces
 from twinsearch.quickshift import default_params
 from twinsearch.scheduler import SchedulerPolicy
-from twinsearch.search import TaskSpec, execute_search
+from twinsearch.search import execute_search
 from twinsearch.selector import (
     METHOD_ORACLE,
     METHOD_SELTS,
@@ -27,6 +27,7 @@ from twinsearch.selector import (
     evaluate,
     twin_pipeline,
 )
+from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import ArchSpec, TrainerConfig
 
 

@@ -26,7 +26,7 @@ from .quickshift import (
     quickshift,
 )
 from .scheduler import Schedule, SchedulerPolicy, ScheduleError
-from .search import TaskSpec, execute_search, run_and_store, select_from_records, slice_records
+from .search import execute_search, run_and_store, select_and_store, slice_records
 from .selector import (
     EvalReport,
     Selection,
@@ -35,7 +35,7 @@ from .selector import (
     region_stats,
     twin_pipeline,
 )
-from .tasks import SyntheticTask, make_synthetic_task
+from .tasks import SyntheticTask, TaskSpec
 from .trainer import (
     ArchSpec,
     TrainerConfig,

@@ -1,11 +1,13 @@
 """Command-line entry points.
 
-Subcommands: ``run`` (execute a search end to end), ``select`` (recompute the
-pick offline from logged trials, with segmentation overrides and grid
-slicing), ``baseline`` (SelTS/SelVS/Oracle picks), ``eval`` (method-vs-oracle
-report), ``plot`` (SVG figures). Exit codes: 0 success, 1 usage error,
-2 pipeline failure (all trials diverged, incomplete or missing artifacts),
-3 storage failure.
+Subcommands: ``run`` (execute a search end to end and select with the
+default segmentation parameters), ``select`` (recompute the pick offline
+from logged trials; the only command that takes segmentation parameters,
+and with grid slicing it prints a sub-grid's pick without storing it),
+``baseline`` (SelTS/SelVS/Oracle picks), ``eval`` (method-vs-oracle report,
+at the default segmentation parameters), ``plot`` (SVG figures). Exit codes:
+0 success, 1 usage error, 2 pipeline failure (all trials diverged,
+incomplete or missing artifacts), 3 storage failure.
 
 Reading test metrics is an explicit opt-in (--allow-test-metrics): the twin
 pipeline itself never touches them.
@@ -14,6 +16,7 @@ pipeline itself never touches them.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -25,7 +28,7 @@ from .matrices import assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunNotFoundError, RunStore, RunStoreError, resume_plan
 from .scheduler import SchedulerPolicy
-from .search import TaskSpec, run_and_store, select_from_records, slice_records
+from .search import run_and_store, select_and_store, slice_records
 from .selector import (
     METHOD_ORACLE,
     METHOD_SELTS,
@@ -35,7 +38,8 @@ from .selector import (
     twin_pipeline,
 )
 from .svgplot import heatmap_svg, labels_svg, scatter_svg
-from .trainer import ArchSpec, TrainerConfig
+from .tasks import TaskSpec
+from .trainer import LR_SCHEDULES, ArchSpec, TrainerConfig
 
 __all__ = ["main"]
 
@@ -84,7 +88,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--epochs", type=int, default=50)
     p_run.add_argument("--batch-size", type=int, default=32)
     p_run.add_argument("--momentum", type=float, default=0.9)
-    p_run.add_argument("--lr-schedule", choices=("cosine", "piecewise", "constant"), default="cosine")
+    p_run.add_argument("--lr-schedule", choices=LR_SCHEDULES, default="cosine")
     p_run.add_argument("--init-seed", type=int, default=0)
     p_run.add_argument("--hidden", default="32", help="comma-separated hidden widths")
     p_run.add_argument("--task-seed", type=int, default=0)
@@ -95,9 +99,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--input-dim", type=int, default=16)
     p_run.add_argument("--class-sep", type=float, default=2.5)
     p_run.add_argument("--label-noise", type=float, default=0.15)
-    p_run.add_argument("--kernel-size", type=float, default=None)
-    p_run.add_argument("--max-dist", type=float, default=None)
-    p_run.add_argument("--ratio", type=float, default=1.0)
     p_run.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
     )
@@ -132,15 +133,6 @@ def _build_parser() -> _Parser:
 def _store(args) -> RunStore:
     root = args.store_root or os.environ.get(STORE_ENV) or "runs"
     return RunStore(root)
-
-
-def _quickshift_overrides(args, grid: HyperGrid) -> QuickshiftParams:
-    base = default_params(grid)
-    return QuickshiftParams(
-        kernel_size=args.kernel_size if args.kernel_size is not None else base.kernel_size,
-        max_dist=args.max_dist if args.max_dist is not None else base.max_dist,
-        ratio=args.ratio,
-    )
 
 
 def _load_complete_run(store: RunStore, run_id: str):
@@ -185,21 +177,9 @@ def _cmd_run(args) -> int:
             class_separation=args.class_sep,
             label_noise=args.label_noise,
         )
-        params = _quickshift_overrides(args, grid)
-        task_spec.make()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    store = _store(args)
-    artifacts = run_and_store(
-        store,
-        args.run_id,
-        grid,
-        policy,
-        task_spec,
-        arch,
-        config,
-        quickshift_params=params,
-    )
+    artifacts = run_and_store(_store(args), args.run_id, grid, policy, task_spec, arch, config)
     sel = artifacts.selection
     print(
         f"run {args.run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "
@@ -210,16 +190,23 @@ def _cmd_run(args) -> int:
 
 def _cmd_select(args) -> int:
     store = _store(args)
-    manifest, records, _decisions, grid = _load_complete_run(store, args.run_id)
-    if args.lr_stride != 1 or args.wd_stride != 1:
-        records, grid = slice_records(records, grid, args.lr_stride, args.wd_stride)
-    params = _quickshift_overrides(args, grid)
-    mats, artifacts = select_from_records(records, grid, params)
-    if args.lr_stride == 1 and args.wd_stride == 1:
-        store.write_matrices(
-            args.run_id, mats, grid, outlier_mask=artifacts.normalized.outlier_mask
+    _manifest, records, _decisions, grid = _load_complete_run(store, args.run_id)
+    whole = args.lr_stride == 1 and args.wd_stride == 1
+    try:
+        if not whole:
+            records, grid = slice_records(records, grid, args.lr_stride, args.wd_stride)
+        base = default_params(grid)
+        params = QuickshiftParams(
+            kernel_size=base.kernel_size if args.kernel_size is None else args.kernel_size,
+            max_dist=base.max_dist if args.max_dist is None else args.max_dist,
+            ratio=args.ratio,
         )
-        store.write_selection(args.run_id, artifacts)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if whole:
+        artifacts = select_and_store(store, args.run_id, records, grid, params)
+    else:  # a sub-grid's pick is printed, never stored over the run's own
+        artifacts = twin_pipeline(assemble(records.values(), grid), grid, params)
     sel = artifacts.selection
     print(
         f"run {args.run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "
@@ -227,11 +214,6 @@ def _cmd_select(args) -> int:
         f"regions={artifacts.segments.n_regions}"
     )
     return EXIT_OK
-
-
-def _surfaces_for(manifest: dict, records, grid: HyperGrid):
-    kind = manifest["scheduler"]["kind"]
-    return build_metric_surfaces(records.values(), grid, kind)
 
 
 def _cmd_baseline(args) -> int:
@@ -245,7 +227,7 @@ def _cmd_baseline(args) -> int:
     store = _store(args)
     manifest, records, _decisions, grid = _load_complete_run(store, args.run_id)
     mats = assemble(records.values(), grid)
-    surfaces = _surfaces_for(manifest, records, grid)
+    surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
     selections = [baseline_select(mats, surfaces, m, grid) for m in methods]
     store.write_baselines(args.run_id, selections)
     for sel in selections:
@@ -265,7 +247,7 @@ def _cmd_eval(args) -> int:
     for run_id in args.run_ids:
         manifest, records, _decisions, grid = _load_complete_run(store, run_id)
         mats = assemble(records.values(), grid)
-        surfaces = _surfaces_for(manifest, records, grid)
+        surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
         artifacts = twin_pipeline(mats, grid, default_params(grid))
         sels = {artifacts.selection.method: artifacts.selection}
         for m in (METHOD_SELTS, METHOD_SELVS, METHOD_ORACLE):
@@ -294,9 +276,7 @@ def _cmd_plot(args) -> int:
     sel_path = store.run_dir(args.run_id) / "selection.json"
     if not sel_path.exists():
         raise PipelineError(f"missing artifact: {sel_path}")
-    from .runstore import decode_json
-
-    sel_doc = decode_json(sel_path.read_text(encoding="utf-8"))
+    sel_doc = json.loads(sel_path.read_text(encoding="utf-8"))
     cell = GridCell(sel_doc["selection"]["cell"]["row"], sel_doc["selection"]["cell"]["col"])
     shape = tuple(sel_doc["shape"])
     labels = np.array(sel_doc["labels"], dtype=np.int64).reshape(shape)
@@ -320,7 +300,7 @@ def _cmd_plot(args) -> int:
     elif args.target == "labels":
         svg = labels_svg(labels, grid, f"regions: {args.run_id}", selected=cell)
     else:  # norm-vs-test
-        surfaces = _surfaces_for(manifest, records, grid)
+        surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
         if not np.any(np.isfinite(surfaces.test_acc)):
             raise PipelineError(f"run {args.run_id!r} has no test metrics to scatter")
         region = sel_doc["selection"]["region_id"]

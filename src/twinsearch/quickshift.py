@@ -66,8 +66,8 @@ class QuickshiftParams:
             raise ValueError(f"kernel_size must be positive, got {self.kernel_size}")
         if not self.max_dist > 0:
             raise ValueError(f"max_dist must be positive, got {self.max_dist}")
-        if self.ratio < 0:
-            raise ValueError(f"ratio must be non-negative, got {self.ratio}")
+        if not (math.isfinite(self.ratio) and self.ratio >= 0):
+            raise ValueError(f"ratio must be finite and non-negative, got {self.ratio}")
 
     def to_dict(self) -> dict:
         return {"kernel_size": self.kernel_size, "max_dist": self.max_dist, "ratio": self.ratio}

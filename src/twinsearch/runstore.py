@@ -31,9 +31,12 @@ what loads and what fails is exactly what ``json.loads`` gives. Each line
 is checked as it goes, one lookup per field: every field present,
 non-negative integer row/col/epoch (booleans are not integers here), a
 known status, decodable floats, the file's own cell and contiguous epochs
-from 0. A line that fails a check raises ``RunStoreError`` naming the
-field, or the file for a wrong cell or a gap. ``EpochLog`` is built
-directly from the checked values.
+from 0. ``EpochLog`` is built directly from the checked values. A line
+that fails a check, or that is not JSON, raises ``RunStoreError`` as
+``<path>: line <N>: <detail>``, N counting every line of the file from 1,
+blank ones included, so it is the line an editor shows; the warning for a
+dropped torn line names its place the same way. The line number is worked
+out only when a fault is reported.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
@@ -76,7 +79,6 @@ __all__ = [
     "RunStoreError",
     "RunNotFoundError",
     "encode_json",
-    "decode_json",
     "resume_plan",
 ]
 
@@ -146,10 +148,6 @@ def encode_json(obj, indent: int | None = 2) -> str:
     return json.dumps(_encode(obj), indent=indent)
 
 
-def decode_json(text: str):
-    return json.loads(text)
-
-
 @dataclass(frozen=True)
 class TrialLine:
     """One epoch of one trial, as persisted."""
@@ -176,6 +174,17 @@ class TrialLine:
 
 def _not_an_index(key: str) -> RunStoreError:
     return RunStoreError(f"trial line field {key!r} must be a non-negative integer")
+
+
+def _line_of(path: str, nth: int) -> str:
+    """``path: line N``, N the 1-based line in the file of its ``nth`` non-blank line.
+
+    Only faults call this, so it reads the file again rather than have the
+    loaders keep line numbers for lines that load.
+    """
+    with open(path, "rb") as fh:
+        chunks = fh.read().split(b"\n")
+    return f"{path}: line {[n for n, c in enumerate(chunks, start=1) if c][nth - 1]}"
 
 
 class RunStore:
@@ -243,7 +252,7 @@ class RunStore:
                 fh.write(encode_json(d, indent=None) + "\n")
             fh.flush()
 
-    def write_matrices(self, run_id: str, matrices, grid: HyperGrid, outlier_mask=None) -> None:
+    def write_matrices(self, run_id: str, matrices, grid: HyperGrid, outlier_mask) -> None:
         payload = {
             "shape": list(grid.shape),
             "layout": "row-major",
@@ -251,9 +260,8 @@ class RunStore:
             "theta": [float(v) for v in matrices.theta.ravel()],
             "valid_mask": [bool(v) for v in matrices.valid_mask.ravel()],
             "epochs_run": [int(v) for v in matrices.epochs_run.ravel()],
+            "outlier_mask": [bool(v) for v in outlier_mask.ravel()],
         }
-        if outlier_mask is not None:
-            payload["outlier_mask"] = [bool(v) for v in outlier_mask.ravel()]
         self._write_text(self.run_dir(run_id) / "matrices.json", encode_json(payload) + "\n")
 
     def load_matrices(self, run_id: str):
@@ -264,7 +272,7 @@ class RunStore:
         path = self.run_dir(run_id) / "matrices.json"
         if not path.exists():
             raise RunStoreError(f"missing artifact: {path}")
-        d = decode_json(path.read_text(encoding="utf-8"))
+        d = json.loads(path.read_text(encoding="utf-8"))
         shape = tuple(d["shape"])
         psi = np.array([_decode_float(v) for v in d["psi"]]).reshape(shape)
         theta = np.array([_decode_float(v) for v in d["theta"]]).reshape(shape)
@@ -300,7 +308,7 @@ class RunStore:
         path = self.run_dir(run_id) / "manifest.json"
         if not path.exists():
             raise RunNotFoundError(f"run {run_id!r} has no manifest at {path}")
-        return decode_json(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
 
     def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord], list[dict]]:
         """Manifest, per-cell records (partial trials included), decision log."""
@@ -323,44 +331,47 @@ class RunStore:
         """One trial's record, checking every line against the trial-line schema."""
         record = TrialRecord(cell=cell)
         epochs = record.epochs
-        for d in self._read_jsonl(path, torn_tail_ok):
-            try:
-                row, col, epoch, loss, norm, status = (
-                    d["row"], d["col"], d["epoch"], d["train_loss"], d["param_norm"], d["status"]
-                )
-            except (KeyError, TypeError):
-                # a missing field, or a line that is no object: fail as the
-                # field-by-field presence check always has
-                for key in _TRIAL_FIELDS:
-                    if key not in d:
-                        raise RunStoreError(f"trial line missing field {key!r}") from None
-                raise
-            if type(row) is not int or row < 0:
-                raise _not_an_index("row")
-            if type(col) is not int or col < 0:
-                raise _not_an_index("col")
-            if type(epoch) is not int or epoch < 0:
-                raise _not_an_index("epoch")
-            if status not in _STATUS_TEXT:
-                raise RunStoreError(f"trial line field 'status' has unknown value {status!r}")
-            if type(loss) is not float:
-                loss = _decode_float(loss)
-            if type(norm) is not float:
-                norm = _decode_float(norm)
-            val, test = d.get("val_acc"), d.get("test_acc")
-            if val is not None and type(val) is not float:
-                val = _decode_float(val)
-            if test is not None and type(test) is not float:
-                test = _decode_float(test)
-            if row != cell.row or col != cell.col:
-                raise RunStoreError(f"{path}: line for cell ({row}, {col}) in wrong file")
-            if epoch != len(epochs):
-                raise RunStoreError(
-                    f"{path}: epoch {epoch} breaks contiguity after {len(epochs) - 1}"
-                )
-            epochs.append(EpochLog(epoch, loss, norm, val, test))
-            if status in TERMINAL_STATUSES:
-                record.status = status
+        lines = self._read_jsonl(path, torn_tail_ok)
+        try:
+            for d in lines:
+                try:
+                    row, col, epoch, loss, norm, status = (
+                        d["row"], d["col"], d["epoch"], d["train_loss"], d["param_norm"], d["status"]
+                    )
+                except (KeyError, TypeError):
+                    # a missing field, or a line that is no object: fail as the
+                    # field-by-field presence check always has
+                    for key in _TRIAL_FIELDS:
+                        if key not in d:
+                            raise RunStoreError(f"trial line missing field {key!r}") from None
+                    raise
+                if type(row) is not int or row < 0:
+                    raise _not_an_index("row")
+                if type(col) is not int or col < 0:
+                    raise _not_an_index("col")
+                if type(epoch) is not int or epoch < 0:
+                    raise _not_an_index("epoch")
+                if status not in _STATUS_TEXT:
+                    raise RunStoreError(f"trial line field 'status' has unknown value {status!r}")
+                if type(loss) is not float:
+                    loss = _decode_float(loss)
+                if type(norm) is not float:
+                    norm = _decode_float(norm)
+                val, test = d.get("val_acc"), d.get("test_acc")
+                if val is not None and type(val) is not float:
+                    val = _decode_float(val)
+                if test is not None and type(test) is not float:
+                    test = _decode_float(test)
+                if row != cell.row or col != cell.col:
+                    raise RunStoreError(f"line for cell ({row}, {col}) in wrong file")
+                if epoch != len(epochs):
+                    raise RunStoreError(f"epoch {epoch} breaks contiguity after {len(epochs) - 1}")
+                epochs.append(EpochLog(epoch, loss, norm, val, test))
+                if status in TERMINAL_STATUSES:
+                    record.status = status
+        except RunStoreError as exc:
+            # every line before the faulty one added one epoch
+            raise RunStoreError(f"{_line_of(path, len(epochs) + 1)}: {exc}") from None
         return record
 
     def _read_jsonl(self, path: str, torn_tail_ok: bool = True) -> list[dict]:
@@ -384,14 +395,14 @@ class RunStore:
                 out.append(obj if end == len(text) else json.loads(text))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 if i == len(lines) and torn_tail_ok:
-                    warnings.warn(f"{path}: dropping torn final line {i}: {exc}")
+                    warnings.warn(f"{_line_of(path, i)}: dropping torn final line: {exc}")
                     return out
-                raise RunStoreError(f"{path}: corrupt line {i}: {exc}") from exc
+                raise RunStoreError(f"{_line_of(path, i)}: corrupt line: {exc}") from exc
         if torn_tail and lines:
             # parsed fine but unterminated: treat as torn, the writer always ends lines
             if not torn_tail_ok:
-                raise RunStoreError(f"{path}: unterminated final line {len(lines)}")
-            warnings.warn(f"{path}: dropping unterminated final line {len(lines)}")
+                raise RunStoreError(f"{_line_of(path, len(lines))}: unterminated final line")
+            warnings.warn(f"{_line_of(path, len(lines))}: dropping unterminated final line")
             return out[:-1]
         return out
 

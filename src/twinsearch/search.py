@@ -19,15 +19,13 @@ metrics included, when it ends.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from .grid import GridCell, HyperGrid, cell_params
-from .matrices import LogMatrices, assemble, metric_window
+from .matrices import assemble, metric_window
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunStore, TrialLine
 from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
-from .tasks import SyntheticTask, make_synthetic_task
+from .tasks import SyntheticTask, TaskSpec
 from .trainer import (
     STATUS_DIVERGED,
     STATUS_RUNNING,
@@ -39,27 +37,7 @@ from .trainer import (
     TrialRunner,
 )
 
-__all__ = ["TaskSpec", "execute_search", "run_and_store", "select_from_records", "slice_records"]
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """Reproducible recipe for the built-in synthetic task."""
-
-    seed: int = 0
-    n_train: int = 150
-    n_val: int = 30
-    n_test: int = 2000
-    n_classes: int = 3
-    input_dim: int = 16
-    class_separation: float = 2.5
-    label_noise: float = 0.15
-
-    def make(self) -> SyntheticTask:
-        return make_synthetic_task(**asdict(self))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+__all__ = ["execute_search", "run_and_store", "select_and_store", "slice_records"]
 
 
 def execute_search(
@@ -135,15 +113,19 @@ def execute_search(
     return records
 
 
-def select_from_records(
+def select_and_store(
+    store: RunStore,
+    run_id: str,
     records: dict[GridCell, TrialRecord],
     grid: HyperGrid,
-    params: QuickshiftParams | None = None,
-) -> tuple[LogMatrices, TwinArtifacts]:
-    """Assemble matrices and run the full selection pipeline."""
+    params: QuickshiftParams,
+) -> TwinArtifacts:
+    """Assemble the run's matrices, select with ``params``, and store both artifacts."""
     mats = assemble(records.values(), grid)
-    artifacts = twin_pipeline(mats, grid, params or default_params(grid))
-    return mats, artifacts
+    artifacts = twin_pipeline(mats, grid, params)
+    store.write_matrices(run_id, mats, grid, artifacts.normalized.outlier_mask)
+    store.write_selection(run_id, artifacts)
+    return artifacts
 
 
 def slice_records(
@@ -176,9 +158,12 @@ def run_and_store(
     task_spec: TaskSpec,
     arch: ArchSpec,
     config: TrainerConfig,
-    quickshift_params: QuickshiftParams | None = None,
 ) -> TwinArtifacts:
-    """Full pipeline with persistence: manifest, trials, decisions, matrices, selection."""
+    """Full pipeline with persistence: manifest, trials, decisions, matrices, selection.
+
+    The pick uses ``default_params(grid)``; ``twinsearch select`` re-selects
+    with other segmentation parameters.
+    """
     manifest = {
         "grid": grid.to_dict(),
         "scheduler": policy.to_dict(),
@@ -194,7 +179,4 @@ def run_and_store(
     }
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
-    mats, artifacts = select_from_records(records, grid, quickshift_params)
-    store.write_matrices(run_id, mats, grid, outlier_mask=artifacts.normalized.outlier_mask)
-    store.write_selection(run_id, artifacts)
-    return artifacts
+    return select_and_store(store, run_id, records, grid, default_params(grid))

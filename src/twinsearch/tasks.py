@@ -8,11 +8,11 @@ regime where the train set under-represents the test distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["SyntheticTask", "make_synthetic_task"]
+__all__ = ["SyntheticTask", "TaskSpec"]
 
 
 @dataclass(frozen=True)
@@ -60,58 +60,74 @@ def _sample_split(
     return inputs, labels
 
 
-def make_synthetic_task(
-    seed: int,
-    n_train: int,
-    n_val: int,
-    n_test: int,
-    n_classes: int,
-    input_dim: int,
-    class_separation: float,
-    label_noise: float,
-) -> SyntheticTask:
-    """Generate a deterministic clustered-Gaussian classification task.
+@dataclass(frozen=True)
+class TaskSpec:
+    """Reproducible recipe for a clustered-Gaussian classification task.
 
     Class means sit at exact pairwise distance ``class_separation`` (scaled
     unit vectors, randomly rotated), so placement needs
     ``n_classes <= input_dim``. ``label_noise`` resamples that fraction of
     train labels uniformly; val and test stay clean.
     """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if n_classes > input_dim:
-        raise ValueError(
-            f"cannot place {n_classes} equidistant class means in {input_dim} dimensions"
+
+    seed: int = 0
+    n_train: int = 150
+    n_val: int = 30
+    n_test: int = 2000
+    n_classes: int = 3
+    input_dim: int = 16
+    class_separation: float = 2.5
+    label_noise: float = 0.15
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.n_classes > self.input_dim:
+            raise ValueError(
+                f"cannot place {self.n_classes} equidistant class means "
+                f"in {self.input_dim} dimensions"
+            )
+        if self.n_train < self.n_classes:
+            raise ValueError(f"n_train={self.n_train} below n_classes={self.n_classes}")
+        if self.n_val < 0:
+            raise ValueError(f"n_val must be >= 0, got {self.n_val}")
+        if self.n_test < 0:
+            raise ValueError(f"n_test must be >= 0, got {self.n_test}")
+        if not self.class_separation > 0:
+            raise ValueError(f"class_separation must be positive, got {self.class_separation}")
+        if not 0 <= self.label_noise < 1:
+            raise ValueError(f"label_noise must be in [0, 1), got {self.label_noise}")
+
+    def make(self) -> SyntheticTask:
+        """Generate the task; the same spec always gives the same arrays."""
+        n_classes, input_dim, n_train = self.n_classes, self.input_dim, self.n_train
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        base = np.zeros((n_classes, input_dim))
+        base[np.arange(n_classes), np.arange(n_classes)] = self.class_separation / np.sqrt(2.0)
+        means = (base - base.mean(axis=0)) @ _random_rotation(input_dim, rng).T
+
+        train_x, train_y = _sample_split(n_train, means, n_classes, input_dim, rng)
+        val_x, val_y = _sample_split(self.n_val, means, n_classes, input_dim, rng)
+        test_x, test_y = _sample_split(self.n_test, means, n_classes, input_dim, rng)
+
+        n_noisy = int(round(self.label_noise * n_train))
+        if n_noisy:
+            idx = rng.choice(n_train, size=n_noisy, replace=False)
+            train_y = train_y.copy()
+            train_y[idx] = rng.integers(0, n_classes, size=n_noisy)
+
+        return SyntheticTask(
+            train_inputs=train_x,
+            train_labels=train_y,
+            val_inputs=val_x,
+            val_labels=val_y,
+            test_inputs=test_x,
+            test_labels=test_y,
+            n_classes=n_classes,
+            input_dim=input_dim,
         )
-    if n_train < n_classes:
-        raise ValueError(f"n_train={n_train} below n_classes={n_classes}")
-    if not class_separation > 0:
-        raise ValueError(f"class_separation must be positive, got {class_separation}")
-    if not 0 <= label_noise < 1:
-        raise ValueError(f"label_noise must be in [0, 1), got {label_noise}")
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    base = np.zeros((n_classes, input_dim))
-    base[np.arange(n_classes), np.arange(n_classes)] = class_separation / np.sqrt(2.0)
-    means = (base - base.mean(axis=0)) @ _random_rotation(input_dim, rng).T
-
-    train_x, train_y = _sample_split(n_train, means, n_classes, input_dim, rng)
-    val_x, val_y = _sample_split(n_val, means, n_classes, input_dim, rng)
-    test_x, test_y = _sample_split(n_test, means, n_classes, input_dim, rng)
-
-    n_noisy = int(round(label_noise * n_train))
-    if n_noisy:
-        idx = rng.choice(n_train, size=n_noisy, replace=False)
-        train_y = train_y.copy()
-        train_y[idx] = rng.integers(0, n_classes, size=n_noisy)
-
-    return SyntheticTask(
-        train_inputs=train_x,
-        train_labels=train_y,
-        val_inputs=val_x,
-        val_labels=val_y,
-        test_inputs=test_x,
-        test_labels=test_y,
-        n_classes=n_classes,
-        input_dim=input_dim,
-    )
+    def to_dict(self) -> dict:
+        return asdict(self)

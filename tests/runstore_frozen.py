@@ -3,9 +3,14 @@ loader, written out once and not changed since.
 
 Any rewrite of ``RunStore._read_jsonl``/``RunStore._load_trial_file`` must
 load the same records from the same bytes, and fail on the same bytes with
-the same exception type, message and warnings. The one deliberate change
+the same exception type, message and warnings. Two deliberate changes
 since: the package rejects JSON booleans as row/col/epoch, which this
-reference (``isinstance(x, int)``) accepts.
+reference (``isinstance(x, int)``) accepts; and the package places every
+``RunStoreError`` and warning as ``<path>: line <N>: <detail>``, N the line
+of the file (blank lines counted), where this reference names the path on
+some faults only and counts non-blank lines. ``tests/test_runstore.py``
+(``relocated``) moves this reference's messages to that form, at the line
+where the test put the fault, before comparing.
 """
 
 from __future__ import annotations

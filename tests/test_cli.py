@@ -7,6 +7,7 @@ import pytest
 from twinsearch.cli import main
 from twinsearch.runstore import RunStore, TrialLine
 from twinsearch.scheduler import SchedulerPolicy
+from twinsearch.tasks import TaskSpec
 
 
 RUN_FLAGS = [
@@ -80,6 +81,36 @@ class TestRun:
 
     def test_unknown_flag_exit_code(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "x", "--bogus", "1") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # segmentation parameters belong to select; run always uses the defaults
+            ["--kernel-size", "5"],
+            ["--max-dist", "5"],
+            ["--ratio", "20"],
+            ["--n-val", "-1"],
+            ["--n-test", "-1"],
+            ["--task-seed", "-1"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_rejected_flags_exit_1_before_the_run_exists(self, tmp_path, capsys, flags):
+        assert run_cli(tmp_path, "run", "--run-id", "bad", *RUN_FLAGS, *flags) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "runs" / "bad").exists()
+
+    def test_task_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        make = TaskSpec.make
+
+        def counting_make(spec):
+            built.append(spec)
+            return make(spec)
+
+        monkeypatch.setattr(TaskSpec, "make", counting_make)
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        assert len(built) == 1
 
     def test_duplicate_run_id_is_storage_error(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "dup", *RUN_FLAGS) == 0
@@ -175,6 +206,38 @@ class TestSelect:
         def regions(s):
             return int(s.rsplit("regions=", 1)[1].split()[0])
         assert regions(large_out) <= regions(default_out)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lr-stride", "0"],
+            ["--wd-stride", "5"],  # fewer than 2 grid points left
+            ["--kernel-size", "0"],
+            ["--max-dist", "-1"],
+            ["--ratio", "-1"],
+            ["--ratio", "nan"],
+            ["--ratio", "inf"],
+        ],
+        ids=lambda flags: "=".join(flags),
+    )
+    def test_bad_flags_are_usage_errors_and_keep_the_pick(self, tmp_path, capsys, flags):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        stored = artifact(tmp_path, "r", "selection.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r", *flags) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
+
+    def test_strided_select_prints_a_pick_and_stores_nothing(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        names = ("matrices.json", "selection.json")
+        stored = {name: artifact(tmp_path, "r", name).read_bytes() for name in names}
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r", "--lr-stride", "2", "--wd-stride", "2", "--ratio", "20") == 0
+        out = capsys.readouterr().out
+        row, col = (int(v) for v in out.split("selected cell (", 1)[1].split(")", 1)[0].split(", "))
+        assert 0 <= row < 3 and 0 <= col < 3  # cells of the 3x3 sub-grid
+        assert {name: artifact(tmp_path, "r", name).read_bytes() for name in names} == stored
 
     def test_select_with_infinite_max_dist(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0

@@ -72,7 +72,16 @@ class TestDefaults:
         params = QuickshiftParams(kernel_size=10.0, max_dist=10.0)
         assert params.max_dist == 10.0
 
-    @pytest.mark.parametrize("kwargs", [dict(kernel_size=0.0), dict(max_dist=-1.0), dict(ratio=-0.5)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(kernel_size=0.0),
+            dict(max_dist=-1.0),
+            dict(ratio=-0.5),
+            dict(ratio=math.nan),
+            dict(ratio=math.inf),
+        ],
+    )
     def test_invalid_params(self, kwargs):
         base = dict(kernel_size=1.0, max_dist=1.0, ratio=1.0)
         base.update(kwargs)

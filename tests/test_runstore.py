@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
 from twinsearch.runstore import RunStore, RunStoreError, TrialLine, encode_json, resume_plan
 from twinsearch.scheduler import SchedulerPolicy
-from twinsearch.search import TaskSpec, run_and_store, select_from_records
+from twinsearch.search import run_and_store, select_and_store
+from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import ArchSpec, TrainerConfig
 from runstore_frozen import reference_load_trial_file
 
@@ -196,8 +198,12 @@ class TestLoad:
         grid = small_grid(3)
         write_full_run(store, "ext", grid, epochs=6)
         _, records, _ = store.load_run("ext")
-        mats, artifacts = select_from_records(records, grid, default_params(grid))
+        artifacts = select_and_store(store, "ext", records, grid, default_params(grid))
         assert artifacts.selection.cell in set(grid.cells())
+        assert store.load_matrices("ext").valid_mask.all()
+        assert json.loads((store.run_dir("ext") / "selection.json").read_text())["selection"] == (
+            artifacts.selection.to_dict()
+        )
 
     def test_torn_final_line_dropped_with_warning(self, store):
         grid = small_grid()
@@ -256,7 +262,8 @@ def edit_line(fields, **changes):
 
 
 class TestLoadSchema:
-    """Trial lines on disk that break the schema stop ``load_run`` with a named error."""
+    """Trial lines on disk that break the schema stop ``load_run`` with a named,
+    located error: ``<path>: line <N>: <detail>``."""
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -264,7 +271,7 @@ class TestLoadSchema:
             (dict(status="paused"), "trial line field 'status' has unknown value 'paused'"),
             (dict(param_norm=None), "trial line missing field 'param_norm'"),
             (dict(row=None, status=None), "trial line missing field 'row'"),
-            (dict(row=1), r"0_0.jsonl: line for cell \(1, 0\) in wrong file"),
+            (dict(row=1), "line for cell (1, 0) in wrong file"),
             (dict(epoch=1.0), "trial line field 'epoch' must be a non-negative integer"),
             (dict(epoch="1"), "trial line field 'epoch' must be a non-negative integer"),
             (dict(col=-1), "trial line field 'col' must be a non-negative integer"),
@@ -287,8 +294,34 @@ class TestLoadSchema:
         lines = path.read_text().splitlines()
         lines[1] = json.dumps(edit_line(json.loads(lines[1]), **changes))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RunStoreError, match=message):
+        with pytest.raises(RunStoreError) as info:
             store.load_run("r1")
+        assert str(info.value) == f"{path}: line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "bad, detail",
+        [
+            (b'{"broken":', "corrupt line: Expecting value"),
+            (b'{"row": 0, "col": 0, "epoch": 1}', "trial line missing field 'train_loss'"),
+            (b'{"row": 0, "col": 0, "epoch": 2, "train_loss": 1.0, "param_norm": 1.0, '
+             b'"status": "running"}', "epoch 2 breaks contiguity after 0"),
+        ],
+        ids=["corrupt", "missing", "gap"],
+    )
+    def test_faults_after_blank_lines_name_the_file_line(self, store, bad, detail):
+        # blank lines are skipped on load but still count as lines of the file
+        grid = small_grid()
+        write_full_run(store, "r1", grid, epochs=3)
+        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([lines[0], b"", b"", bad, *lines[2:]]))
+        for load in (
+            lambda: store.load_run("r1"),
+            lambda: RunStore(store.root).append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0)),
+        ):
+            with pytest.raises(RunStoreError) as info:
+                load()
+            assert str(info.value).startswith(f"{path}: line 4: {detail}")
 
 
 # -- the loader against its frozen reference -----------------------------
@@ -325,9 +358,12 @@ def encode_value(rng, value):
 
 
 def trial_file_bytes(rng, cell, n_lines, fault):
-    """A trial file for ``cell`` as an external writer might leave it, with at most one fault."""
+    """A trial file for ``cell`` as an external writer might leave it, with at most one fault,
+    and the 1-based line of the file where that fault is: the last line for a torn or
+    unterminated file."""
     at = int(rng.integers(n_lines))
     out = []
+    fault_line = None
     for epoch in range(n_lines):
         status = "completed" if epoch == n_lines - 1 and rng.random() < 0.7 else "running"
         fields = {"row": cell.row, "col": cell.col, "epoch": epoch}
@@ -383,11 +419,15 @@ def trial_file_bytes(rng, cell, n_lines, fault):
         if rng.random() < 0.1:
             out.append(b"\n")  # blank lines are skipped
         out.append(data + b"\n")
+        if bad:
+            fault_line = len(out)
     if fault == "torn":
         out[-1] = out[-1][: int(rng.integers(1, len(out[-1]) - 1))]
     elif fault == "unterminated":
         out[-1] = out[-1].rstrip(b"\n")
-    return b"".join(out)
+    if fault in ("torn", "unterminated"):
+        fault_line = len(out)
+    return b"".join(out), fault_line
 
 
 def outcome(load, path, cell):
@@ -407,23 +447,43 @@ def outcome(load, path, cell):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-class TestLoaderMatchesFrozenReference:
-    """``_load_trial_file`` loads and rejects exactly what the per-line json.loads loader did."""
+def relocated(frozen, path, line):
+    """The frozen reference's outcome with each ``RunStoreError`` and warning placed
+    where the package places it: ``<path>: line <line>: <detail>``, the detail being
+    the reference's message without its path prefix and non-blank line count."""
 
-    def check(self, store, tmp_path, data, cell):
+    def place(message):
+        detail = re.sub(
+            r"^(corrupt|dropping torn final|dropping unterminated final) line \d+",
+            r"\1 line",
+            message.removeprefix(f"{path}: "),
+        )
+        return f"{path}: line {line}: {detail}"
+
+    result, caught = frozen
+    if result[0] is RunStoreError:
+        result = (RunStoreError, place(result[1]))
+    return result, [(category, place(message)) for category, message in caught]
+
+
+class TestLoaderMatchesFrozenReference:
+    """``_load_trial_file`` loads and rejects exactly what the per-line json.loads loader did;
+    a fault it reports also names the line of the file where it is."""
+
+    def check(self, store, tmp_path, data, cell, fault_line=None):
         path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
         path.write_bytes(data)
         new = outcome(store._load_trial_file, str(path), cell)
-        assert new == outcome(reference_load_trial_file, str(path), cell)
+        frozen = outcome(reference_load_trial_file, str(path), cell)
+        assert new == relocated(frozen, str(path), fault_line)
         return new
 
     @pytest.mark.parametrize("seed", range(40))
     def test_clean_files(self, store, tmp_path, seed):
         rng = np.random.default_rng(seed)
         cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
-        (result, caught) = self.check(
-            store, tmp_path, trial_file_bytes(rng, cell, int(rng.integers(1, 9)), "none"), cell
-        )
+        data, _ = trial_file_bytes(rng, cell, int(rng.integers(1, 9)), "none")
+        (result, caught) = self.check(store, tmp_path, data, cell)
         assert isinstance(result[0], GridCell) and not caught
 
     @pytest.mark.parametrize("fault", FAULTS)
@@ -431,7 +491,8 @@ class TestLoaderMatchesFrozenReference:
     def test_faulty_files(self, store, tmp_path, fault, seed):
         rng = np.random.default_rng([seed, FAULTS.index(fault)])
         cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
-        self.check(store, tmp_path, trial_file_bytes(rng, cell, int(rng.integers(1, 7)), fault), cell)
+        data, fault_line = trial_file_bytes(rng, cell, int(rng.integers(1, 7)), fault)
+        self.check(store, tmp_path, data, cell, fault_line)
 
     def test_empty_and_blank_files(self, store, tmp_path):
         for data in (b"", b"\n", b"\n\n\n"):

@@ -22,7 +22,8 @@ from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
 from twinsearch.runstore import RunStore, TrialLine
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch import trainer
-from twinsearch.search import TaskSpec, execute_search
+from twinsearch.search import execute_search
+from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import (
     MLP,
     STATUS_COMPLETED,

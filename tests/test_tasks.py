@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from twinsearch.tasks import make_synthetic_task
+from twinsearch.tasks import TaskSpec
 
 
 def test_two_blob_task_shapes_and_ranges():
-    task = make_synthetic_task(1, 200, 50, 2000, 2, 2, 3.0, 0.0)
+    task = TaskSpec(1, 200, 50, 2000, 2, 2, 3.0, 0.0).make()
     assert task.train_inputs.shape == (200, 2)
     assert task.val_inputs.shape == (50, 2)
     assert task.test_inputs.shape == (2000, 2)
@@ -14,22 +14,22 @@ def test_two_blob_task_shapes_and_ranges():
 
 
 def test_deterministic_given_seed():
-    a = make_synthetic_task(11, 60, 10, 100, 3, 5, 2.0, 0.1)
-    b = make_synthetic_task(11, 60, 10, 100, 3, 5, 2.0, 0.1)
+    a = TaskSpec(11, 60, 10, 100, 3, 5, 2.0, 0.1).make()
+    b = TaskSpec(11, 60, 10, 100, 3, 5, 2.0, 0.1).make()
     np.testing.assert_array_equal(a.train_inputs, b.train_inputs)
     np.testing.assert_array_equal(a.train_labels, b.train_labels)
     np.testing.assert_array_equal(a.test_inputs, b.test_inputs)
 
 
 def test_different_seeds_differ():
-    a = make_synthetic_task(1, 60, 10, 100, 3, 5, 2.0, 0.0)
-    b = make_synthetic_task(2, 60, 10, 100, 3, 5, 2.0, 0.0)
+    a = TaskSpec(1, 60, 10, 100, 3, 5, 2.0, 0.0).make()
+    b = TaskSpec(2, 60, 10, 100, 3, 5, 2.0, 0.0).make()
     assert not np.array_equal(a.train_inputs, b.train_inputs)
 
 
 def test_class_means_pairwise_distance():
     # empirical class means of a large clean sample approximate the placement
-    task = make_synthetic_task(5, 20000, 0, 4, 4, 8, sep := 3.5, 0.0)
+    task = TaskSpec(5, 20000, 0, 4, 4, 8, sep := 3.5, 0.0).make()
     means = np.stack(
         [task.train_inputs[task.train_labels == k].mean(axis=0) for k in range(4)]
     )
@@ -39,21 +39,21 @@ def test_class_means_pairwise_distance():
 
 
 def test_val_disjoint_from_train():
-    task = make_synthetic_task(3, 80, 40, 100, 2, 4, 2.0, 0.0)
+    task = TaskSpec(3, 80, 40, 100, 2, 4, 2.0, 0.0).make()
     train_rows = {tuple(row) for row in task.train_inputs}
     assert all(tuple(row) not in train_rows for row in task.val_inputs)
 
 
 def test_label_noise_fraction_applied():
-    clean = make_synthetic_task(7, 400, 0, 4, 4, 8, 50.0, 0.0)
-    noisy = make_synthetic_task(7, 400, 0, 4, 4, 8, 50.0, 0.25)
+    clean = TaskSpec(7, 400, 0, 4, 4, 8, 50.0, 0.0).make()
+    noisy = TaskSpec(7, 400, 0, 4, 4, 8, 50.0, 0.25).make()
     flipped = np.mean(clean.train_labels != noisy.train_labels)
     # resampling uniformly keeps ~1/n_classes of the noisy picks unchanged
     assert 0.25 * (1 - 1 / 4) == pytest.approx(flipped, abs=0.05)
 
 
 def test_huge_separation_is_linearly_separable():
-    task = make_synthetic_task(9, 100, 0, 1000, 2, 2, 100.0, 0.0)
+    task = TaskSpec(9, 100, 0, 1000, 2, 2, 100.0, 0.0).make()
     # nearest-mean classification is perfect when clusters are far apart
     means = np.stack(
         [task.train_inputs[task.train_labels == k].mean(axis=0) for k in range(2)]
@@ -70,6 +70,9 @@ def test_huge_separation_is_linearly_separable():
         (dict(class_separation=0.0), "class_separation"),
         (dict(label_noise=1.0), "label_noise"),
         (dict(label_noise=-0.1), "label_noise"),
+        (dict(n_val=-1), "n_val"),
+        (dict(n_test=-1), "n_test"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_invalid_arguments(kwargs, match):
@@ -85,10 +88,10 @@ def test_invalid_arguments(kwargs, match):
     )
     base.update(kwargs)
     with pytest.raises(ValueError, match=match):
-        make_synthetic_task(**base)
+        TaskSpec(**base)
 
 
 def test_empty_val_split_allowed():
-    task = make_synthetic_task(2, 50, 0, 500, 2, 3, 2.0, 0.0)
+    task = TaskSpec(2, 50, 0, 500, 2, 3, 2.0, 0.0).make()
     assert task.n_val == 0
     assert task.val_inputs.shape == (0, 3)

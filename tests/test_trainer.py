@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kernel_oracle import reference_loss_and_grad
 
 from twinsearch.grid import GridCell
-from twinsearch.tasks import make_synthetic_task
+from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import (
     MLP,
     STATUS_COMPLETED,
@@ -25,7 +25,7 @@ from twinsearch.trainer import (
 
 
 def small_task(seed=1, n_train=60):
-    return make_synthetic_task(seed, n_train, 10, 200, 3, 6, 3.0, 0.0)
+    return TaskSpec(seed, n_train, 10, 200, 3, 6, 3.0, 0.0).make()
 
 
 def run_to_end(task, arch, lr, wd, epochs, config=TrainerConfig(), cell=GridCell(0, 0)):
@@ -231,14 +231,14 @@ class TestKernelParity:
 
 class TestRunTrial:
     def test_loss_decreases_on_separable_task(self):
-        task = make_synthetic_task(1, 100, 0, 200, 2, 4, 8.0, 0.0)
+        task = TaskSpec(1, 100, 0, 200, 2, 4, 8.0, 0.0).make()
         cfg = TrainerConfig(momentum=0.0, lr_schedule="constant")
         record = run_to_end(task, ArchSpec((8,)), 0.05, 0.0, 5, cfg)
         assert record.status == STATUS_COMPLETED
         assert record.epochs[-1].train_loss < record.epochs[0].train_loss
 
     def test_huge_separation_converges_to_tiny_loss(self):
-        task = make_synthetic_task(2, 100, 0, 200, 2, 4, 60.0, 0.0)
+        task = TaskSpec(2, 100, 0, 200, 2, 4, 60.0, 0.0).make()
         record = run_to_end(task, ArchSpec((8,)), 0.1, 0.0, 30)
         assert record.epochs[-1].train_loss < 1e-2
 
