@@ -62,8 +62,16 @@ class QuickshiftParams:
     ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.kernel_size > 0:
-            raise ValueError(f"kernel_size must be positive, got {self.kernel_size}")
+        # the density divides by 2 * kernel_size**2, which must be a finite positive float
+        try:
+            bandwidth = 2.0 * self.kernel_size**2
+        except OverflowError:
+            bandwidth = math.inf
+        if not (self.kernel_size > 0 and 0 < bandwidth < math.inf):
+            raise ValueError(
+                "kernel_size must be positive, with 2 * kernel_size**2 finite and non-zero, "
+                f"got {self.kernel_size}"
+            )
         if not self.max_dist > 0:
             raise ValueError(f"max_dist must be positive, got {self.max_dist}")
         if not (math.isfinite(self.ratio) and self.ratio >= 0):

@@ -28,15 +28,16 @@ line that the scanner rejects, or does not consume to its end, is parsed
 again with ``json.loads``, which accepts it with surrounding whitespace
 and otherwise raises the canonical error (extra data, a BOM, bad JSON), so
 what loads and what fails is exactly what ``json.loads`` gives. Each line
-is checked as it goes, one lookup per field: every field present,
-non-negative integer row/col/epoch (booleans are not integers here), a
-known status, decodable floats, the file's own cell and contiguous epochs
-from 0. ``EpochLog`` is built directly from the checked values. A line
-that fails a check, or that is not JSON, raises ``RunStoreError`` as
-``<path>: line <N>: <detail>``, N counting every line of the file from 1,
-blank ones included, so it is the line an editor shows; the warning for a
-dropped torn line names its place the same way. The line number is worked
-out only when a fault is reported.
+is checked as it goes, one lookup per field: a JSON object, every field
+present, non-negative integer row/col/epoch (booleans are not integers
+here), a known status, decodable floats (an integer beyond float range is
+not), the file's own cell and contiguous epochs from 0. ``EpochLog`` is
+built directly from the checked values. A line that fails a check, or
+that is not JSON, raises ``RunStoreError`` as ``<path>: line <N>:
+<detail>``, N counting every line of the file from 1, blank ones included,
+so it is the line an editor shows; the warning for a dropped torn line
+names its place the same way. The line number is worked out only when a
+fault is reported.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
@@ -123,6 +124,11 @@ def _float_text(value: float | None) -> str:
 _STATUS_TEXT = {s: json.dumps(s) for s in (STATUS_RUNNING, *sorted(TERMINAL_STATUSES))}
 # every field a trial line must carry, in the order a missing one is reported
 _TRIAL_FIELDS = ("row", "col", "epoch", "train_loss", "param_norm", "status")
+# the JSON name of each type a JSON value decodes to
+_JSON_KINDS = {
+    dict: "object", list: "array", str: "string", int: "number", float: "number",
+    bool: "boolean", type(None): "null",
+}
 # one scanner call per line: (object, index just past it)
 _scan = json.JSONDecoder().raw_decode
 
@@ -138,7 +144,12 @@ def _decode_float(value):
         if value == "-Inf":
             return -math.inf
         raise RunStoreError(f"not a float encoding: {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise RunStoreError(f"integer of {value.bit_length()} bits is out of float range") from None
+    except TypeError:
+        raise RunStoreError(f"not a float encoding: a JSON {_JSON_KINDS[type(value)]}") from None
 
 
 def encode_json(obj, indent: int | None = 2) -> str:
@@ -339,12 +350,13 @@ class RunStore:
                         d["row"], d["col"], d["epoch"], d["train_loss"], d["param_norm"], d["status"]
                     )
                 except (KeyError, TypeError):
-                    # a missing field, or a line that is no object: fail as the
-                    # field-by-field presence check always has
-                    for key in _TRIAL_FIELDS:
-                        if key not in d:
-                            raise RunStoreError(f"trial line missing field {key!r}") from None
-                    raise
+                    # a missing field, or a line that is no object: an object, array
+                    # or string fails as the field-by-field presence check always has
+                    if isinstance(d, (dict, list, str)):
+                        for key in _TRIAL_FIELDS:
+                            if key not in d:
+                                raise RunStoreError(f"trial line missing field {key!r}") from None
+                    raise RunStoreError(f"trial line is a JSON {_JSON_KINDS[type(d)]}, not an object") from None
                 if type(row) is not int or row < 0:
                     raise _not_an_index("row")
                 if type(col) is not int or col < 0:

@@ -5,11 +5,13 @@ round advances all alive trials by one epoch in cell order, then hands the
 whole round to the scheduler in one ``Schedule.decide`` call, so rung
 outcomes resolve within the round and each trial line carries the status
 its epoch ended with. All trials share one ``Cohort``, which holds the
-task, the model, the ``TrainerConfig`` and the epoch horizon: the
-scheduler's budget, the one epoch budget of the search. Each trial adds
-only its cell's (lr, wd). A round's epoch is computed as stacked passes over
-the alive trials, bit for bit what each trial would compute alone; a trial
-leaves the cohort when it ends.
+task, the model, the ``TrainerConfig``, the epoch horizon (the scheduler's
+budget, the one epoch budget of the search) and every alive trial's
+parameters, velocity, lr0 and wd as rows of its stacks. A round's epoch is
+computed as stacked passes over row slices of those stacks, bit for bit
+what each trial would compute alone. A trial leaves the cohort when it
+ends, and the search drops its runner then, so only alive trials' state is
+held; the records of all trials are kept.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
@@ -61,39 +63,39 @@ def execute_search(
     schedule = Schedule(policy, grid.n_trials)
     window = metric_window(policy.kind)
     cohort = Cohort(task, arch, config, policy.epoch_budget)
-    runners = {cell: TrialRunner(cohort, cell, *cell_params(grid, cell), window) for cell in grid.cells()}
-
-    records: dict[GridCell, TrialRecord] = {cell: r.record for cell, r in runners.items()}
+    # in cell order; an ended runner is dropped, which frees its kept theta
+    alive = [TrialRunner(cohort, cell, *cell_params(grid, cell), window) for cell in grid.cells()]
+    records: dict[GridCell, TrialRecord] = {r.cell: r.record for r in alive}
     persist = store is not None and run_id is not None
-    lines_written = dict.fromkeys(runners, 0)
-    alive = sorted(runners)
     decisions_written = 0
     epoch = 0
     while alive:
         epoch += 1
         losses: dict[GridCell, float | None] = {}
-        for cell in alive:
-            last = runners[cell].step_epoch()
-            losses[cell] = None if records[cell].status == STATUS_DIVERGED else last.train_loss
+        for runner in alive:
+            last = runner.step_epoch()
+            losses[runner.cell] = None if runner.record.status == STATUS_DIVERGED else last.train_loss
         schedule.decide(epoch, losses)
 
         still_alive = []
-        for cell in alive:
-            rec = records[cell]
+        for runner in alive:
+            rec = runner.record
             if rec.status == STATUS_DIVERGED:
                 pass
-            elif not schedule.is_alive(cell):
-                runners[cell].finish(STATUS_STOPPED_EARLY)  # no-op once completed
+            elif not schedule.is_alive(runner.cell):
+                runner.finish(STATUS_STOPPED_EARLY)  # no-op once completed
             else:
-                still_alive.append(cell)
+                still_alive.append(runner)
             if persist:
-                end = rec.epochs_run if runners[cell].done else max(0, rec.epochs_run - window)
-                for entry in rec.epochs[lines_written[cell] : end]:
+                # alive after the last round, which wrote its lines up to here
+                start = max(0, rec.epochs_run - 1 - window)
+                end = rec.epochs_run if runner.done else max(0, rec.epochs_run - window)
+                for entry in rec.epochs[start:end]:
                     store.append_trial_line(
                         run_id,
                         TrialLine(
-                            row=cell.row,
-                            col=cell.col,
+                            row=runner.cell.row,
+                            col=runner.cell.col,
                             epoch=entry.epoch,
                             train_loss=entry.train_loss,
                             param_norm=entry.param_norm,
@@ -102,7 +104,6 @@ def execute_search(
                             status=rec.status if entry.epoch + 1 == rec.epochs_run else STATUS_RUNNING,
                         ),
                     )
-                lines_written[cell] = end
         if persist:
             new = schedule.decision_log[decisions_written:]
             if new:

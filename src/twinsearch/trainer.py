@@ -8,16 +8,10 @@ means). The logged norm covers all trainable parameters, biases included.
 Val/test accuracy is not computed per epoch: a trial scores its last few
 finite epochs once, when it reaches a terminal status.
 
-The trials of one search form a ``Cohort``: it holds what they share (the
-task, the one ``MLP``, the ``TrainerConfig`` and the epoch horizon), and each
-``TrialRunner`` holds only its own cell, lr0, wd and state. The first
-``TrialRunner.step_epoch`` call of a round runs that epoch for every live
-member at once: parameters and velocities are stacked to (T, P), each
-member's minibatch (from its own permutation) to (T, B, D), and each
-minibatch is one stacked forward/backward pass and one momentum update with
-per-row lr and wd, in slices of ``STACK_SLICE`` members. Later calls of the
-round only take their own row. Every row is computed exactly as a lone
-trial's would be, so results do not depend on who else is in the cohort.
+The trials of one search form a ``Cohort``, which owns their parameters
+and steps them together in stacked passes. Every row of a pass is computed
+exactly as a lone trial's would be, so results do not depend on who else is
+in the cohort.
 
 ``MLP.loss_and_grad`` gives the bits of the frozen reference kernel in
 ``tests/kernel_oracle.py`` (NaN payloads aside). Element-wise steps (bias
@@ -136,15 +130,21 @@ class TrialRecord:
         return len(self.epochs)
 
 
-def cosine_lr(lr0: float, t: int, epochs: int) -> float:
-    """Per-epoch cosine decay: lr0 * 0.5 * (1 + cos(pi * t / epochs))."""
+def cosine_lr(lr0, t: int, epochs: int):
+    """Per-epoch cosine decay: lr0 * 0.5 * (1 + cos(pi * t / epochs)).
+
+    ``lr0`` may be a float or an array; each element gets a float's bits.
+    """
     if not 0 <= t < epochs:
         raise ValueError(f"epoch index {t} outside [0, {epochs})")
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * t / epochs))
 
 
-def schedule_lr(schedule: str, lr0: float, t: int, epochs: int) -> float:
-    """The LR of epoch ``t`` of an ``epochs``-epoch horizon, starting from lr0."""
+def schedule_lr(schedule: str, lr0, t: int, epochs: int):
+    """The LR of epoch ``t`` of an ``epochs``-epoch horizon, starting from lr0.
+
+    ``lr0`` may be a float or an array, such as a cohort's (T, 1) column.
+    """
     if schedule == "cosine":
         return cosine_lr(lr0, t, epochs)
     if schedule == "piecewise":
@@ -270,14 +270,26 @@ class MLP:
 
 
 class Cohort:
-    """The trials of one search, stepped in lockstep with one stacked pass per epoch.
+    """The trials of one search and their state, stepped one epoch per round.
 
-    It owns what they share: the task, the one ``MLP``, the ``TrainerConfig``
-    and the epoch horizon ``epochs``. A runner joins when it is made and
-    leaves when it ends (completed, diverged or finished), so an ended runner
-    is not referenced from here. Each round, every live member takes exactly
-    one step: a member that steps again before the others have taken theirs,
-    or members at different epochs, raise ``RuntimeError``.
+    It owns what the trials share (the task, the one ``MLP``, the
+    ``TrainerConfig`` and the epoch horizon ``epochs``) and the state of
+    every live trial: theta and velocity as two persistent (T, P) stacks,
+    lr0 and wd as (T, 1) columns, one row per member in join order. A runner
+    joins when it is made and keeps the index of its row, its slot. When it
+    ends (completed, diverged or finished) it copies out its final theta and
+    leaves the member list at once, so an ended runner is not referenced
+    from here; its row is compacted away before the next step.
+
+    The first ``TrialRunner.step_epoch`` call of a round runs ``step``: one
+    epoch for every member, on row slices of ``STACK_SLICE`` members, with
+    no copy of a row per member. Each member's minibatch (from its own
+    permutation) is stacked to (T, B, D); each minibatch is one stacked
+    forward/backward pass and one momentum update with per-row lr and wd;
+    the slice is written back once per epoch. Each call then takes its own
+    train loss and norm. Every live member takes exactly one step per round:
+    a member that steps again before the others have taken theirs, or one
+    that is not at the cohort's epoch, raises ``RuntimeError``.
     """
 
     def __init__(self, task: SyntheticTask, arch: ArchSpec, config: TrainerConfig, epochs: int):
@@ -285,32 +297,86 @@ class Cohort:
         self.model = MLP(task.input_dim, arch.hidden, task.n_classes)
         self.config = config
         self.epochs = epochs
-        self._members: dict[TrialRunner, None] = {}  # live runners in join order
+        self.epoch = 0  # epochs stepped so far
+        self._members: dict[TrialRunner, None] = {}  # live runners in join order, so in slot order
+        self._rows = 0  # rows in use: the members', and those of ended runners until compacted
+        n_params = self.model.n_params
+        self._theta = np.empty((0, n_params))
+        self._velocity = np.empty((0, n_params))
+        self._lr0 = np.empty((0, 1))
+        self._wd = np.empty((0, 1))
+        self._results: list[tuple[float, float]] = []  # (train_loss, norm) of this round, by slot
 
-    def join(self, runner: TrialRunner) -> None:
+    def join(self, runner: TrialRunner, theta: np.ndarray, lr0: float, wd: float) -> int:
+        """Add ``runner`` with its initial theta, zero velocity, lr0 and wd; returns its slot."""
+        slot = self._rows
+        if slot == len(self._theta):
+            # capacity doubles, so T joins copy O(T) rows in all
+            self._theta, self._velocity, self._lr0, self._wd = (
+                _grown(a, slot) for a in (self._theta, self._velocity, self._lr0, self._wd)
+            )
+        self._theta[slot] = theta
+        self._velocity[slot] = 0.0
+        self._lr0[slot] = lr0
+        self._wd[slot] = wd
+        self._rows += 1
         self._members[runner] = None
+        return slot
 
     def leave(self, runner: TrialRunner) -> None:
-        self._members.pop(runner, None)
-        runner._stepped = None
+        del self._members[runner]
 
     def step(self, caller: TrialRunner) -> None:
-        """Run the next epoch for every live member; each then takes its row."""
+        """Run the next epoch for every live member; each then takes its results."""
         live = list(self._members)
-        if any(r._stepped is not None for r in live) or len({r.record.epochs_run for r in live}) > 1:
+        if caller.record.epochs_run != self.epoch or not all(r._taken for r in live):
             raise RuntimeError(f"trial {caller.cell} stepped out of lockstep with its cohort")
-        for start in range(0, len(live), STACK_SLICE):
-            self._step_stack(live[start : start + STACK_SLICE])
+        self._compact(live)
+        n = len(live)
+        # schedule_lr's operations on the whole column, so each row gets a lone trial's bits
+        lr_t = schedule_lr(self.config.lr_schedule, self._lr0[:n], self.epoch, self.epochs)
+        self._results = []
+        for start in range(0, n, STACK_SLICE):
+            rows = slice(start, min(start + STACK_SLICE, n))
+            self._step_rows(rows, live[rows], lr_t[rows])
+        self.epoch += 1
+        for r in live:
+            r._taken = False
 
-    def _step_stack(self, runners: list[TrialRunner]) -> None:
-        """One epoch for a stack of runners; leaves each its own copy of its row."""
-        model, config, epoch = self.model, self.config, runners[0].record.epochs_run
+    def take(self, runner: TrialRunner) -> tuple[float, float]:
+        """(train_loss, norm) of ``runner``'s epoch this round."""
+        if runner.record.epochs_run + 1 != self.epoch:
+            raise RuntimeError(f"trial {runner.cell} stepped out of lockstep with its cohort")
+        runner._taken = True
+        return self._results[runner._slot]
+
+    def _compact(self, live: list[TrialRunner]) -> None:
+        """Close the rows that ended runners left, keeping the members' join order.
+
+        Rows move up in chunks of ``STACK_SLICE``, so no move holds more than
+        a chunk's copy: a chunk's source rows lie at or after its target rows
+        and after every earlier chunk's.
+        """
+        n = len(live)
+        if self._rows == n:
+            return
+        first = next((i for i, r in enumerate(live) if r._slot != i), n)
+        slots = np.array([r._slot for r in live[first:]], dtype=np.intp)
+        for start in range(0, len(slots), STACK_SLICE):
+            src = slots[start : start + STACK_SLICE]
+            dst = slice(first + start, first + start + len(src))
+            for a in (self._theta, self._velocity, self._lr0, self._wd):
+                a[dst] = a[src]
+        for i in range(first, n):
+            live[i]._slot = i
+        self._rows = n
+
+    def _step_rows(self, rows: slice, runners: list[TrialRunner], lr_t: np.ndarray) -> None:
+        """One epoch for the members in ``rows``, written back to the stacks once."""
+        model, config = self.model, self.config
         x, y = self.task.train_inputs, self.task.train_labels
         order = np.stack([r.rng.permutation(len(y)) for r in runners])
-        lr_t = np.array([[schedule_lr(config.lr_schedule, r.lr, epoch, self.epochs)] for r in runners])
-        wd = np.array([[r.wd] for r in runners])
-        theta = np.stack([r.theta for r in runners])
-        velocity = np.stack([r.velocity for r in runners])
+        theta, velocity, wd = self._theta[rows], self._velocity[rows], self._wd[rows]
         batch_losses = []
         with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
             for start in range(0, len(y), config.batch_size):
@@ -321,17 +387,25 @@ class Cohort:
             train_loss = np.mean(np.stack(batch_losses, axis=1), axis=1)
             # row by row: a norm along axis 1 does not give the same bits
             norms = [param_l2_norm(row) for row in theta]
-        for r, th, v, loss, norm in zip(runners, theta, velocity, train_loss, norms):
-            # copies, so a kept or ended trial's theta does not pin the whole stack
-            r._stepped = (th.copy(), v.copy(), float(loss), norm)
+        self._theta[rows] = theta
+        self._velocity[rows] = velocity
+        self._results.extend(zip(train_loss.tolist(), norms))
+
+
+def _grown(a: np.ndarray, n: int) -> np.ndarray:
+    """A zeroed array of twice ``a``'s rows (at least ``STACK_SLICE``), holding its first ``n``."""
+    out = np.zeros((max(STACK_SLICE, 2 * len(a)), *a.shape[1:]))
+    out[:n] = a[:n]
+    return out
 
 
 class TrialRunner:
-    """Owns one trial's state and advances it one epoch at a time.
+    """One trial: its cell, its random stream, its record and its slot in the cohort.
 
     Batch order and initialization derive from (init_seed, cell), so every
-    trial is an independent, replayable stream. Runners of one ``cohort``
-    are stepped together (see ``Cohort``).
+    trial is an independent, replayable stream. Its theta, velocity, lr0 and wd
+    are rows of its ``cohort``'s stacks (see ``Cohort``); ``theta`` is a view
+    of its row while it is alive and a copy of its final row once it ends.
 
     Val/test accuracy is computed when the trial reaches a terminal status
     (completed, diverged, or ``finish``), for its last ``metric_window``
@@ -342,22 +416,25 @@ class TrialRunner:
     def __init__(self, cohort: Cohort, cell: GridCell, lr: float, wd: float, metric_window: int):
         self.cohort = cohort
         self.cell = cell
-        self.lr = lr
-        self.wd = wd
         self.rng = np.random.default_rng(
             np.random.SeedSequence([cohort.config.init_seed, cell.row, cell.col])
         )
-        self.theta = cohort.model.init_params(self.rng)
-        self.velocity = np.zeros_like(self.theta)
         self.record = TrialRecord(cell=cell)
         task = cohort.task
         # (epoch, theta) of the last finite epochs, scored when the trial ends
         self._recent: deque[tuple[int, np.ndarray]] = deque(
             maxlen=metric_window if task.n_val or task.n_test else 0
         )
-        # (theta, velocity, train_loss, norm) of this round, set by the cohort
-        self._stepped: tuple[np.ndarray, np.ndarray, float, float] | None = None
-        cohort.join(self)
+        self._taken = True  # this round's results taken (none yet to take)
+        self._final: np.ndarray | None = None  # theta once ended
+        self._slot = cohort.join(self, cohort.model.init_params(self.rng), lr, wd)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """A view of this trial's row while it is alive; a copy of its final row once it ends."""
+        if self._final is not None:
+            return self._final
+        return self.cohort._theta[self._slot]
 
     @property
     def done(self) -> bool:
@@ -371,8 +448,9 @@ class TrialRunner:
         return self.record
 
     def _end(self, status: str) -> None:
-        """Set the terminal status, leave the cohort and score the kept epochs."""
+        """Set the terminal status, keep theta, leave the cohort and score the kept epochs."""
         self.record.status = status
+        self._final = self.theta.copy()
         self.cohort.leave(self)
         task, model, epochs = self.cohort.task, self.cohort.model, self.record.epochs
         with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
@@ -388,20 +466,22 @@ class TrialRunner:
     def step_epoch(self) -> EpochLog:
         """Run one epoch; logs loss and norm and flags divergence on non-finite values.
 
-        The first call of a round steps the whole cohort. Metrics stay
-        ``None`` until the epoch that ends the trial; see the class doc.
+        The first call of a round steps the whole cohort; every call takes
+        its own results. Metrics stay ``None`` until the epoch that ends the
+        trial; see the class doc.
         """
         if self.done:
             raise RuntimeError(f"trial {self.cell} already finished ({self.record.status})")
-        if self._stepped is None:
+        if self._taken:
             self.cohort.step(self)
+        train_loss, norm = self.cohort.take(self)
         epoch = self.record.epochs_run
-        (self.theta, self.velocity, train_loss, norm), self._stepped = self._stepped, None
         self.record.epochs.append(EpochLog(epoch, train_loss, norm))
         if not (math.isfinite(train_loss) and math.isfinite(norm)):
             self._end(STATUS_DIVERGED)
         else:
-            self._recent.append((epoch, self.theta))
+            if self._recent.maxlen:
+                self._recent.append((epoch, self.theta.copy()))
             if epoch + 1 == self.cohort.epochs:
                 self._end(STATUS_COMPLETED)
         return self.record.epochs[-1]

@@ -3,9 +3,14 @@ loader, written out once and not changed since.
 
 Any rewrite of ``RunStore._read_jsonl``/``RunStore._load_trial_file`` must
 load the same records from the same bytes, and fail on the same bytes with
-the same exception type, message and warnings. Two deliberate changes
+the same exception type, message and warnings. Three deliberate changes
 since: the package rejects JSON booleans as row/col/epoch, which this
-reference (``isinstance(x, int)``) accepts; and the package places every
+reference (``isinstance(x, int)``) accepts; a line that is no JSON object
+and not rejected for a missing field (a number, boolean or null, or an
+array or string holding every field name), or a float field holding an
+integer beyond float range, raises ``RunStoreError`` in the package, where
+this reference lets a ``TypeError`` or ``OverflowError`` escape
+(``ESCAPED_FAULTS`` in ``tests/test_runstore.py``); and the package places every
 ``RunStoreError`` and warning as ``<path>: line <N>: <detail>``, N the line
 of the file (blank lines counted), where this reference names the path on
 some faults only and counts non-blank lines. ``tests/test_runstore.py``

@@ -213,6 +213,8 @@ class TestSelect:
             ["--lr-stride", "0"],
             ["--wd-stride", "5"],  # fewer than 2 grid points left
             ["--kernel-size", "0"],
+            ["--kernel-size", "1e-300"],
+            ["--kernel-size", "inf"],
             ["--max-dist", "-1"],
             ["--ratio", "-1"],
             ["--ratio", "nan"],
@@ -226,6 +228,25 @@ class TestSelect:
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r", *flags) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+        assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda fields: "3",
+            lambda fields: json.dumps({**fields, "train_loss": 10**400}),
+        ],
+        ids=["number-line", "overflowing-loss"],
+    )
+    def test_malformed_trial_line_is_a_storage_error(self, tmp_path, capsys, fault):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        stored = artifact(tmp_path, "r", "selection.json").read_bytes()
+        path = artifact(tmp_path, "r", "trials") / "0_0.jsonl"
+        first, rest = path.read_text().split("\n", 1)
+        path.write_text(fault(json.loads(first)) + "\n" + rest)
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r") == 3
+        assert f"{path}: line 1: " in capsys.readouterr().err
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
 
     def test_strided_select_prints_a_pick_and_stores_nothing(self, tmp_path, capsys):

@@ -76,6 +76,10 @@ class TestDefaults:
         "kwargs",
         [
             dict(kernel_size=0.0),
+            dict(kernel_size=1e-300),  # 2 * kernel_size**2 underflows to 0
+            dict(kernel_size=math.inf),
+            dict(kernel_size=1e200),  # kernel_size**2 overflows
+            dict(kernel_size=math.nan),
             dict(max_dist=-1.0),
             dict(ratio=-0.5),
             dict(ratio=math.nan),

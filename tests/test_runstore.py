@@ -336,6 +336,16 @@ FAULTS = (
 )
 
 
+# faults the frozen reference lets escape as a bare error: fault -> (its error
+# type, the detail of the package's RunStoreError)
+ESCAPED_FAULTS = {
+    "list-line": (TypeError, "trial line is a JSON array, not an object"),
+    "number-line": (TypeError, "trial line is a JSON number, not an object"),
+    "string-line": (TypeError, "trial line is a JSON string, not an object"),
+    "overflow-int": (OverflowError, "integer of 1329 bits is out of float range"),
+}
+
+
 def random_float(rng):
     pick = rng.random()
     if pick < 0.12:
@@ -492,7 +502,17 @@ class TestLoaderMatchesFrozenReference:
         rng = np.random.default_rng([seed, FAULTS.index(fault)])
         cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
         data, fault_line = trial_file_bytes(rng, cell, int(rng.integers(1, 7)), fault)
-        self.check(store, tmp_path, data, cell, fault_line)
+        if fault not in ESCAPED_FAULTS:
+            self.check(store, tmp_path, data, cell, fault_line)
+            return
+        # the reference lets these escape as a bare TypeError/OverflowError; the
+        # package reports them as a RunStoreError at the line, like any fault
+        path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
+        path.write_bytes(data)
+        escaped, detail = ESCAPED_FAULTS[fault]
+        assert outcome(reference_load_trial_file, str(path), cell)[0][0] is escaped
+        new = outcome(store._load_trial_file, str(path), cell)
+        assert new == ((RunStoreError, f"{path}: line {fault_line}: {detail}"), [])
 
     def test_empty_and_blank_files(self, store, tmp_path):
         for data in (b"", b"\n", b"\n\n\n"):

@@ -11,6 +11,7 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -301,3 +302,66 @@ def test_ended_runners_are_freed_without_the_cycle_collector():
         if enabled:
             gc.enable()
     survivor.step_epoch()  # the cohort goes on without them
+
+
+@pytest.mark.parametrize("schedule", ["cosine", "piecewise", "constant"])
+def test_survivors_match_the_loop_after_a_rung_compacts_the_stack(monkeypatch, schedule):
+    monkeypatch.setattr(trainer, "STACK_SLICE", 5)  # uneven slices before and after
+    config = dataclasses.replace(CONFIG, lr_schedule=schedule)
+    grid = build_log_grid(1e-3, 1.0, 4, 1e-4, 1e-1, 3)
+    task = TASK_SPEC.make()
+    horizon = 4
+    cohort = Cohort(task, ARCH, config, horizon)
+    runners = [TrialRunner(cohort, cell, *cell_params(grid, cell), 1) for cell in grid.cells()]
+    for runner in runners:
+        runner.step_epoch()
+    # a rung stops every other trial; the survivors' rows move up at the next step
+    survivors = runners[1::2]
+    for runner in runners[0::2]:
+        runner.finish(STATUS_STOPPED_EARLY)
+    for _ in range(horizon - 1):
+        for runner in survivors:
+            runner.step_epoch()
+    assert [r._slot for r in survivors] == list(range(len(survivors)))
+    for runner in survivors:
+        assert runner.record.status == STATUS_COMPLETED
+        logged = np.array([(e.train_loss, e.param_norm) for e in runner.record.epochs])
+        looped = loop_reference(task, config, runner.cell, *cell_params(grid, runner.cell), horizon, horizon)
+        assert logged.tobytes() == np.array(looped).tobytes(), runner.cell
+
+
+def test_an_ended_trial_keeps_its_last_row():
+    cohort = Cohort(TASK_SPEC.make(), ARCH, CONFIG, 4)
+    runners = [_runner(cohort, cell=(0, col)) for col in range(4)]
+    for runner in runners:
+        runner.step_epoch()
+    ended = runners[1]
+    last = ended.theta.copy()
+    ended.finish(STATUS_STOPPED_EARLY)
+    assert ended.theta.tobytes() == last.tobytes()
+    for _ in range(2):  # the first step moves a survivor's row into the ended one's
+        for runner in runners[:1] + runners[2:]:
+            runner.step_epoch()
+    assert ended.theta.tobytes() == last.tobytes()
+    assert float(np.linalg.norm(ended.theta)) == ended.record.epochs[-1].param_norm
+
+
+def test_a_round_holds_no_second_copy_of_trial_state():
+    # a validation-free task keeps no per-epoch theta, so the round allocates
+    # only slice temporaries and results on top of the cohort's stacks
+    task = dataclasses.replace(TASK_SPEC, n_val=0, n_test=0).make()
+    arch = ArchSpec((32,))
+    trials = 400
+    tracemalloc.start()
+    try:
+        cohort = Cohort(task, arch, CONFIG, 3)
+        runners = [_runner(cohort, cell=divmod(i, 20)) for i in range(trials)]
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        for runner in runners:
+            runner.step_epoch()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = trials * cohort.model.n_params * 8  # bytes of one (T, P) float64 stack
+    assert peak - before < stack
