@@ -10,7 +10,6 @@ from .grid import GridCell, HyperGrid, build_log_grid, cell_params, slice_grid
 from .matrices import (
     LogMatrices,
     MetricSurfaces,
-    NormalizedLoss,
     assemble,
     build_metric_surfaces,
     normalize_invert,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +22,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class GridCell:
-    """Address of one lattice point: ``row`` indexes WD, ``col`` indexes LR."""
+class GridCell(NamedTuple):
+    """Address of one lattice point: ``row`` indexes WD, ``col`` indexes LR.
+
+    A ``NamedTuple``, so hashing and ordering run in C: the scheduler hashes
+    every alive cell each round.
+    """
 
     row: int
     col: int

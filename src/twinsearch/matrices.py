@@ -4,7 +4,8 @@
 five logged epochs), ``theta`` the parameter norm at the last logged epoch.
 Cells with non-finite entries are invalid; the z-score filter additionally
 masks statistical outliers before the loss surface is normalized, inverted
-(lowest loss -> 1) and segmented.
+(lowest loss -> 1) and segmented. ``normalize_invert`` returns the surface
+alone: the caller keeps the mask it passed in.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .trainer import TrialRecord
 
 __all__ = [
     "LogMatrices",
-    "NormalizedLoss",
     "MetricSurfaces",
     "assemble",
     "zscore_outlier_mask",
@@ -50,14 +50,6 @@ class LogMatrices:
     @property
     def shape(self) -> tuple[int, int]:
         return self.psi.shape
-
-
-@dataclass
-class NormalizedLoss:
-    """Minmax-normalized, inverted loss surface; masked cells carry NaN."""
-
-    values: np.ndarray
-    outlier_mask: np.ndarray  # True = excluded (z-score outlier or invalid)
 
 
 @dataclass
@@ -155,8 +147,11 @@ def zscore_outlier_mask(psi: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:
     return outliers | ~valid_mask
 
 
-def normalize_invert(psi: np.ndarray, outlier_mask: np.ndarray) -> NormalizedLoss:
-    """Minmax-scale the loss over non-masked cells, then invert: lowest loss -> 1."""
+def normalize_invert(psi: np.ndarray, outlier_mask: np.ndarray) -> np.ndarray:
+    """Minmax-scale the loss over non-masked cells, then invert: lowest loss -> 1.
+
+    Masked cells carry NaN.
+    """
     keep = ~outlier_mask
     if not np.any(keep):
         raise ValueError("no trainable configuration: all grid cells are masked")
@@ -167,7 +162,7 @@ def normalize_invert(psi: np.ndarray, outlier_mask: np.ndarray) -> NormalizedLos
         values[keep] = 0.5  # degenerate flat landscape stays segmentable
     else:
         values[keep] = 1.0 - (psi[keep] - lo) / (hi - lo)
-    return NormalizedLoss(values=values, outlier_mask=outlier_mask)
+    return values
 
 
 def metric_window(scheduler_kind: str) -> int:

@@ -83,11 +83,10 @@ class QuickshiftParams:
 
 @dataclass
 class SegmentLabels:
-    """Region ids per cell (-1 for masked) plus the parent forest that formed them."""
+    """Region ids per cell, -1 for masked."""
 
     labels: np.ndarray  # (n_wd, n_lr) ints
     n_regions: int
-    parent: np.ndarray  # flat index of parent; own index for roots; -1 masked
 
 
 def default_params(grid: HyperGrid) -> QuickshiftParams:
@@ -229,7 +228,7 @@ def label_segments(parent: np.ndarray, mask: np.ndarray) -> SegmentLabels:
     labels = np.full(n_cells, -1, dtype=np.int64)
     labels[active] = region_of
     labels = labels.reshape(parent.shape)
-    return SegmentLabels(labels=labels, n_regions=len(root_ids), parent=parent)
+    return SegmentLabels(labels=labels, n_regions=len(root_ids))
 
 
 def quickshift(values: np.ndarray, mask: np.ndarray, params: QuickshiftParams) -> SegmentLabels:

@@ -14,13 +14,13 @@ Directory layout (the public contract for external training systems):
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
 shortest-round-trip repr, which makes write/load cycles bit-exact.
-``TrialLine.to_json``, the only trial-line encoder, builds its text
-directly, byte for byte what ``encode_json`` gives for its fields. A torn
-final trial line (crash mid-append) is dropped with a warning on load;
-corruption anywhere else is an error. Appending to a trial file that an
-earlier store left behind first loads it with the same checks, and a torn
-final line is an error there too, so a new line is never glued onto torn
-bytes.
+``_trial_line_text``, the only trial-line encoder, builds the text of one
+``EpochLog`` with its cell and status directly, byte for byte what
+``encode_json`` gives for those fields. A torn final trial line (crash
+mid-append) is dropped with a warning on load; corruption anywhere else is
+an error. Appending to a trial file that an earlier store left behind first
+loads it with the same checks, and a torn final line is an error there too,
+so a new line is never glued onto torn bytes.
 
 ``load_run`` reads each trial file in one piece and parses it line by
 line with one call of the JSON scanner (``JSONDecoder.raw_decode``). A
@@ -37,7 +37,12 @@ that is not JSON, raises ``RunStoreError`` as ``<path>: line <N>:
 <detail>``, N counting every line of the file from 1, blank ones included,
 so it is the line an editor shows; the warning for a dropped torn line
 names its place the same way. The line number is worked out only when a
-fault is reported.
+fault is reported. The manifest and decision log are checked only for what
+is read from them: the manifest must be a JSON object whose ``grid`` and
+``scheduler`` are objects, and each decision line an object, with
+non-negative integer ``row``/``col`` on a ``stop``. A fault raises
+``RunStoreError`` as ``<path>: <detail>``, or ``<path>: line <N>:
+<detail>`` for a decision line, N counted as for trial files.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
@@ -61,7 +66,6 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -75,7 +79,6 @@ from .trainer import (
 )
 
 __all__ = [
-    "TrialLine",
     "RunStore",
     "RunStoreError",
     "RunNotFoundError",
@@ -159,28 +162,15 @@ def encode_json(obj, indent: int | None = 2) -> str:
     return json.dumps(_encode(obj), indent=indent)
 
 
-@dataclass(frozen=True)
-class TrialLine:
-    """One epoch of one trial, as persisted."""
-
-    row: int
-    col: int
-    epoch: int
-    train_loss: float
-    param_norm: float
-    val_acc: float | None = None
-    test_acc: float | None = None
-    status: str = STATUS_RUNNING
-
-    def to_json(self) -> str:
-        """Compact JSON text: ``encode_json(fields, indent=None)``, built directly."""
-        return (
-            f'{{"row":{self.row:d},"col":{self.col:d},"epoch":{self.epoch:d},'
-            f'"train_loss":{_float_text(self.train_loss)},'
-            f'"param_norm":{_float_text(self.param_norm)},'
-            f'"val_acc":{_float_text(self.val_acc)},"test_acc":{_float_text(self.test_acc)},'
-            f'"status":{_STATUS_TEXT.get(self.status) or json.dumps(self.status)}}}'
-        )
+def _trial_line_text(cell: GridCell, entry: EpochLog, status: str) -> str:
+    """One trial line without its newline: ``encode_json(fields, indent=None)``, built directly."""
+    return (
+        f'{{"row":{cell.row:d},"col":{cell.col:d},"epoch":{entry.epoch:d},'
+        f'"train_loss":{_float_text(entry.train_loss)},'
+        f'"param_norm":{_float_text(entry.param_norm)},'
+        f'"val_acc":{_float_text(entry.val_metric)},"test_acc":{_float_text(entry.test_metric)},'
+        f'"status":{_STATUS_TEXT.get(status) or json.dumps(status)}}}'
+    )
 
 
 def _not_an_index(key: str) -> RunStoreError:
@@ -212,16 +202,15 @@ class RunStore:
 
     # -- writing ----------------------------------------------------------
 
-    def create_run(self, run_id: str, manifest: dict) -> Path:
+    def create_run(self, run_id: str, manifest: dict) -> None:
         run_dir = self.run_dir(run_id)
         if run_dir.exists():
             raise RunStoreError(f"run {run_id!r} already exists at {run_dir}")
         (run_dir / "trials").mkdir(parents=True)
         payload = {"run_id": run_id, "tool_version": TOOL_VERSION, **manifest}
         self._write_text(run_dir / "manifest.json", encode_json(payload) + "\n")
-        return run_dir
 
-    def append_trial_line(self, run_id: str, line: TrialLine) -> None:
+    def append_trial_line(self, run_id: str, cell: GridCell, entry: EpochLog, status: str) -> None:
         target = self._trial_targets.get(run_id)
         if target is None:
             run_dir = self.run_dir(run_id)
@@ -230,7 +219,7 @@ class RunStore:
             shape = _grid_shape(self.load_manifest(run_id))
             target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"))
         n_rows, n_cols, trials_dir = target
-        row, col = line.row, line.col
+        row, col = cell
         if not (0 <= row < n_rows and 0 <= col < n_cols):
             raise RunStoreError(f"cell ({row}, {col}) outside grid of shape {(n_rows, n_cols)}")
         path = f"{trials_dir}/{row}_{col}.jsonl"
@@ -240,13 +229,13 @@ class RunStore:
             # a file from before this store: only a whole, well-formed one is appended to
             last = -1
             if os.path.exists(path):
-                last = self._load_trial_file(path, GridCell(row, col), torn_tail_ok=False).epochs_run - 1
+                last = self._load_trial_file(path, cell, torn_tail_ok=False).epochs_run - 1
             self._epoch_cache[key] = last
-        if line.epoch <= last:
+        if entry.epoch <= last:
             raise RunStoreError(
-                f"epoch {line.epoch} not after last logged epoch {last} for cell ({row}, {col})"
+                f"epoch {entry.epoch} not after last logged epoch {last} for cell ({row}, {col})"
             )
-        data = (line.to_json() + "\n").encode()
+        data = (_trial_line_text(cell, entry, status) + "\n").encode()
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             written = os.write(fd, data)
@@ -254,7 +243,7 @@ class RunStore:
             os.close(fd)
         if written != len(data):
             raise RunStoreError(f"{path}: short write, {written} of {len(data)} bytes")
-        self._epoch_cache[key] = line.epoch
+        self._epoch_cache[key] = entry.epoch
 
     def append_decisions(self, run_id: str, decisions: Iterable[dict]) -> None:
         path = self.run_dir(run_id) / "decisions.jsonl"
@@ -298,7 +287,7 @@ class RunStore:
             "quickshift_params": artifacts.params.to_dict(),
             "region_means": [float(v) for v in artifacts.region_means],
             "labels": [int(v) for v in artifacts.segments.labels.ravel()],
-            "outlier_mask": [bool(v) for v in artifacts.normalized.outlier_mask.ravel()],
+            "outlier_mask": [bool(v) for v in artifacts.outlier_mask.ravel()],
             "shape": list(artifacts.segments.labels.shape),
             "layout": "row-major",
         }
@@ -319,7 +308,19 @@ class RunStore:
         path = self.run_dir(run_id) / "manifest.json"
         if not path.exists():
             raise RunNotFoundError(f"run {run_id!r} has no manifest at {path}")
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise RunStoreError(f"{path}: corrupt manifest: {exc}") from None
+        if type(manifest) is not dict:
+            raise RunStoreError(f"{path}: manifest is a JSON {_JSON_KINDS[type(manifest)]}, not an object")
+        for key in ("grid", "scheduler"):
+            if key not in manifest:
+                raise RunStoreError(f"{path}: manifest has no {key!r}")
+            if type(manifest[key]) is not dict:
+                kind = _JSON_KINDS[type(manifest[key])]
+                raise RunStoreError(f"{path}: manifest field {key!r} is a JSON {kind}, not an object")
+        return manifest
 
     def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord], list[dict]]:
         """Manifest, per-cell records (partial trials included), decision log."""
@@ -335,7 +336,10 @@ class RunStore:
                 cell = GridCell(int(m.group(1)), int(m.group(2)))
                 records[cell] = self._load_trial_file(f"{trials_dir}/{name}", cell)
         decisions_path = f"{run_dir}/decisions.jsonl"
-        decisions = self._read_jsonl(decisions_path) if os.path.exists(decisions_path) else []
+        decisions = []
+        if os.path.exists(decisions_path):
+            decisions = self._read_jsonl(decisions_path)
+            _check_decisions(decisions_path, decisions)
         return manifest, records, decisions
 
     def _load_trial_file(self, path: str, cell: GridCell, torn_tail_ok: bool = True) -> TrialRecord:
@@ -430,6 +434,20 @@ class RunStore:
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, path)
+
+
+def _check_decisions(path: str, decisions: list) -> None:
+    """Each decision line is an object, and a stop names its cell by non-negative integers."""
+    for i, d in enumerate(decisions, start=1):
+        if type(d) is not dict:
+            fault = f"decision line is a JSON {_JSON_KINDS[type(d)]}, not an object"
+        elif d.get("decision") == "stop" and not all(
+            type(d.get(key)) is int and d[key] >= 0 for key in ("row", "col")
+        ):
+            fault = "stop decision needs non-negative integer 'row' and 'col'"
+        else:
+            continue
+        raise RunStoreError(f"{_line_of(path, i)}: {fault}")
 
 
 def _grid_shape(manifest: dict) -> tuple[int, int]:

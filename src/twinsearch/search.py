@@ -24,7 +24,7 @@ from __future__ import annotations
 from .grid import GridCell, HyperGrid, cell_params
 from .matrices import assemble, metric_window
 from .quickshift import QuickshiftParams, default_params
-from .runstore import RunStore, TrialLine
+from .runstore import RunStore
 from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
 from .tasks import SyntheticTask, TaskSpec
@@ -77,39 +77,23 @@ def execute_search(
             losses[runner.cell] = None if runner.record.status == STATUS_DIVERGED else last.train_loss
         schedule.decide(epoch, losses)
 
-        still_alive = []
         for runner in alive:
             rec = runner.record
-            if rec.status == STATUS_DIVERGED:
-                pass
-            elif not schedule.is_alive(runner.cell):
-                runner.finish(STATUS_STOPPED_EARLY)  # no-op once completed
-            else:
-                still_alive.append(runner)
+            if not runner.done and not schedule.is_alive(runner.cell):
+                runner.finish(STATUS_STOPPED_EARLY)
             if persist:
                 # alive after the last round, which wrote its lines up to here
                 start = max(0, rec.epochs_run - 1 - window)
                 end = rec.epochs_run if runner.done else max(0, rec.epochs_run - window)
                 for entry in rec.epochs[start:end]:
-                    store.append_trial_line(
-                        run_id,
-                        TrialLine(
-                            row=runner.cell.row,
-                            col=runner.cell.col,
-                            epoch=entry.epoch,
-                            train_loss=entry.train_loss,
-                            param_norm=entry.param_norm,
-                            val_acc=entry.val_metric,
-                            test_acc=entry.test_metric,
-                            status=rec.status if entry.epoch + 1 == rec.epochs_run else STATUS_RUNNING,
-                        ),
-                    )
+                    status = rec.status if entry.epoch + 1 == rec.epochs_run else STATUS_RUNNING
+                    store.append_trial_line(run_id, runner.cell, entry, status)
         if persist:
             new = schedule.decision_log[decisions_written:]
             if new:
                 store.append_decisions(run_id, new)
                 decisions_written += len(new)
-        alive = still_alive
+        alive = [r for r in alive if not r.done]
 
     return records
 
@@ -124,7 +108,7 @@ def select_and_store(
     """Assemble the run's matrices, select with ``params``, and store both artifacts."""
     mats = assemble(records.values(), grid)
     artifacts = twin_pipeline(mats, grid, params)
-    store.write_matrices(run_id, mats, grid, artifacts.normalized.outlier_mask)
+    store.write_matrices(run_id, mats, grid, artifacts.outlier_mask)
     store.write_selection(run_id, artifacts)
     return artifacts
 

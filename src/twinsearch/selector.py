@@ -3,8 +3,10 @@
 The twin selector never sees validation or test metrics: it filters and
 normalizes the train-loss surface, segments it, takes the region with the
 highest mean (best fitting), and returns that region's lowest-norm cell.
-SelTS/SelVS/Oracle are the comparison baselines; ``evaluate`` scores any
-method's picks against the Oracle's across configurations.
+``TwinArtifacts`` keeps the pick, the outlier mask and the segmentation,
+which the stored matrices and selection record; the normalized surface is
+not kept. SelTS/SelVS/Oracle are the comparison baselines; ``evaluate``
+scores any method's picks against the Oracle's across configurations.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .grid import GridCell, HyperGrid, cell_params
-from .matrices import (
-    LogMatrices,
-    MetricSurfaces,
-    NormalizedLoss,
-    normalize_invert,
-    zscore_outlier_mask,
-)
+from .matrices import LogMatrices, MetricSurfaces, normalize_invert, zscore_outlier_mask
 from .quickshift import QuickshiftParams, SegmentLabels, quickshift
 
 __all__ = [
@@ -69,23 +65,23 @@ class Selection:
 
 @dataclass
 class TwinArtifacts:
-    """Selection plus the intermediate surfaces, for artifacts and plots."""
+    """Selection plus what the stored artifacts record of how it was made."""
 
     selection: Selection
-    normalized: NormalizedLoss
+    outlier_mask: np.ndarray  # True = excluded from segmentation (z-score outlier or invalid)
     segments: SegmentLabels
     region_means: np.ndarray
     params: QuickshiftParams
 
 
-def region_stats(norm_loss: NormalizedLoss, labels: SegmentLabels) -> np.ndarray:
-    """Mean normalized-inverted loss per region id."""
+def region_stats(values: np.ndarray, labels: SegmentLabels) -> np.ndarray:
+    """Mean of ``values`` (the normalized-inverted loss) per region id."""
     if labels.n_regions == 0:
         raise ValueError("segmentation produced zero regions")
     means = np.zeros(labels.n_regions)
     for region in range(labels.n_regions):
         members = labels.labels == region
-        means[region] = float(np.mean(norm_loss.values[members]))
+        means[region] = float(np.mean(values[members]))
     return means
 
 
@@ -97,16 +93,16 @@ def twin_pipeline(
     The validation-free pick: the signature takes no val/test surface on purpose.
     """
     outliers = zscore_outlier_mask(matrices.psi, matrices.valid_mask)
-    normalized = normalize_invert(matrices.psi, outliers)
-    segments = quickshift(normalized.values, normalized.outlier_mask, params)
-    means = region_stats(normalized, segments)
+    values = normalize_invert(matrices.psi, outliers)
+    segments = quickshift(values, outliers, params)
+    means = region_stats(values, segments)
     best_region = int(np.argmax(means))  # argmax keeps the lowest id on ties
 
     in_region = segments.labels == best_region
     norms = np.where(in_region, matrices.theta, np.inf)
     flat_best = int(np.argmin(norms))  # first minimum = lexicographic (row, col)
-    cell = GridCell(*np.unravel_index(flat_best, norms.shape))
-    cell = GridCell(int(cell.row), int(cell.col))
+    row, col = np.unravel_index(flat_best, norms.shape)
+    cell = GridCell(int(row), int(col))
     lr, wd = cell_params(grid, cell)
     selection = Selection(
         method=METHOD_TWIN,
@@ -119,7 +115,7 @@ def twin_pipeline(
     )
     return TwinArtifacts(
         selection=selection,
-        normalized=normalized,
+        outlier_mask=outliers,
         segments=segments,
         region_means=means,
         params=params,

@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from twinsearch.cli import main
-from twinsearch.runstore import RunStore, TrialLine
+from twinsearch.grid import GridCell
+from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.tasks import TaskSpec
+from twinsearch.trainer import EpochLog
 
 
 RUN_FLAGS = [
@@ -117,6 +119,13 @@ class TestRun:
         assert run_cli(tmp_path, "run", "--run-id", "dup", *RUN_FLAGS) == 3
 
 
+def without(manifest_text, key):
+    """The manifest's JSON text with ``key`` removed."""
+    doc = json.loads(manifest_text)
+    del doc[key]
+    return json.dumps(doc)
+
+
 class TestSelect:
     def test_online_offline_equivalence(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -173,12 +182,9 @@ class TestSelect:
                 for epoch in range(2):
                     store.append_trial_line(
                         "ext",
-                        TrialLine(
-                            r, c, epoch,
-                            losses[r][c] + (0.1 if epoch == 0 else 0.0),
-                            norms[r][c],
-                            status="completed" if epoch == 1 else "running",
-                        ),
+                        GridCell(r, c),
+                        EpochLog(epoch, losses[r][c] + (0.1 if epoch == 0 else 0.0), norms[r][c]),
+                        "completed" if epoch == 1 else "running",
                     )
         assert run_cli(tmp_path, "select", "ext") == 0
         out = capsys.readouterr().out
@@ -193,7 +199,7 @@ class TestSelect:
             "partial",
             {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 5).to_dict(), "task": "external", "seeds": {}},
         )
-        store.append_trial_line("partial", TrialLine(0, 0, 0, 1.0, 2.0))
+        store.append_trial_line("partial", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
         assert run_cli(tmp_path, "select", "partial") == 2
         assert "incomplete" in capsys.readouterr().err
 
@@ -247,6 +253,37 @@ class TestSelect:
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r") == 3
         assert f"{path}: line 1: " in capsys.readouterr().err
+        assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
+
+    @pytest.mark.parametrize(
+        "name, fault",
+        [
+            ("manifest.json", lambda text: without(text, "scheduler")),
+            ("manifest.json", lambda text: without(text, "grid")),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": "x"})),
+            ("manifest.json", lambda text: "[1]"),
+            ("manifest.json", lambda text: "{bad"),
+            ("decisions.jsonl", lambda text: text + "3\n"),
+            ("decisions.jsonl", lambda text: text + '{"decision": "stop"}\n'),
+        ],
+        ids=[
+            "no-scheduler", "no-grid", "grid-string", "manifest-array", "manifest-not-json",
+            "decision-number", "stop-without-cell",
+        ],
+    )
+    def test_malformed_manifest_or_decision_is_a_storage_error(self, tmp_path, capsys, name, fault):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        stored = artifact(tmp_path, "r", "selection.json").read_bytes()
+        path = artifact(tmp_path, "r", name)
+        text = path.read_text()
+        path.write_text(fault(text))
+        # a decision fault is on the appended line, counted as for trial files
+        where = f"{path}: line {len(text.splitlines()) + 1}: " if name == "decisions.jsonl" else f"{path}: "
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r") == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"storage error: {where}")
+        assert "Traceback" not in captured.out + captured.err
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
 
     def test_strided_select_prints_a_pick_and_stores_nothing(self, tmp_path, capsys):

@@ -205,26 +205,26 @@ class TestNormalizeInvert:
     def test_linear_map(self):
         psi = np.array([[0.2, 0.6, 1.0]])
         out = normalize_invert(psi, np.zeros_like(psi, dtype=bool))
-        np.testing.assert_allclose(out.values, [[1.0, 0.5, 0.0]])
+        np.testing.assert_allclose(out, [[1.0, 0.5, 0.0]])
 
     def test_affine_invariance(self):
         psi = np.array([[0.1, 0.7], [0.3, 0.9]])
         mask = np.zeros_like(psi, dtype=bool)
         base = normalize_invert(psi, mask)
         scaled = normalize_invert(3.5 * psi + 2.0, mask)
-        np.testing.assert_allclose(base.values, scaled.values, atol=1e-14)
+        np.testing.assert_allclose(base, scaled, atol=1e-14)
 
     def test_constant_maps_to_half(self):
         psi = np.full((2, 2), 4.2)
         out = normalize_invert(psi, np.zeros_like(psi, dtype=bool))
-        np.testing.assert_array_equal(out.values, np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(out, np.full((2, 2), 0.5))
 
     def test_masked_cells_carry_nan(self):
         psi = np.array([[0.2, 0.6, 9.0]])
         mask = np.array([[False, False, True]])
         out = normalize_invert(psi, mask)
-        assert math.isnan(out.values[0, 2])
-        np.testing.assert_allclose(out.values[0, :2], [1.0, 0.0])
+        assert math.isnan(out[0, 2])
+        np.testing.assert_allclose(out[0, :2], [1.0, 0.0])
 
     def test_all_masked_raises(self):
         psi = np.array([[1.0]])
@@ -238,7 +238,7 @@ class TestNormalizeInvert:
         psi = rng.standard_normal((3, 4))
         out = normalize_invert(psi, np.zeros_like(psi, dtype=bool))
         flat_psi = psi.ravel()
-        flat_out = out.values.ravel()
+        flat_out = out.ravel()
         for i in range(len(flat_psi)):
             for j in range(len(flat_psi)):
                 if flat_psi[i] < flat_psi[j]:

@@ -166,7 +166,7 @@ class TestLinking:
         assert segments.n_regions == 1
         d = compute_density(values, mask, params.kernel_size, params.ratio)
         assert int(np.argmax(d)) == 4  # center of the 3x3
-        assert segments.parent[1, 1] == 4
+        assert link_parents(d, values, mask, params.max_dist, params.ratio)[1, 1] == 4
 
     def test_equidistant_denser_neighbors_tie_break_on_flat_index(self):
         # corner (0, 0) has denser neighbors (0, 1) and (1, 0), both at distance
@@ -255,7 +255,11 @@ class TestForestInvariants:
         a = quickshift(values, mask, params)
         b = quickshift(values, mask, params)
         np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.parent, b.parent)
+        def parents():
+            d = compute_density(values, mask, params.kernel_size, params.ratio)
+            return link_parents(d, values, mask, params.max_dist, params.ratio)
+
+        np.testing.assert_array_equal(parents(), parents())
 
 
 class TestOracleEquivalence:

@@ -10,11 +10,11 @@ import pytest
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
-from twinsearch.runstore import RunStore, RunStoreError, TrialLine, encode_json, resume_plan
+from twinsearch.runstore import RunStore, RunStoreError, _trial_line_text, encode_json, resume_plan
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import run_and_store, select_and_store
 from twinsearch.tasks import TaskSpec
-from twinsearch.trainer import ArchSpec, TrainerConfig
+from twinsearch.trainer import ArchSpec, EpochLog, TrainerConfig
 from runstore_frozen import reference_load_trial_file
 
 
@@ -39,16 +39,15 @@ def write_full_run(store, run_id, grid, epochs=3, policy=None):
             status = "completed" if epoch == epochs - 1 else "running"
             store.append_trial_line(
                 run_id,
-                TrialLine(
-                    row=cell.row,
-                    col=cell.col,
+                cell,
+                EpochLog(
                     epoch=epoch,
                     train_loss=1.0 / (epoch + 1) + 0.1 * cell.row + 0.01 * cell.col,
                     param_norm=2.0 - 0.1 * epoch,
-                    val_acc=0.5 + 0.01 * epoch,
-                    test_acc=0.6 + 0.01 * epoch,
-                    status=status,
+                    val_metric=0.5 + 0.01 * epoch,
+                    test_metric=0.6 + 0.01 * epoch,
                 ),
+                status,
             )
 
 
@@ -56,7 +55,7 @@ class TestAppend:
     def test_first_line_creates_file(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r1", TrialLine(0, 0, 0, 1.0, 2.0))
+        store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
         path = store.run_dir("r1") / "trials" / "0_0.jsonl"
         assert path.exists()
         assert len(path.read_text().splitlines()) == 1
@@ -65,9 +64,9 @@ class TestAppend:
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 10)))
         for epoch in (0, 1, 2, 7):
-            store.append_trial_line("r1", TrialLine(0, 0, epoch, 1.0, 2.0))
+            store.append_trial_line("r1", GridCell(0, 0), EpochLog(epoch, 1.0, 2.0), "running")
         with pytest.raises(RunStoreError, match="not after"):
-            store.append_trial_line("r1", TrialLine(0, 0, 5, 1.0, 2.0))
+            store.append_trial_line("r1", GridCell(0, 0), EpochLog(5, 1.0, 2.0), "running")
 
     @pytest.mark.parametrize("damage", ["torn", "unterminated", "corrupt-interior"])
     def test_append_after_a_damaged_file_raises_and_writes_nothing(self, store, damage):
@@ -87,23 +86,23 @@ class TestAppend:
             data = b"\n".join(lines)
         path.write_bytes(data)
         with pytest.raises(RunStoreError, match="0_0.jsonl"):
-            RunStore(store.root).append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0))
+            RunStore(store.root).append_trial_line("r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running")
         assert path.read_bytes() == data
 
     def test_fresh_store_appends_after_a_whole_file(self, store):
         grid = small_grid()
         write_full_run(store, "r1", grid, epochs=3)
         fresh = RunStore(store.root)
-        fresh.append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0))
+        fresh.append_trial_line("r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running")
         with pytest.raises(RunStoreError, match="not after"):
-            RunStore(store.root).append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0))
+            RunStore(store.root).append_trial_line("r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running")
         _, records, _ = fresh.load_run("r1")
         assert records[GridCell(0, 0)].epochs_run == 4
 
     def test_nan_encoded_as_string(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r1", TrialLine(0, 0, 0, math.nan, math.inf, status="diverged"))
+        store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, math.nan, math.inf), "diverged")
         raw = (store.run_dir("r1") / "trials" / "0_0.jsonl").read_text()
         doc = json.loads(raw)
         assert doc["train_loss"] == "NaN"
@@ -116,11 +115,11 @@ class TestAppend:
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         with pytest.raises(RunStoreError, match="outside grid"):
-            store.append_trial_line("r1", TrialLine(5, 0, 0, 1.0, 2.0))
+            store.append_trial_line("r1", GridCell(5, 0), EpochLog(0, 1.0, 2.0), "running")
 
     def test_append_without_manifest_rejected(self, store):
         with pytest.raises(RunStoreError, match="manifest"):
-            store.append_trial_line("ghost", TrialLine(0, 0, 0, 1.0, 2.0))
+            store.append_trial_line("ghost", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
 
     def test_short_write_raises(self, store, monkeypatch):
         grid = small_grid()
@@ -128,7 +127,7 @@ class TestAppend:
         real_write = os.write
         monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:-1]))
         with pytest.raises(RunStoreError, match="short write"):
-            store.append_trial_line("r1", TrialLine(0, 0, 0, 1.0, 2.0))
+            store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
 
 
 FLOAT_FIELDS = ("train_loss", "param_norm", "val_acc", "test_acc")
@@ -152,17 +151,17 @@ FLOAT_VALUES = (
 )
 
 
-def legacy_encoding(line: TrialLine) -> str:
+def legacy_encoding(cell: GridCell, entry: EpochLog, status: str) -> str:
     """A trial line as the generic encoder writes its field dict."""
     payload = {
-        "row": line.row,
-        "col": line.col,
-        "epoch": line.epoch,
-        "train_loss": line.train_loss,
-        "param_norm": line.param_norm,
-        "val_acc": line.val_acc,
-        "test_acc": line.test_acc,
-        "status": line.status,
+        "row": cell.row,
+        "col": cell.col,
+        "epoch": entry.epoch,
+        "train_loss": entry.train_loss,
+        "param_norm": entry.param_norm,
+        "val_acc": entry.val_metric,
+        "test_acc": entry.test_metric,
+        "status": status,
     }
     return encode_json(payload, indent=None)
 
@@ -171,16 +170,16 @@ class TestTrialLineEncoding:
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
     @pytest.mark.parametrize("value", FLOAT_VALUES, ids=repr)
     def test_float_fields_match_generic_encoder(self, field, value):
-        fields = dict(row=1, col=2, epoch=3, train_loss=0.25, param_norm=4.5)
+        fields = dict(train_loss=0.25, param_norm=4.5, val_acc=None, test_acc=None)
         fields[field] = value
-        line = TrialLine(**fields)
-        assert line.to_json() == legacy_encoding(line)
+        line = (GridCell(1, 2), EpochLog(3, *fields.values()), "running")
+        assert _trial_line_text(*line) == legacy_encoding(*line)
 
     @pytest.mark.parametrize("status", ["running", "completed", "stopped_early", "diverged", 'odd "x"'])
     @pytest.mark.parametrize("index", [0, 7, 10**6, 2**62])
     def test_statuses_and_large_indices_match_generic_encoder(self, status, index):
-        line = TrialLine(index, index + 1, 2 * index, math.nan, 1.5, 0.5, None, status)
-        assert line.to_json() == legacy_encoding(line)
+        line = (GridCell(index, index + 1), EpochLog(2 * index, math.nan, 1.5, 0.5, None), status)
+        assert _trial_line_text(*line) == legacy_encoding(*line)
 
 
 class TestLoad:
@@ -219,7 +218,7 @@ class TestLoad:
         grid = small_grid()
         write_full_run(store, "r1", grid, epochs=2)
         path = store.run_dir("r1") / "trials" / "0_0.jsonl"
-        line = TrialLine(0, 0, 2, 1.0, 1.0).to_json()
+        line = _trial_line_text(GridCell(0, 0), EpochLog(2, 1.0, 1.0), "running")
         with open(path, "a") as fh:
             fh.write(line)  # no newline: the writer was cut off
         with pytest.warns(UserWarning, match="unterminated"):
@@ -243,8 +242,8 @@ class TestLoad:
     def test_epoch_gap_is_an_error(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r1", TrialLine(0, 0, 0, 1.0, 2.0))
-        store.append_trial_line("r1", TrialLine(0, 0, 2, 1.0, 2.0))
+        store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
+        store.append_trial_line("r1", GridCell(0, 0), EpochLog(2, 1.0, 2.0), "running")
         with pytest.raises(RunStoreError, match="contiguity"):
             store.load_run("r1")
 
@@ -317,7 +316,9 @@ class TestLoadSchema:
         path.write_bytes(b"\n".join([lines[0], b"", b"", bad, *lines[2:]]))
         for load in (
             lambda: store.load_run("r1"),
-            lambda: RunStore(store.root).append_trial_line("r1", TrialLine(0, 0, 3, 1.0, 2.0)),
+            lambda: RunStore(store.root).append_trial_line(
+                "r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running"
+            ),
         ):
             with pytest.raises(RunStoreError) as info:
                 load()
@@ -554,9 +555,7 @@ class TestResumePlan:
         store.create_run("r1", manifest_for(grid, policy))
         for cell in grid.cells():
             for epoch in range(40):
-                store.append_trial_line(
-                    "r1", TrialLine(cell.row, cell.col, epoch, 1.0, 2.0)
-                )
+                store.append_trial_line("r1", cell, EpochLog(epoch, 1.0, 2.0), "running")
         manifest, records, decisions = store.load_run("r1")
         plan = resume_plan(manifest, records, decisions)
         assert len(plan) == 4
@@ -582,10 +581,7 @@ class TestResumePlan:
             for epoch in range(epochs):
                 final = epoch == epochs - 1 and status != "running"
                 store.append_trial_line(
-                    "r1",
-                    TrialLine(
-                        cell.row, cell.col, epoch, 1.0, 2.0, status=status if final else "running"
-                    ),
+                    "r1", cell, EpochLog(epoch, 1.0, 2.0), status if final else "running"
                 )
         decisions = [
             {"row": 0, "col": 0, "epoch": 2, "decision": "stop", "rung": 2},

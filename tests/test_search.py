@@ -20,7 +20,7 @@ import pytest
 
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
-from twinsearch.runstore import RunStore, TrialLine
+from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch import trainer
 from twinsearch.search import execute_search
@@ -229,19 +229,7 @@ def test_old_format_files_with_metrics_on_every_epoch_load_to_the_same_surfaces(
     for cell, rec in searched.eager.items():
         for entry in rec.epochs:
             last = entry.epoch + 1 == rec.epochs_run
-            store.append_trial_line(
-                "old",
-                TrialLine(
-                    cell.row,
-                    cell.col,
-                    entry.epoch,
-                    entry.train_loss,
-                    entry.param_norm,
-                    entry.val_metric,
-                    entry.test_metric,
-                    rec.status if last else STATUS_RUNNING,
-                ),
-            )
+            store.append_trial_line("old", cell, entry, rec.status if last else STATUS_RUNNING)
     _, old, _ = store.load_run("old")
     _, new, _ = store.load_run("run")
     assert_same_surfaces(

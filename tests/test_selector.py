@@ -54,18 +54,14 @@ class TestRegionStats:
     def test_single_region_mean(self):
         values = np.array([[0.2, 0.4], [0.6, 0.8]])
         norm = normalize_invert(values, np.zeros_like(values, dtype=bool))
-        labels = SegmentLabels(
-            labels=np.zeros((2, 2), dtype=np.int64), n_regions=1, parent=np.zeros((2, 2), dtype=np.int64)
-        )
+        labels = SegmentLabels(labels=np.zeros((2, 2), dtype=np.int64), n_regions=1)
         means = region_stats(norm, labels)
         assert means.shape == (1,)
-        assert means[0] == pytest.approx(np.mean(norm.values))
+        assert means[0] == pytest.approx(np.mean(norm))
 
     def test_two_region_means(self):
         norm = normalize_invert(np.array([[0.0, 0.2], [0.8, 1.0]]), np.zeros((2, 2), dtype=bool))
-        labels = SegmentLabels(
-            labels=np.array([[0, 0], [1, 1]]), n_regions=2, parent=np.zeros((2, 2), dtype=np.int64)
-        )
+        labels = SegmentLabels(labels=np.array([[0, 0], [1, 1]]), n_regions=2)
         means = region_stats(norm, labels)
         assert means[0] > means[1]
 
@@ -73,7 +69,7 @@ class TestRegionStats:
         values = np.array([[0.1, 0.2], [0.3, math.nan]])
         mask = np.array([[False, False], [False, True]])
         norm = normalize_invert(values, mask)
-        labels = quickshift(norm.values, mask, QuickshiftParams(2.0, 2.0))
+        labels = quickshift(norm, mask, QuickshiftParams(2.0, 2.0))
         means = region_stats(norm, labels)
         assert np.isfinite(means).all()
 
