@@ -66,6 +66,13 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
         ["--lr-schedule", "constant", "--momentum", "0.5", "--batch-size", "16"],
         EVAL_OPS,
     ),
+    # Buffer shapes: two hidden layers, a minibatch of 6 after one of 64, and
+    # an HB cohort that shrinks through several stack sizes.
+    "hb-deep-ragged": (
+        ["--hidden", "32,16", "--scheduler", "hb", "--stop-fraction", "0.25", "--n-train", "70",
+         "--batch-size", "64", "--n-lr", "7", "--n-wd", "5"],
+        EVAL_OPS,
+    ),
     # At default Quickshift parameters every recipe above selects from one
     # region; these re-select a 16x16 run with parameters that segment it
     # into several, so linking and labelling are compared too.

@@ -39,7 +39,9 @@ so it is the line an editor shows; the warning for a dropped torn line
 names its place the same way. The line number is worked out only when a
 fault is reported. The manifest and decision log are checked only for what
 is read from them: the manifest must be a JSON object whose ``grid`` and
-``scheduler`` are objects, and each decision line an object, with
+``scheduler`` are objects holding the fields the loaders read (the grid's
+values and bounds, the scheduler's ``kind`` and ``epoch_budget``), and each
+decision line an object, with
 non-negative integer ``row``/``col`` on a ``stop``. A fault raises
 ``RunStoreError`` as ``<path>: <detail>``, or ``<path>: line <N>:
 <detail>`` for a decision line, N counted as for trial files.
@@ -89,6 +91,11 @@ __all__ = [
 TOOL_VERSION = "0.1.0"
 
 _TRIAL_FILE_RE = re.compile(r"^(\d+)_(\d+)\.jsonl$")
+# the manifest objects the loaders read, and the fields read from each
+_MANIFEST_FIELDS = {
+    "grid": ("lr_values", "wd_values", "lr_bounds", "wd_bounds"),
+    "scheduler": ("kind", "epoch_budget"),
+}
 
 
 class RunStoreError(RuntimeError):
@@ -314,12 +321,15 @@ class RunStore:
             raise RunStoreError(f"{path}: corrupt manifest: {exc}") from None
         if type(manifest) is not dict:
             raise RunStoreError(f"{path}: manifest is a JSON {_JSON_KINDS[type(manifest)]}, not an object")
-        for key in ("grid", "scheduler"):
+        for key, fields in _MANIFEST_FIELDS.items():
             if key not in manifest:
                 raise RunStoreError(f"{path}: manifest has no {key!r}")
             if type(manifest[key]) is not dict:
                 kind = _JSON_KINDS[type(manifest[key])]
                 raise RunStoreError(f"{path}: manifest field {key!r} is a JSON {kind}, not an object")
+            for name in fields:
+                if name not in manifest[key]:
+                    raise RunStoreError(f"{path}: manifest field {key!r} has no {name!r}")
         return manifest
 
     def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord], list[dict]]:

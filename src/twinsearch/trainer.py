@@ -20,6 +20,18 @@ in place, and the class-axis max may be taken in any order, since max is
 exact. No sum may be reordered: the class-axis sum stays one
 ``.sum(axis=2)`` reduction, because numpy sums eight or more terms pairwise
 and a running column sum rounds differently.
+
+Training and scoring run in buffers that the search's one ``MLP`` keeps,
+one flat array per role, grown to the largest size asked for: each layer's
+output (shared by training and scoring), the ReLU mask, the gathered
+minibatch and the update scratch. A pass takes ``flat[:size].reshape(shape)``
+views; they are C-contiguous for every shape, so matmul runs as on a fresh
+array (views into one block of the largest shape are strided and slower).
+Each backprop delta overwrites the activation it replaces. Per call, only
+the returned losses and gradients and small (T, B)-sized temporaries are
+allocated: freeing activation-sized arrays on every call made glibc trim
+and re-fault its heap or unmap them, about 80,000 minor page faults in a
+default FIFO ``run`` (under 2,000 now).
 """
 
 from __future__ import annotations
@@ -60,9 +72,10 @@ TERMINAL_STATUSES = frozenset({STATUS_COMPLETED, STATUS_STOPPED_EARLY, STATUS_DI
 
 LR_SCHEDULES = ("cosine", "piecewise", "constant")
 
-# Trials per stacked pass. It bounds the (T, B, width) activations: one
-# unsliced pass over a 30x30 grid raised peak RSS by a third. 16 had the
-# lowest peak RSS and no slower wall time than 8, 32 or 64 (CHANGES.md).
+# Trials per stacked pass. It bounds the (T, B, width) buffers: one
+# unsliced pass over a 30x30 grid raised peak RSS by a third. Of 16, 32 and
+# 64, 16 has the lowest peak RSS; since the passes run in buffers, 32 and 64
+# are faster on an HB 30x30 run, at +0.45 and +0.85 MB (CHANGES.md).
 STACK_SLICE = 16
 
 
@@ -164,15 +177,21 @@ def sgdm_step(
     lr_t: float,
     wd: float,
     momentum: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One momentum-SGD update with L2-coupled decay.
+    g: np.ndarray,
+) -> None:
+    """One momentum-SGD update with L2-coupled decay, in place.
 
     g = grad + wd * theta; v' = momentum * v + g; theta' = theta - lr_t * v'.
-    For a (T, P) stack, lr_t, wd and momentum may be (T, 1) columns.
+    ``theta`` and ``velocity`` are updated in place and ``g`` is scratch of
+    theta's shape. For a (T, P) stack, lr_t, wd and momentum may be (T, 1)
+    columns.
     """
-    g = grad + wd * theta
-    velocity = momentum * velocity + g
-    return theta - lr_t * velocity, velocity
+    np.multiply(wd, theta, out=g)
+    np.add(grad, g, out=g)
+    velocity *= momentum
+    velocity += g
+    np.multiply(lr_t, velocity, out=g)
+    theta -= g
 
 
 def param_l2_norm(theta: np.ndarray) -> float:
@@ -181,7 +200,11 @@ def param_l2_norm(theta: np.ndarray) -> float:
 
 
 class MLP:
-    """ReLU MLP over a flat parameter vector, with exact backprop gradients."""
+    """ReLU MLP over a flat parameter vector, with exact backprop gradients.
+
+    Its passes run in buffers it keeps (see the module doc), so a pass
+    overwrites what the one before it left there.
+    """
 
     def __init__(self, input_dim: int, hidden: tuple[int, ...], n_classes: int):
         self.sizes = [input_dim, *hidden, n_classes]
@@ -194,6 +217,7 @@ class MLP:
             offset += n_out
             self._slices.append((w, b, n_in, n_out))
         self.n_params = offset
+        self._flat: dict[int | str, np.ndarray] = {}  # role -> flat buffer
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         theta = np.zeros(self.n_params)
@@ -209,13 +233,29 @@ class MLP:
             for w, b, n_in, n_out in self._slices
         ]
 
-    def logits(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a = x
+    def _buffer(self, role: int | str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous ``shape`` view of ``role``'s flat buffer, grown to the largest size yet."""
+        size = math.prod(shape)
+        flat = self._flat.get(role)
+        if flat is None or flat.size < size:
+            flat = self._flat[role] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def _forward(self, theta: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        """``x``, each hidden activation and the logits; layer i's output is buffer role i.
+
+        ``theta`` is one (P,) vector with ``x`` (N, D), or a (T, P) stack
+        with ``x`` (T, B, D).
+        """
+        acts = [x]
         layers = self._layers(theta)
-        for wm, bv in layers[:-1]:
-            a = np.maximum(a @ wm + bv, 0.0)
-        wm, bv = layers[-1]
-        return a @ wm + bv
+        for i, (wm, bv) in enumerate(layers):
+            z = np.matmul(acts[i], wm, out=self._buffer(i, (*x.shape[:-1], wm.shape[-1])))
+            z += bv
+            if i < len(layers) - 1:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return acts
 
     def loss_and_grad(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -224,20 +264,10 @@ class MLP:
 
         ``theta`` is (T, P), ``x`` is (T, B, D) and ``y`` is (T, B): row t is
         trial t's minibatch. Each row gets the same bits as a stack of one.
+        The two returned arrays are new; everything else runs in the buffers.
         """
-        layers = self._layers(theta)
-        pre: list[np.ndarray] = []
-        acts = [x]
-        a = x
-        for wm, bv in layers[:-1]:
-            z = a @ wm
-            z += bv
-            pre.append(z)
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-        wm, bv = layers[-1]
-        z = a @ wm
-        z += bv
+        acts = self._forward(theta, x)
+        z = acts.pop()
 
         # a running max is exact; the class-axis sum must stay one reduction
         n_classes = z.shape[2]
@@ -245,9 +275,9 @@ class MLP:
         for c in range(1, n_classes):
             zmax = np.maximum(zmax, z[..., c])
         z -= zmax[..., None]
-        expz = np.exp(z)
-        sums = expz.sum(axis=2)
         picked = np.take_along_axis(z, y[..., None], axis=2)[..., 0]
+        expz = np.exp(z, out=z)  # picked is a copy, read before z is overwritten
+        sums = expz.sum(axis=2)
         t, n = y.shape
         losses = np.mean(np.log(sums) - picked, axis=1)
 
@@ -256,17 +286,21 @@ class MLP:
         delta /= sums[..., None]
         delta -= y[..., None] == np.arange(n_classes)
         delta /= n
-        for i in range(len(layers) - 1, -1, -1):
+        for i in range(len(self._slices) - 1, -1, -1):
             w_sl, b_sl, n_in, n_out = self._slices[i]
-            grad[:, w_sl] = (acts[i].swapaxes(1, 2) @ delta).reshape(t, n_in * n_out)
+            np.matmul(acts[i].swapaxes(1, 2), delta, out=grad[:, w_sl].reshape(t, n_in, n_out))
             grad[:, b_sl] = delta.sum(axis=1)
             if i > 0:
-                delta = delta @ layers[i][0].swapaxes(1, 2)
-                delta *= pre[i - 1] > 0.0
+                # a > 0 exactly where z > 0 (NaN included), so the mask is
+                # taken from the activation, which the delta then overwrites
+                mask = np.greater(acts[i], 0.0, out=self._buffer("mask", acts[i].shape, bool))
+                wm = theta[:, w_sl].reshape(t, n_in, n_out)
+                delta = np.matmul(delta, wm.swapaxes(1, 2), out=acts[i])
+                delta *= mask
         return losses, grad
 
     def accuracy(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.logits(theta, x).argmax(axis=1) == y))
+        return float(np.mean(self._forward(theta, x)[-1].argmax(axis=1) == y))
 
 
 class Cohort:
@@ -282,14 +316,15 @@ class Cohort:
     from here; its row is compacted away before the next step.
 
     The first ``TrialRunner.step_epoch`` call of a round runs ``step``: one
-    epoch for every member, on row slices of ``STACK_SLICE`` members, with
-    no copy of a row per member. Each member's minibatch (from its own
-    permutation) is stacked to (T, B, D); each minibatch is one stacked
-    forward/backward pass and one momentum update with per-row lr and wd;
-    the slice is written back once per epoch. Each call then takes its own
-    train loss and norm. Every live member takes exactly one step per round:
-    a member that steps again before the others have taken theirs, or one
-    that is not at the cohort's epoch, raises ``RuntimeError``.
+    epoch for every member, on row slices of ``STACK_SLICE`` members. A
+    slice's theta and velocity are views of the stacks, updated in place,
+    so no row is copied. Each member's minibatch (from its own permutation)
+    is gathered into the model's (T, B, D) buffer; each minibatch is one
+    stacked forward/backward pass and one in-place momentum update with
+    per-row lr and wd. Each call then takes its own train loss and norm.
+    Every live member takes exactly one step per round: a member that steps
+    again before the others have taken theirs, or one that is not at the
+    cohort's epoch, raises ``RuntimeError``.
     """
 
     def __init__(self, task: SyntheticTask, arch: ArchSpec, config: TrainerConfig, epochs: int):
@@ -372,30 +407,35 @@ class Cohort:
         self._rows = n
 
     def _step_rows(self, rows: slice, runners: list[TrialRunner], lr_t: np.ndarray) -> None:
-        """One epoch for the members in ``rows``, written back to the stacks once."""
+        """One epoch for the members in ``rows``, updated in place in the stacks."""
         model, config = self.model, self.config
         x, y = self.task.train_inputs, self.task.train_labels
         order = np.stack([r.rng.permutation(len(y)) for r in runners])
+        # rows is a slice, so these are views of the stacks
         theta, velocity, wd = self._theta[rows], self._velocity[rows], self._wd[rows]
+        g = model._buffer("g", theta.shape)
         batch_losses = []
         with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
             for start in range(0, len(y), config.batch_size):
                 idx = order[:, start : start + config.batch_size]
-                losses, grad = model.loss_and_grad(theta, x[idx], y[idx])
-                theta, velocity = sgdm_step(theta, velocity, grad, lr_t, wd, config.momentum)
+                # the indices are in range; "clip" lets take write to out unbuffered
+                xb = model._buffer("x", (*idx.shape, x.shape[1]))
+                yb = model._buffer("y", idx.shape, y.dtype)
+                np.take(x, idx, axis=0, out=xb, mode="clip")
+                np.take(y, idx, out=yb, mode="clip")
+                losses, grad = model.loss_and_grad(theta, xb, yb)
+                sgdm_step(theta, velocity, grad, lr_t, wd, config.momentum, g)
                 batch_losses.append(losses)
             train_loss = np.mean(np.stack(batch_losses, axis=1), axis=1)
             # row by row: a norm along axis 1 does not give the same bits
             norms = [param_l2_norm(row) for row in theta]
-        self._theta[rows] = theta
-        self._velocity[rows] = velocity
         self._results.extend(zip(train_loss.tolist(), norms))
 
 
 def _grown(a: np.ndarray, n: int) -> np.ndarray:
     """A zeroed array of twice ``a``'s rows (at least ``STACK_SLICE``), holding its first ``n``."""
-    # freeing outgrown stacks (>= 128 KB) raises glibc's mmap/trim thresholds, which the
-    # training passes run faster under: exact-size stacks slowed a 40x40 build by 23%
+    # the passes no longer lean on the glibc thresholds that freeing these stacks raises:
+    # exact-size stacks now build a 40x40 grid no slower, with 0.8 MB less peak RSS
     out = np.zeros((max(STACK_SLICE, 2 * len(a)), *a.shape[1:]))
     out[:n] = a[:n]
     return out

@@ -263,11 +263,15 @@ class TestSelect:
             ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": "x"})),
             ("manifest.json", lambda text: "[1]"),
             ("manifest.json", lambda text: "{bad"),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": {}})),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {}})),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {"kind": "hb"}})),
             ("decisions.jsonl", lambda text: text + "3\n"),
             ("decisions.jsonl", lambda text: text + '{"decision": "stop"}\n'),
         ],
         ids=[
             "no-scheduler", "no-grid", "grid-string", "manifest-array", "manifest-not-json",
+            "grid-empty", "scheduler-empty", "scheduler-no-budget",
             "decision-number", "stop-without-cell",
         ],
     )

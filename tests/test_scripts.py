@@ -81,6 +81,24 @@ def test_parity_schedule_recipes_train_with_their_settings(tmp_path):
         assert (tmp_path / job["store"] / script.RUN_ID / "eval_report.json").is_file()
 
 
+def test_parity_ragged_recipe_trains_two_layers_on_shrinking_stacks(tmp_path):
+    script = load_script("parity")
+    src = SCRIPTS.parent / "src"
+    jobs = script.build_jobs(["hb-deep-ragged"], [0], None, None)
+    assert script.run_tree(src, tmp_path, jobs) == []
+    run_dir = tmp_path / jobs[0]["store"] / script.RUN_ID
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["arch"] == {"hidden": [32, 16]}
+    # 70 examples in batches of 64: each epoch ends on a minibatch of 6
+    assert (manifest["task"]["n_train"], manifest["trainer"]["batch_size"]) == (70, 64)
+    assert (len(manifest["grid"]["lr_values"]), len(manifest["grid"]["wd_values"])) == (7, 5)
+    budget = manifest["scheduler"]["epoch_budget"]
+    decisions = [json.loads(line) for line in (run_dir / "decisions.jsonl").read_text().splitlines()]
+    # trials stop at two or more rungs before the budget, so the cohort shrinks more than once
+    assert len({d["epoch"] for d in decisions if d["decision"] == "stop" and d["epoch"] < budget}) >= 2
+    assert (run_dir / "eval_report.json").is_file()
+
+
 def test_parity_foreign_recipe_rewrites_trial_files_before_select(tmp_path):
     script = load_script("parity")
     src = SCRIPTS.parent / "src"

@@ -141,6 +141,7 @@ def loop_reference(task, config, cell, lr, wd, epochs, horizon):
     rng = np.random.default_rng(np.random.SeedSequence([config.init_seed, cell.row, cell.col]))
     theta = model.init_params(rng)
     velocity = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
     x, y = task.train_inputs, task.train_labels
     out = []
     with np.errstate(all="ignore"):
@@ -151,7 +152,7 @@ def loop_reference(task, config, cell, lr, wd, epochs, horizon):
                 idx = order[start : start + config.batch_size]
                 loss, grad = model.loss_and_grad(theta[None], x[idx][None], y[idx][None])
                 lr_t = schedule_lr(config.lr_schedule, lr, epoch, horizon)
-                theta, velocity = sgdm_step(theta, velocity, grad[0], lr_t, wd, config.momentum)
+                sgdm_step(theta, velocity, grad[0], lr_t, wd, config.momentum, scratch)
                 losses.append(float(loss[0]))
             out.append((float(np.mean(losses)), float(np.linalg.norm(theta))))
     return out

@@ -36,9 +36,19 @@ def run_to_end(task, arch, lr, wd, epochs, config=TrainerConfig(), cell=GridCell
     return runner.record
 
 
+def logits(model, theta, x):
+    """Logits of one theta on (N, D) inputs, computed unbuffered."""
+    a = x
+    layers = model._layers(theta)
+    for wm, bv in layers[:-1]:
+        a = np.maximum(a @ wm + bv, 0.0)
+    wm, bv = layers[-1]
+    return a @ wm + bv
+
+
 def single_loss(model, theta, x, y):
     """Mean cross-entropy of one trial's minibatch, computed unstacked."""
-    z = model.logits(theta, x)
+    z = logits(model, theta, x)
     z = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     return float(np.mean(lse - z[np.arange(len(y)), y]))
@@ -69,24 +79,31 @@ class TestCosine:
         assert all(schedule_lr("constant", 0.3, t, 10) == 0.3 for t in range(10))
 
 
+def stepped(theta, velocity, grad, lr_t, wd, momentum):
+    """sgdm_step on copies: the new (theta, velocity); the arguments are left as they were."""
+    theta, velocity = theta.copy(), velocity.copy()
+    sgdm_step(theta, velocity, grad, lr_t, wd, momentum, np.empty_like(theta))
+    return theta, velocity
+
+
 class TestSgdmStep:
     def test_plain_sgd(self):
         theta = np.array([1.0, -2.0])
         grad = np.array([0.5, 0.5])
-        new, v = sgdm_step(theta, np.zeros(2), grad, 0.1, 0.0, 0.0)
+        new, v = stepped(theta, np.zeros(2), grad, 0.1, 0.0, 0.0)
         np.testing.assert_allclose(new, theta - 0.1 * grad)
         np.testing.assert_allclose(v, grad)
 
     def test_pure_shrinkage(self):
         theta = np.array([2.0, -3.0])
-        new, _ = sgdm_step(theta, np.zeros(2), np.zeros(2), 0.1, 0.5, 0.0)
+        new, _ = stepped(theta, np.zeros(2), np.zeros(2), 0.1, 0.5, 0.0)
         np.testing.assert_allclose(new, theta * (1 - 0.1 * 0.5))
 
     def test_hand_arithmetic(self):
         theta = np.array([1.0])
         v = np.array([0.5])
         grad = np.array([0.2])
-        new, v2 = sgdm_step(theta, v, grad, 0.1, 0.01, 0.9)
+        new, v2 = stepped(theta, v, grad, 0.1, 0.01, 0.9)
         assert v2[0] == pytest.approx(0.66, abs=1e-15)
         assert new[0] == pytest.approx(0.934, abs=1e-15)
 
@@ -94,7 +111,7 @@ class TestSgdmStep:
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(20)
         grad = rng.standard_normal(20)
-        new, _ = sgdm_step(theta, np.zeros(20), grad, 0.05, 0.3, 0.0)
+        new, _ = stepped(theta, np.zeros(20), grad, 0.05, 0.3, 0.0)
         # algebraically identical; float association differs by <= 1 ulp
         np.testing.assert_allclose(new, theta * (1 - 0.05 * 0.3) - 0.05 * grad, rtol=1e-15)
 
@@ -103,10 +120,24 @@ class TestSgdmStep:
         v = np.zeros(30)
         prev = param_l2_norm(theta)
         for _ in range(10):
-            theta, v = sgdm_step(theta, v, np.zeros(30), 0.2, 0.9, 0.0)
+            theta, v = stepped(theta, v, np.zeros(30), 0.2, 0.9, 0.0)
             now = param_l2_norm(theta)
             assert now < prev
             prev = now
+
+
+    def test_stack_update_has_the_out_of_place_formula_bits(self):
+        # per-row lr and wd columns, as a cohort passes them
+        rng = np.random.default_rng(2)
+        theta, velocity, grad = (rng.standard_normal((5, 40)) for _ in range(3))
+        lr_t, wd = 10.0 ** rng.uniform(-3, 0, size=(2, 5, 1))
+        want_velocity = 0.9 * velocity + (grad + wd * theta)
+        want_theta = theta - lr_t * want_velocity
+        rows, v_rows = theta[1:4], velocity[1:4]  # views, updated in place
+        sgdm_step(rows, v_rows, grad[1:4], lr_t[1:4], wd[1:4], 0.9, np.empty_like(rows))
+        assert theta[1:4].tobytes() == want_theta[1:4].tobytes()
+        assert velocity[1:4].tobytes() == want_velocity[1:4].tobytes()
+        assert not np.array_equal(theta[0], want_theta[0])  # rows outside the views untouched
 
 
 class TestNorm:
@@ -227,6 +258,46 @@ class TestKernelParity:
             assert same_bits(grad, want_grad), f"gradients differ, draw {draw}"
             nan_rows += int(np.isnan(want_losses).sum())
         assert nan_rows > 0  # the rows scaled by 1e200 overflow to NaN losses
+
+
+class TestBufferReuse:
+    """One ``MLP`` across calls whose shapes grow and shrink, as a cohort's passes do."""
+
+    SHAPES = [(16, 32), (5, 7), (16, 22), (1, 1), (16, 32)]  # (trials, batch)
+
+    @pytest.mark.parametrize("hidden", [(32,), (32, 16)])
+    def test_loss_and_grad_matches_the_reference_and_keeps_returned_arrays(self, hidden):
+        rng = np.random.default_rng(len(hidden))
+        model = MLP(6, hidden, 3)
+        returned = []
+        for t, b in self.SHAPES:
+            theta = rng.standard_normal((t, model.n_params))
+            x = rng.standard_normal((t, b, 6))
+            y = rng.integers(0, 3, size=(t, b))
+            losses, grad = model.loss_and_grad(theta, x, y)
+            want_losses, want_grad = reference_loss_and_grad(model.sizes, theta, x, y)
+            assert same_bits(losses, want_losses) and same_bits(grad, want_grad), (t, b)
+            returned.append((losses, grad, want_losses, want_grad))
+        # later calls wrote nothing into what an earlier call returned
+        for losses, grad, want_losses, want_grad in returned:
+            assert same_bits(losses, want_losses) and same_bits(grad, want_grad)
+
+    @pytest.mark.parametrize("hidden", [(32,), (32, 16)])
+    def test_accuracy_matches_an_unbuffered_argmax(self, hidden):
+        rng = np.random.default_rng(7)
+        model = MLP(6, hidden, 3)
+        theta = model.init_params(rng)
+        scores = []
+        for n in (2000, 30, 2000):
+            x = rng.standard_normal((n, 6))
+            y = rng.integers(0, 3, size=n)
+            want = float(np.mean(logits(model, theta, x).argmax(axis=1) == y))
+            assert model.accuracy(theta, x, y) == want, n
+            scores.append(want)
+            # a training pass in between shares the buffers
+            x_batch = rng.standard_normal((4, 9, 6))
+            model.loss_and_grad(np.stack([theta] * 4), x_batch, y[None, :9].repeat(4, 0))
+        assert len(set(scores)) > 1
 
 
 class TestRunTrial:
