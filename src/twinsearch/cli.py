@@ -16,14 +16,13 @@ pipeline itself never touches them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .grid import GridCell, HyperGrid, build_log_grid
+from .grid import HyperGrid, build_log_grid
 from .matrices import assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunNotFoundError, RunStore, RunStoreError, resume_plan
@@ -218,6 +217,8 @@ def _cmd_select(args) -> int:
 
 def _cmd_baseline(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods or len(set(methods)) < len(methods):
+        raise UsageError(f"--methods names no baseline method, or one twice: {args.methods!r}")
     known = {METHOD_SELTS, METHOD_SELVS, METHOD_ORACLE}
     unknown = [m for m in methods if m not in known]
     if unknown:
@@ -273,13 +274,7 @@ def _cmd_plot(args) -> int:
     store = _store(args)
     manifest, records, _decisions, grid = _load_complete_run(store, args.run_id)
     mats = store.load_matrices(args.run_id)
-    sel_path = store.run_dir(args.run_id) / "selection.json"
-    if not sel_path.exists():
-        raise PipelineError(f"missing artifact: {sel_path}")
-    sel_doc = json.loads(sel_path.read_text(encoding="utf-8"))
-    cell = GridCell(sel_doc["selection"]["cell"]["row"], sel_doc["selection"]["cell"]["col"])
-    shape = tuple(sel_doc["shape"])
-    labels = np.array(sel_doc["labels"], dtype=np.int64).reshape(shape)
+    cell, region, labels = store.load_selection(args.run_id)
 
     if args.target == "psi":
         svg = heatmap_svg(
@@ -303,7 +298,6 @@ def _cmd_plot(args) -> int:
         surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
         if not np.any(np.isfinite(surfaces.test_acc)):
             raise PipelineError(f"run {args.run_id!r} has no test metrics to scatter")
-        region = sel_doc["selection"]["region_id"]
         member = labels == region
         norms, accs, highlight = [], [], None
         for i, (r, c) in enumerate(zip(*np.nonzero(member))):

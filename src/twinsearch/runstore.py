@@ -37,14 +37,16 @@ that is not JSON, raises ``RunStoreError`` as ``<path>: line <N>:
 <detail>``, N counting every line of the file from 1, blank ones included,
 so it is the line an editor shows; the warning for a dropped torn line
 names its place the same way. The line number is worked out only when a
-fault is reported. The manifest and decision log are checked only for what
-is read from them: the manifest must be a JSON object whose ``grid`` and
-``scheduler`` are objects holding the fields the loaders read (the grid's
-values and bounds, the scheduler's ``kind`` and ``epoch_budget``), and each
-decision line an object, with
-non-negative integer ``row``/``col`` on a ``stop``. A fault raises
-``RunStoreError`` as ``<path>: <detail>``, or ``<path>: line <N>:
-<detail>`` for a decision line, N counted as for trial files.
+fault is reported. The other files are checked only for what is read from
+them: the manifest must be a JSON object whose ``grid`` and ``scheduler``
+are objects holding the fields the loaders read (the grid's values and
+bounds, the scheduler's ``kind`` and ``epoch_budget``); each decision line
+an object, with non-negative integer ``row``/``col`` on a ``stop``; and
+``matrices.json`` and ``selection.json`` objects with the grid's ``shape``,
+one value per cell in each array read, and the pick's integer cell and
+region. A fault raises ``RunStoreError`` as ``<path>: <detail>``,
+or ``<path>: line <N>: <detail>`` for a decision line, N counted as for
+trial files. A run id must name one directory inside the store root.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
@@ -91,6 +93,7 @@ __all__ = [
 TOOL_VERSION = "0.1.0"
 
 _TRIAL_FILE_RE = re.compile(r"^(\d+)_(\d+)\.jsonl$")
+_SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
 # the manifest objects the loaders read, and the fields read from each
 _MANIFEST_FIELDS = {
     "grid": ("lr_values", "wd_values", "lr_bounds", "wd_bounds"),
@@ -205,6 +208,9 @@ class RunStore:
         self._epoch_cache: dict[tuple[str, int, int], int] = {}
 
     def run_dir(self, run_id: str) -> Path:
+        """``root/run_id``; an id that would name the root, a parent or a nested path is refused."""
+        if run_id in ("", ".", "..") or any(sep in run_id for sep in _SEPARATORS):
+            raise RunStoreError(f"run id {run_id!r} must name one directory inside {self.root}")
         return self.root / run_id
 
     # -- writing ----------------------------------------------------------
@@ -272,20 +278,10 @@ class RunStore:
         self._write_text(self.run_dir(run_id) / "matrices.json", encode_json(payload) + "\n")
 
     def load_matrices(self, run_id: str):
-        import numpy as np
-
         from .matrices import LogMatrices
 
-        path = self.run_dir(run_id) / "matrices.json"
-        if not path.exists():
-            raise RunStoreError(f"missing artifact: {path}")
-        d = json.loads(path.read_text(encoding="utf-8"))
-        shape = tuple(d["shape"])
-        psi = np.array([_decode_float(v) for v in d["psi"]]).reshape(shape)
-        theta = np.array([_decode_float(v) for v in d["theta"]]).reshape(shape)
-        valid = np.array(d["valid_mask"], dtype=bool).reshape(shape)
-        epochs = np.array(d["epochs_run"], dtype=np.int64).reshape(shape)
-        return LogMatrices(psi=psi, theta=theta, valid_mask=valid, epochs_run=epochs)
+        dtypes = {"psi": float, "theta": float, "valid_mask": bool, "epochs_run": "int64"}
+        return LogMatrices(**self._load_artifact(run_id, "matrices.json", dtypes)[2])
 
     def write_selection(self, run_id: str, artifacts) -> None:
         sel = artifacts.selection
@@ -300,6 +296,17 @@ class RunStore:
         }
         self._write_text(self.run_dir(run_id) / "selection.json", encode_json(payload) + "\n")
 
+    def load_selection(self, run_id: str):
+        """The stored twin pick's cell and region id, and the region label of every cell."""
+        path, d, arrays = self._load_artifact(run_id, "selection.json", {"labels": "int64"}, ("selection",))
+        sel = d["selection"]
+        cell = sel.get("cell") if type(sel) is dict else None
+        fields = (cell.get("row"), cell.get("col"), sel.get("region_id")) if type(cell) is dict else ()
+        if not (fields and all(type(v) is int for v in fields)):
+            raise RunStoreError(f"{path}: 'selection' needs integer cell 'row', 'col' and 'region_id'")
+        row, col, region_id = fields
+        return GridCell(row, col), region_id, arrays["labels"]
+
     def write_baselines(self, run_id: str, selections: Iterable) -> None:
         payload = {"selections": [s.to_dict() for s in selections]}
         self._write_text(self.run_dir(run_id) / "baselines.json", encode_json(payload) + "\n")
@@ -311,25 +318,39 @@ class RunStore:
 
     # -- loading ----------------------------------------------------------
 
+    def _load_artifact(self, run_id: str, name: str, dtypes: dict, fields: tuple[str, ...] = ()):
+        """(path, object, arrays) of artifact ``name``: a JSON object holding
+        ``fields``, the run grid's ``shape`` and, for each ``dtypes`` key, a
+        list of one value per cell, returned as an array of that shape."""
+        import numpy as np
+
+        path = self.run_dir(run_id) / name
+        if not path.exists():
+            raise RunNotFoundError(f"missing artifact: {path}")
+        d = _checked_object(path, "artifact", _read_json(path), ("shape", *dtypes, *fields))
+        shape = _grid_shape(self.load_manifest(run_id))
+        if d["shape"] != list(shape):
+            raise RunStoreError(f"{path}: 'shape' is {d['shape']!r}, not the grid's {list(shape)}")
+        arrays = {}
+        for key, dtype in dtypes.items():
+            values = d[key]
+            if type(values) is not list or len(values) != shape[0] * shape[1]:
+                raise RunStoreError(f"{path}: {key!r} is not a list of one value per cell of {shape}")
+            try:
+                if dtype is float:
+                    values = [_decode_float(v) for v in values]
+                arrays[key] = np.array(values, dtype=dtype).reshape(shape)
+            except (RunStoreError, TypeError, ValueError) as exc:
+                raise RunStoreError(f"{path}: {key!r}: {exc}") from None
+        return path, d, arrays
+
     def load_manifest(self, run_id: str) -> dict:
         path = self.run_dir(run_id) / "manifest.json"
         if not path.exists():
             raise RunNotFoundError(f"run {run_id!r} has no manifest at {path}")
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise RunStoreError(f"{path}: corrupt manifest: {exc}") from None
-        if type(manifest) is not dict:
-            raise RunStoreError(f"{path}: manifest is a JSON {_JSON_KINDS[type(manifest)]}, not an object")
+        manifest = _checked_object(path, "manifest", _read_json(path), _MANIFEST_FIELDS)
         for key, fields in _MANIFEST_FIELDS.items():
-            if key not in manifest:
-                raise RunStoreError(f"{path}: manifest has no {key!r}")
-            if type(manifest[key]) is not dict:
-                kind = _JSON_KINDS[type(manifest[key])]
-                raise RunStoreError(f"{path}: manifest field {key!r} is a JSON {kind}, not an object")
-            for name in fields:
-                if name not in manifest[key]:
-                    raise RunStoreError(f"{path}: manifest field {key!r} has no {name!r}")
+            _checked_object(path, f"manifest field {key!r}", manifest[key], fields)
         return manifest
 
     def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord], list[dict]]:
@@ -444,6 +465,23 @@ class RunStore:
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, path)
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RunStoreError(f"{path}: not JSON: {exc}") from None
+
+
+def _checked_object(path: Path, name: str, d, fields: Iterable[str]) -> dict:
+    """``d``, a JSON object holding ``fields``; a fault names ``path`` and ``name``."""
+    if type(d) is not dict:
+        raise RunStoreError(f"{path}: {name} is a JSON {_JSON_KINDS[type(d)]}, not an object")
+    for key in fields:
+        if key not in d:
+            raise RunStoreError(f"{path}: {name} has no {key!r}")
+    return d
 
 
 def _check_decisions(path: str, decisions: list) -> None:

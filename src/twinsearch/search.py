@@ -4,14 +4,14 @@ Drives every grid cell's trial in lockstep epoch rounds on one thread: each
 round advances all alive trials by one epoch in cell order, then hands the
 whole round to the scheduler in one ``Schedule.decide`` call, so rung
 outcomes resolve within the round and each trial line carries the status
-its epoch ended with. All trials share one ``Cohort``, which holds the
-task, the model, the ``TrainerConfig``, the epoch horizon (the scheduler's
-budget, the one epoch budget of the search) and every alive trial's
-parameters, velocity, lr0 and wd as rows of its stacks. A round's epoch is
-computed as stacked passes over row slices of those stacks, bit for bit
-what each trial would compute alone. A trial leaves the cohort when it
-ends, and the search drops its runner then, so only alive trials' state is
-held; the records of all trials are kept.
+its epoch ended with. All trials share one ``Cohort``, built with every
+cell's trial, which holds the task, the model, the ``TrainerConfig``, the
+epoch horizon (the scheduler's budget, the one epoch budget of the search)
+and every alive trial's parameters, velocity, lr0 and wd as rows of its
+stacks. A round's epoch is computed as stacked passes over row slices of
+those stacks, bit for bit what each trial would compute alone. A trial
+leaves the cohort when it ends, and the search drops its runner then, so
+only alive trials' state is held; the records of all trials are kept.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
@@ -21,7 +21,7 @@ metrics included, when it ends.
 
 from __future__ import annotations
 
-from .grid import GridCell, HyperGrid, cell_params
+from .grid import GridCell, HyperGrid, cell_params, slice_grid
 from .matrices import assemble, metric_window
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunStore
@@ -36,7 +36,6 @@ from .trainer import (
     Cohort,
     TrainerConfig,
     TrialRecord,
-    TrialRunner,
 )
 
 __all__ = ["execute_search", "run_and_store", "select_and_store", "slice_records"]
@@ -62,9 +61,10 @@ def execute_search(
     """
     schedule = Schedule(policy, grid.n_trials)
     window = metric_window(policy.kind)
-    cohort = Cohort(task, arch, config, policy.epoch_budget)
+    trials = [(cell, *cell_params(grid, cell)) for cell in grid.cells()]
+    cohort = Cohort(task, arch, config, policy.epoch_budget, window, trials)
     # in cell order; an ended runner is dropped, which frees its kept theta
-    alive = [TrialRunner(cohort, cell, *cell_params(grid, cell), window) for cell in grid.cells()]
+    alive = list(cohort.members)
     records: dict[GridCell, TrialRecord] = {r.cell: r.record for r in alive}
     persist = store is not None and run_id is not None
     decisions_written = 0
@@ -120,8 +120,6 @@ def slice_records(
     wd_stride: int,
 ) -> tuple[dict[GridCell, TrialRecord], HyperGrid]:
     """Subset a finished run to every stride-th grid line, reindexing cells."""
-    from .grid import slice_grid
-
     sub_grid = slice_grid(grid, lr_stride, wd_stride)
     sub_records: dict[GridCell, TrialRecord] = {}
     for row in range(sub_grid.n_wd):

@@ -8,10 +8,10 @@ means). The logged norm covers all trainable parameters, biases included.
 Val/test accuracy is not computed per epoch: a trial scores its last few
 finite epochs once, when it reaches a terminal status.
 
-The trials of one search form a ``Cohort``, which owns their parameters
-and steps them together in stacked passes. Every row of a pass is computed
-exactly as a lone trial's would be, so results do not depend on who else is
-in the cohort.
+The trials of one search form a ``Cohort``, built with all of them, which
+owns their parameters and steps them together in stacked passes. Every row
+of a pass is computed exactly as a lone trial's would be, so results do not
+depend on who else is in the cohort.
 
 ``MLP.loss_and_grad`` gives the bits of the frozen reference kernel in
 ``tests/kernel_oracle.py`` (NaN payloads aside). Element-wise steps (bias
@@ -306,66 +306,55 @@ class MLP:
 class Cohort:
     """The trials of one search and their state, stepped one epoch per round.
 
-    It owns what the trials share (the task, the one ``MLP``, the
-    ``TrainerConfig`` and the epoch horizon ``epochs``) and the state of
-    every live trial: theta and velocity as two persistent (T, P) stacks,
-    lr0 and wd as (T, 1) columns, one row per member in join order. A runner
-    joins when it is made and keeps the index of its row, its slot. When it
-    ends (completed, diverged or finished) it copies out its final theta and
-    leaves the member list at once, so an ended runner is not referenced
-    from here; its row is compacted away before the next step.
+    It is built with all its trials, ``(cell, lr0, wd)`` in slot order. It
+    owns what they share (the task, the one ``MLP``, the ``TrainerConfig``,
+    the epoch horizon ``epochs`` and ``metric_window``, the last finite
+    epochs an ended trial scores, 0 on a task with nothing to score) and
+    every live trial's state: theta and velocity as two (T, P) stacks and
+    lr0 and wd as (T, 1) columns, allocated once, one row per trial. It
+    makes each trial's ``TrialRunner``, which keeps its row index, its slot;
+    the live runners are ``members``, in slot order. An ended runner copies
+    out its final theta and leaves ``members`` at once, so it is not
+    referenced from here; its row is compacted away before the next step.
 
-    The first ``TrialRunner.step_epoch`` call of a round runs ``step``: one
-    epoch for every member, on row slices of ``STACK_SLICE`` members. A
-    slice's theta and velocity are views of the stacks, updated in place,
-    so no row is copied. Each member's minibatch (from its own permutation)
-    is gathered into the model's (T, B, D) buffer; each minibatch is one
-    stacked forward/backward pass and one in-place momentum update with
-    per-row lr and wd. Each call then takes its own train loss and norm.
-    Every live member takes exactly one step per round: a member that steps
-    again before the others have taken theirs, or one that is not at the
-    cohort's epoch, raises ``RuntimeError``.
+    The first ``TrialRunner.step_epoch`` call of a round (its trial is at
+    ``epoch``) runs ``step``: one epoch for every member, on row slices of
+    ``STACK_SLICE`` members. A slice's theta and velocity are views of the
+    stacks, updated in place. Each member's minibatch (from its own
+    permutation) is gathered into the model's (T, B, D) buffer; each
+    minibatch is one stacked forward/backward pass and one in-place
+    momentum update with per-row lr and wd. Every call then reads its own
+    train loss and norm from the round's results. ``step`` refuses to run
+    while a member is behind, so each is at ``epoch`` or one before it.
     """
 
-    def __init__(self, task: SyntheticTask, arch: ArchSpec, config: TrainerConfig, epochs: int):
+    def __init__(self, task: SyntheticTask, arch: ArchSpec, config: TrainerConfig, epochs: int,
+                 metric_window: int, trials: list[tuple[GridCell, float, float]]):
         self.task = task
         self.model = MLP(task.input_dim, arch.hidden, task.n_classes)
         self.config = config
         self.epochs = epochs
+        self.metric_window = metric_window if task.n_val or task.n_test else 0
         self.epoch = 0  # epochs stepped so far
-        self._members: dict[TrialRunner, None] = {}  # live runners in join order, so in slot order
-        self._rows = 0  # rows in use: the members', and those of ended runners until compacted
-        n_params = self.model.n_params
-        self._theta = np.empty((0, n_params))
-        self._velocity = np.empty((0, n_params))
-        self._lr0 = np.empty((0, 1))
-        self._wd = np.empty((0, 1))
+        n = self._rows = len(trials)  # rows in use: the members', and ended ones' until compacted
+        self._theta = np.empty((n, self.model.n_params))
+        self._velocity = np.zeros((n, self.model.n_params))
+        self._lr0 = np.array([lr0 for _, lr0, _ in trials], dtype=np.float64).reshape(n, 1)
+        self._wd = np.array([wd for _, _, wd in trials], dtype=np.float64).reshape(n, 1)
         self._results: list[tuple[float, float]] = []  # (train_loss, norm) of this round, by slot
-
-    def join(self, runner: TrialRunner, theta: np.ndarray, lr0: float, wd: float) -> int:
-        """Add ``runner`` with its initial theta, zero velocity, lr0 and wd; returns its slot."""
-        slot = self._rows
-        if slot == len(self._theta):
-            # capacity doubles, so T joins copy O(T) rows in all
-            self._theta, self._velocity, self._lr0, self._wd = (
-                _grown(a, slot) for a in (self._theta, self._velocity, self._lr0, self._wd)
-            )
-        self._theta[slot] = theta
-        self._velocity[slot] = 0.0
-        self._lr0[slot] = lr0
-        self._wd[slot] = wd
-        self._rows += 1
-        self._members[runner] = None
-        return slot
+        self.members: dict[TrialRunner, None] = {
+            TrialRunner(self, slot, cell): None for slot, (cell, _, _) in enumerate(trials)
+        }
 
     def leave(self, runner: TrialRunner) -> None:
-        del self._members[runner]
+        del self.members[runner]
 
-    def step(self, caller: TrialRunner) -> None:
-        """Run the next epoch for every live member; each then takes its results."""
-        live = list(self._members)
-        if caller.record.epochs_run != self.epoch or not all(r._taken for r in live):
-            raise RuntimeError(f"trial {caller.cell} stepped out of lockstep with its cohort")
+    def step(self) -> None:
+        """Run the next epoch for every live member; each then reads its results."""
+        live = list(self.members)
+        behind = next((r for r in live if r.record.epochs_run != self.epoch), None)
+        if behind is not None:
+            raise RuntimeError(f"trial {behind.cell} stepped out of lockstep with its cohort")
         self._compact(live)
         n = len(live)
         # schedule_lr's operations on the whole column, so each row gets a lone trial's bits
@@ -375,18 +364,9 @@ class Cohort:
             rows = slice(start, min(start + STACK_SLICE, n))
             self._step_rows(rows, live[rows], lr_t[rows])
         self.epoch += 1
-        for r in live:
-            r._taken = False
-
-    def take(self, runner: TrialRunner) -> tuple[float, float]:
-        """(train_loss, norm) of ``runner``'s epoch this round."""
-        if runner.record.epochs_run + 1 != self.epoch:
-            raise RuntimeError(f"trial {runner.cell} stepped out of lockstep with its cohort")
-        runner._taken = True
-        return self._results[runner._slot]
 
     def _compact(self, live: list[TrialRunner]) -> None:
-        """Close the rows that ended runners left, keeping the members' join order.
+        """Close the rows that ended runners left, keeping the members' slot order.
 
         Rows move up in chunks of ``STACK_SLICE``, so no move holds more than
         a chunk's copy: a chunk's source rows lie at or after its target rows
@@ -432,44 +412,33 @@ class Cohort:
         self._results.extend(zip(train_loss.tolist(), norms))
 
 
-def _grown(a: np.ndarray, n: int) -> np.ndarray:
-    """A zeroed array of twice ``a``'s rows (at least ``STACK_SLICE``), holding its first ``n``."""
-    # the passes no longer lean on the glibc thresholds that freeing these stacks raises:
-    # exact-size stacks now build a 40x40 grid no slower, with 0.8 MB less peak RSS
-    out = np.zeros((max(STACK_SLICE, 2 * len(a)), *a.shape[1:]))
-    out[:n] = a[:n]
-    return out
-
-
 class TrialRunner:
     """One trial: its cell, its random stream, its record and its slot in the cohort.
 
-    Batch order and initialization derive from (init_seed, cell), so every
-    trial is an independent, replayable stream. Its theta, velocity, lr0 and wd
-    are rows of its ``cohort``'s stacks (see ``Cohort``); ``theta`` is a view
-    of its row while it is alive and a copy of its final row once it ends.
+    Its ``cohort`` makes it. Batch order and initialization derive from
+    (init_seed, cell), so every trial is an independent, replayable stream.
+    Its theta, velocity, lr0 and wd are rows of the cohort's stacks (see
+    ``Cohort``); ``theta`` is a view of its row while it is alive and a copy
+    of its final row once it ends.
 
     Val/test accuracy is computed when the trial reaches a terminal status
-    (completed, diverged, or ``finish``), for its last ``metric_window``
-    finite epochs. Other epochs keep ``None`` metrics. A task with no val or
-    test set keeps no parameters.
+    (completed, diverged, or ``finish``), for its last
+    ``cohort.metric_window`` finite epochs. Other epochs keep ``None``
+    metrics. A task with no val or test set keeps no parameters.
     """
 
-    def __init__(self, cohort: Cohort, cell: GridCell, lr: float, wd: float, metric_window: int):
+    def __init__(self, cohort: Cohort, slot: int, cell: GridCell):
         self.cohort = cohort
         self.cell = cell
         self.rng = np.random.default_rng(
             np.random.SeedSequence([cohort.config.init_seed, cell.row, cell.col])
         )
         self.record = TrialRecord(cell=cell)
-        task = cohort.task
         # (epoch, theta) of the last finite epochs, scored when the trial ends
-        self._recent: deque[tuple[int, np.ndarray]] = deque(
-            maxlen=metric_window if task.n_val or task.n_test else 0
-        )
-        self._taken = True  # this round's results taken (none yet to take)
+        self._recent: deque[tuple[int, np.ndarray]] = deque(maxlen=cohort.metric_window)
         self._final: np.ndarray | None = None  # theta once ended
-        self._slot = cohort.join(self, cohort.model.init_params(self.rng), lr, wd)
+        self._slot = slot
+        cohort._theta[slot] = cohort.model.init_params(self.rng)
 
     @property
     def theta(self) -> np.ndarray:
@@ -507,15 +476,15 @@ class TrialRunner:
     def step_epoch(self) -> EpochLog:
         """Run one epoch; logs loss and norm and flags divergence on non-finite values.
 
-        The first call of a round steps the whole cohort; every call takes
+        The first call of a round steps the whole cohort; every call reads
         its own results. Metrics stay ``None`` until the epoch that ends the
         trial; see the class doc.
         """
         if self.done:
             raise RuntimeError(f"trial {self.cell} already finished ({self.record.status})")
-        if self._taken:
-            self.cohort.step(self)
-        train_loss, norm = self.cohort.take(self)
+        if self.record.epochs_run == self.cohort.epoch:
+            self.cohort.step()
+        train_loss, norm = self.cohort._results[self._slot]
         epoch = self.record.epochs_run
         self.record.epochs.append(EpochLog(epoch, train_loss, norm))
         if not (math.isfinite(train_loss) and math.isfinite(norm)):

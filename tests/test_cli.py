@@ -119,6 +119,23 @@ class TestRun:
         assert run_cli(tmp_path, "run", "--run-id", "dup", *RUN_FLAGS) == 3
 
 
+def tree(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+@pytest.mark.parametrize("command", ["run", "select"])
+@pytest.mark.parametrize("run_id", ["", ".", "..", "../esc", "a/b", "ABSOLUTE"])
+def test_run_id_outside_the_store_root_is_a_storage_error(tmp_path, capsys, command, run_id):
+    if run_id == "ABSOLUTE":
+        run_id = str(tmp_path / "esc")
+    (tmp_path / "runs").mkdir()
+    before = tree(tmp_path)
+    args = ["run", "--run-id", run_id, *RUN_FLAGS] if command == "run" else ["select", run_id]
+    assert run_cli(tmp_path, *args) == 3
+    assert capsys.readouterr().err.startswith(f"storage error: run id {run_id!r} must name one directory")
+    assert tree(tmp_path) == before
+
+
 def without(manifest_text, key):
     """The manifest's JSON text with ``key`` removed."""
     doc = json.loads(manifest_text)
@@ -333,6 +350,18 @@ class TestBaselineAndEval:
     def test_eval_without_flag_is_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "eval", "whatever") == 1
 
+    @pytest.mark.parametrize("methods", [",", " , ", "selts,selts", "selts, selvs,selts"])
+    def test_empty_or_repeated_methods_are_usage_errors_and_keep_the_baselines(
+        self, tmp_path, capsys, methods
+    ):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        assert run_cli(tmp_path, "baseline", "r", "--methods", "selts,selvs") == 0
+        stored = artifact(tmp_path, "r", "baselines.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "baseline", "r", "--methods", methods) == 1
+        assert capsys.readouterr().err.startswith("usage error: --methods names")
+        assert artifact(tmp_path, "r", "baselines.json").read_bytes() == stored
+
 
 class TestPlot:
     @pytest.fixture()
@@ -359,6 +388,45 @@ class TestPlot:
         run_cli(completed_run, "plot", "r", "--target", "labels", "--out", str(out_a))
         run_cli(completed_run, "plot", "r", "--target", "labels", "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, fault",
+        [
+            ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "cell": None}}),
+            ("selection.json", lambda doc: {**doc, "selection": {"cell": {"row": 0}}}),
+            ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "region_id": "1"}}),
+            ("selection.json", lambda doc: {k: v for k, v in doc.items() if k != "labels"}),
+            ("selection.json", lambda doc: {**doc, "labels": doc["labels"][:-1]}),
+            ("selection.json", lambda doc: {**doc, "shape": [5]}),
+            ("selection.json", lambda doc: {**doc, "shape": [1, 25]}),
+            ("selection.json", lambda doc: [doc]),
+            ("selection.json", None),
+            ("matrices.json", lambda doc: {k: v for k, v in doc.items() if k != "psi"}),
+            ("matrices.json", lambda doc: {**doc, "theta": doc["theta"] + [1.0]}),
+            ("matrices.json", lambda doc: {**doc, "psi": ["x"] * len(doc["psi"])}),
+            ("matrices.json", lambda doc: {**doc, "shape": [5, "5"]}),
+            ("matrices.json", None),
+        ],
+        ids=[
+            "selection-no-cell", "selection-no-col", "selection-region-string", "selection-no-labels",
+            "selection-short-labels", "selection-one-axis", "selection-not-the-grid", "selection-array",
+            "selection-truncated",
+            "matrices-no-psi", "matrices-long-theta", "matrices-bad-float", "matrices-string-axis",
+            "matrices-truncated",
+        ],
+    )
+    def test_malformed_artifact_is_a_storage_error(self, completed_run, tmp_path, capsys, name, fault):
+        path = artifact(completed_run, "r", name)
+        text = path.read_text()
+        # None: the file is cut in half, as by a crash while writing it
+        path.write_text(text[: len(text) // 2] if fault is None else json.dumps(fault(json.loads(text))))
+        out = tmp_path / "x.svg"
+        capsys.readouterr()
+        assert run_cli(completed_run, "plot", "r", "--target", "labels", "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"storage error: {path}: ")
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_missing_artifact_exit_2(self, tmp_path):
         assert run_cli(tmp_path, "plot", "ghost", "--target", "psi", "--out", str(tmp_path / "x.svg")) == 2

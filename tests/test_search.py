@@ -36,7 +36,6 @@ from twinsearch.trainer import (
     EpochLog,
     TrainerConfig,
     TrialRecord,
-    TrialRunner,
     schedule_lr,
     sgdm_step,
 )
@@ -68,8 +67,9 @@ def eager_records(records, grid, task, policy):
     """
     out = {}
     for cell, rec in records.items():
-        cohort = Cohort(task, ARCH, CONFIG, policy.epoch_budget)
-        runner = TrialRunner(cohort, cell, *cell_params(grid, cell), metric_window(policy.kind))
+        trial = (cell, *cell_params(grid, cell))
+        cohort = Cohort(task, ARCH, CONFIG, policy.epoch_budget, metric_window(policy.kind), [trial])
+        (runner,) = cohort.members
         model = cohort.model
         epochs = []
         for _ in range(rec.epochs_run):
@@ -254,28 +254,23 @@ def test_valfree_task_never_scores(monkeypatch):
     )
 
 
-def _runner(cohort, cell=(0, 0)):
-    return TrialRunner(cohort, GridCell(*cell), 0.1, 0.0, 1)
+def _runners(epochs, cells, task=None, arch=ARCH):
+    """The runners, in slot order, of a new cohort with a trial at lr 0.1, wd 0 on each cell."""
+    trials = [(GridCell(*cell), 0.1, 0.0) for cell in cells]
+    return list(Cohort(task or TASK_SPEC.make(), arch, CONFIG, epochs, 1, trials).members)
 
 
 def test_cohort_raises_when_a_member_steps_out_of_lockstep():
-    cohort = Cohort(TASK_SPEC.make(), ARCH, CONFIG, 3)
-    a, b = _runner(cohort), _runner(cohort, cell=(0, 1))
+    a, b = _runners(3, [(0, 0), (0, 1)])
     a.step_epoch()
-    with pytest.raises(RuntimeError, match="lockstep"):
+    with pytest.raises(RuntimeError, match=r"trial GridCell\(row=0, col=1\) stepped out of lockstep"):
         a.step_epoch()  # b has not taken its step of this round
     b.step_epoch()
     a.step_epoch()  # next round
-    late = _runner(cohort, cell=(1, 0))
-    with pytest.raises(RuntimeError, match="lockstep"):
-        late.step_epoch()  # at epoch 0 while a is at epoch 2
 
 
 def test_ended_runners_are_freed_without_the_cycle_collector():
-    cohort = Cohort(TASK_SPEC.make(), ARCH, CONFIG, 2)
-    completes = _runner(cohort)
-    stopped = _runner(cohort, cell=(0, 1))
-    survivor = _runner(cohort, cell=(0, 2))
+    completes, stopped, survivor = _runners(2, [(0, 0), (0, 1), (0, 2)])
     for runner in (completes, stopped, survivor):
         runner.step_epoch()
     stopped.finish(STATUS_STOPPED_EARLY)
@@ -300,8 +295,8 @@ def test_survivors_match_the_loop_after_a_rung_compacts_the_stack(monkeypatch, s
     grid = build_log_grid(1e-3, 1.0, 4, 1e-4, 1e-1, 3)
     task = TASK_SPEC.make()
     horizon = 4
-    cohort = Cohort(task, ARCH, config, horizon)
-    runners = [TrialRunner(cohort, cell, *cell_params(grid, cell), 1) for cell in grid.cells()]
+    trials = [(cell, *cell_params(grid, cell)) for cell in grid.cells()]
+    runners = list(Cohort(task, ARCH, config, horizon, 1, trials).members)
     for runner in runners:
         runner.step_epoch()
     # a rung stops every other trial; the survivors' rows move up at the next step
@@ -320,8 +315,7 @@ def test_survivors_match_the_loop_after_a_rung_compacts_the_stack(monkeypatch, s
 
 
 def test_an_ended_trial_keeps_its_last_row():
-    cohort = Cohort(TASK_SPEC.make(), ARCH, CONFIG, 4)
-    runners = [_runner(cohort, cell=(0, col)) for col in range(4)]
+    runners = _runners(4, [(0, col) for col in range(4)])
     for runner in runners:
         runner.step_epoch()
     ended = runners[1]
@@ -343,8 +337,7 @@ def test_a_round_holds_no_second_copy_of_trial_state():
     trials = 400
     tracemalloc.start()
     try:
-        cohort = Cohort(task, arch, CONFIG, 3)
-        runners = [_runner(cohort, cell=divmod(i, 20)) for i in range(trials)]
+        runners = _runners(3, [divmod(i, 20) for i in range(trials)], task, arch)
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
         for runner in runners:
@@ -352,5 +345,22 @@ def test_a_round_holds_no_second_copy_of_trial_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    stack = trials * cohort.model.n_params * 8  # bytes of one (T, P) float64 stack
+    stack = trials * runners[0].cohort.model.n_params * 8  # bytes of one (T, P) float64 stack
     assert peak - before < stack
+
+
+def test_building_a_cohort_allocates_its_stacks_once():
+    # theta and velocity take two (T, P) stacks and the runners' own state well
+    # under a third; stacks grown by doubling as trials joined peaked above four
+    task = dataclasses.replace(TASK_SPEC, n_val=0, n_test=0).make()
+    arch = ArchSpec((64,))
+    trials = 400
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        runners = _runners(3, [divmod(i, 20) for i in range(trials)], task, arch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = trials * runners[0].cohort.model.n_params * 8  # bytes of one (T, P) float64 stack
+    assert peak - before < 3 * stack

@@ -16,7 +16,6 @@ from twinsearch.trainer import (
     ArchSpec,
     Cohort,
     TrainerConfig,
-    TrialRunner,
     cosine_lr,
     param_l2_norm,
     schedule_lr,
@@ -30,7 +29,7 @@ def small_task(seed=1, n_train=60):
 
 def run_to_end(task, arch, lr, wd, epochs, config=TrainerConfig(), cell=GridCell(0, 0)):
     """Step one trial alone, scoring every finite epoch, until it completes or diverges."""
-    runner = TrialRunner(Cohort(task, arch, config, epochs), cell, lr, wd, epochs)
+    (runner,) = Cohort(task, arch, config, epochs, epochs, [(cell, lr, wd)]).members
     while not runner.done:
         runner.step_epoch()
     return runner.record
@@ -352,8 +351,8 @@ class TestRunTrial:
 
     def test_runner_refuses_stepping_after_done(self):
         task = small_task()
-        cohort = Cohort(task, ArchSpec((8,)), TrainerConfig(), 1)
-        runner = TrialRunner(cohort, GridCell(0, 0), 0.05, 0.0, 1)
+        cohort = Cohort(task, ArchSpec((8,)), TrainerConfig(), 1, 1, [(GridCell(0, 0), 0.05, 0.0)])
+        (runner,) = cohort.members
         runner.step_epoch()
         with pytest.raises(RuntimeError):
             runner.step_epoch()
