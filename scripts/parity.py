@@ -67,10 +67,11 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
         EVAL_OPS,
     ),
     # Buffer shapes: two hidden layers, a minibatch of 6 after one of 64, and
-    # an HB cohort that shrinks through several stack sizes.
+    # an HB cohort of 80 trials, two stack slices, that its rungs shrink to
+    # one slice of 40, then of 20.
     "hb-deep-ragged": (
         ["--hidden", "32,16", "--scheduler", "hb", "--stop-fraction", "0.25", "--n-train", "70",
-         "--batch-size", "64", "--n-lr", "7", "--n-wd", "5"],
+         "--batch-size", "64", "--n-lr", "10", "--n-wd", "8"],
         EVAL_OPS,
     ),
     # At default Quickshift parameters every recipe above selects from one

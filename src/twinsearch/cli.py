@@ -242,6 +242,8 @@ def _cmd_baseline(args) -> int:
 def _cmd_eval(args) -> int:
     if not args.allow_test_metrics:
         raise UsageError("reading test metrics requires --allow-test-metrics")
+    if len(set(args.run_ids)) < len(args.run_ids):
+        raise UsageError(f"eval names a run twice: {args.run_ids}")
     store = _store(args)
     per_config = []
     surfaces_list = []

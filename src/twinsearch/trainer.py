@@ -9,9 +9,10 @@ Val/test accuracy is not computed per epoch: a trial scores its last few
 finite epochs once, when it reaches a terminal status.
 
 The trials of one search form a ``Cohort``, built with all of them, which
-owns their parameters and steps them together in stacked passes. Every row
-of a pass is computed exactly as a lone trial's would be, so results do not
-depend on who else is in the cohort.
+owns their parameters and steps them together in stacked passes of up to
+``STACK_SLICE`` trials. Every row of a pass is computed exactly as a lone
+trial's would be, so results do not depend on who else is in the cohort or
+on the slice size.
 
 ``MLP.loss_and_grad`` gives the bits of the frozen reference kernel in
 ``tests/kernel_oracle.py`` (NaN payloads aside). Element-wise steps (bias
@@ -19,7 +20,11 @@ adds, the softmax division, the one-hot subtraction, the ReLU mask) may run
 in place, and the class-axis max may be taken in any order, since max is
 exact. No sum may be reordered: the class-axis sum stays one
 ``.sum(axis=2)`` reduction, because numpy sums eight or more terms pairwise
-and a running column sum rounds differently.
+and a running column sum rounds differently. A mean is ``.sum(axis=1) / n``,
+the reduction and division ``np.mean`` runs, without its Python wrapper. The
+label logits are gathered with one ``take`` by flat index, and a trial's
+norm is the BLAS dot product ``np.linalg.norm`` takes, so a stacked
+(1, P) @ (P, 1) product per row gives each norm its bits.
 
 Training and scoring run in buffers that the search's one ``MLP`` keeps,
 one flat array per role, grown to the largest size asked for: each layer's
@@ -72,11 +77,15 @@ TERMINAL_STATUSES = frozenset({STATUS_COMPLETED, STATUS_STOPPED_EARLY, STATUS_DI
 
 LR_SCHEDULES = ("cosine", "piecewise", "constant")
 
-# Trials per stacked pass. It bounds the (T, B, width) buffers: one
-# unsliced pass over a 30x30 grid raised peak RSS by a third. Of 16, 32 and
-# 64, 16 has the lowest peak RSS; since the passes run in buffers, 32 and 64
-# are faster on an HB 30x30 run, at +0.45 and +0.85 MB (CHANGES.md).
-STACK_SLICE = 16
+# Trials per stacked pass. The default `twinsearch run` (10x10 grid, FIFO,
+# the `fifo-grid` perfbench workload) decided it: its 100 trials run each
+# minibatch as 2 passes (64 + 36) instead of 7 at 16 rows, and its wall time
+# fell 14% (CHANGES.md) for +0.8 MB peak RSS. Larger slices grow the
+# (T, B, width) buffers and the (T, P) gradient and update scratch;
+# tests/test_search.py::test_a_round_holds_no_second_copy_of_trial_state
+# bounds them: a round of 400 trials allocates 0.66 of a (T, P) stack on top
+# of the stacks at 64, and more than a whole stack at 128.
+STACK_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -241,6 +250,13 @@ class MLP:
             flat = self._flat[role] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
+    def _label_offsets(self, rows: int) -> np.ndarray:
+        """``arange(rows) * n_classes``: where each of ``rows`` logit rows starts in the flat logits."""
+        offsets = self._flat.get("offsets")
+        if offsets is None or offsets.size < rows:
+            offsets = self._flat["offsets"] = np.arange(rows, dtype=np.intp) * self.sizes[-1]
+        return offsets[:rows]
+
     def _forward(self, theta: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
         """``x``, each hidden activation and the logits; layer i's output is buffer role i.
 
@@ -275,11 +291,14 @@ class MLP:
         for c in range(1, n_classes):
             zmax = np.maximum(zmax, z[..., c])
         z -= zmax[..., None]
-        picked = np.take_along_axis(z, y[..., None], axis=2)[..., 0]
-        expz = np.exp(z, out=z)  # picked is a copy, read before z is overwritten
-        sums = expz.sum(axis=2)
         t, n = y.shape
-        losses = np.mean(np.log(sums) - picked, axis=1)
+        # each row's label logit, by its flat index (row * n_classes + label)
+        flat_idx = np.add(self._label_offsets(t * n).reshape(t, n), y,
+                          out=self._buffer("pick", y.shape, np.intp))
+        picked = np.take(z.reshape(-1), flat_idx)  # a copy, read before z is overwritten
+        expz = np.exp(z, out=z)
+        sums = expz.sum(axis=2)
+        losses = (np.log(sums) - picked).sum(axis=1) / n
 
         grad = np.empty_like(theta)
         delta = expz
@@ -319,11 +338,13 @@ class Cohort:
 
     The first ``TrialRunner.step_epoch`` call of a round (its trial is at
     ``epoch``) runs ``step``: one epoch for every member, on row slices of
-    ``STACK_SLICE`` members. A slice's theta and velocity are views of the
-    stacks, updated in place. Each member's minibatch (from its own
-    permutation) is gathered into the model's (T, B, D) buffer; each
-    minibatch is one stacked forward/backward pass and one in-place
-    momentum update with per-row lr and wd. Every call then reads its own
+    ``STACK_SLICE`` (64) members, so a 100-cell grid runs as a slice of 64
+    and one of 36. A slice's theta and velocity are views of the stacks,
+    updated in place. Each member's minibatch (from its own permutation) is
+    gathered into the model's (T, B, D) buffer; each minibatch is one
+    stacked forward/backward pass and one in-place momentum update with
+    per-row lr and wd. After the last minibatch, the slice's norms are one
+    stacked (T, 1, P) @ (T, P, 1) product. Every call then reads its own
     train loss and norm from the round's results. ``step`` refuses to run
     while a member is behind, so each is at ``epoch`` or one before it.
     """
@@ -406,10 +427,10 @@ class Cohort:
                 losses, grad = model.loss_and_grad(theta, xb, yb)
                 sgdm_step(theta, velocity, grad, lr_t, wd, config.momentum, g)
                 batch_losses.append(losses)
-            train_loss = np.mean(np.stack(batch_losses, axis=1), axis=1)
-            # row by row: a norm along axis 1 does not give the same bits
-            norms = [param_l2_norm(row) for row in theta]
-        self._results.extend(zip(train_loss.tolist(), norms))
+            train_loss = np.stack(batch_losses, axis=1).sum(axis=1) / len(batch_losses)
+            # param_l2_norm's dot, one row at a time (a norm along axis 1 rounds differently)
+            norms = np.sqrt(np.matmul(theta[:, None, :], theta[:, :, None]).reshape(-1))
+        self._results.extend(zip(train_loss.tolist(), norms.tolist()))
 
 
 class TrialRunner:

@@ -350,6 +350,21 @@ class TestBaselineAndEval:
     def test_eval_without_flag_is_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "eval", "whatever") == 1
 
+    @pytest.mark.parametrize("run_ids", [("r", "r"), ("s", "r", "s")])
+    def test_eval_naming_a_run_twice_is_a_usage_error_and_writes_no_report(
+        self, tmp_path, capsys, run_ids
+    ):
+        # counting a run once per mention would re-weight the MAE
+        for run_id in ("r", "s"):
+            assert run_cli(tmp_path, "run", "--run-id", run_id, *RUN_FLAGS) == 0
+        capsys.readouterr()
+        assert run_cli(tmp_path, "eval", *run_ids, "--allow-test-metrics") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: eval names a run twice")
+        assert captured.out == ""
+        for run_id in ("r", "s"):
+            assert not artifact(tmp_path, run_id, "eval_report.json").exists()
+
     @pytest.mark.parametrize("methods", [",", " , ", "selts,selts", "selts, selvs,selts"])
     def test_empty_or_repeated_methods_are_usage_errors_and_keep_the_baselines(
         self, tmp_path, capsys, methods

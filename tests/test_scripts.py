@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from twinsearch.trainer import STACK_SLICE
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -91,7 +93,9 @@ def test_parity_ragged_recipe_trains_two_layers_on_shrinking_stacks(tmp_path):
     assert manifest["arch"] == {"hidden": [32, 16]}
     # 70 examples in batches of 64: each epoch ends on a minibatch of 6
     assert (manifest["task"]["n_train"], manifest["trainer"]["batch_size"]) == (70, 64)
-    assert (len(manifest["grid"]["lr_values"]), len(manifest["grid"]["wd_values"])) == (7, 5)
+    # 80 trials: the cohort starts in two stack slices
+    n_lr, n_wd = len(manifest["grid"]["lr_values"]), len(manifest["grid"]["wd_values"])
+    assert (n_lr, n_wd) == (10, 8) and n_lr * n_wd > STACK_SLICE
     budget = manifest["scheduler"]["epoch_budget"]
     decisions = [json.loads(line) for line in (run_dir / "decisions.jsonl").read_text().splitlines()]
     # trials stop at two or more rungs before the budget, so the cohort shrinks more than once

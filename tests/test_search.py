@@ -190,6 +190,25 @@ def test_cosine_epochs_follow_the_policy_budget_bit_for_bit(kind):
         assert logged.tobytes() == looped.tobytes(), cell
 
 
+def test_epochs_equal_the_loop_at_the_real_stack_slice_with_diverging_rows():
+    # 81 cells at the unpatched slice: a full slice and a ragged one, whose
+    # stacked norms include the inf and NaN of the rows that diverge
+    policy = SchedulerPolicy("fifo", 5)
+    grid = build_log_grid(1e-2, 1e8, 9, 1e-3, 100, 9)
+    assert grid.n_trials > trainer.STACK_SLICE and grid.n_trials % trainer.STACK_SLICE
+    task = TASK_SPEC.make()
+    records = execute_search(grid, policy, task, ARCH, CONFIG)
+    norms = [e.param_norm for rec in records.values() for e in rec.epochs]
+    assert any(math.isinf(v) for v in norms) and any(math.isnan(v) for v in norms)
+    statuses = {rec.status for rec in records.values()}
+    assert statuses == {STATUS_COMPLETED, STATUS_DIVERGED}
+    for cell, rec in records.items():
+        logged = np.array([(e.train_loss, e.param_norm) for e in rec.epochs])
+        lr, wd = cell_params(grid, cell)
+        looped = np.array(loop_reference(task, CONFIG, cell, lr, wd, rec.epochs_run, policy.epoch_budget))
+        assert logged.tobytes() == looped.tobytes(), cell
+
+
 def test_surfaces_equal_the_eager_reference(searched):
     kind, grid, eager = searched.kind, searched.grid, searched.eager
     expected = build_metric_surfaces(eager.values(), grid, kind)

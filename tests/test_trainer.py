@@ -229,11 +229,12 @@ def same_bits(got, want):
 class TestKernelParity:
     """``loss_and_grad`` against the frozen reference in ``tests/kernel_oracle.py``."""
 
-    DRAWS = 9  # 24 cases x 9 draws = 216 stacks
+    DRAWS = 9  # 40 cases x 9 draws = 360 stacks
 
+    # 64 and 36 are the stack slices of a 100-cell grid
     @pytest.mark.parametrize(
         "stack,hidden,n_classes",
-        list(itertools.product((1, 5, 16), ((32,), (32, 16)), (2, 3, 8, 10))),
+        list(itertools.product((1, 5, 16, 36, 64), ((32,), (32, 16)), (2, 3, 8, 10))),
     )
     def test_bit_equal_to_frozen_reference(self, stack, hidden, n_classes):
         rng = np.random.default_rng([stack, len(hidden), n_classes])
