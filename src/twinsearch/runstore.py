@@ -13,40 +13,33 @@ Directory layout (the public contract for external training systems):
 
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
-shortest-round-trip repr, which makes write/load cycles bit-exact.
-``_trial_line_text``, the only trial-line encoder, builds the text of one
-``EpochLog`` with its cell and status directly, byte for byte what
-``encode_json`` gives for those fields. A torn final trial line (crash
-mid-append) is dropped with a warning on load; corruption anywhere else is
-an error. Appending to a trial file that an earlier store left behind first
-loads it with the same checks, and a torn final line is an error there too,
-so a new line is never glued onto torn bytes.
+shortest-round-trip repr, which makes write/load cycles bit-exact. The
+artifacts are ``json.dumps(..., indent=2)``'s text, built by the C encoder
+(``encode_json``). ``_trial_line_text``, the only trial-line encoder,
+builds one line directly, byte for byte what ``encode_json``'s line form
+gives. A torn final trial line (crash mid-append) is dropped with a warning
+on load; corruption anywhere else is an error. Appending to a trial file
+that an earlier store left behind first loads it with the same checks, and
+a torn final line is an error there too, so a new line is never glued onto
+torn bytes.
 
-``load_run`` reads each trial file in one piece and parses it line by
-line with one call of the JSON scanner (``JSONDecoder.raw_decode``). A
-line that the scanner rejects, or does not consume to its end, is parsed
-again with ``json.loads``, which accepts it with surrounding whitespace
-and otherwise raises the canonical error (extra data, a BOM, bad JSON), so
-what loads and what fails is exactly what ``json.loads`` gives. Each line
-is checked as it goes, one lookup per field: a JSON object, every field
-present, non-negative integer row/col/epoch (booleans are not integers
-here), a known status, decodable floats (an integer beyond float range is
-not), the file's own cell and contiguous epochs from 0. ``EpochLog`` is
-built directly from the checked values. A line that fails a check, or
-that is not JSON, raises ``RunStoreError`` as ``<path>: line <N>:
-<detail>``, N counting every line of the file from 1, blank ones included,
-so it is the line an editor shows; the warning for a dropped torn line
-names its place the same way. The line number is worked out only when a
-fault is reported. The other files are checked only for what is read from
-them: the manifest must be a JSON object whose ``grid`` and ``scheduler``
-are objects holding the fields the loaders read (the grid's values and
-bounds, the scheduler's ``kind`` and ``epoch_budget``); each decision line
-an object, with non-negative integer ``row``/``col`` on a ``stop``; and
-``matrices.json`` and ``selection.json`` objects with the grid's ``shape``,
-one value per cell in each array read, and the pick's integer cell and
-region. A fault raises ``RunStoreError`` as ``<path>: <detail>``,
-or ``<path>: line <N>: <detail>`` for a decision line, N counted as for
-trial files. A run id must name one directory inside the store root.
+``load_run`` reads each trial file and the decision log with one reader:
+one ``os.read``, decode and split per file, one call of the C JSON scanner
+per line. A line the scanner does not consume whole is parsed again with
+``json.loads``, so what loads and what fails is what ``json.loads`` gives;
+a line that is not UTF-8 fails as decoding it alone does. Each line is
+checked as it is parsed. A trial line: an object with every field,
+non-negative integer row/col/epoch (booleans are not), a known status,
+decodable floats (an integer beyond float range is not), the file's own
+cell and contiguous epochs from 0. A decision line: an object, with
+non-negative integer ``row``/``col`` on a ``stop``. A fault raises
+``RunStoreError`` as ``<path>: line <N>: <detail>``, N counting every line
+of the file from 1, blank ones included. The first line that is not JSON
+wins over a failed check, which is raised after the warning for a dropped
+tail. A trial file must be named ``<row>_<col>.jsonl`` as the writer
+spells it. The manifest, ``matrices.json`` and ``selection.json`` are
+checked for the fields read from them (``<path>: <detail>``). A run id
+must name one directory inside the store root.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
@@ -70,6 +63,7 @@ import math
 import os
 import re
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -93,6 +87,7 @@ __all__ = [
 TOOL_VERSION = "0.1.0"
 
 _TRIAL_FILE_RE = re.compile(r"^(\d+)_(\d+)\.jsonl$")
+_INF_TEXT = {math.inf: "Inf", -math.inf: "-Inf"}
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
 # the manifest objects the loaders read, and the fields read from each
 _MANIFEST_FIELDS = {
@@ -110,17 +105,26 @@ class RunNotFoundError(RunStoreError):
 
 
 def _encode(obj):
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "NaN"
-        if math.isinf(obj):
-            return "Inf" if obj > 0 else "-Inf"
-        return obj
+    """``obj`` with non-finite floats as strings and tuples as lists."""
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
+    if isinstance(obj, (list, tuple)):  # NaN is the one value unequal to itself
+        return [_encode(v) if isinstance(v, (dict, list, tuple)) or v != v or v in _INF_TEXT else v for v in obj]
+    return "NaN" if obj != obj else _INF_TEXT.get(obj, obj)
+
+
+def _document(obj) -> str:
+    """``json.dumps(obj, indent=2)`` of ``_encode``'s output: a list of scalars is one C
+    ``json.dumps``; items are indented by replacing newlines (JSON strings hold none)."""
+    if not obj or type(obj) not in (dict, list):
+        return json.dumps(obj)
+    if type(obj) is dict:
+        body = ",\n".join(f"{encode_basestring_ascii(k)}: {_document(v)}" for k, v in obj.items())
+    elif {dict, list}.isdisjoint(map(type, obj)):
+        body = json.dumps(obj, separators=(",\n", ": "))[1:-1]
+    else:
+        body = ",\n".join(map(_document, obj))
+    return ("{%s\n}" if type(obj) is dict else "[%s\n]") % ("\n" + body).replace("\n", "\n  ")
 
 
 def _float_text(value: float | None) -> str:
@@ -142,8 +146,10 @@ _JSON_KINDS = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
     bool: "boolean", type(None): "null",
 }
-# one scanner call per line: (object, index just past it)
-_scan = json.JSONDecoder().raw_decode
+# the C scanner: (object, index past its end), or raises
+_scan = json.JSONDecoder().scan_once
+# EpochLog(*fields) without its Python-level __new__
+_tuple_new = tuple.__new__
 
 
 def _decode_float(value):
@@ -165,15 +171,16 @@ def _decode_float(value):
         raise RunStoreError(f"not a float encoding: a JSON {_JSON_KINDS[type(value)]}") from None
 
 
-def encode_json(obj, indent: int | None = 2) -> str:
-    """Canonical JSON text: insertion order kept, non-finite floats as strings."""
-    if indent is None:
+def encode_json(obj, line: bool = False) -> str:
+    """Canonical JSON text: insertion order kept, non-finite floats as strings, string keys;
+    ``json.dumps(..., indent=2)``'s text, or compact as one line."""
+    if line:
         return json.dumps(_encode(obj), separators=(",", ":"))
-    return json.dumps(_encode(obj), indent=indent)
+    return _document(_encode(obj))
 
 
 def _trial_line_text(cell: GridCell, entry: EpochLog, status: str) -> str:
-    """One trial line without its newline: ``encode_json(fields, indent=None)``, built directly."""
+    """One trial line without its newline: ``encode_json(fields, line=True)``, built directly."""
     return (
         f'{{"row":{cell.row:d},"col":{cell.col:d},"epoch":{entry.epoch:d},'
         f'"train_loss":{_float_text(entry.train_loss)},'
@@ -185,17 +192,6 @@ def _trial_line_text(cell: GridCell, entry: EpochLog, status: str) -> str:
 
 def _not_an_index(key: str) -> RunStoreError:
     return RunStoreError(f"trial line field {key!r} must be a non-negative integer")
-
-
-def _line_of(path: str, nth: int) -> str:
-    """``path: line N``, N the 1-based line in the file of its ``nth`` non-blank line.
-
-    Only faults call this, so it reads the file again rather than have the
-    loaders keep line numbers for lines that load.
-    """
-    with open(path, "rb") as fh:
-        chunks = fh.read().split(b"\n")
-    return f"{path}: line {[n for n, c in enumerate(chunks, start=1) if c][nth - 1]}"
 
 
 class RunStore:
@@ -242,7 +238,7 @@ class RunStore:
             # a file from before this store: only a whole, well-formed one is appended to
             last = -1
             if os.path.exists(path):
-                last = self._load_trial_file(path, cell, torn_tail_ok=False).epochs_run - 1
+                last = self._read_jsonl(path, cell, torn_tail_ok=False).epochs_run - 1
             self._epoch_cache[key] = last
         if entry.epoch <= last:
             raise RunStoreError(
@@ -262,18 +258,18 @@ class RunStore:
         path = self.run_dir(run_id) / "decisions.jsonl"
         with open(path, "a", encoding="utf-8") as fh:
             for d in decisions:
-                fh.write(encode_json(d, indent=None) + "\n")
+                fh.write(encode_json(d, line=True) + "\n")
             fh.flush()
 
     def write_matrices(self, run_id: str, matrices, grid: HyperGrid, outlier_mask) -> None:
         payload = {
             "shape": list(grid.shape),
             "layout": "row-major",
-            "psi": [float(v) for v in matrices.psi.ravel()],
-            "theta": [float(v) for v in matrices.theta.ravel()],
-            "valid_mask": [bool(v) for v in matrices.valid_mask.ravel()],
-            "epochs_run": [int(v) for v in matrices.epochs_run.ravel()],
-            "outlier_mask": [bool(v) for v in outlier_mask.ravel()],
+            "psi": matrices.psi.ravel().tolist(),
+            "theta": matrices.theta.ravel().tolist(),
+            "valid_mask": matrices.valid_mask.ravel().tolist(),
+            "epochs_run": matrices.epochs_run.ravel().tolist(),
+            "outlier_mask": outlier_mask.ravel().tolist(),
         }
         self._write_text(self.run_dir(run_id) / "matrices.json", encode_json(payload) + "\n")
 
@@ -288,9 +284,9 @@ class RunStore:
         payload = {
             "selection": sel.to_dict(),
             "quickshift_params": artifacts.params.to_dict(),
-            "region_means": [float(v) for v in artifacts.region_means],
-            "labels": [int(v) for v in artifacts.segments.labels.ravel()],
-            "outlier_mask": [bool(v) for v in artifacts.outlier_mask.ravel()],
+            "region_means": artifacts.region_means.tolist(),
+            "labels": artifacts.segments.labels.ravel().tolist(),
+            "outlier_mask": artifacts.outlier_mask.ravel().tolist(),
             "shape": list(artifacts.segments.labels.shape),
             "layout": "row-major",
         }
@@ -364,22 +360,60 @@ class RunStore:
                 m = _TRIAL_FILE_RE.match(name)
                 if not m:
                     continue
-                cell = GridCell(int(m.group(1)), int(m.group(2)))
-                records[cell] = self._load_trial_file(f"{trials_dir}/{name}", cell)
+                cell = GridCell(int(m[1]), int(m[2]))
+                if name != f"{cell.row}_{cell.col}.jsonl":  # 00_1.jsonl, or digits not ASCII
+                    raise RunStoreError(f"{trials_dir}/{name}: not a trial file name (<row>_<col>.jsonl)")
+                records[cell] = self._read_jsonl(f"{trials_dir}/{name}", cell)
         decisions_path = f"{run_dir}/decisions.jsonl"
-        decisions = []
-        if os.path.exists(decisions_path):
-            decisions = self._read_jsonl(decisions_path)
-            _check_decisions(decisions_path, decisions)
+        decisions = self._read_jsonl(decisions_path) if os.path.exists(decisions_path) else []
         return manifest, records, decisions
 
-    def _load_trial_file(self, path: str, cell: GridCell, torn_tail_ok: bool = True) -> TrialRecord:
-        """One trial's record, checking every line against the trial-line schema."""
-        record = TrialRecord(cell=cell)
-        epochs = record.epochs
-        lines = self._read_jsonl(path, torn_tail_ok)
+    def _read_jsonl(self, path: str, cell: GridCell | None = None, torn_tail_ok: bool = True):
+        """``cell``'s trial file as its record, or with no cell the decision log as a list; a torn
+        final line is dropped with a warning, or raises when ``torn_tail_ok`` is false."""
+        fd = os.open(path, os.O_RDONLY)
         try:
-            for d in lines:
+            data = os.read(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        # each byte that is not UTF-8 decodes to a lone surrogate and back
+        lines = data.decode("utf-8", "surrogateescape").split("\n")
+        last = data.rstrip(b"\n").count(b"\n")  # the last non-blank line
+        tail = len(lines) - 1  # blank, or an unterminated last line
+        out = []
+        status_seen = STATUS_RUNNING
+        bad = fault = None  # a failed check waits until every line parses
+        for i, line in enumerate(lines):
+            if not line:
+                continue
+            try:
+                if not line.isascii():  # fail as decoding this line alone does
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                try:
+                    d, end = _scan(line, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(line):  # json.loads allows whitespace around it, or raises its error
+                    d = json.loads(line)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                bad, at = exc, i
+                break
+            if i == tail:  # parsed, but the writer always ends its lines
+                if not torn_tail_ok:
+                    raise RunStoreError(f"{path}: line {i + 1}: unterminated final line")
+                warnings.warn(f"{path}: line {i + 1}: dropping unterminated final line")
+                break
+            if fault:
+                continue
+            try:
+                if cell is None:
+                    if type(d) is not dict:
+                        raise RunStoreError(f"decision line is a JSON {_JSON_KINDS[type(d)]}, not an object")
+                    row, col = d.get("row"), d.get("col")
+                    if d.get("decision") == "stop" and not (type(row) is type(col) is int and min(row, col) >= 0):
+                        raise RunStoreError("stop decision needs non-negative integer 'row' and 'col'")
+                    out.append(d)
+                    continue
                 try:
                     row, col, epoch, loss, norm, status = (
                         d["row"], d["col"], d["epoch"], d["train_loss"], d["param_norm"], d["status"]
@@ -409,49 +443,22 @@ class RunStore:
                     val = _decode_float(val)
                 if test is not None and type(test) is not float:
                     test = _decode_float(test)
-                if row != cell.row or col != cell.col:
+                if (row, col) != cell:
                     raise RunStoreError(f"line for cell ({row}, {col}) in wrong file")
-                if epoch != len(epochs):
-                    raise RunStoreError(f"epoch {epoch} breaks contiguity after {len(epochs) - 1}")
-                epochs.append(EpochLog(epoch, loss, norm, val, test))
+                if epoch != len(out):
+                    raise RunStoreError(f"epoch {epoch} breaks contiguity after {len(out) - 1}")
+                out.append(_tuple_new(EpochLog, (epoch, loss, norm, val, test)))
                 if status in TERMINAL_STATUSES:
-                    record.status = status
-        except RunStoreError as exc:
-            # every line before the faulty one added one epoch
-            raise RunStoreError(f"{_line_of(path, len(epochs) + 1)}: {exc}") from None
-        return record
-
-    def _read_jsonl(self, path: str, torn_tail_ok: bool = True) -> list[dict]:
-        """Every line of ``path``; a torn final line is dropped with a warning, or
-        raises ``RunStoreError`` when ``torn_tail_ok`` is false."""
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        out = []
-        chunks = raw.split(b"\n")
-        torn_tail = chunks[-1] != b""  # no trailing newline: final append was cut short
-        lines = [c for c in chunks if c != b""]
-        for i, chunk in enumerate(lines, start=1):
-            try:
-                text = chunk.decode("utf-8")
-                try:
-                    obj, end = _scan(text)
-                except json.JSONDecodeError:
-                    end = -1
-                # anything the scanner does not take whole, json.loads accepts
-                # (surrounding whitespace) or rejects with its own error
-                out.append(obj if end == len(text) else json.loads(text))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if i == len(lines) and torn_tail_ok:
-                    warnings.warn(f"{_line_of(path, i)}: dropping torn final line: {exc}")
-                    return out
-                raise RunStoreError(f"{_line_of(path, i)}: corrupt line: {exc}") from exc
-        if torn_tail and lines:
-            # parsed fine but unterminated: treat as torn, the writer always ends lines
-            if not torn_tail_ok:
-                raise RunStoreError(f"{_line_of(path, len(lines))}: unterminated final line")
-            warnings.warn(f"{_line_of(path, len(lines))}: dropping unterminated final line")
-            return out[:-1]
-        return out
+                    status_seen = status
+            except RunStoreError as exc:
+                fault = f"{path}: line {i + 1}: {exc}"
+        if bad is not None:
+            if at != last or not torn_tail_ok:
+                raise RunStoreError(f"{path}: line {at + 1}: corrupt line: {bad}") from bad
+            warnings.warn(f"{path}: line {at + 1}: dropping torn final line: {bad}")
+        if fault:
+            raise RunStoreError(fault)
+        return out if cell is None else TrialRecord(cell, out, status_seen)
 
     @staticmethod
     def _write_text(path: Path, text: str) -> None:
@@ -482,20 +489,6 @@ def _checked_object(path: Path, name: str, d, fields: Iterable[str]) -> dict:
         if key not in d:
             raise RunStoreError(f"{path}: {name} has no {key!r}")
     return d
-
-
-def _check_decisions(path: str, decisions: list) -> None:
-    """Each decision line is an object, and a stop names its cell by non-negative integers."""
-    for i, d in enumerate(decisions, start=1):
-        if type(d) is not dict:
-            fault = f"decision line is a JSON {_JSON_KINDS[type(d)]}, not an object"
-        elif d.get("decision") == "stop" and not all(
-            type(d.get(key)) is int and d[key] >= 0 for key in ("row", "col")
-        ):
-            fault = "stop decision needs non-negative integer 'row' and 'col'"
-        else:
-            continue
-        raise RunStoreError(f"{_line_of(path, i)}: {fault}")
 
 
 def _grid_shape(manifest: dict) -> tuple[int, int]:

@@ -272,6 +272,22 @@ class TestSelect:
         assert f"{path}: line 1: " in capsys.readouterr().err
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
 
+    @pytest.mark.parametrize("beside", [True, False], ids=["beside-0_1", "instead-of-0_1"])
+    def test_a_stray_trial_file_is_a_storage_error(self, tmp_path, capsys, beside):
+        # 00_1.jsonl reads as cell (0, 1): shadowed by 0_1.jsonl, or in its place
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        stored = artifact(tmp_path, "r", "selection.json").read_bytes()
+        trials = artifact(tmp_path, "r", "trials")
+        stray = trials / "00_1.jsonl"
+        if beside:
+            stray.write_bytes((trials / "0_0.jsonl").read_bytes().replace(b'"row":0,"col":0', b'"row":0,"col":1'))
+        else:
+            (trials / "0_1.jsonl").rename(stray)
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r") == 3
+        assert capsys.readouterr().err.startswith(f"storage error: {stray}: not a trial file name")
+        assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
+
     @pytest.mark.parametrize(
         "name, fault",
         [

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
@@ -15,7 +17,7 @@ from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import run_and_store, select_and_store
 from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import ArchSpec, EpochLog, TrainerConfig
-from runstore_frozen import reference_load_trial_file
+from runstore_frozen import reference_load_trial_file, reference_read_jsonl
 
 
 @pytest.fixture()
@@ -163,7 +165,7 @@ def legacy_encoding(cell: GridCell, entry: EpochLog, status: str) -> str:
         "test_acc": entry.test_metric,
         "status": status,
     }
-    return encode_json(payload, indent=None)
+    return encode_json(payload, line=True)
 
 
 class TestTrialLineEncoding:
@@ -180,6 +182,50 @@ class TestTrialLineEncoding:
     def test_statuses_and_large_indices_match_generic_encoder(self, status, index):
         line = (GridCell(index, index + 1), EpochLog(2 * index, math.nan, 1.5, 0.5, None), status)
         assert _trial_line_text(*line) == legacy_encoding(*line)
+
+
+def reference_encode(obj):
+    """The recursive encoder the document form replaced: one Python call per value."""
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "NaN"
+        if math.isinf(obj):
+            return "Inf" if obj > 0 else "-Inf"
+        return obj
+    if isinstance(obj, dict):
+        return {k: reference_encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_encode(v) for v in obj]
+    return obj
+
+
+FLOATS = st.one_of(
+    st.floats(),  # NaN, both infinities, -0.0 and subnormals among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, -1e300, 1e-300, -1e-300]),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(10**60), 10**60), FLOATS, FLOATS.map(np.float64), st.text(),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(), inner, max_size=6),  # non-ASCII keys among them
+    ),
+    max_leaves=40,
+)
+
+
+class TestEncodeJson:
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES)
+    def test_both_forms_match_json_dumps_of_the_recursive_encoder(self, obj):
+        assert encode_json(obj) == json.dumps(reference_encode(obj), indent=2)
+        assert encode_json(obj, line=True) == json.dumps(reference_encode(obj), separators=(",", ":"))
+
+    @pytest.mark.parametrize("obj", [[], {}, [[]], {"a": {}}, [{}, [], 1], {"é": ["\u00e9", -0.0, 10**30]}], ids=repr)
+    def test_empty_and_nested_containers(self, obj):
+        assert encode_json(obj) == json.dumps(reference_encode(obj), indent=2)
 
 
 class TestLoad:
@@ -234,6 +280,21 @@ class TestLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RunStoreError, match="line 2"):
             store.load_run("r1")
+
+    @pytest.mark.parametrize("name", ["00_1.jsonl", "0_01.jsonl", "\u0660_1.jsonl"])
+    @pytest.mark.parametrize("beside", [True, False], ids=["beside-0_1", "instead-of-0_1"])
+    def test_a_trial_file_name_the_writer_never_spells_is_an_error(self, store, name, beside):
+        # each name matches <digits>_<digits>.jsonl and reads as cell (0, 1)
+        grid = small_grid()
+        write_full_run(store, "r1", grid, epochs=3)
+        trials = store.run_dir("r1") / "trials"
+        data = (trials / "0_1.jsonl").read_bytes()
+        if not beside:
+            (trials / "0_1.jsonl").unlink()
+        (trials / name).write_bytes(data)
+        with pytest.raises(RunStoreError) as info:
+            store.load_run("r1")
+        assert str(info.value) == f"{trials}/{name}: not a trial file name (<row>_<col>.jsonl)"
 
     def test_missing_manifest_is_an_error(self, store):
         with pytest.raises(RunStoreError, match="manifest"):
@@ -477,14 +538,58 @@ def relocated(frozen, path, line):
     return result, [(category, place(message)) for category, message in caught]
 
 
+# a fault on one line that is not JSON; "split-char" ends the line inside a character, so
+# decoding the whole file reports the newline after it, and the line alone its end
+PARSE_FAULTS = ("json", "utf8", "split-char")
+# (fault on an earlier line, fault on a later one): "torn" and "torn-utf8" cut the last line
+TWO_FAULTS = (
+    ("json", "utf8"), ("utf8", "json"), ("utf8", "utf8"), ("utf8", "split-char"), ("split-char", "json"),
+    ("schema", "json"), ("schema", "utf8"), ("schema", "split-char"), ("schema", "schema"),
+    ("json", "torn"), ("utf8", "torn-utf8"), ("schema", "torn"), ("schema", "torn-utf8"), ("none", "torn-utf8"),
+)
+
+
+def with_fault(rng, line, fault):
+    """``line``, a trial line without its newline, with ``fault``."""
+    if fault == "json":
+        return line + b"x"
+    if fault == "utf8":
+        cut = int(rng.integers(len(line) + 1))
+        return line[:cut] + b"\xff" + line[cut:]
+    if fault == "split-char":
+        return line + "\u00e9".encode()[:1]
+    if fault == "schema":
+        return json.dumps({**json.loads(line), "status": "paused"}).encode()
+    if fault.startswith("torn"):
+        line = line[: int(rng.integers(1, line.rindex(b"}")))]  # no closing brace: not JSON
+        return with_fault(rng, line, "utf8") if fault == "torn-utf8" else line
+    return line
+
+
+def two_fault_file(rng, cell, first, second):
+    """A trial file with ``first`` on one line and ``second`` on a later one, and the
+    1-based lines of the file that hold them."""
+    data, _ = trial_file_bytes(rng, cell, int(rng.integers(3, 8)), "none")
+    chunks = data.split(b"\n")
+    filled = [i for i, chunk in enumerate(chunks) if chunk]
+    if second.startswith("torn"):
+        a, b = int(rng.choice(filled[:-1])), filled[-1]
+        chunks = chunks[: b + 1]  # the torn line is the last, with no newline
+    else:  # a JSON fault on the last line is a torn line
+        a, b = sorted(int(i) for i in rng.choice(filled[:-1], 2, replace=False))
+    chunks[a] = with_fault(rng, chunks[a], first)
+    chunks[b] = with_fault(rng, chunks[b], second)
+    return b"\n".join(chunks), a + 1, b + 1
+
+
 class TestLoaderMatchesFrozenReference:
-    """``_load_trial_file`` loads and rejects exactly what the per-line json.loads loader did;
+    """``_read_jsonl`` loads and rejects exactly what the per-line json.loads loader did;
     a fault it reports also names the line of the file where it is."""
 
     def check(self, store, tmp_path, data, cell, fault_line=None):
         path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
         path.write_bytes(data)
-        new = outcome(store._load_trial_file, str(path), cell)
+        new = outcome(store._read_jsonl, str(path), cell)
         frozen = outcome(reference_load_trial_file, str(path), cell)
         assert new == relocated(frozen, str(path), fault_line)
         return new
@@ -512,12 +617,90 @@ class TestLoaderMatchesFrozenReference:
         path.write_bytes(data)
         escaped, detail = ESCAPED_FAULTS[fault]
         assert outcome(reference_load_trial_file, str(path), cell)[0][0] is escaped
-        new = outcome(store._load_trial_file, str(path), cell)
+        new = outcome(store._read_jsonl, str(path), cell)
         assert new == ((RunStoreError, f"{path}: line {fault_line}: {detail}"), [])
 
     def test_empty_and_blank_files(self, store, tmp_path):
         for data in (b"", b"\n", b"\n\n\n"):
             assert self.check(store, tmp_path, data, GridCell(0, 0))[0][2] == []
+
+    @pytest.mark.parametrize("first, second", TWO_FAULTS, ids=[f"{a}-then-{b}" for a, b in TWO_FAULTS])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_files_with_two_faults(self, store, tmp_path, first, second, seed):
+        # the first line that is not JSON wins, wherever a decode of the whole file
+        # stops; a failed check is raised after the warning for a dropped tail
+        rng = np.random.default_rng([seed, TWO_FAULTS.index((first, second))])
+        cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
+        data, a, b = two_fault_file(rng, cell, first, second)
+        path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
+        path.write_bytes(data)
+        frozen = outcome(reference_load_trial_file, str(path), cell)
+        error_line = b if first not in PARSE_FAULTS and second in PARSE_FAULTS else a
+        expected = (relocated(frozen, str(path), error_line)[0], relocated(frozen, str(path), b)[1])
+        assert outcome(store._read_jsonl, str(path), cell) == expected
+        assert (expected[0][0] is RunStoreError) == (first != "none")
+        assert bool(expected[1]) == (second.startswith("torn") and first not in PARSE_FAULTS)
+
+
+def decision_file_bytes(rng, n_lines, fault):
+    """A decision log with CRLF and blank lines and at most one fault, and the 1-based
+    line of the file where the fault is: not the last line for a JSON fault."""
+    at = int(rng.integers(n_lines - 1))
+    out = []
+    fault_line = None
+    for i in range(n_lines):
+        row, col = (int(v) for v in rng.integers(40, size=2))
+        d = {"row": row, "col": col, "epoch": int(rng.integers(50)),
+             "decision": ["stop", "continue"][int(rng.integers(2))],
+             "rung": None if rng.random() < 0.3 else int(rng.integers(1, 50))}
+        separators = (",", ":") if rng.random() < 0.6 else (", ", ": ")
+        line = json.dumps(d, separators=separators).encode()
+        if i == at and fault in PARSE_FAULTS:
+            line = with_fault(rng, line, fault)
+        if rng.random() < 0.15:
+            out.append(b"\n")
+        out.append(line + (b"\r\n" if rng.random() < 0.3 else b"\n"))
+        if i == at:
+            fault_line = len(out)
+    if fault in ("torn", "torn-utf8"):
+        out[-1] = with_fault(rng, out[-1].rstrip(b"\r\n"), fault)
+    elif fault == "unterminated":
+        out[-1] = out[-1].rstrip(b"\n")
+    if fault in ("torn", "torn-utf8", "unterminated"):
+        fault_line = len(out)
+    return b"".join(out), fault_line
+
+
+DECISION_FAULTS = ("none", *PARSE_FAULTS, "torn", "torn-utf8", "unterminated")
+
+
+class TestDecisionLogMatchesFrozenReference:
+    """``load_run`` reads the decision log as the per-line json.loads reader did."""
+
+    @pytest.mark.parametrize("fault", DECISION_FAULTS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_logs(self, store, fault, seed):
+        grid = small_grid()
+        store.create_run("r", manifest_for(grid, SchedulerPolicy("hb", 40, stop_fraction=0.25)))
+        rng = np.random.default_rng([seed, DECISION_FAULTS.index(fault)])
+        data, fault_line = decision_file_bytes(rng, int(rng.integers(2, 9)), fault)
+        path = f"{store.run_dir('r')}/decisions.jsonl"
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+        def read(load):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = load(path)
+                except Exception as exc:  # whatever it is, both readers must raise it alike
+                    result = (type(exc), str(exc))
+            return result, [(w.category, str(w.message)) for w in caught]
+
+        new = read(lambda _: store.load_run("r")[2])
+        assert new == relocated(read(reference_read_jsonl), path, fault_line)
+        assert (type(new[0]) is tuple) == (fault in PARSE_FAULTS)
+        assert bool(new[1]) == fault.startswith(("torn", "unterminated"))
 
 
 class TestArtifactsRoundTrip:
