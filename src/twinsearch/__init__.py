@@ -41,7 +41,6 @@ from .trainer import (
     TrialRecord,
     TrialRunner,
     cosine_lr,
-    param_l2_norm,
     sgdm_step,
 )
 

@@ -4,7 +4,7 @@ Directory layout (the public contract for external training systems):
 
     runs/<run_id>/
         manifest.json        grid, scheduler policy, trainer/arch/task specs, seeds
-        trials/<row>_<col>.jsonl   one line per epoch, in epoch order, append-only
+        trials/<row>_<col>.jsonl   one line per epoch, in epoch order
         decisions.jsonl      scheduler decision log (rung outcomes + terminal stops)
         matrices.json        psi/theta/masks/epochs_run, row-major
         selection.json       the twin pick with full provenance
@@ -17,11 +17,8 @@ shortest-round-trip repr, which makes write/load cycles bit-exact. The
 artifacts are ``json.dumps(..., indent=2)``'s text, built by the C encoder
 (``encode_json``). ``_trial_line_text``, the only trial-line encoder,
 builds one line directly, byte for byte what ``encode_json``'s line form
-gives. A torn final trial line (crash mid-append) is dropped with a warning
-on load; corruption anywhere else is an error. Appending to a trial file
-that an earlier store left behind first loads it with the same checks, and
-a torn final line is an error there too, so a new line is never glued onto
-torn bytes.
+gives. A torn final trial line (an external writer cut off mid-append) is
+dropped with a warning on load; corruption anywhere else is an error.
 
 ``load_run`` reads each trial file and the decision log with one reader:
 one ``os.read``, decode and split per file, one call of the C JSON scanner
@@ -44,16 +41,16 @@ must name one directory inside the store root.
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
 FIFO, the last five under early stopping (``matrices.metric_window``).
-Every other line has null metrics. Metrics are known only when a trial
-ends, so an alive trial's last ``w + 1`` lines (the current one and the
-``w`` before it) are written when it ends. Loading does not depend on
-this: files with metrics on every epoch, as older runs have, load to the
-same summaries.
+Every other line has null metrics. Loading does not depend on this: files
+with metrics on every epoch, as older runs have, load to the same summaries.
 
-Each trial line is one unbuffered ``os.write`` to the trial file, opened
-for appending and closed again; a short write raises. Lines reach the
-operating system at once but are not fsynced, so a machine crash can lose
-recent lines.
+The search writes a trial's file once, whole, in the round the trial ends:
+``append_trial_line`` creates it exclusively and writes every line in one
+unbuffered ``os.write``. A file that already exists is an error and is left
+as it is; a short write raises. The file reaches the operating system at
+once but is not fsynced, so a machine crash can lose it. A process killed
+mid-search leaves the files of ended trials and none of its alive trials';
+no command reads such a partial run, which ``resume_plan`` reports.
 """
 
 from __future__ import annotations
@@ -69,12 +66,7 @@ from typing import Iterable
 
 from .grid import GridCell, HyperGrid
 from .scheduler import SchedulerPolicy
-from .trainer import (
-    STATUS_RUNNING,
-    TERMINAL_STATUSES,
-    EpochLog,
-    TrialRecord,
-)
+from .trainer import STATUS_RUNNING, TERMINAL_STATUSES, EpochLog, TrialRecord
 
 __all__ = [
     "RunStore",
@@ -89,10 +81,10 @@ TOOL_VERSION = "0.1.0"
 _TRIAL_FILE_RE = re.compile(r"^(\d+)_(\d+)\.jsonl$")
 _INF_TEXT = {math.inf: "Inf", -math.inf: "-Inf"}
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
-# the manifest objects the loaders read, and the fields read from each
+# the manifest objects the loaders read: the class that checks each, and the fields read from it
 _MANIFEST_FIELDS = {
-    "grid": ("lr_values", "wd_values", "lr_bounds", "wd_bounds"),
-    "scheduler": ("kind", "epoch_budget"),
+    "grid": (HyperGrid, ("lr_values", "wd_values", "lr_bounds", "wd_bounds")),
+    "scheduler": (SchedulerPolicy, ("kind", "epoch_budget")),
 }
 
 
@@ -201,7 +193,6 @@ class RunStore:
         self.root = Path(root)
         # run_id -> (grid rows, grid cols, trials directory as a plain string)
         self._trial_targets: dict[str, tuple[int, int, str]] = {}
-        self._epoch_cache: dict[tuple[str, int, int], int] = {}
 
     def run_dir(self, run_id: str) -> Path:
         """``root/run_id``; an id that would name the root, a parent or a nested path is refused."""
@@ -219,7 +210,9 @@ class RunStore:
         payload = {"run_id": run_id, "tool_version": TOOL_VERSION, **manifest}
         self._write_text(run_dir / "manifest.json", encode_json(payload) + "\n")
 
-    def append_trial_line(self, run_id: str, cell: GridCell, entry: EpochLog, status: str) -> None:
+    def append_trial_line(self, run_id: str, record: TrialRecord) -> None:
+        """Write ``record``'s trial file whole: ``running`` on every line but the
+        last, which carries the record's status."""
         target = self._trial_targets.get(run_id)
         if target is None:
             run_dir = self.run_dir(run_id)
@@ -228,31 +221,25 @@ class RunStore:
             shape = _grid_shape(self.load_manifest(run_id))
             target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"))
         n_rows, n_cols, trials_dir = target
-        row, col = cell
+        row, col = cell = record.cell
         if not (0 <= row < n_rows and 0 <= col < n_cols):
             raise RunStoreError(f"cell ({row}, {col}) outside grid of shape {(n_rows, n_cols)}")
         path = f"{trials_dir}/{row}_{col}.jsonl"
-        key = (run_id, row, col)
-        last = self._epoch_cache.get(key)
-        if last is None:
-            # a file from before this store: only a whole, well-formed one is appended to
-            last = -1
-            if os.path.exists(path):
-                last = self._read_jsonl(path, cell, torn_tail_ok=False).epochs_run - 1
-            self._epoch_cache[key] = last
-        if entry.epoch <= last:
-            raise RunStoreError(
-                f"epoch {entry.epoch} not after last logged epoch {last} for cell ({row}, {col})"
-            )
-        data = (_trial_line_text(cell, entry, status) + "\n").encode()
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        last = record.epochs_run - 1
+        data = "".join(
+            _trial_line_text(cell, entry, record.status if i == last else STATUS_RUNNING) + "\n"
+            for i, entry in enumerate(record.epochs)
+        ).encode()
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            raise RunStoreError(f"{path}: trial file already exists") from None
         try:
             written = os.write(fd, data)
         finally:
             os.close(fd)
         if written != len(data):
             raise RunStoreError(f"{path}: short write, {written} of {len(data)} bytes")
-        self._epoch_cache[key] = entry.epoch
 
     def append_decisions(self, run_id: str, decisions: Iterable[dict]) -> None:
         path = self.run_dir(run_id) / "decisions.jsonl"
@@ -345,8 +332,12 @@ class RunStore:
         if not path.exists():
             raise RunNotFoundError(f"run {run_id!r} has no manifest at {path}")
         manifest = _checked_object(path, "manifest", _read_json(path), _MANIFEST_FIELDS)
-        for key, fields in _MANIFEST_FIELDS.items():
+        for key, (cls, fields) in _MANIFEST_FIELDS.items():
             _checked_object(path, f"manifest field {key!r}", manifest[key], fields)
+            try:
+                cls.from_dict(manifest[key])
+            except (TypeError, ValueError, IndexError) as exc:
+                raise RunStoreError(f"{path}: manifest field {key!r}: {exc}") from None
         return manifest
 
     def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord], list[dict]]:
@@ -368,9 +359,9 @@ class RunStore:
         decisions = self._read_jsonl(decisions_path) if os.path.exists(decisions_path) else []
         return manifest, records, decisions
 
-    def _read_jsonl(self, path: str, cell: GridCell | None = None, torn_tail_ok: bool = True):
+    def _read_jsonl(self, path: str, cell: GridCell | None = None):
         """``cell``'s trial file as its record, or with no cell the decision log as a list; a torn
-        final line is dropped with a warning, or raises when ``torn_tail_ok`` is false."""
+        final line is dropped with a warning."""
         fd = os.open(path, os.O_RDONLY)
         try:
             data = os.read(fd, os.fstat(fd).st_size)
@@ -399,8 +390,6 @@ class RunStore:
                 bad, at = exc, i
                 break
             if i == tail:  # parsed, but the writer always ends its lines
-                if not torn_tail_ok:
-                    raise RunStoreError(f"{path}: line {i + 1}: unterminated final line")
                 warnings.warn(f"{path}: line {i + 1}: dropping unterminated final line")
                 break
             if fault:
@@ -453,7 +442,7 @@ class RunStore:
             except RunStoreError as exc:
                 fault = f"{path}: line {i + 1}: {exc}"
         if bad is not None:
-            if at != last or not torn_tail_ok:
+            if at != last:
                 raise RunStoreError(f"{path}: line {at + 1}: corrupt line: {bad}") from bad
             warnings.warn(f"{path}: line {at + 1}: dropping torn final line: {bad}")
         if fault:
@@ -505,9 +494,10 @@ def resume_plan(
 ) -> list[tuple[GridCell, int]]:
     """Cells still owed epochs under the manifest's policy, with the epoch to resume at.
 
-    A cell is finished when its record carries a terminal status or the
-    decision log shows a stop for it; everything else resumes at its next
-    epoch index. Cells with no record at all start from epoch 0.
+    A cell with no record starts from epoch 0, whatever the decision log
+    says. A cell with a record is finished when the record carries a
+    terminal status, the decision log shows a stop for it or it ran the
+    whole budget; everything else resumes at its next epoch index.
     """
     policy = SchedulerPolicy.from_dict(manifest["scheduler"])
     shape = _grid_shape(manifest)
@@ -519,12 +509,8 @@ def resume_plan(
         for col in range(shape[1]):
             cell = GridCell(row, col)
             rec = records.get(cell)
-            if rec is not None and rec.status in TERMINAL_STATUSES:
-                continue
-            if cell in stopped:
-                continue
-            done = rec.epochs_run if rec is not None else 0
-            if done >= policy.epoch_budget:
-                continue
-            plan.append((cell, done))
+            if rec is None:
+                plan.append((cell, 0))
+            elif rec.status not in TERMINAL_STATUSES and cell not in stopped and rec.epochs_run < policy.epoch_budget:
+                plan.append((cell, rec.epochs_run))
     return plan

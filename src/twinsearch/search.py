@@ -15,8 +15,8 @@ only alive trials' state is held; the records of all trials are kept.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
-a trial's most recent lines are held back while it is alive and written,
-metrics included, when it ends.
+a trial's file is written once, whole and with its metrics, in the round
+the trial ends.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .selector import TwinArtifacts, twin_pipeline
 from .tasks import SyntheticTask, TaskSpec
 from .trainer import (
     STATUS_DIVERGED,
-    STATUS_RUNNING,
     STATUS_STOPPED_EARLY,
     ArchSpec,
     Cohort,
@@ -52,17 +51,13 @@ def execute_search(
 ) -> dict[GridCell, TrialRecord]:
     """Train every grid cell for up to ``policy.epoch_budget`` epochs; optionally persist.
 
-    With a store, every epoch gets one trial line, appended in epoch order.
-    An alive trial's last ``w`` lines (``w = metric_window(policy.kind)``)
-    stay unwritten; together with the line of the current round that is
-    ``w + 1`` lines held back when the round's outcome is known. A trial
-    that ends at epoch e gets metrics on epochs e-w+1..e, or on e-w..e-1 if
-    it diverged, so none of them is on disk before its metrics are.
+    With a store, a trial that ends in a round (completed, stopped early or
+    diverged) gets its whole trial file then, one line per epoch, in cell
+    order; the round's decisions are appended after the round's trial files.
     """
     schedule = Schedule(policy, grid.n_trials)
-    window = metric_window(policy.kind)
     trials = [(cell, *cell_params(grid, cell)) for cell in grid.cells()]
-    cohort = Cohort(task, arch, config, policy.epoch_budget, window, trials)
+    cohort = Cohort(task, arch, config, policy.epoch_budget, metric_window(policy.kind), trials)
     # in cell order; an ended runner is dropped, which frees its kept theta
     alive = list(cohort.members)
     records: dict[GridCell, TrialRecord] = {r.cell: r.record for r in alive}
@@ -78,16 +73,10 @@ def execute_search(
         schedule.decide(epoch, losses)
 
         for runner in alive:
-            rec = runner.record
             if not runner.done and not schedule.is_alive(runner.cell):
                 runner.finish(STATUS_STOPPED_EARLY)
-            if persist:
-                # alive after the last round, which wrote its lines up to here
-                start = max(0, rec.epochs_run - 1 - window)
-                end = rec.epochs_run if runner.done else max(0, rec.epochs_run - window)
-                for entry in rec.epochs[start:end]:
-                    status = rec.status if entry.epoch + 1 == rec.epochs_run else STATUS_RUNNING
-                    store.append_trial_line(run_id, runner.cell, entry, status)
+            if persist and runner.done:
+                store.append_trial_line(run_id, runner.record)
         if persist:
             new = schedule.decision_log[decisions_written:]
             if new:

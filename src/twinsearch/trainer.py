@@ -62,7 +62,6 @@ __all__ = [
     "cosine_lr",
     "schedule_lr",
     "sgdm_step",
-    "param_l2_norm",
     "STATUS_COMPLETED",
     "STATUS_STOPPED_EARLY",
     "STATUS_DIVERGED",
@@ -201,11 +200,6 @@ def sgdm_step(
     velocity += g
     np.multiply(lr_t, velocity, out=g)
     theta -= g
-
-
-def param_l2_norm(theta: np.ndarray) -> float:
-    """Euclidean norm over the full parameter vector."""
-    return float(np.linalg.norm(theta))
 
 
 class MLP:
@@ -428,7 +422,7 @@ class Cohort:
                 sgdm_step(theta, velocity, grad, lr_t, wd, config.momentum, g)
                 batch_losses.append(losses)
             train_loss = np.stack(batch_losses, axis=1).sum(axis=1) / len(batch_losses)
-            # param_l2_norm's dot, one row at a time (a norm along axis 1 rounds differently)
+            # np.linalg.norm's dot, one row at a time (a norm along axis 1 rounds differently)
             norms = np.sqrt(np.matmul(theta[:, None, :], theta[:, :, None]).reshape(-1))
         self._results.extend(zip(train_loss.tolist(), norms.tolist()))
 

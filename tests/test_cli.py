@@ -1,15 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twinsearch
 from twinsearch.cli import main
 from twinsearch.grid import GridCell
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.tasks import TaskSpec
-from twinsearch.trainer import EpochLog
+from twinsearch.trainer import EpochLog, TrialRecord
 
 
 RUN_FLAGS = [
@@ -143,6 +146,13 @@ def without(manifest_text, key):
     return json.dumps(doc)
 
 
+def with_field(manifest_text, key, field, value):
+    """The manifest's JSON text with ``doc[key][field]`` set to ``value``."""
+    doc = json.loads(manifest_text)
+    doc[key][field] = value
+    return json.dumps(doc)
+
+
 class TestSelect:
     def test_online_offline_equivalence(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -196,13 +206,11 @@ class TestSelect:
         norms = [[3.0, 2.5, 2.0], [2.8, 2.2, 1.8], [3.1, 2.6, 2.1]]
         for r in range(3):
             for c in range(3):
-                for epoch in range(2):
-                    store.append_trial_line(
-                        "ext",
-                        GridCell(r, c),
-                        EpochLog(epoch, losses[r][c] + (0.1 if epoch == 0 else 0.0), norms[r][c]),
-                        "completed" if epoch == 1 else "running",
-                    )
+                logs = [
+                    EpochLog(epoch, losses[r][c] + (0.1 if epoch == 0 else 0.0), norms[r][c])
+                    for epoch in range(2)
+                ]
+                store.append_trial_line("ext", TrialRecord(GridCell(r, c), logs, "completed"))
         assert run_cli(tmp_path, "select", "ext") == 0
         out = capsys.readouterr().out
         assert "selected cell" in out and "lr=" in out
@@ -216,9 +224,20 @@ class TestSelect:
             "partial",
             {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 5).to_dict(), "task": "external", "seeds": {}},
         )
-        store.append_trial_line("partial", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
+        store.append_trial_line("partial", TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)]))
         assert run_cli(tmp_path, "select", "partial") == 2
         assert "incomplete" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--lr-stride", "2", "--wd-stride", "2"]], ids=["whole", "strided"])
+    def test_a_missing_trial_file_leaves_its_cell_incomplete(self, tmp_path, capsys, flags):
+        # the FIFO decision log stops every cell; the cell still has no record
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        (artifact(tmp_path, "r", "trials") / "0_0.jsonl").unlink()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: run 'r' has incomplete cells: (0, 0)")
+        assert "Traceback" not in captured.out + captured.err
 
     def test_quickshift_overrides_change_segmentation(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -299,12 +318,19 @@ class TestSelect:
             ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": {}})),
             ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {}})),
             ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {"kind": "hb"}})),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", 5)),
+            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", "abc")),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "kind", "asha")),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", "4")),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_bounds", [])),
             ("decisions.jsonl", lambda text: text + "3\n"),
             ("decisions.jsonl", lambda text: text + '{"decision": "stop"}\n'),
         ],
         ids=[
             "no-scheduler", "no-grid", "grid-string", "manifest-array", "manifest-not-json",
             "grid-empty", "scheduler-empty", "scheduler-no-budget",
+            "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
+            "lr-bounds-empty",
             "decision-number", "stop-without-cell",
         ],
     )
@@ -317,11 +343,13 @@ class TestSelect:
         # a decision fault is on the appended line, counted as for trial files
         where = f"{path}: line {len(text.splitlines()) + 1}: " if name == "decisions.jsonl" else f"{path}: "
         capsys.readouterr()
-        assert run_cli(tmp_path, "select", "r") == 3
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"storage error: {where}")
-        assert "Traceback" not in captured.out + captured.err
+        for command in ("select", "baseline"):
+            assert run_cli(tmp_path, command, "r") == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"storage error: {where}")
+            assert "Traceback" not in captured.out + captured.err
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
+        assert not artifact(tmp_path, "r", "baselines.json").exists()
 
     def test_strided_select_prints_a_pick_and_stores_nothing(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -464,10 +492,14 @@ class TestPlot:
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the package this test imported, wherever that is
+    package_root = str(Path(twinsearch.__file__).parents[1])
+    path = os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "twinsearch.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "select" in proc.stdout

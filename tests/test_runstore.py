@@ -16,7 +16,7 @@ from twinsearch.runstore import RunStore, RunStoreError, _trial_line_text, encod
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import run_and_store, select_and_store
 from twinsearch.tasks import TaskSpec
-from twinsearch.trainer import ArchSpec, EpochLog, TrainerConfig
+from twinsearch.trainer import ArchSpec, EpochLog, TrainerConfig, TrialRecord
 from runstore_frozen import reference_load_trial_file, reference_read_jsonl
 
 
@@ -33,47 +33,52 @@ def small_grid(n=2):
     return build_log_grid(1e-4, 1e-1, n, 1e-4, 1e-1, n)
 
 
+def plain_record(cell, epochs, status="running"):
+    """A record of ``epochs`` epochs, each with loss 1.0 and norm 2.0."""
+    return TrialRecord(cell, [EpochLog(epoch, 1.0, 2.0) for epoch in range(epochs)], status)
+
+
 def write_full_run(store, run_id, grid, epochs=3, policy=None):
     policy = policy or SchedulerPolicy("fifo", epochs)
     store.create_run(run_id, manifest_for(grid, policy))
     for cell in grid.cells():
-        for epoch in range(epochs):
-            status = "completed" if epoch == epochs - 1 else "running"
-            store.append_trial_line(
-                run_id,
-                cell,
-                EpochLog(
-                    epoch=epoch,
-                    train_loss=1.0 / (epoch + 1) + 0.1 * cell.row + 0.01 * cell.col,
-                    param_norm=2.0 - 0.1 * epoch,
-                    val_metric=0.5 + 0.01 * epoch,
-                    test_metric=0.6 + 0.01 * epoch,
-                ),
-                status,
+        logs = [
+            EpochLog(
+                epoch=epoch,
+                train_loss=1.0 / (epoch + 1) + 0.1 * cell.row + 0.01 * cell.col,
+                param_norm=2.0 - 0.1 * epoch,
+                val_metric=0.5 + 0.01 * epoch,
+                test_metric=0.6 + 0.01 * epoch,
             )
+            for epoch in range(epochs)
+        ]
+        store.append_trial_line(run_id, TrialRecord(cell, logs, "completed"))
 
 
 class TestAppend:
     def test_first_line_creates_file(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
+        store.append_trial_line("r1", plain_record(GridCell(0, 0), 1))
         path = store.run_dir("r1") / "trials" / "0_0.jsonl"
         assert path.exists()
         assert len(path.read_text().splitlines()) == 1
 
-    def test_epoch_regression_rejected(self, store):
+    def test_one_call_writes_the_whole_file(self, store):
         grid = small_grid()
-        store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 10)))
-        for epoch in (0, 1, 2, 7):
-            store.append_trial_line("r1", GridCell(0, 0), EpochLog(epoch, 1.0, 2.0), "running")
-        with pytest.raises(RunStoreError, match="not after"):
-            store.append_trial_line("r1", GridCell(0, 0), EpochLog(5, 1.0, 2.0), "running")
+        store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.append_trial_line("r1", plain_record(GridCell(0, 1), 3, "stopped_early"))
+        path = store.run_dir("r1") / "trials" / "0_1.jsonl"
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [d["epoch"] for d in lines] == [0, 1, 2]
+        assert [d["status"] for d in lines] == ["running", "running", "stopped_early"]
+        _, records, _ = store.load_run("r1")
+        assert records[GridCell(0, 1)] == plain_record(GridCell(0, 1), 3, "stopped_early")
 
-    @pytest.mark.parametrize("damage", ["torn", "unterminated", "corrupt-interior"])
+    @pytest.mark.parametrize("damage", ["whole", "torn", "unterminated", "corrupt-interior"])
     def test_append_after_a_damaged_file_raises_and_writes_nothing(self, store, damage):
-        # a fresh store must not glue a line onto torn bytes or append past a
-        # corrupt line: either would make the file fail to load later
+        # the file of a trial is written once; whatever is there, whole or
+        # damaged, is never appended to or replaced
         grid = small_grid()
         write_full_run(store, "r1", grid, epochs=3)
         path = store.run_dir("r1") / "trials" / "0_0.jsonl"
@@ -82,29 +87,21 @@ class TestAppend:
             data = data[:-10]
         elif damage == "unterminated":
             data = data[:-1]
-        else:
+        elif damage == "corrupt-interior":
             lines = data.split(b"\n")
             lines[1] = b'{"broken":'
             data = b"\n".join(lines)
         path.write_bytes(data)
-        with pytest.raises(RunStoreError, match="0_0.jsonl"):
-            RunStore(store.root).append_trial_line("r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running")
-        assert path.read_bytes() == data
-
-    def test_fresh_store_appends_after_a_whole_file(self, store):
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        fresh = RunStore(store.root)
-        fresh.append_trial_line("r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running")
-        with pytest.raises(RunStoreError, match="not after"):
-            RunStore(store.root).append_trial_line("r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running")
-        _, records, _ = fresh.load_run("r1")
-        assert records[GridCell(0, 0)].epochs_run == 4
+        for writer in (store, RunStore(store.root)):
+            with pytest.raises(RunStoreError) as info:
+                writer.append_trial_line("r1", plain_record(GridCell(0, 0), 4, "completed"))
+            assert str(info.value) == f"{path}: trial file already exists"
+            assert path.read_bytes() == data
 
     def test_nan_encoded_as_string(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, math.nan, math.inf), "diverged")
+        store.append_trial_line("r1", TrialRecord(GridCell(0, 0), [EpochLog(0, math.nan, math.inf)], "diverged"))
         raw = (store.run_dir("r1") / "trials" / "0_0.jsonl").read_text()
         doc = json.loads(raw)
         assert doc["train_loss"] == "NaN"
@@ -117,11 +114,11 @@ class TestAppend:
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         with pytest.raises(RunStoreError, match="outside grid"):
-            store.append_trial_line("r1", GridCell(5, 0), EpochLog(0, 1.0, 2.0), "running")
+            store.append_trial_line("r1", plain_record(GridCell(5, 0), 1))
 
     def test_append_without_manifest_rejected(self, store):
         with pytest.raises(RunStoreError, match="manifest"):
-            store.append_trial_line("ghost", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
+            store.append_trial_line("ghost", plain_record(GridCell(0, 0), 1))
 
     def test_short_write_raises(self, store, monkeypatch):
         grid = small_grid()
@@ -129,7 +126,7 @@ class TestAppend:
         real_write = os.write
         monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:-1]))
         with pytest.raises(RunStoreError, match="short write"):
-            store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
+            store.append_trial_line("r1", plain_record(GridCell(0, 0), 1))
 
 
 FLOAT_FIELDS = ("train_loss", "param_norm", "val_acc", "test_acc")
@@ -303,8 +300,8 @@ class TestLoad:
     def test_epoch_gap_is_an_error(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r1", GridCell(0, 0), EpochLog(0, 1.0, 2.0), "running")
-        store.append_trial_line("r1", GridCell(0, 0), EpochLog(2, 1.0, 2.0), "running")
+        logs = [EpochLog(0, 1.0, 2.0), EpochLog(2, 1.0, 2.0)]
+        store.append_trial_line("r1", TrialRecord(GridCell(0, 0), logs, "running"))
         with pytest.raises(RunStoreError, match="contiguity"):
             store.load_run("r1")
 
@@ -375,15 +372,9 @@ class TestLoadSchema:
         path = store.run_dir("r1") / "trials" / "0_0.jsonl"
         lines = path.read_bytes().split(b"\n")
         path.write_bytes(b"\n".join([lines[0], b"", b"", bad, *lines[2:]]))
-        for load in (
-            lambda: store.load_run("r1"),
-            lambda: RunStore(store.root).append_trial_line(
-                "r1", GridCell(0, 0), EpochLog(3, 1.0, 2.0), "running"
-            ),
-        ):
-            with pytest.raises(RunStoreError) as info:
-                load()
-            assert str(info.value).startswith(f"{path}: line 4: {detail}")
+        with pytest.raises(RunStoreError) as info:
+            store.load_run("r1")
+        assert str(info.value).startswith(f"{path}: line 4: {detail}")
 
 
 # -- the loader against its frozen reference -----------------------------
@@ -737,8 +728,7 @@ class TestResumePlan:
         policy = SchedulerPolicy("fifo", 100)
         store.create_run("r1", manifest_for(grid, policy))
         for cell in grid.cells():
-            for epoch in range(40):
-                store.append_trial_line("r1", cell, EpochLog(epoch, 1.0, 2.0), "running")
+            store.append_trial_line("r1", plain_record(cell, 40))
         manifest, records, decisions = store.load_run("r1")
         plan = resume_plan(manifest, records, decisions)
         assert len(plan) == 4
@@ -761,11 +751,7 @@ class TestResumePlan:
             (GridCell(0, 1), 2, "stopped_early"),
             (GridCell(1, 0), 5, "running"),
         ]:
-            for epoch in range(epochs):
-                final = epoch == epochs - 1 and status != "running"
-                store.append_trial_line(
-                    "r1", cell, EpochLog(epoch, 1.0, 2.0), status if final else "running"
-                )
+            store.append_trial_line("r1", plain_record(cell, epochs, status))
         decisions = [
             {"row": 0, "col": 0, "epoch": 2, "decision": "stop", "rung": 2},
             {"row": 0, "col": 1, "epoch": 2, "decision": "stop", "rung": 2},
@@ -778,3 +764,15 @@ class TestResumePlan:
         assert (GridCell(1, 0), 5) in plan
         assert (GridCell(1, 1), 0) in plan
         assert len(plan) == 2
+
+    def test_a_cell_without_its_file_starts_over_despite_a_stop(self, store):
+        # every cell of a finished FIFO run has a terminal stop in the log;
+        # a missing trial file still leaves its cell owed from epoch 0
+        grid = small_grid()
+        write_full_run(store, "r1", grid, epochs=3)
+        store.append_decisions(
+            "r1", [{"row": c.row, "col": c.col, "epoch": 3, "decision": "stop", "rung": None} for c in grid.cells()]
+        )
+        (store.run_dir("r1") / "trials" / "0_1.jsonl").unlink()
+        manifest, records, decisions = store.load_run("r1")
+        assert resume_plan(manifest, records, decisions) == [(GridCell(0, 1), 0)]

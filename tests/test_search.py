@@ -1,4 +1,4 @@
-"""execute_search scores val/test only at trial end and holds back trial lines.
+"""execute_search scores val/test only at trial end and writes each trial file then.
 
 The reference replays every trial eagerly in a runner of its own, scoring
 each finite epoch with MLP.accuracy. The search steps all trials as one
@@ -21,7 +21,7 @@ import pytest
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
 from twinsearch.runstore import RunStore
-from twinsearch.scheduler import SchedulerPolicy
+from twinsearch.scheduler import Schedule, SchedulerPolicy
 from twinsearch import trainer
 from twinsearch.search import execute_search
 from twinsearch.tasks import TaskSpec
@@ -31,6 +31,7 @@ from twinsearch.trainer import (
     STATUS_DIVERGED,
     STATUS_RUNNING,
     STATUS_STOPPED_EARLY,
+    TERMINAL_STATUSES,
     ArchSpec,
     Cohort,
     EpochLog,
@@ -99,8 +100,25 @@ def searched(request, tmp_path_factory):
         calls.append(1)
         return original(self, theta, x, y)
 
+    rounds = []
+    decide = Schedule.decide
+
+    def counting_rounds(self, epoch, losses):
+        rounds.append(epoch)
+        return decide(self, epoch, losses)
+
+    # (round, cell, epochs and status of the record) at each write
+    writes = []
+    write = store.append_trial_line
+
+    def recording(run_id, record):
+        writes.append((rounds[-1], record.cell, record.epochs_run, record.status))
+        return write(run_id, record)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MLP, "accuracy", counting)
+        mp.setattr(Schedule, "decide", counting_rounds)
+        mp.setattr(store, "append_trial_line", recording)
         mp.setattr(trainer, "STACK_SLICE", 5)  # uneven slices of the 16 cells
         records = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
     return SimpleNamespace(
@@ -110,6 +128,7 @@ def searched(request, tmp_path_factory):
         records=records,
         eager=eager_records(records, grid, task, policy),
         accuracy_calls=len(calls),
+        writes=writes,
     )
 
 
@@ -242,14 +261,25 @@ def test_trial_files_hold_metrics_only_on_the_last_finite_epochs(searched):
         assert in_memory == scored
 
 
+def test_each_trial_file_is_written_once_whole_in_the_round_the_trial_ends(searched):
+    # HB stops trials at its rung and some diverge; each cell's file is
+    # written in one call, with the record as it ended, in that round
+    assert sorted(cell for _, cell, _, _ in searched.writes) == searched.grid.cells()
+    for round_, cell, epochs_run, status in searched.writes:
+        rec = searched.records[cell]
+        assert (round_, epochs_run, status) == (rec.epochs_run, rec.epochs_run, rec.status), cell
+        assert status in TERMINAL_STATUSES
+    assert [r for r, _, _, _ in searched.writes] == sorted(r for r, _, _, _ in searched.writes)
+    statuses = {status for _, _, _, status in searched.writes}
+    assert STATUS_DIVERGED in statuses and (searched.kind == "fifo" or STATUS_STOPPED_EARLY in statuses)
+
+
 def test_old_format_files_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched):
     kind, grid, store = searched.kind, searched.grid, searched.store
     policy, _ = CASES[kind]
     store.create_run("old", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
-    for cell, rec in searched.eager.items():
-        for entry in rec.epochs:
-            last = entry.epoch + 1 == rec.epochs_run
-            store.append_trial_line("old", cell, entry, rec.status if last else STATUS_RUNNING)
+    for rec in searched.eager.values():
+        store.append_trial_line("old", rec)
     _, old, _ = store.load_run("old")
     _, new, _ = store.load_run("run")
     assert_same_surfaces(

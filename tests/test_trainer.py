@@ -17,7 +17,6 @@ from twinsearch.trainer import (
     Cohort,
     TrainerConfig,
     cosine_lr,
-    param_l2_norm,
     schedule_lr,
     sgdm_step,
 )
@@ -33,6 +32,11 @@ def run_to_end(task, arch, lr, wd, epochs, config=TrainerConfig(), cell=GridCell
     while not runner.done:
         runner.step_epoch()
     return runner.record
+
+
+def param_l2_norm(theta):
+    """Euclidean norm over the full parameter vector."""
+    return float(np.linalg.norm(theta))
 
 
 def logits(model, theta, x):
