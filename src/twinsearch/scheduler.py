@@ -43,8 +43,8 @@ class SchedulerPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("fifo", "hb"):
             raise ValueError(f"kind must be 'fifo' or 'hb', got {self.kind!r}")
-        if self.epoch_budget < 1:
-            raise ValueError(f"epoch_budget must be >= 1, got {self.epoch_budget}")
+        if type(self.epoch_budget) is not int or self.epoch_budget < 1:  # bool is no budget
+            raise ValueError(f"epoch_budget must be an integer >= 1, got {self.epoch_budget!r}")
         if self.kind == "hb":
             if not 0 < self.stop_fraction <= 1:
                 raise ValueError(f"stop_fraction must be in (0, 1], got {self.stop_fraction}")

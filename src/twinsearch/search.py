@@ -131,7 +131,8 @@ def run_and_store(
     arch: ArchSpec,
     config: TrainerConfig,
 ) -> TwinArtifacts:
-    """Full pipeline with persistence: manifest, trials, decisions, matrices, selection.
+    """Full pipeline with persistence: manifest, trials, decisions, records snapshot,
+    matrices, selection.
 
     The pick uses ``default_params(grid)``; ``twinsearch select`` re-selects
     with other segmentation parameters.
@@ -151,4 +152,5 @@ def run_and_store(
     }
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
+    store.write_records(run_id)
     return select_and_store(store, run_id, records, grid, default_params(grid))

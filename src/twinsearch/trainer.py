@@ -127,8 +127,8 @@ class EpochLog(NamedTuple):
     """One logged epoch of one trial; immutable.
 
     A ``NamedTuple`` rather than a frozen dataclass: ``load_run`` builds one
-    per trial line, and a tuple is built in about half the time. Update a
-    field with ``_replace``.
+    per logged epoch, from a trial line or from the records snapshot, and a
+    tuple is built in about half the time. Update a field with ``_replace``.
     """
 
     epoch: int

@@ -48,7 +48,7 @@ class TestRun:
         assert run_cli(tmp_path, "run", "--run-id", "a", *RUN_FLAGS) == 0
         # --jobs is still accepted and has no effect
         assert run_cli(tmp_path, "run", "--run-id", "b", *RUN_FLAGS, "--jobs", "3") == 0
-        for name in ("matrices.json", "selection.json"):
+        for name in ("records.json", "matrices.json", "selection.json"):
             a = artifact(tmp_path, "a", name).read_bytes()
             b = artifact(tmp_path, "b", name).read_bytes()
             assert a == b
@@ -322,6 +322,8 @@ class TestSelect:
             ("manifest.json", lambda text: with_field(text, "grid", "wd_values", "abc")),
             ("manifest.json", lambda text: with_field(text, "scheduler", "kind", "asha")),
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", "4")),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", True)),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", 1.5)),
             ("manifest.json", lambda text: with_field(text, "grid", "lr_bounds", [])),
             ("decisions.jsonl", lambda text: text + "3\n"),
             ("decisions.jsonl", lambda text: text + '{"decision": "stop"}\n'),
@@ -330,6 +332,7 @@ class TestSelect:
             "no-scheduler", "no-grid", "grid-string", "manifest-array", "manifest-not-json",
             "grid-empty", "scheduler-empty", "scheduler-no-budget",
             "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
+            "budget-bool", "budget-fraction",
             "lr-bounds-empty",
             "decision-number", "stop-without-cell",
         ],
@@ -503,3 +506,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "select" in proc.stdout
+
+
+def test_select_imports_no_hashlib(tmp_path):
+    # hashlib loads OpenSSL, megabytes of resident memory a select has no use for
+    assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+    package_root = str(Path(twinsearch.__file__).parents[1])
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {package_root!r})\n"
+        "from twinsearch.cli import main\n"
+        f"assert main(['--store-root', {str(tmp_path / 'runs')!r}, 'select', 'r']) == 0\n"
+        "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -714,6 +715,188 @@ class TestArtifactsRoundTrip:
         assert np.array_equal(mats.theta, rebuilt.theta, equal_nan=True)
         assert np.array_equal(mats.valid_mask, rebuilt.valid_mask)
         assert np.array_equal(mats.epochs_run, rebuilt.epochs_run)
+
+
+SNAPSHOT_GRID = build_log_grid(5e-5, 5e-1, 4, 5e-5, 5e-1, 4)
+SNAPSHOT_TASK = dict(seed=2, n_train=40, input_dim=4, n_classes=2)
+# run id -> (grid, policy, task) of each kind of run a records snapshot must reproduce
+SNAPSHOT_RUNS = {
+    "fifo": (SNAPSHOT_GRID, SchedulerPolicy("fifo", 6), TaskSpec(n_val=8, n_test=60, **SNAPSHOT_TASK)),
+    "hb": (
+        SNAPSHOT_GRID,
+        SchedulerPolicy("hb", 8, stop_fraction=0.25),
+        TaskSpec(n_val=8, n_test=60, **SNAPSHOT_TASK),
+    ),
+    "diverged": (
+        build_log_grid(5e-5, 1e6, 4, 5e-5, 50, 4),
+        SchedulerPolicy("fifo", 10),
+        TaskSpec(n_val=8, n_test=60, **SNAPSHOT_TASK),
+    ),
+    "val-free": (SNAPSHOT_GRID, SchedulerPolicy("fifo", 6), TaskSpec(n_val=0, n_test=0, **SNAPSHOT_TASK)),
+}
+
+
+@pytest.fixture(scope="module")
+def snapshot_runs(tmp_path_factory):
+    """A store root holding one finished run of each kind in ``SNAPSHOT_RUNS``."""
+    root = tmp_path_factory.mktemp("snapshot-runs")
+    for run_id, (grid, policy, task) in SNAPSHOT_RUNS.items():
+        config = TrainerConfig(batch_size=16, init_seed=2)
+        run_and_store(RunStore(root), run_id, grid, policy, task, ArchSpec((8,)), config)
+    return root
+
+
+@pytest.fixture()
+def runs(snapshot_runs, tmp_path):
+    """A store over a private copy of ``snapshot_runs``."""
+    shutil.copytree(snapshot_runs, tmp_path / "runs")
+    return RunStore(tmp_path / "runs")
+
+
+def bits(records):
+    """Every field of ``records`` with its type, floats as ``float.hex`` (one text for any NaN)."""
+    def value(v):
+        return (type(v).__name__, float.hex(v) if type(v) is float else v)
+
+    return [
+        (type(r).__name__, cell, r.cell, r.status, [(type(e).__name__, *map(value, e)) for e in r.epochs])
+        for cell, r in records.items()
+    ]
+
+
+def parsed(store, run_id):
+    """``load_run``'s records with the run's snapshot moved aside, so every trial file is parsed."""
+    snapshot = store.run_dir(run_id) / "records.json"
+    aside = snapshot.with_name("records.aside")
+    snapshot.rename(aside)
+    try:
+        return store.load_run(run_id)[1]
+    finally:
+        aside.rename(snapshot)
+
+
+def load_and_count(store, run_id, monkeypatch):
+    """``load_run``'s records, and the names of the trial files it parsed; a warning fails."""
+    parse = RunStore._parse_jsonl
+    seen = []
+
+    def counted(path, data, cell=None):
+        if cell is not None:
+            seen.append(os.path.basename(path))
+        return parse(path, data, cell)
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(RunStore, "_parse_jsonl", staticmethod(counted))
+        return store.load_run(run_id)[1], seen
+
+
+class TestRecordsSnapshot:
+    def test_the_runs_hold_what_they_are_named_for(self, snapshot_runs):
+        store = RunStore(snapshot_runs)
+        assert all((store.run_dir(run_id) / "records.json").is_file() for run_id in SNAPSHOT_RUNS)
+        stopped = [r for r in store.load_run("hb")[1].values() if r.status == "stopped_early"]
+        assert stopped and all(r.epochs_run < 8 for r in stopped)
+        values = [v for r in store.load_run("diverged")[1].values() for e in r.epochs for v in e[1:3]]
+        assert any(math.isnan(v) for v in values) and any(math.isinf(v) for v in values)
+        val_free = [e for r in store.load_run("val-free")[1].values() for e in r.epochs]
+        assert all(e.val_metric is None and e.test_metric is None for e in val_free)
+
+    @pytest.mark.parametrize("run_id", SNAPSHOT_RUNS)
+    def test_a_snapshot_loads_what_parsing_the_files_loads(self, runs, run_id, monkeypatch):
+        records, parsed_files = load_and_count(runs, run_id, monkeypatch)
+        assert parsed_files == []
+        assert bits(records) == bits(parsed(runs, run_id))
+
+    def test_a_digit_edited_in_place_is_read_from_the_file(self, runs, monkeypatch):
+        path = runs.run_dir("fifo") / "trials" / "1_2.jsonl"
+        data = path.read_bytes()
+        head, tail = data.split(b'"train_loss":', 1)
+        number = tail.split(b",", 1)[0]
+        edited = number[:-1] + (b"2" if number.endswith(b"1") else b"1")
+        path.write_bytes(head + b'"train_loss":' + edited + tail[len(number):])
+        assert len(path.read_bytes()) == len(data)
+        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
+        assert parsed_files == ["1_2.jsonl"]
+        assert records[GridCell(1, 2)].epochs[0].train_loss == float(edited) != float(number)
+        assert bits(records) == bits(parsed(runs, "fifo"))
+
+    @pytest.mark.parametrize("change", ["added", "removed"])
+    def test_an_added_or_removed_trial_file_is_seen(self, runs, change, monkeypatch):
+        trials = runs.run_dir("fifo") / "trials"
+        if change == "added":
+            line = _trial_line_text(GridCell(9, 9), EpochLog(0, 1.0, 2.0), "completed")
+            (trials / "9_9.jsonl").write_text(line + "\n")
+        else:
+            (trials / "0_1.jsonl").unlink()
+        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
+        assert parsed_files == (["9_9.jsonl"] if change == "added" else [])
+        assert (GridCell(9, 9) in records) == (GridCell(0, 1) in records) == (change == "added")
+        assert bits(records) == bits(parsed(runs, "fifo"))
+
+    def test_a_renamed_trial_file_is_still_an_error(self, runs):
+        trials = runs.run_dir("fifo") / "trials"
+        (trials / "0_1.jsonl").rename(trials / "00_1.jsonl")
+        with pytest.raises(RunStoreError) as info:
+            runs.load_run("fifo")
+        assert str(info.value) == f"{trials}/00_1.jsonl: not a trial file name (<row>_<col>.jsonl)"
+
+    def test_another_runs_snapshot_is_not_used(self, runs, monkeypatch):
+        # same grid, so the same 16 file names
+        shutil.copy(runs.run_dir("hb") / "records.json", runs.run_dir("fifo") / "records.json")
+        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
+        assert len(parsed_files) == 16
+        assert bits(records) == bits(parsed(runs, "fifo")) != bits(runs.load_run("hb")[1])
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[: len(data) // 2],
+            lambda data: b"not json\n",
+            lambda data: data.replace(b'"status":', b'"statuses":'),
+            lambda data: data.replace(b'"format":1', b'"format":2'),
+            lambda data: data.replace(b'"completed"', b'"paused"', 1),
+            lambda data: data.replace(b'"epochs_run":[', b'"epochs_run":[-1,', 1),
+            lambda data: data.replace(b"[null,", b'["0.5",', 1),
+        ],
+        ids=["truncated", "not-json", "no-status", "format-2", "unknown-status", "negative-run", "string-metric"],
+    )
+    def test_a_malformed_snapshot_warns_and_the_files_are_parsed(self, runs, damage):
+        snapshot = runs.run_dir("fifo") / "records.json"
+        snapshot.write_bytes(damage(snapshot.read_bytes()))
+        with pytest.warns(UserWarning, match=re.escape(f"{snapshot}: ignoring the records snapshot")):
+            records = runs.load_run("fifo")[1]
+        assert bits(records) == bits(parsed(runs, "fifo"))
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0), EpochLog(2, 1.0, 2.0)]), "contiguity"),
+            (TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0)], "paused"), "unknown value 'paused'"),
+        ],
+        ids=["epoch-gap", "unknown-status"],
+    )
+    def test_no_snapshot_stands_in_for_a_file_that_fails_to_load(self, store, record, message):
+        grid = small_grid()
+        store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.append_trial_line("r", plain_record(GridCell(0, 0), 2, "completed"))
+        store.append_trial_line("r", record)
+        store.write_records("r")
+        assert not (store.run_dir("r") / "records.json").exists()
+        with pytest.raises(RunStoreError, match=message):
+            store.load_run("r")
+
+    def test_an_empty_file_and_signed_non_finite_values_load_as_parsed(self, store, monkeypatch):
+        grid = small_grid()
+        store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.append_trial_line("r", TrialRecord(GridCell(0, 0), [], "completed"))
+        logs = [EpochLog(0, -math.nan, -math.inf, -0.0, None)]
+        store.append_trial_line("r", TrialRecord(GridCell(0, 1), logs, "diverged"))
+        store.write_records("r")
+        records, parsed_files = load_and_count(store, "r", monkeypatch)
+        assert parsed_files == []
+        assert bits(records) == bits(parsed(store, "r"))
+        assert records[GridCell(0, 0)].status == "running"
 
 
 class TestResumePlan:

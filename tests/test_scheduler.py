@@ -67,6 +67,9 @@ class TestPolicyAndLadder:
             dict(kind="hb", epoch_budget=10, halving_rate=1),
             dict(kind="hb", epoch_budget=10, grace_fraction=0.0),
             dict(kind="hb", epoch_budget=0),
+            dict(kind="fifo", epoch_budget=True),
+            dict(kind="fifo", epoch_budget=1.5),
+            dict(kind="fifo", epoch_budget=4.0),
         ],
     )
     def test_invalid_policies(self, kwargs):
