@@ -5,10 +5,11 @@ Runs a fixed set of CLI recipes, for each seed, once with the ``twinsearch``
 package from ``SRC_A`` and once with the one from ``SRC_B``, and compares
 every file of the resulting run directories byte for byte: manifest, trial
 lines, decision log, records snapshot, matrices, selection, baselines and
-eval report. The
-``select-foreign`` recipe rewrites every trial file the way another writer
-might (spaced separators, reversed keys, CRLF, integral floats as ints)
-before it selects, so the loader's handling of such lines is compared too.
+eval report. The ``select-foreign`` recipe rewrites every trial file the
+way another writer might (spaced separators, reversed keys, CRLF, integral
+floats as ints) before it selects, so the loader's handling of such lines
+is compared too; its snapshot no longer matches the files, so they are
+parsed.
 
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0

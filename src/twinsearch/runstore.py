@@ -40,19 +40,12 @@ checked for the fields read from them (``<path>: <detail>``). A run id
 must name one directory inside the store root.
 
 The trial files are the only source of truth. ``records.json``, the records
-snapshot, is derived from them so that ``load_run`` need not parse them:
-``run`` writes it after the search from the bytes ``append_trial_line``
-wrote, with no file read back. It holds, per trial file in name order, the
-name, byte length, ``zlib.crc32``, status and epochs run, and the loss,
-norm, val and test values of all epochs end to end, as the loader decodes
-them (floats in the trial lines' text, non-finite ones as strings).
-``load_run`` still reads every trial file once, and takes a file's record
-from the snapshot only if the snapshot lists that name with the same
-length and CRC; any other file is parsed. A listed file is one ``run``
-wrote whole, and no snapshot is written if one of them would fail to
-load, so the errors and warnings are those of parsing every file. A
-missing snapshot is never an error; a malformed one is ignored with a
-warning naming it. External writers need not write it.
+snapshot (``twinsearch.snapshot``), is derived from them so that ``load_run``
+need not parse them: it still reads every trial file once, takes a file's
+record from the snapshot only if the snapshot lists that name with the same
+byte length and ``zlib.crc32``, and parses any other file. A missing
+snapshot is never an error; a malformed one is ignored with a warning
+naming it. External writers need not write it.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
@@ -75,9 +68,9 @@ import json
 import math
 import os
 import re
+import struct
 import warnings
 import zlib
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
@@ -97,7 +90,6 @@ __all__ = [
 TOOL_VERSION = "0.1.0"
 
 _TRIAL_FILE_RE = re.compile(r"^(\d+)_(\d+)\.jsonl$")
-_RECORDS = "records.json"
 _INF_TEXT = {math.inf: "Inf", -math.inf: "-Inf"}
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
 # the manifest objects the loaders read: the class that checks each, and the fields read from it
@@ -161,11 +153,6 @@ _JSON_KINDS = {
 _scan = json.JSONDecoder().scan_once
 # EpochLog(*fields) without its Python-level __new__
 _tuple_new = tuple.__new__
-# the arrays of a records snapshot: one value per trial file, and one per epoch of all files,
-# where floats and nulls need no decoding
-_PER_FILE = ("file", "length", "crc32", "status", "epochs_run")
-_PER_EPOCH = ("train_loss", "param_norm", "val_acc", "test_acc")
-_FLOAT_KINDS = {float, type(None)}
 
 
 def _decode_float(value):
@@ -191,10 +178,7 @@ def encode_json(obj, line: bool = False) -> str:
     """Canonical JSON text: insertion order kept, non-finite floats as strings, string keys;
     ``json.dumps(..., indent=2)``'s text, or compact as one line."""
     if line:
-        try:  # the same text when every float is finite, without _encode's pass in Python
-            return json.dumps(obj, separators=(",", ":"), allow_nan=False)
-        except ValueError:
-            return json.dumps(_encode(obj), separators=(",", ":"))
+        return json.dumps(_encode(obj), separators=(",", ":"))
     return _document(_encode(obj))
 
 
@@ -219,10 +203,10 @@ class RunStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         # run_id -> (grid rows, grid cols, trials directory as a plain string, and per cell in
-        # row-major order the (name, byte length, CRC-32, record) of the trial file written, or
-        # None). That list is allocated whole: one grown by an item per ended trial kept ~1.5 MB
-        # more resident over a 30x30 HB search.
-        self._trial_targets: dict[str, tuple[int, int, str, list]] = {}
+        # row-major order the byte length, CRC-32 and record fingerprint of the trial file
+        # written, or zeros, as three int64s) for the records snapshot (``snapshot.write_records``);
+        # not an array.array: loading that module kept ~0.13 MB more resident over a 30x30 search
+        self._trial_targets: dict[str, tuple[int, int, str, bytearray]] = {}
 
     def run_dir(self, run_id: str) -> Path:
         """``root/run_id``; an id that would name the root, a parent or a nested path is refused."""
@@ -249,14 +233,13 @@ class RunStore:
             if not (run_dir / "manifest.json").exists():
                 raise RunStoreError(f"run {run_id!r} has no manifest; create the run first")
             shape = _grid_shape(self.load_manifest(run_id))
-            files = [None] * (shape[0] * shape[1])
+            files = bytearray(24 * shape[0] * shape[1])
             target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"), files)
         n_rows, n_cols, trials_dir, files = target
         row, col = cell = record.cell
         if not (0 <= row < n_rows and 0 <= col < n_cols):
             raise RunStoreError(f"cell ({row}, {col}) outside grid of shape {(n_rows, n_cols)}")
-        name = f"{row}_{col}.jsonl"
-        path = f"{trials_dir}/{name}"
+        path = f"{trials_dir}/{row}_{col}.jsonl"
         last = record.epochs_run - 1
         data = "".join(
             _trial_line_text(cell, entry, record.status if i == last else STATUS_RUNNING) + "\n"
@@ -272,27 +255,8 @@ class RunStore:
             os.close(fd)
         if written != len(data):
             raise RunStoreError(f"{path}: short write, {written} of {len(data)} bytes")
-        files[row * n_cols + col] = (name, written, zlib.crc32(data), record)
-
-    def write_records(self, run_id: str) -> None:
-        """Write the records snapshot of the trial files this store wrote for ``run_id``: each
-        file's name, length and CRC-32, and its record as ``load_run`` decodes it, with the
-        epochs of all records end to end. Nothing is written if the store wrote no trial file
-        of the run, or if one of them would not load."""
-        target = self._trial_targets.get(run_id)
-        written = sorted(filter(None, target[3])) if target else []
-        if not written:
-            return
-        names, sizes, crcs, records = zip(*written)
-        columns = list(zip(*(entry for r in records for entry in r.epochs))) or [()] * 5
-        if columns[0] != tuple(chain.from_iterable(range(r.epochs_run) for r in records)):
-            return  # epochs that are not 0, 1, ... in every file
-        if not _STATUS_TEXT.keys() >= {r.status for r in records}:
-            return
-        statuses = [r.status if r.epochs and r.status in TERMINAL_STATUSES else STATUS_RUNNING for r in records]
-        arrays = (names, sizes, crcs, statuses, [r.epochs_run for r in records], *columns[1:])
-        text = ",\n".join(f'"{k}":{encode_json(v, line=True)}' for k, v in zip(_PER_FILE + _PER_EPOCH, arrays))
-        self._write_text(self.run_dir(run_id) / _RECORDS, '{\n"format":1,\n' + text + "\n}\n")
+        fingerprint = hash((record.status, *record.epochs))  # snapshot.fingerprint(record)
+        struct.pack_into("3q", files, 24 * (row * n_cols + col), written, zlib.crc32(data), fingerprint)
 
     def append_decisions(self, run_id: str, decisions: Iterable[dict]) -> None:
         path = self.run_dir(run_id) / "decisions.jsonl"
@@ -400,33 +364,32 @@ class RunStore:
         records: dict[GridCell, TrialRecord] = {}
         trials_dir = f"{run_dir}/trials"
         if os.path.isdir(trials_dir):
-            snapshot = _load_snapshot(f"{run_dir}/{_RECORDS}")
-            for name in sorted(os.listdir(trials_dir)):
-                m = _TRIAL_FILE_RE.match(name)
-                if not m:
-                    continue
-                cell = GridCell(int(m[1]), int(m[2]))
-                if name != f"{cell.row}_{cell.col}.jsonl":  # 00_1.jsonl, or digits not ASCII
-                    raise RunStoreError(f"{trials_dir}/{name}: not a trial file name (<row>_<col>.jsonl)")
-                path = f"{trials_dir}/{name}"
-                data = _read_bytes(path)
-                known = snapshot.get(name)
-                if known and known[:2] == (len(data), zlib.crc32(data)):
-                    records[cell] = TrialRecord(cell, *known[2:])
-                else:
-                    records[cell] = self._parse_jsonl(path, data, cell)
+            from .snapshot import SnapshotReader
+
+            with SnapshotReader(run_dir) as snapshot:
+                for name in sorted(os.listdir(trials_dir)):
+                    m = _TRIAL_FILE_RE.match(name)
+                    if not m:
+                        continue
+                    cell = GridCell(int(m[1]), int(m[2]))
+                    if name != f"{cell.row}_{cell.col}.jsonl":  # 00_1.jsonl, or digits not ASCII
+                        raise RunStoreError(f"{trials_dir}/{name}: not a trial file name (<row>_<col>.jsonl)")
+                    path = f"{trials_dir}/{name}"
+                    record, data = snapshot.read(cell, name, path)
+                    records[cell] = record or self._read_jsonl(path, cell, data)
         decisions_path = f"{run_dir}/decisions.jsonl"
         decisions = self._read_jsonl(decisions_path) if os.path.exists(decisions_path) else []
         return manifest, records, decisions
 
-    def _read_jsonl(self, path: str, cell: GridCell | None = None):
-        """``cell``'s trial file as its record, or with no cell the decision log as a list."""
-        return self._parse_jsonl(path, _read_bytes(path), cell)
-
-    @staticmethod
-    def _parse_jsonl(path: str, data: bytes, cell: GridCell | None = None):
-        """``data``, read from ``path``: ``cell``'s trial file as its record, or with no cell
-        the decision log as a list; a torn final line is dropped with a warning."""
+    def _read_jsonl(self, path: str, cell: GridCell | None = None, data: bytes | None = None):
+        """``cell``'s trial file as its record, or with no cell the decision log as a list; a torn
+        final line is dropped with a warning. ``data`` is the file's bytes, if already read."""
+        if data is None:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
         # each byte that is not UTF-8 decodes to a lone surrogate and back
         lines = data.decode("utf-8", "surrogateescape").split("\n")
         last = data.rstrip(b"\n").count(b"\n")  # the last non-blank line
@@ -521,48 +484,6 @@ class RunStore:
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_bytes(data)
         os.replace(tmp, path)
-
-
-def _read_bytes(path: str) -> bytes:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        return os.read(fd, os.fstat(fd).st_size)
-    finally:
-        os.close(fd)
-
-
-def _load_snapshot(path: str) -> dict[str, tuple[int, int, list[EpochLog], str]]:
-    """Each trial file the records snapshot at ``path`` lists, by name: its length, CRC-32,
-    epochs and status. Empty when there is no snapshot, or after a warning when it is malformed."""
-    try:
-        doc = json.loads(_read_bytes(path))
-        if type(doc) is not dict or doc.get("format") != 1:
-            raise RunStoreError("not a format 1 records snapshot")
-        names, sizes, crcs, statuses, runs, *columns = map(doc.get, _PER_FILE + _PER_EPOCH)
-        for key, values in zip(_PER_FILE, (names, sizes, crcs, statuses, runs)):
-            if type(values) is not list or len(values) != len(names):
-                raise RunStoreError(f"{key!r} is not an array of one value per file")
-        if not _STATUS_TEXT.keys() >= set(statuses):
-            raise RunStoreError("'status' holds an unknown status")
-        if not ({int} >= set(map(type, runs)) and min(runs, default=0) >= 0):
-            raise RunStoreError("'epochs_run' holds a value that is not a non-negative integer")
-        for i, key in enumerate(_PER_EPOCH):
-            if type(columns[i]) is not list or len(columns[i]) != sum(runs):
-                raise RunStoreError(f"{key!r} is not an array of one value per epoch")
-            if not _FLOAT_KINDS.issuperset(map(type, columns[i])):
-                columns[i] = list(map(_decode_float, columns[i]))
-        epochs = list(map(_tuple_new, repeat(EpochLog), zip(chain.from_iterable(map(range, runs)), *columns)))
-        snapshot = {}
-        end = 0
-        for name, size, crc, status, n in zip(names, sizes, crcs, statuses, runs):
-            snapshot[name] = (size, crc, epochs[end:end + n], status)
-            end += n
-        return snapshot
-    except FileNotFoundError:
-        return {}
-    except (OSError, ValueError, TypeError, RecursionError, RunStoreError) as exc:
-        warnings.warn(f"{path}: ignoring the records snapshot: {exc}")
-        return {}
 
 
 def _read_json(path: Path):

@@ -27,6 +27,7 @@ from .quickshift import QuickshiftParams, default_params
 from .runstore import RunStore
 from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
+from .snapshot import write_records
 from .tasks import SyntheticTask, TaskSpec
 from .trainer import (
     STATUS_DIVERGED,
@@ -152,5 +153,5 @@ def run_and_store(
     }
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
-    store.write_records(run_id)
+    write_records(store, run_id, records.values())
     return select_and_store(store, run_id, records, grid, default_params(grid))

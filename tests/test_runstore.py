@@ -4,12 +4,14 @@ import os
 import re
 import shutil
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinsearch import snapshot as records_snapshot
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
@@ -775,19 +777,41 @@ def parsed(store, run_id):
         aside.rename(snapshot)
 
 
+def resealed(data):
+    """Snapshot ``data`` with the CRC-32 on its first line recomputed, so only its entries are wrong."""
+    head, body = data.split(b"\n", 1)
+    return re.sub(rb'"body_crc32":\d+', b'"body_crc32":%d' % zlib.crc32(body), head) + b"\n" + body
+
+
+def edit_a_loss_digit(data):
+    """Snapshot ``data`` with one digit of its first loss value changed, keeping its length."""
+    at = re.compile(rb"[1-8]").search(data, data.index(b'"train_loss":[')).start()
+    return data[:at] + bytes([data[at] + 1]) + data[at + 1:]
+
+
+def rewrite_snapshot(store, run_id):
+    """Write ``run_id``'s snapshot again from its trial files, as ``run`` writes it."""
+    trials = store.run_dir(run_id) / "trials"
+    files = []
+    for cell, record in parsed(store, run_id).items():
+        data = (trials / f"{cell.row}_{cell.col}.jsonl").read_bytes()
+        files.append((cell, len(data), zlib.crc32(data), tuple(record.epochs), record.status))
+    (store.run_dir(run_id) / "records.json").write_text(records_snapshot.snapshot_text(files))
+
+
 def load_and_count(store, run_id, monkeypatch):
     """``load_run``'s records, and the names of the trial files it parsed; a warning fails."""
-    parse = RunStore._parse_jsonl
+    parse = RunStore._read_jsonl
     seen = []
 
-    def counted(path, data, cell=None):
+    def counted(self, path, cell=None, data=None):
         if cell is not None:
             seen.append(os.path.basename(path))
-        return parse(path, data, cell)
+        return parse(self, path, cell, data)
 
     with monkeypatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error")
-        patch.setattr(RunStore, "_parse_jsonl", staticmethod(counted))
+        patch.setattr(RunStore, "_read_jsonl", counted)
         return store.load_run(run_id)[1], seen
 
 
@@ -849,24 +873,87 @@ class TestRecordsSnapshot:
         assert bits(records) == bits(parsed(runs, "fifo")) != bits(runs.load_run("hb")[1])
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, detail",
         [
-            lambda data: data[: len(data) // 2],
-            lambda data: b"not json\n",
-            lambda data: data.replace(b'"status":', b'"statuses":'),
-            lambda data: data.replace(b'"format":1', b'"format":2'),
-            lambda data: data.replace(b'"completed"', b'"paused"', 1),
-            lambda data: data.replace(b'"epochs_run":[', b'"epochs_run":[-1,', 1),
-            lambda data: data.replace(b"[null,", b'["0.5",', 1),
+            (lambda data: data[: len(data) // 2], "'body_crc32' does not match the lines after the first"),
+            (lambda data: b"not json\n", "Expecting value"),
+            (edit_a_loss_digit, "'body_crc32' does not match the lines after the first"),
+            (lambda data: data.replace(b'"format":1', b'"format":2'), "not a format 1 records snapshot"),
+            (lambda data: resealed(data.replace(b"}\n", b"}\n[1,2]\n", 1)), "line 2: not an object"),
+            (lambda data: resealed(data.replace(b'"status":', b'"statuses":')), "line 2: 'status' is not an array"),
+            (lambda data: resealed(data.replace(b'"file":["0_0.jsonl"', b'"file":[7', 1)), "line 2: 'file' holds a value"),
+            (lambda data: resealed(data.replace(b'"completed"', b'"paused"', 1)), "line 2: 'status' holds an unknown"),
+            (lambda data: resealed(data.replace(b'"epochs_run":[', b'"epochs_run":[-', 1)), "line 2: 'epochs_run' holds"),
+            (lambda data: resealed(data.replace(b"[null,", b"[", 1)), "line 2: 'val_acc' is not an array"),
+            (lambda data: resealed(data.replace(b"[null,", b'["0.5",', 1)), "not a float encoding: '0.5'"),
         ],
-        ids=["truncated", "not-json", "no-status", "format-2", "unknown-status", "negative-run", "string-metric"],
+        ids=[
+            "truncated", "not-json", "loss-digit-edited", "format-2", "not-an-object", "no-status", "numeric-name",
+            "unknown-status", "negative-run", "ragged", "string-metric",
+        ],
     )
-    def test_a_malformed_snapshot_warns_and_the_files_are_parsed(self, runs, damage):
+    def test_a_malformed_snapshot_warns_and_the_files_are_parsed(self, runs, damage, detail):
         snapshot = runs.run_dir("fifo") / "records.json"
         snapshot.write_bytes(damage(snapshot.read_bytes()))
-        with pytest.warns(UserWarning, match=re.escape(f"{snapshot}: ignoring the records snapshot")):
+        message = re.escape(f"{snapshot}: ignoring the records snapshot: {detail}")
+        with pytest.warns(UserWarning, match=message):
             records = runs.load_run("fifo")[1]
         assert bits(records) == bits(parsed(runs, "fifo"))
+
+    def test_a_snapshot_edited_in_place_loads_the_files_values(self, runs):
+        snapshot = runs.run_dir("fifo") / "records.json"
+        data = snapshot.read_bytes()
+        snapshot.write_bytes(edit_a_loss_digit(data))
+        assert len(snapshot.read_bytes()) == len(data) and snapshot.read_bytes() != data
+        with pytest.warns(UserWarning, match="'body_crc32' does not match"):
+            records = runs.load_run("fifo")[1]
+        snapshot.write_bytes(data)
+        assert bits(records) == bits(runs.load_run("fifo")[1]) == bits(parsed(runs, "fifo"))
+
+    @pytest.mark.parametrize("line_epochs, n_lines", [(4, 16), (20, 6)])
+    def test_a_snapshot_of_many_lines_loads_what_parsing_loads(self, runs, line_epochs, n_lines, monkeypatch):
+        # 16 files of 6 epochs: one file a line when it has more epochs than a line holds
+        path = runs.run_dir("fifo") / "records.json"
+        written = path.read_bytes()
+        rewrite_snapshot(runs, "fifo")
+        assert path.read_bytes() == written
+        monkeypatch.setattr(records_snapshot, "_LINE_EPOCHS", line_epochs)
+        rewrite_snapshot(runs, "fifo")
+        assert len((runs.run_dir("fifo") / "records.json").read_bytes().splitlines()) == 1 + n_lines
+        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
+        assert parsed_files == []
+        assert bits(records) == bits(parsed(runs, "fifo"))
+
+    def test_files_from_a_malformed_line_on_are_parsed(self, runs, monkeypatch):
+        monkeypatch.setattr(records_snapshot, "_LINE_EPOCHS", 20)  # 3 files a line
+        rewrite_snapshot(runs, "fifo")
+        path = runs.run_dir("fifo") / "records.json"
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"status":', b'"statuses":')  # 1_2, 1_3 and 2_0
+        path.write_bytes(resealed(b"\n".join(lines)))
+        parse = RunStore._read_jsonl
+        seen = []
+        monkeypatch.setattr(RunStore, "_read_jsonl", lambda self, p, c=None, d=None: seen.append(p) or parse(self, p, c, d))
+        with pytest.warns(UserWarning, match=re.escape(f"{path}: ignoring the records snapshot: line 4: 'status'")):
+            records = runs.load_run("fifo")[1]
+        names = sorted(os.listdir(runs.run_dir("fifo") / "trials"))
+        assert [os.path.basename(p) for p in seen] == names[names.index("1_2.jsonl"):] + ["decisions.jsonl"]
+        assert bits(records) == bits(parsed(runs, "fifo"))
+
+    def test_a_record_changed_after_its_write_is_not_taken_from_the_snapshot(self, store, monkeypatch):
+        grid = small_grid()
+        store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        records = [plain_record(cell, 2, "completed") for cell in grid.cells()]
+        for record in records[:3]:  # the last cell's is never written
+            store.append_trial_line("r", record)
+        records[1].epochs[0] = records[1].epochs[0]._replace(train_loss=123.0)
+        records[2].epochs.append(EpochLog(2, 1.0, 2.0))
+        records[2].status = "diverged"
+        records_snapshot.write_records(store, "r", [*records, plain_record(GridCell(0, -1), 2, "completed")])
+        loaded, parsed_files = load_and_count(store, "r", monkeypatch)
+        assert parsed_files == ["0_1.jsonl", "1_0.jsonl"]
+        assert bits(loaded) == bits(parsed(store, "r"))
+        assert bits(loaded) == bits({r.cell: plain_record(r.cell, 2, "completed") for r in records[:3]})
 
     @pytest.mark.parametrize(
         "record, message",
@@ -879,9 +966,10 @@ class TestRecordsSnapshot:
     def test_no_snapshot_stands_in_for_a_file_that_fails_to_load(self, store, record, message):
         grid = small_grid()
         store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r", plain_record(GridCell(0, 0), 2, "completed"))
+        first = plain_record(GridCell(0, 0), 2, "completed")
+        store.append_trial_line("r", first)
         store.append_trial_line("r", record)
-        store.write_records("r")
+        records_snapshot.write_records(store, "r", [first, record])
         assert not (store.run_dir("r") / "records.json").exists()
         with pytest.raises(RunStoreError, match=message):
             store.load_run("r")
@@ -889,10 +977,13 @@ class TestRecordsSnapshot:
     def test_an_empty_file_and_signed_non_finite_values_load_as_parsed(self, store, monkeypatch):
         grid = small_grid()
         store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r", TrialRecord(GridCell(0, 0), [], "completed"))
-        logs = [EpochLog(0, -math.nan, -math.inf, -0.0, None)]
-        store.append_trial_line("r", TrialRecord(GridCell(0, 1), logs, "diverged"))
-        store.write_records("r")
+        written = [
+            TrialRecord(GridCell(0, 0), [], "completed"),
+            TrialRecord(GridCell(0, 1), [EpochLog(0, -math.nan, -math.inf, -0.0, None)], "diverged"),
+        ]
+        for record in written:
+            store.append_trial_line("r", record)
+        records_snapshot.write_records(store, "r", written)
         records, parsed_files = load_and_count(store, "r", monkeypatch)
         assert parsed_files == []
         assert bits(records) == bits(parsed(store, "r"))
