@@ -142,7 +142,7 @@ def _load_complete_run(store: RunStore, run_id: str):
         cells = ", ".join(f"({c.row}, {c.col})" for c, _ in pending[:10])
         more = "" if len(pending) <= 10 else f" and {len(pending) - 10} more"
         raise PipelineError(f"run {run_id!r} has incomplete cells: {cells}{more}")
-    return manifest, records, decisions, grid
+    return manifest, records, grid
 
 
 def _cmd_run(args) -> int:
@@ -189,7 +189,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_select(args) -> int:
     store = _store(args)
-    _manifest, records, _decisions, grid = _load_complete_run(store, args.run_id)
+    _manifest, records, grid = _load_complete_run(store, args.run_id)
     whole = args.lr_stride == 1 and args.wd_stride == 1
     try:
         if not whole:
@@ -226,7 +226,7 @@ def _cmd_baseline(args) -> int:
     if METHOD_ORACLE in methods and not args.allow_test_metrics:
         raise UsageError("reading test metrics requires --allow-test-metrics")
     store = _store(args)
-    manifest, records, _decisions, grid = _load_complete_run(store, args.run_id)
+    manifest, records, grid = _load_complete_run(store, args.run_id)
     mats = assemble(records.values(), grid)
     surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
     selections = [baseline_select(mats, surfaces, m, grid) for m in methods]
@@ -248,7 +248,7 @@ def _cmd_eval(args) -> int:
     per_config = []
     surfaces_list = []
     for run_id in args.run_ids:
-        manifest, records, _decisions, grid = _load_complete_run(store, run_id)
+        manifest, records, grid = _load_complete_run(store, run_id)
         mats = assemble(records.values(), grid)
         surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
         artifacts = twin_pipeline(mats, grid, default_params(grid))
@@ -274,7 +274,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_plot(args) -> int:
     store = _store(args)
-    manifest, records, _decisions, grid = _load_complete_run(store, args.run_id)
+    manifest, records, grid = _load_complete_run(store, args.run_id)
     mats = store.load_matrices(args.run_id)
     cell, region, labels = store.load_selection(args.run_id)
 

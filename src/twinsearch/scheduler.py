@@ -46,7 +46,7 @@ class SchedulerPolicy:
         if type(self.epoch_budget) is not int or self.epoch_budget < 1:  # bool is no budget
             raise ValueError(f"epoch_budget must be an integer >= 1, got {self.epoch_budget!r}")
         if self.kind == "hb":
-            if not 0 < self.stop_fraction <= 1:
+            if type(self.stop_fraction) is bool or not 0 < self.stop_fraction <= 1:
                 raise ValueError(f"stop_fraction must be in (0, 1], got {self.stop_fraction}")
             if not (isinstance(self.halving_rate, int) and self.halving_rate >= 2):
                 raise ValueError(f"halving_rate must be an integer >= 2, got {self.halving_rate}")

@@ -31,8 +31,6 @@ External writers need not write it.
 from __future__ import annotations
 
 import json
-import os
-import struct
 import warnings
 import zlib
 from functools import partial
@@ -42,10 +40,11 @@ from typing import Iterable, Iterator, Sequence
 from .grid import GridCell
 from .runstore import (
     _STATUS_TEXT,
+    _WRITTEN,
     RunStore,
     RunStoreError,
     _decode_float,
-    _tuple_new,
+    _fingerprint,
     encode_json,
 )
 from .trainer import STATUS_RUNNING, TERMINAL_STATUSES, EpochLog, TrialRecord
@@ -57,6 +56,8 @@ _PER_EPOCH = ("train_loss", "param_norm", "val_acc", "test_acc")
 # the epochs a line holds, unless one file has more: at ~80 bytes each its text stays below
 # glibc's 128 KiB mmap threshold, so reading a line does not raise that threshold for the process
 _LINE_EPOCHS = 1024
+# EpochLog(*fields) without its Python-level __new__
+_tuple_new = tuple.__new__
 
 
 def _line(files: list[tuple[GridCell, int, int, Sequence[EpochLog], str]]) -> str:
@@ -68,13 +69,6 @@ def _line(files: list[tuple[GridCell, int, int, Sequence[EpochLog], str]]) -> st
     statuses = [s if e and s in TERMINAL_STATUSES else STATUS_RUNNING for e, s in zip(epochs, statuses)]
     arrays = (names, sizes, crcs, statuses, list(map(len, epochs)), *columns)
     return encode_json(dict(zip(_PER_FILE + _PER_EPOCH, arrays)), line=True) + "\n"
-
-
-def fingerprint(record: TrialRecord) -> int:
-    """A hash of ``record``'s status and epochs, as ``RunStore.append_trial_line`` keeps it with
-    the file it writes: within one process it changes when they do, but for a chance of about
-    one in 2**64."""
-    return hash((record.status, *record.epochs))
 
 
 def write_records(store: RunStore, run_id: str, records: Iterable[TrialRecord]) -> None:
@@ -89,8 +83,8 @@ def write_records(store: RunStore, run_id: str, records: Iterable[TrialRecord]) 
     for record in records:
         row, col = record.cell
         if 0 <= row < n_rows and 0 <= col < n_cols:
-            size, crc, kept = struct.unpack_from("3q", written, 24 * (row * n_cols + col))
-            if kept == fingerprint(record):  # a cell not written keeps 0
+            size, crc, kept = _WRITTEN.unpack_from(written, _WRITTEN.size * (row * n_cols + col))
+            if kept == _fingerprint(record):  # a cell not written keeps 0
                 files.append((record.cell, size, crc, record.epochs, record.status))
     text = snapshot_text(files)
     if text is not None:
@@ -176,18 +170,12 @@ class SnapshotReader:
     def __exit__(self, *exc) -> None:
         self._entries.close()
 
-    def read(self, cell: GridCell, name: str, path: str) -> tuple[TrialRecord | None, bytes]:
-        """Read ``cell``'s trial file ``name`` at ``path``: its record if the snapshot lists that
-        name with the file's length and CRC-32, else None, and the file's bytes. Each name must
-        sort after the one before."""
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            data = os.read(fd, os.fstat(fd).st_size)
-        finally:
-            os.close(fd)
+    def read(self, cell: GridCell, name: str, data: bytes) -> TrialRecord | None:
+        """``cell``'s record if the snapshot lists its trial file ``name`` with the length and
+        CRC-32 of ``data``, the file's bytes, else None. Each name must sort after the one before."""
         while self._entry is not None and self._entry[0] < name:
             self._entry = next(self._entries, None)
         entry = self._entry
         if entry is None or entry[0] != name or entry[1] != len(data) or entry[2] != zlib.crc32(data):
-            return None, data
-        return TrialRecord(cell, entry[3], entry[4]), data
+            return None
+        return TrialRecord(cell, entry[3], entry[4])

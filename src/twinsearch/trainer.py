@@ -121,6 +121,8 @@ class TrainerConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
+        if type(self.init_seed) is not int or self.init_seed < 0:  # bool is no seed
+            raise ValueError(f"init_seed must be a non-negative integer, got {self.init_seed!r}")
 
 
 class EpochLog(NamedTuple):

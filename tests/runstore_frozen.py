@@ -1,9 +1,10 @@
 """Frozen reference for reading one trial file: the per-line ``json.loads``
 loader, written out once and not changed since.
 
-Any rewrite of ``RunStore._read_jsonl``/``RunStore._load_trial_file`` must
-load the same records from the same bytes, and fail on the same bytes with
-the same exception type, message and warnings. Three deliberate changes
+Any rewrite of ``RunStore._read_jsonl``, which reads both the trial files
+and the decision log, must load the same records from the same bytes, and
+fail on the same bytes with the same exception type, message and warnings.
+Three deliberate changes
 since: the package rejects JSON booleans as row/col/epoch, which this
 reference (``isinstance(x, int)``) accepts; a line that is no JSON object
 and not rejected for a missing field (a number, boolean or null, or an

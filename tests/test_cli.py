@@ -97,6 +97,7 @@ class TestRun:
             ["--n-val", "-1"],
             ["--n-test", "-1"],
             ["--task-seed", "-1"],
+            ["--init-seed", "-1"],
         ],
         ids=lambda flags: flags[0],
     )
@@ -325,6 +326,10 @@ class TestSelect:
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", True)),
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", 1.5)),
             ("manifest.json", lambda text: with_field(text, "grid", "lr_bounds", [])),
+            (
+                "manifest.json",
+                lambda text: with_field(with_field(text, "scheduler", "kind", "hb"), "scheduler", "stop_fraction", True),
+            ),
             ("decisions.jsonl", lambda text: text + "3\n"),
             ("decisions.jsonl", lambda text: text + '{"decision": "stop"}\n'),
         ],
@@ -333,7 +338,7 @@ class TestSelect:
             "grid-empty", "scheduler-empty", "scheduler-no-budget",
             "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
             "budget-bool", "budget-fraction",
-            "lr-bounds-empty",
+            "lr-bounds-empty", "hb-stop-fraction-bool",
             "decision-number", "stop-without-cell",
         ],
     )
@@ -522,3 +527,26 @@ def test_select_imports_no_hashlib(tmp_path):
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("scheduler", ["fifo", "hb"])
+def test_commands_on_a_stored_run_parse_only_the_decision_log(tmp_path, monkeypatch, scheduler):
+    # every record comes from the records snapshot that run writes; no trial file is parsed
+    assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS, "--scheduler", scheduler) == 0
+    parse = RunStore._read_jsonl
+    parsed = []
+
+    def recorded(self, path, cell=None, data=None):
+        parsed.append(os.path.basename(path))
+        return parse(self, path, cell, data)
+
+    monkeypatch.setattr(RunStore, "_read_jsonl", recorded)
+    for command in (
+        ["select", "r"],
+        ["baseline", "r", "--methods", "selts,selvs,oracle", "--allow-test-metrics"],
+        ["eval", "r", "--allow-test-metrics"],
+        ["plot", "r", "--target", "psi", "--out", str(tmp_path / "psi.svg")],
+    ):
+        parsed.clear()
+        assert run_cli(tmp_path, *command) == 0
+        assert parsed == ["decisions.jsonl"]

@@ -64,6 +64,7 @@ class TestPolicyAndLadder:
             dict(kind="lifo", epoch_budget=10),
             dict(kind="hb", epoch_budget=10, stop_fraction=0.0),
             dict(kind="hb", epoch_budget=10, stop_fraction=1.5),
+            dict(kind="hb", epoch_budget=10, stop_fraction=True),
             dict(kind="hb", epoch_budget=10, halving_rate=1),
             dict(kind="hb", epoch_budget=10, grace_fraction=0.0),
             dict(kind="hb", epoch_budget=0),
