@@ -3,8 +3,12 @@
 
 Trains the full grid on several seeded small-sample tasks with a FIFO budget,
 then reports each method's picked cell and its test accuracy alongside the
-oracle's. Mirrors the evaluation protocol of the acceptance suite; handy for
-eyeballing how the heuristic behaves as the task recipe changes.
+oracle's; handy for eyeballing how the heuristic behaves as the task recipe
+changes.
+
+Seeds 0-9 and 15-19 have been looked at with this script, so no acceptance
+gate may use them. Seeds 10-14 stay unseen: they are kept for the first
+acceptance test of the twin selector's segmentation.
 """
 
 from __future__ import annotations

@@ -13,10 +13,14 @@ parsed.
 
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
+    python3 scripts/parity.py OLD/src NEW/src --expect-changed selection.json,eval_report.json
 
-Each tree runs in one fresh Python process. Exit status: 0 when every file
-is identical, 1 when any file differs or exists on one side only, 2 when a
-command fails.
+Each tree runs in one fresh Python process. ``--expect-changed`` names
+files, by their path inside the run directory, that a change to the package
+is meant to alter: they may differ or exist on one side only, and each one
+that does is printed per recipe and seed. Exit status: 0 when every file
+not so named is identical, 1 when any of them differs or exists on one side
+only, 2 when a command fails.
 """
 
 from __future__ import annotations
@@ -181,6 +185,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="0,1,2", help="comma-separated task/init seeds")
     parser.add_argument("--grid", type=int, default=None, help="override every grid to N x N")
     parser.add_argument("--epochs", type=int, default=None, help="override every epoch budget")
+    parser.add_argument(
+        "--expect-changed", default="", metavar="NAME[,NAME...]",
+        help="files of the run directory that may differ, e.g. selection.json",
+    )
     args = parser.parse_args(argv)
 
     recipes = [r for r in args.recipes.split(",") if r]
@@ -191,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (src / "twinsearch" / "cli.py").is_file():
             parser.error(f"no twinsearch package under {src}")
     seeds = [int(s) for s in args.seeds.split(",") if s]
+    expected = {name for name in args.expect_changed.split(",") if name}
 
     jobs = build_jobs(recipes, seeds, args.grid, args.epochs)
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
@@ -206,13 +215,19 @@ def main(argv: list[str] | None = None) -> int:
         for job in jobs:
             run_a = root_a / job["store"] / RUN_ID
             n_files, problems = compare_dirs(run_a, root_b / job["store"] / RUN_ID)
+            changed = [p for p in problems if p.split(": ", 1)[1] in expected]
+            problems = [p for p in problems if p not in changed]
             if problems:
                 differ = True
                 print(f"{job['name']}: {len(problems)} of {n_files} files not identical")
                 for problem in problems:
                     print(f"  {problem}")
+            elif changed:
+                print(f"{job['name']}: identical but for the expected changes ({n_files} files)")
             else:
                 print(f"{job['name']}: identical ({n_files} files)")
+            for change in changed:
+                print(f"  expected: {change}")
     return 1 if differ else 0
 
 

@@ -135,9 +135,9 @@ def _store(args) -> RunStore:
 
 
 def _load_complete_run(store: RunStore, run_id: str):
-    manifest, records, decisions = store.load_run(run_id)
+    manifest, records = store.load_run(run_id)
     grid = HyperGrid.from_dict(manifest["grid"])
-    pending = resume_plan(manifest, records, decisions)
+    pending = resume_plan(manifest, records)
     if pending:
         cells = ", ".join(f"({c.row}, {c.col})" for c, _ in pending[:10])
         more = "" if len(pending) <= 10 else f" and {len(pending) - 10} more"

@@ -12,6 +12,13 @@ Directory layout (the public contract for external training systems):
         baselines.json       baseline picks (written by the baseline command)
         eval_report.json     method-vs-oracle errors
 
+A trial file is its trial's whole record: an external writer writes one per
+cell it trains, and an ended trial's last line carries its terminal status
+(``completed``, ``stopped_early`` or ``diverged``); a file whose last line
+says ``running`` is a trial still owed epochs, unless it ran the whole
+budget (``resume_plan``). ``decisions.jsonl`` is the search's provenance:
+the search writes it, and no command reads it.
+
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
 shortest-round-trip repr, which makes write/load cycles bit-exact. The
@@ -21,25 +28,23 @@ builds one line directly, byte for byte what ``encode_json``'s line form
 gives. A torn final trial line (an external writer cut off mid-append) is
 dropped with a warning on load; corruption anywhere else is an error.
 
-``load_run`` reads each trial file and the decision log whole, in one
-``os.read``, and parses it in two passes, as the per-line ``json.loads``
-reader of ``tests/runstore_frozen.py`` does. The first splits the bytes on
-newlines and runs ``json.loads`` on each non-blank line, decoded as UTF-8.
-A line that fails is an error, unless it is the last non-blank line: that
-torn line is dropped with a warning, as is a last line that parses but has
-no newline. The second checks the parsed lines in order. A trial line: an
-object with every field, non-negative integer row/col/epoch (booleans are
-not), a known status, decodable floats (an integer beyond float range is
-not), the file's own cell and contiguous epochs from 0. A decision line: an
-object, with non-negative integer ``row``/``col`` on a ``stop``. The first
-fault raises ``RunStoreError`` as ``<path>: line <N>: <detail>``, N counting
-every line of the file from 1, blank ones included. So a line that is not
-JSON wins over a failed check, and the warning for a dropped tail comes
-before a check's error. A trial file must be named ``<row>_<col>.jsonl``
-as the writer spells it. The manifest, ``matrices.json`` and
-``selection.json`` are checked for the fields read from them
-(``<path>: <detail>``). A run id must name one directory inside the store
-root.
+``load_run`` reads each trial file whole, in one ``os.read``, and parses it
+in two passes, as the per-line ``json.loads`` reader of
+``tests/runstore_frozen.py`` does. The first splits the bytes on newlines
+and runs ``json.loads`` on each non-blank line, decoded as UTF-8. A line
+that fails is an error, unless it is the last non-blank line: that torn
+line is dropped with a warning, as is a last line that parses but has no
+newline. The second checks the parsed lines in order: an object with every
+field, non-negative integer row/col/epoch (booleans are not), a known
+status string, decodable floats (an integer beyond float range is not), the
+file's own cell and contiguous epochs from 0. The first fault raises
+``RunStoreError`` as ``<path>: line <N>: <detail>``, N counting every line
+of the file from 1, blank ones included. So a line that is not JSON wins
+over a failed check, and the warning for a dropped tail comes before a
+check's error. A trial file must be named ``<row>_<col>.jsonl`` as the
+writer spells it. The manifest, ``matrices.json`` and ``selection.json``
+are checked for the fields read from them (``<path>: <detail>``). A run id
+must name one directory inside the store root.
 
 The trial files are the only source of truth. ``records.json``, the records
 snapshot (``twinsearch.snapshot``), is derived from them so that ``load_run``
@@ -209,7 +214,7 @@ def _epoch_log(d, cell: GridCell, epoch: int) -> EpochLog:
     for key in ("row", "col", "epoch"):
         if type(d[key]) is not int or d[key] < 0:
             raise RunStoreError(f"trial line field {key!r} must be a non-negative integer")
-    if d["status"] not in _STATUS_TEXT:
+    if type(d["status"]) is not str or d["status"] not in _STATUS_TEXT:
         raise RunStoreError(f"trial line field 'status' has unknown value {d['status']!r}")
     log = EpochLog(
         d["epoch"], _decode_float(d["train_loss"]), _decode_float(d["param_norm"]),
@@ -397,8 +402,8 @@ class RunStore:
                 raise RunStoreError(f"{path}: manifest field {key!r}: {exc}") from None
         return manifest
 
-    def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord], list[dict]]:
-        """Manifest, per-cell records (partial trials included), decision log."""
+    def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord]]:
+        """Manifest and per-cell records, partial trials included."""
         manifest = self.load_manifest(run_id)
         run_dir = str(self.run_dir(run_id))
         records: dict[GridCell, TrialRecord] = {}
@@ -417,15 +422,11 @@ class RunStore:
                     path = f"{trials_dir}/{name}"
                     data = _read_bytes(path)
                     records[cell] = snapshot.read(cell, name, data) or self._read_jsonl(path, cell, data)
-        decisions_path = f"{run_dir}/decisions.jsonl"
-        decisions = self._read_jsonl(decisions_path) if os.path.exists(decisions_path) else []
-        return manifest, records, decisions
+        return manifest, records
 
-    def _read_jsonl(self, path: str, cell: GridCell | None = None, data: bytes | None = None):
-        """``cell``'s trial file as its record, or with no cell the decision log as a list; a torn
-        final line is dropped with a warning. ``data`` is the file's bytes, if already read."""
-        if data is None:
-            data = _read_bytes(path)
+    def _read_jsonl(self, path: str, cell: GridCell, data: bytes) -> TrialRecord:
+        """``cell``'s record from ``data``, the bytes of its trial file at ``path``; a torn final
+        line is dropped with a warning."""
         lines = data.split(b"\n")
         last = data.rstrip(b"\n").count(b"\n")  # the last non-blank line
         parsed = []  # (line number, JSON value) of each line kept
@@ -443,24 +444,16 @@ class RunStore:
                 warnings.warn(f"{path}: line {i + 1}: dropping unterminated final line")
                 break
             parsed.append((i + 1, d))
-        out = []
+        epochs = []
         status = STATUS_RUNNING
         for n, d in parsed:
             try:
-                if cell is None:
-                    if type(d) is not dict:
-                        raise RunStoreError(f"decision line is a JSON {_JSON_KINDS[type(d)]}, not an object")
-                    row, col = d.get("row"), d.get("col")
-                    if d.get("decision") == "stop" and not (type(row) is type(col) is int and min(row, col) >= 0):
-                        raise RunStoreError("stop decision needs non-negative integer 'row' and 'col'")
-                    out.append(d)
-                    continue
-                out.append(_epoch_log(d, cell, len(out)))
-                if d["status"] in TERMINAL_STATUSES:
-                    status = d["status"]
+                epochs.append(_epoch_log(d, cell, len(epochs)))
             except RunStoreError as exc:
                 raise RunStoreError(f"{path}: line {n}: {exc}") from None
-        return out if cell is None else TrialRecord(cell, out, status)
+            if d["status"] in TERMINAL_STATUSES:
+                status = d["status"]
+        return TrialRecord(cell, epochs, status)
 
     @staticmethod
     def _write_text(path: Path, text: str) -> None:
@@ -500,23 +493,15 @@ def _grid_shape(manifest: dict) -> tuple[int, int]:
     return (len(g["wd_values"]), len(g["lr_values"]))
 
 
-def resume_plan(
-    manifest: dict,
-    records: dict[GridCell, TrialRecord],
-    decisions: Iterable[dict] = (),
-) -> list[tuple[GridCell, int]]:
+def resume_plan(manifest: dict, records: dict[GridCell, TrialRecord]) -> list[tuple[GridCell, int]]:
     """Cells still owed epochs under the manifest's policy, with the epoch to resume at.
 
-    A cell with no record starts from epoch 0, whatever the decision log
-    says. A cell with a record is finished when the record carries a
-    terminal status, the decision log shows a stop for it or it ran the
-    whole budget; everything else resumes at its next epoch index.
+    A cell with no record starts from epoch 0. A cell with a record is
+    finished when the record carries a terminal status or ran the whole
+    budget; everything else resumes at its next epoch index.
     """
     policy = SchedulerPolicy.from_dict(manifest["scheduler"])
     shape = _grid_shape(manifest)
-    stopped = {
-        GridCell(d["row"], d["col"]) for d in decisions if d.get("decision") == "stop"
-    }
     plan: list[tuple[GridCell, int]] = []
     for row in range(shape[0]):
         for col in range(shape[1]):
@@ -524,6 +509,6 @@ def resume_plan(
             rec = records.get(cell)
             if rec is None:
                 plan.append((cell, 0))
-            elif rec.status not in TERMINAL_STATUSES and cell not in stopped and rec.epochs_run < policy.epoch_budget:
+            elif rec.status not in TERMINAL_STATUSES and rec.epochs_run < policy.epoch_budget:
                 plan.append((cell, rec.epochs_run))
     return plan

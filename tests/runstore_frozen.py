@@ -1,22 +1,24 @@
 """Frozen reference for reading one trial file: the per-line ``json.loads``
 loader, written out once and not changed since.
 
-Any rewrite of ``RunStore._read_jsonl``, which reads both the trial files
-and the decision log, must load the same records from the same bytes, and
-fail on the same bytes with the same exception type, message and warnings.
-Three deliberate changes
-since: the package rejects JSON booleans as row/col/epoch, which this
-reference (``isinstance(x, int)``) accepts; a line that is no JSON object
-and not rejected for a missing field (a number, boolean or null, or an
-array or string holding every field name), or a float field holding an
-integer beyond float range, raises ``RunStoreError`` in the package, where
-this reference lets a ``TypeError`` or ``OverflowError`` escape
-(``ESCAPED_FAULTS`` in ``tests/test_runstore.py``); and the package places every
-``RunStoreError`` and warning as ``<path>: line <N>: <detail>``, N the line
-of the file (blank lines counted), where this reference names the path on
-some faults only and counts non-blank lines. ``tests/test_runstore.py``
-(``relocated``) moves this reference's messages to that form, at the line
-where the test put the fault, before comparing.
+Any rewrite of ``RunStore._read_jsonl``, which reads the trial files (no
+command reads the decision log), must load the same records from the
+same bytes, and fail on the same bytes with the same exception type,
+message and warnings. Three deliberate changes since: the package
+rejects JSON booleans as row/col/epoch, which this reference
+(``isinstance(x, int)``) accepts; a line that is no JSON object and not
+rejected for a missing field (a number, boolean or null, or an array or
+string holding every field name), a status that is an array or object,
+or a float field holding an integer beyond float range, raises
+``RunStoreError`` in the package, where this reference lets a
+``TypeError`` or ``OverflowError`` escape (``ESCAPED_FAULTS`` in
+``tests/test_runstore.py``); and the package places every
+``RunStoreError`` and warning as ``<path>: line <N>: <detail>``, N the
+line of the file (blank lines counted), where this reference names the
+path on some faults only and counts non-blank lines.
+``tests/test_runstore.py`` (``relocated``) moves this reference's
+messages to that form, at the line where the test put the fault, before
+comparing.
 """
 
 from __future__ import annotations

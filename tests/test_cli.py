@@ -278,8 +278,10 @@ class TestSelect:
         [
             lambda fields: "3",
             lambda fields: json.dumps({**fields, "train_loss": 10**400}),
+            lambda fields: json.dumps({**fields, "status": []}),
+            lambda fields: json.dumps({**fields, "status": {}}),
         ],
-        ids=["number-line", "overflowing-loss"],
+        ids=["number-line", "overflowing-loss", "status-array", "status-object"],
     )
     def test_malformed_trial_line_is_a_storage_error(self, tmp_path, capsys, fault):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -330,8 +332,6 @@ class TestSelect:
                 "manifest.json",
                 lambda text: with_field(with_field(text, "scheduler", "kind", "hb"), "scheduler", "stop_fraction", True),
             ),
-            ("decisions.jsonl", lambda text: text + "3\n"),
-            ("decisions.jsonl", lambda text: text + '{"decision": "stop"}\n'),
         ],
         ids=[
             "no-scheduler", "no-grid", "grid-string", "manifest-array", "manifest-not-json",
@@ -339,25 +339,41 @@ class TestSelect:
             "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
             "budget-bool", "budget-fraction",
             "lr-bounds-empty", "hb-stop-fraction-bool",
-            "decision-number", "stop-without-cell",
         ],
     )
-    def test_malformed_manifest_or_decision_is_a_storage_error(self, tmp_path, capsys, name, fault):
+    def test_malformed_manifest_is_a_storage_error(self, tmp_path, capsys, name, fault):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         stored = artifact(tmp_path, "r", "selection.json").read_bytes()
         path = artifact(tmp_path, "r", name)
-        text = path.read_text()
-        path.write_text(fault(text))
-        # a decision fault is on the appended line, counted as for trial files
-        where = f"{path}: line {len(text.splitlines()) + 1}: " if name == "decisions.jsonl" else f"{path}: "
+        path.write_text(fault(path.read_text()))
         capsys.readouterr()
         for command in ("select", "baseline"):
             assert run_cli(tmp_path, command, "r") == 3
             captured = capsys.readouterr()
-            assert captured.err.startswith(f"storage error: {where}")
+            assert captured.err.startswith(f"storage error: {path}: ")
             assert "Traceback" not in captured.out + captured.err
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
         assert not artifact(tmp_path, "r", "baselines.json").exists()
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda path: path.write_text(path.read_text() + "3\n"),
+            lambda path: path.write_text(path.read_text() + '{"decision": "stop"}\n'),
+            lambda path: path.unlink(),
+        ],
+        ids=["decision-number", "stop-without-cell", "missing"],
+    )
+    def test_no_command_reads_the_decision_log(self, tmp_path, capsys, fault):
+        # the trial files say which trials ended; the log is provenance only
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        stored = artifact(tmp_path, "r", "selection.json").read_bytes()
+        fault(artifact(tmp_path, "r", "decisions.jsonl"))
+        capsys.readouterr()
+        for command in ("select", "baseline"):
+            assert run_cli(tmp_path, command, "r") == 0
+        assert capsys.readouterr().err == ""
+        assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
 
     def test_strided_select_prints_a_pick_and_stores_nothing(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -530,13 +546,14 @@ def test_select_imports_no_hashlib(tmp_path):
 
 
 @pytest.mark.parametrize("scheduler", ["fifo", "hb"])
-def test_commands_on_a_stored_run_parse_only_the_decision_log(tmp_path, monkeypatch, scheduler):
-    # every record comes from the records snapshot that run writes; no trial file is parsed
+def test_commands_on_a_stored_run_parse_no_file(tmp_path, monkeypatch, scheduler):
+    # every record comes from the records snapshot that run writes; no trial file
+    # is parsed, and the decision log is not read
     assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS, "--scheduler", scheduler) == 0
     parse = RunStore._read_jsonl
     parsed = []
 
-    def recorded(self, path, cell=None, data=None):
+    def recorded(self, path, cell, data):
         parsed.append(os.path.basename(path))
         return parse(self, path, cell, data)
 
@@ -549,4 +566,4 @@ def test_commands_on_a_stored_run_parse_only_the_decision_log(tmp_path, monkeypa
     ):
         parsed.clear()
         assert run_cli(tmp_path, *command) == 0
-        assert parsed == ["decisions.jsonl"]
+        assert parsed == []

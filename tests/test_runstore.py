@@ -20,7 +20,7 @@ from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import run_and_store, select_and_store
 from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import ArchSpec, EpochLog, TrainerConfig, TrialRecord
-from runstore_frozen import reference_load_trial_file, reference_read_jsonl
+from runstore_frozen import reference_load_trial_file
 
 
 @pytest.fixture()
@@ -75,7 +75,7 @@ class TestAppend:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [d["epoch"] for d in lines] == [0, 1, 2]
         assert [d["status"] for d in lines] == ["running", "running", "stopped_early"]
-        _, records, _ = store.load_run("r1")
+        _, records = store.load_run("r1")
         assert records[GridCell(0, 1)] == plain_record(GridCell(0, 1), 3, "stopped_early")
 
     @pytest.mark.parametrize("damage", ["whole", "torn", "unterminated", "corrupt-interior"])
@@ -109,7 +109,7 @@ class TestAppend:
         doc = json.loads(raw)
         assert doc["train_loss"] == "NaN"
         assert doc["param_norm"] == "Inf"
-        _, records, _ = store.load_run("r1")
+        _, records = store.load_run("r1")
         entry = records[GridCell(0, 0)].epochs[0]
         assert math.isnan(entry.train_loss) and math.isinf(entry.param_norm)
 
@@ -232,9 +232,9 @@ class TestLoad:
     def test_round_trip_reproduces_matrices_bit_exactly(self, store):
         grid = small_grid(3)
         write_full_run(store, "r1", grid, epochs=7)
-        _, records, _ = store.load_run("r1")
+        _, records = store.load_run("r1")
         mats_a = assemble(records.values(), grid)
-        _, records_b, _ = store.load_run("r1")
+        _, records_b = store.load_run("r1")
         mats_b = assemble(records_b.values(), grid)
         assert np.array_equal(mats_a.psi, mats_b.psi)
         assert np.array_equal(mats_a.theta, mats_b.theta)
@@ -242,7 +242,7 @@ class TestLoad:
     def test_externally_written_run_selects_offline(self, store):
         grid = small_grid(3)
         write_full_run(store, "ext", grid, epochs=6)
-        _, records, _ = store.load_run("ext")
+        _, records = store.load_run("ext")
         artifacts = select_and_store(store, "ext", records, grid, default_params(grid))
         assert artifacts.selection.cell in set(grid.cells())
         assert store.load_matrices("ext").valid_mask.all()
@@ -257,7 +257,7 @@ class TestLoad:
         with open(path, "a") as fh:
             fh.write('{"row": 0, "col": 0, "epoch": 3, "train_l')  # torn mid-record
         with pytest.warns(UserWarning, match="torn"):
-            _, records, _ = store.load_run("r1")
+            _, records = store.load_run("r1")
         assert records[GridCell(0, 0)].epochs_run == 3
 
     def test_unterminated_but_parseable_tail_dropped(self, store):
@@ -268,7 +268,7 @@ class TestLoad:
         with open(path, "a") as fh:
             fh.write(line)  # no newline: the writer was cut off
         with pytest.warns(UserWarning, match="unterminated"):
-            _, records, _ = store.load_run("r1")
+            _, records = store.load_run("r1")
         assert records[GridCell(0, 0)].epochs_run == 2
 
     def test_corrupt_interior_line_is_an_error_with_location(self, store):
@@ -387,7 +387,8 @@ LINE_KEYS = ("row", "col", "epoch", "train_loss", "param_norm", "val_acc", "test
 FAULTS = (
     "bom", "extra-object", "extra-text", "bad-utf8", "torn", "unterminated", "wrong-cell",
     "gap", "bad-status", "bad-float-text", "negative-index", "float-index", "list-line",
-    "short-list-line", "number-line", "string-line", "form-feed", "overflow-int",
+    "short-list-line", "number-line", "string-line", "form-feed", "overflow-int", "status-array",
+    "status-object",
     *(f"missing-{key}" for key in LINE_KEYS),
 )
 
@@ -399,6 +400,8 @@ ESCAPED_FAULTS = {
     "number-line": (TypeError, "trial line is a JSON number, not an object"),
     "string-line": (TypeError, "trial line is a JSON string, not an object"),
     "overflow-int": (OverflowError, "integer of 1329 bits is out of float range"),
+    "status-array": (TypeError, "trial line field 'status' has unknown value []"),
+    "status-object": (TypeError, "trial line field 'status' has unknown value {}"),
 }
 
 
@@ -453,6 +456,10 @@ def trial_file_bytes(rng, cell, n_lines, fault):
             fields["epoch"] = float(epoch)
         elif bad and fault == "overflow-int":
             fields["train_loss"] = 10**400
+        elif bad and fault == "status-array":
+            fields["status"] = []
+        elif bad and fault == "status-object":
+            fields["status"] = {}
         keys = list(fields)
         if rng.random() < 0.3:
             keys = [keys[i] for i in rng.permutation(len(keys))]
@@ -511,6 +518,16 @@ def outcome(load, path, cell):
         except Exception as exc:  # whatever it is, both loaders must raise it alike
             result = (type(exc), str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
+
+
+def package_load(store):
+    """``store._read_jsonl`` called as the frozen reference is, with a path and a cell."""
+
+    def load(path, cell):
+        with open(path, "rb") as fh:
+            return store._read_jsonl(path, cell, fh.read())
+
+    return load
 
 
 def relocated(frozen, path, line):
@@ -583,7 +600,7 @@ class TestLoaderMatchesFrozenReference:
     def check(self, store, tmp_path, data, cell, fault_line=None):
         path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
         path.write_bytes(data)
-        new = outcome(store._read_jsonl, str(path), cell)
+        new = outcome(package_load(store), str(path), cell)
         frozen = outcome(reference_load_trial_file, str(path), cell)
         assert new == relocated(frozen, str(path), fault_line)
         return new
@@ -611,7 +628,7 @@ class TestLoaderMatchesFrozenReference:
         path.write_bytes(data)
         escaped, detail = ESCAPED_FAULTS[fault]
         assert outcome(reference_load_trial_file, str(path), cell)[0][0] is escaped
-        new = outcome(store._read_jsonl, str(path), cell)
+        new = outcome(package_load(store), str(path), cell)
         assert new == ((RunStoreError, f"{path}: line {fault_line}: {detail}"), [])
 
     def test_empty_and_blank_files(self, store, tmp_path):
@@ -631,70 +648,9 @@ class TestLoaderMatchesFrozenReference:
         frozen = outcome(reference_load_trial_file, str(path), cell)
         error_line = b if first not in PARSE_FAULTS and second in PARSE_FAULTS else a
         expected = (relocated(frozen, str(path), error_line)[0], relocated(frozen, str(path), b)[1])
-        assert outcome(store._read_jsonl, str(path), cell) == expected
+        assert outcome(package_load(store), str(path), cell) == expected
         assert (expected[0][0] is RunStoreError) == (first != "none")
         assert bool(expected[1]) == (second.startswith("torn") and first not in PARSE_FAULTS)
-
-
-def decision_file_bytes(rng, n_lines, fault):
-    """A decision log with CRLF and blank lines and at most one fault, and the 1-based
-    line of the file where the fault is: not the last line for a JSON fault."""
-    at = int(rng.integers(n_lines - 1))
-    out = []
-    fault_line = None
-    for i in range(n_lines):
-        row, col = (int(v) for v in rng.integers(40, size=2))
-        d = {"row": row, "col": col, "epoch": int(rng.integers(50)),
-             "decision": ["stop", "continue"][int(rng.integers(2))],
-             "rung": None if rng.random() < 0.3 else int(rng.integers(1, 50))}
-        separators = (",", ":") if rng.random() < 0.6 else (", ", ": ")
-        line = json.dumps(d, separators=separators).encode()
-        if i == at and fault in PARSE_FAULTS:
-            line = with_fault(rng, line, fault)
-        if rng.random() < 0.15:
-            out.append(b"\n")
-        out.append(line + (b"\r\n" if rng.random() < 0.3 else b"\n"))
-        if i == at:
-            fault_line = len(out)
-    if fault in ("torn", "torn-utf8"):
-        out[-1] = with_fault(rng, out[-1].rstrip(b"\r\n"), fault)
-    elif fault == "unterminated":
-        out[-1] = out[-1].rstrip(b"\n")
-    if fault in ("torn", "torn-utf8", "unterminated"):
-        fault_line = len(out)
-    return b"".join(out), fault_line
-
-
-DECISION_FAULTS = ("none", *PARSE_FAULTS, "torn", "torn-utf8", "unterminated")
-
-
-class TestDecisionLogMatchesFrozenReference:
-    """``load_run`` reads the decision log as the per-line json.loads reader did."""
-
-    @pytest.mark.parametrize("fault", DECISION_FAULTS)
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_logs(self, store, fault, seed):
-        grid = small_grid()
-        store.create_run("r", manifest_for(grid, SchedulerPolicy("hb", 40, stop_fraction=0.25)))
-        rng = np.random.default_rng([seed, DECISION_FAULTS.index(fault)])
-        data, fault_line = decision_file_bytes(rng, int(rng.integers(2, 9)), fault)
-        path = f"{store.run_dir('r')}/decisions.jsonl"
-        with open(path, "wb") as fh:
-            fh.write(data)
-
-        def read(load):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    result = load(path)
-                except Exception as exc:  # whatever it is, both readers must raise it alike
-                    result = (type(exc), str(exc))
-            return result, [(w.category, str(w.message)) for w in caught]
-
-        new = read(lambda _: store.load_run("r")[2])
-        assert new == relocated(read(reference_read_jsonl), path, fault_line)
-        assert (type(new[0]) is tuple) == (fault in PARSE_FAULTS)
-        assert bool(new[1]) == fault.startswith(("torn", "unterminated"))
 
 
 class TestArtifactsRoundTrip:
@@ -711,7 +667,7 @@ class TestArtifactsRoundTrip:
             TrainerConfig(batch_size=16, init_seed=1),
         )
         mats = store.load_matrices("run_a")
-        _, records, _ = store.load_run("run_a")
+        _, records = store.load_run("run_a")
         rebuilt = assemble(records.values(), grid)
         assert np.array_equal(mats.psi, rebuilt.psi, equal_nan=True)
         assert np.array_equal(mats.theta, rebuilt.theta, equal_nan=True)
@@ -804,9 +760,8 @@ def load_and_count(store, run_id, monkeypatch):
     parse = RunStore._read_jsonl
     seen = []
 
-    def counted(self, path, cell=None, data=None):
-        if cell is not None:
-            seen.append(os.path.basename(path))
+    def counted(self, path, cell, data):
+        seen.append(os.path.basename(path))
         return parse(self, path, cell, data)
 
     with monkeypatch.context() as patch, warnings.catch_warnings():
@@ -933,11 +888,11 @@ class TestRecordsSnapshot:
         path.write_bytes(resealed(b"\n".join(lines)))
         parse = RunStore._read_jsonl
         seen = []
-        monkeypatch.setattr(RunStore, "_read_jsonl", lambda self, p, c=None, d=None: seen.append(p) or parse(self, p, c, d))
+        monkeypatch.setattr(RunStore, "_read_jsonl", lambda self, p, c, d: seen.append(p) or parse(self, p, c, d))
         with pytest.warns(UserWarning, match=re.escape(f"{path}: ignoring the records snapshot: line 4: 'status'")):
             records = runs.load_run("fifo")[1]
         names = sorted(os.listdir(runs.run_dir("fifo") / "trials"))
-        assert [os.path.basename(p) for p in seen] == names[names.index("1_2.jsonl"):] + ["decisions.jsonl"]
+        assert [os.path.basename(p) for p in seen] == names[names.index("1_2.jsonl"):]
         assert bits(records) == bits(parsed(runs, "fifo"))
 
     def test_a_record_changed_after_its_write_is_not_taken_from_the_snapshot(self, store, monkeypatch):
@@ -994,8 +949,7 @@ class TestResumePlan:
     def test_complete_run_has_empty_plan(self, store):
         grid = small_grid()
         write_full_run(store, "r1", grid, epochs=3)
-        manifest, records, decisions = store.load_run("r1")
-        assert resume_plan(manifest, records, decisions) == []
+        assert resume_plan(*store.load_run("r1")) == []
 
     def test_interrupted_fifo_cells_resume_at_next_epoch(self, store):
         grid = small_grid()
@@ -1003,16 +957,14 @@ class TestResumePlan:
         store.create_run("r1", manifest_for(grid, policy))
         for cell in grid.cells():
             store.append_trial_line("r1", plain_record(cell, 40))
-        manifest, records, decisions = store.load_run("r1")
-        plan = resume_plan(manifest, records, decisions)
+        plan = resume_plan(*store.load_run("r1"))
         assert len(plan) == 4
         assert all(next_epoch == 40 for _, next_epoch in plan)
 
     def test_unstarted_cells_resume_at_zero(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        manifest, records, decisions = store.load_run("r1")
-        plan = resume_plan(manifest, records, decisions)
+        plan = resume_plan(*store.load_run("r1"))
         assert plan == [(cell, 0) for cell in grid.cells()]
 
     def test_hb_stopped_cells_not_resumable(self, store):
@@ -1026,15 +978,7 @@ class TestResumePlan:
             (GridCell(1, 0), 5, "running"),
         ]:
             store.append_trial_line("r1", plain_record(cell, epochs, status))
-        decisions = [
-            {"row": 0, "col": 0, "epoch": 2, "decision": "stop", "rung": 2},
-            {"row": 0, "col": 1, "epoch": 2, "decision": "stop", "rung": 2},
-            {"row": 1, "col": 0, "epoch": 2, "decision": "continue", "rung": 2},
-            {"row": 1, "col": 1, "epoch": 2, "decision": "continue", "rung": 2},
-        ]
-        store.append_decisions("r1", decisions)
-        manifest, records, decisions_loaded = store.load_run("r1")
-        plan = resume_plan(manifest, records, decisions_loaded)
+        plan = resume_plan(*store.load_run("r1"))
         assert (GridCell(1, 0), 5) in plan
         assert (GridCell(1, 1), 0) in plan
         assert len(plan) == 2
@@ -1048,5 +992,16 @@ class TestResumePlan:
             "r1", [{"row": c.row, "col": c.col, "epoch": 3, "decision": "stop", "rung": None} for c in grid.cells()]
         )
         (store.run_dir("r1") / "trials" / "0_1.jsonl").unlink()
-        manifest, records, decisions = store.load_run("r1")
-        assert resume_plan(manifest, records, decisions) == [(GridCell(0, 1), 0)]
+        assert resume_plan(*store.load_run("r1")) == [(GridCell(0, 1), 0)]
+
+    def test_a_running_file_short_of_the_budget_is_owed_despite_a_stop(self, store):
+        # the file is the record: a stop in the log does not end a trial whose
+        # last line says running before the budget
+        grid = small_grid()
+        store.create_run("r1", manifest_for(grid, SchedulerPolicy("hb", 10, stop_fraction=0.25)))
+        for cell in grid.cells():
+            store.append_trial_line("r1", plain_record(cell, 3, "running" if cell == (1, 1) else "stopped_early"))
+        store.append_decisions(
+            "r1", [{"row": c.row, "col": c.col, "epoch": 3, "decision": "stop", "rung": 3} for c in grid.cells()]
+        )
+        assert resume_plan(*store.load_run("r1")) == [(GridCell(1, 1), 3)]

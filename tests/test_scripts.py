@@ -2,7 +2,13 @@
 
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from twinsearch.trainer import STACK_SLICE
 
@@ -47,6 +53,34 @@ def test_parity_names_a_changed_and_a_missing_file(tmp_path):
     n_files, problems = script.compare_dirs(tmp_path / "a", tmp_path / "b")
     assert n_files == 3
     assert problems == ["only in A: baselines.json", "differs: trials/0_0.jsonl"]
+
+
+@pytest.fixture(scope="module")
+def altered_src(tmp_path_factory):
+    """A copy of the package whose ``baselines.json`` carries one more key."""
+    src = tmp_path_factory.mktemp("altered") / "src"
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(SCRIPTS.parent / "src" / "twinsearch", src / "twinsearch", ignore=ignore)
+    runstore = src / "twinsearch" / "runstore.py"
+    old = 'payload = {"selections": '
+    assert runstore.read_text().count(old) == 1
+    runstore.write_text(runstore.read_text().replace(old, 'payload = {"altered": True, "selections": '))
+    return src
+
+
+@pytest.mark.parametrize("listed, status", [("baselines.json", 0), ("selection.json", 1)])
+def test_parity_allows_a_change_only_to_the_listed_files(capsys, altered_src, listed, status):
+    script = load_script("parity")
+    argv = [str(SCRIPTS.parent / "src"), str(altered_src), "--recipes", "fifo-grid", "--seeds", "0"]
+    assert script.main([*argv, "--grid", "3", "--epochs", "3", "--expect-changed", listed]) == status
+    out = capsys.readouterr().out.splitlines()
+    if status == 0:
+        assert out == [
+            "fifo-grid seed 0: identical but for the expected changes (16 files)",
+            "  expected: differs: baselines.json",
+        ]
+    else:
+        assert out == ["fifo-grid seed 0: 1 of 16 files not identical", "  differs: baselines.json"]
 
 
 def test_parity_segmenting_recipes_run_select_with_their_flags(capsys):
@@ -118,3 +152,19 @@ def test_parity_foreign_recipe_rewrites_trial_files_before_select(tmp_path):
         assert lines[0].startswith(b'{"status": "running", "test_acc": ')
         assert lines[0].endswith(b', "col": %d, "row": %d}' % tuple(map(int, path.stem.split("_")[::-1])))
     assert (run_dir / "selection.json").is_file() and (run_dir / "baselines.json").is_file()
+
+
+def test_blas_thread_count_does_not_change_a_run(tmp_path):
+    # parity checks and resume both assume a run's bytes do not depend on how
+    # many threads BLAS uses; one small HB run under 1 and under 2 threads
+    script = load_script("parity")
+    src = str(SCRIPTS.parent / "src")
+    flags = ["--n-lr", "4", "--n-wd", "4", "--epochs", "6", "--scheduler", "hb", "--stop-fraction", "0.25"]
+    procs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        argv = ["--store-root", str(tmp_path / threads), "run", "--run-id", "r", *flags]
+        procs.append(subprocess.Popen([sys.executable, "-m", "twinsearch.cli", *argv], env=env))
+    assert [proc.wait() for proc in procs] == [0, 0]
+    n_files, problems = script.compare_dirs(tmp_path / "1" / "r", tmp_path / "2" / "r")
+    assert n_files == 16 + 5 and problems == []

@@ -231,7 +231,7 @@ def test_epochs_equal_the_loop_at_the_real_stack_slice_with_diverging_rows():
 def test_surfaces_equal_the_eager_reference(searched):
     kind, grid, eager = searched.kind, searched.grid, searched.eager
     expected = build_metric_surfaces(eager.values(), grid, kind)
-    _, loaded, _ = searched.store.load_run("run")
+    _, loaded = searched.store.load_run("run")
     for records in (searched.records, loaded):
         assert {c: r.status for c, r in records.items()} == {c: r.status for c, r in eager.items()}
         assert_same_surfaces(build_metric_surfaces(records.values(), grid, kind), expected)
@@ -280,8 +280,8 @@ def test_old_format_files_with_metrics_on_every_epoch_load_to_the_same_surfaces(
     store.create_run("old", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
     for rec in searched.eager.values():
         store.append_trial_line("old", rec)
-    _, old, _ = store.load_run("old")
-    _, new, _ = store.load_run("run")
+    _, old = store.load_run("old")
+    _, new = store.load_run("run")
     assert_same_surfaces(
         build_metric_surfaces(old.values(), grid, kind),
         build_metric_surfaces(new.values(), grid, kind),
