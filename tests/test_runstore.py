@@ -17,10 +17,18 @@ from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
 from twinsearch.runstore import RunStore, RunStoreError, _trial_line_text, encode_json, resume_plan
 from twinsearch.scheduler import SchedulerPolicy
-from twinsearch.search import run_and_store, select_and_store
+from twinsearch.search import execute_search, run_and_store, select_and_store
 from twinsearch.tasks import TaskSpec
-from twinsearch.trainer import ArchSpec, EpochLog, TrainerConfig, TrialRecord
-from runstore_frozen import reference_load_trial_file
+from twinsearch.trainer import (
+    STATUS_COMPLETED,
+    STATUS_STOPPED_EARLY,
+    TERMINAL_STATUSES,
+    ArchSpec,
+    EpochLog,
+    TrainerConfig,
+    TrialRecord,
+)
+from runstore_frozen import reference_load_trial_file, reference_read_jsonl
 
 
 @pytest.fixture()
@@ -1005,3 +1013,81 @@ class TestResumePlan:
             "r1", [{"row": c.row, "col": c.col, "epoch": 3, "decision": "stop", "rung": 3} for c in grid.cells()]
         )
         assert resume_plan(*store.load_run("r1")) == [(GridCell(1, 1), 3)]
+
+
+# Each search's stops come from rungs, divergence and the budget: a constant LR
+# up to 1e11 with WD up to 100 makes cells diverge within 3 epochs under FIFO,
+# and one cell diverge past the first rung under hb-half and hb-late-grace.
+LOGGED_POLICIES = {
+    "fifo": SchedulerPolicy("fifo", 4),
+    "hb-quarter": SchedulerPolicy("hb", 6, stop_fraction=0.25),
+    "hb-half": SchedulerPolicy("hb", 6, stop_fraction=0.5),
+    "hb-eta3": SchedulerPolicy("hb", 6, stop_fraction=0.75, halving_rate=3),
+    "hb-late-grace": SchedulerPolicy("hb", 8, stop_fraction=0.25, grace_fraction=0.3),
+}
+
+
+@pytest.fixture(scope="module", params=[(name, seed) for name in LOGGED_POLICIES for seed in range(3)],
+                ids=lambda p: f"{p[0]}-seed{p[1]}")
+def logged_run(request, tmp_path_factory):
+    """A search written to a store, with the decision log the search wrote."""
+    name, seed = request.param
+    policy = LOGGED_POLICIES[name]
+    grid = build_log_grid(1e-2, 1e11, 4, 1e-3, 100, 4)
+    task = TaskSpec(seed=seed, n_train=24, n_val=6, n_test=6, input_dim=4, n_classes=3)
+    config = TrainerConfig(batch_size=4, lr_schedule="constant", init_seed=seed)
+    store = RunStore(tmp_path_factory.mktemp(name) / "runs")
+    store.create_run("run", manifest_for(grid, policy))
+    execute_search(grid, policy, task.make(), ArchSpec((6,)), config, store=store, run_id="run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = reference_read_jsonl(str(store.run_dir("run") / "decisions.jsonl"))
+    return store, grid, policy, log
+
+
+def logged_stops(log):
+    stops = {}
+    for d in log:
+        if d["decision"] == "stop":
+            cell = GridCell(d["row"], d["col"])
+            assert cell not in stops, f"{cell} stopped twice"
+            stops[cell] = d
+    return stops
+
+
+class TestTrialFilesCarryTheLoggedStops:
+    """``load_run`` ignores ``decisions.jsonl``; what the search logs there about
+    which trials ended must already be in the trial files it wrote."""
+
+    def test_each_logged_stop_is_the_end_of_its_trial_file(self, logged_run):
+        store, grid, policy, log = logged_run
+        stops = logged_stops(log)
+        assert sorted(stops) == grid.cells()
+        _, records = store.load_run("run")
+        for cell, stop in stops.items():
+            rec = records[cell]
+            assert rec.epochs_run == stop["epoch"], cell
+            assert rec.status in TERMINAL_STATUSES, cell
+            # a rung stop ends a trial early; the budget or divergence ends it otherwise
+            assert (rec.status == STATUS_STOPPED_EARLY) == (stop["rung"] is not None), cell
+            if rec.status == STATUS_COMPLETED:
+                assert rec.epochs_run == policy.epoch_budget, cell
+        for d in log:
+            if d["decision"] == "continue":
+                assert d["epoch"] < stops[GridCell(d["row"], d["col"])]["epoch"]
+        assert resume_plan(*store.load_run("run")) == []
+
+    def test_a_run_cut_after_any_round_owes_the_cells_its_log_has_not_stopped(self, logged_run, tmp_path):
+        # a search cut after round k has written the trial files of the trials
+        # ended by then, and the decisions of rounds up to k
+        store, grid, policy, log = logged_run
+        stops = logged_stops(log)
+        cut = RunStore(tmp_path / "runs")
+        shutil.copytree(store.run_dir("run"), cut.run_dir("run"))
+        for k in range(max(d["epoch"] for d in stops.values()), -1, -1):
+            for cell, stop in stops.items():
+                if stop["epoch"] == k + 1:
+                    (cut.run_dir("run") / "trials" / f"{cell.row}_{cell.col}.jsonl").unlink()
+            stopped = {cell for cell, stop in stops.items() if stop["epoch"] <= k}
+            owed = [(cell, 0) for cell in grid.cells() if cell not in stopped]
+            assert resume_plan(*cut.load_run("run")) == owed, f"cut after round {k}"
