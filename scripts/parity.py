@@ -14,13 +14,18 @@ parsed.
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
     python3 scripts/parity.py OLD/src NEW/src --expect-changed selection.json,eval_report.json
+    python3 scripts/parity.py OLD/src NEW/src --json parity.json
 
 Each tree runs in one fresh Python process. ``--expect-changed`` names
 files, by their path inside the run directory, that a change to the package
 is meant to alter: they may differ or exist on one side only, and each one
-that does is printed per recipe and seed. Exit status: 0 when every file
-not so named is identical, 1 when any of them differs or exists on one side
-only, 2 when a command fails.
+that does is printed per recipe and seed. ``--json`` also writes the table
+to a file: per recipe and seed, the verdict (``identical``, ``expected``
+when only named files changed, ``differs``), the number of files compared,
+and the problems found, split into unexpected and expected ones. Exit
+status: 0 when every file not so named is identical, 1 when any of them
+differs or exists on one side only, 2 when a command fails (the JSON then
+lists the failed commands and no verdicts).
 """
 
 from __future__ import annotations
@@ -142,9 +147,10 @@ def build_jobs(recipes, seeds, grid: int | None, epochs: int | None) -> list[dic
         for seed in seeds:
             seed_flags = ["--task-seed", str(seed), "--init-seed", str(seed)]
             run = ["run", "--run-id", RUN_ID, *run_flags, *shrink, *seed_flags]
-            jobs.append(
-                {"name": f"{name} seed {seed}", "store": f"{name}-{seed}", "ops": [run, *later_ops]}
-            )
+            jobs.append({
+                "name": f"{name} seed {seed}", "recipe": name, "seed": seed,
+                "store": f"{name}-{seed}", "ops": [run, *later_ops],
+            })
     return jobs
 
 
@@ -177,6 +183,45 @@ def compare_dirs(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(files_a | files_b), problems
 
 
+def compare_trees(src_a: Path, src_b: Path, jobs: list[dict], expected: set[str]) -> tuple[int, dict]:
+    """Run ``jobs`` with both trees and print the comparison; the exit status and the table."""
+    table = {"src_a": str(src_a), "src_b": str(src_b), "expect_changed": sorted(expected),
+             "failures": [], "jobs": []}
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        root_a, root_b = Path(tmp) / "a", Path(tmp) / "b"
+        for side, src, root in (("A", src_a, root_a), ("B", src_b, root_b)):
+            for failure in run_tree(src.resolve(), root, jobs):
+                print(f"{side}: {failure}")
+                table["failures"].append(f"{side}: {failure}")
+        if table["failures"]:
+            return 2, table
+        differ = False
+        for job in jobs:
+            run_a = root_a / job["store"] / RUN_ID
+            n_files, problems = compare_dirs(run_a, root_b / job["store"] / RUN_ID)
+            changed = [p for p in problems if p.split(": ", 1)[1] in expected]
+            problems = [p for p in problems if p not in changed]
+            if problems:
+                differ = True
+                verdict = "differs"
+                print(f"{job['name']}: {len(problems)} of {n_files} files not identical")
+                for problem in problems:
+                    print(f"  {problem}")
+            elif changed:
+                verdict = "expected"
+                print(f"{job['name']}: identical but for the expected changes ({n_files} files)")
+            else:
+                verdict = "identical"
+                print(f"{job['name']}: identical ({n_files} files)")
+            for change in changed:
+                print(f"  expected: {change}")
+            table["jobs"].append({
+                "recipe": job["recipe"], "seed": job["seed"], "verdict": verdict,
+                "files": n_files, "problems": problems, "expected": changed,
+            })
+    return 1 if differ else 0, table
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", type=Path, help="directory that holds one twinsearch package")
@@ -189,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         "--expect-changed", default="", metavar="NAME[,NAME...]",
         help="files of the run directory that may differ, e.g. selection.json",
     )
+    parser.add_argument("--json", type=Path, default=None, metavar="PATH",
+                        help="also write the verdict per recipe and seed to PATH")
     args = parser.parse_args(argv)
 
     recipes = [r for r in args.recipes.split(",") if r]
@@ -202,33 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     expected = {name for name in args.expect_changed.split(",") if name}
 
     jobs = build_jobs(recipes, seeds, args.grid, args.epochs)
-    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-        root_a, root_b = Path(tmp) / "a", Path(tmp) / "b"
-        failed = False
-        for side, src, root in (("A", args.src_a, root_a), ("B", args.src_b, root_b)):
-            for failure in run_tree(src.resolve(), root, jobs):
-                print(f"{side}: {failure}")
-                failed = True
-        if failed:
-            return 2
-        differ = False
-        for job in jobs:
-            run_a = root_a / job["store"] / RUN_ID
-            n_files, problems = compare_dirs(run_a, root_b / job["store"] / RUN_ID)
-            changed = [p for p in problems if p.split(": ", 1)[1] in expected]
-            problems = [p for p in problems if p not in changed]
-            if problems:
-                differ = True
-                print(f"{job['name']}: {len(problems)} of {n_files} files not identical")
-                for problem in problems:
-                    print(f"  {problem}")
-            elif changed:
-                print(f"{job['name']}: identical but for the expected changes ({n_files} files)")
-            else:
-                print(f"{job['name']}: identical ({n_files} files)")
-            for change in changed:
-                print(f"  expected: {change}")
-    return 1 if differ else 0
+    status, table = compare_trees(args.src_a, args.src_b, jobs, expected)
+    if args.json is not None:
+        args.json.write_text(json.dumps(table, indent=2) + "\n")
+    return status
 
 
 if __name__ == "__main__":

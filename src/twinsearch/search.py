@@ -10,8 +10,10 @@ epoch horizon (the scheduler's budget, the one epoch budget of the search)
 and every alive trial's parameters, velocity, lr0 and wd as rows of its
 stacks. A round's epoch is computed as stacked passes over row slices of
 those stacks, bit for bit what each trial would compute alone. A trial
-leaves the cohort when it ends, and the search drops its runner then, so
-only alive trials' state is held; the records of all trials are kept.
+leaves the cohort when it ends, keeping no parameters, and the search drops
+its runner then; the next step shrinks the stacks to the alive trials'
+rows. So only alive trials' state is held; the records of all trials are
+kept.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
@@ -59,7 +61,7 @@ def execute_search(
     schedule = Schedule(policy, grid.n_trials)
     trials = [(cell, *cell_params(grid, cell)) for cell in grid.cells()]
     cohort = Cohort(task, arch, config, policy.epoch_budget, metric_window(policy.kind), trials)
-    # in cell order; an ended runner is dropped, which frees its kept theta
+    # in cell order; an ended runner is dropped, which frees its metric window
     alive = list(cohort.members)
     records: dict[GridCell, TrialRecord] = {r.cell: r.record for r in alive}
     persist = store is not None and run_id is not None

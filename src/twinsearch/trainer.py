@@ -14,6 +14,13 @@ owns their parameters and steps them together in stacked passes of up to
 trial's would be, so results do not depend on who else is in the cohort or
 on the slice size.
 
+A search's memory follows its live trials. The cohort's row arrays (theta,
+velocity, lr0, wd) are sized to the live rows again at each compaction,
+the first step after trials end, so after a rung they hold only the
+survivors. A trial copies its theta only into its metric window, the last
+finite epochs it scores (none on a task with nothing to score), and keeps
+no theta once it ends.
+
 ``MLP.loss_and_grad`` gives the bits of the frozen reference kernel in
 ``tests/kernel_oracle.py`` (NaN payloads aside). Element-wise steps (bias
 adds, the softmax division, the one-hot subtraction, the ReLU mask) may run
@@ -328,9 +335,11 @@ class Cohort:
     every live trial's state: theta and velocity as two (T, P) stacks and
     lr0 and wd as (T, 1) columns, allocated once, one row per trial. It
     makes each trial's ``TrialRunner``, which keeps its row index, its slot;
-    the live runners are ``members``, in slot order. An ended runner copies
-    out its final theta and leaves ``members`` at once, so it is not
-    referenced from here; its row is compacted away before the next step.
+    the live runners are ``members``, in slot order. An ended runner leaves
+    ``members`` at once, so it is not referenced from here, and keeps no
+    copy of its row. The next step compacts the rows away and shrinks each
+    array in place to the members' rows, so the stacks never hold more rows
+    than the trials still alive at the last step.
 
     The first ``TrialRunner.step_epoch`` call of a round (its trial is at
     ``epoch``) runs ``step``: one epoch for every member, on row slices of
@@ -353,11 +362,14 @@ class Cohort:
         self.epochs = epochs
         self.metric_window = metric_window if task.n_val or task.n_test else 0
         self.epoch = 0  # epochs stepped so far
-        n = self._rows = len(trials)  # rows in use: the members', and ended ones' until compacted
+        # rows: the members', and ended ones' until compacted; each array owns
+        # its data, so that _compact can resize it in place
+        n = len(trials)
         self._theta = np.empty((n, self.model.n_params))
         self._velocity = np.zeros((n, self.model.n_params))
-        self._lr0 = np.array([lr0 for _, lr0, _ in trials], dtype=np.float64).reshape(n, 1)
-        self._wd = np.array([wd for _, _, wd in trials], dtype=np.float64).reshape(n, 1)
+        self._lr0, self._wd = np.empty((n, 1)), np.empty((n, 1))
+        self._lr0[:, 0] = [lr0 for _, lr0, _ in trials]
+        self._wd[:, 0] = [wd for _, _, wd in trials]
         self._results: list[tuple[float, float]] = []  # (train_loss, norm) of this round, by slot
         self.members: dict[TrialRunner, None] = {
             TrialRunner(self, slot, cell): None for slot, (cell, _, _) in enumerate(trials)
@@ -375,7 +387,7 @@ class Cohort:
         self._compact(live)
         n = len(live)
         # schedule_lr's operations on the whole column, so each row gets a lone trial's bits
-        lr_t = schedule_lr(self.config.lr_schedule, self._lr0[:n], self.epoch, self.epochs)
+        lr_t = schedule_lr(self.config.lr_schedule, self._lr0, self.epoch, self.epochs)
         self._results = []
         for start in range(0, n, STACK_SLICE):
             rows = slice(start, min(start + STACK_SLICE, n))
@@ -383,25 +395,32 @@ class Cohort:
         self.epoch += 1
 
     def _compact(self, live: list[TrialRunner]) -> None:
-        """Close the rows that ended runners left, keeping the members' slot order.
+        """Close the rows that ended runners left, keeping the members' slot order,
+        and shrink the row arrays to the members' rows.
 
         Rows move up in chunks of ``STACK_SLICE``, so no move holds more than
         a chunk's copy: a chunk's source rows lie at or after its target rows
-        and after every earlier chunk's.
+        and after every earlier chunk's. Each array is then resized in place
+        by ``ndarray.resize``, whose realloc keeps the leading rows and
+        returns the tail to the allocator; its reference check refuses an
+        array that a view still holds, which is why ``TrialRunner.theta``
+        returns a copy.
         """
         n = len(live)
-        if self._rows == n:
+        if len(self._theta) == n:
             return
         first = next((i for i, r in enumerate(live) if r._slot != i), n)
         slots = np.array([r._slot for r in live[first:]], dtype=np.intp)
-        for start in range(0, len(slots), STACK_SLICE):
-            src = slots[start : start + STACK_SLICE]
-            dst = slice(first + start, first + start + len(src))
-            for a in (self._theta, self._velocity, self._lr0, self._wd):
-                a[dst] = a[src]
+        for name in ("_theta", "_velocity", "_lr0", "_wd"):
+            rows = getattr(self, name)
+            for start in range(0, len(slots), STACK_SLICE):
+                src = slots[start : start + STACK_SLICE]
+                rows[first + start : first + start + len(src)] = rows[src]
+            shape = (n, rows.shape[1])
+            del rows  # the reference check counts this name too
+            getattr(self, name).resize(shape)
         for i in range(first, n):
             live[i]._slot = i
-        self._rows = n
 
     def _step_rows(self, rows: slice, runners: list[TrialRunner], lr_t: np.ndarray) -> None:
         """One epoch for the members in ``rows``, updated in place in the stacks."""
@@ -435,13 +454,15 @@ class TrialRunner:
     Its ``cohort`` makes it. Batch order and initialization derive from
     (init_seed, cell), so every trial is an independent, replayable stream.
     Its theta, velocity, lr0 and wd are rows of the cohort's stacks (see
-    ``Cohort``); ``theta`` is a view of its row while it is alive and a copy
-    of its final row once it ends.
+    ``Cohort``). ``theta`` is a copy of its row while it is alive, so no
+    view can keep the cohort from shrinking the stacks; once the trial ends
+    it raises, since the trial keeps no parameters.
 
     Val/test accuracy is computed when the trial reaches a terminal status
     (completed, diverged, or ``finish``), for its last
-    ``cohort.metric_window`` finite epochs. Other epochs keep ``None``
-    metrics. A task with no val or test set keeps no parameters.
+    ``cohort.metric_window`` finite epochs, whose theta copies it keeps
+    until then. Other epochs keep ``None`` metrics. A task with no val or
+    test set has a window of 0, and its runners hold no window at all.
     """
 
     def __init__(self, cohort: Cohort, slot: int, cell: GridCell):
@@ -452,17 +473,17 @@ class TrialRunner:
         )
         self.record = TrialRecord(cell=cell)
         # (epoch, theta) of the last finite epochs, scored when the trial ends
-        self._recent: deque[tuple[int, np.ndarray]] = deque(maxlen=cohort.metric_window)
-        self._final: np.ndarray | None = None  # theta once ended
+        window = cohort.metric_window
+        self._recent: deque[tuple[int, np.ndarray]] | None = deque(maxlen=window) if window else None
         self._slot = slot
         cohort._theta[slot] = cohort.model.init_params(self.rng)
 
     @property
     def theta(self) -> np.ndarray:
-        """A view of this trial's row while it is alive; a copy of its final row once it ends."""
-        if self._final is not None:
-            return self._final
-        return self.cohort._theta[self._slot]
+        """A copy of this trial's row; an ended trial keeps no parameters."""
+        if self.done:
+            raise RuntimeError(f"trial {self.cell} ended ({self.record.status}) and keeps no parameters")
+        return self.cohort._theta[self._slot].copy()
 
     @property
     def done(self) -> bool:
@@ -475,20 +496,19 @@ class TrialRunner:
             self._end(status)
 
     def _end(self, status: str) -> None:
-        """Set the terminal status, keep theta, leave the cohort and score the kept epochs."""
+        """Set the terminal status, leave the cohort and score the kept epochs."""
         self.record.status = status
-        self._final = self.theta.copy()
         self.cohort.leave(self)
         task, model, epochs = self.cohort.task, self.cohort.model, self.record.epochs
         with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-            for epoch, theta in self._recent:
+            for epoch, theta in self._recent or ():
                 val_metric = test_metric = None
                 if task.n_val:
                     val_metric = model.accuracy(theta, task.val_inputs, task.val_labels)
                 if task.n_test:
                     test_metric = model.accuracy(theta, task.test_inputs, task.test_labels)
                 epochs[epoch] = epochs[epoch]._replace(val_metric=val_metric, test_metric=test_metric)
-        self._recent.clear()
+        self._recent = None
 
     def step_epoch(self) -> EpochLog:
         """Run one epoch; logs loss and norm and flags divergence on non-finite values.
@@ -507,8 +527,8 @@ class TrialRunner:
         if not (math.isfinite(train_loss) and math.isfinite(norm)):
             self._end(STATUS_DIVERGED)
         else:
-            if self._recent.maxlen:
-                self._recent.append((epoch, self.theta.copy()))
+            if self._recent is not None:
+                self._recent.append((epoch, self.theta))
             if epoch + 1 == self.cohort.epochs:
                 self._end(STATUS_COMPLETED)
         return self.record.epochs[-1]

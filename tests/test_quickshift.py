@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -17,6 +18,9 @@ from twinsearch.quickshift import (
 )
 from quickshift_frozen import reference_density, reference_labels, reference_parents
 from quickshift_oracle import brute_force_labels
+
+# the module; the package exports its ``quickshift`` function under the same name
+QUICKSHIFT_MODULE = importlib.import_module("twinsearch.quickshift")
 
 
 def canonical(labels):
@@ -296,7 +300,7 @@ FROZEN_RATIOS = (0.0, 1.0, 20.0, 100.0)
 
 
 def large_instance(seed):
-    """Grids of side 1-50 (up to 2,500 cells, so many 128-cell blocks), with
+    """Grids of side 1-50 (up to 2,500 cells, so many blocks), with
     masks, plateaus, and every (max_dist, ratio) pair of the lists above."""
     rng = np.random.default_rng(seed)
     n_rows, n_cols = (int(n) for n in rng.integers(1, 51, size=2))
@@ -331,6 +335,14 @@ class TestFrozenParity:
 
     @pytest.mark.parametrize("seed", range(240))
     def test_random_large_instances(self, seed):
+        assert_matches_frozen(*large_instance(seed))
+
+    # plateaus (9, 15), masks of 45-76% (4, 9, 22), links within one row (13)
+    # and unbounded (17), and 1,662 cells (10)
+    @pytest.mark.parametrize("seed", [4, 9, 10, 13, 15, 17, 22])
+    @pytest.mark.parametrize("block", [1, 7, 64, 128])
+    def test_bits_do_not_depend_on_the_blocking(self, monkeypatch, block, seed):
+        monkeypatch.setattr(QUICKSHIFT_MODULE, "BLOCK", block)
         assert_matches_frozen(*large_instance(seed))
 
     @pytest.mark.parametrize("max_dist", [math.inf, 31.0, 1e6])

@@ -83,6 +83,44 @@ def test_parity_allows_a_change_only_to_the_listed_files(capsys, altered_src, li
         assert out == ["fifo-grid seed 0: 1 of 16 files not identical", "  differs: baselines.json"]
 
 
+@pytest.mark.parametrize(
+    "listed, status, fifo_verdict", [("", 1, "differs"), ("baselines.json", 0, "expected")]
+)
+def test_parity_writes_the_verdict_per_recipe_and_seed_to_json(
+    tmp_path, altered_src, listed, status, fifo_verdict
+):
+    script = load_script("parity")
+    src = str(SCRIPTS.parent / "src")
+    out = tmp_path / "parity.json"
+    argv = [src, str(altered_src), "--recipes", "fifo-grid,hb-valfree", "--seeds", "0"]
+    argv += ["--grid", "3", "--epochs", "3", "--expect-changed", listed, "--json", str(out)]
+    assert script.main(argv) == status
+    table = json.loads(out.read_text())
+    assert (table["src_a"], table["src_b"]) == (src, str(altered_src))
+    assert table["expect_changed"] == [listed] * bool(listed) and table["failures"] == []
+    changed = ["differs: baselines.json"]
+    assert table["jobs"] == [
+        {"recipe": "fifo-grid", "seed": 0, "verdict": fifo_verdict, "files": 16,
+         "problems": [] if listed else changed, "expected": changed if listed else []},
+        # no baseline command runs in this recipe
+        {"recipe": "hb-valfree", "seed": 0, "verdict": "identical", "files": 14,
+         "problems": [], "expected": []},
+    ]
+
+
+def test_parity_json_lists_failed_commands(tmp_path):
+    script = load_script("parity")
+    src = str(SCRIPTS.parent / "src")
+    out = tmp_path / "parity.json"
+    argv = [src, src, "--recipes", "fifo-grid", "--seeds", "0", "--grid", "0", "--json", str(out)]
+    assert script.main(argv) == 2
+    table = json.loads(out.read_text())
+    assert table["jobs"] == []
+    runs = [f for f in table["failures"] if ": run --run-id parity " in f]
+    assert [f[:10] for f in runs] == ["A: exit 1:", "B: exit 1:"]
+    assert all("n_lr must be >= 2" in f for f in runs)
+
+
 def test_parity_segmenting_recipes_run_select_with_their_flags(capsys):
     script = load_script("parity")
     src = SCRIPTS.parent / "src"

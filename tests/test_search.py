@@ -13,6 +13,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
 from twinsearch.runstore import RunStore
-from twinsearch.scheduler import Schedule, SchedulerPolicy
+from twinsearch.scheduler import Schedule, SchedulerPolicy, rung_levels
 from twinsearch import trainer
 from twinsearch.search import execute_search
 from twinsearch.tasks import TaskSpec
@@ -77,8 +78,11 @@ def eager_records(records, grid, task, policy):
             entry = runner.step_epoch()
             val = test = None
             if _finite(entry):
-                val = model.accuracy(runner.theta, task.val_inputs, task.val_labels)
-                test = model.accuracy(runner.theta, task.test_inputs, task.test_labels)
+                # the lone trial's row: an ended runner keeps no theta, but
+                # nothing compacts a one-trial cohort's stack
+                theta = cohort._theta[0]
+                val = model.accuracy(theta, task.val_inputs, task.val_labels)
+                test = model.accuracy(theta, task.test_inputs, task.test_labels)
             epochs.append(EpochLog(entry.epoch, entry.train_loss, entry.param_norm, val, test))
         status = runner.record.status if runner.done else STATUS_STOPPED_EARLY
         out[cell] = TrialRecord(cell=cell, epochs=epochs, status=status)
@@ -363,19 +367,97 @@ def test_survivors_match_the_loop_after_a_rung_compacts_the_stack(monkeypatch, s
         assert logged.tobytes() == np.array(looped).tobytes(), runner.cell
 
 
-def test_an_ended_trial_keeps_its_last_row():
+def test_an_ended_trial_keeps_no_parameters():
     runners = _runners(4, [(0, col) for col in range(4)])
     for runner in runners:
         runner.step_epoch()
     ended = runners[1]
-    last = ended.theta.copy()
+    norm = float(np.linalg.norm(ended.theta))
     ended.finish(STATUS_STOPPED_EARLY)
-    assert ended.theta.tobytes() == last.tobytes()
-    for _ in range(2):  # the first step moves a survivor's row into the ended one's
+    message = r"GridCell\(row=0, col=1\) ended \(stopped_early\) and keeps no parameters"
+    for _ in range(3):  # the first step moves a survivor's row into the ended one's
+        with pytest.raises(RuntimeError, match=message):
+            ended.theta
+        assert not [v for v in vars(ended).values() if isinstance(v, (np.ndarray, deque))]
         for runner in runners[:1] + runners[2:]:
             runner.step_epoch()
-    assert ended.theta.tobytes() == last.tobytes()
-    assert float(np.linalg.norm(ended.theta)) == ended.record.epochs[-1].param_norm
+    assert ended.record.epochs[-1].param_norm == norm
+
+
+def test_the_row_arrays_hold_only_the_members_rows_after_each_rung(monkeypatch):
+    monkeypatch.setattr(trainer, "STACK_SLICE", 5)  # several chunks and slices per compaction
+    runners = _runners(4, [divmod(i, 4) for i in range(16)])
+    cohort = runners[0].cohort
+    seen = []
+    step_rows = Cohort._step_rows
+
+    def spying(self, rows, members, lr_t):
+        seen.append([len(a) for a in (self._theta, self._velocity, self._lr0, self._wd)])
+        return step_rows(self, rows, members, lr_t)
+
+    monkeypatch.setattr(Cohort, "_step_rows", spying)
+    alive = runners
+    # every other trial, then the last survivors only (rows that end at the tail need no move)
+    for stop in (lambda a: a[0::2], lambda a: a[-3:], lambda a: []):
+        seen.clear()
+        for runner in alive:
+            runner.step_epoch()
+        assert seen and all(lens == [len(alive)] * 4 for lens in seen)
+        for runner in stop(alive):
+            runner.finish(STATUS_STOPPED_EARLY)
+        alive = [r for r in alive if not r.done]
+    assert len(alive) == len(cohort.members) == 5
+
+
+def test_a_held_theta_does_not_stop_the_shrink():
+    runners = _runners(3, [(0, col) for col in range(4)])
+    for runner in runners:
+        runner.step_epoch()
+    held = runners[3].theta
+    before = held.tobytes()
+    runners[0].finish(STATUS_STOPPED_EARLY)
+    for runner in runners[1:]:
+        runner.step_epoch()  # compacts and shrinks while `held` is alive
+    cohort = runners[1].cohort
+    assert cohort._theta.shape[0] == 3 and not np.shares_memory(held, cohort._theta)
+    assert held.tobytes() == before
+
+
+def test_a_runner_with_nothing_to_score_holds_no_deque():
+    task = dataclasses.replace(TASK_SPEC, n_val=0, n_test=0).make()
+    (runner,) = _runners(2, [(0, 0)], task)
+    assert runner.cohort.metric_window == 0
+    for _ in range(2):
+        assert not [v for v in vars(runner).values() if isinstance(v, deque)]
+        runner.step_epoch()
+
+
+def test_a_val_free_hb_search_peaks_no_later_than_its_first_rung(monkeypatch):
+    # the first rung stops 200 of 400 trials: the step after it shrinks the
+    # stacks to the survivors, and no ended trial keeps a theta, so no later
+    # round holds more than the rounds before the rung did
+    policy = SchedulerPolicy("hb", 12, stop_fraction=0.25, grace_fraction=0.25)
+    grid = build_log_grid(5e-5, 5e-1, 20, 5e-5, 5e-1, 20)
+    task = TaskSpec(seed=0, n_val=0, n_test=0).make()
+    peaks = []  # (epoch, traced peak since the previous round's decision)
+    decide = Schedule.decide
+
+    def tracing(self, epoch, losses):
+        peaks.append((epoch, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+        return decide(self, epoch, losses)
+
+    monkeypatch.setattr(Schedule, "decide", tracing)
+    tracemalloc.start()
+    try:
+        records = execute_search(grid, policy, task, ArchSpec((32,)), TrainerConfig())
+        peaks.append((policy.epoch_budget + 1, tracemalloc.get_traced_memory()[1]))
+    finally:
+        tracemalloc.stop()
+    rung = rung_levels(policy)[0]
+    assert rung == 3
+    assert sum(r.epochs_run == rung for r in records.values()) == 200
+    assert max(peaks, key=lambda p: p[1])[0] <= rung, peaks
 
 
 def test_a_round_holds_no_second_copy_of_trial_state():
