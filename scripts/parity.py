@@ -4,12 +4,8 @@
 Runs a fixed set of CLI recipes, for each seed, once with the ``twinsearch``
 package from ``SRC_A`` and once with the one from ``SRC_B``, and compares
 every file of the resulting run directories byte for byte: manifest, trial
-lines, decision log, records snapshot, matrices, selection, baselines and
-eval report. The ``select-foreign`` recipe rewrites every trial file the
-way another writer might (spaced separators, reversed keys, CRLF, integral
-floats as ints) before it selects, so the loader's handling of such lines
-is compared too; its snapshot no longer matches the files, so they are
-parsed.
+lines, decision log, records, matrices, selection, baselines and eval
+report.
 
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
@@ -19,13 +15,16 @@ parsed.
 Each tree runs in one fresh Python process. ``--expect-changed`` names
 files, by their path inside the run directory, that a change to the package
 is meant to alter: they may differ or exist on one side only, and each one
-that does is printed per recipe and seed. ``--json`` also writes the table
-to a file: per recipe and seed, the verdict (``identical``, ``expected``
-when only named files changed, ``differs``), the number of files compared,
-and the problems found, split into unexpected and expected ones. Exit
-status: 0 when every file not so named is identical, 1 when any of them
-differs or exists on one side only, 2 when a command fails (the JSON then
-lists the failed commands and no verdicts).
+that does is printed per recipe and seed, with where it first differs: the
+key path for a JSON file, the line number and the key path within that line
+for a JSON-lines file such as ``records.json`` (``first_difference``). ``--json`` also writes the
+table to a file: per recipe and seed, the verdict (``identical``,
+``expected`` when only named files changed, ``differs``), the number of
+files compared, and the problems found, split into unexpected and expected
+ones, each expected one as printed. Exit status: 0 when every file not so
+named is identical, 1 when any of them differs or exists on one side only,
+2 when a command fails (the JSON then lists the failed commands and no
+verdicts).
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ EVAL_OPS = [
 ]
 
 SEGMENT_RUN = ["--n-lr", "16", "--n-wd", "16", "--epochs", "6"]
-# not a CLI command: rewrites every trial file of the run with ", "/": "
-# separators, reversed key order, CRLF line ends and integral floats as ints
-FOREIGN = "rewrite-trials-foreign"
 
 # name -> (flags of the run command, commands after it)
 RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
@@ -91,40 +87,18 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     "select-ratio20": (SEGMENT_RUN, [["select", RUN_ID, "--ratio", "20"]]),
     "select-near": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "1.5", "--ratio", "20"]]),
     "select-maxdist-inf": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "inf"]]),
-    # Every recipe above reads only the lines the package writes itself; this
-    # one re-selects from trial files rewritten as another writer might. Four
-    # val/test examples make accuracies of 0 and 1, which it writes as ints.
-    "select-foreign": (
-        ["--n-lr", "8", "--n-wd", "8", "--epochs", "6", "--n-val", "4", "--n-test", "4"],
-        [[FOREIGN], ["select", RUN_ID], EVAL_OPS[0]],
-    ),
 }
 
 # Runs every job's commands against its own store; prints one JSON line.
 CHILD = """
-import contextlib, io, json, pathlib, sys
+import contextlib, io, json, sys
 spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from twinsearch.cli import main
 
-def rewrite_foreign(trials):
-    for path in sorted(pathlib.Path(trials).glob("*.jsonl")):
-        out = []
-        for line in path.read_bytes().decode("utf-8").splitlines():
-            fields = json.loads(line)
-            fields = {
-                k: int(v) if isinstance(v, float) and v.is_integer() else v
-                for k, v in reversed(fields.items())
-            }
-            out.append(json.dumps(fields, separators=(", ", ": ")) + "\\r\\n")
-        path.write_bytes("".join(out).encode("utf-8"))
-
 failures = []
 for job in spec["jobs"]:
     for argv in job["ops"]:
-        if argv == [spec["foreign"]]:
-            rewrite_foreign(pathlib.Path(job["store"]) / spec["run_id"] / "trials")
-            continue
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(["--store-root", job["store"], *argv])
@@ -158,8 +132,6 @@ def run_tree(src: Path, store_root: Path, jobs: list[dict]) -> list[str]:
     """Run every job with the package under ``src``; returns the failed commands."""
     spec = {
         "src": str(src),
-        "run_id": RUN_ID,
-        "foreign": FOREIGN,
         "jobs": [{"store": str(store_root / j["store"]), "ops": j["ops"]} for j in jobs],
     }
     proc = subprocess.run(
@@ -183,6 +155,60 @@ def compare_dirs(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(files_a | files_b), problems
 
 
+def _key_path(a, b, path: str = "$") -> str | None:
+    """The first key path at which the JSON values ``a`` and ``b`` differ, or None."""
+    if type(a) is not type(b):
+        return path
+    if isinstance(a, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            if key not in a or key not in b:
+                return f"{path}.{key}"
+            found = _key_path(a[key], b[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(a, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _key_path(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if a == b else path
+
+
+def _json_key_path(a: bytes, b: bytes) -> str:
+    try:
+        return _key_path(json.loads(a), json.loads(b)) or "no key (same JSON, other text)"
+    except ValueError:
+        return "no key (not JSON)"
+
+
+def first_difference(name: str, a: bytes, b: bytes) -> str:
+    """Where two versions ``a`` and ``b`` of the file ``name`` first differ: the key path of a
+    JSON file; the line number, and the key path within that line, of any other file, such as
+    a JSON-lines one (``records.json`` holds JSON lines too)."""
+    if name.endswith(".json"):
+        try:
+            return _key_path(json.loads(a), json.loads(b)) or "no key (same JSON, other text)"
+        except ValueError:
+            pass
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b)):
+        if x != y:
+            return f"line {i + 1}, {_json_key_path(x, y)}"
+    if len(lines_a) == len(lines_b):
+        return "no line (same lines, other line ends)"
+    return f"line {min(len(lines_a), len(lines_b)) + 1}, only on one side"
+
+
+def _located(problem: str, run_a: Path, run_b: Path) -> str:
+    """``problem`` with where its file first differs, if it is a ``differs`` one."""
+    kind, rel = problem.split(": ", 1)
+    if kind != "differs":
+        return problem
+    return f"{problem}: first at {first_difference(rel, (run_a / rel).read_bytes(), (run_b / rel).read_bytes())}"
+
+
 def compare_trees(src_a: Path, src_b: Path, jobs: list[dict], expected: set[str]) -> tuple[int, dict]:
     """Run ``jobs`` with both trees and print the comparison; the exit status and the table."""
     table = {"src_a": str(src_a), "src_b": str(src_b), "expect_changed": sorted(expected),
@@ -198,9 +224,11 @@ def compare_trees(src_a: Path, src_b: Path, jobs: list[dict], expected: set[str]
         differ = False
         for job in jobs:
             run_a = root_a / job["store"] / RUN_ID
-            n_files, problems = compare_dirs(run_a, root_b / job["store"] / RUN_ID)
+            run_b = root_b / job["store"] / RUN_ID
+            n_files, problems = compare_dirs(run_a, run_b)
             changed = [p for p in problems if p.split(": ", 1)[1] in expected]
             problems = [p for p in problems if p not in changed]
+            changed = [_located(p, run_a, run_b) for p in changed]
             if problems:
                 differ = True
                 verdict = "differs"

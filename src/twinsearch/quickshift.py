@@ -75,8 +75,9 @@ class QuickshiftParams:
             )
         if not self.max_dist > 0:
             raise ValueError(f"max_dist must be positive, got {self.max_dist}")
-        if not (math.isfinite(self.ratio) and self.ratio >= 0):
-            raise ValueError(f"ratio must be finite and non-negative, got {self.ratio}")
+        # squared distances hold ratio**2 times a squared value difference of up to 1
+        if not (math.isfinite(self.ratio * self.ratio) and self.ratio >= 0):
+            raise ValueError(f"ratio must be non-negative, with ratio**2 finite, got {self.ratio}")
 
     def to_dict(self) -> dict:
         return {"kernel_size": self.kernel_size, "max_dist": self.max_dist, "ratio": self.ratio}

@@ -1,23 +1,31 @@
 """Replayable run persistence.
 
-Directory layout (the public contract for external training systems):
+Directory layout:
 
     runs/<run_id>/
         manifest.json        grid, scheduler policy, trainer/arch/task specs, seeds
-        trials/<row>_<col>.jsonl   one line per epoch, in epoch order
-        decisions.jsonl      scheduler decision log (rung outcomes + terminal stops)
-        records.json         records snapshot: the trial files' records, decoded
+        records.json         every trial's record: the one stored record of the trials
+        trials/<row>_<col>.jsonl   export: one line per epoch, in epoch order
+        decisions.jsonl      export: scheduler decision log (rung outcomes + terminal stops)
         matrices.json        psi/theta/masks/epochs_run, row-major
         selection.json       the twin pick with full provenance
         baselines.json       baseline picks (written by the baseline command)
         eval_report.json     method-vs-oracle errors
 
-A trial file is its trial's whole record: an external writer writes one per
-cell it trains, and an ended trial's last line carries its terminal status
-(``completed``, ``stopped_early`` or ``diverged``); a file whose last line
-says ``running`` is a trial still owed epochs, unless it ran the whole
-budget (``resume_plan``). ``decisions.jsonl`` is the search's provenance:
-the search writes it, and no command reads it.
+``load_run`` reads the manifest and ``records.json`` (format 2, see
+``twinsearch.records``) and nothing else of the trials. The trial files and
+``decisions.jsonl`` are exports that no command reads: ``run`` writes them
+as the search goes, and editing, adding or deleting one changes nothing a
+command reads. A run without a format 2 ``records.json`` does not load:
+one written before that format, or by another trainer that wrote only
+trial files.
+
+Faults are errors, since nothing else stands in for a stored record: a run
+with no ``records.json`` raises ``RunNotFoundError``; a malformed one
+raises ``RunStoreError`` as ``<path>: line <N>: <detail>``. The manifest,
+``matrices.json`` and ``selection.json`` are checked for the fields read
+from them (``<path>: <detail>``). A run id must name one directory inside
+the store root.
 
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
@@ -25,53 +33,21 @@ shortest-round-trip repr, which makes write/load cycles bit-exact. The
 artifacts are ``json.dumps(..., indent=2)``'s text, built by the C encoder
 (``encode_json``). ``_trial_line_text``, the only trial-line encoder,
 builds one line directly, byte for byte what ``encode_json``'s line form
-gives. A torn final trial line (an external writer cut off mid-append) is
-dropped with a warning on load; corruption anywhere else is an error.
-
-``load_run`` reads each trial file whole, in one ``os.read``, and parses it
-in two passes, as the per-line ``json.loads`` reader of
-``tests/runstore_frozen.py`` does. The first splits the bytes on newlines
-and runs ``json.loads`` on each non-blank line, decoded as UTF-8. A line
-that fails is an error, unless it is the last non-blank line: that torn
-line is dropped with a warning, as is a last line that parses but has no
-newline. The second checks the parsed lines in order: an object with every
-field, non-negative integer row/col/epoch (booleans are not), a known
-status string, decodable floats (an integer beyond float range is not), the
-file's own cell and contiguous epochs from 0. The first fault raises
-``RunStoreError`` as ``<path>: line <N>: <detail>``, N counting every line
-of the file from 1, blank ones included. So a line that is not JSON wins
-over a failed check, and the warning for a dropped tail comes before a
-check's error. A trial file must be named ``<row>_<col>.jsonl`` as the
-writer spells it. The manifest, ``matrices.json`` and ``selection.json``
-are checked for the fields read from them (``<path>: <detail>``). A run id
-must name one directory inside the store root.
-
-The trial files are the only source of truth. ``records.json``, the records
-snapshot (``twinsearch.snapshot``), is derived from them so that ``load_run``
-need not parse them: it still reads every trial file once, takes a file's
-record from the snapshot only if the snapshot lists that name with the same
-byte length and ``zlib.crc32``, and parses any other file. A missing
-snapshot is never an error; a malformed one is ignored with a warning
-naming it. External writers need not write it. Every run ``twinsearch run``
-writes has one; a run without one (written before the snapshot existed, or
-by an external writer) has every trial file parsed, which costs more than
-the C-scanner reader this parser replaced did: a 40x40 run of 6 epochs a
-trial loads in ~75-90 ms from its files, against ~55-70 ms then and
-~35 ms from its snapshot (2-core host).
+gives; an ended trial's last line carries its terminal status
+(``completed``, ``stopped_early`` or ``diverged``), every other line
+``running``.
 
 Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
 only on the epochs the baseline summaries read: the last finite epoch under
 FIFO, the last five under early stopping (``matrices.metric_window``).
-Every other line has null metrics. Loading does not depend on this: files
-with metrics on every epoch, as older runs have, load to the same summaries.
+Every other line has null metrics, as has that epoch in ``records.json``.
 
 The search writes a trial's file once, whole, in the round the trial ends:
 ``append_trial_line`` creates it exclusively and writes every line in one
 unbuffered ``os.write``. A file that already exists is an error and is left
-as it is; a short write raises. The file reaches the operating system at
-once but is not fsynced, so a machine crash can lose it. A process killed
-mid-search leaves the files of ended trials and none of its alive trials';
-no command reads such a partial run, which ``resume_plan`` reports.
+as it is; a short write raises. ``records.json`` is written after the
+search, so a process killed mid-search leaves a run that no command loads;
+``resume_plan`` says which cells a set of records still owes.
 """
 
 from __future__ import annotations
@@ -79,10 +55,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
-import struct
-import warnings
-import zlib
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
@@ -101,7 +73,6 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
-_TRIAL_FILE_RE = re.compile(r"^(\d+)_(\d+)\.jsonl$")
 _INF_TEXT = {math.inf: "Inf", -math.inf: "-Inf"}
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
 # the manifest objects the loaders read: the class that checks each, and the fields read from it
@@ -154,15 +125,11 @@ def _float_text(value: float | None) -> str:
 
 
 _STATUS_TEXT = {s: json.dumps(s) for s in (STATUS_RUNNING, *sorted(TERMINAL_STATUSES))}
-# every field a trial line must carry, in the order a missing one is reported
-_TRIAL_FIELDS = ("row", "col", "epoch", "train_loss", "param_norm", "status")
 # the JSON name of each type a JSON value decodes to
 _JSON_KINDS = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
     bool: "boolean", type(None): "null",
 }
-# what ``append_trial_line`` keeps of the trial file it writes: byte length, CRC-32, fingerprint
-_WRITTEN = struct.Struct("3q")
 
 
 def _decode_float(value):
@@ -203,55 +170,13 @@ def _trial_line_text(cell: GridCell, entry: EpochLog, status: str) -> str:
     )
 
 
-def _epoch_log(d, cell: GridCell, epoch: int) -> EpochLog:
-    """The epoch that trial line ``d``, the ``epoch``-th line of ``cell``'s file, logs."""
-    if isinstance(d, (dict, list, str)):  # an array or string without a field name fails as an object
-        for key in _TRIAL_FIELDS:
-            if key not in d:
-                raise RunStoreError(f"trial line missing field {key!r}")
-    if type(d) is not dict:
-        raise RunStoreError(f"trial line is a JSON {_JSON_KINDS[type(d)]}, not an object")
-    for key in ("row", "col", "epoch"):
-        if type(d[key]) is not int or d[key] < 0:
-            raise RunStoreError(f"trial line field {key!r} must be a non-negative integer")
-    if type(d["status"]) is not str or d["status"] not in _STATUS_TEXT:
-        raise RunStoreError(f"trial line field 'status' has unknown value {d['status']!r}")
-    log = EpochLog(
-        d["epoch"], _decode_float(d["train_loss"]), _decode_float(d["param_norm"]),
-        _decode_float(d.get("val_acc")), _decode_float(d.get("test_acc")),
-    )
-    if (d["row"], d["col"]) != cell:
-        raise RunStoreError(f"line for cell ({d['row']}, {d['col']}) in wrong file")
-    if log.epoch != epoch:
-        raise RunStoreError(f"epoch {log.epoch} breaks contiguity after {epoch - 1}")
-    return log
-
-
-def _fingerprint(record: TrialRecord) -> int:
-    """A hash of ``record``'s status and epochs, kept with the file written from it: within one
-    process it changes when they do, but for a chance of about one in 2**64."""
-    return hash((record.status, *record.epochs))
-
-
-def _read_bytes(path: str) -> bytes:
-    """The whole file at ``path``, in one ``os.read``."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        return os.read(fd, os.fstat(fd).st_size)
-    finally:
-        os.close(fd)
-
-
 class RunStore:
     """All reads and writes for one store root (default ./runs)."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        # run_id -> (grid rows, grid cols, trials directory as a plain string, and per cell in
-        # row-major order a ``_WRITTEN`` of the trial file written, or zeros) for the records
-        # snapshot (``snapshot.write_records``);
-        # not an array.array: loading that module kept ~0.13 MB more resident over a 30x30 search
-        self._trial_targets: dict[str, tuple[int, int, str, bytearray]] = {}
+        # run_id -> (grid rows, grid cols, trials directory as a plain string)
+        self._trial_targets: dict[str, tuple[int, int, str]] = {}
 
     def run_dir(self, run_id: str) -> Path:
         """``root/run_id``; an id that would name the root, a parent or a nested path is refused."""
@@ -278,9 +203,8 @@ class RunStore:
             if not (run_dir / "manifest.json").exists():
                 raise RunStoreError(f"run {run_id!r} has no manifest; create the run first")
             shape = _grid_shape(self.load_manifest(run_id))
-            files = bytearray(_WRITTEN.size * shape[0] * shape[1])
-            target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"), files)
-        n_rows, n_cols, trials_dir, files = target
+            target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"))
+        n_rows, n_cols, trials_dir = target
         row, col = cell = record.cell
         if not (0 <= row < n_rows and 0 <= col < n_cols):
             raise RunStoreError(f"cell ({row}, {col}) outside grid of shape {(n_rows, n_cols)}")
@@ -300,8 +224,6 @@ class RunStore:
             os.close(fd)
         if written != len(data):
             raise RunStoreError(f"{path}: short write, {written} of {len(data)} bytes")
-        at = _WRITTEN.size * (row * n_cols + col)
-        _WRITTEN.pack_into(files, at, written, zlib.crc32(data), _fingerprint(record))
 
     def append_decisions(self, run_id: str, decisions: Iterable[dict]) -> None:
         path = self.run_dir(run_id) / "decisions.jsonl"
@@ -403,57 +325,14 @@ class RunStore:
         return manifest
 
     def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord]]:
-        """Manifest and per-cell records, partial trials included."""
+        """Manifest and per-cell records, from ``records.json``."""
+        from .records import RECORDS, read_records
+
         manifest = self.load_manifest(run_id)
-        run_dir = str(self.run_dir(run_id))
-        records: dict[GridCell, TrialRecord] = {}
-        trials_dir = f"{run_dir}/trials"
-        if os.path.isdir(trials_dir):
-            from .snapshot import SnapshotReader
-
-            with SnapshotReader(run_dir) as snapshot:
-                for name in sorted(os.listdir(trials_dir)):
-                    m = _TRIAL_FILE_RE.match(name)
-                    if not m:
-                        continue
-                    cell = GridCell(int(m[1]), int(m[2]))
-                    if name != f"{cell.row}_{cell.col}.jsonl":  # 00_1.jsonl, or digits not ASCII
-                        raise RunStoreError(f"{trials_dir}/{name}: not a trial file name (<row>_<col>.jsonl)")
-                    path = f"{trials_dir}/{name}"
-                    data = _read_bytes(path)
-                    records[cell] = snapshot.read(cell, name, data) or self._read_jsonl(path, cell, data)
-        return manifest, records
-
-    def _read_jsonl(self, path: str, cell: GridCell, data: bytes) -> TrialRecord:
-        """``cell``'s record from ``data``, the bytes of its trial file at ``path``; a torn final
-        line is dropped with a warning."""
-        lines = data.split(b"\n")
-        last = data.rstrip(b"\n").count(b"\n")  # the last non-blank line
-        parsed = []  # (line number, JSON value) of each line kept
-        for i, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                d = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if i != last:
-                    raise RunStoreError(f"{path}: line {i + 1}: corrupt line: {exc}") from exc
-                warnings.warn(f"{path}: line {i + 1}: dropping torn final line: {exc}")
-                break
-            if i == len(lines) - 1:  # parsed, but the writer always ends its lines
-                warnings.warn(f"{path}: line {i + 1}: dropping unterminated final line")
-                break
-            parsed.append((i + 1, d))
-        epochs = []
-        status = STATUS_RUNNING
-        for n, d in parsed:
-            try:
-                epochs.append(_epoch_log(d, cell, len(epochs)))
-            except RunStoreError as exc:
-                raise RunStoreError(f"{path}: line {n}: {exc}") from None
-            if d["status"] in TERMINAL_STATUSES:
-                status = d["status"]
-        return TrialRecord(cell, epochs, status)
+        path = self.run_dir(run_id) / RECORDS
+        if not path.exists():
+            raise RunNotFoundError(f"run {run_id!r} has no records at {path}")
+        return manifest, read_records(str(path), _grid_shape(manifest))
 
     @staticmethod
     def _write_text(path: Path, text: str) -> None:

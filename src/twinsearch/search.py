@@ -18,7 +18,9 @@ kept.
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
 a trial's file is written once, whole and with its metrics, in the round
-the trial ends.
+the trial ends. The trial files and the decision log are exports that no
+command reads: ``run_and_store`` writes every record the search returns to
+``records.json`` after the search, and commands read only that.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .quickshift import QuickshiftParams, default_params
 from .runstore import RunStore
 from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
-from .snapshot import write_records
+from .records import write_records
 from .tasks import SyntheticTask, TaskSpec
 from .trainer import (
     STATUS_DIVERGED,
@@ -134,8 +136,8 @@ def run_and_store(
     arch: ArchSpec,
     config: TrainerConfig,
 ) -> TwinArtifacts:
-    """Full pipeline with persistence: manifest, trials, decisions, records snapshot,
-    matrices, selection.
+    """Full pipeline with persistence: manifest, trial files and decisions (exports),
+    ``records.json`` (what later commands load), matrices, selection.
 
     The pick uses ``default_params(grid)``; ``twinsearch select`` re-selects
     with other segmentation parameters.

@@ -8,6 +8,7 @@ regime where the train set under-represents the test distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -80,6 +81,10 @@ class TaskSpec:
     label_noise: float = 0.15
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_train", "n_val", "n_test", "n_classes", "input_dim"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is no count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_classes < 2:
@@ -95,8 +100,8 @@ class TaskSpec:
             raise ValueError(f"n_val must be >= 0, got {self.n_val}")
         if self.n_test < 0:
             raise ValueError(f"n_test must be >= 0, got {self.n_test}")
-        if not self.class_separation > 0:
-            raise ValueError(f"class_separation must be positive, got {self.class_separation}")
+        if not (self.class_separation > 0 and math.isfinite(self.class_separation)):
+            raise ValueError(f"class_separation must be positive and finite, got {self.class_separation}")
         if not 0 <= self.label_noise < 1:
             raise ValueError(f"label_noise must be in [0, 1), got {self.label_noise}")
 

@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import twinsearch
 from twinsearch.cli import main
 from twinsearch.grid import GridCell
+from twinsearch.records import write_records
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.tasks import TaskSpec
@@ -98,6 +101,7 @@ class TestRun:
             ["--n-test", "-1"],
             ["--task-seed", "-1"],
             ["--init-seed", "-1"],
+            ["--class-sep", "inf"],
         ],
         ids=lambda flags: flags[0],
     )
@@ -154,6 +158,14 @@ def with_field(manifest_text, key, field, value):
     return json.dumps(doc)
 
 
+def reseal(path, fault):
+    """Rewrite the ``records.json`` at ``path`` with ``fault`` applied to its second line, an
+    object whose text it returns, and the body CRC on its first line made to match again."""
+    _, line, rest = path.read_bytes().split(b"\n", 2)
+    body = (fault(json.loads(line)) + "\n").encode() + rest
+    path.write_bytes(b'{"format":2,"body_crc32":%d}\n' % zlib.crc32(body) + body)
+
+
 class TestSelect:
     def test_online_offline_equivalence(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -205,13 +217,16 @@ class TestSelect:
         )
         losses = [[0.9, 0.5, 0.4], [0.8, 0.2, 0.1], [0.9, 0.6, 0.5]]
         norms = [[3.0, 2.5, 2.0], [2.8, 2.2, 1.8], [3.1, 2.6, 2.1]]
-        for r in range(3):
-            for c in range(3):
-                logs = [
-                    EpochLog(epoch, losses[r][c] + (0.1 if epoch == 0 else 0.0), norms[r][c])
-                    for epoch in range(2)
-                ]
-                store.append_trial_line("ext", TrialRecord(GridCell(r, c), logs, "completed"))
+        records = [
+            TrialRecord(
+                GridCell(r, c),
+                [EpochLog(epoch, losses[r][c] + (0.1 if epoch == 0 else 0.0), norms[r][c]) for epoch in range(2)],
+                "completed",
+            )
+            for r in range(3)
+            for c in range(3)
+        ]
+        write_records(store, "ext", records)
         assert run_cli(tmp_path, "select", "ext") == 0
         out = capsys.readouterr().out
         assert "selected cell" in out and "lr=" in out
@@ -225,20 +240,33 @@ class TestSelect:
             "partial",
             {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 5).to_dict(), "task": "external", "seeds": {}},
         )
-        store.append_trial_line("partial", TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)]))
+        write_records(store, "partial", [TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)])])
         assert run_cli(tmp_path, "select", "partial") == 2
         assert "incomplete" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--lr-stride", "2", "--wd-stride", "2"]], ids=["whole", "strided"])
-    def test_a_missing_trial_file_leaves_its_cell_incomplete(self, tmp_path, capsys, flags):
-        # the FIFO decision log stops every cell; the cell still has no record
+    def test_a_cell_missing_from_the_records_is_incomplete(self, tmp_path, capsys, flags):
+        # its trial file and the FIFO decision log's stop for it are still there
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
-        (artifact(tmp_path, "r", "trials") / "0_0.jsonl").unlink()
+        store = RunStore(tmp_path / "runs")
+        records = store.load_run("r")[1]
+        write_records(store, "r", [rec for cell, rec in records.items() if cell != (0, 0)])
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r", *flags) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: run 'r' has incomplete cells: (0, 0)")
         assert "Traceback" not in captured.out + captured.err
+
+    def test_a_run_without_records_exits_2_and_keeps_the_pick(self, tmp_path, capsys):
+        # its trial files are all there, but no command reads them
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        stored = artifact(tmp_path, "r", "selection.json").read_bytes()
+        path = artifact(tmp_path, "r", "records.json")
+        path.unlink()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "select", "r") == 2
+        assert capsys.readouterr().err == f"error: run 'r' has no records at {path}\n"
+        assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
 
     def test_quickshift_overrides_change_segmentation(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -262,6 +290,7 @@ class TestSelect:
             ["--ratio", "-1"],
             ["--ratio", "nan"],
             ["--ratio", "inf"],
+            ["--ratio", "1e200"],  # its square overflows
         ],
         ids=lambda flags: "=".join(flags),
     )
@@ -276,38 +305,25 @@ class TestSelect:
     @pytest.mark.parametrize(
         "fault",
         [
-            lambda fields: "3",
-            lambda fields: json.dumps({**fields, "train_loss": 10**400}),
-            lambda fields: json.dumps({**fields, "status": []}),
-            lambda fields: json.dumps({**fields, "status": {}}),
+            lambda line: "3",
+            lambda line: json.dumps({**line, "train_loss": [10**400, *line["train_loss"][1:]]}),
+            lambda line: json.dumps({**line, "status": [[], *line["status"][1:]]}),
+            lambda line: json.dumps({**line, "status": [{}, *line["status"][1:]]}),
+            # cell (0, 1) once more, as the first trial
+            lambda line: json.dumps({**line, "row": [0, *line["row"][1:]], "col": [1, *line["col"][1:]]}),
+            # cell (0, 5), outside the 5x5 grid, in place of (0, 0)
+            lambda line: json.dumps({**line, "col": [5, *line["col"][1:]]}),
         ],
-        ids=["number-line", "overflowing-loss", "status-array", "status-object"],
+        ids=["number-line", "overflowing-loss", "status-array", "status-object", "cell-twice", "cell-outside"],
     )
-    def test_malformed_trial_line_is_a_storage_error(self, tmp_path, capsys, fault):
+    def test_malformed_records_line_is_a_storage_error(self, tmp_path, capsys, fault):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         stored = artifact(tmp_path, "r", "selection.json").read_bytes()
-        path = artifact(tmp_path, "r", "trials") / "0_0.jsonl"
-        first, rest = path.read_text().split("\n", 1)
-        path.write_text(fault(json.loads(first)) + "\n" + rest)
+        path = artifact(tmp_path, "r", "records.json")
+        reseal(path, fault)
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r") == 3
-        assert f"{path}: line 1: " in capsys.readouterr().err
-        assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
-
-    @pytest.mark.parametrize("beside", [True, False], ids=["beside-0_1", "instead-of-0_1"])
-    def test_a_stray_trial_file_is_a_storage_error(self, tmp_path, capsys, beside):
-        # 00_1.jsonl reads as cell (0, 1): shadowed by 0_1.jsonl, or in its place
-        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
-        stored = artifact(tmp_path, "r", "selection.json").read_bytes()
-        trials = artifact(tmp_path, "r", "trials")
-        stray = trials / "00_1.jsonl"
-        if beside:
-            stray.write_bytes((trials / "0_0.jsonl").read_bytes().replace(b'"row":0,"col":0', b'"row":0,"col":1'))
-        else:
-            (trials / "0_1.jsonl").rename(stray)
-        capsys.readouterr()
-        assert run_cli(tmp_path, "select", "r") == 3
-        assert capsys.readouterr().err.startswith(f"storage error: {stray}: not a trial file name")
+        assert capsys.readouterr().err.startswith(f"storage error: {path}: line 2: ")
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
 
     @pytest.mark.parametrize(
@@ -546,24 +562,26 @@ def test_select_imports_no_hashlib(tmp_path):
 
 
 @pytest.mark.parametrize("scheduler", ["fifo", "hb"])
-def test_commands_on_a_stored_run_parse_no_file(tmp_path, monkeypatch, scheduler):
-    # every record comes from the records snapshot that run writes; no trial file
-    # is parsed, and the decision log is not read
+def test_commands_read_a_stored_run_from_its_records_alone(tmp_path, scheduler):
+    # the trial files and the decision log are exports: with both deleted, every
+    # command writes what it wrote with them
     assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS, "--scheduler", scheduler) == 0
-    parse = RunStore._read_jsonl
-    parsed = []
-
-    def recorded(self, path, cell, data):
-        parsed.append(os.path.basename(path))
-        return parse(self, path, cell, data)
-
-    monkeypatch.setattr(RunStore, "_read_jsonl", recorded)
-    for command in (
+    commands = [
         ["select", "r"],
         ["baseline", "r", "--methods", "selts,selvs,oracle", "--allow-test-metrics"],
         ["eval", "r", "--allow-test-metrics"],
         ["plot", "r", "--target", "psi", "--out", str(tmp_path / "psi.svg")],
-    ):
-        parsed.clear()
-        assert run_cli(tmp_path, *command) == 0
-        assert parsed == []
+    ]
+    outputs = [artifact(tmp_path, "r", name) for name in ("selection.json", "baselines.json", "eval_report.json")]
+    outputs.append(tmp_path / "psi.svg")
+    written = []
+    for deleted in (False, True):
+        if deleted:
+            shutil.rmtree(artifact(tmp_path, "r", "trials"))
+            artifact(tmp_path, "r", "decisions.jsonl").unlink()
+        for command in commands:
+            assert run_cli(tmp_path, *command) == 0
+        written.append([path.read_bytes() for path in outputs])
+        for path in outputs:
+            path.unlink()
+    assert written[0] == written[1]

@@ -1,6 +1,7 @@
 import importlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestDefaults:
         params = QuickshiftParams(kernel_size=10.0, max_dist=10.0)
         assert params.max_dist == 10.0
 
+    def test_the_largest_ratio_segments_without_a_warning(self):
+        # ratio**2 finite: every squared distance stays finite
+        params = QuickshiftParams(kernel_size=2.0, max_dist=2.0, ratio=1.3e154)
+        values = np.linspace(0.0, 1.0, 36).reshape(6, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            segments = quickshift(values, np.zeros((6, 6), dtype=bool), params)
+        assert segments.labels.shape == (6, 6)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -88,6 +98,8 @@ class TestDefaults:
             dict(ratio=-0.5),
             dict(ratio=math.nan),
             dict(ratio=math.inf),
+            dict(ratio=1e200),  # ratio**2 overflows
+            dict(ratio=1.35e154),  # the smallest of these whose square overflows is ~1.3408e154
         ],
     )
     def test_invalid_params(self, kwargs):

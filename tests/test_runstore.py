@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import shutil
 import warnings
 import zlib
@@ -11,11 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinsearch import snapshot as records_snapshot
+from twinsearch import records as run_records
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
-from twinsearch.runstore import RunStore, RunStoreError, _trial_line_text, encode_json, resume_plan
+from twinsearch.records import write_records
+from twinsearch.runstore import (
+    RunNotFoundError,
+    RunStore,
+    RunStoreError,
+    _trial_line_text,
+    encode_json,
+    resume_plan,
+)
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import execute_search, run_and_store, select_and_store
 from twinsearch.tasks import TaskSpec
@@ -28,7 +35,7 @@ from twinsearch.trainer import (
     TrainerConfig,
     TrialRecord,
 )
-from runstore_frozen import reference_load_trial_file, reference_read_jsonl
+from runstore_frozen import reference_read_jsonl
 
 
 @pytest.fixture()
@@ -50,8 +57,10 @@ def plain_record(cell, epochs, status="running"):
 
 
 def write_full_run(store, run_id, grid, epochs=3, policy=None):
+    """A run of ``grid`` as ``run`` stores one: trial files, then ``records.json``."""
     policy = policy or SchedulerPolicy("fifo", epochs)
     store.create_run(run_id, manifest_for(grid, policy))
+    records = []
     for cell in grid.cells():
         logs = [
             EpochLog(
@@ -63,7 +72,9 @@ def write_full_run(store, run_id, grid, epochs=3, policy=None):
             )
             for epoch in range(epochs)
         ]
-        store.append_trial_line(run_id, TrialRecord(cell, logs, "completed"))
+        records.append(TrialRecord(cell, logs, "completed"))
+        store.append_trial_line(run_id, records[-1])
+    write_records(store, run_id, records)
 
 
 class TestAppend:
@@ -83,8 +94,6 @@ class TestAppend:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [d["epoch"] for d in lines] == [0, 1, 2]
         assert [d["status"] for d in lines] == ["running", "running", "stopped_early"]
-        _, records = store.load_run("r1")
-        assert records[GridCell(0, 1)] == plain_record(GridCell(0, 1), 3, "stopped_early")
 
     @pytest.mark.parametrize("damage", ["whole", "torn", "unterminated", "corrupt-interior"])
     def test_append_after_a_damaged_file_raises_and_writes_nothing(self, store, damage):
@@ -112,11 +121,14 @@ class TestAppend:
     def test_nan_encoded_as_string(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        store.append_trial_line("r1", TrialRecord(GridCell(0, 0), [EpochLog(0, math.nan, math.inf)], "diverged"))
+        record = TrialRecord(GridCell(0, 0), [EpochLog(0, math.nan, math.inf)], "diverged")
+        store.append_trial_line("r1", record)
+        write_records(store, "r1", [record])
         raw = (store.run_dir("r1") / "trials" / "0_0.jsonl").read_text()
         doc = json.loads(raw)
         assert doc["train_loss"] == "NaN"
         assert doc["param_norm"] == "Inf"
+        assert b'"train_loss":["NaN"],"param_norm":["Inf"]' in (store.run_dir("r1") / "records.json").read_bytes()
         _, records = store.load_run("r1")
         entry = records[GridCell(0, 0)].epochs[0]
         assert math.isnan(entry.train_loss) and math.isinf(entry.param_norm)
@@ -258,407 +270,41 @@ class TestLoad:
             artifacts.selection.to_dict()
         )
 
-    def test_torn_final_line_dropped_with_warning(self, store):
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
-        with open(path, "a") as fh:
-            fh.write('{"row": 0, "col": 0, "epoch": 3, "train_l')  # torn mid-record
-        with pytest.warns(UserWarning, match="torn"):
-            _, records = store.load_run("r1")
-        assert records[GridCell(0, 0)].epochs_run == 3
-
-    def test_unterminated_but_parseable_tail_dropped(self, store):
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=2)
-        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
-        line = _trial_line_text(GridCell(0, 0), EpochLog(2, 1.0, 1.0), "running")
-        with open(path, "a") as fh:
-            fh.write(line)  # no newline: the writer was cut off
-        with pytest.warns(UserWarning, match="unterminated"):
-            _, records = store.load_run("r1")
-        assert records[GridCell(0, 0)].epochs_run == 2
-
-    def test_corrupt_interior_line_is_an_error_with_location(self, store):
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
-        lines = path.read_text().splitlines()
-        lines[1] = '{"broken":'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RunStoreError, match="line 2"):
-            store.load_run("r1")
-
-    @pytest.mark.parametrize("name", ["00_1.jsonl", "0_01.jsonl", "\u0660_1.jsonl"])
-    @pytest.mark.parametrize("beside", [True, False], ids=["beside-0_1", "instead-of-0_1"])
-    def test_a_trial_file_name_the_writer_never_spells_is_an_error(self, store, name, beside):
-        # each name matches <digits>_<digits>.jsonl and reads as cell (0, 1)
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        trials = store.run_dir("r1") / "trials"
-        data = (trials / "0_1.jsonl").read_bytes()
-        if not beside:
-            (trials / "0_1.jsonl").unlink()
-        (trials / name).write_bytes(data)
-        with pytest.raises(RunStoreError) as info:
-            store.load_run("r1")
-        assert str(info.value) == f"{trials}/{name}: not a trial file name (<row>_<col>.jsonl)"
-
     def test_missing_manifest_is_an_error(self, store):
         with pytest.raises(RunStoreError, match="manifest"):
             store.load_run("nope")
 
-    def test_epoch_gap_is_an_error(self, store):
+    def test_a_run_without_records_is_not_found(self, store):
+        # as a search cut before its end leaves it: trial files, no records.json
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        logs = [EpochLog(0, 1.0, 2.0), EpochLog(2, 1.0, 2.0)]
-        store.append_trial_line("r1", TrialRecord(GridCell(0, 0), logs, "running"))
-        with pytest.raises(RunStoreError, match="contiguity"):
+        store.append_trial_line("r1", plain_record(GridCell(0, 0), 5, "completed"))
+        with pytest.raises(RunNotFoundError) as info:
             store.load_run("r1")
+        assert str(info.value) == f"run 'r1' has no records at {store.run_dir('r1') / 'records.json'}"
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0), EpochLog(2, 1.0, 2.0)]),
+            TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0)], "paused"),
+        ],
+        ids=["epoch-gap", "unknown-status"],
+    )
+    def test_a_record_the_format_cannot_hold_is_refused_on_write(self, store, record):
+        # epochs are numbered 0, 1, ... on load, and a status must be one the loader knows
+        grid = small_grid()
+        store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        with pytest.raises(RunStoreError) as info:
+            write_records(store, "r", [plain_record(GridCell(0, 0), 2, "completed"), record])
+        assert str(info.value) == "record of cell (0, 1): epochs not 0, 1, ..., or unknown status"
+        assert not (store.run_dir("r") / "records.json").exists()
 
     def test_duplicate_run_id_rejected(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         with pytest.raises(RunStoreError, match="already exists"):
             store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-
-
-def edit_line(fields, **changes):
-    """Trial-line fields with ``changes`` applied; a value of None removes the field."""
-    edited = dict(fields, **changes)
-    return {k: v for k, v in edited.items() if v is not None}
-
-
-class TestLoadSchema:
-    """Trial lines on disk that break the schema stop ``load_run`` with a named,
-    located error: ``<path>: line <N>: <detail>``."""
-
-    @pytest.mark.parametrize(
-        "changes, message",
-        [
-            (dict(status="paused"), "trial line field 'status' has unknown value 'paused'"),
-            (dict(param_norm=None), "trial line missing field 'param_norm'"),
-            (dict(row=None, status=None), "trial line missing field 'row'"),
-            (dict(row=1), "line for cell (1, 0) in wrong file"),
-            (dict(epoch=1.0), "trial line field 'epoch' must be a non-negative integer"),
-            (dict(epoch="1"), "trial line field 'epoch' must be a non-negative integer"),
-            (dict(col=-1), "trial line field 'col' must be a non-negative integer"),
-            # JSON booleans are not indices, although Python's bool is an int
-            (dict(row=False), "trial line field 'row' must be a non-negative integer"),
-            (dict(col=False), "trial line field 'col' must be a non-negative integer"),
-            (dict(epoch=True), "trial line field 'epoch' must be a non-negative integer"),
-            (dict(train_loss="nan"), "not a float encoding: 'nan'"),
-            (dict(val_acc="Infinity"), "not a float encoding: 'Infinity'"),
-        ],
-        ids=[
-            "status", "param_norm", "row-first", "cell", "epoch-float", "epoch-str", "col",
-            "row-false", "col-false", "epoch-true", "nan", "val_acc",
-        ],
-    )
-    def test_bad_interior_line_raises(self, store, changes, message):
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
-        lines = path.read_text().splitlines()
-        lines[1] = json.dumps(edit_line(json.loads(lines[1]), **changes))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RunStoreError) as info:
-            store.load_run("r1")
-        assert str(info.value) == f"{path}: line 2: {message}"
-
-    @pytest.mark.parametrize(
-        "bad, detail",
-        [
-            (b'{"broken":', "corrupt line: Expecting value"),
-            (b'{"row": 0, "col": 0, "epoch": 1}', "trial line missing field 'train_loss'"),
-            (b'{"row": 0, "col": 0, "epoch": 2, "train_loss": 1.0, "param_norm": 1.0, '
-             b'"status": "running"}', "epoch 2 breaks contiguity after 0"),
-        ],
-        ids=["corrupt", "missing", "gap"],
-    )
-    def test_faults_after_blank_lines_name_the_file_line(self, store, bad, detail):
-        # blank lines are skipped on load but still count as lines of the file
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
-        lines = path.read_bytes().split(b"\n")
-        path.write_bytes(b"\n".join([lines[0], b"", b"", bad, *lines[2:]]))
-        with pytest.raises(RunStoreError) as info:
-            store.load_run("r1")
-        assert str(info.value).startswith(f"{path}: line 4: {detail}")
-
-
-# -- the loader against its frozen reference -----------------------------
-
-LINE_KEYS = ("row", "col", "epoch", "train_loss", "param_norm", "val_acc", "test_acc", "status")
-# one fault per file; val_acc and test_acc are optional, so missing them is no fault
-FAULTS = (
-    "bom", "extra-object", "extra-text", "bad-utf8", "torn", "unterminated", "wrong-cell",
-    "gap", "bad-status", "bad-float-text", "negative-index", "float-index", "list-line",
-    "short-list-line", "number-line", "string-line", "form-feed", "overflow-int", "status-array",
-    "status-object",
-    *(f"missing-{key}" for key in LINE_KEYS),
-)
-
-
-# faults the frozen reference lets escape as a bare error: fault -> (its error
-# type, the detail of the package's RunStoreError)
-ESCAPED_FAULTS = {
-    "list-line": (TypeError, "trial line is a JSON array, not an object"),
-    "number-line": (TypeError, "trial line is a JSON number, not an object"),
-    "string-line": (TypeError, "trial line is a JSON string, not an object"),
-    "overflow-int": (OverflowError, "integer of 1329 bits is out of float range"),
-    "status-array": (TypeError, "trial line field 'status' has unknown value []"),
-    "status-object": (TypeError, "trial line field 'status' has unknown value {}"),
-}
-
-
-def random_float(rng):
-    pick = rng.random()
-    if pick < 0.12:
-        return [math.nan, math.inf, -math.inf][int(rng.integers(3))]
-    if pick < 0.25:
-        return float(rng.integers(-5, 10**6))  # integral, may be written as an int
-    if pick < 0.3:
-        return None
-    if pick < 0.32:
-        return bool(rng.integers(2))
-    return float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
-
-
-def encode_value(rng, value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if value != value else ("Inf" if value > 0 else "-Inf")
-    if isinstance(value, float) and value.is_integer() and rng.random() < 0.5:
-        return int(value)
-    return value
-
-
-def trial_file_bytes(rng, cell, n_lines, fault):
-    """A trial file for ``cell`` as an external writer might leave it, with at most one fault,
-    and the 1-based line of the file where that fault is: the last line for a torn or
-    unterminated file."""
-    at = int(rng.integers(n_lines))
-    out = []
-    fault_line = None
-    for epoch in range(n_lines):
-        status = "completed" if epoch == n_lines - 1 and rng.random() < 0.7 else "running"
-        fields = {"row": cell.row, "col": cell.col, "epoch": epoch}
-        for key in ("train_loss", "param_norm", "val_acc", "test_acc"):
-            fields[key] = encode_value(rng, random_float(rng))
-        fields["status"] = status
-        bad = epoch == at
-        if bad and fault.startswith("missing-"):
-            del fields[fault[len("missing-"):]]
-        elif bad and fault == "wrong-cell":
-            fields["row"] += 1
-        elif bad and fault == "gap":
-            fields["epoch"] += 1
-        elif bad and fault == "bad-status":
-            fields["status"] = "paused"
-        elif bad and fault == "bad-float-text":
-            fields["param_norm"] = "nan"
-        elif bad and fault == "negative-index":
-            fields["col"] = -1
-        elif bad and fault == "float-index":
-            fields["epoch"] = float(epoch)
-        elif bad and fault == "overflow-int":
-            fields["train_loss"] = 10**400
-        elif bad and fault == "status-array":
-            fields["status"] = []
-        elif bad and fault == "status-object":
-            fields["status"] = {}
-        keys = list(fields)
-        if rng.random() < 0.3:
-            keys = [keys[i] for i in rng.permutation(len(keys))]
-        separators = (",", ":") if rng.random() < 0.6 else (", ", ": ")
-        text = json.dumps({k: fields[k] for k in keys}, separators=separators)
-        if bad and fault == "list-line":
-            text = json.dumps(list(fields))
-        elif bad and fault == "short-list-line":
-            text = "[1, 2]"
-        elif bad and fault == "number-line":
-            text = "3"
-        elif bad and fault == "string-line":
-            text = json.dumps(" ".join(fields))
-        if rng.random() < 0.3:
-            text = "".join(rng.choice([" ", "\t", "\r"], int(rng.integers(1, 3)))) + text
-        if rng.random() < 0.3:
-            text += "".join(rng.choice([" ", "\t", "\r"], int(rng.integers(1, 3))))
-        if bad and fault == "bom":
-            text = "\ufeff" + text
-        elif bad and fault == "extra-object":
-            text += " {}"
-        elif bad and fault == "extra-text":
-            text += "x"
-        elif bad and fault == "form-feed":
-            text = "\f" + text
-        data = text.encode("utf-8")
-        if bad and fault == "bad-utf8":
-            cut = int(rng.integers(len(data) + 1))
-            data = data[:cut] + b"\xff" + data[cut:]
-        if rng.random() < 0.1:
-            out.append(b"\n")  # blank lines are skipped
-        out.append(data + b"\n")
-        if bad:
-            fault_line = len(out)
-    if fault == "torn":
-        out[-1] = out[-1][: int(rng.integers(1, len(out[-1]) - 1))]
-    elif fault == "unterminated":
-        out[-1] = out[-1].rstrip(b"\n")
-    if fault in ("torn", "unterminated"):
-        fault_line = len(out)
-    return b"".join(out), fault_line
-
-
-def outcome(load, path, cell):
-    """What loading gives: the record's cell, status and typed fields, or the error; plus warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            record = load(path, cell)
-            result = (
-                record.cell,
-                record.status,
-                # (type, repr) of each field: NaN-aware, and it tells -0.0 from 0.0
-                [[(type(v), repr(v)) for v in log] for log in record.epochs],
-            )
-        except Exception as exc:  # whatever it is, both loaders must raise it alike
-            result = (type(exc), str(exc))
-    return result, [(w.category, str(w.message)) for w in caught]
-
-
-def package_load(store):
-    """``store._read_jsonl`` called as the frozen reference is, with a path and a cell."""
-
-    def load(path, cell):
-        with open(path, "rb") as fh:
-            return store._read_jsonl(path, cell, fh.read())
-
-    return load
-
-
-def relocated(frozen, path, line):
-    """The frozen reference's outcome with each ``RunStoreError`` and warning placed
-    where the package places it: ``<path>: line <line>: <detail>``, the detail being
-    the reference's message without its path prefix and non-blank line count."""
-
-    def place(message):
-        detail = re.sub(
-            r"^(corrupt|dropping torn final|dropping unterminated final) line \d+",
-            r"\1 line",
-            message.removeprefix(f"{path}: "),
-        )
-        return f"{path}: line {line}: {detail}"
-
-    result, caught = frozen
-    if result[0] is RunStoreError:
-        result = (RunStoreError, place(result[1]))
-    return result, [(category, place(message)) for category, message in caught]
-
-
-# a fault on one line that is not JSON; "split-char" ends the line inside a character, so
-# decoding the whole file reports the newline after it, and the line alone its end
-PARSE_FAULTS = ("json", "utf8", "split-char")
-# (fault on an earlier line, fault on a later one): "torn" and "torn-utf8" cut the last line
-TWO_FAULTS = (
-    ("json", "utf8"), ("utf8", "json"), ("utf8", "utf8"), ("utf8", "split-char"), ("split-char", "json"),
-    ("schema", "json"), ("schema", "utf8"), ("schema", "split-char"), ("schema", "schema"),
-    ("json", "torn"), ("utf8", "torn-utf8"), ("schema", "torn"), ("schema", "torn-utf8"), ("none", "torn-utf8"),
-)
-
-
-def with_fault(rng, line, fault):
-    """``line``, a trial line without its newline, with ``fault``."""
-    if fault == "json":
-        return line + b"x"
-    if fault == "utf8":
-        cut = int(rng.integers(len(line) + 1))
-        return line[:cut] + b"\xff" + line[cut:]
-    if fault == "split-char":
-        return line + "\u00e9".encode()[:1]
-    if fault == "schema":
-        return json.dumps({**json.loads(line), "status": "paused"}).encode()
-    if fault.startswith("torn"):
-        line = line[: int(rng.integers(1, line.rindex(b"}")))]  # no closing brace: not JSON
-        return with_fault(rng, line, "utf8") if fault == "torn-utf8" else line
-    return line
-
-
-def two_fault_file(rng, cell, first, second):
-    """A trial file with ``first`` on one line and ``second`` on a later one, and the
-    1-based lines of the file that hold them."""
-    data, _ = trial_file_bytes(rng, cell, int(rng.integers(3, 8)), "none")
-    chunks = data.split(b"\n")
-    filled = [i for i, chunk in enumerate(chunks) if chunk]
-    if second.startswith("torn"):
-        a, b = int(rng.choice(filled[:-1])), filled[-1]
-        chunks = chunks[: b + 1]  # the torn line is the last, with no newline
-    else:  # a JSON fault on the last line is a torn line
-        a, b = sorted(int(i) for i in rng.choice(filled[:-1], 2, replace=False))
-    chunks[a] = with_fault(rng, chunks[a], first)
-    chunks[b] = with_fault(rng, chunks[b], second)
-    return b"\n".join(chunks), a + 1, b + 1
-
-
-class TestLoaderMatchesFrozenReference:
-    """``_read_jsonl`` loads and rejects exactly what the per-line json.loads loader did;
-    a fault it reports also names the line of the file where it is."""
-
-    def check(self, store, tmp_path, data, cell, fault_line=None):
-        path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
-        path.write_bytes(data)
-        new = outcome(package_load(store), str(path), cell)
-        frozen = outcome(reference_load_trial_file, str(path), cell)
-        assert new == relocated(frozen, str(path), fault_line)
-        return new
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_clean_files(self, store, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
-        data, _ = trial_file_bytes(rng, cell, int(rng.integers(1, 9)), "none")
-        (result, caught) = self.check(store, tmp_path, data, cell)
-        assert isinstance(result[0], GridCell) and not caught
-
-    @pytest.mark.parametrize("fault", FAULTS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_faulty_files(self, store, tmp_path, fault, seed):
-        rng = np.random.default_rng([seed, FAULTS.index(fault)])
-        cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
-        data, fault_line = trial_file_bytes(rng, cell, int(rng.integers(1, 7)), fault)
-        if fault not in ESCAPED_FAULTS:
-            self.check(store, tmp_path, data, cell, fault_line)
-            return
-        # the reference lets these escape as a bare TypeError/OverflowError; the
-        # package reports them as a RunStoreError at the line, like any fault
-        path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
-        path.write_bytes(data)
-        escaped, detail = ESCAPED_FAULTS[fault]
-        assert outcome(reference_load_trial_file, str(path), cell)[0][0] is escaped
-        new = outcome(package_load(store), str(path), cell)
-        assert new == ((RunStoreError, f"{path}: line {fault_line}: {detail}"), [])
-
-    def test_empty_and_blank_files(self, store, tmp_path):
-        for data in (b"", b"\n", b"\n\n\n"):
-            assert self.check(store, tmp_path, data, GridCell(0, 0))[0][2] == []
-
-    @pytest.mark.parametrize("first, second", TWO_FAULTS, ids=[f"{a}-then-{b}" for a, b in TWO_FAULTS])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_files_with_two_faults(self, store, tmp_path, first, second, seed):
-        # the first line that is not JSON wins, wherever a decode of the whole file
-        # stops; a failed check is raised after the warning for a dropped tail
-        rng = np.random.default_rng([seed, TWO_FAULTS.index((first, second))])
-        cell = GridCell(int(rng.integers(4)), int(rng.integers(4)))
-        data, a, b = two_fault_file(rng, cell, first, second)
-        path = tmp_path / f"{cell.row}_{cell.col}.jsonl"
-        path.write_bytes(data)
-        frozen = outcome(reference_load_trial_file, str(path), cell)
-        error_line = b if first not in PARSE_FAULTS and second in PARSE_FAULTS else a
-        expected = (relocated(frozen, str(path), error_line)[0], relocated(frozen, str(path), b)[1])
-        assert outcome(package_load(store), str(path), cell) == expected
-        assert (expected[0][0] is RunStoreError) == (first != "none")
-        assert bool(expected[1]) == (second.startswith("torn") and first not in PARSE_FAULTS)
 
 
 class TestArtifactsRoundTrip:
@@ -683,39 +329,39 @@ class TestArtifactsRoundTrip:
         assert np.array_equal(mats.epochs_run, rebuilt.epochs_run)
 
 
-SNAPSHOT_GRID = build_log_grid(5e-5, 5e-1, 4, 5e-5, 5e-1, 4)
-SNAPSHOT_TASK = dict(seed=2, n_train=40, input_dim=4, n_classes=2)
-# run id -> (grid, policy, task) of each kind of run a records snapshot must reproduce
-SNAPSHOT_RUNS = {
-    "fifo": (SNAPSHOT_GRID, SchedulerPolicy("fifo", 6), TaskSpec(n_val=8, n_test=60, **SNAPSHOT_TASK)),
+STORED_GRID = build_log_grid(5e-5, 5e-1, 4, 5e-5, 5e-1, 4)
+STORED_TASK = dict(seed=2, n_train=40, input_dim=4, n_classes=2)
+# run id -> (grid, policy, task) of each kind of run records.json must reproduce
+STORED_RUNS = {
+    "fifo": (STORED_GRID, SchedulerPolicy("fifo", 6), TaskSpec(n_val=8, n_test=60, **STORED_TASK)),
     "hb": (
-        SNAPSHOT_GRID,
+        STORED_GRID,
         SchedulerPolicy("hb", 8, stop_fraction=0.25),
-        TaskSpec(n_val=8, n_test=60, **SNAPSHOT_TASK),
+        TaskSpec(n_val=8, n_test=60, **STORED_TASK),
     ),
     "diverged": (
         build_log_grid(5e-5, 1e6, 4, 5e-5, 50, 4),
         SchedulerPolicy("fifo", 10),
-        TaskSpec(n_val=8, n_test=60, **SNAPSHOT_TASK),
+        TaskSpec(n_val=8, n_test=60, **STORED_TASK),
     ),
-    "val-free": (SNAPSHOT_GRID, SchedulerPolicy("fifo", 6), TaskSpec(n_val=0, n_test=0, **SNAPSHOT_TASK)),
+    "val-free": (STORED_GRID, SchedulerPolicy("fifo", 6), TaskSpec(n_val=0, n_test=0, **STORED_TASK)),
 }
 
 
 @pytest.fixture(scope="module")
-def snapshot_runs(tmp_path_factory):
-    """A store root holding one finished run of each kind in ``SNAPSHOT_RUNS``."""
-    root = tmp_path_factory.mktemp("snapshot-runs")
-    for run_id, (grid, policy, task) in SNAPSHOT_RUNS.items():
+def stored_runs(tmp_path_factory):
+    """A store root holding one finished run of each kind in ``STORED_RUNS``."""
+    root = tmp_path_factory.mktemp("stored-runs")
+    for run_id, (grid, policy, task) in STORED_RUNS.items():
         config = TrainerConfig(batch_size=16, init_seed=2)
         run_and_store(RunStore(root), run_id, grid, policy, task, ArchSpec((8,)), config)
     return root
 
 
 @pytest.fixture()
-def runs(snapshot_runs, tmp_path):
-    """A store over a private copy of ``snapshot_runs``."""
-    shutil.copytree(snapshot_runs, tmp_path / "runs")
+def runs(stored_runs, tmp_path):
+    """A store over a private copy of ``stored_runs``."""
+    shutil.copytree(stored_runs, tmp_path / "runs")
     return RunStore(tmp_path / "runs")
 
 
@@ -730,58 +376,49 @@ def bits(records):
     ]
 
 
-def parsed(store, run_id):
-    """``load_run``'s records with the run's snapshot moved aside, so every trial file is parsed."""
-    snapshot = store.run_dir(run_id) / "records.json"
-    aside = snapshot.with_name("records.aside")
-    snapshot.rename(aside)
-    try:
-        return store.load_run(run_id)[1]
-    finally:
-        aside.rename(snapshot)
-
-
 def resealed(data):
-    """Snapshot ``data`` with the CRC-32 on its first line recomputed, so only its entries are wrong."""
-    head, body = data.split(b"\n", 1)
-    return re.sub(rb'"body_crc32":\d+', b'"body_crc32":%d' % zlib.crc32(body), head) + b"\n" + body
+    """Records ``data`` with the CRC-32 on its first line made to match the lines after it."""
+    _, body = data.split(b"\n", 1)
+    return b'{"format":2,"body_crc32":%d}\n' % zlib.crc32(body) + body
+
+
+def edited(line=2, **changes):
+    """A damage to records data: ``changes``, key -> function of the old value, applied to the
+    object on ``line``, and the data resealed."""
+
+    def damage(data):
+        lines = data.split(b"\n")
+        doc = json.loads(lines[line - 1])
+        for key, change in changes.items():
+            doc[key] = change(doc.get(key))
+        lines[line - 1] = json.dumps(doc).encode()
+        return resealed(b"\n".join(lines))
+
+    return damage
+
+
+def first(value):
+    """A change that puts ``value`` in place of an array's first item."""
+    return lambda values: [value, *values[1:]]
 
 
 def edit_a_loss_digit(data):
-    """Snapshot ``data`` with one digit of its first loss value changed, keeping its length."""
-    at = re.compile(rb"[1-8]").search(data, data.index(b'"train_loss":[')).start()
+    """Records ``data`` with one digit of its first loss value changed, keeping its length."""
+    at = data.index(b'"train_loss":[') + len(b'"train_loss":[')
+    while data[at] not in b"12345678":
+        at += 1
     return data[:at] + bytes([data[at] + 1]) + data[at + 1:]
 
 
-def rewrite_snapshot(store, run_id):
-    """Write ``run_id``'s snapshot again from its trial files, as ``run`` writes it."""
-    trials = store.run_dir(run_id) / "trials"
-    files = []
-    for cell, record in parsed(store, run_id).items():
-        data = (trials / f"{cell.row}_{cell.col}.jsonl").read_bytes()
-        files.append((cell, len(data), zlib.crc32(data), tuple(record.epochs), record.status))
-    (store.run_dir(run_id) / "records.json").write_text(records_snapshot.snapshot_text(files))
+def rewrite_records(store, run_id):
+    """Write ``run_id``'s records.json again from its loaded records, as ``run`` writes it."""
+    write_records(store, run_id, store.load_run(run_id)[1].values())
 
 
-def load_and_count(store, run_id, monkeypatch):
-    """``load_run``'s records, and the names of the trial files it parsed; a warning fails."""
-    parse = RunStore._read_jsonl
-    seen = []
-
-    def counted(self, path, cell, data):
-        seen.append(os.path.basename(path))
-        return parse(self, path, cell, data)
-
-    with monkeypatch.context() as patch, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        patch.setattr(RunStore, "_read_jsonl", counted)
-        return store.load_run(run_id)[1], seen
-
-
-class TestRecordsSnapshot:
-    def test_the_runs_hold_what_they_are_named_for(self, snapshot_runs):
-        store = RunStore(snapshot_runs)
-        assert all((store.run_dir(run_id) / "records.json").is_file() for run_id in SNAPSHOT_RUNS)
+class TestRecords:
+    def test_the_runs_hold_what_they_are_named_for(self, stored_runs):
+        store = RunStore(stored_runs)
+        assert all((store.run_dir(run_id) / "records.json").is_file() for run_id in STORED_RUNS)
         stopped = [r for r in store.load_run("hb")[1].values() if r.status == "stopped_early"]
         assert stopped and all(r.epochs_run < 8 for r in stopped)
         values = [v for r in store.load_run("diverged")[1].values() for e in r.epochs for v in e[1:3]]
@@ -789,230 +426,172 @@ class TestRecordsSnapshot:
         val_free = [e for r in store.load_run("val-free")[1].values() for e in r.epochs]
         assert all(e.val_metric is None and e.test_metric is None for e in val_free)
 
-    @pytest.mark.parametrize("run_id", SNAPSHOT_RUNS)
-    def test_a_snapshot_loads_what_parsing_the_files_loads(self, runs, run_id, monkeypatch):
-        records, parsed_files = load_and_count(runs, run_id, monkeypatch)
-        assert parsed_files == []
-        assert bits(records) == bits(parsed(runs, run_id))
+    @pytest.mark.parametrize("run_id", STORED_RUNS)
+    def test_each_trial_file_holds_the_lines_of_its_loaded_record(self, runs, run_id):
+        # no command reads the trial files, so this is what keeps them faithful
+        _, records = runs.load_run(run_id)
+        trials = runs.run_dir(run_id) / "trials"
+        assert sorted(os.listdir(trials)) == sorted(f"{c.row}_{c.col}.jsonl" for c in records)
+        for cell, record in records.items():
+            last = record.epochs_run - 1
+            lines = [
+                _trial_line_text(cell, entry, record.status if i == last else "running") + "\n"
+                for i, entry in enumerate(record.epochs)
+            ]
+            assert (trials / f"{cell.row}_{cell.col}.jsonl").read_text() == "".join(lines), cell
 
-    def test_a_digit_edited_in_place_is_read_from_the_file(self, runs, monkeypatch):
-        path = runs.run_dir("fifo") / "trials" / "1_2.jsonl"
-        data = path.read_bytes()
-        head, tail = data.split(b'"train_loss":', 1)
-        number = tail.split(b",", 1)[0]
-        edited = number[:-1] + (b"2" if number.endswith(b"1") else b"1")
-        path.write_bytes(head + b'"train_loss":' + edited + tail[len(number):])
-        assert len(path.read_bytes()) == len(data)
-        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
-        assert parsed_files == ["1_2.jsonl"]
-        assert records[GridCell(1, 2)].epochs[0].train_loss == float(edited) != float(number)
-        assert bits(records) == bits(parsed(runs, "fifo"))
-
-    @pytest.mark.parametrize("change", ["added", "removed"])
-    def test_an_added_or_removed_trial_file_is_seen(self, runs, change, monkeypatch):
+    @pytest.mark.parametrize("change", ["edited", "added", "removed", "renamed", "all-deleted"])
+    def test_the_trial_files_and_the_decision_log_are_not_read(self, runs, change):
+        before = bits(runs.load_run("fifo")[1])
         trials = runs.run_dir("fifo") / "trials"
-        if change == "added":
-            line = _trial_line_text(GridCell(9, 9), EpochLog(0, 1.0, 2.0), "completed")
-            (trials / "9_9.jsonl").write_text(line + "\n")
-        else:
+        if change == "edited":
+            path = trials / "1_2.jsonl"
+            path.write_bytes(path.read_bytes().replace(b'"train_loss":', b'"train_loss":1', 1))
+        elif change == "added":
+            (trials / "9_9.jsonl").write_text("not a trial line\n")
+        elif change == "removed":
             (trials / "0_1.jsonl").unlink()
-        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
-        assert parsed_files == (["9_9.jsonl"] if change == "added" else [])
-        assert (GridCell(9, 9) in records) == (GridCell(0, 1) in records) == (change == "added")
-        assert bits(records) == bits(parsed(runs, "fifo"))
-
-    def test_a_renamed_trial_file_is_still_an_error(self, runs):
-        trials = runs.run_dir("fifo") / "trials"
-        (trials / "0_1.jsonl").rename(trials / "00_1.jsonl")
-        with pytest.raises(RunStoreError) as info:
-            runs.load_run("fifo")
-        assert str(info.value) == f"{trials}/00_1.jsonl: not a trial file name (<row>_<col>.jsonl)"
-
-    def test_another_runs_snapshot_is_not_used(self, runs, monkeypatch):
-        # same grid, so the same 16 file names
-        shutil.copy(runs.run_dir("hb") / "records.json", runs.run_dir("fifo") / "records.json")
-        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
-        assert len(parsed_files) == 16
-        assert bits(records) == bits(parsed(runs, "fifo")) != bits(runs.load_run("hb")[1])
+        elif change == "renamed":  # a name the writer never spells
+            (trials / "0_1.jsonl").rename(trials / "00_1.jsonl")
+        else:
+            shutil.rmtree(trials)
+            (runs.run_dir("fifo") / "decisions.jsonl").unlink()
+        assert bits(runs.load_run("fifo")[1]) == before
 
     @pytest.mark.parametrize(
         "damage, detail",
         [
-            (lambda data: data[: len(data) // 2], "'body_crc32' does not match the lines after the first"),
-            (lambda data: b"not json\n", "Expecting value"),
-            (edit_a_loss_digit, "'body_crc32' does not match the lines after the first"),
-            (lambda data: data.replace(b'"format":1', b'"format":2'), "not a format 1 records snapshot"),
+            (lambda data: data[: len(data) // 2], "line 1: 'body_crc32' does not match the lines after the first"),
+            (edit_a_loss_digit, "line 1: 'body_crc32' does not match the lines after the first"),
+            (lambda data: b"", "line 1: not JSON: Expecting value"),
+            (lambda data: b"not json\n", "line 1: not JSON: Expecting value"),
+            (lambda data: b"[2]\n", "line 1: not a format 2 records file"),
+            (lambda data: data.replace(b'"format":2', b'"format":1', 1), "line 1: not a format 2 records file"),
             (lambda data: resealed(data.replace(b"}\n", b"}\n[1,2]\n", 1)), "line 2: not an object"),
-            (lambda data: resealed(data.replace(b'"status":', b'"statuses":')), "line 2: 'status' is not an array"),
-            (lambda data: resealed(data.replace(b'"file":["0_0.jsonl"', b'"file":[7', 1)), "line 2: 'file' holds a value"),
-            (lambda data: resealed(data.replace(b'"completed"', b'"paused"', 1)), "line 2: 'status' holds an unknown"),
-            (lambda data: resealed(data.replace(b'"epochs_run":[', b'"epochs_run":[-', 1)), "line 2: 'epochs_run' holds"),
-            (lambda data: resealed(data.replace(b"[null,", b"[", 1)), "line 2: 'val_acc' is not an array"),
-            (lambda data: resealed(data.replace(b"[null,", b'["0.5",', 1)), "not a float encoding: '0.5'"),
+            (lambda data: resealed(data.replace(b"}\n", b"}\n{bad\n", 1)), "line 2: not JSON: Expecting"),
+            (edited(status=lambda v: None), "line 2: 'status' is not an array of one value per trial"),
+            (edited(col=lambda v: v[1:]), "line 2: 'col' is not an array of one value per trial"),
+            (edited(status=first("paused")), "line 2: 'status' holds an unknown status"),
+            (edited(status=first([])), "line 2: 'status' holds an unknown status"),
+            (edited(epochs_run=first(-1)), "line 2: 'epochs_run' holds a value that is not a non-negative integer"),
+            (edited(epochs_run=first(True)), "line 2: 'epochs_run' holds a value that is not a non-negative integer"),
+            (edited(row=first(False)), "line 2: 'row' holds a value that is not a non-negative integer"),
+            (edited(row=first(0.0)), "line 2: 'row' holds a value that is not a non-negative integer"),
+            (edited(col=first(-1)), "line 2: 'col' holds a value that is not a non-negative integer"),
+            (edited(row=first(4)), "line 2: cell (4, 0) is outside the grid of shape (4, 4)"),
+            (edited(col=lambda v: [0, 0, *v[2:]]), "line 2: cell (0, 0) is given twice"),
+            (edited(val_acc=lambda v: v[1:]), "line 2: 'val_acc' is not an array of one value per epoch"),
+            (edited(val_acc=first("0.5")), "line 2: not a float encoding: '0.5'"),
+            (edited(train_loss=first(10**400)), "line 2: integer of 1329 bits is out of float range"),
         ],
         ids=[
-            "truncated", "not-json", "loss-digit-edited", "format-2", "not-an-object", "no-status", "numeric-name",
-            "unknown-status", "negative-run", "ragged", "string-metric",
+            "truncated", "loss-digit-edited", "empty", "not-json", "header-array", "format-1",
+            "not-an-object", "line-not-json", "no-status", "short-col", "unknown-status", "status-array",
+            "negative-run", "bool-run", "bool-row", "float-row", "negative-col", "cell-outside",
+            "cell-twice", "ragged-column", "string-metric", "overflowing-loss",
         ],
     )
-    def test_a_malformed_snapshot_warns_and_the_files_are_parsed(self, runs, damage, detail):
-        snapshot = runs.run_dir("fifo") / "records.json"
-        snapshot.write_bytes(damage(snapshot.read_bytes()))
-        message = re.escape(f"{snapshot}: ignoring the records snapshot: {detail}")
-        with pytest.warns(UserWarning, match=message):
-            records = runs.load_run("fifo")[1]
-        assert bits(records) == bits(parsed(runs, "fifo"))
-
-    def test_a_snapshot_edited_in_place_loads_the_files_values(self, runs):
-        snapshot = runs.run_dir("fifo") / "records.json"
-        data = snapshot.read_bytes()
-        snapshot.write_bytes(edit_a_loss_digit(data))
-        assert len(snapshot.read_bytes()) == len(data) and snapshot.read_bytes() != data
-        with pytest.warns(UserWarning, match="'body_crc32' does not match"):
-            records = runs.load_run("fifo")[1]
-        snapshot.write_bytes(data)
-        assert bits(records) == bits(runs.load_run("fifo")[1]) == bits(parsed(runs, "fifo"))
+    def test_a_malformed_records_file_is_an_error_at_its_line(self, runs, damage, detail):
+        path = runs.run_dir("fifo") / "records.json"
+        path.write_bytes(damage(path.read_bytes()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RunStoreError) as info:
+                runs.load_run("fifo")
+        assert str(info.value).startswith(f"{path}: {detail}")
 
     @pytest.mark.parametrize("line_epochs, n_lines", [(4, 16), (20, 6)])
-    def test_a_snapshot_of_many_lines_loads_what_parsing_loads(self, runs, line_epochs, n_lines, monkeypatch):
-        # 16 files of 6 epochs: one file a line when it has more epochs than a line holds
+    def test_a_records_file_of_many_lines_loads_the_same_records(self, runs, line_epochs, n_lines, monkeypatch):
+        # 16 records of 6 epochs: one record a line when it has more epochs than a line holds
         path = runs.run_dir("fifo") / "records.json"
         written = path.read_bytes()
-        rewrite_snapshot(runs, "fifo")
+        before = bits(runs.load_run("fifo")[1])
+        rewrite_records(runs, "fifo")
         assert path.read_bytes() == written
-        monkeypatch.setattr(records_snapshot, "_LINE_EPOCHS", line_epochs)
-        rewrite_snapshot(runs, "fifo")
-        assert len((runs.run_dir("fifo") / "records.json").read_bytes().splitlines()) == 1 + n_lines
-        records, parsed_files = load_and_count(runs, "fifo", monkeypatch)
-        assert parsed_files == []
-        assert bits(records) == bits(parsed(runs, "fifo"))
-
-    def test_files_from_a_malformed_line_on_are_parsed(self, runs, monkeypatch):
-        monkeypatch.setattr(records_snapshot, "_LINE_EPOCHS", 20)  # 3 files a line
-        rewrite_snapshot(runs, "fifo")
-        path = runs.run_dir("fifo") / "records.json"
-        lines = path.read_bytes().split(b"\n")
-        lines[3] = lines[3].replace(b'"status":', b'"statuses":')  # 1_2, 1_3 and 2_0
-        path.write_bytes(resealed(b"\n".join(lines)))
-        parse = RunStore._read_jsonl
-        seen = []
-        monkeypatch.setattr(RunStore, "_read_jsonl", lambda self, p, c, d: seen.append(p) or parse(self, p, c, d))
-        with pytest.warns(UserWarning, match=re.escape(f"{path}: ignoring the records snapshot: line 4: 'status'")):
-            records = runs.load_run("fifo")[1]
-        names = sorted(os.listdir(runs.run_dir("fifo") / "trials"))
-        assert [os.path.basename(p) for p in seen] == names[names.index("1_2.jsonl"):]
-        assert bits(records) == bits(parsed(runs, "fifo"))
-
-    def test_a_record_changed_after_its_write_is_not_taken_from_the_snapshot(self, store, monkeypatch):
-        grid = small_grid()
-        store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        records = [plain_record(cell, 2, "completed") for cell in grid.cells()]
-        for record in records[:3]:  # the last cell's is never written
-            store.append_trial_line("r", record)
-        records[1].epochs[0] = records[1].epochs[0]._replace(train_loss=123.0)
-        records[2].epochs.append(EpochLog(2, 1.0, 2.0))
-        records[2].status = "diverged"
-        records_snapshot.write_records(store, "r", [*records, plain_record(GridCell(0, -1), 2, "completed")])
-        loaded, parsed_files = load_and_count(store, "r", monkeypatch)
-        assert parsed_files == ["0_1.jsonl", "1_0.jsonl"]
-        assert bits(loaded) == bits(parsed(store, "r"))
-        assert bits(loaded) == bits({r.cell: plain_record(r.cell, 2, "completed") for r in records[:3]})
+        monkeypatch.setattr(run_records, "_LINE_EPOCHS", line_epochs)
+        rewrite_records(runs, "fifo")
+        assert len(path.read_bytes().splitlines()) == 1 + n_lines
+        assert bits(runs.load_run("fifo")[1]) == before
 
     @pytest.mark.parametrize(
-        "record, message",
+        "damage, detail",
         [
-            (TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0), EpochLog(2, 1.0, 2.0)]), "contiguity"),
-            (TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0)], "paused"), "unknown value 'paused'"),
+            (edited(line=4, status=lambda v: None), "'status' is not an array of one value per trial"),
+            # the first record of line 4 (cell (1, 2)) given the cell of line 2's first, (0, 0)
+            (edited(line=4, row=first(0), col=first(0)), "cell (0, 0) is given twice"),
         ],
-        ids=["epoch-gap", "unknown-status"],
+        ids=["no-status", "cell-of-an-earlier-line"],
     )
-    def test_no_snapshot_stands_in_for_a_file_that_fails_to_load(self, store, record, message):
-        grid = small_grid()
-        store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        first = plain_record(GridCell(0, 0), 2, "completed")
-        store.append_trial_line("r", first)
-        store.append_trial_line("r", record)
-        records_snapshot.write_records(store, "r", [first, record])
-        assert not (store.run_dir("r") / "records.json").exists()
-        with pytest.raises(RunStoreError, match=message):
-            store.load_run("r")
+    def test_a_fault_on_a_later_line_names_that_line(self, runs, monkeypatch, damage, detail):
+        monkeypatch.setattr(run_records, "_LINE_EPOCHS", 20)  # 3 records a line
+        rewrite_records(runs, "fifo")
+        path = runs.run_dir("fifo") / "records.json"
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(RunStoreError) as info:
+            runs.load_run("fifo")
+        assert str(info.value) == f"{path}: line 4: {detail}"
 
-    def test_an_empty_file_and_signed_non_finite_values_load_as_parsed(self, store, monkeypatch):
+    def test_an_empty_record_and_signed_non_finite_values_round_trip(self, store):
         grid = small_grid()
         store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        written = [
-            TrialRecord(GridCell(0, 0), [], "completed"),
-            TrialRecord(GridCell(0, 1), [EpochLog(0, -math.nan, -math.inf, -0.0, None)], "diverged"),
-        ]
-        for record in written:
-            store.append_trial_line("r", record)
-        records_snapshot.write_records(store, "r", written)
-        records, parsed_files = load_and_count(store, "r", monkeypatch)
-        assert parsed_files == []
-        assert bits(records) == bits(parsed(store, "r"))
-        assert records[GridCell(0, 0)].status == "running"
+        written = {
+            GridCell(0, 0): TrialRecord(GridCell(0, 0), [], "completed"),
+            GridCell(0, 1): TrialRecord(GridCell(0, 1), [EpochLog(0, -math.nan, -math.inf, -0.0, None)], "diverged"),
+            GridCell(1, 1): TrialRecord(GridCell(1, 1), [EpochLog(0, 0.5, 5e-324, 1.0, 0.25)], "running"),
+        }
+        write_records(store, "r", written.values())
+        assert bits(store.load_run("r")[1]) == bits(written)
 
 
 class TestResumePlan:
-    def test_complete_run_has_empty_plan(self, store):
-        grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        assert resume_plan(*store.load_run("r1")) == []
+    """``resume_plan`` over records held in memory, as a resumed search would pass them."""
 
-    def test_interrupted_fifo_cells_resume_at_next_epoch(self, store):
+    def test_complete_run_has_empty_plan(self):
         grid = small_grid()
-        policy = SchedulerPolicy("fifo", 100)
-        store.create_run("r1", manifest_for(grid, policy))
-        for cell in grid.cells():
-            store.append_trial_line("r1", plain_record(cell, 40))
-        plan = resume_plan(*store.load_run("r1"))
+        records = {cell: plain_record(cell, 3, "completed") for cell in grid.cells()}
+        assert resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 3)), records) == []
+
+    def test_interrupted_fifo_cells_resume_at_next_epoch(self):
+        grid = small_grid()
+        records = {cell: plain_record(cell, 40) for cell in grid.cells()}
+        plan = resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 100)), records)
         assert len(plan) == 4
         assert all(next_epoch == 40 for _, next_epoch in plan)
 
-    def test_unstarted_cells_resume_at_zero(self, store):
+    def test_unstarted_cells_resume_at_zero(self):
         grid = small_grid()
-        store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        plan = resume_plan(*store.load_run("r1"))
+        plan = resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 5)), {})
         assert plan == [(cell, 0) for cell in grid.cells()]
 
-    def test_hb_stopped_cells_not_resumable(self, store):
+    def test_hb_stopped_cells_not_resumable(self):
         grid = small_grid()
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.25, grace_fraction=0.05)
-        store.create_run("r1", manifest_for(grid, policy))
         # two cells stopped at the rung (epoch 2), one survivor mid-flight, one pending
-        for cell, epochs, status in [
-            (GridCell(0, 0), 2, "stopped_early"),
-            (GridCell(0, 1), 2, "stopped_early"),
-            (GridCell(1, 0), 5, "running"),
-        ]:
-            store.append_trial_line("r1", plain_record(cell, epochs, status))
-        plan = resume_plan(*store.load_run("r1"))
+        records = {
+            cell: plain_record(cell, epochs, status)
+            for cell, epochs, status in [
+                (GridCell(0, 0), 2, "stopped_early"),
+                (GridCell(0, 1), 2, "stopped_early"),
+                (GridCell(1, 0), 5, "running"),
+            ]
+        }
+        plan = resume_plan(manifest_for(grid, policy), records)
         assert (GridCell(1, 0), 5) in plan
         assert (GridCell(1, 1), 0) in plan
         assert len(plan) == 2
 
-    def test_a_cell_without_its_file_starts_over_despite_a_stop(self, store):
-        # every cell of a finished FIFO run has a terminal stop in the log;
-        # a missing trial file still leaves its cell owed from epoch 0
+    def test_a_cell_without_a_record_starts_over(self):
         grid = small_grid()
-        write_full_run(store, "r1", grid, epochs=3)
-        store.append_decisions(
-            "r1", [{"row": c.row, "col": c.col, "epoch": 3, "decision": "stop", "rung": None} for c in grid.cells()]
-        )
-        (store.run_dir("r1") / "trials" / "0_1.jsonl").unlink()
-        assert resume_plan(*store.load_run("r1")) == [(GridCell(0, 1), 0)]
+        records = {cell: plain_record(cell, 3, "completed") for cell in grid.cells() if cell != (0, 1)}
+        assert resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 3)), records) == [(GridCell(0, 1), 0)]
 
-    def test_a_running_file_short_of_the_budget_is_owed_despite_a_stop(self, store):
-        # the file is the record: a stop in the log does not end a trial whose
-        # last line says running before the budget
+    def test_a_running_record_short_of_the_budget_is_owed(self):
         grid = small_grid()
-        store.create_run("r1", manifest_for(grid, SchedulerPolicy("hb", 10, stop_fraction=0.25)))
-        for cell in grid.cells():
-            store.append_trial_line("r1", plain_record(cell, 3, "running" if cell == (1, 1) else "stopped_early"))
-        store.append_decisions(
-            "r1", [{"row": c.row, "col": c.col, "epoch": 3, "decision": "stop", "rung": 3} for c in grid.cells()]
-        )
-        assert resume_plan(*store.load_run("r1")) == [(GridCell(1, 1), 3)]
+        records = {
+            cell: plain_record(cell, 3, "running" if cell == (1, 1) else "stopped_early") for cell in grid.cells()
+        }
+        policy = SchedulerPolicy("hb", 10, stop_fraction=0.25)
+        assert resume_plan(manifest_for(grid, policy), records) == [(GridCell(1, 1), 3)]
 
 
 # Each search's stops come from rungs, divergence and the budget: a constant LR
@@ -1030,7 +609,8 @@ LOGGED_POLICIES = {
 @pytest.fixture(scope="module", params=[(name, seed) for name in LOGGED_POLICIES for seed in range(3)],
                 ids=lambda p: f"{p[0]}-seed{p[1]}")
 def logged_run(request, tmp_path_factory):
-    """A search written to a store, with the decision log the search wrote."""
+    """A search written to a store: the store, grid, policy, the decision log the search
+    wrote and the records it returned."""
     name, seed = request.param
     policy = LOGGED_POLICIES[name]
     grid = build_log_grid(1e-2, 1e11, 4, 1e-3, 100, 4)
@@ -1038,11 +618,11 @@ def logged_run(request, tmp_path_factory):
     config = TrainerConfig(batch_size=4, lr_schedule="constant", init_seed=seed)
     store = RunStore(tmp_path_factory.mktemp(name) / "runs")
     store.create_run("run", manifest_for(grid, policy))
-    execute_search(grid, policy, task.make(), ArchSpec((6,)), config, store=store, run_id="run")
+    records = execute_search(grid, policy, task.make(), ArchSpec((6,)), config, store=store, run_id="run")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         log = reference_read_jsonl(str(store.run_dir("run") / "decisions.jsonl"))
-    return store, grid, policy, log
+    return store, grid, policy, log, records
 
 
 def logged_stops(log):
@@ -1055,15 +635,14 @@ def logged_stops(log):
     return stops
 
 
-class TestTrialFilesCarryTheLoggedStops:
-    """``load_run`` ignores ``decisions.jsonl``; what the search logs there about
-    which trials ended must already be in the trial files it wrote."""
+class TestRecordsCarryTheLoggedStops:
+    """No command reads ``decisions.jsonl``; what the search logs there about which
+    trials ended must already be in the records it returns and the trial files it wrote."""
 
-    def test_each_logged_stop_is_the_end_of_its_trial_file(self, logged_run):
-        store, grid, policy, log = logged_run
+    def test_each_logged_stop_ends_its_record_and_its_trial_file(self, logged_run):
+        store, grid, policy, log, records = logged_run
         stops = logged_stops(log)
         assert sorted(stops) == grid.cells()
-        _, records = store.load_run("run")
         for cell, stop in stops.items():
             rec = records[cell]
             assert rec.epochs_run == stop["epoch"], cell
@@ -1072,22 +651,20 @@ class TestTrialFilesCarryTheLoggedStops:
             assert (rec.status == STATUS_STOPPED_EARLY) == (stop["rung"] is not None), cell
             if rec.status == STATUS_COMPLETED:
                 assert rec.epochs_run == policy.epoch_budget, cell
+            lines = (store.run_dir("run") / "trials" / f"{cell.row}_{cell.col}.jsonl").read_text().splitlines()
+            assert len(lines) == stop["epoch"], cell
+            assert json.loads(lines[-1])["status"] == rec.status, cell
         for d in log:
             if d["decision"] == "continue":
                 assert d["epoch"] < stops[GridCell(d["row"], d["col"])]["epoch"]
-        assert resume_plan(*store.load_run("run")) == []
+        assert resume_plan(store.load_manifest("run"), records) == []
 
-    def test_a_run_cut_after_any_round_owes_the_cells_its_log_has_not_stopped(self, logged_run, tmp_path):
-        # a search cut after round k has written the trial files of the trials
-        # ended by then, and the decisions of rounds up to k
-        store, grid, policy, log = logged_run
+    def test_the_records_ended_by_any_round_owe_the_cells_the_log_has_not_stopped(self, logged_run):
+        # a search cut after round k had ended the trials the log stops by then
+        store, grid, policy, log, records = logged_run
         stops = logged_stops(log)
-        cut = RunStore(tmp_path / "runs")
-        shutil.copytree(store.run_dir("run"), cut.run_dir("run"))
-        for k in range(max(d["epoch"] for d in stops.values()), -1, -1):
-            for cell, stop in stops.items():
-                if stop["epoch"] == k + 1:
-                    (cut.run_dir("run") / "trials" / f"{cell.row}_{cell.col}.jsonl").unlink()
-            stopped = {cell for cell, stop in stops.items() if stop["epoch"] <= k}
-            owed = [(cell, 0) for cell in grid.cells() if cell not in stopped]
-            assert resume_plan(*cut.load_run("run")) == owed, f"cut after round {k}"
+        manifest = store.load_manifest("run")
+        for k in range(max(d["epoch"] for d in stops.values()) + 1):
+            ended = {cell: records[cell] for cell, stop in stops.items() if stop["epoch"] <= k}
+            owed = [(cell, 0) for cell in grid.cells() if cell not in ended]
+            assert resume_plan(manifest, ended) == owed, f"cut after round {k}"

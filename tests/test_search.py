@@ -21,6 +21,7 @@ import pytest
 
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
+from twinsearch.records import write_records
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import Schedule, SchedulerPolicy, rung_levels
 from twinsearch import trainer
@@ -125,6 +126,7 @@ def searched(request, tmp_path_factory):
         mp.setattr(store, "append_trial_line", recording)
         mp.setattr(trainer, "STACK_SLICE", 5)  # uneven slices of the 16 cells
         records = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
+    write_records(store, "run", records.values())
     return SimpleNamespace(
         kind=kind,
         grid=grid,
@@ -278,12 +280,11 @@ def test_each_trial_file_is_written_once_whole_in_the_round_the_trial_ends(searc
     assert STATUS_DIVERGED in statuses and (searched.kind == "fifo" or STATUS_STOPPED_EARLY in statuses)
 
 
-def test_old_format_files_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched):
+def test_records_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched):
     kind, grid, store = searched.kind, searched.grid, searched.store
     policy, _ = CASES[kind]
     store.create_run("old", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
-    for rec in searched.eager.values():
-        store.append_trial_line("old", rec)
+    write_records(store, "old", searched.eager.values())
     _, old = store.load_run("old")
     _, new = store.load_run("run")
     assert_same_surfaces(

@@ -73,6 +73,15 @@ def test_huge_separation_is_linearly_separable():
         (dict(n_val=-1), "n_val"),
         (dict(n_test=-1), "n_test"),
         (dict(seed=-1), "seed"),
+        (dict(class_separation=float("inf")), "class_separation must be positive and finite"),
+        (dict(class_separation=float("nan")), "class_separation"),
+        # booleans and floats are no counts, although bool is an int and 2.0 == 2
+        (dict(seed=True), "seed must be an integer, got True"),
+        (dict(n_train=50.0), "n_train must be an integer, got 50.0"),
+        (dict(n_val=True), "n_val must be an integer, got True"),
+        (dict(n_test=np.int64(100)), "n_test must be an integer"),
+        (dict(n_classes=False), "n_classes must be an integer, got False"),
+        (dict(input_dim=4.0), "input_dim must be an integer, got 4.0"),
     ],
 )
 def test_invalid_arguments(kwargs, match):
