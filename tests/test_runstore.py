@@ -28,6 +28,7 @@ from twinsearch.search import execute_search, run_and_store, select_and_store
 from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import (
     STATUS_COMPLETED,
+    STATUS_RUNNING,
     STATUS_STOPPED_EARLY,
     TERMINAL_STATUSES,
     ArchSpec,
@@ -541,6 +542,339 @@ class TestRecords:
         }
         write_records(store, "r", written.values())
         assert bits(store.load_run("r")[1]) == bits(written)
+
+
+# -- the reader on generated records -------------------------------------
+
+NOT_JSON = "not JSON: "  # a line json.loads refuses; its message follows
+NOT_FORMAT_2 = "not a format 2 records file"
+CRC_MISMATCH = "'body_crc32' does not match the lines after the first"
+UNKNOWN_STATUS = "'status' holds an unknown status"
+STATUSES = (STATUS_RUNNING, *sorted(TERMINAL_STATUSES))
+PER_TRIAL = ("row", "col", "status", "epochs_run")
+PER_EPOCH = ("train_loss", "param_norm", "val_acc", "test_acc")
+
+
+def per_trial(key):
+    return f"{key!r} is not an array of one value per trial"
+
+
+def per_epoch(key):
+    return f"{key!r} is not an array of one value per epoch"
+
+
+def not_an_index(key):
+    return f"{key!r} holds a value that is not a non-negative integer"
+
+
+def random_value(rng, optional=False):
+    pick = rng.random()
+    if optional and pick < 0.2:
+        return None
+    if pick < 0.35:
+        return [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308][
+            int(rng.integers(8))
+        ]
+    if pick < 0.5:
+        return float(rng.integers(-5, 10**6))  # integral
+    return float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
+
+
+def random_records(rng):
+    """A grid of 2x2 to 5x5 cells and records for a random set of at least three of its cells,
+    in random order: each of 0 to 9 epochs (the first two of at least one), of any status."""
+    grid = build_log_grid(1e-4, 1e-1, int(rng.integers(2, 6)), 1e-4, 1e-1, int(rng.integers(2, 6)))
+    cells = grid.cells()
+    records = []
+    for k, i in enumerate(rng.permutation(len(cells))[: int(rng.integers(3, len(cells) + 1))]):
+        epochs = [
+            EpochLog(epoch, random_value(rng), random_value(rng), random_value(rng, True), random_value(rng, True))
+            for epoch in range(int(rng.integers(1 if k < 2 else 0, 10)))
+        ]
+        records.append(TrialRecord(cells[i], epochs, STATUSES[int(rng.integers(len(STATUSES)))]))
+    return grid, records
+
+
+def write_random_run(store, rng, monkeypatch, line_epochs):
+    """A run of random records written with ``line_epochs`` epochs a line: the path of its
+    ``records.json``, its grid and the records."""
+    grid, records = random_records(rng)
+    store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 9)))
+    monkeypatch.setattr(run_records, "_LINE_EPOCHS", line_epochs)
+    write_records(store, "r", records)
+    return store.run_dir("r") / "records.json", grid, records
+
+
+def spots(docs):
+    """Every (line, trial) of the line objects ``docs``, in file order."""
+    return [(i, t) for i, doc in enumerate(docs) for t in range(len(doc["row"]))]
+
+
+def edit(change):
+    """A line fault that edits the line's object: ``change(rng, doc, t, earlier, shape)``
+    alters trial ``t`` of ``doc`` in place and returns the detail of the error; ``earlier``
+    holds the cells of the trials before it."""
+
+    def fault(rng, line, t, earlier, shape):
+        doc = json.loads(line)
+        detail = change(rng, doc, t, earlier, shape)
+        return json.dumps(doc).encode(), detail
+
+    return fault
+
+
+def put(key, value, detail):
+    """A line fault that puts ``value`` in place of trial ``t``'s ``key``."""
+
+    def change(rng, doc, t, earlier, shape):
+        doc[key][t] = value(doc[key][t]) if callable(value) else value
+        return detail
+
+    return edit(change)
+
+
+def put_epoch_value(value, detail):
+    """A line fault that puts ``value`` in place of a random value of a random per-epoch column."""
+
+    def change(rng, doc, t, earlier, shape):
+        column = doc[PER_EPOCH[int(rng.integers(4))]]
+        column[int(rng.integers(len(column)))] = value
+        return detail
+
+    return edit(change)
+
+
+def resize(key, grow, detail):
+    """A line fault that makes ``key``'s array one value longer, or one shorter."""
+
+    def change(rng, doc, t, earlier, shape):
+        if grow:
+            doc[key].append(doc[key][0])
+        else:
+            del doc[key][int(rng.integers(len(doc[key])))]
+        return detail
+
+    return edit(change)
+
+
+def drop(key, detail):
+    def change(rng, doc, t, earlier, shape):
+        del doc[key]
+        return detail
+
+    return edit(change)
+
+
+def outside(axis):
+    def change(rng, doc, t, earlier, shape):
+        doc[("row", "col")[axis]][t] = shape[axis] + int(rng.integers(3))
+        return f"cell ({doc['row'][t]}, {doc['col'][t]}) is outside the grid of shape {shape}"
+
+    return edit(change)
+
+
+def given_twice(rng, doc, t, earlier, shape):
+    row, col = earlier[int(rng.integers(len(earlier)))]
+    doc["row"][t], doc["col"][t] = row, col
+    return f"cell ({row}, {col}) is given twice"
+
+
+def one_more_epoch(rng, doc, t, earlier, shape):
+    doc["epochs_run"][t] += 1
+    return per_epoch("train_loss")
+
+
+def text(change):
+    """A line fault that makes the line's text ``change(rng, line)``, which json.loads refuses."""
+    return lambda rng, line, t, earlier, shape: (change(rng, line), NOT_JSON)
+
+
+def cut(rng, line):
+    return line[: int(rng.integers(1, line.rindex(b"}")))]
+
+
+def bad_utf8(rng, line):
+    at = int(rng.integers(len(line) + 1))
+    return line[:at] + b"\xff" + line[at:]
+
+
+# faults of one line after the first: name -> fault(rng, line, t, earlier, shape), which
+# returns the line's new text and the detail of the error it raises
+LINE_FAULTS = {
+    "extra-text": text(lambda rng, line: line + b"x"),
+    "extra-object": text(lambda rng, line: line + b" {}"),
+    "bad-utf8": text(bad_utf8),
+    "torn": text(cut),
+    "blank": text(lambda rng, line: b""),
+    "array-line": lambda rng, line, *_: (json.dumps(list(json.loads(line).values())).encode(), "not an object"),
+    "number-line": lambda rng, line, *_: (b"3", "not an object"),
+    "string-line": lambda rng, line, *_: (json.dumps(" ".join(json.loads(line))).encode(), "not an object"),
+    "null-line": lambda rng, line, *_: (b"null", "not an object"),
+    **{f"missing-{key}": drop(key, per_trial(key)) for key in PER_TRIAL},
+    **{f"missing-{key}": drop(key, per_epoch(key)) for key in PER_EPOCH},
+    **{f"extra-{key}": resize(key, True, per_trial(key)) for key in PER_TRIAL[1:]},
+    **{f"extra-{key}": resize(key, True, per_epoch(key)) for key in PER_EPOCH},
+    **{f"short-{key}": resize(key, False, per_epoch(key)) for key in PER_EPOCH},
+    "one-more-epoch": edit(one_more_epoch),
+    "unknown-status": put("status", "paused", UNKNOWN_STATUS),
+    "status-array": put("status", [], UNKNOWN_STATUS),
+    "status-object": put("status", {}, UNKNOWN_STATUS),
+    "status-null": put("status", None, UNKNOWN_STATUS),
+    "status-number": put("status", 3, UNKNOWN_STATUS),
+    **{f"negative-{key}": put(key, -1, not_an_index(key)) for key in ("row", "col", "epochs_run")},
+    **{f"bool-{key}": put(key, True, not_an_index(key)) for key in ("row", "col", "epochs_run")},
+    **{f"float-{key}": put(key, float, not_an_index(key)) for key in ("row", "col", "epochs_run")},
+    "row-outside": outside(0),
+    "col-outside": outside(1),
+    "cell-twice": edit(given_twice),
+    "float-text": put_epoch_value("nan", "not a float encoding: 'nan'"),
+    "float-array": put_epoch_value([], "not a float encoding: a JSON array"),
+    "float-object": put_epoch_value({}, "not a float encoding: a JSON object"),
+    "overflow-int": put_epoch_value(10**400, "integer of 1329 bits is out of float range"),
+}
+# line faults that need a value in the line's per-epoch columns
+EPOCH_FAULTS = {"float-text", "float-array", "float-object", "overflow-int",
+                *(f"short-{key}" for key in PER_EPOCH)}
+# faults of the whole file, all reported at line 1: name -> fault(rng, body, crc), which returns
+# the file's new bytes and the detail of the error; ``body`` is the text after the first line
+FILE_FAULTS = {
+    "empty": lambda rng, body, crc: (b"", NOT_JSON),
+    "header-not-json": lambda rng, body, crc: (b"format 2\n" + body, NOT_JSON),
+    "header-array": lambda rng, body, crc: (b"[2,%d]\n" % crc + body, NOT_FORMAT_2),
+    "no-header": lambda rng, body, crc: (body, NOT_FORMAT_2),
+    "format-1": lambda rng, body, crc: (b'{"format":1,"body_crc32":%d}\n' % crc + body, NOT_FORMAT_2),
+    "format-3": lambda rng, body, crc: (b'{"format":3,"body_crc32":%d}\n' % crc + body, NOT_FORMAT_2),
+    "format-text": lambda rng, body, crc: (b'{"format":"2","body_crc32":%d}\n' % crc + body, NOT_FORMAT_2),
+    "format-true": lambda rng, body, crc: (b'{"format":true,"body_crc32":%d}\n' % crc + body, NOT_FORMAT_2),
+    "no-format": lambda rng, body, crc: (b'{"body_crc32":%d}\n' % crc + body, NOT_FORMAT_2),
+    "crc-off-by-one": lambda rng, body, crc: (b'{"format":2,"body_crc32":%d}\n' % (crc + 1) + body, CRC_MISMATCH),
+    "crc-text": lambda rng, body, crc: (b'{"format":2,"body_crc32":"%d"}\n' % crc + body, CRC_MISMATCH),
+    "no-crc": lambda rng, body, crc: (b'{"format":2}\n' + body, CRC_MISMATCH),
+    # the body changed and the header kept
+    "byte-changed": lambda rng, body, crc: (header(crc) + changed_byte(rng, body), CRC_MISMATCH),
+    "line-appended": lambda rng, body, crc: (header(crc) + body + body.split(b"\n")[0] + b"\n", CRC_MISMATCH),
+    "line-dropped": lambda rng, body, crc: (header(crc) + body.split(b"\n", 1)[1], CRC_MISMATCH),
+    "truncated": lambda rng, body, crc: (header(crc) + body[: int(rng.integers(len(body)))], CRC_MISMATCH),
+}
+# (fault on an earlier line, fault on a later one)
+TWO_FAULTS = (
+    ("extra-text", "bad-utf8"), ("bad-utf8", "torn"), ("torn", "missing-status"), ("blank", "cell-twice"),
+    ("array-line", "extra-text"), ("missing-row", "float-text"), ("extra-col", "unknown-status"),
+    ("short-val_acc", "row-outside"), ("unknown-status", "blank"), ("bool-epochs_run", "negative-col"),
+    ("col-outside", "overflow-int"), ("float-text", "missing-train_loss"), ("overflow-int", "cell-twice"),
+    ("one-more-epoch", "number-line"),
+)
+
+
+def header(crc):
+    return b'{"format":2,"body_crc32":%d}\n' % crc
+
+
+def changed_byte(rng, body):
+    at = int(rng.integers(len(body)))
+    return body[:at] + bytes([(body[at] + 1 + int(rng.integers(255))) % 256]) + body[at + 1:]
+
+
+def body_lines(path):
+    """The objects of the lines after the first of ``path``'s records, and those lines."""
+    lines = path.read_bytes().split(b"\n")[1:-1]
+    return [json.loads(line) for line in lines], lines
+
+
+def with_line_faults(path, shape, faults, rng):
+    """Put each of ``faults``, (name, line) pairs, on its line of ``path``'s records at a random
+    trial, and reseal the file: the detail of each fault."""
+    docs, lines = body_lines(path)
+    order = spots(docs)
+    details = []
+    for name, i in faults:
+        choices = [k for k, (j, _) in enumerate(order) if j == i and (name != "cell-twice" or k > 0)]
+        k = choices[int(rng.integers(len(choices)))]
+        earlier = [(docs[j]["row"][t], docs[j]["col"][t]) for j, t in order[:k]]
+        lines[i], detail = LINE_FAULTS[name](rng, lines[i], order[k][1], earlier, shape)
+        details.append(detail)
+    path.write_bytes(resealed(b"\n".join([b"{}", *lines, b""])))
+    return details
+
+
+def line_for(rng, docs, name):
+    """A random line index of ``docs`` that can take the line fault ``name``."""
+    fits = [
+        i for i, doc in enumerate(docs)
+        if (name not in EPOCH_FAULTS or doc["train_loss"]) and (name != "cell-twice" or i > 0 or len(doc["row"]) > 1)
+    ]
+    return fits[int(rng.integers(len(fits)))]
+
+
+class TestReaderOnGeneratedRecords:
+    """``load_run`` reads back every set of records ``write_records`` writes, at any number of
+    epochs a line, and refuses each fault of a ``records.json`` at the line where it is."""
+
+    def load_error(self, store):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RunStoreError) as info:
+                store.load_run("r")
+        return str(info.value)
+
+    def check_error(self, store, path, line, detail):
+        message = self.load_error(store)
+        expected = f"{path}: line {line}: {detail}"
+        if detail == NOT_JSON:
+            assert message.startswith(expected)
+        else:
+            assert message == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_clean_records(self, store, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        line_epochs = [1, 2, 3, 5, 8, 1024][seed % 6]
+        path, grid, records = write_random_run(store, rng, monkeypatch, line_epochs)
+        written = path.read_bytes()
+        loaded = store.load_run("r")[1]
+        assert bits(loaded) == bits({r.cell: r for r in records})
+        assert list(loaded) == [r.cell for r in records]
+        rewrite_records(store, "r")
+        assert path.read_bytes() == written
+        # each line is as full as it can be: a line holds more than line_epochs epochs only
+        # as one record, and the next line's first record would not have fitted on it
+        docs, _ = body_lines(path)
+        for doc, after in zip(docs, docs[1:] + [None]):
+            n = sum(doc["epochs_run"])
+            assert n <= line_epochs or len(doc["row"]) == 1
+            if after is not None:
+                assert n + after["epochs_run"][0] > line_epochs
+
+    @pytest.mark.parametrize("fault", LINE_FAULTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_faulty_line(self, store, monkeypatch, fault, seed):
+        rng = np.random.default_rng([seed, list(LINE_FAULTS).index(fault)])
+        path, grid, _ = write_random_run(store, rng, monkeypatch, [1, 3, 8, 1024][seed])
+        line = line_for(rng, body_lines(path)[0], fault)
+        (detail,) = with_line_faults(path, grid.shape, [(fault, line)], rng)
+        self.check_error(store, path, line + 2, detail)
+
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_faulty_file(self, store, monkeypatch, fault, seed):
+        rng = np.random.default_rng([seed, list(FILE_FAULTS).index(fault)])
+        path, _, _ = write_random_run(store, rng, monkeypatch, [1, 3, 8, 1024][seed])
+        body = path.read_bytes().split(b"\n", 1)[1]
+        data, detail = FILE_FAULTS[fault](rng, body, zlib.crc32(body))
+        path.write_bytes(data)
+        self.check_error(store, path, 1, detail)
+
+    @pytest.mark.parametrize("first, second", TWO_FAULTS, ids=[f"{a}-then-{b}" for a, b in TWO_FAULTS])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_first_of_two_faulty_lines_is_named(self, store, monkeypatch, first, second, seed):
+        # one record a line: every line holds an epoch, and there are at least two lines
+        rng = np.random.default_rng([seed, TWO_FAULTS.index((first, second))])
+        path, grid, _ = write_random_run(store, rng, monkeypatch, 1)
+        docs, _ = body_lines(path)
+        b = 1 + line_for(rng, docs[1:], second)
+        a = line_for(rng, docs[:b], first)
+        detail, _ = with_line_faults(path, grid.shape, [(first, a), (second, b)], rng)
+        self.check_error(store, path, a + 2, detail)
 
 
 class TestResumePlan:
