@@ -87,6 +87,11 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     "select-ratio20": (SEGMENT_RUN, [["select", RUN_ID, "--ratio", "20"]]),
     "select-near": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "1.5", "--ratio", "20"]]),
     "select-maxdist-inf": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "inf"]]),
+    # The one recipe that evaluates after an overriding select, so it compares
+    # the report of the pick that select stored, not of the one run made.
+    "select-near-eval": (
+        SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "1.5", "--ratio", "20"], *EVAL_OPS]
+    ),
 }
 
 # Runs every job's commands against its own store; prints one JSON line.

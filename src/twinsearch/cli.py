@@ -4,8 +4,9 @@ Subcommands: ``run`` (execute a search end to end and select with the
 default segmentation parameters), ``select`` (recompute the pick offline
 from logged trials; the only command that takes segmentation parameters,
 and with grid slicing it prints a sub-grid's pick without storing it),
-``baseline`` (SelTS/SelVS/Oracle picks), ``eval`` (method-vs-oracle report,
-at the default segmentation parameters), ``plot`` (SVG figures). Exit codes:
+``baseline`` (SelTS/SelVS/Oracle picks), ``eval`` (method-vs-oracle report
+of the twin pick stored by the last ``run`` or whole-grid ``select``),
+``plot`` (SVG figures of that pick). Exit codes:
 0 success, 1 usage error, 2 pipeline failure (all trials diverged,
 incomplete or missing artifacts), 3 storage failure.
 
@@ -22,16 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import HyperGrid, build_log_grid
+from .grid import HyperGrid, build_log_grid, cell_params
 from .matrices import assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunNotFoundError, RunStore, RunStoreError, resume_plan
 from .scheduler import SchedulerPolicy
-from .search import run_and_store, select_and_store, slice_records
+from .search import run_and_store, slice_records
 from .selector import (
     METHOD_ORACLE,
     METHOD_SELTS,
     METHOD_SELVS,
+    METHOD_TWIN,
+    Selection,
     baseline_select,
     evaluate,
     twin_pipeline,
@@ -202,10 +205,9 @@ def _cmd_select(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if whole:
-        artifacts = select_and_store(store, args.run_id, records, grid, params)
-    else:  # a sub-grid's pick is printed, never stored over the run's own
-        artifacts = twin_pipeline(assemble(records.values(), grid), grid, params)
+    artifacts = twin_pipeline(assemble(records.values(), grid), grid, params)
+    if whole:  # a sub-grid's pick is printed, never stored over the run's own
+        store.write_selection(args.run_id, artifacts)
     sel = artifacts.selection
     print(
         f"run {args.run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "
@@ -251,8 +253,8 @@ def _cmd_eval(args) -> int:
         manifest, records, grid = _load_complete_run(store, run_id)
         mats = assemble(records.values(), grid)
         surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
-        artifacts = twin_pipeline(mats, grid, default_params(grid))
-        sels = {artifacts.selection.method: artifacts.selection}
+        cell = store.load_selection(run_id)[0]
+        sels = {METHOD_TWIN: Selection(METHOD_TWIN, cell, *cell_params(grid, cell))}
         for m in (METHOD_SELTS, METHOD_SELVS, METHOD_ORACLE):
             try:
                 sels[m] = baseline_select(mats, surfaces, m, grid)
@@ -278,22 +280,10 @@ def _cmd_plot(args) -> int:
     mats = store.load_matrices(args.run_id)
     cell, region, labels = store.load_selection(args.run_id)
 
-    if args.target == "psi":
-        svg = heatmap_svg(
-            np.where(mats.valid_mask, mats.psi, np.nan),
-            grid,
-            f"train loss: {args.run_id}",
-            selected=cell,
-            log_color=True,
-        )
-    elif args.target == "theta":
-        svg = heatmap_svg(
-            np.where(mats.valid_mask, mats.theta, np.nan),
-            grid,
-            f"parameter norm: {args.run_id}",
-            selected=cell,
-            log_color=True,
-        )
+    if args.target in ("psi", "theta"):
+        name = "train loss" if args.target == "psi" else "parameter norm"
+        values = np.where(mats.valid_mask, getattr(mats, args.target), np.nan)
+        svg = heatmap_svg(values, grid, f"{name}: {args.run_id}", selected=cell)
     elif args.target == "labels":
         svg = labels_svg(labels, grid, f"regions: {args.run_id}", selected=cell)
     else:  # norm-vs-test
@@ -339,10 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PipelineError, RunNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
-    except RunStoreError as exc:
-        print(f"storage error: {exc}", file=sys.stderr)
-        return EXIT_STORAGE
-    except OSError as exc:
+    except (RunStoreError, OSError) as exc:
         print(f"storage error: {exc}", file=sys.stderr)
         return EXIT_STORAGE
 

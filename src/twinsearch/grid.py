@@ -8,7 +8,7 @@ index learning rate, so every matrix logged over the grid has shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -92,12 +92,7 @@ class HyperGrid:
         return [GridCell(r, c) for r in range(self.n_wd) for c in range(self.n_lr)]
 
     def to_dict(self) -> dict:
-        return {
-            "lr_values": list(self.lr_values),
-            "wd_values": list(self.wd_values),
-            "lr_bounds": list(self.lr_bounds),
-            "wd_bounds": list(self.wd_bounds),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperGrid":

@@ -36,7 +36,7 @@ plateaus, replacing the randomized tie-breaking of common implementations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class QuickshiftParams:
             raise ValueError(f"ratio must be non-negative, with ratio**2 finite, got {self.ratio}")
 
     def to_dict(self) -> dict:
-        return {"kernel_size": self.kernel_size, "max_dist": self.max_dist, "ratio": self.ratio}
+        return asdict(self)
 
 
 @dataclass

@@ -7,8 +7,9 @@ Directory layout:
         records.json         every trial's record: the one stored record of the trials
         trials/<row>_<col>.jsonl   export: one line per epoch, in epoch order
         decisions.jsonl      export: scheduler decision log (rung outcomes + terminal stops)
-        matrices.json        psi/theta/masks/epochs_run, row-major
-        selection.json       the twin pick with full provenance
+        matrices.json        psi/theta/masks/epochs_run, row-major (written by run only)
+        selection.json       the twin pick with full provenance (written by run and select;
+                             the one record of the pick, which eval and plot read)
         baselines.json       baseline picks (written by the baseline command)
         eval_report.json     method-vs-oracle errors
 
@@ -24,8 +25,9 @@ Faults are errors, since nothing else stands in for a stored record: a run
 with no ``records.json`` raises ``RunNotFoundError``; a malformed one
 raises ``RunStoreError`` as ``<path>: line <N>: <detail>``. The manifest,
 ``matrices.json`` and ``selection.json`` are checked for the fields read
-from them (``<path>: <detail>``). A run id must name one directory inside
-the store root.
+from them (``<path>: <detail>``), and the stored pick for a cell inside the
+grid that carries its region's label. A run id must name one directory
+inside the store root.
 
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
@@ -264,7 +266,8 @@ class RunStore:
         self._write_text(self.run_dir(run_id) / "selection.json", encode_json(payload) + "\n")
 
     def load_selection(self, run_id: str):
-        """The stored twin pick's cell and region id, and the region label of every cell."""
+        """The stored twin pick's cell and region id, and the region label of every cell;
+        the cell must lie in the grid and carry its region's label."""
         path, d, arrays = self._load_artifact(run_id, "selection.json", {"labels": "int64"}, ("selection",))
         sel = d["selection"]
         cell = sel.get("cell") if type(sel) is dict else None
@@ -272,7 +275,12 @@ class RunStore:
         if not (fields and all(type(v) is int for v in fields)):
             raise RunStoreError(f"{path}: 'selection' needs integer cell 'row', 'col' and 'region_id'")
         row, col, region_id = fields
-        return GridCell(row, col), region_id, arrays["labels"]
+        labels = arrays["labels"]
+        if not (0 <= row < labels.shape[0] and 0 <= col < labels.shape[1]):
+            raise RunStoreError(f"{path}: selected cell ({row}, {col}) outside grid of shape {labels.shape}")
+        if labels[row, col] != region_id:
+            raise RunStoreError(f"{path}: selected cell ({row}, {col}) is not in region {region_id}")
+        return GridCell(row, col), region_id, labels
 
     def write_baselines(self, run_id: str, selections: Iterable) -> None:
         payload = {"selections": [s.to_dict() for s in selections]}

@@ -15,7 +15,7 @@ trial that reported a loss there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .grid import GridCell
@@ -54,13 +54,7 @@ class SchedulerPolicy:
                 raise ValueError(f"grace_fraction must be in (0, 1), got {self.grace_fraction}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epoch_budget": self.epoch_budget,
-            "stop_fraction": self.stop_fraction,
-            "halving_rate": self.halving_rate,
-            "grace_fraction": self.grace_fraction,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchedulerPolicy":

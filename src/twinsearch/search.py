@@ -20,14 +20,18 @@ Val/test accuracy is computed only when a trial ends, on the last
 a trial's file is written once, whole and with its metrics, in the round
 the trial ends. The trial files and the decision log are exports that no
 command reads: ``run_and_store`` writes every record the search returns to
-``records.json`` after the search, and commands read only that.
+``records.json`` after the search, and commands read only that. It then
+writes the run's matrices (no other command writes ``matrices.json``) and
+its twin pick at ``default_params(grid)`` to ``selection.json``, the one
+record of the pick: ``select`` may replace it, and ``eval`` and ``plot`` read
+it.
 """
 
 from __future__ import annotations
 
 from .grid import GridCell, HyperGrid, cell_params, slice_grid
 from .matrices import assemble, metric_window
-from .quickshift import QuickshiftParams, default_params
+from .quickshift import default_params
 from .runstore import RunStore
 from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
@@ -42,7 +46,7 @@ from .trainer import (
     TrialRecord,
 )
 
-__all__ = ["execute_search", "run_and_store", "select_and_store", "slice_records"]
+__all__ = ["execute_search", "run_and_store", "slice_records"]
 
 
 def execute_search(
@@ -92,21 +96,6 @@ def execute_search(
     return records
 
 
-def select_and_store(
-    store: RunStore,
-    run_id: str,
-    records: dict[GridCell, TrialRecord],
-    grid: HyperGrid,
-    params: QuickshiftParams,
-) -> TwinArtifacts:
-    """Assemble the run's matrices, select with ``params``, and store both artifacts."""
-    mats = assemble(records.values(), grid)
-    artifacts = twin_pipeline(mats, grid, params)
-    store.write_matrices(run_id, mats, grid, artifacts.outlier_mask)
-    store.write_selection(run_id, artifacts)
-    return artifacts
-
-
 def slice_records(
     records: dict[GridCell, TrialRecord],
     grid: HyperGrid,
@@ -140,7 +129,8 @@ def run_and_store(
     ``records.json`` (what later commands load), matrices, selection.
 
     The pick uses ``default_params(grid)``; ``twinsearch select`` re-selects
-    with other segmentation parameters.
+    with other segmentation parameters and replaces ``selection.json`` only:
+    the matrices, outlier mask included, do not depend on them.
     """
     manifest = {
         "grid": grid.to_dict(),
@@ -158,4 +148,8 @@ def run_and_store(
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
     write_records(store, run_id, records.values())
-    return select_and_store(store, run_id, records, grid, default_params(grid))
+    mats = assemble(records.values(), grid)
+    artifacts = twin_pipeline(mats, grid, default_params(grid))
+    store.write_matrices(run_id, mats, grid, artifacts.outlier_mask)
+    store.write_selection(run_id, artifacts)
+    return artifacts

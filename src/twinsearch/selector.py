@@ -12,7 +12,7 @@ scores any method's picks against the Oracle's across configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -165,12 +165,7 @@ class EvalReport:
     mae: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "methods": self.methods,
-            "per_config_metric": self.per_config_metric,
-            "per_config_error": self.per_config_error,
-            "mae": self.mae,
-        }
+        return asdict(self)
 
 
 def evaluate(

@@ -2,8 +2,8 @@
 
 Text-only output, no imaging dependency: identical inputs produce identical
 bytes, so the figures can be golden-diffed. Heatmaps use a fixed 16-step
-ramp, region maps an 8-color palette cycling by region id; masked cells are
-hatched.
+ramp over log10 of the values, region maps an 8-color palette cycling by
+region id; masked cells are hatched.
 """
 
 from __future__ import annotations
@@ -104,39 +104,42 @@ def _outline(cell: GridCell) -> str:
     )
 
 
-def heatmap_svg(
-    values: np.ndarray,
-    grid: HyperGrid,
-    title: str,
-    selected: GridCell | None = None,
-    log_color: bool = False,
-) -> str:
-    """Grid heatmap; non-finite cells are hatched; optional selected-cell outline."""
-    n_rows, n_cols = values.shape
+def _grid_svg(shape: tuple[int, int], fill, grid: HyperGrid, title: str, selected: GridCell | None) -> str:
+    """The grid figure: one rect per cell filled with ``fill(r, c)``, the selected cell's
+    outline, and the axes."""
+    n_rows, n_cols = shape
     width = MARGIN_LEFT + n_cols * CELL + MARGIN_RIGHT
     height = MARGIN_TOP + n_rows * CELL + MARGIN_BOTTOM
     parts = _svg_open(width, height, title)
-    finite = np.isfinite(values)
-    shade = values.astype(float).copy()
-    if log_color and np.any(finite):
-        positive = finite & (values > 0)
-        shade = np.where(positive, np.log10(np.where(positive, values, 1.0)), np.nan)
-        finite = np.isfinite(shade)
-    lo = float(np.min(shade[finite])) if np.any(finite) else 0.0
-    hi = float(np.max(shade[finite])) if np.any(finite) else 1.0
-    span = hi - lo
-    for r in range(n_rows):
-        for c in range(n_cols):
-            if not finite[r, c]:
-                parts.append(_cell_rect(r, c, "url(#hatch)"))
-                continue
-            t = 0.5 if span == 0 else (shade[r, c] - lo) / span
-            parts.append(_cell_rect(r, c, HEAT_RAMP[min(15, int(t * 16))]))
+    parts += [_cell_rect(r, c, fill(r, c)) for r in range(n_rows) for c in range(n_cols)]
     if selected is not None:
         parts.append(_outline(selected))
     _axes(parts, grid, n_rows, n_cols)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def heatmap_svg(
+    values: np.ndarray,
+    grid: HyperGrid,
+    title: str,
+    selected: GridCell | None = None,
+) -> str:
+    """Grid heatmap on a log10 color scale; cells that are not finite and positive are
+    hatched; optional selected-cell outline."""
+    positive = np.isfinite(values) & (values > 0)
+    shade = np.log10(np.where(positive, values, 1.0))
+    lo = float(np.min(shade[positive])) if np.any(positive) else 0.0
+    hi = float(np.max(shade[positive])) if np.any(positive) else 1.0
+    span = hi - lo
+
+    def fill(r: int, c: int) -> str:
+        if not positive[r, c]:
+            return "url(#hatch)"
+        t = 0.5 if span == 0 else (shade[r, c] - lo) / span
+        return HEAT_RAMP[min(15, int(t * 16))]
+
+    return _grid_svg(values.shape, fill, grid, title, selected)
 
 
 def labels_svg(
@@ -146,22 +149,12 @@ def labels_svg(
     selected: GridCell | None = None,
 ) -> str:
     """Region map: one palette color per region id, masked (-1) cells hatched."""
-    n_rows, n_cols = labels.shape
-    width = MARGIN_LEFT + n_cols * CELL + MARGIN_RIGHT
-    height = MARGIN_TOP + n_rows * CELL + MARGIN_BOTTOM
-    parts = _svg_open(width, height, title)
-    for r in range(n_rows):
-        for c in range(n_cols):
-            region = int(labels[r, c])
-            if region < 0:
-                parts.append(_cell_rect(r, c, "url(#hatch)"))
-            else:
-                parts.append(_cell_rect(r, c, REGION_PALETTE[region % len(REGION_PALETTE)]))
-    if selected is not None:
-        parts.append(_outline(selected))
-    _axes(parts, grid, n_rows, n_cols)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+
+    def fill(r: int, c: int) -> str:
+        region = int(labels[r, c])
+        return "url(#hatch)" if region < 0 else REGION_PALETTE[region % len(REGION_PALETTE)]
+
+    return _grid_svg(labels.shape, fill, grid, title, selected)
 
 
 def scatter_svg(
@@ -169,10 +162,8 @@ def scatter_svg(
     metrics: list[float],
     title: str,
     highlight: int | None = None,
-    x_label: str = "parameter norm",
-    y_label: str = "test accuracy",
 ) -> str:
-    """Norm-vs-metric scatter for the selected region's cells."""
+    """Parameter norm vs test accuracy scatter for the selected region's cells."""
     if len(norms) != len(metrics):
         raise ValueError("norms and metrics must pair up")
     width, height = 420.0, 320.0
@@ -188,13 +179,10 @@ def scatter_svg(
             y = py0 - (my - y_lo) / y_span * (py0 - py1)
             fill = "#ff2a2a" if i == highlight else "#4c78a8"
             parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" fill="{fill}"/>')
-        for label, value, anchor_x, anchor_y in (
-            (f"{x_lo:.3g}", None, px0, py0 + 16),
-            (f"{x_hi:.3g}", None, px1, py0 + 16),
-        ):
+        for value, x in ((x_lo, px0), (x_hi, px1)):
             parts.append(
-                f'<text x="{_f(anchor_x)}" y="{_f(anchor_y)}" text-anchor="middle" '
-                f'font-family="monospace" font-size="10">{label}</text>'
+                f'<text x="{_f(x)}" y="{_f(py0 + 16)}" text-anchor="middle" '
+                f'font-family="monospace" font-size="10">{value:.3g}</text>'
             )
         parts.append(
             f'<text x="{_f(px0 - 8)}" y="{_f(py0)}" text-anchor="end" '
@@ -212,11 +200,11 @@ def scatter_svg(
     )
     parts.append(
         f'<text x="{_f((px0 + px1) / 2)}" y="{_f(height - 12)}" text-anchor="middle" '
-        f'font-family="monospace" font-size="11">{x_label}</text>'
+        f'font-family="monospace" font-size="11">parameter norm</text>'
     )
     parts.append(
         f'<text x="18" y="{_f((py0 + py1) / 2)}" text-anchor="middle" font-family="monospace" '
-        f'font-size="11" transform="rotate(-90 18 {_f((py0 + py1) / 2)})">{y_label}</text>'
+        f'font-size="11" transform="rotate(-90 18 {_f((py0 + py1) / 2)})">test accuracy</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

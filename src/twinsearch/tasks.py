@@ -28,10 +28,6 @@ class SyntheticTask:
     input_dim: int
 
     @property
-    def n_train(self) -> int:
-        return len(self.train_labels)
-
-    @property
     def n_val(self) -> int:
         return len(self.val_labels)
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +105,7 @@ class ArchSpec:
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
 
     def to_dict(self) -> dict:
-        return {"hidden": list(self.hidden)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ import pytest
 
 import twinsearch
 from twinsearch.cli import main
-from twinsearch.grid import GridCell
+from twinsearch.grid import GridCell, HyperGrid
+from twinsearch.matrices import build_metric_surfaces
 from twinsearch.records import write_records
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
@@ -402,6 +403,14 @@ class TestSelect:
         assert 0 <= row < 3 and 0 <= col < 3  # cells of the 3x3 sub-grid
         assert {name: artifact(tmp_path, "r", name).read_bytes() for name in names} == stored
 
+    def test_whole_grid_select_writes_only_the_pick(self, tmp_path):
+        # the matrices, outlier mask included, do not depend on the segmentation parameters
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        artifact(tmp_path, "r", "matrices.json").unlink()
+        assert run_cli(tmp_path, "select", "r", "--ratio", "20") == 0
+        assert artifact(tmp_path, "r", "selection.json").exists()
+        assert not artifact(tmp_path, "r", "matrices.json").exists()
+
     def test_select_with_infinite_max_dist(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         assert run_cli(tmp_path, "select", "r", "--max-dist", "inf", "--ratio", "20") == 0
@@ -430,6 +439,29 @@ class TestBaselineAndEval:
         assert "oracle" in doc["mae"]
         assert doc["mae"]["oracle"] == 0.0
         assert all(v >= 0 for v in doc["mae"].values())
+
+    def test_eval_reports_the_stored_pick(self, tmp_path):
+        # these flags move the pick of the run off the one at the default parameters
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        default = json.loads(artifact(tmp_path, "r", "selection.json").read_text())["selection"]["cell"]
+        assert run_cli(tmp_path, "select", "r", "--max-dist", "1.5", "--ratio", "20") == 0
+        cell = json.loads(artifact(tmp_path, "r", "selection.json").read_text())["selection"]["cell"]
+        assert cell != default
+        assert run_cli(tmp_path, "eval", "r", "--allow-test-metrics") == 0
+        report = json.loads(artifact(tmp_path, "r", "eval_report.json").read_text())
+        manifest, records = RunStore(tmp_path / "runs").load_run("r")
+        grid = HyperGrid.from_dict(manifest["grid"])
+        test_acc = build_metric_surfaces(records.values(), grid, "fifo").test_acc
+        assert report["per_config_metric"][0]["twin"] == test_acc[cell["row"], cell["col"]]
+
+    def test_eval_without_a_stored_pick_exits_2(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        path = artifact(tmp_path, "r", "selection.json")
+        path.unlink()
+        capsys.readouterr()
+        assert run_cli(tmp_path, "eval", "r", "--allow-test-metrics") == 2
+        assert capsys.readouterr().err == f"error: missing artifact: {path}\n"
+        assert not artifact(tmp_path, "r", "eval_report.json").exists()
 
     def test_eval_without_flag_is_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "eval", "whatever") == 1
@@ -460,6 +492,12 @@ class TestBaselineAndEval:
         assert run_cli(tmp_path, "baseline", "r", "--methods", methods) == 1
         assert capsys.readouterr().err.startswith("usage error: --methods names")
         assert artifact(tmp_path, "r", "baselines.json").read_bytes() == stored
+
+
+def moved(doc, **cell):
+    """``selection.json``'s ``doc`` with the picked cell's fields replaced by ``cell``."""
+    sel = doc["selection"]
+    return {**doc, "selection": {**sel, "cell": {**sel["cell"], **cell}}}
 
 
 class TestPlot:
@@ -494,6 +532,9 @@ class TestPlot:
             ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "cell": None}}),
             ("selection.json", lambda doc: {**doc, "selection": {"cell": {"row": 0}}}),
             ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "region_id": "1"}}),
+            ("selection.json", lambda doc: moved(doc, row=doc["shape"][0])),
+            ("selection.json", lambda doc: moved(doc, row=-1)),
+            ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "region_id": 1 + doc["selection"]["region_id"]}}),
             ("selection.json", lambda doc: {k: v for k, v in doc.items() if k != "labels"}),
             ("selection.json", lambda doc: {**doc, "labels": doc["labels"][:-1]}),
             ("selection.json", lambda doc: {**doc, "shape": [5]}),
@@ -507,7 +548,8 @@ class TestPlot:
             ("matrices.json", None),
         ],
         ids=[
-            "selection-no-cell", "selection-no-col", "selection-region-string", "selection-no-labels",
+            "selection-no-cell", "selection-no-col", "selection-region-string",
+            "selection-row-past-grid", "selection-row-negative", "selection-off-region", "selection-no-labels",
             "selection-short-labels", "selection-one-axis", "selection-not-the-grid", "selection-array",
             "selection-truncated",
             "matrices-no-psi", "matrices-long-theta", "matrices-bad-float", "matrices-string-axis",
@@ -520,12 +562,17 @@ class TestPlot:
         # None: the file is cut in half, as by a crash while writing it
         path.write_text(text[: len(text) // 2] if fault is None else json.dumps(fault(json.loads(text))))
         out = tmp_path / "x.svg"
+        commands = [["plot", "r", "--target", "labels", "--out", str(out)]]
+        if name == "selection.json":  # eval reads the stored pick too
+            commands.append(["eval", "r", "--allow-test-metrics"])
         capsys.readouterr()
-        assert run_cli(completed_run, "plot", "r", "--target", "labels", "--out", str(out)) == 3
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"storage error: {path}: ")
-        assert "Traceback" not in captured.out + captured.err
+        for command in commands:
+            assert run_cli(completed_run, *command) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"storage error: {path}: ")
+            assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+        assert not artifact(completed_run, "r", "eval_report.json").exists()
 
     def test_missing_artifact_exit_2(self, tmp_path):
         assert run_cli(tmp_path, "plot", "ghost", "--target", "psi", "--out", str(tmp_path / "x.svg")) == 2

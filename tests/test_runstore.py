@@ -24,7 +24,8 @@ from twinsearch.runstore import (
     resume_plan,
 )
 from twinsearch.scheduler import SchedulerPolicy
-from twinsearch.search import execute_search, run_and_store, select_and_store
+from twinsearch.search import execute_search, run_and_store
+from twinsearch.selector import twin_pipeline
 from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import (
     STATUS_COMPLETED,
@@ -264,12 +265,16 @@ class TestLoad:
         grid = small_grid(3)
         write_full_run(store, "ext", grid, epochs=6)
         _, records = store.load_run("ext")
-        artifacts = select_and_store(store, "ext", records, grid, default_params(grid))
+        mats = assemble(records.values(), grid)
+        artifacts = twin_pipeline(mats, grid, default_params(grid))
+        store.write_matrices("ext", mats, grid, artifacts.outlier_mask)
+        store.write_selection("ext", artifacts)
         assert artifacts.selection.cell in set(grid.cells())
         assert store.load_matrices("ext").valid_mask.all()
         assert json.loads((store.run_dir("ext") / "selection.json").read_text())["selection"] == (
             artifacts.selection.to_dict()
         )
+        assert store.load_selection("ext")[:2] == (artifacts.selection.cell, artifacts.selection.region_id)
 
     def test_missing_manifest_is_an_error(self, store):
         with pytest.raises(RunStoreError, match="manifest"):

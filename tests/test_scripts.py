@@ -139,6 +139,14 @@ def test_parity_segmenting_recipes_run_select_with_their_flags(capsys):
     ]
 
 
+def test_parity_select_near_eval_recipe_evaluates_after_the_overriding_select():
+    script = load_script("parity")
+    (job,) = script.build_jobs(["select-near-eval"], [0], None, None)
+    run, *later = job["ops"]
+    assert run == ["run", "--run-id", script.RUN_ID, *script.SEGMENT_RUN, "--task-seed", "0", "--init-seed", "0"]
+    assert later == [["select", script.RUN_ID, "--max-dist", "1.5", "--ratio", "20"], *script.EVAL_OPS]
+
+
 def test_parity_schedule_recipes_train_with_their_settings(tmp_path):
     script = load_script("parity")
     src = SCRIPTS.parent / "src"
