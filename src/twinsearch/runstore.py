@@ -26,8 +26,8 @@ with no ``records.json`` raises ``RunNotFoundError``; a malformed one
 raises ``RunStoreError`` as ``<path>: line <N>: <detail>``. The manifest,
 ``matrices.json`` and ``selection.json`` are checked for the fields read
 from them (``<path>: <detail>``), and the stored pick for a cell inside the
-grid that carries its region's label. A run id must name one directory
-inside the store root.
+grid that carries its region's label (not the mask's -1). A run id must
+name one directory inside the store root.
 
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
@@ -267,7 +267,7 @@ class RunStore:
 
     def load_selection(self, run_id: str):
         """The stored twin pick's cell and region id, and the region label of every cell;
-        the cell must lie in the grid and carry its region's label."""
+        the cell must lie in the grid and carry its region's label, which is no mask."""
         path, d, arrays = self._load_artifact(run_id, "selection.json", {"labels": "int64"}, ("selection",))
         sel = d["selection"]
         cell = sel.get("cell") if type(sel) is dict else None
@@ -278,7 +278,7 @@ class RunStore:
         labels = arrays["labels"]
         if not (0 <= row < labels.shape[0] and 0 <= col < labels.shape[1]):
             raise RunStoreError(f"{path}: selected cell ({row}, {col}) outside grid of shape {labels.shape}")
-        if labels[row, col] != region_id:
+        if region_id < 0 or labels[row, col] != region_id:  # -1 labels a masked cell
             raise RunStoreError(f"{path}: selected cell ({row}, {col}) is not in region {region_id}")
         return GridCell(row, col), region_id, labels
 

@@ -494,10 +494,13 @@ class TestBaselineAndEval:
         assert artifact(tmp_path, "r", "baselines.json").read_bytes() == stored
 
 
-def moved(doc, **cell):
-    """``selection.json``'s ``doc`` with the picked cell's fields replaced by ``cell``."""
-    sel = doc["selection"]
-    return {**doc, "selection": {**sel, "cell": {**sel["cell"], **cell}}}
+def moved(doc, region_id=None, **cell):
+    """``selection.json``'s ``doc`` with the picked cell's fields replaced by ``cell``, and
+    its region id by ``region_id`` if given."""
+    sel = {**doc["selection"], "cell": {**doc["selection"]["cell"], **cell}}
+    if region_id is not None:
+        sel["region_id"] = region_id
+    return {**doc, "selection": sel}
 
 
 class TestPlot:
@@ -534,7 +537,9 @@ class TestPlot:
             ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "region_id": "1"}}),
             ("selection.json", lambda doc: moved(doc, row=doc["shape"][0])),
             ("selection.json", lambda doc: moved(doc, row=-1)),
-            ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "region_id": 1 + doc["selection"]["region_id"]}}),
+            ("selection.json", lambda doc: moved(doc, region_id=1 + doc["selection"]["region_id"])),
+            # a masked cell, labelled -1, is in no region
+            ("selection.json", lambda doc: {**moved(doc, region_id=-1, row=0, col=0), "labels": [-1, *doc["labels"][1:]]}),
             ("selection.json", lambda doc: {k: v for k, v in doc.items() if k != "labels"}),
             ("selection.json", lambda doc: {**doc, "labels": doc["labels"][:-1]}),
             ("selection.json", lambda doc: {**doc, "shape": [5]}),
@@ -549,7 +554,8 @@ class TestPlot:
         ],
         ids=[
             "selection-no-cell", "selection-no-col", "selection-region-string",
-            "selection-row-past-grid", "selection-row-negative", "selection-off-region", "selection-no-labels",
+            "selection-row-past-grid", "selection-row-negative", "selection-off-region", "selection-masked-cell",
+            "selection-no-labels",
             "selection-short-labels", "selection-one-axis", "selection-not-the-grid", "selection-array",
             "selection-truncated",
             "matrices-no-psi", "matrices-long-theta", "matrices-bad-float", "matrices-string-axis",
