@@ -4,15 +4,16 @@
 Runs a fixed set of CLI recipes, for each seed, once with the ``twinsearch``
 package from ``SRC_A`` and once with the one from ``SRC_B``, and compares
 every file of the resulting run directories byte for byte: manifest, trial
-lines, decision log, records, matrices, selection, baselines and eval
-report.
+lines, decision log, records, matrices, selection, baselines, eval report
+and, for the ``fifo-plot`` recipe, the SVG of every ``plot`` target.
 
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
     python3 scripts/parity.py OLD/src NEW/src --expect-changed selection.json,eval_report.json
     python3 scripts/parity.py OLD/src NEW/src --json parity.json
 
-Each tree runs in one fresh Python process. ``--expect-changed`` names
+Each tree runs in one fresh Python process, which works in each job's store
+directory, so a relative ``plot --out`` lands in it. ``--expect-changed`` names
 files, by their path inside the run directory, that a change to the package
 is meant to alter: they may differ or exist on one side only, and each one
 that does is printed per recipe and seed, with where it first differs: the
@@ -43,10 +44,16 @@ EVAL_OPS = [
 ]
 
 SEGMENT_RUN = ["--n-lr", "16", "--n-wd", "16", "--epochs", "6"]
+# every plot target, drawn into the run directory (relative to the job's store)
+PLOT_OPS = [
+    ["plot", RUN_ID, "--target", target, "--out", f"{RUN_ID}/{target}.svg"]
+    for target in ("psi", "theta", "labels", "norm-vs-test")
+]
 
 # name -> (flags of the run command, commands after it)
 RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     "fifo-grid": ([], EVAL_OPS),
+    "fifo-plot": ([], [*EVAL_OPS, *PLOT_OPS]),
     "hb-valfree": (
         ["--n-lr", "30", "--n-wd", "30", "--scheduler", "hb", "--stop-fraction", "0.25",
          "--n-val", "0", "--n-test", "0"],
@@ -96,13 +103,15 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
 
 # Runs every job's commands against its own store; prints one JSON line.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from twinsearch.cli import main
 
 failures = []
 for job in spec["jobs"]:
+    os.makedirs(job["store"], exist_ok=True)
+    os.chdir(job["store"])
     for argv in job["ops"]:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -6,7 +6,9 @@ from logged trials; the only command that takes segmentation parameters,
 and with grid slicing it prints a sub-grid's pick without storing it),
 ``baseline`` (SelTS/SelVS/Oracle picks), ``eval`` (method-vs-oracle report
 of the twin pick stored by the last ``run`` or whole-grid ``select``),
-``plot`` (SVG figures of that pick). Exit codes:
+``plot`` (SVG figures of that pick). Every command but ``run`` builds the
+grid surfaces from the run's ``records.json``; none reads ``matrices.json``.
+Exit codes:
 0 success, 1 usage error, 2 pipeline failure (all trials diverged,
 incomplete or missing artifacts), 3 storage failure.
 
@@ -277,7 +279,7 @@ def _cmd_eval(args) -> int:
 def _cmd_plot(args) -> int:
     store = _store(args)
     manifest, records, grid = _load_complete_run(store, args.run_id)
-    mats = store.load_matrices(args.run_id)
+    mats = assemble(records.values(), grid)
     cell, region, labels = store.load_selection(args.run_id)
 
     if args.target in ("psi", "theta"):

@@ -57,18 +57,11 @@ class HyperGrid:
 
     lr_values: tuple[float, ...]
     wd_values: tuple[float, ...]
-    lr_bounds: tuple[float, float]
-    wd_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        for values, bounds, axis in (
-            (self.lr_values, self.lr_bounds, "lr"),
-            (self.wd_values, self.wd_bounds, "wd"),
-        ):
+        for values, axis in ((self.lr_values, "lr"), (self.wd_values, "wd")):
             if len(values) < 2:
                 raise ValueError(f"{axis} axis needs at least 2 points")
-            if values[0] != bounds[0] or values[-1] != bounds[1]:
-                raise ValueError(f"{axis} endpoints must equal declared bounds")
             _check_log_spacing(values, axis)
 
     @property
@@ -96,12 +89,7 @@ class HyperGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperGrid":
-        return cls(
-            lr_values=tuple(d["lr_values"]),
-            wd_values=tuple(d["wd_values"]),
-            lr_bounds=tuple(d["lr_bounds"]),
-            wd_bounds=tuple(d["wd_bounds"]),
-        )
+        return cls(lr_values=tuple(d["lr_values"]), wd_values=tuple(d["wd_values"]))
 
 
 def build_log_grid(
@@ -129,8 +117,6 @@ def build_log_grid(
     return HyperGrid(
         lr_values=_log_spaced(lr_low, lr_high, n_lr),
         wd_values=_log_spaced(wd_low, wd_high, n_wd),
-        lr_bounds=(lr_low, lr_high),
-        wd_bounds=(wd_low, wd_high),
     )
 
 
@@ -146,12 +132,7 @@ def slice_grid(grid: HyperGrid, lr_stride: int, wd_stride: int) -> HyperGrid:
         raise ValueError(f"lr_stride {lr_stride} leaves fewer than 2 grid points")
     if len(wd_values) < 2:
         raise ValueError(f"wd_stride {wd_stride} leaves fewer than 2 grid points")
-    return HyperGrid(
-        lr_values=lr_values,
-        wd_values=wd_values,
-        lr_bounds=(lr_values[0], lr_values[-1]),
-        wd_bounds=(wd_values[0], wd_values[-1]),
-    )
+    return HyperGrid(lr_values=lr_values, wd_values=wd_values)
 
 
 def cell_params(grid: HyperGrid, cell: GridCell) -> tuple[float, float]:

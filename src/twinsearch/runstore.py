@@ -3,11 +3,12 @@
 Directory layout:
 
     runs/<run_id>/
-        manifest.json        grid, scheduler policy, trainer/arch/task specs, seeds
+        manifest.json        grid values, scheduler policy, trainer/arch/task specs
         records.json         every trial's record: the one stored record of the trials
         trials/<row>_<col>.jsonl   export: one line per epoch, in epoch order
         decisions.jsonl      export: scheduler decision log (rung outcomes + terminal stops)
-        matrices.json        psi/theta/masks/epochs_run, row-major (written by run only)
+        matrices.json        export: psi/theta/valid_mask/epochs_run, row-major (written by
+                             run only; no command reads it; kept for the benchmark's check)
         selection.json       the twin pick with full provenance (written by run and select;
                              the one record of the pick, which eval and plot read)
         baselines.json       baseline picks (written by the baseline command)
@@ -23,11 +24,12 @@ trial files.
 
 Faults are errors, since nothing else stands in for a stored record: a run
 with no ``records.json`` raises ``RunNotFoundError``; a malformed one
-raises ``RunStoreError`` as ``<path>: line <N>: <detail>``. The manifest,
-``matrices.json`` and ``selection.json`` are checked for the fields read
-from them (``<path>: <detail>``), and the stored pick for a cell inside the
-grid that carries its region's label (not the mask's -1). A run id must
-name one directory inside the store root.
+raises ``RunStoreError`` as ``<path>: line <N>: <detail>``. The manifest
+and ``selection.json`` are checked for the fields read from them (``<path>:
+<detail>``; keys no command reads are ignored), the stored labels for JSON
+integers of at least -1, and the stored pick for a cell inside the grid that
+carries its region's label (not the mask's -1). A run id must name one
+directory inside the store root.
 
 Plain JSON cannot carry non-finite floats, so they are encoded as the
 strings "NaN"/"Inf"/"-Inf". Field order is fixed and floats use Python's
@@ -79,7 +81,7 @@ _INF_TEXT = {math.inf: "Inf", -math.inf: "-Inf"}
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
 # the manifest objects the loaders read: the class that checks each, and the fields read from it
 _MANIFEST_FIELDS = {
-    "grid": (HyperGrid, ("lr_values", "wd_values", "lr_bounds", "wd_bounds")),
+    "grid": (HyperGrid, ("lr_values", "wd_values")),
     "scheduler": (SchedulerPolicy, ("kind", "epoch_budget")),
 }
 
@@ -145,6 +147,8 @@ def _decode_float(value):
         if value == "-Inf":
             return -math.inf
         raise RunStoreError(f"not a float encoding: {value!r}")
+    if type(value) is bool:
+        raise RunStoreError("not a float encoding: a JSON boolean")
     try:
         return float(value)
     except OverflowError:
@@ -234,19 +238,20 @@ class RunStore:
                 fh.write(encode_json(d, line=True) + "\n")
             fh.flush()
 
-    def write_matrices(self, run_id: str, matrices, grid: HyperGrid, outlier_mask) -> None:
+    def write_matrices(self, run_id: str, matrices) -> None:
         payload = {
-            "shape": list(grid.shape),
+            "shape": list(matrices.psi.shape),
             "layout": "row-major",
             "psi": matrices.psi.ravel().tolist(),
             "theta": matrices.theta.ravel().tolist(),
             "valid_mask": matrices.valid_mask.ravel().tolist(),
             "epochs_run": matrices.epochs_run.ravel().tolist(),
-            "outlier_mask": outlier_mask.ravel().tolist(),
         }
         self._write_text(self.run_dir(run_id) / "matrices.json", encode_json(payload) + "\n")
 
     def load_matrices(self, run_id: str):
+        """``matrices.json`` as ``LogMatrices``. No command calls it: the benchmark's tracer
+        binds it by name, and it goes when the tracer stops doing so."""
         from .matrices import LogMatrices
 
         dtypes = {"psi": float, "theta": float, "valid_mask": bool, "epochs_run": "int64"}
@@ -259,15 +264,15 @@ class RunStore:
             "quickshift_params": artifacts.params.to_dict(),
             "region_means": artifacts.region_means.tolist(),
             "labels": artifacts.segments.labels.ravel().tolist(),
-            "outlier_mask": artifacts.outlier_mask.ravel().tolist(),
             "shape": list(artifacts.segments.labels.shape),
             "layout": "row-major",
         }
         self._write_text(self.run_dir(run_id) / "selection.json", encode_json(payload) + "\n")
 
     def load_selection(self, run_id: str):
-        """The stored twin pick's cell and region id, and the region label of every cell;
-        the cell must lie in the grid and carry its region's label, which is no mask."""
+        """The stored twin pick's cell and region id, and the region label of every cell
+        (-1 for a masked cell); the cell must lie in the grid and carry its region's label,
+        which is no mask."""
         path, d, arrays = self._load_artifact(run_id, "selection.json", {"labels": "int64"}, ("selection",))
         sel = d["selection"]
         cell = sel.get("cell") if type(sel) is dict else None
@@ -276,6 +281,8 @@ class RunStore:
             raise RunStoreError(f"{path}: 'selection' needs integer cell 'row', 'col' and 'region_id'")
         row, col, region_id = fields
         labels = arrays["labels"]
+        if labels.min() < -1:
+            raise RunStoreError(f"{path}: 'labels' holds a value below -1")
         if not (0 <= row < labels.shape[0] and 0 <= col < labels.shape[1]):
             raise RunStoreError(f"{path}: selected cell ({row}, {col}) outside grid of shape {labels.shape}")
         if region_id < 0 or labels[row, col] != region_id:  # -1 labels a masked cell
@@ -314,8 +321,10 @@ class RunStore:
             try:
                 if dtype is float:
                     values = [_decode_float(v) for v in values]
+                elif dtype == "int64" and not {int} >= set(map(type, values)):  # a bool is no int
+                    raise RunStoreError("holds a value that is not a JSON integer")
                 arrays[key] = np.array(values, dtype=dtype).reshape(shape)
-            except (RunStoreError, TypeError, ValueError) as exc:
+            except (RunStoreError, TypeError, ValueError, OverflowError) as exc:
                 raise RunStoreError(f"{path}: {key!r}: {exc}") from None
         return path, d, arrays
 

@@ -21,13 +21,15 @@ a trial's file is written once, whole and with its metrics, in the round
 the trial ends. The trial files and the decision log are exports that no
 command reads: ``run_and_store`` writes every record the search returns to
 ``records.json`` after the search, and commands read only that. It then
-writes the run's matrices (no other command writes ``matrices.json``) and
-its twin pick at ``default_params(grid)`` to ``selection.json``, the one
-record of the pick: ``select`` may replace it, and ``eval`` and ``plot`` read
-it.
+writes the run's matrices to ``matrices.json``, an export that no command
+reads, and its twin pick at ``default_params(grid)`` to ``selection.json``,
+the one record of the pick: ``select`` may replace it, and ``eval`` and
+``plot`` read it.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 from .grid import GridCell, HyperGrid, cell_params, slice_grid
 from .matrices import assemble, metric_window
@@ -126,30 +128,24 @@ def run_and_store(
     config: TrainerConfig,
 ) -> TwinArtifacts:
     """Full pipeline with persistence: manifest, trial files and decisions (exports),
-    ``records.json`` (what later commands load), matrices, selection.
+    ``records.json`` (what later commands load), matrices (an export), selection.
 
     The pick uses ``default_params(grid)``; ``twinsearch select`` re-selects
     with other segmentation parameters and replaces ``selection.json`` only:
-    the matrices, outlier mask included, do not depend on them.
+    the matrices do not depend on them.
     """
     manifest = {
         "grid": grid.to_dict(),
         "scheduler": policy.to_dict(),
         "task": task_spec.to_dict(),
         "arch": arch.to_dict(),
-        "trainer": {
-            "momentum": config.momentum,
-            "epochs": policy.epoch_budget,
-            "batch_size": config.batch_size,
-            "lr_schedule": config.lr_schedule,
-        },
-        "seeds": {"init_seed": config.init_seed, "task_seed": task_spec.seed},
+        "trainer": asdict(config),
     }
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
     write_records(store, run_id, records.values())
     mats = assemble(records.values(), grid)
     artifacts = twin_pipeline(mats, grid, default_params(grid))
-    store.write_matrices(run_id, mats, grid, artifacts.outlier_mask)
+    store.write_matrices(run_id, mats)
     store.write_selection(run_id, artifacts)
     return artifacts

@@ -3,10 +3,11 @@
 The twin selector never sees validation or test metrics: it filters and
 normalizes the train-loss surface, segments it, takes the region with the
 highest mean (best fitting), and returns that region's lowest-norm cell.
-``TwinArtifacts`` keeps the pick, the outlier mask and the segmentation,
-which the stored matrices and selection record; the normalized surface is
-not kept. SelTS/SelVS/Oracle are the comparison baselines; ``evaluate``
-scores any method's picks against the Oracle's across configurations.
+``TwinArtifacts`` keeps the pick and the segmentation, which the stored
+selection records; the segmentation labels every masked cell -1, so neither
+the outlier mask nor the normalized surface is kept. SelTS/SelVS/Oracle are
+the comparison baselines; ``evaluate`` scores any method's picks against the
+Oracle's across configurations.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class TwinArtifacts:
     """Selection plus what the stored artifacts record of how it was made."""
 
     selection: Selection
-    outlier_mask: np.ndarray  # True = excluded from segmentation (z-score outlier or invalid)
     segments: SegmentLabels
     region_means: np.ndarray
     params: QuickshiftParams
@@ -115,7 +115,6 @@ def twin_pipeline(
     )
     return TwinArtifacts(
         selection=selection,
-        outlier_mask=outliers,
         segments=segments,
         region_means=means,
         params=params,

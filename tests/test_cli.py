@@ -214,7 +214,7 @@ class TestSelect:
         grid = build_log_grid(1e-4, 1e-2, 3, 1e-4, 1e-2, 3)
         store.create_run(
             "ext",
-            {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 2).to_dict(), "task": "external", "seeds": {}},
+            {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 2).to_dict(), "task": "external"},
         )
         losses = [[0.9, 0.5, 0.4], [0.8, 0.2, 0.1], [0.9, 0.6, 0.5]]
         norms = [[3.0, 2.5, 2.0], [2.8, 2.2, 1.8], [3.1, 2.6, 2.1]]
@@ -239,7 +239,7 @@ class TestSelect:
         grid = build_log_grid(1e-4, 1e-2, 2, 1e-4, 1e-2, 2)
         store.create_run(
             "partial",
-            {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 5).to_dict(), "task": "external", "seeds": {}},
+            {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 5).to_dict(), "task": "external"},
         )
         write_records(store, "partial", [TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)])])
         assert run_cli(tmp_path, "select", "partial") == 2
@@ -344,7 +344,7 @@ class TestSelect:
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", "4")),
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", True)),
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", 1.5)),
-            ("manifest.json", lambda text: with_field(text, "grid", "lr_bounds", [])),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [1e-3] * 5)),
             (
                 "manifest.json",
                 lambda text: with_field(with_field(text, "scheduler", "kind", "hb"), "scheduler", "stop_fraction", True),
@@ -355,7 +355,7 @@ class TestSelect:
             "grid-empty", "scheduler-empty", "scheduler-no-budget",
             "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
             "budget-bool", "budget-fraction",
-            "lr-bounds-empty", "hb-stop-fraction-bool",
+            "lr-values-flat", "hb-stop-fraction-bool",
         ],
     )
     def test_malformed_manifest_is_a_storage_error(self, tmp_path, capsys, name, fault):
@@ -404,7 +404,7 @@ class TestSelect:
         assert {name: artifact(tmp_path, "r", name).read_bytes() for name in names} == stored
 
     def test_whole_grid_select_writes_only_the_pick(self, tmp_path):
-        # the matrices, outlier mask included, do not depend on the segmentation parameters
+        # the matrices do not depend on the segmentation parameters
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         artifact(tmp_path, "r", "matrices.json").unlink()
         assert run_cli(tmp_path, "select", "r", "--ratio", "20") == 0
@@ -530,55 +530,72 @@ class TestPlot:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     @pytest.mark.parametrize(
-        "name, fault",
+        "fault",
         [
-            ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "cell": None}}),
-            ("selection.json", lambda doc: {**doc, "selection": {"cell": {"row": 0}}}),
-            ("selection.json", lambda doc: {**doc, "selection": {**doc["selection"], "region_id": "1"}}),
-            ("selection.json", lambda doc: moved(doc, row=doc["shape"][0])),
-            ("selection.json", lambda doc: moved(doc, row=-1)),
-            ("selection.json", lambda doc: moved(doc, region_id=1 + doc["selection"]["region_id"])),
+            lambda doc: {**doc, "selection": {**doc["selection"], "cell": None}},
+            lambda doc: {**doc, "selection": {"cell": {"row": 0}}},
+            lambda doc: {**doc, "selection": {**doc["selection"], "region_id": "1"}},
+            lambda doc: moved(doc, row=doc["shape"][0]),
+            lambda doc: moved(doc, row=-1),
+            lambda doc: moved(doc, region_id=1 + doc["selection"]["region_id"]),
             # a masked cell, labelled -1, is in no region
-            ("selection.json", lambda doc: {**moved(doc, region_id=-1, row=0, col=0), "labels": [-1, *doc["labels"][1:]]}),
-            ("selection.json", lambda doc: {k: v for k, v in doc.items() if k != "labels"}),
-            ("selection.json", lambda doc: {**doc, "labels": doc["labels"][:-1]}),
-            ("selection.json", lambda doc: {**doc, "shape": [5]}),
-            ("selection.json", lambda doc: {**doc, "shape": [1, 25]}),
-            ("selection.json", lambda doc: [doc]),
-            ("selection.json", None),
-            ("matrices.json", lambda doc: {k: v for k, v in doc.items() if k != "psi"}),
-            ("matrices.json", lambda doc: {**doc, "theta": doc["theta"] + [1.0]}),
-            ("matrices.json", lambda doc: {**doc, "psi": ["x"] * len(doc["psi"])}),
-            ("matrices.json", lambda doc: {**doc, "shape": [5, "5"]}),
-            ("matrices.json", None),
+            lambda doc: {**moved(doc, region_id=-1, row=0, col=0), "labels": [-1, *doc["labels"][1:]]},
+            lambda doc: {k: v for k, v in doc.items() if k != "labels"},
+            lambda doc: {**doc, "labels": doc["labels"][:-1]},
+            # a label must be a JSON integer of at least -1, not a value that casts to one
+            lambda doc: {**doc, "labels": [0.9, *doc["labels"][1:]]},
+            lambda doc: {**doc, "labels": [True, *doc["labels"][1:]]},
+            lambda doc: {**doc, "labels": ["0", *doc["labels"][1:]]},
+            lambda doc: {**doc, "labels": [-2, *doc["labels"][1:]]},
+            lambda doc: {**doc, "labels": [2**63, *doc["labels"][1:]]},
+            lambda doc: {**doc, "shape": [5]},
+            lambda doc: {**doc, "shape": [1, 25]},
+            lambda doc: [doc],
+            None,
         ],
         ids=[
             "selection-no-cell", "selection-no-col", "selection-region-string",
             "selection-row-past-grid", "selection-row-negative", "selection-off-region", "selection-masked-cell",
-            "selection-no-labels",
-            "selection-short-labels", "selection-one-axis", "selection-not-the-grid", "selection-array",
+            "selection-no-labels", "selection-short-labels",
+            "selection-float-label", "selection-bool-label", "selection-string-label",
+            "selection-label-below-mask", "selection-label-past-int64",
+            "selection-one-axis", "selection-not-the-grid", "selection-array",
             "selection-truncated",
-            "matrices-no-psi", "matrices-long-theta", "matrices-bad-float", "matrices-string-axis",
-            "matrices-truncated",
         ],
     )
-    def test_malformed_artifact_is_a_storage_error(self, completed_run, tmp_path, capsys, name, fault):
-        path = artifact(completed_run, "r", name)
+    def test_malformed_artifact_is_a_storage_error(self, completed_run, tmp_path, capsys, fault):
+        path = artifact(completed_run, "r", "selection.json")
         text = path.read_text()
         # None: the file is cut in half, as by a crash while writing it
         path.write_text(text[: len(text) // 2] if fault is None else json.dumps(fault(json.loads(text))))
         out = tmp_path / "x.svg"
-        commands = [["plot", "r", "--target", "labels", "--out", str(out)]]
-        if name == "selection.json":  # eval reads the stored pick too
-            commands.append(["eval", "r", "--allow-test-metrics"])
         capsys.readouterr()
-        for command in commands:
+        for command in (["plot", "r", "--target", "labels", "--out", str(out)], ["eval", "r", "--allow-test-metrics"]):
             assert run_cli(completed_run, *command) == 3
             captured = capsys.readouterr()
             assert captured.err.startswith(f"storage error: {path}: ")
             assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
         assert not artifact(completed_run, "r", "eval_report.json").exists()
+
+    @pytest.mark.parametrize("fault", ["deleted", "truncated"])
+    def test_plot_reads_no_matrices(self, completed_run, tmp_path, fault):
+        # every target is drawn from records.json and the stored pick alone
+        def render():
+            svgs = []
+            for target in ("psi", "theta", "labels", "norm-vs-test"):
+                out = tmp_path / f"{target}.svg"
+                assert run_cli(completed_run, "plot", "r", "--target", target, "--out", str(out)) == 0
+                svgs.append(out.read_bytes())
+            return svgs
+
+        before = render()
+        path = artifact(completed_run, "r", "matrices.json")
+        if fault == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:100])
+        assert render() == before
 
     def test_missing_artifact_exit_2(self, tmp_path):
         assert run_cli(tmp_path, "plot", "ghost", "--target", "psi", "--out", str(tmp_path / "x.svg")) == 2
@@ -636,5 +653,44 @@ def test_commands_read_a_stored_run_from_its_records_alone(tmp_path, scheduler):
             assert run_cli(tmp_path, *command) == 0
         written.append([path.read_bytes() for path in outputs])
         for path in outputs:
+            path.unlink()
+    assert written[0] == written[1]
+
+
+def test_a_run_stored_with_the_older_copies_still_loads(tmp_path):
+    # manifests once also stored the grid bounds, the epoch budget under "trainer" and a
+    # "seeds" object, and selection.json the outlier mask: no command reads those keys, so
+    # a run that holds them gives what a run without them gives
+    assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+    targets = ("psi", "theta", "labels", "norm-vs-test")
+    commands = [["plot", "r", "--target", t, "--out", str(tmp_path / f"{t}.svg")] for t in targets]
+    commands += [
+        ["eval", "r", "--allow-test-metrics"],
+        ["baseline", "r", "--methods", "selts,selvs,oracle", "--allow-test-metrics"],
+        ["select", "r"],  # last: it rewrites the stored pick
+    ]
+    outputs = [tmp_path / f"{t}.svg" for t in targets]
+    outputs += [artifact(tmp_path, "r", name) for name in ("eval_report.json", "baselines.json", "selection.json")]
+    fresh = {name: artifact(tmp_path, "r", name).read_text() for name in ("manifest.json", "selection.json")}
+    written = []
+    for older in (False, True):
+        if older:
+            manifest = json.loads(fresh["manifest.json"])
+            grid, trainer = manifest["grid"], manifest["trainer"]
+            for axis in ("lr", "wd"):
+                grid[f"{axis}_bounds"] = [grid[f"{axis}_values"][0], grid[f"{axis}_values"][-1]]
+            manifest["trainer"] = {
+                "momentum": trainer["momentum"], "epochs": manifest["scheduler"]["epoch_budget"],
+                "batch_size": trainer["batch_size"], "lr_schedule": trainer["lr_schedule"],
+            }
+            manifest["seeds"] = {"init_seed": trainer["init_seed"], "task_seed": manifest["task"]["seed"]}
+            artifact(tmp_path, "r", "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+            selection = json.loads(fresh["selection.json"])
+            selection["outlier_mask"] = [label < 0 for label in selection["labels"]]
+            artifact(tmp_path, "r", "selection.json").write_text(json.dumps(selection, indent=2) + "\n")
+        for command in commands:
+            assert run_cli(tmp_path, *command) == 0
+        written.append([path.read_bytes() for path in outputs])
+        for path in outputs[:-1]:
             path.unlink()
     assert written[0] == written[1]

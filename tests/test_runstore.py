@@ -46,7 +46,7 @@ def store(tmp_path):
 
 
 def manifest_for(grid, policy):
-    return {"grid": grid.to_dict(), "scheduler": policy.to_dict(), "task": "external", "seeds": {}}
+    return {"grid": grid.to_dict(), "scheduler": policy.to_dict(), "task": "external"}
 
 
 def small_grid(n=2):
@@ -267,7 +267,7 @@ class TestLoad:
         _, records = store.load_run("ext")
         mats = assemble(records.values(), grid)
         artifacts = twin_pipeline(mats, grid, default_params(grid))
-        store.write_matrices("ext", mats, grid, artifacts.outlier_mask)
+        store.write_matrices("ext", mats)
         store.write_selection("ext", artifacts)
         assert artifacts.selection.cell in set(grid.cells())
         assert store.load_matrices("ext").valid_mask.all()
@@ -736,9 +736,10 @@ LINE_FAULTS = {
     "float-array": put_epoch_value([], "not a float encoding: a JSON array"),
     "float-object": put_epoch_value({}, "not a float encoding: a JSON object"),
     "overflow-int": put_epoch_value(10**400, "integer of 1329 bits is out of float range"),
+    "float-bool": put_epoch_value(True, "not a float encoding: a JSON boolean"),
 }
 # line faults that need a value in the line's per-epoch columns
-EPOCH_FAULTS = {"float-text", "float-array", "float-object", "overflow-int",
+EPOCH_FAULTS = {"float-text", "float-array", "float-object", "float-bool", "overflow-int",
                 *(f"short-{key}" for key in PER_EPOCH)}
 # faults of the whole file, all reported at line 1: name -> fault(rng, body, crc), which returns
 # the file's new bytes and the detail of the error; ``body`` is the text after the first line

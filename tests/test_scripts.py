@@ -147,19 +147,32 @@ def test_parity_select_near_eval_recipe_evaluates_after_the_overriding_select():
     assert later == [["select", script.RUN_ID, "--max-dist", "1.5", "--ratio", "20"], *script.EVAL_OPS]
 
 
+def test_parity_plot_recipe_compares_the_svg_of_every_target(capsys):
+    script = load_script("parity")
+    src = str(SCRIPTS.parent / "src")
+    argv = [src, src, "--recipes", "fifo-plot", "--seeds", "0", "--grid", "3", "--epochs", "3"]
+    assert script.main(argv) == 0
+    # the 16 files of fifo-grid's run directory and one SVG for each of the four targets
+    assert capsys.readouterr().out.splitlines() == ["fifo-plot seed 0: identical (20 files)"]
+    (job,) = script.build_jobs(["fifo-plot"], [0], None, None)
+    assert job["ops"][1:] == [*script.EVAL_OPS, *script.PLOT_OPS]
+    outs = [op[op.index("--out") + 1] for op in script.PLOT_OPS]
+    assert outs == [f"{script.RUN_ID}/{t}.svg" for t in ("psi", "theta", "labels", "norm-vs-test")]
+
+
 def test_parity_schedule_recipes_train_with_their_settings(tmp_path):
     script = load_script("parity")
     src = SCRIPTS.parent / "src"
     jobs = script.build_jobs(["fifo-piecewise", "fifo-constant"], [0], 3, 4)
     assert script.run_tree(src, tmp_path, jobs) == []
-    trainers = [
-        json.loads((tmp_path / job["store"] / script.RUN_ID / "manifest.json").read_text())["trainer"]
-        for job in jobs
+    manifests = [
+        json.loads((tmp_path / job["store"] / script.RUN_ID / "manifest.json").read_text()) for job in jobs
     ]
-    assert trainers == [
-        {"momentum": 0.9, "epochs": 4, "batch_size": 32, "lr_schedule": "piecewise"},
-        {"momentum": 0.5, "epochs": 4, "batch_size": 16, "lr_schedule": "constant"},
+    assert [m["trainer"] for m in manifests] == [
+        {"momentum": 0.9, "batch_size": 32, "lr_schedule": "piecewise", "init_seed": 0},
+        {"momentum": 0.5, "batch_size": 16, "lr_schedule": "constant", "init_seed": 0},
     ]
+    assert [m["scheduler"]["epoch_budget"] for m in manifests] == [4, 4]
     for job in jobs:
         assert (tmp_path / job["store"] / script.RUN_ID / "eval_report.json").is_file()
 
