@@ -94,6 +94,12 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     "select-ratio20": (SEGMENT_RUN, [["select", RUN_ID, "--ratio", "20"]]),
     "select-near": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "1.5", "--ratio", "20"]]),
     "select-maxdist-inf": (SEGMENT_RUN, [["select", RUN_ID, "--max-dist", "inf"]]),
+    # Grid rows of 80 cells, wider than Quickshift's 64-cell blocks, so each row is
+    # split in two; re-selected into several regions, so linking is compared too.
+    "select-wide-rows": (
+        ["--n-lr", "80", "--n-wd", "3", "--epochs", "6"],
+        [["select", RUN_ID, "--max-dist", "3", "--ratio", "20"]],
+    ),
     # The one recipe that evaluates after an overriding select, so it compares
     # the report of the pick that select stored, not of the one run made.
     "select-near-eval": (

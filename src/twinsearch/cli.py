@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
     p_sel.add_argument("run_id")
     p_sel.add_argument("--kernel-size", type=float, default=None)
     p_sel.add_argument("--max-dist", type=float, default=None)
-    p_sel.add_argument("--ratio", type=float, default=1.0)
+    p_sel.add_argument("--ratio", type=float, default=None)
     p_sel.add_argument("--lr-stride", type=int, default=1)
     p_sel.add_argument("--wd-stride", type=int, default=1)
 
@@ -203,7 +203,7 @@ def _cmd_select(args) -> int:
         params = QuickshiftParams(
             kernel_size=base.kernel_size if args.kernel_size is None else args.kernel_size,
             max_dist=base.max_dist if args.max_dist is None else args.max_dist,
-            ratio=args.ratio,
+            ratio=base.ratio if args.ratio is None else args.ratio,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

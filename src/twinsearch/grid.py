@@ -89,7 +89,12 @@ class HyperGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperGrid":
-        return cls(lr_values=tuple(d["lr_values"]), wd_values=tuple(d["wd_values"]))
+        """The grid of ``to_dict``'s JSON; every value must be a JSON number (a boolean is not)."""
+        lr_values, wd_values = tuple(d["lr_values"]), tuple(d["wd_values"])
+        for values, axis in ((lr_values, "lr"), (wd_values, "wd")):
+            if not {int, float} >= set(map(type, values)):
+                raise ValueError(f"{axis} values must be numbers")
+        return cls(lr_values=lr_values, wd_values=wd_values)
 
 
 def build_log_grid(

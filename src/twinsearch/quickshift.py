@@ -6,21 +6,28 @@ summed exactly over every non-masked cell, and a link to its nearest
 higher-density neighbor within ``max_dist``. The resulting forest's trees
 are the regions. Masked cells are invisible throughout, not zero pixels.
 
-The M non-masked cells are walked in flat-index order, ``BLOCK`` (64) at a
-time, so density and linking hold O(BLOCK * M) floats, never an (M, M)
-array: on a 40x40 grid (M = 1,600) each holds two 0.82 MB buffers, where
-one (M, M) array would take 20.5 MB. Squared distances are accumulated axis by axis, (row^2 + value^2)
-+ col^2, for one block against a contiguous slice of cells. Density and
-linking each allocate two flat (BLOCK * M) buffers once and write every
-block's distances into their leading elements, so no block allocates (or
-page-faults in) fresh arrays; the operations and their order are those of
-fresh arrays, and so are the bits:
+The M non-masked cells are walked in flat-index order in blocks of at most
+``BLOCK`` (64) consecutive cells of one grid row, so density and linking hold
+O(BLOCK * M) floats, never an (M, M) array. Each allocates two flat buffers of
+``min(BLOCK, widest row) * M`` floats once and writes every block's distances
+into their leading elements, so no block allocates (or page-faults in) fresh
+arrays: on a 40x40 grid (M = 1,600) that is two 0.51 MB buffers, where one
+(M, M) array would take 20.5 MB. All cells of a block share their row r, so
+the row term (r - r_j)^2 is one length-M vector, added by broadcast. Squared
+distances are summed as (value^2 + row^2) + col^2; IEEE addition is
+commutative, so that has the bits of the (row^2 + value^2) + col^2 of earlier
+releases. The col^2 buffer is kept while the block's and the other cells'
+columns stay the same, as they do along full grid rows. The density kernel
+divides by -(2 * kernel_size^2), which is exactly negating and then dividing.
+A density block takes 7 passes over its (block, M) buffer when col^2 is kept
+(subtract and square the values, add the row vector and col^2, divide, exp,
+sum) and 9 when it is not. The three stages:
 
 - Density sums each block row over all M cells. Every row is the same
   reduction over the same values as a full (M, M) row, so its bits do not
   depend on the blocking.
 - Linking compares a block only with the cells whose grid row lies within
-  ``max_dist`` rows of the block's rows, which in flat order is one
+  ``max_dist`` rows of the block's row, which in flat order is one
   contiguous slice. That window is exact: the augmented distance is never
   smaller than the row difference (also after rounding), so no cell
   outside it can be eligible. Each cell's link is one masked row
@@ -53,7 +60,7 @@ __all__ = [
 ]
 
 DENSITY_TIE_EPS = 1e-12
-BLOCK = 64  # cells per block; density and linking hold O(BLOCK * M) floats
+BLOCK = 64  # cells of one grid row per block; density and linking hold O(BLOCK * M) floats
 
 
 @dataclass(frozen=True)
@@ -108,40 +115,45 @@ def _augmented_coords(values: np.ndarray, mask: np.ndarray, ratio: float) -> tup
     return coords, flat
 
 
-def _sq_dists(
-    coords: np.ndarray, block: slice, others: slice, out: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Squared distances between the cells of ``block`` and those of ``others``.
+def _blocks(rows: np.ndarray) -> list[slice]:
+    """Slices of at most ``BLOCK`` consecutive cells of one grid row, in flat order, covering
+    every cell; ``rows`` holds the cells' grid rows, ascending."""
+    bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
+    return [
+        slice(lo, min(lo + BLOCK, stop))
+        for start, stop in zip(bounds, bounds[1:])
+        for lo in range(start, stop, BLOCK)
+    ]
 
-    Written into the leading elements of the flat buffers ``out`` and
-    ``scratch`` (see ``_buffers``); returns the C-contiguous (block, others)
-    view of ``out``. Summed as (row^2 + value^2) + col^2: that order keeps
-    the densities, and so the labels, bit-identical to those of earlier
-    releases.
+
+def _sq_dists(coords: np.ndarray, pairs: list[tuple[slice, slice]]):
+    """Squared distances between the cells of ``block`` and those of ``others``, for each
+    ``(block, others)`` of ``pairs``: yields the block, the others and the C-contiguous
+    (block, others) view of one flat buffer, which the next pair overwrites.
+
+    Summed as (value^2 + row^2) + col^2, in two flat buffers of ``2 * widest block * M``
+    floats allocated once; the col^2 buffer is kept while the columns stay the same.
     """
-    a, b = coords[:, block], coords[:, others]
-    shape = (a.shape[1], b.shape[1])
-    size = shape[0] * shape[1]
-    sq = out[:size].reshape(shape)
-    diff = scratch[:size].reshape(shape)
-    np.subtract.outer(a[0], b[0], out=sq)
-    sq *= sq
-    for axis in (2, 1):
-        np.subtract.outer(a[axis], b[axis], out=diff)
-        diff *= diff
-        sq += diff
-    return sq
-
-
-def _buffers(n: int) -> np.ndarray:
-    """The two flat (BLOCK * n) buffers ``_sq_dists`` writes into, for n cells."""
-    return np.empty((2, min(BLOCK, n) * n))
-
-
-def _blocks(n: int):
-    """Consecutive slices of at most ``BLOCK`` cells covering ``range(n)``."""
-    for start in range(0, n, BLOCK):
-        yield slice(start, min(start + BLOCK, n))
+    width = max((block.stop - block.start for block, _ in pairs), default=0)
+    out, col_buf = np.empty((2, width * coords.shape[1]))
+    held = None  # the (block, others) columns whose squared differences col_buf holds
+    for block, others in pairs:
+        a, b = coords[:, block], coords[:, others]
+        shape = (a.shape[1], b.shape[1])
+        size = shape[0] * shape[1]
+        sq = out[:size].reshape(shape)
+        col_sq = col_buf[:size].reshape(shape)
+        if held is None or not (np.array_equal(a[1], held[0]) and np.array_equal(b[1], held[1])):
+            np.subtract.outer(a[1], b[1], out=col_sq)
+            col_sq *= col_sq
+            held = a[1], b[1]
+        np.subtract.outer(a[2], b[2], out=sq)
+        sq *= sq
+        row_sq = a[0, 0] - b[0]  # every cell of the block lies in grid row a[0, 0]
+        row_sq *= row_sq
+        sq += row_sq
+        sq += col_sq
+        yield block, others, sq
 
 
 def compute_density(
@@ -155,11 +167,9 @@ def compute_density(
     density = np.full(values.shape, np.nan)
     coords, flat = _augmented_coords(values, mask, ratio)
     d = np.empty(len(flat))
-    out, scratch = _buffers(len(flat))
-    for block in _blocks(len(flat)):
-        kernel = _sq_dists(coords, block, slice(None), out, scratch)
-        np.negative(kernel, out=kernel)
-        kernel /= 2.0 * kernel_size**2
+    pairs = [(block, slice(None)) for block in _blocks(coords[0])]
+    for block, _, kernel in _sq_dists(coords, pairs):
+        np.divide(kernel, -(2.0 * kernel_size**2), out=kernel)
         np.exp(kernel, out=kernel)
         d[block] = kernel.sum(axis=1)
     d += DENSITY_TIE_EPS * flat
@@ -193,19 +203,21 @@ def link_parents(
     # int(max_dist) rows away is eligible
     reach = n_rows if max_dist >= n_rows else int(max_dist)
     links = np.empty(len(flat), dtype=np.int64)
-    out, scratch = _buffers(len(flat))
-    for block in _blocks(len(flat)):
-        lo = np.searchsorted(rows, rows[block.start] - reach, side="left")
-        hi = np.searchsorted(rows, rows[block.stop - 1] + reach, side="right")
-        dist = _sq_dists(coords, block, slice(lo, hi), out, scratch)
+    pairs = [
+        (block, slice(
+            np.searchsorted(rows, rows[block.start] - reach, side="left"),
+            np.searchsorted(rows, rows[block.start] + reach, side="right"),
+        ))
+        for block in _blocks(rows)
+    ]
+    for block, window, dist in _sq_dists(coords, pairs):
         np.sqrt(dist, out=dist)
-        # strictly denser, so a cell is never its own candidate
-        eligible = (d[None, lo:hi] > d[block, None]) & (dist <= max_dist)
-        dist[~eligible] = np.inf
+        # only strictly denser cells are eligible, so a cell is never its own candidate
+        np.putmask(dist, (d[None, window] <= d[block, None]) | (dist > max_dist), np.inf)
         # argmin returns the first minimum; candidates are flat-ascending
         nearest = dist.argmin(axis=1)
         linked = np.isfinite(dist[np.arange(len(nearest)), nearest])
-        links[block] = np.where(linked, flat[lo + nearest], flat[block])
+        links[block] = np.where(linked, flat[window.start + nearest], flat[block])
     parent[cells] = links
     return parent
 

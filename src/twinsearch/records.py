@@ -17,7 +17,11 @@ are numbered 0, 1, ... on load, so ``write_records`` refuses a record whose
 epochs are not, or whose status is unknown.
 
 The loader checks the body CRC first, then reads one line at a time, so
-that no copy of the whole file is held. Any fault raises ``RunStoreError``
+that no copy of the whole file is held. A per-epoch column whose values
+``json.loads`` returns as floats and nulls only is used as it is; any other
+goes through runstore's ``_decode_float`` value by value, which turns an
+integer into a float and ``"NaN"``, ``"Inf"`` and ``"-Inf"`` into the
+non-finite floats, and refuses the rest. Any fault raises ``RunStoreError``
 as ``<path>: line <N>: <detail>``: a first line that is not a format 2
 header, a body that does not match its CRC, a line that is not JSON, not
 an object or lacks an array, an unknown status, a row, col or epoch count
@@ -45,6 +49,8 @@ _PER_EPOCH = ("train_loss", "param_norm", "val_acc", "test_acc")
 # the epochs a line holds, unless one record has more: at ~80 bytes each its text stays below
 # glibc's 128 KiB mmap threshold, so reading a line does not raise that threshold for the process
 _LINE_EPOCHS = 1024
+# the value types of a per-epoch column that json.loads has already decoded as _decode_float would
+_DECODED = {float, type(None)}
 # EpochLog(*fields) without its Python-level __new__
 _tuple_new = tuple.__new__
 
@@ -102,7 +108,8 @@ def _read_line(line: bytes, shape: tuple[int, int], records: dict[GridCell, Tria
     for k, key in enumerate(_PER_EPOCH):
         if type(columns[k]) is not list or len(columns[k]) != sum(runs):
             raise RunStoreError(f"{key!r} is not an array of one value per epoch")
-        columns[k] = map(_decode_float, columns[k])
+        if not _DECODED >= set(map(type, columns[k])):
+            columns[k] = map(_decode_float, columns[k])
     epochs = list(map(_tuple_new, repeat(EpochLog), zip(chain.from_iterable(map(range, runs)), *columns)))
     end = 0
     for row, col, status, count in zip(rows, cols, statuses, runs):

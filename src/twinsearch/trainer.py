@@ -404,7 +404,9 @@ class Cohort:
         by ``ndarray.resize``, whose realloc keeps the leading rows and
         returns the tail to the allocator; its reference check refuses an
         array that a view still holds, which is why ``TrialRunner.theta``
-        returns a copy.
+        returns a copy. A Python profile or trace hook holds one more
+        reference to the array during the call, so under one the check always
+        refuses; the members' rows are then copied out instead.
         """
         n = len(live)
         if len(self._theta) == n:
@@ -418,7 +420,10 @@ class Cohort:
                 rows[first + start : first + start + len(src)] = rows[src]
             shape = (n, rows.shape[1])
             del rows  # the reference check counts this name too
-            getattr(self, name).resize(shape)
+            try:
+                getattr(self, name).resize(shape)
+            except ValueError:
+                setattr(self, name, getattr(self, name)[:n].copy())
         for i in range(first, n):
             live[i]._slot = i
 

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import twinsearch
+from twinsearch import cli
 from twinsearch.cli import main
 from twinsearch.grid import GridCell, HyperGrid
 from twinsearch.matrices import build_metric_surfaces
+from twinsearch.quickshift import QuickshiftParams
 from twinsearch.records import write_records
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
@@ -174,6 +176,14 @@ class TestSelect:
         assert run_cli(tmp_path, "select", "r") == 0
         offline = artifact(tmp_path, "r", "selection.json").read_bytes()
         assert online == offline
+
+    def test_a_bare_select_takes_every_parameter_from_default_params(self, tmp_path, monkeypatch):
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+        params = QuickshiftParams(kernel_size=2.0, max_dist=3.0, ratio=20.0)
+        monkeypatch.setattr(cli, "default_params", lambda grid: params)
+        assert run_cli(tmp_path, "select", "r") == 0
+        stored = json.loads(artifact(tmp_path, "r", "selection.json").read_text())
+        assert stored["quickshift_params"] == params.to_dict()
 
     def test_reselect_is_idempotent(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -345,6 +355,8 @@ class TestSelect:
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", True)),
             ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", 1.5)),
             ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [1e-3] * 5)),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [True, 10.0])),
+            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", [0.1, True])),
             (
                 "manifest.json",
                 lambda text: with_field(with_field(text, "scheduler", "kind", "hb"), "scheduler", "stop_fraction", True),
@@ -355,7 +367,7 @@ class TestSelect:
             "grid-empty", "scheduler-empty", "scheduler-no-budget",
             "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
             "budget-bool", "budget-fraction",
-            "lr-values-flat", "hb-stop-fraction-bool",
+            "lr-values-flat", "lr-values-bool", "wd-values-bool", "hb-stop-fraction-bool",
         ],
     )
     def test_malformed_manifest_is_a_storage_error(self, tmp_path, capsys, name, fault):

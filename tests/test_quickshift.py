@@ -375,6 +375,22 @@ class TestFrozenParity:
             values = np.random.default_rng(7).random(shape)
             assert_matches_frozen(values, np.zeros(shape, dtype=bool), 2.0, 3.0, 1.0)
 
+    @pytest.mark.parametrize("max_dist", [1.5, 12.0, math.inf])
+    def test_rows_wider_than_a_block(self, max_dist):
+        # each 150-cell row is split into blocks of 64, 64 and 22 cells
+        rng = np.random.default_rng(9)
+        values = rng.random((4, 150))
+        mask = rng.random((4, 150)) < 0.2
+        assert_matches_frozen(values, mask, 3.0, max_dist, 20.0)
+
+    @pytest.mark.parametrize("max_dist", [1.0, 2.5, math.inf])
+    def test_fully_masked_grid_rows(self, max_dist):
+        rng = np.random.default_rng(10)
+        values = rng.random((12, 30))
+        mask = rng.random((12, 30)) < 0.1
+        mask[[0, 5, 6, 11]] = True  # no cell in the first, last and two middle rows
+        assert_matches_frozen(values, mask, 2.0, max_dist, 20.0)
+
     def test_everything_masked(self):
         values = np.zeros((20, 20))
         mask = np.ones((20, 20), dtype=bool)
@@ -413,3 +429,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("max_dist", [math.sqrt(40), math.inf], ids=["default", "unbounded"])
+    def test_forty_by_forty_holds_two_buffers_of_one_grid_row(self, max_dist):
+        # a block is one 40-cell grid row, so density and linking each hold two buffers of
+        # 40 x 1,600 float64s, plus a few (40, M) boolean masks and O(M) vectors
+        values = np.random.default_rng(8).random((40, 40))
+        mask = np.zeros((40, 40), dtype=bool)
+        density = compute_density(values, mask, math.sqrt(40), 1.0)
+        bound = 2 * 40 * 1600 * 8 + 400_000
+        for stage in (
+            lambda: compute_density(values, mask, math.sqrt(40), 1.0),
+            lambda: link_parents(density, values, mask, max_dist, 1.0),
+        ):
+            tracemalloc.start()
+            try:
+                stage()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound

@@ -506,6 +506,29 @@ class TestRecords:
                 runs.load_run("fifo")
         assert str(info.value).startswith(f"{path}: {detail}")
 
+    @pytest.mark.parametrize(
+        "key, value, decoded",
+        [
+            ("train_loss", 3, 3.0),
+            ("test_acc", 1, 1.0),
+            ("param_norm", "NaN", math.nan),
+            ("train_loss", "Inf", math.inf),
+            ("param_norm", "-Inf", -math.inf),
+            ("val_acc", None, None),
+            ("train_loss", None, None),
+        ],
+        ids=["int-loss", "int-metric", "nan-norm", "inf-loss", "minus-inf-norm", "null-metric", "null-loss"],
+    )
+    def test_a_value_json_does_not_give_as_a_float_or_null_is_decoded(self, runs, key, value, decoded):
+        # a column of floats and nulls only is used as json.loads returns it; any other is decoded
+        path = runs.run_dir("fifo") / "records.json"
+        expected = runs.load_run("fifo")[1]
+        path.write_bytes(edited(**{key: first(value)})(path.read_bytes()))
+        record = next(iter(expected.values()))  # the first record of line 2
+        field = {"val_acc": "val_metric", "test_acc": "test_metric"}.get(key, key)
+        record.epochs[0] = record.epochs[0]._replace(**{field: decoded})
+        assert bits(runs.load_run("fifo")[1]) == bits(expected)
+
     @pytest.mark.parametrize("line_epochs, n_lines", [(4, 16), (20, 6)])
     def test_a_records_file_of_many_lines_loads_the_same_records(self, runs, line_epochs, n_lines, monkeypatch):
         # 16 records of 6 epochs: one record a line when it has more epochs than a line holds

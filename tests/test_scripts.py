@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from twinsearch.quickshift import BLOCK
 from twinsearch.trainer import STACK_SLICE
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -40,6 +41,15 @@ def test_parity_reports_one_tree_identical_to_itself(capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out] == ["fifo-grid seed 0", "hb-valfree seed 0"]
     assert all(": identical (" in line for line in out)
+
+
+def test_parity_compares_a_grid_whose_rows_are_wider_than_a_quickshift_block(capsys):
+    script = load_script("parity")
+    run_flags, _ = script.RECIPES["select-wide-rows"]
+    assert int(run_flags[run_flags.index("--n-lr") + 1]) > BLOCK
+    src = str(SCRIPTS.parent / "src")
+    assert script.main([src, src, "--recipes", "select-wide-rows", "--seeds", "0"]) == 0
+    assert capsys.readouterr().out.startswith("select-wide-rows seed 0: identical (")
 
 
 def test_parity_names_a_changed_and_a_missing_file(tmp_path):

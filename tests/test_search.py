@@ -11,6 +11,7 @@ import dataclasses
 import gc
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from collections import deque
@@ -422,6 +423,25 @@ def test_a_held_theta_does_not_stop_the_shrink():
     cohort = runners[1].cohort
     assert cohort._theta.shape[0] == 3 and not np.shares_memory(held, cohort._theta)
     assert held.tobytes() == before
+
+
+@pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace])
+def test_a_profile_or_trace_hook_does_not_change_an_hb_search(hook):
+    # the hook holds one more reference to each row array, so its in-place resize is refused
+    policy, grid = CASES["hb"]
+    task = TASK_SPEC.make()
+    records = execute_search(grid, policy, task, ARCH, CONFIG)
+    assert any(r.status == STATUS_STOPPED_EARLY for r in records.values())
+    previous = sys.getprofile() if hook is sys.setprofile else sys.gettrace()
+    hook(lambda *args: None)
+    try:
+        hooked = execute_search(grid, policy, task, ARCH, CONFIG)
+    finally:
+        hook(previous)
+    assert list(hooked) == list(records)
+    for cell, record in records.items():
+        assert (hooked[cell].status, hooked[cell].epochs_run) == (record.status, record.epochs_run)
+        assert np.array(hooked[cell].epochs, dtype=float).tobytes() == np.array(record.epochs, dtype=float).tobytes()
 
 
 def test_a_runner_with_nothing_to_score_holds_no_deque():
