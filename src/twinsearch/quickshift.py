@@ -15,10 +15,11 @@ arrays: on a 40x40 grid (M = 1,600) that is two 0.51 MB buffers, where one
 (M, M) array would take 20.5 MB. All cells of a block share their row r, so
 the row term (r - r_j)^2 is one length-M vector, added by broadcast. Squared
 distances are summed as (value^2 + row^2) + col^2; IEEE addition is
-commutative, so that has the bits of the (row^2 + value^2) + col^2 of earlier
-releases. The col^2 buffer is kept while the block's and the other cells'
-columns stay the same, as they do along full grid rows. The density kernel
-divides by -(2 * kernel_size^2), which is exactly negating and then dividing.
+commutative, so that has the bits of (row^2 + value^2) + col^2, the order
+that stored runs were segmented with. The col^2 buffer is kept while the
+block's and the other cells' columns stay the same, as they do along full
+grid rows. The density kernel divides by -(2 * kernel_size^2), which is
+exactly negating and then dividing.
 A density block takes 7 passes over its (block, M) buffer when col^2 is kept
 (subtract and square the values, add the row vector and col^2, divide, exp,
 sum) and 9 when it is not. The three stages:
@@ -131,8 +132,8 @@ def _sq_dists(coords: np.ndarray, pairs: list[tuple[slice, slice]]):
     ``(block, others)`` of ``pairs``: yields the block, the others and the C-contiguous
     (block, others) view of one flat buffer, which the next pair overwrites.
 
-    Summed as (value^2 + row^2) + col^2, in two flat buffers of ``2 * widest block * M``
-    floats allocated once; the col^2 buffer is kept while the columns stay the same.
+    Summed as (value^2 + row^2) + col^2 in two flat buffers of ``widest block * M`` floats,
+    allocated once; the col^2 buffer is kept while the columns stay the same.
     """
     width = max((block.stop - block.start for block, _ in pairs), default=0)
     out, col_buf = np.empty((2, width * coords.shape[1]))
@@ -203,13 +204,11 @@ def link_parents(
     # int(max_dist) rows away is eligible
     reach = n_rows if max_dist >= n_rows else int(max_dist)
     links = np.empty(len(flat), dtype=np.int64)
-    pairs = [
-        (block, slice(
-            np.searchsorted(rows, rows[block.start] - reach, side="left"),
-            np.searchsorted(rows, rows[block.start] + reach, side="right"),
-        ))
-        for block in _blocks(rows)
-    ]
+    blocks = _blocks(rows)
+    block_rows = rows[[block.start for block in blocks]]
+    los = np.searchsorted(rows, block_rows - reach, side="left")
+    his = np.searchsorted(rows, block_rows + reach, side="right")
+    pairs = [(block, slice(lo, hi)) for block, lo, hi in zip(blocks, los, his)]
     for block, window, dist in _sq_dists(coords, pairs):
         np.sqrt(dist, out=dist)
         # only strictly denser cells are eligible, so a cell is never its own candidate
