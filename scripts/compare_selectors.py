@@ -50,8 +50,8 @@ def run_one(seed: int, args) -> tuple[dict, np.ndarray, int]:
     config = TrainerConfig(momentum=args.momentum, batch_size=args.batch_size, init_seed=seed)
     policy = SchedulerPolicy("fifo", args.epochs)
     records = execute_search(grid, policy, task_spec.make(), ArchSpec(tuple(args.hidden)), config)
-    mats = assemble(records.values(), grid)
-    surfaces = build_metric_surfaces(records.values(), grid, "fifo")
+    mats = assemble(records, grid)
+    surfaces = build_metric_surfaces(records, grid, "fifo")
     artifacts = twin_pipeline(mats, grid, default_params(grid))
     selections = {"twin": artifacts.selection}
     for method in (METHOD_SELTS, METHOD_SELVS, METHOD_ORACLE):

@@ -5,7 +5,8 @@ Runs a fixed set of CLI recipes, for each seed, once with the ``twinsearch``
 package from ``SRC_A`` and once with the one from ``SRC_B``, and compares
 every file of the resulting run directories byte for byte: manifest, trial
 lines, decision log, records, matrices, selection, baselines, eval report
-and, for the ``fifo-plot`` recipe, the SVG of every ``plot`` target.
+and, for the ``fifo-plot`` and ``hb-plot`` recipes, the SVG of every ``plot``
+target.
 
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
@@ -65,6 +66,9 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
     ),
     "fifo-diverge": (["--lr-high", "1e6", "--wd-high", "50"], EVAL_OPS),
     "hb-val": (["--scheduler", "hb", "--stop-fraction", "0.25"], EVAL_OPS),
+    # The one recipe that plots an HB run: norm-vs-test summarizes the test metric over
+    # the window of the run's scheduler kind, which is not FIFO's one epoch.
+    "hb-plot": (["--scheduler", "hb", "--stop-fraction", "0.25"], [*EVAL_OPS, *PLOT_OPS]),
     # The only recipe with trials that diverge under HB, some in rung rounds.
     "hb-diverge": (
         ["--lr-high", "1e6", "--wd-high", "50", "--scheduler", "hb", "--stop-fraction", "0.25",

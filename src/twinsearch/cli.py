@@ -6,8 +6,11 @@ from logged trials; the only command that takes segmentation parameters,
 and with grid slicing it prints a sub-grid's pick without storing it),
 ``baseline`` (SelTS/SelVS/Oracle picks), ``eval`` (method-vs-oracle report
 of the twin pick stored by the last ``run`` or whole-grid ``select``),
-``plot`` (SVG figures of that pick). Every command but ``run`` builds the
-grid surfaces from the run's ``records.json``; none reads ``matrices.json``.
+``plot`` (SVG figures of that pick). Every command but ``run`` loads the
+run once (``_load_complete_run``): its grid, scheduler policy and records,
+which must hold a complete record of every cell, one whose status is
+terminal or that ran the whole epoch budget. It builds the grid surfaces
+from those records; none reads ``matrices.json``.
 Exit codes:
 0 success, 1 usage error, 2 pipeline failure (all trials diverged,
 incomplete or missing artifacts), 3 storage failure.
@@ -25,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import HyperGrid, build_log_grid, cell_params
+from .grid import build_log_grid, cell_params
 from .matrices import assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
-from .runstore import RunNotFoundError, RunStore, RunStoreError, resume_plan
+from .runstore import RunNotFoundError, RunStore, RunStoreError
 from .scheduler import SchedulerPolicy
 from .search import run_and_store, slice_records
 from .selector import (
@@ -43,7 +46,7 @@ from .selector import (
 )
 from .svgplot import heatmap_svg, labels_svg, scatter_svg
 from .tasks import TaskSpec
-from .trainer import LR_SCHEDULES, ArchSpec, TrainerConfig
+from .trainer import LR_SCHEDULES, TERMINAL_STATUSES, ArchSpec, TrainerConfig
 
 __all__ = ["main"]
 
@@ -140,14 +143,19 @@ def _store(args) -> RunStore:
 
 
 def _load_complete_run(store: RunStore, run_id: str):
-    manifest, records = store.load_run(run_id)
-    grid = HyperGrid.from_dict(manifest["grid"])
-    pending = resume_plan(manifest, records)
+    """The run's grid, policy and records; each cell needs a record whose status is
+    terminal or that ran the whole epoch budget."""
+    grid, policy, records = store.load_run(run_id)
+    complete = {
+        cell for cell, rec in records.items()
+        if rec.status in TERMINAL_STATUSES or rec.epochs_run >= policy.epoch_budget
+    }
+    pending = [cell for cell in grid.cells() if cell not in complete]
     if pending:
-        cells = ", ".join(f"({c.row}, {c.col})" for c, _ in pending[:10])
+        cells = ", ".join(f"({c.row}, {c.col})" for c in pending[:10])
         more = "" if len(pending) <= 10 else f" and {len(pending) - 10} more"
         raise PipelineError(f"run {run_id!r} has incomplete cells: {cells}{more}")
-    return manifest, records, grid
+    return grid, policy, records
 
 
 def _cmd_run(args) -> int:
@@ -194,7 +202,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_select(args) -> int:
     store = _store(args)
-    _manifest, records, grid = _load_complete_run(store, args.run_id)
+    grid, _policy, records = _load_complete_run(store, args.run_id)
     whole = args.lr_stride == 1 and args.wd_stride == 1
     try:
         if not whole:
@@ -207,7 +215,7 @@ def _cmd_select(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    artifacts = twin_pipeline(assemble(records.values(), grid), grid, params)
+    artifacts = twin_pipeline(assemble(records, grid), grid, params)
     if whole:  # a sub-grid's pick is printed, never stored over the run's own
         store.write_selection(args.run_id, artifacts)
     sel = artifacts.selection
@@ -230,9 +238,9 @@ def _cmd_baseline(args) -> int:
     if METHOD_ORACLE in methods and not args.allow_test_metrics:
         raise UsageError("reading test metrics requires --allow-test-metrics")
     store = _store(args)
-    manifest, records, grid = _load_complete_run(store, args.run_id)
-    mats = assemble(records.values(), grid)
-    surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
+    grid, policy, records = _load_complete_run(store, args.run_id)
+    mats = assemble(records, grid)
+    surfaces = build_metric_surfaces(records, grid, policy.kind)
     selections = [baseline_select(mats, surfaces, m, grid) for m in methods]
     store.write_baselines(args.run_id, selections)
     for sel in selections:
@@ -252,10 +260,10 @@ def _cmd_eval(args) -> int:
     per_config = []
     surfaces_list = []
     for run_id in args.run_ids:
-        manifest, records, grid = _load_complete_run(store, run_id)
-        mats = assemble(records.values(), grid)
-        surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
-        cell = store.load_selection(run_id)[0]
+        grid, policy, records = _load_complete_run(store, run_id)
+        mats = assemble(records, grid)
+        surfaces = build_metric_surfaces(records, grid, policy.kind)
+        cell = store.load_selection(run_id, grid)[0]
         sels = {METHOD_TWIN: Selection(METHOD_TWIN, cell, *cell_params(grid, cell))}
         for m in (METHOD_SELTS, METHOD_SELVS, METHOD_ORACLE):
             try:
@@ -278,9 +286,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_plot(args) -> int:
     store = _store(args)
-    manifest, records, grid = _load_complete_run(store, args.run_id)
-    mats = assemble(records.values(), grid)
-    cell, region, labels = store.load_selection(args.run_id)
+    grid, policy, records = _load_complete_run(store, args.run_id)
+    mats = assemble(records, grid)
+    cell, region, labels = store.load_selection(args.run_id, grid)
 
     if args.target in ("psi", "theta"):
         name = "train loss" if args.target == "psi" else "parameter norm"
@@ -289,7 +297,7 @@ def _cmd_plot(args) -> int:
     elif args.target == "labels":
         svg = labels_svg(labels, grid, f"regions: {args.run_id}", selected=cell)
     else:  # norm-vs-test
-        surfaces = build_metric_surfaces(records.values(), grid, manifest["scheduler"]["kind"])
+        surfaces = build_metric_surfaces(records, grid, policy.kind)
         if not np.any(np.isfinite(surfaces.test_acc)):
             raise PipelineError(f"run {args.run_id!r} has no test metrics to scatter")
         member = labels == region

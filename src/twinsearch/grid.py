@@ -62,6 +62,8 @@ class HyperGrid:
         for values, axis in ((self.lr_values, "lr"), (self.wd_values, "wd")):
             if len(values) < 2:
                 raise ValueError(f"{axis} axis needs at least 2 points")
+            if not all(0 < v < math.inf for v in values):  # NaN fails both
+                raise ValueError(f"{axis} values must be finite and positive")
             _check_log_spacing(values, axis)
 
     @property

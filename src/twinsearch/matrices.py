@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping
 
 import numpy as np
 
@@ -66,39 +66,30 @@ class MetricSurfaces:
     test_acc: np.ndarray
 
 
-def _records_by_cell(records: Iterable[TrialRecord], grid: HyperGrid) -> dict[GridCell, TrialRecord]:
-    expected = set(grid.cells())
-    by_cell: dict[GridCell, TrialRecord] = {}
-    duplicates = []
-    for rec in records:
-        if rec.cell in by_cell:
-            duplicates.append(rec.cell)
-        by_cell[rec.cell] = rec
-    unknown = sorted(set(by_cell) - expected)
-    missing = sorted(expected - set(by_cell))
-    if duplicates:
-        raise ValueError(f"duplicate records for cells {sorted(set(duplicates))}")
-    if unknown:
-        raise ValueError(f"records for cells outside the grid: {unknown}")
-    if missing:
-        raise ValueError(f"missing records for cells {missing}")
-    return by_cell
+def _check_cells(records: Mapping[GridCell, TrialRecord], grid: HyperGrid) -> None:
+    """Refuse ``records`` unless it holds a record for exactly the cells of ``grid``."""
+    cells = set(grid.cells())
+    if records.keys() != cells:
+        raise ValueError(
+            f"missing records for cells {sorted(cells - records.keys())}, "
+            f"records for cells outside the grid: {sorted(records.keys() - cells)}"
+        )
 
 
-def assemble(records: Iterable[TrialRecord], grid: HyperGrid) -> LogMatrices:
-    """Build the loss/norm matrices from exactly one record per grid cell.
+def assemble(records: Mapping[GridCell, TrialRecord], grid: HyperGrid) -> LogMatrices:
+    """Build the loss/norm matrices from ``records``, one per grid cell, by cell.
 
     ``psi`` is the mean train loss over the last ``k = min(LAST_K,
     epochs_run)`` epochs, the same for every scheduler. Cells are grouped by
     ``k`` and each group is one ``np.mean(axis=1)``: numpy sums rows this
     short in order, so every entry has the bits of a per-record ``np.mean``.
     """
-    by_cell = _records_by_cell(records, grid)
+    _check_cells(records, grid)
     shape = grid.shape
     flat, norms, runs = [], [], []
     # k -> (flat indices, last-k losses of each cell)
     groups: dict[int, tuple[list[int], list[list[float]]]] = {}
-    for cell, rec in by_cell.items():
+    for cell, rec in records.items():
         epochs = rec.epochs
         if not epochs:
             raise ValueError(f"trial {cell} has no logged epochs")
@@ -182,17 +173,17 @@ def _summarize_metric(values: list[float | None], kind: str) -> float:
 
 
 def build_metric_surfaces(
-    records: Iterable[TrialRecord], grid: HyperGrid, scheduler_kind: str
+    records: Mapping[GridCell, TrialRecord], grid: HyperGrid, scheduler_kind: str
 ) -> MetricSurfaces:
     """Baseline metric matrices from the same records the loss matrices use."""
     if scheduler_kind not in ("fifo", "hb"):
         raise ValueError(f"scheduler_kind must be 'fifo' or 'hb', got {scheduler_kind!r}")
-    by_cell = _records_by_cell(records, grid)
+    _check_cells(records, grid)
     shape = grid.shape
     train_loss = np.full(shape, np.nan)
     val_acc = np.full(shape, np.nan)
     test_acc = np.full(shape, np.nan)
-    for cell, rec in by_cell.items():
+    for cell, rec in records.items():
         r, c = cell.row, cell.col
         train_loss[r, c] = _summarize_metric([e.train_loss for e in rec.epochs], scheduler_kind)
         val_acc[r, c] = _summarize_metric([e.val_metric for e in rec.epochs], scheduler_kind)

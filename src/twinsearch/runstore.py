@@ -14,11 +14,15 @@ Directory layout:
         baselines.json       baseline picks (written by the baseline command)
         eval_report.json     method-vs-oracle errors
 
-``load_run`` reads the manifest and ``records.json`` (format 2, see
-``twinsearch.records``) and nothing else of the trials. The trial files and
-``decisions.jsonl`` are exports that no command reads: ``run`` writes them
-as the search goes, and editing, adding or deleting one changes nothing a
-command reads. A run without a format 2 ``records.json`` does not load:
+``load_manifest`` returns the run's ``HyperGrid`` and ``SchedulerPolicy``,
+the typed values it checks the manifest with. ``load_run`` returns them and
+every stored record by cell, read from ``records.json`` (format 2, see
+``twinsearch.records``), and reads nothing else of the trials: a command
+loads a run once and passes the grid on, so ``load_selection`` takes the
+grid from its caller instead of reading the manifest again. The trial
+files and ``decisions.jsonl`` are exports that no command reads: ``run``
+writes them as the search goes, and editing, adding or deleting one
+changes nothing a command reads. A run without a format 2 ``records.json`` does not load:
 one written before that format, or by another trainer that wrote only
 trial files.
 
@@ -50,8 +54,7 @@ The search writes a trial's file once, whole, in the round the trial ends:
 ``append_trial_line`` creates it exclusively and writes every line in one
 unbuffered ``os.write``. A file that already exists is an error and is left
 as it is; a short write raises. ``records.json`` is written after the
-search, so a process killed mid-search leaves a run that no command loads;
-``resume_plan`` says which cells a set of records still owes.
+search, so a process killed mid-search leaves a run that no command loads.
 """
 
 from __future__ import annotations
@@ -72,14 +75,13 @@ __all__ = [
     "RunStoreError",
     "RunNotFoundError",
     "encode_json",
-    "resume_plan",
 ]
 
 TOOL_VERSION = "0.1.0"
 
 _INF_TEXT = {math.inf: "Inf", -math.inf: "-Inf"}
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
-# the manifest objects the loaders read: the class that checks each, and the fields read from it
+# the manifest objects the loaders read: the class each loads as, and the fields read from it
 _MANIFEST_FIELDS = {
     "grid": (HyperGrid, ("lr_values", "wd_values")),
     "scheduler": (SchedulerPolicy, ("kind", "epoch_budget")),
@@ -208,7 +210,7 @@ class RunStore:
             run_dir = self.run_dir(run_id)
             if not (run_dir / "manifest.json").exists():
                 raise RunStoreError(f"run {run_id!r} has no manifest; create the run first")
-            shape = _grid_shape(self.load_manifest(run_id))
+            shape = self.load_manifest(run_id)[0].shape
             target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"))
         n_rows, n_cols, trials_dir = target
         row, col = cell = record.cell
@@ -255,7 +257,8 @@ class RunStore:
         from .matrices import LogMatrices
 
         dtypes = {"psi": float, "theta": float, "valid_mask": bool, "epochs_run": "int64"}
-        return LogMatrices(**self._load_artifact(run_id, "matrices.json", dtypes)[2])
+        shape = self.load_manifest(run_id)[0].shape
+        return LogMatrices(**self._load_artifact(run_id, "matrices.json", shape, dtypes)[2])
 
     def write_selection(self, run_id: str, artifacts) -> None:
         sel = artifacts.selection
@@ -269,11 +272,13 @@ class RunStore:
         }
         self._write_text(self.run_dir(run_id) / "selection.json", encode_json(payload) + "\n")
 
-    def load_selection(self, run_id: str):
+    def load_selection(self, run_id: str, grid: HyperGrid):
         """The stored twin pick's cell and region id, and the region label of every cell
-        (-1 for a masked cell); the cell must lie in the grid and carry its region's label,
-        which is no mask."""
-        path, d, arrays = self._load_artifact(run_id, "selection.json", {"labels": "int64"}, ("selection",))
+        (-1 for a masked cell) of ``grid``, the run's; the cell must lie in the grid and
+        carry its region's label, which is no mask."""
+        path, d, arrays = self._load_artifact(
+            run_id, "selection.json", grid.shape, {"labels": "int64"}, ("selection",)
+        )
         sel = d["selection"]
         cell = sel.get("cell") if type(sel) is dict else None
         fields = (cell.get("row"), cell.get("col"), sel.get("region_id")) if type(cell) is dict else ()
@@ -300,9 +305,11 @@ class RunStore:
 
     # -- loading ----------------------------------------------------------
 
-    def _load_artifact(self, run_id: str, name: str, dtypes: dict, fields: tuple[str, ...] = ()):
+    def _load_artifact(
+        self, run_id: str, name: str, shape: tuple[int, int], dtypes: dict, fields: tuple[str, ...] = ()
+    ):
         """(path, object, arrays) of artifact ``name``: a JSON object holding
-        ``fields``, the run grid's ``shape`` and, for each ``dtypes`` key, a
+        ``fields``, ``shape``, the run grid's, and, for each ``dtypes`` key, a
         list of one value per cell, returned as an array of that shape."""
         import numpy as np
 
@@ -310,7 +317,6 @@ class RunStore:
         if not path.exists():
             raise RunNotFoundError(f"missing artifact: {path}")
         d = _checked_object(path, "artifact", _read_json(path), ("shape", *dtypes, *fields))
-        shape = _grid_shape(self.load_manifest(run_id))
         if d["shape"] != list(shape):
             raise RunStoreError(f"{path}: 'shape' is {d['shape']!r}, not the grid's {list(shape)}")
         arrays = {}
@@ -328,28 +334,31 @@ class RunStore:
                 raise RunStoreError(f"{path}: {key!r}: {exc}") from None
         return path, d, arrays
 
-    def load_manifest(self, run_id: str) -> dict:
+    def load_manifest(self, run_id: str) -> tuple[HyperGrid, SchedulerPolicy]:
+        """The run's grid and scheduler policy, as the manifest stores them."""
         path = self.run_dir(run_id) / "manifest.json"
         if not path.exists():
             raise RunNotFoundError(f"run {run_id!r} has no manifest at {path}")
         manifest = _checked_object(path, "manifest", _read_json(path), _MANIFEST_FIELDS)
+        loaded = []
         for key, (cls, fields) in _MANIFEST_FIELDS.items():
             _checked_object(path, f"manifest field {key!r}", manifest[key], fields)
             try:
-                cls.from_dict(manifest[key])
+                loaded.append(cls.from_dict(manifest[key]))
             except (TypeError, ValueError, IndexError) as exc:
                 raise RunStoreError(f"{path}: manifest field {key!r}: {exc}") from None
-        return manifest
+        grid, policy = loaded
+        return grid, policy
 
-    def load_run(self, run_id: str) -> tuple[dict, dict[GridCell, TrialRecord]]:
-        """Manifest and per-cell records, from ``records.json``."""
+    def load_run(self, run_id: str) -> tuple[HyperGrid, SchedulerPolicy, dict[GridCell, TrialRecord]]:
+        """The run's grid, scheduler policy and per-cell records, from ``records.json``."""
         from .records import RECORDS, read_records
 
-        manifest = self.load_manifest(run_id)
+        grid, policy = self.load_manifest(run_id)
         path = self.run_dir(run_id) / RECORDS
         if not path.exists():
             raise RunNotFoundError(f"run {run_id!r} has no records at {path}")
-        return manifest, read_records(str(path), _grid_shape(manifest))
+        return grid, policy, read_records(str(path), grid.shape)
 
     @staticmethod
     def _write_text(path: Path, text: str) -> None:
@@ -380,31 +389,3 @@ def _checked_object(path: Path, name: str, d, fields: Iterable[str]) -> dict:
         if key not in d:
             raise RunStoreError(f"{path}: {name} has no {key!r}")
     return d
-
-
-def _grid_shape(manifest: dict) -> tuple[int, int]:
-    g = manifest.get("grid")
-    if not g:
-        raise RunStoreError("manifest has no grid")
-    return (len(g["wd_values"]), len(g["lr_values"]))
-
-
-def resume_plan(manifest: dict, records: dict[GridCell, TrialRecord]) -> list[tuple[GridCell, int]]:
-    """Cells still owed epochs under the manifest's policy, with the epoch to resume at.
-
-    A cell with no record starts from epoch 0. A cell with a record is
-    finished when the record carries a terminal status or ran the whole
-    budget; everything else resumes at its next epoch index.
-    """
-    policy = SchedulerPolicy.from_dict(manifest["scheduler"])
-    shape = _grid_shape(manifest)
-    plan: list[tuple[GridCell, int]] = []
-    for row in range(shape[0]):
-        for col in range(shape[1]):
-            cell = GridCell(row, col)
-            rec = records.get(cell)
-            if rec is None:
-                plan.append((cell, 0))
-            elif rec.status not in TERMINAL_STATUSES and rec.epochs_run < policy.epoch_budget:
-                plan.append((cell, rec.epochs_run))
-    return plan

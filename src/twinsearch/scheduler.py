@@ -15,7 +15,7 @@ trial that reported a loss there.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 from .grid import GridCell
@@ -58,13 +58,8 @@ class SchedulerPolicy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchedulerPolicy":
-        return cls(
-            kind=d["kind"],
-            epoch_budget=d["epoch_budget"],
-            stop_fraction=d.get("stop_fraction", 1.0),
-            halving_rate=d.get("halving_rate", 2),
-            grace_fraction=d.get("grace_fraction", 0.05),
-        )
+        """The policy of ``to_dict``'s JSON; a field it lacks takes the class default."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def rung_levels(policy: SchedulerPolicy) -> list[int]:

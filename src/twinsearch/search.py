@@ -144,7 +144,7 @@ def run_and_store(
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
     write_records(store, run_id, records.values())
-    mats = assemble(records.values(), grid)
+    mats = assemble(records, grid)
     artifacts = twin_pipeline(mats, grid, default_params(grid))
     store.write_matrices(run_id, mats)
     store.write_selection(run_id, artifacts)

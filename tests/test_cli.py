@@ -11,7 +11,7 @@ import pytest
 import twinsearch
 from twinsearch import cli
 from twinsearch.cli import main
-from twinsearch.grid import GridCell, HyperGrid
+from twinsearch.grid import GridCell
 from twinsearch.matrices import build_metric_surfaces
 from twinsearch.quickshift import QuickshiftParams
 from twinsearch.records import write_records
@@ -260,13 +260,44 @@ class TestSelect:
         # its trial file and the FIFO decision log's stop for it are still there
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         store = RunStore(tmp_path / "runs")
-        records = store.load_run("r")[1]
+        records = store.load_run("r")[2]
         write_records(store, "r", [rec for cell, rec in records.items() if cell != (0, 0)])
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r", *flags) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: run 'r' has incomplete cells: (0, 0)")
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "status, epochs, code",
+        [
+            ("running", 2, 2),  # short of the budget: still owed epochs
+            ("running", 3, 0),  # ran the whole budget
+            ("stopped_early", 1, 0),
+            ("diverged", 1, 0),
+        ],
+    )
+    def test_a_cell_is_complete_when_its_record_ended_or_ran_the_budget(
+        self, tmp_path, capsys, status, epochs, code
+    ):
+        from twinsearch.grid import build_log_grid
+
+        store = RunStore(tmp_path / "runs")
+        grid = build_log_grid(1e-4, 1e-2, 2, 1e-4, 1e-2, 2)
+        policy = SchedulerPolicy("hb", 3, stop_fraction=0.5)
+        store.create_run("r", {"grid": grid.to_dict(), "scheduler": policy.to_dict(), "task": "external"})
+        records = [
+            TrialRecord(cell, [EpochLog(e, 1.0 + 0.1 * cell.row + 0.01 * cell.col, 2.0) for e in range(3)], "completed")
+            for cell in grid.cells()
+        ]
+        records[2] = TrialRecord(GridCell(1, 0), records[2].epochs[:epochs], status)
+        write_records(store, "r", records)
+        assert run_cli(tmp_path, "select", "r") == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err == "error: run 'r' has incomplete cells: (1, 0)\n"
+        else:
+            assert captured.err == "" and captured.out.startswith("run r: selected cell")
 
     def test_a_run_without_records_exits_2_and_keeps_the_pick(self, tmp_path, capsys):
         # its trial files are all there, but no command reads them
@@ -361,6 +392,9 @@ class TestSelect:
                 "manifest.json",
                 lambda text: with_field(with_field(text, "scheduler", "kind", "hb"), "scheduler", "stop_fraction", True),
             ),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [0.0, 1.0])),
+            # 1e309 is past the float range, so JSON loads it as inf
+            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", "W").replace('"W"', "[1.0, 1e309]")),
         ],
         ids=[
             "no-scheduler", "no-grid", "grid-string", "manifest-array", "manifest-not-json",
@@ -368,6 +402,7 @@ class TestSelect:
             "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
             "budget-bool", "budget-fraction",
             "lr-values-flat", "lr-values-bool", "wd-values-bool", "hb-stop-fraction-bool",
+            "lr-values-zero", "wd-values-inf",
         ],
     )
     def test_malformed_manifest_is_a_storage_error(self, tmp_path, capsys, name, fault):
@@ -461,10 +496,24 @@ class TestBaselineAndEval:
         assert cell != default
         assert run_cli(tmp_path, "eval", "r", "--allow-test-metrics") == 0
         report = json.loads(artifact(tmp_path, "r", "eval_report.json").read_text())
-        manifest, records = RunStore(tmp_path / "runs").load_run("r")
-        grid = HyperGrid.from_dict(manifest["grid"])
-        test_acc = build_metric_surfaces(records.values(), grid, "fifo").test_acc
+        grid, _, records = RunStore(tmp_path / "runs").load_run("r")
+        test_acc = build_metric_surfaces(records, grid, "fifo").test_acc
         assert report["per_config_metric"][0]["twin"] == test_acc[cell["row"], cell["col"]]
+
+    def test_eval_over_two_runs_reports_each_run_and_their_mean(self, tmp_path):
+        for run_id, seed in (("a", "0"), ("b", "1")):
+            assert run_cli(tmp_path, "run", "--run-id", run_id, *RUN_FLAGS, "--task-seed", seed) == 0
+
+        def report(*run_ids):  # written into the first run's directory
+            assert run_cli(tmp_path, "eval", *run_ids, "--allow-test-metrics") == 0
+            return json.loads(artifact(tmp_path, run_ids[0], "eval_report.json").read_text())
+
+        one_a, one_b, both = report("a"), report("b"), report("a", "b")
+        for key in ("per_config_metric", "per_config_error"):
+            assert both[key] == one_a[key] + one_b[key]
+        assert both["mae"].keys() == one_a["mae"].keys() == one_b["mae"].keys()
+        for method, mae in both["mae"].items():
+            assert mae == (one_a["mae"][method] + one_b["mae"][method]) / 2, method
 
     def test_eval_without_a_stored_pick_exits_2(self, tmp_path, capsys):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -667,6 +716,32 @@ def test_commands_read_a_stored_run_from_its_records_alone(tmp_path, scheduler):
         for path in outputs:
             path.unlink()
     assert written[0] == written[1]
+
+
+def test_each_command_reads_the_manifest_once_per_run(tmp_path, monkeypatch):
+    for run_id in ("r", "s"):
+        assert run_cli(tmp_path, "run", "--run-id", run_id, *RUN_FLAGS) == 0
+    calls = []
+    load_manifest = RunStore.load_manifest
+
+    def counted(self, run_id):
+        calls.append(run_id)
+        return load_manifest(self, run_id)
+
+    monkeypatch.setattr(RunStore, "load_manifest", counted)
+    commands = [
+        ["select", "r"],
+        ["select", "r", "--lr-stride", "2", "--wd-stride", "2"],
+        ["baseline", "r", "--methods", "selts,selvs,oracle", "--allow-test-metrics"],
+        ["eval", "r", "--allow-test-metrics"],
+        ["eval", "r", "s", "--allow-test-metrics"],
+        *(["plot", "r", "--target", t, "--out", str(tmp_path / f"{t}.svg")]
+          for t in ("psi", "theta", "labels", "norm-vs-test")),
+    ]
+    for command in commands:
+        calls.clear()
+        assert run_cli(tmp_path, *command) == 0
+        assert calls == [arg for arg in command[1:] if arg in ("r", "s")], command
 
 
 def test_a_run_stored_with_the_older_copies_still_loads(tmp_path):

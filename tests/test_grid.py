@@ -144,3 +144,13 @@ class TestInvariants:
     def test_serialization_round_trip(self):
         grid = default_grid(7)
         assert HyperGrid.from_dict(grid.to_dict()) == grid
+
+    @pytest.mark.parametrize(
+        "lr_values",
+        [[0.0, 1.0], [1.0, 1e309], [-1.0, -0.1], [math.nan, 1.0], [1e-3, 1e-2, math.inf]],
+        ids=["zero", "overflow-to-inf", "negative", "nan", "inf-last"],
+    )
+    def test_a_value_that_is_not_finite_and_positive_is_refused(self, lr_values):
+        # np.allclose(inf, inf) holds, so the log-spacing check alone would pass an inf end
+        with pytest.raises(ValueError, match="lr values must be finite and positive"):
+            HyperGrid.from_dict({"lr_values": lr_values, "wd_values": [1e-3, 1e-2]})

@@ -21,7 +21,6 @@ from twinsearch.runstore import (
     RunStoreError,
     _trial_line_text,
     encode_json,
-    resume_plan,
 )
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import execute_search, run_and_store
@@ -131,7 +130,7 @@ class TestAppend:
         assert doc["train_loss"] == "NaN"
         assert doc["param_norm"] == "Inf"
         assert b'"train_loss":["NaN"],"param_norm":["Inf"]' in (store.run_dir("r1") / "records.json").read_bytes()
-        _, records = store.load_run("r1")
+        _, _, records = store.load_run("r1")
         entry = records[GridCell(0, 0)].epochs[0]
         assert math.isnan(entry.train_loss) and math.isinf(entry.param_norm)
 
@@ -254,18 +253,18 @@ class TestLoad:
     def test_round_trip_reproduces_matrices_bit_exactly(self, store):
         grid = small_grid(3)
         write_full_run(store, "r1", grid, epochs=7)
-        _, records = store.load_run("r1")
-        mats_a = assemble(records.values(), grid)
-        _, records_b = store.load_run("r1")
-        mats_b = assemble(records_b.values(), grid)
+        _, _, records = store.load_run("r1")
+        mats_a = assemble(records, grid)
+        _, _, records_b = store.load_run("r1")
+        mats_b = assemble(records_b, grid)
         assert np.array_equal(mats_a.psi, mats_b.psi)
         assert np.array_equal(mats_a.theta, mats_b.theta)
 
     def test_externally_written_run_selects_offline(self, store):
         grid = small_grid(3)
         write_full_run(store, "ext", grid, epochs=6)
-        _, records = store.load_run("ext")
-        mats = assemble(records.values(), grid)
+        _, _, records = store.load_run("ext")
+        mats = assemble(records, grid)
         artifacts = twin_pipeline(mats, grid, default_params(grid))
         store.write_matrices("ext", mats)
         store.write_selection("ext", artifacts)
@@ -274,7 +273,7 @@ class TestLoad:
         assert json.loads((store.run_dir("ext") / "selection.json").read_text())["selection"] == (
             artifacts.selection.to_dict()
         )
-        assert store.load_selection("ext")[:2] == (artifacts.selection.cell, artifacts.selection.region_id)
+        assert store.load_selection("ext", grid)[:2] == (artifacts.selection.cell, artifacts.selection.region_id)
 
     def test_missing_manifest_is_an_error(self, store):
         with pytest.raises(RunStoreError, match="manifest"):
@@ -327,8 +326,8 @@ class TestArtifactsRoundTrip:
             TrainerConfig(batch_size=16, init_seed=1),
         )
         mats = store.load_matrices("run_a")
-        _, records = store.load_run("run_a")
-        rebuilt = assemble(records.values(), grid)
+        _, _, records = store.load_run("run_a")
+        rebuilt = assemble(records, grid)
         assert np.array_equal(mats.psi, rebuilt.psi, equal_nan=True)
         assert np.array_equal(mats.theta, rebuilt.theta, equal_nan=True)
         assert np.array_equal(mats.valid_mask, rebuilt.valid_mask)
@@ -418,24 +417,24 @@ def edit_a_loss_digit(data):
 
 def rewrite_records(store, run_id):
     """Write ``run_id``'s records.json again from its loaded records, as ``run`` writes it."""
-    write_records(store, run_id, store.load_run(run_id)[1].values())
+    write_records(store, run_id, store.load_run(run_id)[2].values())
 
 
 class TestRecords:
     def test_the_runs_hold_what_they_are_named_for(self, stored_runs):
         store = RunStore(stored_runs)
         assert all((store.run_dir(run_id) / "records.json").is_file() for run_id in STORED_RUNS)
-        stopped = [r for r in store.load_run("hb")[1].values() if r.status == "stopped_early"]
+        stopped = [r for r in store.load_run("hb")[2].values() if r.status == "stopped_early"]
         assert stopped and all(r.epochs_run < 8 for r in stopped)
-        values = [v for r in store.load_run("diverged")[1].values() for e in r.epochs for v in e[1:3]]
+        values = [v for r in store.load_run("diverged")[2].values() for e in r.epochs for v in e[1:3]]
         assert any(math.isnan(v) for v in values) and any(math.isinf(v) for v in values)
-        val_free = [e for r in store.load_run("val-free")[1].values() for e in r.epochs]
+        val_free = [e for r in store.load_run("val-free")[2].values() for e in r.epochs]
         assert all(e.val_metric is None and e.test_metric is None for e in val_free)
 
     @pytest.mark.parametrize("run_id", STORED_RUNS)
     def test_each_trial_file_holds_the_lines_of_its_loaded_record(self, runs, run_id):
         # no command reads the trial files, so this is what keeps them faithful
-        _, records = runs.load_run(run_id)
+        _, _, records = runs.load_run(run_id)
         trials = runs.run_dir(run_id) / "trials"
         assert sorted(os.listdir(trials)) == sorted(f"{c.row}_{c.col}.jsonl" for c in records)
         for cell, record in records.items():
@@ -448,7 +447,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("change", ["edited", "added", "removed", "renamed", "all-deleted"])
     def test_the_trial_files_and_the_decision_log_are_not_read(self, runs, change):
-        before = bits(runs.load_run("fifo")[1])
+        before = bits(runs.load_run("fifo")[2])
         trials = runs.run_dir("fifo") / "trials"
         if change == "edited":
             path = trials / "1_2.jsonl"
@@ -462,7 +461,7 @@ class TestRecords:
         else:
             shutil.rmtree(trials)
             (runs.run_dir("fifo") / "decisions.jsonl").unlink()
-        assert bits(runs.load_run("fifo")[1]) == before
+        assert bits(runs.load_run("fifo")[2]) == before
 
     @pytest.mark.parametrize(
         "damage, detail",
@@ -522,25 +521,25 @@ class TestRecords:
     def test_a_value_json_does_not_give_as_a_float_or_null_is_decoded(self, runs, key, value, decoded):
         # a column of floats and nulls only is used as json.loads returns it; any other is decoded
         path = runs.run_dir("fifo") / "records.json"
-        expected = runs.load_run("fifo")[1]
+        expected = runs.load_run("fifo")[2]
         path.write_bytes(edited(**{key: first(value)})(path.read_bytes()))
         record = next(iter(expected.values()))  # the first record of line 2
         field = {"val_acc": "val_metric", "test_acc": "test_metric"}.get(key, key)
         record.epochs[0] = record.epochs[0]._replace(**{field: decoded})
-        assert bits(runs.load_run("fifo")[1]) == bits(expected)
+        assert bits(runs.load_run("fifo")[2]) == bits(expected)
 
     @pytest.mark.parametrize("line_epochs, n_lines", [(4, 16), (20, 6)])
     def test_a_records_file_of_many_lines_loads_the_same_records(self, runs, line_epochs, n_lines, monkeypatch):
         # 16 records of 6 epochs: one record a line when it has more epochs than a line holds
         path = runs.run_dir("fifo") / "records.json"
         written = path.read_bytes()
-        before = bits(runs.load_run("fifo")[1])
+        before = bits(runs.load_run("fifo")[2])
         rewrite_records(runs, "fifo")
         assert path.read_bytes() == written
         monkeypatch.setattr(run_records, "_LINE_EPOCHS", line_epochs)
         rewrite_records(runs, "fifo")
         assert len(path.read_bytes().splitlines()) == 1 + n_lines
-        assert bits(runs.load_run("fifo")[1]) == before
+        assert bits(runs.load_run("fifo")[2]) == before
 
     @pytest.mark.parametrize(
         "damage, detail",
@@ -569,7 +568,7 @@ class TestRecords:
             GridCell(1, 1): TrialRecord(GridCell(1, 1), [EpochLog(0, 0.5, 5e-324, 1.0, 0.25)], "running"),
         }
         write_records(store, "r", written.values())
-        assert bits(store.load_run("r")[1]) == bits(written)
+        assert bits(store.load_run("r")[2]) == bits(written)
 
 
 # -- the reader on generated records -------------------------------------
@@ -860,7 +859,7 @@ class TestReaderOnGeneratedRecords:
         line_epochs = [1, 2, 3, 5, 8, 1024][seed % 6]
         path, grid, records = write_random_run(store, rng, monkeypatch, line_epochs)
         written = path.read_bytes()
-        loaded = store.load_run("r")[1]
+        loaded = store.load_run("r")[2]
         assert bits(loaded) == bits({r.cell: r for r in records})
         assert list(loaded) == [r.cell for r in records]
         rewrite_records(store, "r")
@@ -904,57 +903,6 @@ class TestReaderOnGeneratedRecords:
         a = line_for(rng, docs[:b], first)
         detail, _ = with_line_faults(path, grid.shape, [(first, a), (second, b)], rng)
         self.check_error(store, path, a + 2, detail)
-
-
-class TestResumePlan:
-    """``resume_plan`` over records held in memory, as a resumed search would pass them."""
-
-    def test_complete_run_has_empty_plan(self):
-        grid = small_grid()
-        records = {cell: plain_record(cell, 3, "completed") for cell in grid.cells()}
-        assert resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 3)), records) == []
-
-    def test_interrupted_fifo_cells_resume_at_next_epoch(self):
-        grid = small_grid()
-        records = {cell: plain_record(cell, 40) for cell in grid.cells()}
-        plan = resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 100)), records)
-        assert len(plan) == 4
-        assert all(next_epoch == 40 for _, next_epoch in plan)
-
-    def test_unstarted_cells_resume_at_zero(self):
-        grid = small_grid()
-        plan = resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 5)), {})
-        assert plan == [(cell, 0) for cell in grid.cells()]
-
-    def test_hb_stopped_cells_not_resumable(self):
-        grid = small_grid()
-        policy = SchedulerPolicy("hb", 40, stop_fraction=0.25, grace_fraction=0.05)
-        # two cells stopped at the rung (epoch 2), one survivor mid-flight, one pending
-        records = {
-            cell: plain_record(cell, epochs, status)
-            for cell, epochs, status in [
-                (GridCell(0, 0), 2, "stopped_early"),
-                (GridCell(0, 1), 2, "stopped_early"),
-                (GridCell(1, 0), 5, "running"),
-            ]
-        }
-        plan = resume_plan(manifest_for(grid, policy), records)
-        assert (GridCell(1, 0), 5) in plan
-        assert (GridCell(1, 1), 0) in plan
-        assert len(plan) == 2
-
-    def test_a_cell_without_a_record_starts_over(self):
-        grid = small_grid()
-        records = {cell: plain_record(cell, 3, "completed") for cell in grid.cells() if cell != (0, 1)}
-        assert resume_plan(manifest_for(grid, SchedulerPolicy("fifo", 3)), records) == [(GridCell(0, 1), 0)]
-
-    def test_a_running_record_short_of_the_budget_is_owed(self):
-        grid = small_grid()
-        records = {
-            cell: plain_record(cell, 3, "running" if cell == (1, 1) else "stopped_early") for cell in grid.cells()
-        }
-        policy = SchedulerPolicy("hb", 10, stop_fraction=0.25)
-        assert resume_plan(manifest_for(grid, policy), records) == [(GridCell(1, 1), 3)]
 
 
 # Each search's stops come from rungs, divergence and the budget: a constant LR
@@ -1020,14 +968,3 @@ class TestRecordsCarryTheLoggedStops:
         for d in log:
             if d["decision"] == "continue":
                 assert d["epoch"] < stops[GridCell(d["row"], d["col"])]["epoch"]
-        assert resume_plan(store.load_manifest("run"), records) == []
-
-    def test_the_records_ended_by_any_round_owe_the_cells_the_log_has_not_stopped(self, logged_run):
-        # a search cut after round k had ended the trials the log stops by then
-        store, grid, policy, log, records = logged_run
-        stops = logged_stops(log)
-        manifest = store.load_manifest("run")
-        for k in range(max(d["epoch"] for d in stops.values()) + 1):
-            ended = {cell: records[cell] for cell, stop in stops.items() if stop["epoch"] <= k}
-            owed = [(cell, 0) for cell in grid.cells() if cell not in ended]
-            assert resume_plan(manifest, ended) == owed, f"cut after round {k}"

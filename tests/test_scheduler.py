@@ -77,6 +77,23 @@ class TestPolicyAndLadder:
         with pytest.raises(ValueError):
             SchedulerPolicy(**kwargs)
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            SchedulerPolicy("fifo", 50),
+            SchedulerPolicy("hb", 50, stop_fraction=0.25),
+            SchedulerPolicy("hb", 8, stop_fraction=0.75, halving_rate=3, grace_fraction=0.3),
+        ],
+        ids=repr,
+    )
+    def test_a_stored_policy_loads_to_an_equal_one(self, policy):
+        assert SchedulerPolicy.from_dict(policy.to_dict()) == policy
+        stored = {**policy.to_dict(), "note": "a key no loader reads"}
+        assert SchedulerPolicy.from_dict(stored) == policy
+        # a field the dict lacks takes the class default
+        kept = {k: v for k, v in policy.to_dict().items() if k in ("kind", "epoch_budget")}
+        assert SchedulerPolicy.from_dict(kept) == SchedulerPolicy(policy.kind, policy.epoch_budget)
+
     def test_init_requires_trials(self):
         with pytest.raises(ValueError):
             Schedule(SchedulerPolicy("fifo", 10), 0)

@@ -170,6 +170,18 @@ def test_parity_plot_recipe_compares_the_svg_of_every_target(capsys):
     assert outs == [f"{script.RUN_ID}/{t}.svg" for t in ("psi", "theta", "labels", "norm-vs-test")]
 
 
+def test_parity_hb_plot_recipe_compares_the_svg_of_every_target_of_an_hb_run(capsys):
+    script = load_script("parity")
+    src = str(SCRIPTS.parent / "src")
+    argv = [src, src, "--recipes", "hb-plot", "--seeds", "0", "--grid", "3", "--epochs", "3"]
+    assert script.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["hb-plot seed 0: identical (20 files)"]
+    (job,) = script.build_jobs(["hb-plot"], [0], None, None)
+    run, *later = job["ops"]
+    assert run[run.index("--scheduler") + 1] == "hb"
+    assert later == [*script.EVAL_OPS, *script.PLOT_OPS]
+
+
 def test_parity_schedule_recipes_train_with_their_settings(tmp_path):
     script = load_script("parity")
     src = SCRIPTS.parent / "src"

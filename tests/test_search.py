@@ -237,11 +237,11 @@ def test_epochs_equal_the_loop_at_the_real_stack_slice_with_diverging_rows():
 
 def test_surfaces_equal_the_eager_reference(searched):
     kind, grid, eager = searched.kind, searched.grid, searched.eager
-    expected = build_metric_surfaces(eager.values(), grid, kind)
-    _, loaded = searched.store.load_run("run")
+    expected = build_metric_surfaces(eager, grid, kind)
+    _, _, loaded = searched.store.load_run("run")
     for records in (searched.records, loaded):
         assert {c: r.status for c, r in records.items()} == {c: r.status for c, r in eager.items()}
-        assert_same_surfaces(build_metric_surfaces(records.values(), grid, kind), expected)
+        assert_same_surfaces(build_metric_surfaces(records, grid, kind), expected)
     assert np.any(np.isfinite(expected.val_acc)) and np.any(np.isfinite(expected.test_acc))
 
 
@@ -286,12 +286,9 @@ def test_records_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched)
     policy, _ = CASES[kind]
     store.create_run("old", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
     write_records(store, "old", searched.eager.values())
-    _, old = store.load_run("old")
-    _, new = store.load_run("run")
-    assert_same_surfaces(
-        build_metric_surfaces(old.values(), grid, kind),
-        build_metric_surfaces(new.values(), grid, kind),
-    )
+    _, _, old = store.load_run("old")
+    _, _, new = store.load_run("run")
+    assert_same_surfaces(build_metric_surfaces(old, grid, kind), build_metric_surfaces(new, grid, kind))
 
 
 def test_valfree_task_never_scores(monkeypatch):
