@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsearch import records as run_records
+from twinsearch.cli import PipelineError, _load_complete_run
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
@@ -968,3 +969,25 @@ class TestRecordsCarryTheLoggedStops:
         for d in log:
             if d["decision"] == "continue":
                 assert d["epoch"] < stops[GridCell(d["row"], d["col"])]["epoch"]
+
+    def test_the_records_ended_by_any_round_owe_the_cells_the_log_has_not_stopped(self, logged_run, tmp_path):
+        # a search cut after round k had ended the trials the log stops by then; the
+        # others hold k epochs as running, short of the budget
+        _, grid, policy, log, records = logged_run
+        stops = logged_stops(log)
+        store = RunStore(tmp_path / "runs")
+        store.create_run("cut", manifest_for(grid, policy))
+        for k in range(max(d["epoch"] for d in stops.values()) + 1):
+            ended = {cell for cell, stop in stops.items() if stop["epoch"] <= k}
+            cut = [records[c] if c in ended else TrialRecord(c, records[c].epochs[:k], STATUS_RUNNING)
+                   for c in grid.cells()]
+            write_records(store, "cut", cut)
+            owed = [cell for cell in grid.cells() if cell not in ended]
+            if not owed:
+                assert bits(_load_complete_run(store, "cut")[2]) == bits(records), f"cut after round {k}"
+                continue
+            listed = ", ".join(f"({c.row}, {c.col})" for c in owed[:10])
+            more = f" and {len(owed) - 10} more" if len(owed) > 10 else ""
+            with pytest.raises(PipelineError) as info:
+                _load_complete_run(store, "cut")
+            assert str(info.value) == f"run 'cut' has incomplete cells: {listed}{more}", f"cut after round {k}"
