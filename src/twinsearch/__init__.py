@@ -11,6 +11,6 @@ benchmark's tracer test (``perfbench/test_perfbench.py``) still expects to
 find bound here. It goes when that test is retargeted.
 """
 
-from .quickshift import quickshift  # noqa: F401
+__version__ = "0.1.0"  # bound before any submodule loads: runstore stores it in each manifest
 
-__version__ = "0.1.0"
+from .quickshift import quickshift  # noqa: F401

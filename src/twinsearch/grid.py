@@ -8,7 +8,8 @@ index learning rate, so every matrix logged over the grid has shape
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +43,7 @@ def _log_spaced(low: float, high: float, n: int) -> tuple[float, ...]:
 
 
 def _check_log_spacing(values: tuple[float, ...], axis: str) -> None:
-    logs = np.log10(np.asarray(values))
+    logs = np.log10(np.asarray(values, dtype=float))
     steps = np.diff(logs)
     if np.any(steps <= 0):
         raise ValueError(f"{axis} values must be strictly increasing")
@@ -62,7 +63,7 @@ class HyperGrid:
         for values, axis in ((self.lr_values, "lr"), (self.wd_values, "wd")):
             if len(values) < 2:
                 raise ValueError(f"{axis} axis needs at least 2 points")
-            if not all(0 < v < math.inf for v in values):  # NaN fails both
+            if not all(0 < v <= sys.float_info.max for v in values):  # NaN, inf and ints past floats fail
                 raise ValueError(f"{axis} values must be finite and positive")
             _check_log_spacing(values, axis)
 
@@ -86,12 +87,9 @@ class HyperGrid:
         """All cells in row-major (flat-index) order."""
         return [GridCell(r, c) for r in range(self.n_wd) for c in range(self.n_lr)]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "HyperGrid":
-        """The grid of ``to_dict``'s JSON; every value must be a JSON number (a boolean is not)."""
+        """The grid of ``asdict(grid)``'s JSON; every value must be a JSON number (a boolean is not)."""
         lr_values, wd_values = tuple(d["lr_values"]), tuple(d["wd_values"])
         for values, axis in ((lr_values, "lr"), (wd_values, "wd")):
             if not {int, float} >= set(map(type, values)):

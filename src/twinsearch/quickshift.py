@@ -44,7 +44,7 @@ plateaus, replacing the randomized tie-breaking of common implementations.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ BLOCK = 64  # cells of one grid row per block; density and linking hold O(BLOCK 
 class QuickshiftParams:
     kernel_size: float
     max_dist: float
-    ratio: float = 1.0
+    ratio: float
 
     def __post_init__(self) -> None:
         # the density divides by 2 * kernel_size**2, which must be a finite positive float
@@ -86,9 +86,6 @@ class QuickshiftParams:
         # squared distances hold ratio**2 times a squared value difference of up to 1
         if not (math.isfinite(self.ratio * self.ratio) and self.ratio >= 0):
             raise ValueError(f"ratio must be non-negative, with ratio**2 finite, got {self.ratio}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""A run's stored records, ``runs/<run_id>/records.json``: every trial's record, decoded.
+"""The format of a run's stored records, ``runs/<run_id>/records.json``: every trial's record.
 
-``run`` writes it after the search (``write_records``, from
-``run_and_store``) from the records the search returns, through
-``RunStore._write_text``, so it is replaced whole or not at all. It is the
-one stored record of a run's trials: ``RunStore.load_run`` reads it and
-nothing else of them.
+This module holds the format only: ``records_text`` builds the file's text
+and ``read_records`` decodes it. ``RunStore.write_records`` writes it after
+the search (from ``run_and_store``) from the records the search returns,
+replacing it whole or not at all. It is the one stored record of a run's
+trials: ``RunStore.load_run`` reads it and nothing else of them.
 
 Format 2. The first line is ``{"format":2,"body_crc32":<zlib.crc32 of the
 lines after it>}``. Each line after it is a JSON object for a run of
@@ -13,7 +13,7 @@ epochs in all (one record if it has more): per trial its ``row``, ``col``,
 ``status`` and ``epochs_run``; then the ``train_loss``, ``param_norm``,
 ``val_acc`` and ``test_acc`` values of the line's epochs end to end (floats
 in the trial lines' text, non-finite ones as strings). A record's epochs
-are numbered 0, 1, ... on load, so ``write_records`` refuses a record whose
+are numbered 0, 1, ... on load, so ``records_text`` refuses a record whose
 epochs are not, or whose status is unknown.
 
 The loader checks the body CRC first, then reads one line at a time, so
@@ -36,13 +36,12 @@ import json
 import zlib
 from functools import partial
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .grid import GridCell
-from .runstore import _STATUS_TEXT, RunStore, RunStoreError, _decode_float, encode_json
+from .runstore import _STATUS_TEXT, RunStoreError, _decode_float, encode_json
 from .trainer import EpochLog, TrialRecord
 
-RECORDS = "records.json"
 # the arrays of a line after the first: one value per trial, and one per epoch of its trials
 _PER_TRIAL = ("row", "col", "status", "epochs_run")
 _PER_EPOCH = ("train_loss", "param_norm", "val_acc", "test_acc")
@@ -79,11 +78,6 @@ def records_text(records: Sequence[TrialRecord]) -> str:
     lines.append(_line(records[start:]))
     body = "".join(lines)
     return f'{{"format":2,"body_crc32":{zlib.crc32(body.encode())}}}\n{body}'
-
-
-def write_records(store: RunStore, run_id: str, records: Iterable[TrialRecord]) -> None:
-    """Write every one of ``records`` to ``run_id``'s ``records.json`` through ``store``."""
-    store._write_text(store.run_dir(run_id) / RECORDS, records_text(list(records)))
 
 
 def _read_line(line: bytes, shape: tuple[int, int], records: dict[GridCell, TrialRecord]) -> None:

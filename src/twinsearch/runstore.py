@@ -5,6 +5,7 @@ Directory layout:
     runs/<run_id>/
         manifest.json        grid values, scheduler policy, trainer/arch/task specs
         records.json         every trial's record: the one stored record of the trials
+                             (written by run through ``write_records``)
         trials/<row>_<col>.jsonl   export: one line per epoch, in epoch order
         decisions.jsonl      export: scheduler decision log (rung outcomes + terminal stops)
         matrices.json        export: psi/theta/valid_mask/epochs_run, row-major (written by
@@ -13,6 +14,10 @@ Directory layout:
                              the one record of the pick, which eval and plot read)
         baselines.json       baseline picks (written by the baseline command)
         eval_report.json     method-vs-oracle errors
+
+``RunStore`` is the one writer of a run directory, and it keeps no state
+of a run between calls: each call builds its paths from the root and the
+run id and takes what it writes from its caller, reading no file to learn it.
 
 ``load_manifest`` returns the run's ``HyperGrid`` and ``SchedulerPolicy``,
 the typed values it checks the manifest with. ``load_run`` returns them and
@@ -51,10 +56,12 @@ FIFO, the last five under early stopping (``matrices.metric_window``).
 Every other line has null metrics, as has that epoch in ``records.json``.
 
 The search writes a trial's file once, whole, in the round the trial ends:
-``append_trial_line`` creates it exclusively and writes every line in one
-unbuffered ``os.write``. A file that already exists is an error and is left
-as it is; a short write raises. ``records.json`` is written after the
-search, so a process killed mid-search leaves a run that no command loads.
+``append_trial_line`` creates it exclusively in the ``trials`` directory
+``create_run`` made (``FileNotFoundError`` without it) and writes every line
+in one unbuffered ``os.write``; the caller passes a cell of the run's grid.
+A file that already exists is an error and is left as it is; a short write
+raises. ``records.json`` is written after the search, so a process killed
+mid-search leaves a run that no command loads.
 """
 
 from __future__ import annotations
@@ -62,10 +69,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
+from . import __version__
 from .grid import GridCell, HyperGrid
 from .scheduler import SchedulerPolicy
 from .trainer import STATUS_RUNNING, TERMINAL_STATUSES, EpochLog, TrialRecord
@@ -77,8 +86,7 @@ __all__ = [
     "encode_json",
 ]
 
-TOOL_VERSION = "0.1.0"
-
+RECORDS = "records.json"
 _INF_TEXT = {math.inf: "Inf", -math.inf: "-Inf"}
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
 # the manifest objects the loaders read: the class each loads as, and the fields read from it
@@ -183,8 +191,6 @@ class RunStore:
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        # run_id -> (grid rows, grid cols, trials directory as a plain string)
-        self._trial_targets: dict[str, tuple[int, int, str]] = {}
 
     def run_dir(self, run_id: str) -> Path:
         """``root/run_id``; an id that would name the root, a parent or a nested path is refused."""
@@ -199,24 +205,14 @@ class RunStore:
         if run_dir.exists():
             raise RunStoreError(f"run {run_id!r} already exists at {run_dir}")
         (run_dir / "trials").mkdir(parents=True)
-        payload = {"run_id": run_id, "tool_version": TOOL_VERSION, **manifest}
+        payload = {"run_id": run_id, "tool_version": __version__, **manifest}
         self._write_text(run_dir / "manifest.json", encode_json(payload) + "\n")
 
     def append_trial_line(self, run_id: str, record: TrialRecord) -> None:
         """Write ``record``'s trial file whole: ``running`` on every line but the
         last, which carries the record's status."""
-        target = self._trial_targets.get(run_id)
-        if target is None:
-            run_dir = self.run_dir(run_id)
-            if not (run_dir / "manifest.json").exists():
-                raise RunStoreError(f"run {run_id!r} has no manifest; create the run first")
-            shape = self.load_manifest(run_id)[0].shape
-            target = self._trial_targets[run_id] = (*shape, str(run_dir / "trials"))
-        n_rows, n_cols, trials_dir = target
         row, col = cell = record.cell
-        if not (0 <= row < n_rows and 0 <= col < n_cols):
-            raise RunStoreError(f"cell ({row}, {col}) outside grid of shape {(n_rows, n_cols)}")
-        path = f"{trials_dir}/{row}_{col}.jsonl"
+        path = f"{self.run_dir(run_id)}/trials/{row}_{col}.jsonl"
         last = record.epochs_run - 1
         data = "".join(
             _trial_line_text(cell, entry, record.status if i == last else STATUS_RUNNING) + "\n"
@@ -239,6 +235,12 @@ class RunStore:
             for d in decisions:
                 fh.write(encode_json(d, line=True) + "\n")
             fh.flush()
+
+    def write_records(self, run_id: str, records: Iterable[TrialRecord]) -> None:
+        """Write every one of ``records`` to ``records.json``, replacing it whole."""
+        from .records import records_text
+
+        self._write_text(self.run_dir(run_id) / RECORDS, records_text(list(records)))
 
     def write_matrices(self, run_id: str, matrices) -> None:
         payload = {
@@ -264,7 +266,7 @@ class RunStore:
         sel = artifacts.selection
         payload = {
             "selection": sel.to_dict(),
-            "quickshift_params": artifacts.params.to_dict(),
+            "quickshift_params": asdict(artifacts.params),
             "region_means": artifacts.region_means.tolist(),
             "labels": artifacts.segments.labels.ravel().tolist(),
             "shape": list(artifacts.segments.labels.shape),
@@ -299,9 +301,7 @@ class RunStore:
         self._write_text(self.run_dir(run_id) / "baselines.json", encode_json(payload) + "\n")
 
     def write_eval_report(self, run_id: str, report) -> None:
-        self._write_text(
-            self.run_dir(run_id) / "eval_report.json", encode_json(report.to_dict()) + "\n"
-        )
+        self._write_text(self.run_dir(run_id) / "eval_report.json", encode_json(asdict(report)) + "\n")
 
     # -- loading ----------------------------------------------------------
 
@@ -352,7 +352,7 @@ class RunStore:
 
     def load_run(self, run_id: str) -> tuple[HyperGrid, SchedulerPolicy, dict[GridCell, TrialRecord]]:
         """The run's grid, scheduler policy and per-cell records, from ``records.json``."""
-        from .records import RECORDS, read_records
+        from .records import read_records
 
         grid, policy = self.load_manifest(run_id)
         path = self.run_dir(run_id) / RECORDS

@@ -15,7 +15,7 @@ trial that reported a loss there.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .grid import GridCell
@@ -53,12 +53,9 @@ class SchedulerPolicy:
             if not 0 < self.grace_fraction < 1:
                 raise ValueError(f"grace_fraction must be in (0, 1), got {self.grace_fraction}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "SchedulerPolicy":
-        """The policy of ``to_dict``'s JSON; a field it lacks takes the class default."""
+        """The policy of ``asdict(policy)``'s JSON; a field it lacks takes the class default."""
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 

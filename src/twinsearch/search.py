@@ -19,12 +19,13 @@ Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
 a trial's file is written once, whole and with its metrics, in the round
 the trial ends. The trial files and the decision log are exports that no
-command reads: ``run_and_store`` writes every record the search returns to
-``records.json`` after the search, and commands read only that. It then
-writes the run's matrices to ``matrices.json``, an export that no command
-reads, and its twin pick at ``default_params(grid)`` to ``selection.json``,
-the one record of the pick: ``select`` may replace it, and ``eval`` and
-``plot`` read it.
+command reads. Every file of a run is written through ``RunStore``:
+after the search ``run_and_store`` has it write every record the search
+returns to ``records.json`` (``RunStore.write_records``), and commands read
+only that. It then writes the run's matrices to ``matrices.json``, an
+export that no command reads, and its twin pick at ``default_params(grid)``
+to ``selection.json``, the one record of the pick: ``select`` may replace
+it, and ``eval`` and ``plot`` read it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .quickshift import default_params
 from .runstore import RunStore
 from .scheduler import Schedule, SchedulerPolicy
 from .selector import TwinArtifacts, twin_pipeline
-from .records import write_records
 from .tasks import SyntheticTask, TaskSpec
 from .trainer import (
     STATUS_DIVERGED,
@@ -127,23 +127,24 @@ def run_and_store(
     arch: ArchSpec,
     config: TrainerConfig,
 ) -> TwinArtifacts:
-    """Full pipeline with persistence: manifest, trial files and decisions (exports),
-    ``records.json`` (what later commands load), matrices (an export), selection.
+    """Full pipeline with persistence, each file written by ``store``: the manifest
+    (``asdict`` of each spec), trial files and decisions (exports), ``records.json``
+    (what later commands load), matrices (an export), selection.
 
     The pick uses ``default_params(grid)``; ``twinsearch select`` re-selects
     with other segmentation parameters and replaces ``selection.json`` only:
     the matrices do not depend on them.
     """
     manifest = {
-        "grid": grid.to_dict(),
-        "scheduler": policy.to_dict(),
-        "task": task_spec.to_dict(),
-        "arch": arch.to_dict(),
+        "grid": asdict(grid),
+        "scheduler": asdict(policy),
+        "task": asdict(task_spec),
+        "arch": asdict(arch),
         "trainer": asdict(config),
     }
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
-    write_records(store, run_id, records.values())
+    store.write_records(run_id, records.values())
     mats = assemble(records, grid)
     artifacts = twin_pipeline(mats, grid, default_params(grid))
     store.write_matrices(run_id, mats)

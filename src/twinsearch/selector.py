@@ -13,7 +13,7 @@ Oracle's across configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -162,9 +162,6 @@ class EvalReport:
     per_config_metric: list[dict[str, float]] = field(default_factory=list)
     per_config_error: list[dict[str, float]] = field(default_factory=list)
     mae: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate(

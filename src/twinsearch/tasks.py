@@ -9,7 +9,7 @@ regime where the train set under-represents the test distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,6 +129,3 @@ class TaskSpec:
             n_classes=n_classes,
             input_dim=input_dim,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -103,9 +103,6 @@ class ArchSpec:
     def __post_init__(self) -> None:
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

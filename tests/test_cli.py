@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from twinsearch.cli import main
 from twinsearch.grid import GridCell
 from twinsearch.matrices import build_metric_surfaces
 from twinsearch.quickshift import QuickshiftParams
-from twinsearch.records import write_records
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.tasks import TaskSpec
@@ -161,6 +161,13 @@ def with_field(manifest_text, key, field, value):
     return json.dumps(doc)
 
 
+def with_item(manifest_text, key, field, index, value):
+    """The manifest's JSON text with ``doc[key][field][index]`` set to ``value``."""
+    doc = json.loads(manifest_text)
+    doc[key][field][index] = value
+    return json.dumps(doc)
+
+
 def reseal(path, fault):
     """Rewrite the ``records.json`` at ``path`` with ``fault`` applied to its second line, an
     object whose text it returns, and the body CRC on its first line made to match again."""
@@ -183,7 +190,7 @@ class TestSelect:
         monkeypatch.setattr(cli, "default_params", lambda grid: params)
         assert run_cli(tmp_path, "select", "r") == 0
         stored = json.loads(artifact(tmp_path, "r", "selection.json").read_text())
-        assert stored["quickshift_params"] == params.to_dict()
+        assert stored["quickshift_params"] == asdict(params)
 
     def test_reselect_is_idempotent(self, tmp_path):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
@@ -224,7 +231,7 @@ class TestSelect:
         grid = build_log_grid(1e-4, 1e-2, 3, 1e-4, 1e-2, 3)
         store.create_run(
             "ext",
-            {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 2).to_dict(), "task": "external"},
+            {"grid": asdict(grid), "scheduler": asdict(SchedulerPolicy("fifo", 2)), "task": "external"},
         )
         losses = [[0.9, 0.5, 0.4], [0.8, 0.2, 0.1], [0.9, 0.6, 0.5]]
         norms = [[3.0, 2.5, 2.0], [2.8, 2.2, 1.8], [3.1, 2.6, 2.1]]
@@ -237,7 +244,7 @@ class TestSelect:
             for r in range(3)
             for c in range(3)
         ]
-        write_records(store, "ext", records)
+        store.write_records("ext", records)
         assert run_cli(tmp_path, "select", "ext") == 0
         out = capsys.readouterr().out
         assert "selected cell" in out and "lr=" in out
@@ -249,9 +256,9 @@ class TestSelect:
         grid = build_log_grid(1e-4, 1e-2, 2, 1e-4, 1e-2, 2)
         store.create_run(
             "partial",
-            {"grid": grid.to_dict(), "scheduler": SchedulerPolicy("fifo", 5).to_dict(), "task": "external"},
+            {"grid": asdict(grid), "scheduler": asdict(SchedulerPolicy("fifo", 5)), "task": "external"},
         )
-        write_records(store, "partial", [TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)])])
+        store.write_records("partial", [TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)])])
         assert run_cli(tmp_path, "select", "partial") == 2
         assert "incomplete" in capsys.readouterr().err
 
@@ -261,7 +268,7 @@ class TestSelect:
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         store = RunStore(tmp_path / "runs")
         records = store.load_run("r")[2]
-        write_records(store, "r", [rec for cell, rec in records.items() if cell != (0, 0)])
+        store.write_records("r", [rec for cell, rec in records.items() if cell != (0, 0)])
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r", *flags) == 2
         captured = capsys.readouterr()
@@ -285,13 +292,13 @@ class TestSelect:
         store = RunStore(tmp_path / "runs")
         grid = build_log_grid(1e-4, 1e-2, 2, 1e-4, 1e-2, 2)
         policy = SchedulerPolicy("hb", 3, stop_fraction=0.5)
-        store.create_run("r", {"grid": grid.to_dict(), "scheduler": policy.to_dict(), "task": "external"})
+        store.create_run("r", {"grid": asdict(grid), "scheduler": asdict(policy), "task": "external"})
         records = [
             TrialRecord(cell, [EpochLog(e, 1.0 + 0.1 * cell.row + 0.01 * cell.col, 2.0) for e in range(3)], "completed")
             for cell in grid.cells()
         ]
         records[2] = TrialRecord(GridCell(1, 0), records[2].epochs[:epochs], status)
-        write_records(store, "r", records)
+        store.write_records("r", records)
         assert run_cli(tmp_path, "select", "r") == code
         captured = capsys.readouterr()
         if code == 2:
@@ -369,32 +376,43 @@ class TestSelect:
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
 
     @pytest.mark.parametrize(
-        "name, fault",
+        "name, fault, detail",
         [
-            ("manifest.json", lambda text: without(text, "scheduler")),
-            ("manifest.json", lambda text: without(text, "grid")),
-            ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": "x"})),
-            ("manifest.json", lambda text: "[1]"),
-            ("manifest.json", lambda text: "{bad"),
-            ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": {}})),
-            ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {}})),
-            ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {"kind": "hb"}})),
-            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", 5)),
-            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", "abc")),
-            ("manifest.json", lambda text: with_field(text, "scheduler", "kind", "asha")),
-            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", "4")),
-            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", True)),
-            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", 1.5)),
-            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [1e-3] * 5)),
-            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [True, 10.0])),
-            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", [0.1, True])),
+            ("manifest.json", lambda text: without(text, "scheduler"), None),
+            ("manifest.json", lambda text: without(text, "grid"), None),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": "x"}), None),
+            ("manifest.json", lambda text: "[1]", None),
+            ("manifest.json", lambda text: "{bad", None),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "grid": {}}), None),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {}}), None),
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "scheduler": {"kind": "hb"}}), None),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", 5), None),
+            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", "abc"), None),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "kind", "asha"), None),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", "4"), None),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", True), None),
+            ("manifest.json", lambda text: with_field(text, "scheduler", "epoch_budget", 1.5), None),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [1e-3] * 5), None),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [True, 10.0]), None),
+            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", [0.1, True]), None),
             (
                 "manifest.json",
                 lambda text: with_field(with_field(text, "scheduler", "kind", "hb"), "scheduler", "stop_fraction", True),
+                None,
             ),
-            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [0.0, 1.0])),
+            ("manifest.json", lambda text: with_field(text, "grid", "lr_values", [0.0, 1.0]), None),
             # 1e309 is past the float range, so JSON loads it as inf
-            ("manifest.json", lambda text: with_field(text, "grid", "wd_values", "W").replace('"W"', "[1.0, 1e309]")),
+            (
+                "manifest.json",
+                lambda text: with_field(text, "grid", "wd_values", "W").replace('"W"', "[1.0, 1e309]"),
+                None,
+            ),
+            # an integer past the float range stays an int in JSON: the grid refuses it, not numpy
+            (
+                "manifest.json",
+                lambda text: with_item(text, "grid", "lr_values", 1, 10**400),
+                "manifest field 'grid': lr values must be finite and positive",
+            ),
         ],
         ids=[
             "no-scheduler", "no-grid", "grid-string", "manifest-array", "manifest-not-json",
@@ -402,10 +420,10 @@ class TestSelect:
             "lr-values-number", "wd-values-string", "kind-asha", "budget-string",
             "budget-bool", "budget-fraction",
             "lr-values-flat", "lr-values-bool", "wd-values-bool", "hb-stop-fraction-bool",
-            "lr-values-zero", "wd-values-inf",
+            "lr-values-zero", "wd-values-inf", "lr-value-past-float-range",
         ],
     )
-    def test_malformed_manifest_is_a_storage_error(self, tmp_path, capsys, name, fault):
+    def test_malformed_manifest_is_a_storage_error(self, tmp_path, capsys, name, fault, detail):
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         stored = artifact(tmp_path, "r", "selection.json").read_bytes()
         path = artifact(tmp_path, "r", name)
@@ -414,7 +432,10 @@ class TestSelect:
         for command in ("select", "baseline"):
             assert run_cli(tmp_path, command, "r") == 3
             captured = capsys.readouterr()
-            assert captured.err.startswith(f"storage error: {path}: ")
+            if detail is None:
+                assert captured.err.startswith(f"storage error: {path}: ")
+            else:
+                assert captured.err == f"storage error: {path}: {detail}\n"
             assert "Traceback" not in captured.out + captured.err
         assert artifact(tmp_path, "r", "selection.json").read_bytes() == stored
         assert not artifact(tmp_path, "r", "baselines.json").exists()
@@ -742,6 +763,20 @@ def test_each_command_reads_the_manifest_once_per_run(tmp_path, monkeypatch):
         calls.clear()
         assert run_cli(tmp_path, *command) == 0
         assert calls == [arg for arg in command[1:] if arg in ("r", "s")], command
+
+
+def test_run_reads_no_manifest(tmp_path, monkeypatch):
+    # run writes the manifest and the trial files; it has the grid in hand, so reads none back
+    calls = []
+    load_manifest = RunStore.load_manifest
+
+    def counted(self, run_id):
+        calls.append(run_id)
+        return load_manifest(self, run_id)
+
+    monkeypatch.setattr(RunStore, "load_manifest", counted)
+    assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
+    assert calls == []
 
 
 def test_a_run_stored_with_the_older_copies_still_loads(tmp_path):

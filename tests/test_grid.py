@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -143,14 +144,19 @@ class TestInvariants:
 
     def test_serialization_round_trip(self):
         grid = default_grid(7)
-        assert HyperGrid.from_dict(grid.to_dict()) == grid
+        assert HyperGrid.from_dict(asdict(grid)) == grid
 
     @pytest.mark.parametrize(
         "lr_values",
-        [[0.0, 1.0], [1.0, 1e309], [-1.0, -0.1], [math.nan, 1.0], [1e-3, 1e-2, math.inf]],
-        ids=["zero", "overflow-to-inf", "negative", "nan", "inf-last"],
+        [[0.0, 1.0], [1.0, 1e309], [-1.0, -0.1], [math.nan, 1.0], [1e-3, 1e-2, math.inf], [1e-3, 10**400]],
+        ids=["zero", "overflow-to-inf", "negative", "nan", "inf-last", "int-past-float-range"],
     )
     def test_a_value_that_is_not_finite_and_positive_is_refused(self, lr_values):
         # np.allclose(inf, inf) holds, so the log-spacing check alone would pass an inf end
-        with pytest.raises(ValueError, match="lr values must be finite and positive"):
+        with pytest.raises(ValueError, match="^lr values must be finite and positive$"):
             HyperGrid.from_dict({"lr_values": lr_values, "wd_values": [1e-3, 1e-2]})
+
+    @pytest.mark.parametrize("lr_values", [[1, 10], [10**20, 10**21], [1e300, 10**308]])
+    def test_integers_in_the_float_range_load(self, lr_values):
+        grid = HyperGrid.from_dict({"lr_values": lr_values, "wd_values": [1e-3, 1e-2]})
+        assert grid.lr_values == tuple(lr_values)

@@ -74,7 +74,7 @@ class TestDefaults:
         assert default_params(grid).kernel_size == pytest.approx(3.0)
 
     def test_explicit_large_params_constructible(self):
-        params = QuickshiftParams(kernel_size=10.0, max_dist=10.0)
+        params = QuickshiftParams(kernel_size=10.0, max_dist=10.0, ratio=1.0)
         assert params.max_dist == 10.0
 
     def test_the_largest_ratio_segments_without_a_warning(self):
@@ -177,7 +177,7 @@ class TestLinking:
         # cell is densest, so it roots the single tree
         values = np.full((3, 3), 0.5)
         mask = np.zeros((3, 3), dtype=bool)
-        params = QuickshiftParams(kernel_size=math.sqrt(3), max_dist=math.sqrt(3))
+        params = QuickshiftParams(kernel_size=math.sqrt(3), max_dist=math.sqrt(3), ratio=1.0)
         segments = quickshift(values, mask, params)
         assert segments.n_regions == 1
         d = compute_density(values, mask, params.kernel_size, params.ratio)
@@ -207,7 +207,7 @@ class TestLinking:
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, :] = True
         mask[:, 2] = True
-        params = QuickshiftParams(kernel_size=1.0, max_dist=1.5)
+        params = QuickshiftParams(kernel_size=1.0, max_dist=1.5, ratio=1.0)
         segments = quickshift(values, mask, params)
         labels = segments.labels
         assert labels[0, 0] == labels[1, 1]
@@ -221,14 +221,14 @@ class TestLabeling:
     def test_all_roots_when_max_dist_below_one(self):
         values = np.random.default_rng(1).random((3, 4))
         mask = np.zeros((3, 4), dtype=bool)
-        segments = quickshift(values, mask, QuickshiftParams(kernel_size=1.0, max_dist=0.5))
+        segments = quickshift(values, mask, QuickshiftParams(kernel_size=1.0, max_dist=0.5, ratio=1.0))
         assert segments.n_regions == 12
         assert len(np.unique(segments.labels)) == 12
 
     def test_single_root_single_region(self):
         values = np.full((2, 2), 0.5)
         mask = np.zeros((2, 2), dtype=bool)
-        segments = quickshift(values, mask, QuickshiftParams(kernel_size=5.0, max_dist=5.0))
+        segments = quickshift(values, mask, QuickshiftParams(kernel_size=5.0, max_dist=5.0, ratio=1.0))
         assert segments.n_regions == 1
 
     def test_labels_partition_non_masked(self):
@@ -237,7 +237,7 @@ class TestLabeling:
         mask = rng.random((5, 5)) < 0.3
         if mask.all():
             mask[0, 0] = False
-        segments = quickshift(values, mask, QuickshiftParams(kernel_size=1.0, max_dist=2.0))
+        segments = quickshift(values, mask, QuickshiftParams(kernel_size=1.0, max_dist=2.0, ratio=1.0))
         assert (segments.labels[mask] == -1).all()
         non_masked = segments.labels[~mask]
         assert (non_masked >= 0).all()
@@ -395,7 +395,7 @@ class TestFrozenParity:
         values = np.zeros((20, 20))
         mask = np.ones((20, 20), dtype=bool)
         assert_matches_frozen(values, mask, 2.0, 2.0, 1.0)
-        assert quickshift(values, mask, QuickshiftParams(2.0, 2.0)).n_regions == 0
+        assert quickshift(values, mask, QuickshiftParams(2.0, 2.0, ratio=1.0)).n_regions == 0
 
 
 class TestCycleDetection:

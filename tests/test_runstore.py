@@ -4,6 +4,7 @@ import os
 import shutil
 import warnings
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from twinsearch.cli import PipelineError, _load_complete_run
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
 from twinsearch.quickshift import default_params
-from twinsearch.records import write_records
 from twinsearch.runstore import (
     RunNotFoundError,
     RunStore,
@@ -46,7 +46,7 @@ def store(tmp_path):
 
 
 def manifest_for(grid, policy):
-    return {"grid": grid.to_dict(), "scheduler": policy.to_dict(), "task": "external"}
+    return {"grid": asdict(grid), "scheduler": asdict(policy), "task": "external"}
 
 
 def small_grid(n=2):
@@ -76,7 +76,7 @@ def write_full_run(store, run_id, grid, epochs=3, policy=None):
         ]
         records.append(TrialRecord(cell, logs, "completed"))
         store.append_trial_line(run_id, records[-1])
-    write_records(store, run_id, records)
+    store.write_records(run_id, records)
 
 
 class TestAppend:
@@ -125,7 +125,7 @@ class TestAppend:
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         record = TrialRecord(GridCell(0, 0), [EpochLog(0, math.nan, math.inf)], "diverged")
         store.append_trial_line("r1", record)
-        write_records(store, "r1", [record])
+        store.write_records("r1", [record])
         raw = (store.run_dir("r1") / "trials" / "0_0.jsonl").read_text()
         doc = json.loads(raw)
         assert doc["train_loss"] == "NaN"
@@ -135,15 +135,20 @@ class TestAppend:
         entry = records[GridCell(0, 0)].epochs[0]
         assert math.isnan(entry.train_loss) and math.isinf(entry.param_norm)
 
-    def test_unknown_cell_rejected(self, store):
-        grid = small_grid()
-        store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        with pytest.raises(RunStoreError, match="outside grid"):
-            store.append_trial_line("r1", plain_record(GridCell(5, 0), 1))
-
     def test_append_without_manifest_rejected(self, store):
-        with pytest.raises(RunStoreError, match="manifest"):
+        # the trial file goes into the run's trials directory, which only create_run makes
+        with pytest.raises(FileNotFoundError):
             store.append_trial_line("ghost", plain_record(GridCell(0, 0), 1))
+        assert not store.root.exists()
+
+    def test_a_run_created_again_takes_its_new_grid(self, store):
+        # the store keeps nothing of a run between calls, so a deleted and recreated run is new
+        store.create_run("r", manifest_for(small_grid(2), SchedulerPolicy("fifo", 5)))
+        store.append_trial_line("r", plain_record(GridCell(0, 0), 1))
+        shutil.rmtree(store.run_dir("r"))
+        store.create_run("r", manifest_for(small_grid(3), SchedulerPolicy("fifo", 5)))
+        store.append_trial_line("r", plain_record(GridCell(2, 2), 2, "completed"))
+        assert sorted(os.listdir(store.run_dir("r") / "trials")) == ["2_2.jsonl"]
 
     def test_short_write_raises(self, store, monkeypatch):
         grid = small_grid()
@@ -302,7 +307,7 @@ class TestLoad:
         grid = small_grid()
         store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         with pytest.raises(RunStoreError) as info:
-            write_records(store, "r", [plain_record(GridCell(0, 0), 2, "completed"), record])
+            store.write_records("r", [plain_record(GridCell(0, 0), 2, "completed"), record])
         assert str(info.value) == "record of cell (0, 1): epochs not 0, 1, ..., or unknown status"
         assert not (store.run_dir("r") / "records.json").exists()
 
@@ -418,7 +423,7 @@ def edit_a_loss_digit(data):
 
 def rewrite_records(store, run_id):
     """Write ``run_id``'s records.json again from its loaded records, as ``run`` writes it."""
-    write_records(store, run_id, store.load_run(run_id)[2].values())
+    store.write_records(run_id, store.load_run(run_id)[2].values())
 
 
 class TestRecords:
@@ -568,7 +573,7 @@ class TestRecords:
             GridCell(0, 1): TrialRecord(GridCell(0, 1), [EpochLog(0, -math.nan, -math.inf, -0.0, None)], "diverged"),
             GridCell(1, 1): TrialRecord(GridCell(1, 1), [EpochLog(0, 0.5, 5e-324, 1.0, 0.25)], "running"),
         }
-        write_records(store, "r", written.values())
+        store.write_records("r", written.values())
         assert bits(store.load_run("r")[2]) == bits(written)
 
 
@@ -629,7 +634,7 @@ def write_random_run(store, rng, monkeypatch, line_epochs):
     grid, records = random_records(rng)
     store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 9)))
     monkeypatch.setattr(run_records, "_LINE_EPOCHS", line_epochs)
-    write_records(store, "r", records)
+    store.write_records("r", records)
     return store.run_dir("r") / "records.json", grid, records
 
 
@@ -981,7 +986,7 @@ class TestRecordsCarryTheLoggedStops:
             ended = {cell for cell, stop in stops.items() if stop["epoch"] <= k}
             cut = [records[c] if c in ended else TrialRecord(c, records[c].epochs[:k], STATUS_RUNNING)
                    for c in grid.cells()]
-            write_records(store, "cut", cut)
+            store.write_records("cut", cut)
             owed = [cell for cell in grid.cells() if cell not in ended]
             if not owed:
                 assert bits(_load_complete_run(store, "cut")[2]) == bits(records), f"cut after round {k}"

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -87,11 +88,11 @@ class TestPolicyAndLadder:
         ids=repr,
     )
     def test_a_stored_policy_loads_to_an_equal_one(self, policy):
-        assert SchedulerPolicy.from_dict(policy.to_dict()) == policy
-        stored = {**policy.to_dict(), "note": "a key no loader reads"}
+        assert SchedulerPolicy.from_dict(asdict(policy)) == policy
+        stored = {**asdict(policy), "note": "a key no loader reads"}
         assert SchedulerPolicy.from_dict(stored) == policy
         # a field the dict lacks takes the class default
-        kept = {k: v for k, v in policy.to_dict().items() if k in ("kind", "epoch_budget")}
+        kept = {k: v for k, v in asdict(policy).items() if k in ("kind", "epoch_budget")}
         assert SchedulerPolicy.from_dict(kept) == SchedulerPolicy(policy.kind, policy.epoch_budget)
 
     def test_init_requires_trials(self):

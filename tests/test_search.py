@@ -22,7 +22,6 @@ import pytest
 
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
-from twinsearch.records import write_records
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import Schedule, SchedulerPolicy, rung_levels
 from twinsearch import trainer
@@ -97,7 +96,7 @@ def searched(request, tmp_path_factory):
     policy, grid = CASES[kind]
     task = TASK_SPEC.make()
     store = RunStore(tmp_path_factory.mktemp(kind) / "runs")
-    store.create_run("run", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
+    store.create_run("run", {"grid": dataclasses.asdict(grid), "scheduler": dataclasses.asdict(policy)})
 
     calls = []
     original = MLP.accuracy
@@ -127,7 +126,7 @@ def searched(request, tmp_path_factory):
         mp.setattr(store, "append_trial_line", recording)
         mp.setattr(trainer, "STACK_SLICE", 5)  # uneven slices of the 16 cells
         records = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
-    write_records(store, "run", records.values())
+    store.write_records("run", records.values())
     return SimpleNamespace(
         kind=kind,
         grid=grid,
@@ -284,8 +283,8 @@ def test_each_trial_file_is_written_once_whole_in_the_round_the_trial_ends(searc
 def test_records_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched):
     kind, grid, store = searched.kind, searched.grid, searched.store
     policy, _ = CASES[kind]
-    store.create_run("old", {"grid": grid.to_dict(), "scheduler": policy.to_dict()})
-    write_records(store, "old", searched.eager.values())
+    store.create_run("old", {"grid": dataclasses.asdict(grid), "scheduler": dataclasses.asdict(policy)})
+    store.write_records("old", searched.eager.values())
     _, _, old = store.load_run("old")
     _, _, new = store.load_run("run")
     assert_same_surfaces(build_metric_surfaces(old, grid, kind), build_metric_surfaces(new, grid, kind))

@@ -69,7 +69,7 @@ class TestRegionStats:
         values = np.array([[0.1, 0.2], [0.3, math.nan]])
         mask = np.array([[False, False], [False, True]])
         norm = normalize_invert(values, mask)
-        labels = quickshift(norm, mask, QuickshiftParams(2.0, 2.0))
+        labels = quickshift(norm, mask, QuickshiftParams(2.0, 2.0, ratio=1.0))
         means = region_stats(norm, labels)
         assert np.isfinite(means).all()
 
@@ -81,13 +81,13 @@ class TestTwinSelect:
         theta = np.full((3, 3), math.nan)
         theta[1, 2] = 2.0
         mats = mats_from(psi, theta)
-        sel = twin_pipeline(mats, grid_of((3, 3)), QuickshiftParams(2.0, 2.0)).selection
+        sel = twin_pipeline(mats, grid_of((3, 3)), QuickshiftParams(2.0, 2.0, ratio=1.0)).selection
         assert sel.cell == GridCell(1, 2)
         assert sel.norm_at_cell == 2.0
 
     def test_argmin_norm_within_best_region(self):
         mats = valley_matrices()
-        artifacts = twin_pipeline(mats, grid_of(mats.shape), QuickshiftParams(1.0, 1.5))
+        artifacts = twin_pipeline(mats, grid_of(mats.shape), QuickshiftParams(1.0, 1.5, ratio=1.0))
         sel = artifacts.selection
         region = artifacts.segments.labels == sel.region_id
         assert region[sel.cell.row, sel.cell.col]
@@ -97,7 +97,7 @@ class TestTwinSelect:
 
     def test_valley_region_beats_corners(self):
         mats = valley_matrices()
-        artifacts = twin_pipeline(mats, grid_of(mats.shape), QuickshiftParams(1.0, 1.5))
+        artifacts = twin_pipeline(mats, grid_of(mats.shape), QuickshiftParams(1.0, 1.5, ratio=1.0))
         labels = artifacts.segments.labels
         # anti-diagonal valley cells share the winning region
         n = labels.shape[0]
@@ -108,14 +108,14 @@ class TestTwinSelect:
     def test_tie_breaks_lexicographic_on_norm(self):
         psi = np.array([[0.1, 0.1], [0.1, 0.1]])
         theta = np.array([[3.0, 1.0], [1.0, 2.0]])
-        artifacts = twin_pipeline(mats_from(psi, theta), grid_of((2, 2)), QuickshiftParams(2.0, 2.0))
+        artifacts = twin_pipeline(mats_from(psi, theta), grid_of((2, 2)), QuickshiftParams(2.0, 2.0, ratio=1.0))
         sel = artifacts.selection
         assert sel.cell == GridCell(0, 1)  # first of the two 1.0-norm cells
 
     def test_all_masked_raises(self):
         psi = np.full((2, 2), math.nan)
         with pytest.raises(ValueError, match="no trainable"):
-            twin_pipeline(mats_from(psi), grid_of((2, 2)), QuickshiftParams(1.0, 1.0))
+            twin_pipeline(mats_from(psi), grid_of((2, 2)), QuickshiftParams(1.0, 1.0, ratio=1.0))
 
     def test_signature_cannot_receive_metric_surfaces(self):
         params = inspect.signature(twin_pipeline).parameters
@@ -133,7 +133,7 @@ class TestTwinSelect:
         psi = rng.random((5, 5)) * rng.uniform(0.5, 4.0)
         theta = rng.random((5, 5)) * 10
         grid = grid_of((5, 5))
-        params = QuickshiftParams(kernel_size=math.sqrt(5), max_dist=math.sqrt(5))
+        params = QuickshiftParams(kernel_size=math.sqrt(5), max_dist=math.sqrt(5), ratio=1.0)
         base = twin_pipeline(mats_from(psi, theta), grid, params).selection
         transformed = twin_pipeline(mats_from(a * psi + b, c * theta), grid, params).selection
         assert base.cell == transformed.cell
