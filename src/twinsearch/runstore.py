@@ -6,7 +6,8 @@ Directory layout:
         manifest.json        grid values, scheduler policy, trainer/arch/task specs
         records.json         every trial's record: the one stored record of the trials
                              (written by run through ``write_records``)
-        trials/<row>_<col>.jsonl   export: one line per epoch, in epoch order
+        trials/<row>_<col>.jsonl   export: one line per epoch, in epoch order (created
+                             empty at the search's start, written when the trial ends)
         decisions.jsonl      export: scheduler decision log (rung outcomes + terminal stops)
         matrices.json        export: psi/theta/valid_mask/epochs_run, row-major (written by
                              run only; no command reads it; kept for the benchmark's check)
@@ -55,13 +56,21 @@ only on the epochs the baseline summaries read: the last finite epoch under
 FIFO, the last five under early stopping (``matrices.metric_window``).
 Every other line has null metrics, as has that epoch in ``records.json``.
 
-The search writes a trial's file once, whole, in the round the trial ends:
-``append_trial_line`` creates it exclusively in the ``trials`` directory
-``create_run`` made (``FileNotFoundError`` without it) and writes every line
-in one unbuffered ``os.write``; the caller passes a cell of the run's grid.
-A file that already exists is an error and is left as it is; a short write
-raises. ``records.json`` is written after the search, so a process killed
-mid-search leaves a run that no command loads.
+A trial file is made in two steps. ``create_trial_files`` creates every
+cell's file empty and exclusively in the ``trials`` directory ``create_run``
+made (``FileNotFoundError`` without it); ``execute_search`` calls it on a
+helper thread from the start of the search, since creating a file costs far
+more than writing it, and joins that thread before its first write. The
+search then writes a trial's file once, whole, in the round the trial ends:
+``append_trial_line`` opens the created file (``FileNotFoundError`` if it was
+never created) and writes every line in one unbuffered ``os.write``; the
+caller passes a cell of the run's grid. Creating a file that exists, or
+writing one that is not empty, is an error that leaves the file as it is; a
+short write raises. ``records.json`` is written after the search, so a
+process killed mid-search leaves a run that no command loads, and maybe
+empty trial files for the trials that had not ended: exports that no command
+reads. The two steps and the helper thread go when ROADMAP item 15 deletes
+the trial files.
 """
 
 from __future__ import annotations
@@ -208,9 +217,19 @@ class RunStore:
         payload = {"run_id": run_id, "tool_version": __version__, **manifest}
         self._write_text(run_dir / "manifest.json", encode_json(payload) + "\n")
 
+    def create_trial_files(self, run_id: str, cells: Iterable[GridCell]) -> None:
+        """Create the trial file of each of ``cells`` empty and exclusively, in order."""
+        trials = f"{self.run_dir(run_id)}/trials"
+        for row, col in cells:
+            path = f"{trials}/{row}_{col}.jsonl"
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except FileExistsError:
+                raise RunStoreError(f"{path}: trial file already exists") from None
+
     def append_trial_line(self, run_id: str, record: TrialRecord) -> None:
-        """Write ``record``'s trial file whole: ``running`` on every line but the
-        last, which carries the record's status."""
+        """Write ``record``'s trial file whole, into the empty file ``create_trial_files``
+        made: ``running`` on every line but the last, which carries the record's status."""
         row, col = cell = record.cell
         path = f"{self.run_dir(run_id)}/trials/{row}_{col}.jsonl"
         last = record.epochs_run - 1
@@ -218,11 +237,10 @@ class RunStore:
             _trial_line_text(cell, entry, record.status if i == last else STATUS_RUNNING) + "\n"
             for i, entry in enumerate(record.epochs)
         ).encode()
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except FileExistsError:
-            raise RunStoreError(f"{path}: trial file already exists") from None
-        try:
+            if os.fstat(fd).st_size:
+                raise RunStoreError(f"{path}: trial file already written")
             written = os.write(fd, data)
         finally:
             os.close(fd)

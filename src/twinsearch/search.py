@@ -19,7 +19,14 @@ Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
 a trial's file is written once, whole and with its metrics, in the round
 the trial ends. The trial files and the decision log are exports that no
-command reads. Every file of a run is written through ``RunStore``:
+command reads. Creating 900-1,600 files costs more than writing them, so a
+search with a store creates every cell's file empty on a helper thread from
+its start, while the cohort trains, and joins that thread just before its
+first write (the first rung under HB; the last round or the first
+divergence under FIFO) and again at its end, so no thread outlives it. A
+process killed mid-search can leave empty files for the trials that had
+not ended; no command reads them. The helper thread goes when ROADMAP item
+15 deletes the trial files. Every file of a run is written through ``RunStore``:
 after the search ``run_and_store`` has it write every record the search
 returns to ``records.json`` (``RunStore.write_records``), and commands read
 only that. It then writes the run's matrices to ``matrices.json``, an
@@ -30,6 +37,7 @@ it, and ``eval`` and ``plot`` read it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict
 
 from .grid import GridCell, HyperGrid, cell_params, slice_grid
@@ -65,35 +73,59 @@ def execute_search(
     With a store, a trial that ends in a round (completed, stopped early or
     diverged) gets its whole trial file then, one line per epoch, in cell
     order; the round's decisions are appended after the round's trial files.
+    The files are created empty on a helper thread from the start, which the
+    search joins before its first write, re-raising what the thread raised,
+    and at its end, however it ends.
     """
-    schedule = Schedule(policy, grid.n_trials)
-    trials = [(cell, *cell_params(grid, cell)) for cell in grid.cells()]
-    cohort = Cohort(task, arch, config, policy.epoch_budget, metric_window(policy.kind), trials)
-    # in cell order; an ended runner is dropped, which frees its metric window
-    alive = list(cohort.members)
-    records: dict[GridCell, TrialRecord] = {r.cell: r.record for r in alive}
     persist = store is not None and run_id is not None
-    decisions_written = 0
-    epoch = 0
-    while alive:
-        epoch += 1
-        losses: dict[GridCell, float | None] = {}
-        for runner in alive:
-            last = runner.step_epoch()
-            losses[runner.cell] = None if runner.record.status == STATUS_DIVERGED else last.train_loss
-        schedule.decide(epoch, losses)
+    cells = grid.cells()  # one list, shared with the helper thread
+    failure: list[BaseException] = []
 
-        for runner in alive:
-            if not runner.done and not schedule.is_alive(runner.cell):
-                runner.finish(STATUS_STOPPED_EARLY)
-            if persist and runner.done:
-                store.append_trial_line(run_id, runner.record)
-        if persist:
-            new = schedule.decision_log[decisions_written:]
-            if new:
-                store.append_decisions(run_id, new)
-                decisions_written += len(new)
-        alive = [r for r in alive if not r.done]
+    def create_files() -> None:
+        try:
+            store.create_trial_files(run_id, cells)
+        except BaseException as exc:  # raised on the search's thread at the join
+            failure.append(exc)
+
+    creator = threading.Thread(target=create_files) if persist else None
+    if creator is not None:
+        creator.start()
+    try:
+        schedule = Schedule(policy, grid.n_trials)
+        trials = [(cell, *cell_params(grid, cell)) for cell in cells]
+        cohort = Cohort(task, arch, config, policy.epoch_budget, metric_window(policy.kind), trials)
+        # in cell order; an ended runner is dropped, which frees its metric window
+        alive = list(cohort.members)
+        records: dict[GridCell, TrialRecord] = {r.cell: r.record for r in alive}
+        decisions_written = 0
+        epoch = 0
+        while alive:
+            epoch += 1
+            losses: dict[GridCell, float | None] = {}
+            for runner in alive:
+                last = runner.step_epoch()
+                losses[runner.cell] = None if runner.record.status == STATUS_DIVERGED else last.train_loss
+            schedule.decide(epoch, losses)
+
+            for runner in alive:
+                if not runner.done and not schedule.is_alive(runner.cell):
+                    runner.finish(STATUS_STOPPED_EARLY)
+                if persist and runner.done:
+                    if creator is not None:  # the first write waits for the files
+                        creator.join()
+                        creator = None
+                        if failure:
+                            raise failure[0]
+                    store.append_trial_line(run_id, runner.record)
+            if persist:
+                new = schedule.decision_log[decisions_written:]
+                if new:
+                    store.append_decisions(run_id, new)
+                    decisions_written += len(new)
+            alive = [r for r in alive if not r.done]
+    finally:
+        if creator is not None:
+            creator.join()
 
     return records
 
@@ -129,7 +161,10 @@ def run_and_store(
 ) -> TwinArtifacts:
     """Full pipeline with persistence, each file written by ``store``: the manifest
     (``asdict`` of each spec), trial files and decisions (exports), ``records.json``
-    (what later commands load), matrices (an export), selection.
+    (what later commands load), matrices (an export), selection. The trial files
+    are created on ``execute_search``'s helper thread and written as trials end;
+    ``records.json`` is written after the search, so a killed ``run`` leaves no
+    loadable run, and maybe empty trial files.
 
     The pick uses ``default_params(grid)``; ``twinsearch select`` re-selects
     with other segmentation parameters and replaces ``selection.json`` only:

@@ -59,9 +59,11 @@ def plain_record(cell, epochs, status="running"):
 
 
 def write_full_run(store, run_id, grid, epochs=3, policy=None):
-    """A run of ``grid`` as ``run`` stores one: trial files, then ``records.json``."""
+    """A run of ``grid`` as ``run`` stores one: trial files created, then written, then
+    ``records.json``."""
     policy = policy or SchedulerPolicy("fifo", epochs)
     store.create_run(run_id, manifest_for(grid, policy))
+    store.create_trial_files(run_id, grid.cells())
     records = []
     for cell in grid.cells():
         logs = [
@@ -80,17 +82,21 @@ def write_full_run(store, run_id, grid, epochs=3, policy=None):
 
 
 class TestAppend:
-    def test_first_line_creates_file(self, store):
+    def test_files_are_created_empty_and_the_first_write_fills_one(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.create_trial_files("r1", grid.cells())
+        trials = store.run_dir("r1") / "trials"
+        assert sorted(os.listdir(trials)) == ["0_0.jsonl", "0_1.jsonl", "1_0.jsonl", "1_1.jsonl"]
+        assert all((trials / name).stat().st_size == 0 for name in os.listdir(trials))
         store.append_trial_line("r1", plain_record(GridCell(0, 0), 1))
-        path = store.run_dir("r1") / "trials" / "0_0.jsonl"
-        assert path.exists()
-        assert len(path.read_text().splitlines()) == 1
+        assert len((trials / "0_0.jsonl").read_text().splitlines()) == 1
+        assert [(trials / name).stat().st_size for name in ("0_1.jsonl", "1_0.jsonl", "1_1.jsonl")] == [0, 0, 0]
 
     def test_one_call_writes_the_whole_file(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.create_trial_files("r1", [GridCell(0, 1)])
         store.append_trial_line("r1", plain_record(GridCell(0, 1), 3, "stopped_early"))
         path = store.run_dir("r1") / "trials" / "0_1.jsonl"
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -98,7 +104,7 @@ class TestAppend:
         assert [d["status"] for d in lines] == ["running", "running", "stopped_early"]
 
     @pytest.mark.parametrize("damage", ["whole", "torn", "unterminated", "corrupt-interior"])
-    def test_append_after_a_damaged_file_raises_and_writes_nothing(self, store, damage):
+    def test_a_written_file_is_neither_created_again_nor_written_again(self, store, damage):
         # the file of a trial is written once; whatever is there, whole or
         # damaged, is never appended to or replaced
         grid = small_grid()
@@ -116,14 +122,32 @@ class TestAppend:
         path.write_bytes(data)
         for writer in (store, RunStore(store.root)):
             with pytest.raises(RunStoreError) as info:
-                writer.append_trial_line("r1", plain_record(GridCell(0, 0), 4, "completed"))
+                writer.create_trial_files("r1", [GridCell(0, 0)])
             assert str(info.value) == f"{path}: trial file already exists"
             assert path.read_bytes() == data
+            with pytest.raises(RunStoreError) as info:
+                writer.append_trial_line("r1", plain_record(GridCell(0, 0), 4, "completed"))
+            assert str(info.value) == f"{path}: trial file already written"
+            assert path.read_bytes() == data
+
+    def test_creating_stops_at_the_first_existing_file_and_leaves_it(self, store):
+        grid = small_grid()
+        store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        trials = store.run_dir("r1") / "trials"
+        (trials / "0_1.jsonl").write_bytes(b"kept\n")
+        with pytest.raises(RunStoreError) as info:
+            store.create_trial_files("r1", grid.cells())
+        assert str(info.value) == f"{trials / '0_1.jsonl'}: trial file already exists"
+        assert (trials / "0_1.jsonl").read_bytes() == b"kept\n"
+        # cells are created in the order given: the one before it is, the ones after are not
+        assert sorted(os.listdir(trials)) == ["0_0.jsonl", "0_1.jsonl"]
+        assert (trials / "0_0.jsonl").stat().st_size == 0
 
     def test_nan_encoded_as_string(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         record = TrialRecord(GridCell(0, 0), [EpochLog(0, math.nan, math.inf)], "diverged")
+        store.create_trial_files("r1", [record.cell])
         store.append_trial_line("r1", record)
         store.write_records("r1", [record])
         raw = (store.run_dir("r1") / "trials" / "0_0.jsonl").read_text()
@@ -136,23 +160,36 @@ class TestAppend:
         assert math.isnan(entry.train_loss) and math.isinf(entry.param_norm)
 
     def test_append_without_manifest_rejected(self, store):
-        # the trial file goes into the run's trials directory, which only create_run makes
+        # the trial files go into the run's trials directory, which only create_run makes
+        with pytest.raises(FileNotFoundError):
+            store.create_trial_files("ghost", [GridCell(0, 0)])
         with pytest.raises(FileNotFoundError):
             store.append_trial_line("ghost", plain_record(GridCell(0, 0), 1))
         assert not store.root.exists()
 
+    def test_writing_a_file_never_created_raises_and_creates_nothing(self, store):
+        grid = small_grid()
+        store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.create_trial_files("r1", [GridCell(0, 0)])
+        with pytest.raises(FileNotFoundError):
+            store.append_trial_line("r1", plain_record(GridCell(0, 1), 1))
+        assert os.listdir(store.run_dir("r1") / "trials") == ["0_0.jsonl"]
+
     def test_a_run_created_again_takes_its_new_grid(self, store):
         # the store keeps nothing of a run between calls, so a deleted and recreated run is new
         store.create_run("r", manifest_for(small_grid(2), SchedulerPolicy("fifo", 5)))
+        store.create_trial_files("r", [GridCell(0, 0)])
         store.append_trial_line("r", plain_record(GridCell(0, 0), 1))
         shutil.rmtree(store.run_dir("r"))
         store.create_run("r", manifest_for(small_grid(3), SchedulerPolicy("fifo", 5)))
+        store.create_trial_files("r", [GridCell(2, 2)])
         store.append_trial_line("r", plain_record(GridCell(2, 2), 2, "completed"))
         assert sorted(os.listdir(store.run_dir("r") / "trials")) == ["2_2.jsonl"]
 
     def test_short_write_raises(self, store, monkeypatch):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.create_trial_files("r1", [GridCell(0, 0)])
         real_write = os.write
         monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:-1]))
         with pytest.raises(RunStoreError, match="short write"):
@@ -289,6 +326,7 @@ class TestLoad:
         # as a search cut before its end leaves it: trial files, no records.json
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        store.create_trial_files("r1", grid.cells())
         store.append_trial_line("r1", plain_record(GridCell(0, 0), 5, "completed"))
         with pytest.raises(RunNotFoundError) as info:
             store.load_run("r1")
@@ -426,6 +464,29 @@ def rewrite_records(store, run_id):
     store.write_records(run_id, store.load_run(run_id)[2].values())
 
 
+def trial_file_faults(store, run_id):
+    """The cells of a finished run whose trial file is missing, empty, or other than the
+    lines ``_trial_line_text`` builds from the cell's record in ``records.json``, byte for
+    byte; a file of no cell of the run is a fault of no cell and fails here."""
+    _, _, records = store.load_run(run_id)
+    trials = store.run_dir(run_id) / "trials"
+    names = {f"{c.row}_{c.col}.jsonl": c for c in records}
+    assert set(os.listdir(trials)) <= set(names)
+    faults = []
+    for name, cell in names.items():
+        record = records[cell]
+        last = record.epochs_run - 1
+        expected = "".join(
+            _trial_line_text(cell, entry, record.status if i == last else STATUS_RUNNING) + "\n"
+            for i, entry in enumerate(record.epochs)
+        ).encode()
+        path = trials / name
+        data = path.read_bytes() if path.exists() else b""
+        if not data or data != expected:
+            faults.append(cell)
+    return faults
+
+
 class TestRecords:
     def test_the_runs_hold_what_they_are_named_for(self, stored_runs):
         store = RunStore(stored_runs)
@@ -440,16 +501,19 @@ class TestRecords:
     @pytest.mark.parametrize("run_id", STORED_RUNS)
     def test_each_trial_file_holds_the_lines_of_its_loaded_record(self, runs, run_id):
         # no command reads the trial files, so this is what keeps them faithful
-        _, _, records = runs.load_run(run_id)
-        trials = runs.run_dir(run_id) / "trials"
-        assert sorted(os.listdir(trials)) == sorted(f"{c.row}_{c.col}.jsonl" for c in records)
-        for cell, record in records.items():
-            last = record.epochs_run - 1
-            lines = [
-                _trial_line_text(cell, entry, record.status if i == last else "running") + "\n"
-                for i, entry in enumerate(record.epochs)
-            ]
-            assert (trials / f"{cell.row}_{cell.col}.jsonl").read_text() == "".join(lines), cell
+        assert trial_file_faults(runs, run_id) == []
+
+    @pytest.mark.parametrize("damage", ["emptied", "removed", "torn"])
+    def test_a_file_created_but_not_written_is_a_fault(self, runs, damage):
+        # the search creates every file empty at its start; one it never wrote must not pass
+        path = runs.run_dir("hb") / "trials" / "2_1.jsonl"
+        if damage == "emptied":
+            path.write_bytes(b"")
+        elif damage == "removed":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:-1])
+        assert trial_file_faults(runs, "hb") == [GridCell(2, 1)]
 
     @pytest.mark.parametrize("change", ["edited", "added", "removed", "renamed", "all-deleted"])
     def test_the_trial_files_and_the_decision_log_are_not_read(self, runs, change):

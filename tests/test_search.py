@@ -11,7 +11,10 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from collections import deque
@@ -22,7 +25,7 @@ import pytest
 
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
-from twinsearch.runstore import RunStore
+from twinsearch.runstore import RunStore, RunStoreError
 from twinsearch.scheduler import Schedule, SchedulerPolicy, rung_levels
 from twinsearch import trainer
 from twinsearch.search import execute_search
@@ -512,3 +515,97 @@ def test_building_a_cohort_allocates_its_stacks_once():
         tracemalloc.stop()
     stack = trials * runners[0].cohort.model.n_params * 8  # bytes of one (T, P) float64 stack
     assert peak - before < 3 * stack
+
+
+def _stored_search(tmp_path, policy, grid):
+    """A store with a run created for ``grid`` and ``policy``, and a call that searches into it."""
+    store = RunStore(tmp_path / "runs")
+    store.create_run("run", {"grid": dataclasses.asdict(grid), "scheduler": dataclasses.asdict(policy)})
+    return store, lambda: execute_search(grid, policy, TASK_SPEC.make(), ARCH, CONFIG, store=store, run_id="run")
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_a_stored_search_leaves_no_thread_and_every_file_written(tmp_path, kind):
+    store, search = _stored_search(tmp_path, *CASES[kind])
+    before = threading.enumerate()
+    records = search()
+    assert threading.enumerate() == before
+    trials = store.run_dir("run") / "trials"
+    assert sorted(os.listdir(trials)) == sorted(f"{c.row}_{c.col}.jsonl" for c in records)
+    assert all((trials / name).stat().st_size for name in os.listdir(trials))
+
+
+def test_the_first_write_waits_for_the_files_to_be_created(tmp_path, monkeypatch):
+    store, search = _stored_search(tmp_path, *CASES["hb"])
+    created = threading.Event()
+    create = RunStore.create_trial_files
+    writes = []
+
+    def slow_create(self, run_id, cells):
+        time.sleep(0.2)  # longer than the search takes to reach its first rung
+        create(self, run_id, cells)
+        created.set()
+
+    def write(self, run_id, record):
+        writes.append(created.is_set())
+
+    monkeypatch.setattr(RunStore, "create_trial_files", slow_create)
+    monkeypatch.setattr(RunStore, "append_trial_line", write)
+    search()
+    assert writes and all(writes)
+
+
+def test_a_failing_round_leaves_no_thread(tmp_path, monkeypatch):
+    # no trial of this FIFO grid ends before the budget, so no write joins the
+    # helper thread: only the search's own end does, and the thread is slowed
+    # to be still creating when round 2 fails
+    policy, grid = SchedulerPolicy("fifo", 4), build_log_grid(1e-3, 1e-1, 4, 1e-4, 1e-2, 4)
+    store, search = _stored_search(tmp_path, policy, grid)
+    step, create = Cohort.step, RunStore.create_trial_files
+
+    def failing(self):
+        if self.epoch == 1:
+            raise RuntimeError("round 2 failed")
+        step(self)
+
+    def slow_create(self, run_id, cells):
+        time.sleep(0.1)
+        create(self, run_id, cells)
+
+    monkeypatch.setattr(Cohort, "step", failing)
+    monkeypatch.setattr(RunStore, "create_trial_files", slow_create)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="round 2 failed"):
+        search()
+    assert threading.enumerate() == before
+    # the helper thread ran to its end: every file is there, empty, as a killed process leaves them
+    trials = store.run_dir("run") / "trials"
+    assert len(os.listdir(trials)) == grid.n_trials
+    assert not any((trials / name).stat().st_size for name in os.listdir(trials))
+
+
+def test_a_helper_thread_failure_surfaces_from_the_search(tmp_path, monkeypatch):
+    store, search = _stored_search(tmp_path, *CASES["hb"])
+
+    def failing(self, run_id, cells):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(RunStore, "create_trial_files", failing)
+    before = threading.enumerate()
+    with pytest.raises(OSError, match="no space left"):
+        search()
+    assert threading.enumerate() == before
+    assert os.listdir(store.run_dir("run") / "trials") == []
+    assert not (store.run_dir("run") / "decisions.jsonl").exists()
+
+
+def test_a_trial_file_already_there_surfaces_as_a_store_error(tmp_path):
+    store, search = _stored_search(tmp_path, *CASES["hb"])
+    path = store.run_dir("run") / "trials" / "1_2.jsonl"
+    path.write_bytes(b"there before\n")
+    before = threading.enumerate()
+    with pytest.raises(RunStoreError) as info:
+        search()
+    assert str(info.value) == f"{path}: trial file already exists"
+    assert threading.enumerate() == before
+    assert path.read_bytes() == b"there before\n"
