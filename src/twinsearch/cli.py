@@ -8,9 +8,11 @@ and with grid slicing it prints a sub-grid's pick without storing it),
 of the twin pick stored by the last ``run`` or whole-grid ``select``),
 ``plot`` (SVG figures of that pick). Every command but ``run`` loads the
 run once (``_load_complete_run``): its grid, scheduler policy and records,
-which must hold a complete record of every cell, one whose status is
-terminal or that ran the whole epoch budget. It builds the grid surfaces
-from those records; none reads ``matrices.json``.
+as ``records.Records`` columns, which must hold a complete record of every
+cell, one whose status is terminal or that ran the whole epoch budget; the
+check runs on the columns. It builds the grid surfaces from those columns
+(a strided ``select`` from the sub-grid's, cut by index); none reads
+``matrices.json``.
 Exit codes:
 0 success, 1 usage error, 2 pipeline failure (all trials diverged,
 incomplete or missing artifacts), 3 storage failure.
@@ -46,7 +48,7 @@ from .selector import (
 )
 from .svgplot import heatmap_svg, labels_svg, scatter_svg
 from .tasks import TaskSpec
-from .trainer import LR_SCHEDULES, TERMINAL_STATUSES, ArchSpec, TrainerConfig
+from .trainer import LR_SCHEDULES, ArchSpec, TrainerConfig
 
 __all__ = ["main"]
 
@@ -143,16 +145,15 @@ def _store(args) -> RunStore:
 
 
 def _load_complete_run(store: RunStore, run_id: str):
-    """The run's grid, policy and records; each cell needs a record whose status is
-    terminal or that ran the whole epoch budget."""
+    """The run's grid, policy and records (``records.Records``); each cell needs a
+    record whose status is terminal or that ran the whole epoch budget."""
     grid, policy, records = store.load_run(run_id)
-    complete = {
-        cell for cell, rec in records.items()
-        if rec.status in TERMINAL_STATUSES or rec.epochs_run >= policy.epoch_budget
-    }
-    pending = [cell for cell in grid.cells() if cell not in complete]
+    complete = np.zeros(grid.n_trials, dtype=bool)
+    done = records.terminal | (records.epochs_run >= policy.epoch_budget)
+    complete[(records.row * grid.n_lr + records.col)[done]] = True
+    pending = np.flatnonzero(~complete).tolist()
     if pending:
-        cells = ", ".join(f"({c.row}, {c.col})" for c in pending[:10])
+        cells = ", ".join(f"({i // grid.n_lr}, {i % grid.n_lr})" for i in pending[:10])
         more = "" if len(pending) <= 10 else f" and {len(pending) - 10} more"
         raise PipelineError(f"run {run_id!r} has incomplete cells: {cells}{more}")
     return grid, policy, records

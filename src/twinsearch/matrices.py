@@ -2,6 +2,9 @@
 
 ``psi`` holds the summarized training loss per grid cell (mean of the last
 five logged epochs), ``theta`` the parameter norm at the last logged epoch.
+``assemble`` and ``build_metric_surfaces`` read them from a run's
+``records.Records``, column by column, without a Python object per trial or
+epoch.
 Cells with non-finite entries are invalid; the z-score filter additionally
 masks statistical outliers before the loss surface is normalized, inverted
 (lowest loss -> 1) and segmented. ``normalize_invert`` returns the surface
@@ -12,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import GridCell, HyperGrid
-from .trainer import TrialRecord
+
+if TYPE_CHECKING:
+    from .records import Records
 
 __all__ = [
     "LogMatrices",
@@ -66,46 +71,58 @@ class MetricSurfaces:
     test_acc: np.ndarray
 
 
-def _check_cells(records: Mapping[GridCell, TrialRecord], grid: HyperGrid) -> None:
-    """Refuse ``records`` unless it holds a record for exactly the cells of ``grid``."""
-    cells = set(grid.cells())
-    if records.keys() != cells:
-        raise ValueError(
-            f"missing records for cells {sorted(cells - records.keys())}, "
-            f"records for cells outside the grid: {sorted(records.keys() - cells)}"
-        )
+def _cells(records: Records, grid: HyperGrid) -> np.ndarray:
+    """The flat grid index of each trial of ``records``; refused unless the trials hold
+    exactly the cells of ``grid``, once each."""
+    n_wd, n_lr = grid.shape
+    inside = (records.row >= 0) & (records.row < n_wd) & (records.col >= 0) & (records.col < n_lr)
+    flat = records.row * n_lr + records.col
+    counts = np.bincount(flat[inside], minlength=grid.n_trials)
+    if inside.all() and (counts == 1).all():
+        return flat
+    missing = [GridCell(*divmod(i, n_lr)) for i in np.flatnonzero(counts == 0).tolist()]
+    outside = sorted(set(map(GridCell, records.row[~inside].tolist(), records.col[~inside].tolist())))
+    twice = [GridCell(*divmod(i, n_lr)) for i in np.flatnonzero(counts > 1).tolist()]
+    raise ValueError(
+        f"missing records for cells {missing}, records for cells outside the grid: {outside}"
+        + (f", records given twice for cells {twice}" if twice else "")
+    )
 
 
-def assemble(records: Mapping[GridCell, TrialRecord], grid: HyperGrid) -> LogMatrices:
-    """Build the loss/norm matrices from ``records``, one per grid cell, by cell.
+def _tail_means(values: np.ndarray, counts: np.ndarray, window: int, flat: np.ndarray, shape) -> np.ndarray:
+    """Per trial, at its flat grid index, the mean of the last ``min(window, count)`` of its
+    ``counts`` values in ``values``, trial after trial; NaN for a trial with none.
+
+    Trials are grouped by that length and each group is one ``np.mean(axis=1)``:
+    numpy sums rows this short in order, so every entry has the bits of a
+    per-trial ``np.mean``.
+    """
+    ends = np.cumsum(counts)
+    k = np.minimum(counts, window)
+    out = np.full(shape, np.nan)
+    for size in range(1, window + 1):
+        group = k == size
+        if group.any():
+            out.flat[flat[group]] = np.mean(values[ends[group][:, None] - size + np.arange(size)], axis=1)
+    return out
+
+
+def assemble(records: Records, grid: HyperGrid) -> LogMatrices:
+    """Build the loss/norm matrices from ``records``, one trial per grid cell.
 
     ``psi`` is the mean train loss over the last ``k = min(LAST_K,
-    epochs_run)`` epochs, the same for every scheduler. Cells are grouped by
-    ``k`` and each group is one ``np.mean(axis=1)``: numpy sums rows this
-    short in order, so every entry has the bits of a per-record ``np.mean``.
+    epochs_run)`` epochs, the same for every scheduler, NaN and infinite
+    losses included; ``theta`` is the norm of the last epoch.
     """
-    _check_cells(records, grid)
+    flat = _cells(records, grid)
+    runs = records.epochs_run
+    if not runs.all():
+        i = int(np.argmin(runs))
+        raise ValueError(f"trial {GridCell(int(records.row[i]), int(records.col[i]))} has no logged epochs")
     shape = grid.shape
-    flat, norms, runs = [], [], []
-    # k -> (flat indices, last-k losses of each cell)
-    groups: dict[int, tuple[list[int], list[list[float]]]] = {}
-    for cell, rec in records.items():
-        epochs = rec.epochs
-        if not epochs:
-            raise ValueError(f"trial {cell} has no logged epochs")
-        i = cell.row * shape[1] + cell.col
-        flat.append(i)
-        norms.append(epochs[-1].param_norm)
-        runs.append(len(epochs))
-        tail = epochs[-LAST_K:]
-        cells, losses = groups.setdefault(len(tail), ([], []))
-        cells.append(i)
-        losses.append([e.train_loss for e in tail])
-    psi = np.empty(shape)
-    for cells, losses in groups.values():
-        psi.flat[cells] = np.mean(np.array(losses, dtype=np.float64), axis=1)
+    psi = _tail_means(records.train_loss, runs, LAST_K, flat, shape)
     theta = np.empty(shape)
-    theta.flat[flat] = norms
+    theta.flat[flat] = records.param_norm[np.cumsum(runs) - 1]
     epochs_run = np.empty(shape, dtype=np.int64)
     epochs_run.flat[flat] = runs
     valid = np.isfinite(psi) & np.isfinite(theta)
@@ -165,27 +182,23 @@ def metric_window(scheduler_kind: str) -> int:
     return 1 if scheduler_kind == "fifo" else LAST_K
 
 
-def _summarize_metric(values: list[float | None], kind: str) -> float:
-    logged = [v for v in values if v is not None]
-    if not logged:
-        return math.nan
-    return float(np.mean(logged[-metric_window(kind):]))
+def build_metric_surfaces(records: Records, grid: HyperGrid, scheduler_kind: str) -> MetricSurfaces:
+    """Baseline metric matrices from the same records the loss matrices use.
 
-
-def build_metric_surfaces(
-    records: Mapping[GridCell, TrialRecord], grid: HyperGrid, scheduler_kind: str
-) -> MetricSurfaces:
-    """Baseline metric matrices from the same records the loss matrices use."""
+    A cell's train loss summary reads its last ``metric_window`` epochs, NaN
+    losses included; an accuracy summary reads its last ``metric_window``
+    scored epochs, which for a diverged trial end before its last epoch.
+    """
     if scheduler_kind not in ("fifo", "hb"):
         raise ValueError(f"scheduler_kind must be 'fifo' or 'hb', got {scheduler_kind!r}")
-    _check_cells(records, grid)
-    shape = grid.shape
-    train_loss = np.full(shape, np.nan)
-    val_acc = np.full(shape, np.nan)
-    test_acc = np.full(shape, np.nan)
-    for cell, rec in records.items():
-        r, c = cell.row, cell.col
-        train_loss[r, c] = _summarize_metric([e.train_loss for e in rec.epochs], scheduler_kind)
-        val_acc[r, c] = _summarize_metric([e.val_metric for e in rec.epochs], scheduler_kind)
-        test_acc[r, c] = _summarize_metric([e.test_metric for e in rec.epochs], scheduler_kind)
-    return MetricSurfaces(train_loss=train_loss, val_acc=val_acc, test_acc=test_acc)
+    flat = _cells(records, grid)
+    window = metric_window(scheduler_kind)
+    runs = records.epochs_run
+    trial = np.repeat(np.arange(runs.size), runs)  # the trial of each epoch
+    accuracies = []
+    for values in (records.val_acc, records.test_acc):
+        scored = ~np.isnan(values)
+        counts = np.bincount(trial[scored], minlength=runs.size)
+        accuracies.append(_tail_means(values[scored], counts, window, flat, grid.shape))
+    train_loss = _tail_means(records.train_loss, runs, window, flat, grid.shape)
+    return MetricSurfaces(train_loss, *accuracies)

@@ -22,8 +22,8 @@ run id and takes what it writes from its caller, reading no file to learn it.
 
 ``load_manifest`` returns the run's ``HyperGrid`` and ``SchedulerPolicy``,
 the typed values it checks the manifest with. ``load_run`` returns them and
-every stored record by cell, read from ``records.json`` (format 2, see
-``twinsearch.records``), and reads nothing else of the trials: a command
+every stored record as ``records.Records`` columns, read from ``records.json``
+(format 2, see ``twinsearch.records``), and reads nothing else of the trials: a command
 loads a run once and passes the grid on, so ``load_selection`` takes the
 grid from its caller instead of reading the manifest again. The trial
 files and ``decisions.jsonl`` are exports that no command reads: ``run``
@@ -254,11 +254,12 @@ class RunStore:
                 fh.write(encode_json(d, line=True) + "\n")
             fh.flush()
 
-    def write_records(self, run_id: str, records: Iterable[TrialRecord]) -> None:
-        """Write every one of ``records`` to ``records.json``, replacing it whole."""
+    def write_records(self, run_id: str, records) -> None:
+        """Write every one of ``records``, a ``records.Records``, to ``records.json``,
+        replacing it whole."""
         from .records import records_text
 
-        self._write_text(self.run_dir(run_id) / RECORDS, records_text(list(records)))
+        self._write_text(self.run_dir(run_id) / RECORDS, records_text(records))
 
     def write_matrices(self, run_id: str, matrices) -> None:
         payload = {
@@ -368,8 +369,9 @@ class RunStore:
         grid, policy = loaded
         return grid, policy
 
-    def load_run(self, run_id: str) -> tuple[HyperGrid, SchedulerPolicy, dict[GridCell, TrialRecord]]:
-        """The run's grid, scheduler policy and per-cell records, from ``records.json``."""
+    def load_run(self, run_id: str):
+        """The run's grid, scheduler policy and records, from ``records.json``: the
+        ``records.Records`` columns, trials in the order stored."""
         from .records import read_records
 
         grid, policy = self.load_manifest(run_id)

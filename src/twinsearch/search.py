@@ -27,18 +27,23 @@ divergence under FIFO) and again at its end, so no thread outlives it. A
 process killed mid-search can leave empty files for the trials that had
 not ended; no command reads them. The helper thread goes when ROADMAP item
 15 deletes the trial files. Every file of a run is written through ``RunStore``:
-after the search ``run_and_store`` has it write every record the search
-returns to ``records.json`` (``RunStore.write_records``), and commands read
-only that. It then writes the run's matrices to ``matrices.json``, an
-export that no command reads, and its twin pick at ``default_params(grid)``
-to ``selection.json``, the one record of the pick: ``select`` may replace
-it, and ``eval`` and ``plot`` read it.
+after the search ``run_and_store`` turns the records the search returns into
+``records.Records`` columns once (``Records.of``), drops the per-epoch
+records, and has the store write the columns to ``records.json``
+(``RunStore.write_records``); commands read only that. It then writes the
+run's matrices to ``matrices.json``, an export that no command reads, and
+its twin pick at ``default_params(grid)`` to ``selection.json``, the one
+record of the pick: ``select`` may replace it, and ``eval`` and ``plot``
+read it. ``slice_records`` cuts a stored run's columns to a sub-grid by
+index, for ``select`` with grid strides.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
+
+import numpy as np
 
 from .grid import GridCell, HyperGrid, cell_params, slice_grid
 from .matrices import assemble, metric_window
@@ -130,24 +135,16 @@ def execute_search(
     return records
 
 
-def slice_records(
-    records: dict[GridCell, TrialRecord],
-    grid: HyperGrid,
-    lr_stride: int,
-    wd_stride: int,
-) -> tuple[dict[GridCell, TrialRecord], HyperGrid]:
-    """Subset a finished run to every stride-th grid line, reindexing cells."""
+def slice_records(records, grid: HyperGrid, lr_stride: int, wd_stride: int):
+    """Subset a finished run's ``records.Records``, which hold every cell of ``grid``, to
+    every stride-th grid line: the sub-grid's records, cells reindexed and in row-major
+    order, and the sub-grid."""
     sub_grid = slice_grid(grid, lr_stride, wd_stride)
-    sub_records: dict[GridCell, TrialRecord] = {}
-    for row in range(sub_grid.n_wd):
-        for col in range(sub_grid.n_lr):
-            src = GridCell(row * wd_stride, col * lr_stride)
-            rec = records[src]
-            new_cell = GridCell(row, col)
-            sub_records[new_cell] = TrialRecord(
-                cell=new_cell, epochs=list(rec.epochs), status=rec.status
-            )
-    return sub_records, sub_grid
+    trial = np.empty(grid.n_trials, dtype=np.int64)  # the trial of each cell, by flat index
+    trial[records.row * grid.n_lr + records.col] = np.arange(records.row.size)
+    rows, cols = np.divmod(np.arange(sub_grid.n_trials), sub_grid.n_lr)
+    trials = trial[rows * wd_stride * grid.n_lr + cols * lr_stride]
+    return replace(records.take(trials), row=rows, col=cols), sub_grid
 
 
 def run_and_store(
@@ -161,7 +158,9 @@ def run_and_store(
 ) -> TwinArtifacts:
     """Full pipeline with persistence, each file written by ``store``: the manifest
     (``asdict`` of each spec), trial files and decisions (exports), ``records.json``
-    (what later commands load), matrices (an export), selection. The trial files
+    (what later commands load), matrices (an export), selection. The search's
+    ``TrialRecord``s become ``Records`` columns once, before ``records.json``
+    is written; the matrices are assembled from those columns. The trial files
     are created on ``execute_search``'s helper thread and written as trials end;
     ``records.json`` is written after the search, so a killed ``run`` leaves no
     loadable run, and maybe empty trial files.
@@ -179,7 +178,11 @@ def run_and_store(
     }
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store=store, run_id=run_id)
-    store.write_records(run_id, records.values())
+    # imported only now, so that the module is compiled after the search's memory peak, not before
+    from .records import Records
+
+    records = Records.of(records.values())  # the search's per-epoch records are dropped here
+    store.write_records(run_id, records)
     mats = assemble(records, grid)
     artifacts = twin_pipeline(mats, grid, default_params(grid))
     store.write_matrices(run_id, mats)

@@ -132,9 +132,10 @@ class TrainerConfig:
 class EpochLog(NamedTuple):
     """One logged epoch of one trial; immutable.
 
-    A ``NamedTuple`` rather than a frozen dataclass: ``load_run`` builds one
-    per logged epoch from ``records.json``, and a tuple is built in about
-    half the time. Update a field with ``_replace``.
+    A ``NamedTuple`` rather than a frozen dataclass: the search builds one per
+    trial epoch, and a tuple is built in about half the time. Update a field
+    with ``_replace``. A stored run is read as ``records.Records`` columns, not
+    as these.
     """
 
     epoch: int

@@ -4,7 +4,7 @@ import shutil
 import subprocess
 import sys
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -14,11 +14,14 @@ from twinsearch import cli
 from twinsearch.cli import main
 from twinsearch.grid import GridCell
 from twinsearch.matrices import build_metric_surfaces
-from twinsearch.quickshift import QuickshiftParams
+from twinsearch.quickshift import QuickshiftParams, default_params
+from twinsearch.records import Records
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
+from twinsearch.selector import twin_pipeline
 from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import EpochLog, TrialRecord
+from records_frozen import reference_assemble, reference_slice_records, trial_records
 
 
 RUN_FLAGS = [
@@ -244,7 +247,7 @@ class TestSelect:
             for r in range(3)
             for c in range(3)
         ]
-        store.write_records("ext", records)
+        store.write_records("ext", Records.of(records))
         assert run_cli(tmp_path, "select", "ext") == 0
         out = capsys.readouterr().out
         assert "selected cell" in out and "lr=" in out
@@ -258,7 +261,7 @@ class TestSelect:
             "partial",
             {"grid": asdict(grid), "scheduler": asdict(SchedulerPolicy("fifo", 5)), "task": "external"},
         )
-        store.write_records("partial", [TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)])])
+        store.write_records("partial", Records.of([TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)])]))
         assert run_cli(tmp_path, "select", "partial") == 2
         assert "incomplete" in capsys.readouterr().err
 
@@ -267,8 +270,8 @@ class TestSelect:
         # its trial file and the FIFO decision log's stop for it are still there
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         store = RunStore(tmp_path / "runs")
-        records = store.load_run("r")[2]
-        store.write_records("r", [rec for cell, rec in records.items() if cell != (0, 0)])
+        records = trial_records(store.load_run("r")[2])
+        store.write_records("r", Records.of(rec for cell, rec in records.items() if cell != (0, 0)))
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r", *flags) == 2
         captured = capsys.readouterr()
@@ -298,7 +301,7 @@ class TestSelect:
             for cell in grid.cells()
         ]
         records[2] = TrialRecord(GridCell(1, 0), records[2].epochs[:epochs], status)
-        store.write_records("r", records)
+        store.write_records("r", Records.of(records))
         assert run_cli(tmp_path, "select", "r") == code
         captured = capsys.readouterr()
         if code == 2:
@@ -470,6 +473,31 @@ class TestSelect:
         row, col = (int(v) for v in out.split("selected cell (", 1)[1].split(")", 1)[0].split(", "))
         assert 0 <= row < 3 and 0 <= col < 3  # cells of the 3x3 sub-grid
         assert {name: artifact(tmp_path, "r", name).read_bytes() for name in names} == stored
+
+    @pytest.mark.parametrize(
+        "run_flags, ratio",
+        [
+            (["--scheduler", "hb", "--stop-fraction", "0.5"], None),  # trials stopped at one epoch
+            (["--n-lr", "9", "--n-wd", "7", "--lr-high", "1e6", "--wd-high", "50"], 20.0),  # a trial diverges
+        ],
+        ids=["hb", "fifo-diverging"],
+    )
+    def test_strided_select_prints_the_pick_of_the_frozen_reference(self, tmp_path, capsys, run_flags, ratio):
+        # a strided select stores nothing, so its printed cell and region count are all it gives
+        assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS, *run_flags) == 0
+        grid, _, records = RunStore(tmp_path / "runs").load_run("r")
+        sub_records, sub_grid = reference_slice_records(trial_records(records), grid, 2, 2)
+        params = default_params(sub_grid)
+        params = params if ratio is None else replace(params, ratio=ratio)
+        expected = twin_pipeline(reference_assemble(sub_records, sub_grid), sub_grid, params)
+        sel = expected.selection
+        capsys.readouterr()
+        flags = [] if ratio is None else ["--ratio", str(ratio)]
+        assert run_cli(tmp_path, "select", "r", "--lr-stride", "2", "--wd-stride", "2", *flags) == 0
+        assert capsys.readouterr().out == (
+            f"run r: selected cell ({sel.cell.row}, {sel.cell.col}) lr={sel.lr:g} wd={sel.wd:g} "
+            f"region={sel.region_id} regions={expected.segments.n_regions}\n"
+        )
 
     def test_whole_grid_select_writes_only_the_pick(self, tmp_path):
         # the matrices do not depend on the segmentation parameters

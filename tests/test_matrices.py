@@ -13,6 +13,7 @@ from twinsearch.matrices import (
     normalize_invert,
     zscore_outlier_mask,
 )
+from twinsearch.records import Records
 from twinsearch.trainer import EpochLog, TrialRecord
 
 
@@ -32,9 +33,9 @@ def record_for(cell, losses, norms=None, status="completed", val=None, test=None
     return rec
 
 
-def by_cell(records):
-    """``records`` keyed by cell, in their order, as the loaders hold them."""
-    return {rec.cell: rec for rec in records}
+def columns(records):
+    """``records`` as the columns the loaders hold, in their order."""
+    return Records.of(records)
 
 
 def grid_2x2():
@@ -46,7 +47,7 @@ def psi_of(losses):
     grid = grid_2x2()
     records = [record_for(GridCell(0, 0), losses)]
     records += [record_for(cell, [1.0]) for cell in grid.cells() if cell != GridCell(0, 0)]
-    return assemble(by_cell(records), grid).psi[0, 0]
+    return assemble(columns(records), grid).psi[0, 0]
 
 
 class TestPsiSummary:
@@ -64,7 +65,7 @@ class TestPsiSummary:
         records = [record_for(cell, [1.0]) for cell in grid.cells() if cell != GridCell(1, 0)]
         records.append(TrialRecord(cell=GridCell(1, 0)))
         with pytest.raises(ValueError, match=r"trial GridCell\(row=1, col=0\) has no logged epochs"):
-            assemble(by_cell(records), grid)
+            assemble(columns(records), grid)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_psi_bits_match_per_record_mean(self, seed):
@@ -85,7 +86,7 @@ class TestPsiSummary:
         order = rng.permutation(len(records))
         expected = np.empty(grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = assemble(by_cell(records[i] for i in order), grid)
+            mats = assemble(columns(records[i] for i in order), grid)
             for rec in records:
                 losses = np.array([e.train_loss for e in rec.epochs], dtype=np.float64)
                 expected[rec.cell.row, rec.cell.col] = np.mean(losses[-5:])
@@ -101,7 +102,7 @@ class TestAssemble:
             for r in range(2)
             for c in range(2)
         ]
-        mats = assemble(by_cell(records), grid)
+        mats = assemble(columns(records), grid)
         assert mats.valid_mask.all()
         np.testing.assert_allclose(mats.psi, 0.75)
         np.testing.assert_allclose(mats.theta, 1.5)
@@ -115,7 +116,7 @@ class TestAssemble:
             record_for(GridCell(1, 0), [1.0, 0.5]),
             record_for(GridCell(1, 1), [1.0, 0.5]),
         ]
-        mats = assemble(by_cell(records), grid)
+        mats = assemble(columns(records), grid)
         assert not mats.valid_mask[0, 0]
         assert mats.valid_mask.sum() == 3
 
@@ -127,7 +128,7 @@ class TestAssemble:
             record_for(GridCell(1, 0), [1.0] * 10, norms=[2.0] * 10),
             record_for(GridCell(1, 1), [1.0] * 10, norms=[2.0] * 10),
         ]
-        mats = assemble(by_cell(records), grid)
+        mats = assemble(columns(records), grid)
         assert mats.theta[0, 1] == 3.0
         assert mats.epochs_run[0, 1] == 3
         assert mats.epochs_run[0, 0] == 10
@@ -137,13 +138,21 @@ class TestAssemble:
         records = [record_for(GridCell(0, 0), [1.0])]
         missing = r"\[GridCell\(row=0, col=1\), GridCell\(row=1, col=0\), GridCell\(row=1, col=1\)\]"
         with pytest.raises(ValueError, match=rf"missing records for cells {missing}"):
-            assemble(by_cell(records), grid)
+            assemble(columns(records), grid)
+
+    def test_a_cell_given_twice_is_refused(self):
+        grid = grid_2x2()
+        records = [record_for(cell, [1.0]) for cell in [*grid.cells(), GridCell(1, 0)]]
+        with pytest.raises(ValueError, match=r"outside the grid: \[\], records given twice for cells \[GridCell\(row=1, col=0\)\]"):
+            assemble(columns(records), grid)
+        with pytest.raises(ValueError, match="records given twice"):
+            build_metric_surfaces(columns(records), grid, "hb")
 
     def test_a_cell_outside_the_grid_is_refused(self):
         grid = grid_2x2()
         records = [record_for(cell, [1.0]) for cell in [*grid.cells(), GridCell(2, 0)]]
         with pytest.raises(ValueError, match=r"outside the grid: \[GridCell\(row=2, col=0\)\]"):
-            assemble(by_cell(records), grid)
+            assemble(columns(records), grid)
 
 
 class TestZscore:
@@ -265,24 +274,24 @@ class TestMetricSurfaces:
     def test_fifo_uses_last_epoch(self):
         grid = grid_2x2()
         records = self.make_records(grid)
-        surfaces = build_metric_surfaces(by_cell(records), grid, "fifo")
+        surfaces = build_metric_surfaces(columns(records), grid, "fifo")
         assert surfaces.train_loss[0, 0] == pytest.approx(2.0 - 0.9)
         assert surfaces.val_acc[0, 0] == pytest.approx(0.59)
 
     def test_hb_uses_last_five_mean(self):
         grid = grid_2x2()
         records = self.make_records(grid)
-        surfaces = build_metric_surfaces(by_cell(records), grid, "hb")
+        surfaces = build_metric_surfaces(columns(records), grid, "hb")
         assert surfaces.train_loss[0, 0] == pytest.approx(np.mean([2.0 - 0.1 * t for t in range(5, 10)]))
 
     def test_absent_metric_is_nan(self):
         grid = grid_2x2()
         records = [record_for(cell, [1.0, 0.5]) for cell in grid.cells()]
-        surfaces = build_metric_surfaces(by_cell(records), grid, "fifo")
+        surfaces = build_metric_surfaces(columns(records), grid, "fifo")
         assert np.isnan(surfaces.val_acc).all()
         assert np.isnan(surfaces.test_acc).all()
 
     def test_unknown_kind_rejected(self):
         grid = grid_2x2()
         with pytest.raises(ValueError, match="scheduler_kind"):
-            build_metric_surfaces(by_cell(self.make_records(grid)), grid, "asha")
+            build_metric_surfaces(columns(self.make_records(grid)), grid, "asha")

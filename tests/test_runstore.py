@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinsearch import records as run_records
+from twinsearch.records import Records
 from twinsearch.cli import PipelineError, _load_complete_run
 from twinsearch.grid import GridCell, build_log_grid
 from twinsearch.matrices import assemble
@@ -37,6 +38,7 @@ from twinsearch.trainer import (
     TrainerConfig,
     TrialRecord,
 )
+from records_frozen import trial_records
 from runstore_frozen import reference_read_jsonl
 
 
@@ -78,7 +80,7 @@ def write_full_run(store, run_id, grid, epochs=3, policy=None):
         ]
         records.append(TrialRecord(cell, logs, "completed"))
         store.append_trial_line(run_id, records[-1])
-    store.write_records(run_id, records)
+    store.write_records(run_id, Records.of(records))
 
 
 class TestAppend:
@@ -149,14 +151,13 @@ class TestAppend:
         record = TrialRecord(GridCell(0, 0), [EpochLog(0, math.nan, math.inf)], "diverged")
         store.create_trial_files("r1", [record.cell])
         store.append_trial_line("r1", record)
-        store.write_records("r1", [record])
+        store.write_records("r1", Records.of([record]))
         raw = (store.run_dir("r1") / "trials" / "0_0.jsonl").read_text()
         doc = json.loads(raw)
         assert doc["train_loss"] == "NaN"
         assert doc["param_norm"] == "Inf"
         assert b'"train_loss":["NaN"],"param_norm":["Inf"]' in (store.run_dir("r1") / "records.json").read_bytes()
-        _, _, records = store.load_run("r1")
-        entry = records[GridCell(0, 0)].epochs[0]
+        entry = loaded(store, "r1")[GridCell(0, 0)].epochs[0]
         assert math.isnan(entry.train_loss) and math.isinf(entry.param_norm)
 
     def test_append_without_manifest_rejected(self, store):
@@ -345,7 +346,7 @@ class TestLoad:
         grid = small_grid()
         store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         with pytest.raises(RunStoreError) as info:
-            store.write_records("r", [plain_record(GridCell(0, 0), 2, "completed"), record])
+            store.write_records("r", Records.of([plain_record(GridCell(0, 0), 2, "completed"), record]))
         assert str(info.value) == "record of cell (0, 1): epochs not 0, 1, ..., or unknown status"
         assert not (store.run_dir("r") / "records.json").exists()
 
@@ -461,14 +462,19 @@ def edit_a_loss_digit(data):
 
 def rewrite_records(store, run_id):
     """Write ``run_id``'s records.json again from its loaded records, as ``run`` writes it."""
-    store.write_records(run_id, store.load_run(run_id)[2].values())
+    store.write_records(run_id, store.load_run(run_id)[2])
+
+
+def loaded(store, run_id):
+    """``run_id``'s stored records, one ``TrialRecord`` per cell in the order stored."""
+    return trial_records(store.load_run(run_id)[2])
 
 
 def trial_file_faults(store, run_id):
     """The cells of a finished run whose trial file is missing, empty, or other than the
     lines ``_trial_line_text`` builds from the cell's record in ``records.json``, byte for
     byte; a file of no cell of the run is a fault of no cell and fails here."""
-    _, _, records = store.load_run(run_id)
+    records = loaded(store, run_id)
     trials = store.run_dir(run_id) / "trials"
     names = {f"{c.row}_{c.col}.jsonl": c for c in records}
     assert set(os.listdir(trials)) <= set(names)
@@ -491,11 +497,11 @@ class TestRecords:
     def test_the_runs_hold_what_they_are_named_for(self, stored_runs):
         store = RunStore(stored_runs)
         assert all((store.run_dir(run_id) / "records.json").is_file() for run_id in STORED_RUNS)
-        stopped = [r for r in store.load_run("hb")[2].values() if r.status == "stopped_early"]
+        stopped = [r for r in loaded(store, "hb").values() if r.status == "stopped_early"]
         assert stopped and all(r.epochs_run < 8 for r in stopped)
-        values = [v for r in store.load_run("diverged")[2].values() for e in r.epochs for v in e[1:3]]
+        values = [v for r in loaded(store, "diverged").values() for e in r.epochs for v in e[1:3]]
         assert any(math.isnan(v) for v in values) and any(math.isinf(v) for v in values)
-        val_free = [e for r in store.load_run("val-free")[2].values() for e in r.epochs]
+        val_free = [e for r in loaded(store, "val-free").values() for e in r.epochs]
         assert all(e.val_metric is None and e.test_metric is None for e in val_free)
 
     @pytest.mark.parametrize("run_id", STORED_RUNS)
@@ -517,7 +523,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("change", ["edited", "added", "removed", "renamed", "all-deleted"])
     def test_the_trial_files_and_the_decision_log_are_not_read(self, runs, change):
-        before = bits(runs.load_run("fifo")[2])
+        before = bits(loaded(runs, "fifo"))
         trials = runs.run_dir("fifo") / "trials"
         if change == "edited":
             path = trials / "1_2.jsonl"
@@ -531,7 +537,7 @@ class TestRecords:
         else:
             shutil.rmtree(trials)
             (runs.run_dir("fifo") / "decisions.jsonl").unlink()
-        assert bits(runs.load_run("fifo")[2]) == before
+        assert bits(loaded(runs, "fifo")) == before
 
     @pytest.mark.parametrize(
         "damage, detail",
@@ -558,12 +564,17 @@ class TestRecords:
             (edited(val_acc=lambda v: v[1:]), "line 2: 'val_acc' is not an array of one value per epoch"),
             (edited(val_acc=first("0.5")), "line 2: not a float encoding: '0.5'"),
             (edited(train_loss=first(10**400)), "line 2: integer of 1329 bits is out of float range"),
+            (edited(train_loss=first(None)), "line 2: 'train_loss' holds a null"),
+            (edited(param_norm=first(None)), "line 2: 'param_norm' holds a null"),
+            (edited(val_acc=first("NaN")), "line 2: 'val_acc' holds a value that is not finite"),
+            (edited(test_acc=first("-Inf")), "line 2: 'test_acc' holds a value that is not finite"),
         ],
         ids=[
             "truncated", "loss-digit-edited", "empty", "not-json", "header-array", "format-1",
             "not-an-object", "line-not-json", "no-status", "short-col", "unknown-status", "status-array",
             "negative-run", "bool-run", "bool-row", "float-row", "negative-col", "cell-outside",
-            "cell-twice", "ragged-column", "string-metric", "overflowing-loss",
+            "cell-twice", "ragged-column", "string-metric", "overflowing-loss", "null-loss", "null-norm",
+            "nan-metric", "minus-inf-metric",
         ],
     )
     def test_a_malformed_records_file_is_an_error_at_its_line(self, runs, damage, detail):
@@ -584,32 +595,32 @@ class TestRecords:
             ("train_loss", "Inf", math.inf),
             ("param_norm", "-Inf", -math.inf),
             ("val_acc", None, None),
-            ("train_loss", None, None),
         ],
-        ids=["int-loss", "int-metric", "nan-norm", "inf-loss", "minus-inf-norm", "null-metric", "null-loss"],
+        ids=["int-loss", "int-metric", "nan-norm", "inf-loss", "minus-inf-norm", "null-metric"],
     )
     def test_a_value_json_does_not_give_as_a_float_or_null_is_decoded(self, runs, key, value, decoded):
-        # a column of floats and nulls only is used as json.loads returns it; any other is decoded
+        # a column of floats (and, for an accuracy, nulls) only is used as json.loads returns
+        # it; any other is decoded. A null loss or norm is refused (the malformed-file cases)
         path = runs.run_dir("fifo") / "records.json"
-        expected = runs.load_run("fifo")[2]
+        expected = loaded(runs, "fifo")
         path.write_bytes(edited(**{key: first(value)})(path.read_bytes()))
         record = next(iter(expected.values()))  # the first record of line 2
         field = {"val_acc": "val_metric", "test_acc": "test_metric"}.get(key, key)
         record.epochs[0] = record.epochs[0]._replace(**{field: decoded})
-        assert bits(runs.load_run("fifo")[2]) == bits(expected)
+        assert bits(loaded(runs, "fifo")) == bits(expected)
 
     @pytest.mark.parametrize("line_epochs, n_lines", [(4, 16), (20, 6)])
     def test_a_records_file_of_many_lines_loads_the_same_records(self, runs, line_epochs, n_lines, monkeypatch):
         # 16 records of 6 epochs: one record a line when it has more epochs than a line holds
         path = runs.run_dir("fifo") / "records.json"
         written = path.read_bytes()
-        before = bits(runs.load_run("fifo")[2])
+        before = bits(loaded(runs, "fifo"))
         rewrite_records(runs, "fifo")
         assert path.read_bytes() == written
         monkeypatch.setattr(run_records, "_LINE_EPOCHS", line_epochs)
         rewrite_records(runs, "fifo")
         assert len(path.read_bytes().splitlines()) == 1 + n_lines
-        assert bits(runs.load_run("fifo")[2]) == before
+        assert bits(loaded(runs, "fifo")) == before
 
     @pytest.mark.parametrize(
         "damage, detail",
@@ -637,8 +648,8 @@ class TestRecords:
             GridCell(0, 1): TrialRecord(GridCell(0, 1), [EpochLog(0, -math.nan, -math.inf, -0.0, None)], "diverged"),
             GridCell(1, 1): TrialRecord(GridCell(1, 1), [EpochLog(0, 0.5, 5e-324, 1.0, 0.25)], "running"),
         }
-        store.write_records("r", written.values())
-        assert bits(store.load_run("r")[2]) == bits(written)
+        store.write_records("r", Records.of(written.values()))
+        assert bits(loaded(store, "r")) == bits(written)
 
 
 # -- the reader on generated records -------------------------------------
@@ -664,14 +675,14 @@ def not_an_index(key):
     return f"{key!r} holds a value that is not a non-negative integer"
 
 
-def random_value(rng, optional=False):
+def random_value(rng, accuracy=False):
+    """A loss or norm: any float; or an accuracy: a finite float or None (not scored)."""
     pick = rng.random()
-    if optional and pick < 0.2:
+    if accuracy and pick < 0.2:
         return None
     if pick < 0.35:
-        return [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308][
-            int(rng.integers(8))
-        ]
+        special = [0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, -math.nan, math.inf, -math.inf]
+        return special[int(rng.integers(4 if accuracy else 8))]
     if pick < 0.5:
         return float(rng.integers(-5, 10**6))  # integral
     return float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
@@ -698,7 +709,7 @@ def write_random_run(store, rng, monkeypatch, line_epochs):
     grid, records = random_records(rng)
     store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 9)))
     monkeypatch.setattr(run_records, "_LINE_EPOCHS", line_epochs)
-    store.write_records("r", records)
+    store.write_records("r", Records.of(records))
     return store.run_dir("r") / "records.json", grid, records
 
 
@@ -730,13 +741,14 @@ def put(key, value, detail):
     return edit(change)
 
 
-def put_epoch_value(value, detail):
-    """A line fault that puts ``value`` in place of a random value of a random per-epoch column."""
+def put_epoch_value(value, detail, keys=PER_EPOCH):
+    """A line fault that puts ``value`` in place of a random value of a random per-epoch column
+    among ``keys``; ``detail`` may be a function of the column's key."""
 
     def change(rng, doc, t, earlier, shape):
-        column = doc[PER_EPOCH[int(rng.integers(4))]]
-        column[int(rng.integers(len(column)))] = value
-        return detail
+        key = keys[int(rng.integers(len(keys)))]
+        doc[key][int(rng.integers(len(doc[key])))] = value
+        return detail(key) if callable(detail) else detail
 
     return edit(change)
 
@@ -829,10 +841,13 @@ LINE_FAULTS = {
     "float-object": put_epoch_value({}, "not a float encoding: a JSON object"),
     "overflow-int": put_epoch_value(10**400, "integer of 1329 bits is out of float range"),
     "float-bool": put_epoch_value(True, "not a float encoding: a JSON boolean"),
+    "null-loss-or-norm": put_epoch_value(None, lambda key: f"{key!r} holds a null", PER_EPOCH[:2]),
+    **{f"{name}-metric": put_epoch_value(text, lambda key: f"{key!r} holds a value that is not finite", PER_EPOCH[2:])
+       for name, text in (("nan", "NaN"), ("inf", "Inf"), ("minus-inf", "-Inf"))},
 }
 # line faults that need a value in the line's per-epoch columns
-EPOCH_FAULTS = {"float-text", "float-array", "float-object", "float-bool", "overflow-int",
-                *(f"short-{key}" for key in PER_EPOCH)}
+EPOCH_FAULTS = {"float-text", "float-array", "float-object", "float-bool", "overflow-int", "null-loss-or-norm",
+                "nan-metric", "inf-metric", "minus-inf-metric", *(f"short-{key}" for key in PER_EPOCH)}
 # faults of the whole file, all reported at line 1: name -> fault(rng, body, crc), which returns
 # the file's new bytes and the detail of the error; ``body`` is the text after the first line
 FILE_FAULTS = {
@@ -929,9 +944,9 @@ class TestReaderOnGeneratedRecords:
         line_epochs = [1, 2, 3, 5, 8, 1024][seed % 6]
         path, grid, records = write_random_run(store, rng, monkeypatch, line_epochs)
         written = path.read_bytes()
-        loaded = store.load_run("r")[2]
-        assert bits(loaded) == bits({r.cell: r for r in records})
-        assert list(loaded) == [r.cell for r in records]
+        read = loaded(store, "r")
+        assert bits(read) == bits({r.cell: r for r in records})
+        assert list(read) == [r.cell for r in records]
         rewrite_records(store, "r")
         assert path.read_bytes() == written
         # each line is as full as it can be: a line holds more than line_epochs epochs only
@@ -1050,10 +1065,10 @@ class TestRecordsCarryTheLoggedStops:
             ended = {cell for cell, stop in stops.items() if stop["epoch"] <= k}
             cut = [records[c] if c in ended else TrialRecord(c, records[c].epochs[:k], STATUS_RUNNING)
                    for c in grid.cells()]
-            store.write_records("cut", cut)
+            store.write_records("cut", Records.of(cut))
             owed = [cell for cell in grid.cells() if cell not in ended]
             if not owed:
-                assert bits(_load_complete_run(store, "cut")[2]) == bits(records), f"cut after round {k}"
+                assert bits(trial_records(_load_complete_run(store, "cut")[2])) == bits(records), f"cut after round {k}"
                 continue
             listed = ", ".join(f"({c.row}, {c.col})" for c in owed[:10])
             more = f" and {len(owed) - 10} more" if len(owed) > 10 else ""

@@ -22,9 +22,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from records_frozen import trial_records
 
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
+from twinsearch.records import Records
 from twinsearch.runstore import RunStore, RunStoreError
 from twinsearch.scheduler import Schedule, SchedulerPolicy, rung_levels
 from twinsearch import trainer
@@ -129,7 +131,7 @@ def searched(request, tmp_path_factory):
         mp.setattr(store, "append_trial_line", recording)
         mp.setattr(trainer, "STACK_SLICE", 5)  # uneven slices of the 16 cells
         records = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
-    store.write_records("run", records.values())
+    store.write_records("run", Records.of(records.values()))
     return SimpleNamespace(
         kind=kind,
         grid=grid,
@@ -239,10 +241,10 @@ def test_epochs_equal_the_loop_at_the_real_stack_slice_with_diverging_rows():
 
 def test_surfaces_equal_the_eager_reference(searched):
     kind, grid, eager = searched.kind, searched.grid, searched.eager
-    expected = build_metric_surfaces(eager, grid, kind)
+    expected = build_metric_surfaces(Records.of(eager.values()), grid, kind)
     _, _, loaded = searched.store.load_run("run")
-    for records in (searched.records, loaded):
-        assert {c: r.status for c, r in records.items()} == {c: r.status for c, r in eager.items()}
+    for records in (Records.of(searched.records.values()), loaded):
+        assert {c: r.status for c, r in trial_records(records).items()} == {c: r.status for c, r in eager.items()}
         assert_same_surfaces(build_metric_surfaces(records, grid, kind), expected)
     assert np.any(np.isfinite(expected.val_acc)) and np.any(np.isfinite(expected.test_acc))
 
@@ -287,7 +289,7 @@ def test_records_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched)
     kind, grid, store = searched.kind, searched.grid, searched.store
     policy, _ = CASES[kind]
     store.create_run("old", {"grid": dataclasses.asdict(grid), "scheduler": dataclasses.asdict(policy)})
-    store.write_records("old", searched.eager.values())
+    store.write_records("old", Records.of(searched.eager.values()))
     _, _, old = store.load_run("old")
     _, _, new = store.load_run("run")
     assert_same_surfaces(build_metric_surfaces(old, grid, kind), build_metric_surfaces(new, grid, kind))
