@@ -6,9 +6,9 @@ then reports each method's picked cell and its test accuracy alongside the
 oracle's; handy for eyeballing how the heuristic behaves as the task recipe
 changes.
 
-Seeds 0-9 and 15-19 have been looked at with this script, so no acceptance
-gate may use them. Seeds 10-14 stay unseen: they are kept for the first
-acceptance test of the twin selector's segmentation.
+Seeds 0-9, 15-19 and 40-44 have been looked at with this script, so no
+acceptance gate may use them. Seeds 10-14 stay unseen: they are kept for the
+first acceptance test of the twin selector's segmentation.
 """
 
 from __future__ import annotations

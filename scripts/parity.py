@@ -12,15 +12,19 @@ target.
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
     python3 scripts/parity.py OLD/src NEW/src --expect-changed selection.json,eval_report.json
     python3 scripts/parity.py OLD/src NEW/src --json parity.json
+    python3 scripts/parity.py src src --jobs 1
 
 Each tree runs in one fresh Python process, which works in each job's store
-directory, so a relative ``plot --out`` lands in it. ``--expect-changed`` names
+directory, so a relative ``plot --out`` lands in it. ``--jobs N`` appends
+``--jobs N`` to every ``run`` command of the second tree, so ``src src --jobs
+1`` checks runs sharded across processes (``run``'s default) against runs in
+one process, recipe by recipe. ``--expect-changed`` names
 files, by their path inside the run directory, that a change to the package
 is meant to alter: they may differ or exist on one side only, and each one
 that does is printed per recipe and seed, with where it first differs: the
 key path for a JSON file, the line number and the key path within that line
 for a JSON-lines file such as ``records.json`` (``first_difference``). ``--json`` also writes the
-table to a file: per recipe and seed, the verdict (``identical``,
+table to a file: ``--jobs``'s N (or null), and per recipe and seed, the verdict (``identical``,
 ``expected`` when only named files changed, ``differs``), the number of
 files compared, and the problems found, split into unexpected and expected
 ones, each expected one as printed. Exit status: 0 when every file not so
@@ -152,11 +156,21 @@ def build_jobs(recipes, seeds, grid: int | None, epochs: int | None) -> list[dic
     return jobs
 
 
-def run_tree(src: Path, store_root: Path, jobs: list[dict]) -> list[str]:
-    """Run every job with the package under ``src``; returns the failed commands."""
+def with_run_jobs(ops: list[list[str]], run_jobs: int | None) -> list[list[str]]:
+    """``ops`` with ``--jobs run_jobs`` appended to each ``run`` command, unless it is None."""
+    if run_jobs is None:
+        return ops
+    return [[*op, "--jobs", str(run_jobs)] if op[0] == "run" else op for op in ops]
+
+
+def run_tree(src: Path, store_root: Path, jobs: list[dict], run_jobs: int | None = None) -> list[str]:
+    """Run every job with the package under ``src``, its ``run`` commands given ``--jobs
+    run_jobs`` if that is not None; returns the failed commands."""
     spec = {
         "src": str(src),
-        "jobs": [{"store": str(store_root / j["store"]), "ops": j["ops"]} for j in jobs],
+        "jobs": [
+            {"store": str(store_root / j["store"]), "ops": with_run_jobs(j["ops"], run_jobs)} for j in jobs
+        ],
     }
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(spec)], capture_output=True, text=True
@@ -233,14 +247,17 @@ def _located(problem: str, run_a: Path, run_b: Path) -> str:
     return f"{problem}: first at {first_difference(rel, (run_a / rel).read_bytes(), (run_b / rel).read_bytes())}"
 
 
-def compare_trees(src_a: Path, src_b: Path, jobs: list[dict], expected: set[str]) -> tuple[int, dict]:
-    """Run ``jobs`` with both trees and print the comparison; the exit status and the table."""
-    table = {"src_a": str(src_a), "src_b": str(src_b), "expect_changed": sorted(expected),
-             "failures": [], "jobs": []}
+def compare_trees(
+    src_a: Path, src_b: Path, jobs: list[dict], expected: set[str], run_jobs_b: int | None = None
+) -> tuple[int, dict]:
+    """Run ``jobs`` with both trees, tree B's ``run`` commands with ``--jobs run_jobs_b`` if that
+    is not None, and print the comparison; the exit status and the table."""
+    table = {"src_a": str(src_a), "src_b": str(src_b), "run_jobs_b": run_jobs_b,
+             "expect_changed": sorted(expected), "failures": [], "jobs": []}
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         root_a, root_b = Path(tmp) / "a", Path(tmp) / "b"
-        for side, src, root in (("A", src_a, root_a), ("B", src_b, root_b)):
-            for failure in run_tree(src.resolve(), root, jobs):
+        for side, src, root, run_jobs in (("A", src_a, root_a, None), ("B", src_b, root_b, run_jobs_b)):
+            for failure in run_tree(src.resolve(), root, jobs, run_jobs):
                 print(f"{side}: {failure}")
                 table["failures"].append(f"{side}: {failure}")
         if table["failures"]:
@@ -286,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
         "--expect-changed", default="", metavar="NAME[,NAME...]",
         help="files of the run directory that may differ, e.g. selection.json",
     )
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="append --jobs N to the second tree's run commands")
     parser.add_argument("--json", type=Path, default=None, metavar="PATH",
                         help="also write the verdict per recipe and seed to PATH")
     args = parser.parse_args(argv)
@@ -301,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     expected = {name for name in args.expect_changed.split(",") if name}
 
     jobs = build_jobs(recipes, seeds, args.grid, args.epochs)
-    status, table = compare_trees(args.src_a, args.src_b, jobs, expected)
+    status, table = compare_trees(args.src_a, args.src_b, jobs, expected, args.jobs)
     if args.json is not None:
         args.json.write_text(json.dumps(table, indent=2) + "\n")
     return status

@@ -35,7 +35,7 @@ from .matrices import assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunNotFoundError, RunStore, RunStoreError
 from .scheduler import SchedulerPolicy
-from .search import run_and_store, slice_records
+from .search import run_and_store, slice_records, usable_cpus
 from .selector import (
     METHOD_ORACLE,
     METHOD_SELTS,
@@ -71,6 +71,16 @@ class PipelineError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -109,7 +119,11 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--class-sep", type=float, default=2.5)
     p_run.add_argument("--label-noise", type=float, default=0.15)
     p_run.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+        "--jobs",
+        type=_positive_int,
+        default=usable_cpus(),
+        help="processes that train the grid's trials, at most one per CPU and one per 64"
+        " trials (default: the CPUs this process may use); no file of the run depends on it",
     )
 
     p_sel = sub.add_parser("select", help="recompute the selection offline from run logs")
@@ -192,7 +206,9 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    artifacts = run_and_store(_store(args), args.run_id, grid, policy, task_spec, arch, config)
+    artifacts = run_and_store(
+        _store(args), args.run_id, grid, policy, task_spec, arch, config, args.jobs
+    )
     sel = artifacts.selection
     print(
         f"run {args.run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "

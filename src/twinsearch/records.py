@@ -7,7 +7,8 @@ and ``test_acc``. No per-trial or per-epoch Python object stands between
 the file and the matrices: ``read_records`` fills the columns from each
 line's arrays, and ``matrices.assemble`` and ``build_metric_surfaces``
 reduce them. The search's ``TrialRecord``s become ``Records`` once, through
-``Records.of``, before ``records_text`` builds the file's text from them.
+``Records.of``, before ``records_lines`` encodes the file's lines from them,
+each line once, the header's CRC taken line by line.
 ``RunStore.write_records`` writes it after the search (from
 ``run_and_store``), replacing it whole or not at all. It is the one stored
 record of a run's trials: ``RunStore.load_run`` reads it and nothing else of
@@ -147,20 +148,23 @@ def _line(records: Records, a: int, b: int, bounds: list[int]) -> str:
     return encode_json(dict(zip(_PER_TRIAL + _PER_EPOCH, arrays)), line=True) + "\n"
 
 
-def records_text(records: Records) -> str:
-    """The ``records.json`` text of ``records``, in their order."""
+def records_lines(records: Records) -> list[bytes]:
+    """The lines of the ``records.json`` of ``records``, in their order, each encoded once: the
+    header, with the running CRC of the lines after it, then those lines."""
     runs = records.epochs_run.tolist()
     bounds = [0, *np.cumsum(runs).tolist()]
     lines = []
     start = n = 0
     for i, count in enumerate(runs):
         if n + count > _LINE_EPOCHS and i > start:
-            lines.append(_line(records, start, i, bounds))
+            lines.append(_line(records, start, i, bounds).encode())
             start, n = i, 0
         n += count
-    lines.append(_line(records, start, len(runs), bounds))
-    body = "".join(lines)
-    return f'{{"format":2,"body_crc32":{zlib.crc32(body.encode())}}}\n{body}'
+    lines.append(_line(records, start, len(runs), bounds).encode())
+    crc = 0
+    for line in lines:
+        crc = zlib.crc32(line, crc)
+    return [f'{{"format":2,"body_crc32":{crc}}}\n'.encode(), *lines]
 
 
 def _first_bad_cell(rows: list, cols: list, shape: tuple[int, int], seen: np.ndarray) -> str:

@@ -57,11 +57,12 @@ FIFO, the last five under early stopping (``matrices.metric_window``).
 Every other line has null metrics, as has that epoch in ``records.json``.
 
 A trial file is made in two steps. ``create_trial_files`` creates every
-cell's file empty and exclusively in the ``trials`` directory ``create_run``
-made (``FileNotFoundError`` without it); ``execute_search`` calls it on a
-helper thread from the start of the search, since creating a file costs far
-more than writing it, and joins that thread before its first write. The
-search then writes a trial's file once, whole, in the round the trial ends:
+given cell's file empty and exclusively in the ``trials`` directory
+``create_run`` made (``FileNotFoundError`` without it); each process of a
+search calls it for its shard's cells on a helper thread from the start of
+the search, since creating a file costs far more than writing it, and the
+search waits for the files before it writes them. It
+then writes a trial's file once, whole, in the round the trial ends:
 ``append_trial_line`` opens the created file (``FileNotFoundError`` if it was
 never created) and writes every line in one unbuffered ``os.write``; the
 caller passes a cell of the run's grid. Creating a file that exists, or
@@ -69,7 +70,7 @@ writing one that is not empty, is an error that leaves the file as it is; a
 short write raises. ``records.json`` is written after the search, so a
 process killed mid-search leaves a run that no command loads, and maybe
 empty trial files for the trials that had not ended: exports that no command
-reads. The two steps and the helper thread go when ROADMAP item 15 deletes
+reads. The two steps and the helper threads go when ROADMAP item 15 deletes
 the trial files.
 """
 
@@ -257,9 +258,9 @@ class RunStore:
     def write_records(self, run_id: str, records) -> None:
         """Write every one of ``records``, a ``records.Records``, to ``records.json``,
         replacing it whole."""
-        from .records import records_text
+        from .records import records_lines
 
-        self._write_text(self.run_dir(run_id) / RECORDS, records_text(records))
+        self._write(self.run_dir(run_id) / RECORDS, records_lines(records))
 
     def write_matrices(self, run_id: str, matrices) -> None:
         payload = {
@@ -380,17 +381,24 @@ class RunStore:
             raise RunNotFoundError(f"run {run_id!r} has no records at {path}")
         return grid, policy, read_records(str(path), grid.shape)
 
+    @classmethod
+    def _write_text(cls, path: Path, text: str) -> None:
+        cls._write(path, [text.encode("utf-8")])
+
     @staticmethod
-    def _write_text(path: Path, text: str) -> None:
-        """Replace ``path`` atomically with ``text``; a file that already holds it is left alone."""
-        data = text.encode("utf-8")
+    def _write(path: Path, chunks: list[bytes]) -> None:
+        """Replace ``path`` atomically with ``chunks``, joined; a file that already holds them
+        is left alone. Neither side is joined into one copy."""
         try:
-            if os.stat(path).st_size == len(data) and path.read_bytes() == data:
-                return
+            if os.stat(path).st_size == sum(map(len, chunks)):
+                with open(path, "rb") as fh:
+                    if all(fh.read(len(chunk)) == chunk for chunk in chunks):
+                        return
         except FileNotFoundError:
             pass
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
 
 

@@ -54,9 +54,11 @@ class TestRun:
         assert 0 <= cell["row"] < 5 and 0 <= cell["col"] < 5
 
     def test_same_seed_reruns_identical_artifacts(self, tmp_path):
-        assert run_cli(tmp_path, "run", "--run-id", "a", *RUN_FLAGS) == 0
-        # --jobs is still accepted and has no effect
-        assert run_cli(tmp_path, "run", "--run-id", "b", *RUN_FLAGS, "--jobs", "3") == 0
+        # 72 cells, over one stack slice: --jobs 3 trains them in up to two processes,
+        # and changes no byte
+        wide = [*RUN_FLAGS, "--n-lr", "9", "--n-wd", "8"]
+        assert run_cli(tmp_path, "run", "--run-id", "a", *wide, "--jobs", "1") == 0
+        assert run_cli(tmp_path, "run", "--run-id", "b", *wide, "--jobs", "3") == 0
         for name in ("records.json", "matrices.json", "selection.json"):
             a = artifact(tmp_path, "a", name).read_bytes()
             b = artifact(tmp_path, "b", name).read_bytes()
@@ -115,6 +117,16 @@ class TestRun:
         assert run_cli(tmp_path, "run", "--run-id", "bad", *RUN_FLAGS, *flags) == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "runs" / "bad").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_or_not_an_integer_exit_1(self, tmp_path, capsys, jobs):
+        assert run_cli(tmp_path, "run", "--run-id", "bad", *RUN_FLAGS, "--jobs", jobs) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --jobs: ")
+        assert not (tmp_path / "runs" / "bad").exists()
+
+    def test_jobs_defaults_to_the_usable_cpus(self):
+        args = cli._build_parser().parse_args(["run", "--run-id", "r"])
+        assert args.jobs == len(os.sched_getaffinity(0))
 
     def test_task_is_built_once(self, tmp_path, monkeypatch):
         built = []

@@ -52,6 +52,20 @@ def test_parity_compares_a_grid_whose_rows_are_wider_than_a_quickshift_block(cap
     assert capsys.readouterr().out.startswith("select-wide-rows seed 0: identical (")
 
 
+def test_parity_jobs_compares_sharded_runs_with_runs_in_one_process(capsys, tmp_path):
+    script = load_script("parity")
+    (job,) = script.build_jobs(["select-near-eval"], [0], None, None)
+    run, *later = job["ops"]
+    assert script.with_run_jobs(job["ops"], 1) == [[*run, "--jobs", "1"], *later]
+    assert script.with_run_jobs(job["ops"], None) == job["ops"]
+    src = str(SCRIPTS.parent / "src")
+    # 80 cells: tree A's run, at the default --jobs, trains them in a process per CPU
+    argv = [src, src, "--recipes", "hb-deep-ragged", "--seeds", "0", "--jobs", "1"]
+    assert script.main([*argv, "--json", str(tmp_path / "parity.json")]) == 0
+    assert capsys.readouterr().out.startswith("hb-deep-ragged seed 0: identical (")
+    assert json.loads((tmp_path / "parity.json").read_text())["run_jobs_b"] == 1
+
+
 def test_parity_names_a_changed_and_a_missing_file(tmp_path):
     script = load_script("parity")
     for side in ("a", "b"):
