@@ -15,7 +15,8 @@ check runs on the columns. It builds the grid surfaces from those columns
 ``matrices.json``.
 Exit codes:
 0 success, 1 usage error, 2 pipeline failure (all trials diverged,
-incomplete or missing artifacts), 3 storage failure.
+incomplete or missing artifacts, a search process that ended without a
+reply), 3 storage failure.
 
 Reading test metrics is an explicit opt-in (--allow-test-metrics): the twin
 pipeline itself never touches them.
@@ -35,7 +36,7 @@ from .matrices import assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunNotFoundError, RunStore, RunStoreError
 from .scheduler import SchedulerPolicy
-from .search import run_and_store, slice_records, usable_cpus
+from .search import ShardLostError, run_and_store, slice_records, usable_cpus
 from .selector import (
     METHOD_ORACLE,
     METHOD_SELTS,
@@ -353,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PipelineError, RunNotFoundError, ValueError) as exc:
+    except (PipelineError, RunNotFoundError, ShardLostError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     except (RunStoreError, OSError) as exc:

@@ -70,7 +70,7 @@ writing one that is not empty, is an error that leaves the file as it is; a
 short write raises. ``records.json`` is written after the search, so a
 process killed mid-search leaves a run that no command loads, and maybe
 empty trial files for the trials that had not ended: exports that no command
-reads. The two steps and the helper threads go when ROADMAP item 15 deletes
+reads. The two steps and the helper threads go when ROADMAP item 18 deletes
 the trial files.
 """
 

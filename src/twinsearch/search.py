@@ -7,32 +7,33 @@ resolve within the round and each trial line carries the status its epoch
 ended with. The trials are split into ``shard_count(jobs, ...)`` shards,
 interleaved by cell index: at most one per CPU this process may use and one
 per ``STACK_SLICE`` trials, and one where the process cannot fork or runs
-other threads. Shard 0 is this process's ``Cohort``; every other shard is a
-``Cohort`` in a forked child (``twinsearch.shards``, imported only when a
-search forks). Each cohort holds the task, the model, the ``TrainerConfig``,
-the epoch horizon (the scheduler's budget, the one epoch budget of the
-search) and every alive trial of its shard's parameters, velocity, lr0 and
-wd as rows of its stacks. A round's epoch is computed as stacked passes over
-row slices of those stacks, bit for bit what each trial would compute alone,
-so the records do not depend on the shard count. A trial leaves its cohort
-when it ends, keeping no parameters, and the search drops its runner then;
-the next step shrinks the stacks to the alive trials' rows. So only alive
-trials' state is held; the records of all trials are kept, those of a child's
-trials from the round they end in, when the child sends them.
+other threads. Every shard is a ``ShardTrials``, the one code path that steps
+and stops trials: shard 0 in this process, every other one in a forked
+child (``twinsearch.shards``, imported only when a search forks), and the
+search sends each the same commands, a step and then a stop, and reads the
+same replies. Each shard's ``Cohort`` holds the task, the model, the
+``TrainerConfig``, the epoch horizon (the scheduler's budget, the one epoch
+budget of the search) and every alive trial of its shard's parameters,
+velocity, lr0 and wd as rows of its stacks. A round's epoch is computed as
+stacked passes over row slices of those stacks, bit for bit what each trial
+would compute alone, so the records do not depend on the shard count. A
+trial leaves its cohort when it ends, keeping no parameters, and its shard
+drops its runner then; the next step shrinks the stacks to the alive
+trials' rows. So only alive trials' state is held; the search keeps the
+record of each trial from the round it ends in, when its shard replies.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
 a trial's file is written once, whole and with its metrics, in the round
 the trial ends, by this process. The trial files and the decision log are
 exports that no command reads. Creating 900-1,600 files costs more than
-writing them, so each process of a search with a store creates its shard's
-files empty on a helper thread (``TrialFiles``) from its start, while its
-cohort trains. This process joins its thread just before its first write
-(the first rung under HB; the last round or the first divergence under
-FIFO) and again at its end, so no thread outlives it; a child joins its
-thread before it sends its first record. A process killed mid-search can
-leave empty files for the trials that had not ended; no command reads them.
-The helper threads go when ROADMAP item 15 deletes the trial files. Every
+writing them, so each shard of a search with a store creates its files
+empty on a helper thread of its ``ShardTrials`` from its start, while its
+cohort trains, and joins it before the first reply that carries a record,
+in whichever process it runs. This process also joins its own at its end,
+so no thread outlives it. A process killed mid-search can leave empty
+files for the trials that had not ended; no command reads them. The helper
+threads go when ROADMAP item 18 deletes the trial files. Every
 file of a run is written through ``RunStore``:
 after the search ``run_and_store`` turns the records the search returns into
 ``records.Records`` columns once (``Records.of``), drops the per-epoch
@@ -71,31 +72,74 @@ from .trainer import (
     TrialRecord,
 )
 
-__all__ = ["execute_search", "run_and_store", "shard_count", "slice_records", "usable_cpus"]
+__all__ = [
+    "ShardLostError", "ShardTrials", "execute_search", "run_and_store", "shard_count", "slice_records",
+    "usable_cpus",
+]
 
 
-class TrialFiles:
-    """Creates the empty trial files of a run's ``cells`` on a helper thread, from its
-    construction on; ``wait`` joins it and raises what it raised, ``join`` only joins it."""
+class ShardLostError(RuntimeError):
+    """A forked shard of a search ended without a whole reply."""
 
-    def __init__(self, store: RunStore, run_id: str, cells: list[GridCell]):
-        self._failure: list[BaseException] = []
-        self._thread = threading.Thread(target=self._create, args=(store, run_id, cells))
-        self._thread.start()
+
+class ShardTrials:
+    """One shard's trials: the live runners of its ``cohort`` and their ``cells``, in cell
+    order, and, with a store, the helper thread that creates their trial files empty.
+
+    ``run`` answers a command: ``None`` steps every live trial one epoch; a
+    list of live cells finishes their trials as stopped early. The reply is
+    the train loss of each trial stepped, ``None`` for one that diverged,
+    and the ``TrialRecord`` of each trial that ended, in cell order. Before
+    the first reply that carries a record, ``run`` joins the helper thread
+    and raises what it raised, so no record is written before its file is
+    created. ``send`` runs a command and ``receive`` returns its reply, so
+    the search drives this shard as it drives a forked one's ``shards.Shard``.
+    """
+
+    def __init__(self, cohort: Cohort, store: RunStore | None, run_id: str | None):
+        self._alive = list(cohort.members)
+        self.cells = [runner.cell for runner in self._alive]
+        self._failure: BaseException | None = None
+        self._thread = None
+        if store is not None and run_id is not None:
+            self._thread = threading.Thread(target=self._create, args=(store, run_id, self.cells))
+            self._thread.start()
 
     def _create(self, store: RunStore, run_id: str, cells: list[GridCell]) -> None:
         try:
             store.create_trial_files(run_id, cells)
-        except BaseException as exc:  # raised by wait, on the waiting thread
-            self._failure.append(exc)
+        except BaseException as exc:  # raised by run, on the thread that runs the shard
+            self._failure = exc
 
     def join(self) -> None:
-        self._thread.join()
+        """Wait for the helper thread, if it was started."""
+        if self._thread is not None:
+            self._thread.join()
 
-    def wait(self) -> None:
-        self._thread.join()
-        if self._failure:
-            raise self._failure[0]
+    def run(self, stopping: list[GridCell] | None) -> tuple[list[float | None], list[TrialRecord]]:
+        losses = []
+        stop = set(stopping or ())
+        for runner in self._alive:
+            if stopping is None:
+                last = runner.step_epoch()
+                losses.append(None if runner.record.status == STATUS_DIVERGED else last.train_loss)
+            elif runner.cell in stop:
+                runner.finish(STATUS_STOPPED_EARLY)
+        ended = [runner.record for runner in self._alive if runner.done]
+        if ended and self._thread is not None:  # no record goes out before its file exists
+            self.join()
+            self._thread = None
+            if self._failure is not None:
+                raise self._failure
+        self._alive = [runner for runner in self._alive if not runner.done]
+        self.cells = [runner.cell for runner in self._alive]
+        return losses, ended
+
+    def send(self, command: list[GridCell] | None) -> None:
+        self._reply = self.run(command)
+
+    def receive(self) -> tuple[list[float | None], list[TrialRecord]]:
+        return self._reply
 
 
 def usable_cpus() -> int:
@@ -126,86 +170,83 @@ def execute_search(
 ) -> dict[GridCell, TrialRecord]:
     """Train every grid cell for up to ``policy.epoch_budget`` epochs; optionally persist.
 
-    With ``jobs`` above 1 the trials are split into ``shard_count`` shards,
-    all but the first trained in children forked before any helper thread
-    starts (``twinsearch.shards``); the records, files and decisions are the
-    same at any ``jobs``. A process that cannot fork, or that runs other
-    threads, whose held locks a fork would copy without them, trains every
-    trial itself. No child outlives the search, however it ends.
+    The trials are split into ``shard_count`` shards, each a ``ShardTrials``:
+    shard 0 in this process, every other one in a child forked before any
+    helper thread starts (``twinsearch.shards``). A process that cannot
+    fork, or that runs other threads, whose held locks a fork would copy
+    without them, trains every trial itself. A round is two exchanges with
+    the shards, each sending every command, this process's own last, before
+    it reads any reply: every shard steps its trials one epoch; then
+    ``Schedule.decide`` takes the round's train losses in cell order, and
+    each shard with trials it stopped finishes them. The records, files and
+    decisions are the same at any ``jobs``. No child outlives the search,
+    however it ends.
 
     With a store, a trial that ends in a round (completed, stopped early or
     diverged) gets its whole trial file then, one line per epoch, in cell
     order; the round's decisions are appended after the round's trial files.
-    Each process creates its shard's files empty on a helper thread from the
-    start; this process joins its own before its first write, re-raising what
-    the thread raised, and at its end, however it ends.
+    This process joins its own shard's helper thread at its end, however it
+    ends.
     """
     persist = store is not None and run_id is not None
     cells = grid.cells()
-    trials = [(cell, *cell_params(grid, cell)) for cell in cells]
     can_fork = hasattr(os, "fork") and threading.active_count() == 1
     k = shard_count(jobs, grid.n_trials, usable_cpus() if can_fork else 1)
     window = metric_window(policy.kind)
 
-    if k > 1:  # forked before the helper thread starts
+    def make_shard(shard_cells: list[GridCell]) -> ShardTrials:
+        trials = [(cell, *cell_params(grid, cell)) for cell in shard_cells]
+        return ShardTrials(Cohort(task, arch, config, policy.epoch_budget, window, trials), store, run_id)
+
+    if k > 1:  # forked before any helper thread starts
         from .shards import forked
 
-        files = (lambda shard_cells: TrialFiles(store, run_id, shard_cells)) if persist else None
-        sharding = forked(task, arch, config, policy.epoch_budget, window, trials, k, files)
+        sharding = forked(make_shard, [cells[s::k] for s in range(1, k)])
     else:
         sharding = contextlib.nullcontext([])
-    with sharding as remote:
-        creator = TrialFiles(store, run_id, cells[::k]) if persist else None
+    with sharding as children:
+        own = make_shard(cells[::k])
         try:
+            shards = [*children, own]  # the children work while this process works on its own
             schedule = Schedule(policy, grid.n_trials)
-            cohort = Cohort(task, arch, config, policy.epoch_budget, window, trials[::k])
-            # in cell order; an ended runner is dropped, which frees its metric window
-            alive = list(cohort.members)
             records: dict[GridCell, TrialRecord] = dict.fromkeys(cells)
-            records.update((r.cell, r.record) for r in alive)
             decisions_written = 0
             epoch = 0
-            while alive or any(shard.cells for shard in remote):
+            while any(s.cells for s in shards):
                 epoch += 1
-                for shard in remote:  # the children step while this process steps its trials
-                    shard.step()
-                losses: dict[GridCell, float | None] = {}
-                for runner in alive:
-                    last = runner.step_epoch()
-                    losses[runner.cell] = None if runner.record.status == STATUS_DIVERGED else last.train_loss
-                ended: list[TrialRecord] = []
-                for shard in remote:
-                    shard.stepped(losses, ended)
-                if remote:
-                    losses = dict(sorted(losses.items()))  # cell order
-                schedule.decide(epoch, losses)
-
-                for shard in remote:
-                    shard.stop(schedule)
-                for runner in alive:
-                    if not runner.done and not schedule.is_alive(runner.cell):
-                        runner.finish(STATUS_STOPPED_EARLY)
-                for shard in remote:
-                    shard.stopped(ended)
-                ended += [r.record for r in alive if r.done]
-                if remote:
-                    ended.sort(key=lambda record: record.cell)
-                    records.update((record.cell, record) for record in ended)
+                losses, ended = _exchange(shards, [None] * len(shards))
+                schedule.decide(epoch, dict(sorted(losses.items())))
+                stops = [[cell for cell in s.cells if not schedule.is_alive(cell)] for s in shards]
+                ended += _exchange(shards, stops)[1]
+                ended.sort(key=lambda record: record.cell)
+                records.update((record.cell, record) for record in ended)
                 if persist:
-                    if ended:  # the first write waits for this process's files
-                        creator.wait()
                     for record in ended:
                         store.append_trial_line(run_id, record)
                     new = schedule.decision_log[decisions_written:]
                     if new:
                         store.append_decisions(run_id, new)
                         decisions_written += len(new)
-                alive = [r for r in alive if not r.done]
         finally:
-            if creator is not None:
-                creator.join()
+            own.join()
 
     return records
+
+
+def _exchange(shards: list, commands: list) -> tuple[dict, list[TrialRecord]]:
+    """Send each shard its command, a step (None) or the cells to stop (none if there are
+    none), then read every reply: the train losses by cell and the records that ended."""
+    sent = []
+    for shard, command in zip(shards, commands):
+        if command is None or command:
+            sent.append((shard, shard.cells))  # the cells the reply's losses are of
+            shard.send(command)
+    losses, ended = {}, []
+    for shard, cells in sent:
+        values, records = shard.receive()
+        losses.update(zip(cells, values))
+        ended += records
+    return losses, ended
 
 
 def slice_records(records, grid: HyperGrid, lr_stride: int, wd_stride: int):

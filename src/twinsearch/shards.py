@@ -1,37 +1,26 @@
-"""A search's trials in forked processes: the shards of ``execute_search`` after the first.
+"""A search's shards after the first: each a ``ShardTrials`` in a forked process.
 
 ``execute_search`` splits a grid's trials into ``k`` shards interleaved by
-cell index (shard ``s`` holds cells ``s, s + k, s + 2k, ...``). Shard 0 is
-the search's own ``Cohort``; ``forked`` forks one child per other shard, each
-with a ``Cohort`` of its own, built and stepped in the child. Every row of a
-cohort is computed exactly as a lone trial's would be, so a trial's record
-does not depend on its shard, and the search is the same search at any
-``k``: its rounds stay synchronous, and the parent merges the children's
-results into cell order before ``Schedule.decide`` and the file writes.
+cell index (shard ``s`` holds cells ``s, s + k, s + 2k, ...``), each a
+``search.ShardTrials`` that steps and stops its own ``Cohort``'s trials.
+Shard 0 runs in the search's process; ``forked`` forks one child per other
+shard, which builds its ``ShardTrials`` and answers each command the search
+sends with that object's ``run``, the code that answers it for shard 0.
+Every row of a cohort is computed exactly as a lone trial's would be, so a
+trial's record does not depend on its shard, and the search is the same
+search at any ``k``.
 
-Each child talks to the parent over two pipes of pickles that only this
-module writes. A round is two exchanges at most:
-
-- ``Shard.step`` sends ``None``: the child steps its live trials one epoch
-  and ``Shard.stepped`` reads back each live trial's train loss (``None`` if
-  it diverged), in cell order, and the whole ``TrialRecord`` of every trial
-  that ended in the step, its window metrics scored;
-- ``Shard.stop`` sends the child's cells that ``decide`` stopped, if there
-  are any: the child finishes and scores them, and ``Shard.stopped`` reads
-  their records.
-
-With a store, a child creates its cells' trial files empty on a helper
-thread of its own, started after the fork, and waits for it before it sends
-its first record; the parent writes every trial file, in the round its
-trial ends.
-
-The parent sends to every child before it does its own part of the work,
-so the children run while it does. A child leaves only through
+A ``Shard`` is the search's side of a child, driven like shard 0: ``send``
+writes a command to the child and ``receive`` reads the reply, dropping the
+cells whose trials ended from ``cells``. The two pipes between them carry
+pickles that only this module writes. A child leaves only through
 ``os._exit``, and never unwinds into its caller's stack: when the parent
 closes its command pipe it exits 0; when it fails it sends its exception
 and traceback instead of a reply and exits 1, and the parent raises that
-exception, its cause the child's traceback. ``forked`` reaps every child,
-after killing it if the search failed, so no process outlives a search.
+exception, its cause the child's traceback. A child that ends without a
+whole reply makes ``receive`` raise ``search.ShardLostError``. ``forked``
+reaps every child, after killing it if the search failed, so no process
+outlives a search.
 """
 
 from __future__ import annotations
@@ -41,13 +30,13 @@ import os
 import pickle
 import signal
 
-from .trainer import STATUS_DIVERGED, STATUS_STOPPED_EARLY, Cohort
+from .search import ShardLostError
 
 __all__ = ["Shard", "forked"]
 
 
 class Shard:
-    """A child process that trains one shard's trials; ``cells`` are its live cells, in order."""
+    """A child process that runs one shard's ``ShardTrials``; ``cells`` are its live cells, in order."""
 
     def __init__(self, index: int, pid: int, commands, replies, cells: list):
         self.index = index
@@ -55,52 +44,33 @@ class Shard:
         self._commands = commands  # written by the parent, read by the child
         self._replies = replies  # written by the child, read by the parent
         self.cells = cells
-        self._stopping: list = []
 
-    def step(self) -> None:
-        """Have the child step its live trials one epoch."""
-        self._send(None)
+    def send(self, command) -> None:
+        """Have the child run ``command``: step (None) or stop these cells."""
+        try:
+            pickle.dump(command, self._commands, pickle.HIGHEST_PROTOCOL)
+            self._commands.flush()
+        except BrokenPipeError:  # the child ended while it waited for a command
+            raise self._lost() from None
 
-    def stepped(self, losses: dict, ended: list) -> None:
-        """Read the step's reply: each live trial's train loss into ``losses`` and the records
-        of the trials that ended into ``ended``."""
-        values, records = self._receive()
-        losses.update(zip(self.cells, values))
-        self._ended(records, ended)
-
-    def stop(self, schedule) -> None:
-        """Have the child finish its live trials that ``schedule`` stopped, if it has any."""
-        self._stopping = [cell for cell in self.cells if not schedule.is_alive(cell)]
-        if self._stopping:
-            self._send(self._stopping)
-
-    def stopped(self, ended: list) -> None:
-        """Read the records of the trials ``stop`` finished into ``ended``."""
-        if self._stopping:
-            self._stopping = []
-            self._ended(self._receive(), ended)
-
-    def _ended(self, records: list, ended: list) -> None:
-        ended += records
-        gone = {record.cell for record in records}
-        self.cells = [cell for cell in self.cells if cell not in gone]
-
-    def _send(self, message) -> None:
-        pickle.dump(message, self._commands, pickle.HIGHEST_PROTOCOL)
-        self._commands.flush()
-
-    def _receive(self):
+    def receive(self) -> tuple[list, list]:
+        """The child's reply to the last command: its train losses and its ended records."""
         try:
             ok, payload = pickle.load(self._replies)
-        except EOFError:
-            raise RuntimeError(f"search shard {self.index} (pid {self.pid}) exited without a reply") from None
-        if ok:
-            return payload
-        exc, text = payload
-        cause = RuntimeError(f"in search shard {self.index} (pid {self.pid}):\n{text}")
-        if exc is None:
-            raise cause
-        raise exc from cause
+        except (EOFError, pickle.UnpicklingError):  # the pipe closed before the reply, or within it
+            raise self._lost() from None
+        if not ok:
+            exc, text = payload
+            cause = RuntimeError(f"in search shard {self.index} (pid {self.pid}):\n{text}")
+            if exc is None:
+                raise cause
+            raise exc from cause
+        gone = {record.cell for record in payload[1]}
+        self.cells = [cell for cell in self.cells if cell not in gone]
+        return payload
+
+    def _lost(self) -> ShardLostError:
+        return ShardLostError(f"search shard {self.index} (pid {self.pid}) exited without a reply")
 
     def close_pipes(self) -> None:
         for pipe in (self._commands, self._replies):
@@ -111,10 +81,10 @@ class Shard:
 
 
 @contextlib.contextmanager
-def forked(task, arch, config, epochs: int, metric_window: int, trials: list, k: int, files=None):
-    """Fork a child for each of shards 1 to ``k - 1`` of ``trials`` (``(cell, lr0, wd)`` in cell
-    order) and yield their ``Shard``s; shard ``s`` trains ``trials[s::k]``. ``files``, if not
-    None, makes the ``TrialFiles`` of a child's cells in the child.
+def forked(make_shard, cell_lists: list[list]):
+    """Fork a child for each of ``cell_lists``, the cells of shards 1, 2, ... in cell order, and
+    yield their ``Shard``s; the child of ``cells`` answers commands with ``make_shard(cells)``,
+    the ``ShardTrials`` it builds.
 
     On leaving, every child's pipes are closed, which ends an idle child, and
     every child is reaped; if the block raised, each child is killed first.
@@ -131,10 +101,8 @@ def forked(task, arch, config, epochs: int, metric_window: int, trials: list, k:
     try:
         if blas:
             blas[1](1)
-        for index in range(1, k):
-            cohort_args = (task, arch, config, epochs, metric_window, trials[index::k])
-            cells = [cell for cell, _, _ in trials[index::k]]
-            shards.append(_fork(index, cohort_args, cells, files, shards))
+        for index, cells in enumerate(cell_lists, 1):
+            shards.append(_fork(index, make_shard, cells, shards))
         yield shards
     except BaseException:
         for shard in shards:
@@ -174,9 +142,10 @@ def _openblas():
     return None
 
 
-def _fork(index: int, cohort_args: tuple, cells: list, files, earlier: list[Shard]) -> Shard:
-    """Fork the child of shard ``index``: it builds ``Cohort(*cohort_args)`` over ``cells`` and
-    serves its commands; ``earlier`` are the shards forked before it."""
+def _fork(index: int, make_shard, cells: list, earlier: list[Shard]) -> Shard:
+    """Fork the child of shard ``index``: it builds ``make_shard(cells)`` and replies to each
+    command with that ``ShardTrials``'s ``run`` until the pipe closes; ``earlier`` are the
+    shards forked before it."""
     command_r, command_w = os.pipe()
     reply_r, reply_w = os.pipe()
     try:
@@ -195,8 +164,13 @@ def _fork(index: int, cohort_args: tuple, cells: list, files, earlier: list[Shar
                 shard.close_pipes()
             replies = os.fdopen(reply_w, "wb")
             try:
-                creator = files(cells) if files is not None else None
-                _serve(Cohort(*cohort_args), os.fdopen(command_r, "rb"), replies, creator)
+                trials, commands = make_shard(cells), os.fdopen(command_r, "rb")
+                while True:
+                    try:
+                        command = pickle.load(commands)
+                    except EOFError:  # the parent closed the pipe
+                        break
+                    _reply(replies, (True, trials.run(command)))
                 status = 0
             except BaseException as exc:
                 _reply_failure(replies, exc)
@@ -205,35 +179,6 @@ def _fork(index: int, cohort_args: tuple, cells: list, files, earlier: list[Shar
     os.close(command_r)
     os.close(reply_w)
     return Shard(index, pid, os.fdopen(command_w, "wb"), os.fdopen(reply_r, "rb"), cells)
-
-
-def _serve(cohort: Cohort, commands, replies, creator) -> None:
-    """The child's loop: step or stop its trials as each command says, until the pipe closes.
-    ``creator``, the ``TrialFiles`` of its cells or None, is waited for before the first reply
-    that carries a record, so the parent writes no trial file before it is created."""
-    alive = list(cohort.members)
-    while True:
-        try:
-            stopping = pickle.load(commands)
-        except EOFError:
-            return
-        if stopping is None:
-            losses = []
-            for runner in alive:
-                last = runner.step_epoch()
-                losses.append(None if runner.record.status == STATUS_DIVERGED else last.train_loss)
-            ended = [runner.record for runner in alive if runner.done]
-            reply = (losses, ended)
-        else:
-            by_cell = {runner.cell: runner for runner in alive}
-            for cell in stopping:
-                by_cell[cell].finish(STATUS_STOPPED_EARLY)
-            reply = ended = [by_cell[cell].record for cell in stopping]
-        if ended and creator is not None:
-            creator.wait()
-            creator = None
-        alive = [runner for runner in alive if not runner.done]
-        _reply(replies, (True, reply))
 
 
 def _reply(replies, message) -> None:

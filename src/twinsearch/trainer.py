@@ -429,7 +429,7 @@ class Cohort:
         """One epoch for the members in ``rows``, updated in place in the stacks."""
         model, config = self.model, self.config
         x, y = self.task.train_inputs, self.task.train_labels
-        order = np.stack([r.rng.permutation(len(y)) for r in runners])
+        order = np.stack([np.random.Generator(r.bit_generator).permutation(len(y)) for r in runners])
         # rows is a slice, so these are views of the stacks
         theta, velocity, wd = self._theta[rows], self._velocity[rows], self._wd[rows]
         g = model._buffer("g", theta.shape)
@@ -471,15 +471,14 @@ class TrialRunner:
     def __init__(self, cohort: Cohort, slot: int, cell: GridCell):
         self.cohort = cohort
         self.cell = cell
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence([cohort.config.init_seed, cell.row, cell.col])
-        )
+        seed = np.random.SeedSequence([cohort.config.init_seed, cell.row, cell.col])
+        self.bit_generator = np.random.PCG64(seed)  # a Generator wraps it only where it draws
         self.record = TrialRecord(cell=cell)
         # (epoch, theta) of the last finite epochs, scored when the trial ends
         window = cohort.metric_window
         self._recent: deque[tuple[int, np.ndarray]] | None = deque(maxlen=window) if window else None
         self._slot = slot
-        cohort._theta[slot] = cohort.model.init_params(self.rng)
+        cohort._theta[slot] = cohort.model.init_params(np.random.Generator(self.bit_generator))
 
     @property
     def theta(self) -> np.ndarray:

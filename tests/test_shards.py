@@ -12,6 +12,8 @@ import importlib.util
 import io
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +23,10 @@ import pytest
 from twinsearch import search
 from twinsearch.cli import main
 from twinsearch.runstore import RunStore
-from twinsearch.search import shard_count
-from twinsearch.trainer import STACK_SLICE, Cohort
+from twinsearch.scheduler import Schedule
+from twinsearch.search import ShardLostError, shard_count
+from twinsearch.shards import Shard
+from twinsearch.trainer import STACK_SLICE, Cohort, TrialRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
@@ -36,6 +40,8 @@ GRID = ["--n-lr", "12", "--n-wd", "11", "--lr-high", "1e6", "--wd-high", "50", "
 FIFO = [*GRID, "--epochs", "8"]
 # HB with rungs at 6 and 12: 12 cells diverge in round 6, where the rung stops 57
 HB = [*GRID, "--epochs", "20", "--scheduler", "hb", "--stop-fraction", "0.25", "--grace", "0.3"]
+# the same HB run without val/test sets: no shard scores accuracy
+HB_VALFREE = [*HB, "--n-val", "0", "--n-test", "0"]
 
 
 def test_shard_count_is_the_jobs_capped_by_cpus_and_stack_slices():
@@ -90,7 +96,9 @@ def run(store, flags, jobs):
     return rc, err.getvalue()
 
 
-@pytest.mark.parametrize("flags", [FIFO, HB], ids=["fifo-diverging", "hb-diverging-at-a-rung"])
+@pytest.mark.parametrize(
+    "flags", [FIFO, HB, HB_VALFREE], ids=["fifo-diverging", "hb-diverging-at-a-rung", "hb-validation-free"]
+)
 def test_every_file_of_a_run_is_the_same_at_one_two_and_three_shards(tmp_path, monkeypatch, forks, flags):
     monkeypatch.setattr(search, "usable_cpus", lambda: 3)
     with no_unwinding_child(tmp_path):
@@ -101,8 +109,8 @@ def test_every_file_of_a_run_is_the_same_at_one_two_and_three_shards(tmp_path, m
         n_files, problems = parity.compare_dirs(tmp_path / "jobs-1" / "r", tmp_path / f"jobs-{jobs}" / "r")
         assert n_files == 132 + 5 and problems == []  # trial files, manifest, records, decisions, matrices, selection
     statuses = (tmp_path / "jobs-1" / "r" / "records.json").read_text()
-    assert '"diverged"' in statuses and ('"stopped_early"' in statuses) == (flags is HB)
-    if flags is HB:  # a rung round in which cells also diverge
+    assert '"diverged"' in statuses and ('"stopped_early"' in statuses) == (flags is not FIFO)
+    if flags is not FIFO:  # a rung round in which cells also diverge
         lines = (tmp_path / "jobs-1" / "r" / "decisions.jsonl").read_text().splitlines()
         decisions = [json.loads(line) for line in lines]
         rungs = {d["epoch"] for d in decisions if d["rung"] is not None}
@@ -146,6 +154,41 @@ def test_an_error_that_does_not_pickle_arrives_as_the_childs_traceback(tmp_path,
     assert len(forks) == 1
 
 
+@pytest.mark.parametrize("waiting", [False, True], ids=["while-stepping", "while-waiting"])
+def test_a_child_killed_mid_search_fails_the_run_with_a_pipeline_error(tmp_path, monkeypatch, forks, waiting):
+    parent = os.getpid()
+    step, decide = Cohort.step, Schedule.decide
+
+    def killed_stepping(self):
+        if os.getpid() != parent and self.epoch == 1:  # round 2
+            os.kill(os.getpid(), signal.SIGKILL)
+        step(self)
+
+    def killing_the_waiting_child(self, epoch, losses):
+        if epoch == 1:  # the child has replied to round 1 and waits for its next command
+            os.kill(forks[0], signal.SIGKILL)
+            os.waitpid(forks[0], 0)  # gone, and its end of the command pipe closed
+        decide(self, epoch, losses)
+
+    if waiting:
+        monkeypatch.setattr(Schedule, "decide", killing_the_waiting_child)
+    else:
+        monkeypatch.setattr(Cohort, "step", killed_stepping)
+    with no_unwinding_child(tmp_path):
+        rc, err = run(tmp_path, FIFO, 2)
+    assert len(forks) == 1
+    assert (rc, err) == (2, f"error: search shard 1 (pid {forks[0]}) exited without a reply\n")
+
+
+@pytest.mark.parametrize("cut", [0, 1, 40, -1])
+def test_a_reply_cut_off_within_its_pickle_is_a_lost_shard(cut):
+    record = TrialRecord(cell=(0, 1), status="diverged")
+    whole = pickle.dumps((True, ([0.5, None], [record])), pickle.HIGHEST_PROTOCOL)
+    shard = Shard(1, 99, io.BytesIO(), io.BytesIO(whole[:cut]), [(0, 1), (0, 3)])
+    with pytest.raises(ShardLostError, match=r"^search shard 1 \(pid 99\) exited without a reply$"):
+        shard.receive()
+
+
 def test_a_failing_store_write_kills_and_reaps_the_children(tmp_path, monkeypatch, forks):
     def failing(self, run_id, record):
         raise OSError("no space left on the store")
@@ -155,6 +198,31 @@ def test_a_failing_store_write_kills_and_reaps_the_children(tmp_path, monkeypatc
         rc, err = run(tmp_path, HB, 2)
     assert (rc, err) == (3, "storage error: no space left on the store\n")
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("in_child", [True, False], ids=["in-the-child", "in-the-parent"])
+def test_a_failing_trial_file_creation_fails_the_run_from_either_process(tmp_path, monkeypatch, forks, in_child):
+    parent = os.getpid()
+    create = RunStore.create_trial_files
+
+    def failing(self, run_id, cells):
+        if (os.getpid() != parent) == in_child:
+            raise OSError("no space left for the trial files")
+        create(self, run_id, cells)
+
+    monkeypatch.setattr(RunStore, "create_trial_files", failing)
+    with no_unwinding_child(tmp_path):
+        rc, err = run(tmp_path, FIFO, 2)
+    assert (rc, err) == (3, "storage error: no space left for the trial files\n")
+    assert len(forks) == 1
+    # trials first end in round 5, in both shards, so the failure comes before any file is
+    # written, and only the other process's shard has its files, empty
+    assert not (tmp_path / "r" / "records.json").exists()
+    files = sorted((tmp_path / "r" / "trials").iterdir())
+    created = 0 if in_child else 1  # the shard whose process created its files
+    names = [f"{r}_{c}.jsonl" for r in range(11) for c in range(12) if (r * 12 + c) % 2 == created]
+    assert [f.name for f in files] == sorted(names)
+    assert all(f.stat().st_size == 0 for f in files)
 
 
 def test_select_does_not_compile_the_shard_module(tmp_path):
