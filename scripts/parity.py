@@ -11,6 +11,7 @@ target.
     python3 scripts/parity.py OLD/src NEW/src
     python3 scripts/parity.py OLD/src NEW/src --recipes fifo-grid,fifo-diverge --seeds 0
     python3 scripts/parity.py OLD/src NEW/src --expect-changed selection.json,eval_report.json
+    python3 scripts/parity.py OLD/src NEW/src --expect-changed trials/,decisions.jsonl
     python3 scripts/parity.py OLD/src NEW/src --json parity.json
     python3 scripts/parity.py src src --jobs 1
 
@@ -18,13 +19,15 @@ Each tree runs in one fresh Python process, which works in each job's store
 directory, so a relative ``plot --out`` lands in it. ``--jobs N`` appends
 ``--jobs N`` to every ``run`` command of the second tree, so ``src src --jobs
 1`` checks runs sharded across processes (``run``'s default) against runs in
-one process, recipe by recipe. ``--expect-changed`` names
-files, by their path inside the run directory, that a change to the package
-is meant to alter: they may differ or exist on one side only, and each one
-that does is printed per recipe and seed, with where it first differs: the
-key path for a JSON file, the line number and the key path within that line
-for a JSON-lines file such as ``records.json`` (``first_difference``). ``--json`` also writes the
-table to a file: ``--jobs``'s N (or null), and per recipe and seed, the verdict (``identical``,
+one process, recipe by recipe. ``--expect-changed`` names files, by their
+path inside the run directory, that a change to the package is meant to
+alter; a name that ends in ``/``, such as ``trials/``, names every file
+under that directory (``is_expected``). They may differ or exist on one
+side only, and each one that does is printed per recipe and seed, with
+where it first differs: the key path for a JSON file, the line number and
+the key path within that line for a JSON-lines file such as
+``records.json`` (``first_difference``). ``--json`` also writes the table
+to a file: ``--jobs``'s N (or null), and per recipe and seed, the verdict (``identical``,
 ``expected`` when only named files changed, ``differs``), the number of
 files compared, and the problems found, split into unexpected and expected
 ones, each expected one as printed. Exit status: 0 when every file not so
@@ -193,6 +196,12 @@ def compare_dirs(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(files_a | files_b), problems
 
 
+def is_expected(rel: str, expected: set[str]) -> bool:
+    """Whether ``expected`` names the file ``rel``: by its path, or by a directory name ending
+    in ``/`` that holds it."""
+    return rel in expected or any(name.endswith("/") and rel.startswith(name) for name in expected)
+
+
 def _key_path(a, b, path: str = "$") -> str | None:
     """The first key path at which the JSON values ``a`` and ``b`` differ, or None."""
     if type(a) is not type(b):
@@ -267,7 +276,7 @@ def compare_trees(
             run_a = root_a / job["store"] / RUN_ID
             run_b = root_b / job["store"] / RUN_ID
             n_files, problems = compare_dirs(run_a, run_b)
-            changed = [p for p in problems if p.split(": ", 1)[1] in expected]
+            changed = [p for p in problems if is_expected(p.split(": ", 1)[1], expected)]
             problems = [p for p in problems if p not in changed]
             changed = [_located(p, run_a, run_b) for p in changed]
             if problems:
@@ -301,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--epochs", type=int, default=None, help="override every epoch budget")
     parser.add_argument(
         "--expect-changed", default="", metavar="NAME[,NAME...]",
-        help="files of the run directory that may differ, e.g. selection.json",
+        help="files of the run directory that may differ, e.g. selection.json; a name that "
+        "ends in / names every file under that directory, e.g. trials/",
     )
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="append --jobs N to the second tree's run commands")

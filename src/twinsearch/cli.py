@@ -174,6 +174,16 @@ def _load_complete_run(store: RunStore, run_id: str):
     return grid, policy, records
 
 
+def _print_pick(run_id: str, artifacts) -> None:
+    """Print the twin pick of ``artifacts``: its cell, lr, wd, region and the region count."""
+    sel = artifacts.selection
+    print(
+        f"run {run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "
+        f"lr={sel.lr:g} wd={sel.wd:g} region={sel.region_id} "
+        f"regions={artifacts.segments.n_regions}"
+    )
+
+
 def _cmd_run(args) -> int:
     # flag validation failures are usage errors, not pipeline failures
     try:
@@ -210,11 +220,7 @@ def _cmd_run(args) -> int:
     artifacts = run_and_store(
         _store(args), args.run_id, grid, policy, task_spec, arch, config, args.jobs
     )
-    sel = artifacts.selection
-    print(
-        f"run {args.run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "
-        f"lr={sel.lr:g} wd={sel.wd:g} region={sel.region_id}"
-    )
+    _print_pick(args.run_id, artifacts)
     return EXIT_OK
 
 
@@ -236,12 +242,7 @@ def _cmd_select(args) -> int:
     artifacts = twin_pipeline(assemble(records, grid), grid, params)
     if whole:  # a sub-grid's pick is printed, never stored over the run's own
         store.write_selection(args.run_id, artifacts)
-    sel = artifacts.selection
-    print(
-        f"run {args.run_id}: selected cell ({sel.cell.row}, {sel.cell.col}) "
-        f"lr={sel.lr:g} wd={sel.wd:g} region={sel.region_id} "
-        f"regions={artifacts.segments.n_regions}"
-    )
+    _print_pick(args.run_id, artifacts)
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ Directory layout:
         records.json         every trial's record: the one stored record of the trials
                              (written by run through ``write_records``)
         trials/<row>_<col>.jsonl   export: one line per epoch, in epoch order (created
-                             empty at the search's start, written when the trial ends)
+                             empty while the search trains, written when it ends)
         decisions.jsonl      export: scheduler decision log (rung outcomes + terminal stops)
         matrices.json        export: psi/theta/valid_mask/epochs_run, row-major (written by
                              run only; no command reads it; kept for the benchmark's check)
@@ -27,7 +27,7 @@ every stored record as ``records.Records`` columns, read from ``records.json``
 loads a run once and passes the grid on, so ``load_selection`` takes the
 grid from its caller instead of reading the manifest again. The trial
 files and ``decisions.jsonl`` are exports that no command reads: ``run``
-writes them as the search goes, and editing, adding or deleting one
+writes them when its search ends, and editing, adding or deleting one
 changes nothing a command reads. A run without a format 2 ``records.json`` does not load:
 one written before that format, or by another trainer that wrote only
 trial files.
@@ -58,19 +58,18 @@ Every other line has null metrics, as has that epoch in ``records.json``.
 
 A trial file is made in two steps. ``create_trial_files`` creates every
 given cell's file empty and exclusively in the ``trials`` directory
-``create_run`` made (``FileNotFoundError`` without it); each process of a
-search calls it for its shard's cells on a helper thread from the start of
-the search, since creating a file costs far more than writing it, and the
-search waits for the files before it writes them. It
-then writes a trial's file once, whole, in the round the trial ends:
-``append_trial_line`` opens the created file (``FileNotFoundError`` if it was
-never created) and writes every line in one unbuffered ``os.write``; the
-caller passes a cell of the run's grid. Creating a file that exists, or
+``create_run`` made (``FileNotFoundError`` without it); the search's own
+process calls it for every cell on one helper thread while the search
+trains, since creating a file costs far more than writing it, and joins
+that thread when the last round is done. It then writes each trial's file
+once, whole, in cell order: ``append_trial_line`` opens the created file
+(``FileNotFoundError`` if it was never created) and writes every line in
+one unbuffered ``os.write``; the caller passes a cell of the run's grid. Creating a file that exists, or
 writing one that is not empty, is an error that leaves the file as it is; a
 short write raises. ``records.json`` is written after the search, so a
 process killed mid-search leaves a run that no command loads, and maybe
 empty trial files for the trials that had not ended: exports that no command
-reads. The two steps and the helper threads go when ROADMAP item 18 deletes
+reads. The two steps and the helper thread go when ROADMAP item 18 deletes
 the trial files.
 """
 

@@ -23,19 +23,19 @@ trials' rows. So only alive trials' state is held; the search keeps the
 record of each trial from the round it ends in, when its shard replies.
 
 Val/test accuracy is computed only when a trial ends, on the last
-``metric_window(policy.kind)`` finite epochs its baseline summary reads. So
-a trial's file is written once, whole and with its metrics, in the round
-the trial ends, by this process. The trial files and the decision log are
-exports that no command reads. Creating 900-1,600 files costs more than
-writing them, so each shard of a search with a store creates its files
-empty on a helper thread of its ``ShardTrials`` from its start, while its
-cohort trains, and joins it before the first reply that carries a record,
-in whichever process it runs. This process also joins its own at its end,
-so no thread outlives it. A process killed mid-search can leave empty
-files for the trials that had not ended; no command reads them. The helper
-threads go when ROADMAP item 18 deletes the trial files. Every
-file of a run is written through ``RunStore``:
-after the search ``run_and_store`` turns the records the search returns into
+``metric_window(policy.kind)`` finite epochs its baseline summary reads.
+The trial files and the decision log are exports that no command reads,
+and only this process writes them, once, when the last round is done:
+each trial's file whole, with its metrics, in cell order, then the whole
+decision log. Creating 900-1,600 files costs more than writing them, so a
+search with a store creates them empty on one helper thread of this
+process, started after the fork and joined when the rounds end, however
+they end; a forked shard only trains and never calls the store. A process
+killed mid-search can leave empty trial files; no command reads them. The
+helper thread goes when ROADMAP item 18 deletes the trial files.
+
+Every file of a run is written through ``RunStore``: after the search
+``run_and_store`` turns the records the search returns into
 ``records.Records`` columns once (``Records.of``), drops the per-epoch
 records, and has the store write the columns to ``records.json``
 (``RunStore.write_records``); commands read only that. It then writes the
@@ -83,38 +83,21 @@ class ShardLostError(RuntimeError):
 
 
 class ShardTrials:
-    """One shard's trials: the live runners of its ``cohort`` and their ``cells``, in cell
-    order, and, with a store, the helper thread that creates their trial files empty.
+    """One shard's trials: the live runners of its ``cohort`` and their ``cells``, in cell order.
 
     ``run`` answers a command: ``None`` steps every live trial one epoch; a
     list of live cells finishes their trials as stopped early. The reply is
     the train loss of each trial stepped, ``None`` for one that diverged,
-    and the ``TrialRecord`` of each trial that ended, in cell order. Before
-    the first reply that carries a record, ``run`` joins the helper thread
-    and raises what it raised, so no record is written before its file is
-    created. ``send`` runs a command and ``receive`` returns its reply, so
-    the search drives this shard as it drives a forked one's ``shards.Shard``.
+    and the ``TrialRecord`` of each trial that ended, in cell order. It only
+    trains: it writes nothing and holds no store. ``send`` runs a command
+    and ``receive`` returns its reply, so the search drives this shard as it
+    drives a forked one's ``shards.Shard``. Once its last trial ends, it
+    holds no runner, and so nothing of its cohort.
     """
 
-    def __init__(self, cohort: Cohort, store: RunStore | None, run_id: str | None):
+    def __init__(self, cohort: Cohort):
         self._alive = list(cohort.members)
         self.cells = [runner.cell for runner in self._alive]
-        self._failure: BaseException | None = None
-        self._thread = None
-        if store is not None and run_id is not None:
-            self._thread = threading.Thread(target=self._create, args=(store, run_id, self.cells))
-            self._thread.start()
-
-    def _create(self, store: RunStore, run_id: str, cells: list[GridCell]) -> None:
-        try:
-            store.create_trial_files(run_id, cells)
-        except BaseException as exc:  # raised by run, on the thread that runs the shard
-            self._failure = exc
-
-    def join(self) -> None:
-        """Wait for the helper thread, if it was started."""
-        if self._thread is not None:
-            self._thread.join()
 
     def run(self, stopping: list[GridCell] | None) -> tuple[list[float | None], list[TrialRecord]]:
         losses = []
@@ -126,11 +109,6 @@ class ShardTrials:
             elif runner.cell in stop:
                 runner.finish(STATUS_STOPPED_EARLY)
         ended = [runner.record for runner in self._alive if runner.done]
-        if ended and self._thread is not None:  # no record goes out before its file exists
-            self.join()
-            self._thread = None
-            if self._failure is not None:
-                raise self._failure
         self._alive = [runner for runner in self._alive if not runner.done]
         self.cells = [runner.cell for runner in self._alive]
         return losses, ended
@@ -171,7 +149,7 @@ def execute_search(
     """Train every grid cell for up to ``policy.epoch_budget`` epochs; optionally persist.
 
     The trials are split into ``shard_count`` shards, each a ``ShardTrials``:
-    shard 0 in this process, every other one in a child forked before any
+    shard 0 in this process, every other one in a child forked before the
     helper thread starts (``twinsearch.shards``). A process that cannot
     fork, or that runs other threads, whose held locks a fork would copy
     without them, trains every trial itself. A round is two exchanges with
@@ -182,35 +160,44 @@ def execute_search(
     decisions are the same at any ``jobs``. No child outlives the search,
     however it ends.
 
-    With a store, a trial that ends in a round (completed, stopped early or
-    diverged) gets its whole trial file then, one line per epoch, in cell
-    order; the round's decisions are appended after the round's trial files.
-    This process joins its own shard's helper thread at its end, however it
-    ends.
+    With a store, this process is the one that writes: a helper thread
+    creates every trial file empty while the shards train, and is joined
+    when the rounds end, however they end. Then what it raised is raised;
+    else every trial file is written whole, in cell order, one line per
+    epoch, and the decision log is appended in one call.
     """
     persist = store is not None and run_id is not None
     cells = grid.cells()
     can_fork = hasattr(os, "fork") and threading.active_count() == 1
     k = shard_count(jobs, grid.n_trials, usable_cpus() if can_fork else 1)
     window = metric_window(policy.kind)
+    failure: list[BaseException] = []
 
     def make_shard(shard_cells: list[GridCell]) -> ShardTrials:
         trials = [(cell, *cell_params(grid, cell)) for cell in shard_cells]
-        return ShardTrials(Cohort(task, arch, config, policy.epoch_budget, window, trials), store, run_id)
+        return ShardTrials(Cohort(task, arch, config, policy.epoch_budget, window, trials))
 
-    if k > 1:  # forked before any helper thread starts
+    def create_files() -> None:
+        try:
+            store.create_trial_files(run_id, cells)
+        except BaseException as exc:  # raised after the join, on the search's thread
+            failure.append(exc)
+
+    if k > 1:  # forked before the helper thread starts
         from .shards import forked
 
         sharding = forked(make_shard, [cells[s::k] for s in range(1, k)])
     else:
         sharding = contextlib.nullcontext([])
     with sharding as children:
-        own = make_shard(cells[::k])
+        helper = threading.Thread(target=create_files) if persist else None
+        if helper:
+            helper.start()
         try:
-            shards = [*children, own]  # the children work while this process works on its own
+            # the children work while this process works on its own
+            shards = [*children, make_shard(cells[::k])]
             schedule = Schedule(policy, grid.n_trials)
             records: dict[GridCell, TrialRecord] = dict.fromkeys(cells)
-            decisions_written = 0
             epoch = 0
             while any(s.cells for s in shards):
                 epoch += 1
@@ -218,18 +205,16 @@ def execute_search(
                 schedule.decide(epoch, dict(sorted(losses.items())))
                 stops = [[cell for cell in s.cells if not schedule.is_alive(cell)] for s in shards]
                 ended += _exchange(shards, stops)[1]
-                ended.sort(key=lambda record: record.cell)
                 records.update((record.cell, record) for record in ended)
-                if persist:
-                    for record in ended:
-                        store.append_trial_line(run_id, record)
-                    new = schedule.decision_log[decisions_written:]
-                    if new:
-                        store.append_decisions(run_id, new)
-                        decisions_written += len(new)
         finally:
-            own.join()
-
+            if helper:
+                helper.join()
+    if failure:
+        raise failure[0]
+    if persist:
+        for cell in cells:
+            store.append_trial_line(run_id, records[cell])
+        store.append_decisions(run_id, schedule.decision_log)
     return records
 
 
@@ -275,8 +260,9 @@ def run_and_store(
     (``asdict`` of each spec), trial files and decisions (exports), ``records.json``
     (what later commands load), matrices (an export), selection. The search's
     ``TrialRecord``s become ``Records`` columns once, before ``records.json``
-    is written; the matrices are assembled from those columns. The trial files
-    are created on ``execute_search``'s helper thread and written as trials end;
+    is written; the matrices are assembled from those columns.
+    ``execute_search`` creates the trial files on its one helper thread and
+    writes them, and the decision log, when its last round is done;
     ``records.json`` is written after the search, so a killed ``run`` leaves no
     loadable run, and maybe empty trial files. ``jobs`` is ``execute_search``'s.
 

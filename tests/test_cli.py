@@ -52,6 +52,11 @@ class TestRun:
         doc = json.loads(artifact(tmp_path, "demo", "selection.json").read_text())
         cell = doc["selection"]["cell"]
         assert 0 <= cell["row"] < 5 and 0 <= cell["col"] < 5
+        # run prints its pick as select prints it, region count included
+        n_regions = len({label for label in doc["labels"] if label >= 0})
+        assert out.endswith(f" region={doc['selection']['region_id']} regions={n_regions}\n")
+        assert run_cli(tmp_path, "select", "demo") == 0
+        assert capsys.readouterr().out == out
 
     def test_same_seed_reruns_identical_artifacts(self, tmp_path):
         # 72 cells, over one stack slice: --jobs 3 trains them in up to two processes,

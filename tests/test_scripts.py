@@ -79,26 +79,46 @@ def test_parity_names_a_changed_and_a_missing_file(tmp_path):
     assert problems == ["only in A: baselines.json", "differs: trials/0_0.jsonl"]
 
 
-@pytest.fixture(scope="module")
-def altered_src(tmp_path_factory):
-    """A copy of the package whose ``baselines.json`` carries one more key."""
+def altered_copy(tmp_path_factory, old: str, new: str) -> Path:
+    """A copy of the package with the one ``old`` of ``runstore.py`` replaced by ``new``."""
     src = tmp_path_factory.mktemp("altered") / "src"
     ignore = shutil.ignore_patterns("__pycache__")
     shutil.copytree(SCRIPTS.parent / "src" / "twinsearch", src / "twinsearch", ignore=ignore)
     runstore = src / "twinsearch" / "runstore.py"
-    old = 'payload = {"selections": '
     assert runstore.read_text().count(old) == 1
-    runstore.write_text(runstore.read_text().replace(old, 'payload = {"altered": True, "selections": '))
+    runstore.write_text(runstore.read_text().replace(old, new))
     return src
 
 
-@pytest.mark.parametrize("listed, status", [("baselines.json", 0), ("selection.json", 1)])
-def test_parity_allows_a_change_only_to_the_listed_files(capsys, altered_src, listed, status):
+@pytest.fixture(scope="module")
+def altered_src(tmp_path_factory):
+    """A copy of the package whose ``baselines.json`` carries one more key."""
+    old = 'payload = {"selections": '
+    return altered_copy(tmp_path_factory, old, old.replace("{", '{"altered": True, '))
+
+
+@pytest.fixture(scope="module")
+def altered_trials_src(tmp_path_factory):
+    """A copy of the package whose trial lines carry one more key."""
+    old = """f'{{"row":{cell.row:d},"""
+    return altered_copy(tmp_path_factory, old, old.replace('"row"', '"altered":true,"row"'))
+
+
+@pytest.mark.parametrize("listed, status", [("baselines.json", 0), ("selection.json", 1), ("trials/", 0)])
+def test_parity_allows_a_change_only_to_the_listed_files(capsys, request, listed, status):
+    # a name ending in / lists every file under it: that case runs the tree whose trial lines changed
+    altered_src = request.getfixturevalue("altered_trials_src" if listed.endswith("/") else "altered_src")
     script = load_script("parity")
     argv = [str(SCRIPTS.parent / "src"), str(altered_src), "--recipes", "fifo-grid", "--seeds", "0"]
     assert script.main([*argv, "--grid", "3", "--epochs", "3", "--expect-changed", listed]) == status
     out = capsys.readouterr().out.splitlines()
-    if status == 0:
+    if listed == "trials/":
+        trials = [f"trials/{row}_{col}.jsonl" for row in range(3) for col in range(3)]
+        assert out == [
+            "fifo-grid seed 0: identical but for the expected changes (16 files)",
+            *(f"  expected: differs: {name}: first at line 1, $.altered" for name in trials),
+        ]
+    elif status == 0:
         # each expected change names the first key path where it differs
         assert out == [
             "fifo-grid seed 0: identical but for the expected changes (16 files)",

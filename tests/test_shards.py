@@ -189,7 +189,7 @@ def test_a_reply_cut_off_within_its_pickle_is_a_lost_shard(cut):
         shard.receive()
 
 
-def test_a_failing_store_write_kills_and_reaps_the_children(tmp_path, monkeypatch, forks):
+def test_a_failing_store_write_fails_the_run_and_reaps_the_children(tmp_path, monkeypatch, forks):
     def failing(self, run_id, record):
         raise OSError("no space left on the store")
 
@@ -200,29 +200,41 @@ def test_a_failing_store_write_kills_and_reaps_the_children(tmp_path, monkeypatc
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("in_child", [True, False], ids=["in-the-child", "in-the-parent"])
-def test_a_failing_trial_file_creation_fails_the_run_from_either_process(tmp_path, monkeypatch, forks, in_child):
-    parent = os.getpid()
-    create = RunStore.create_trial_files
-
+def test_a_failing_trial_file_creation_fails_the_run_and_reaps_the_child(tmp_path, monkeypatch, forks):
+    # only the search's process creates trial files, on its helper thread
     def failing(self, run_id, cells):
-        if (os.getpid() != parent) == in_child:
-            raise OSError("no space left for the trial files")
-        create(self, run_id, cells)
+        raise OSError("no space left for the trial files")
 
     monkeypatch.setattr(RunStore, "create_trial_files", failing)
     with no_unwinding_child(tmp_path):
         rc, err = run(tmp_path, FIFO, 2)
     assert (rc, err) == (3, "storage error: no space left for the trial files\n")
     assert len(forks) == 1
-    # trials first end in round 5, in both shards, so the failure comes before any file is
-    # written, and only the other process's shard has its files, empty
+    # the failure is raised after the last round, before anything of the trials is written
     assert not (tmp_path / "r" / "records.json").exists()
-    files = sorted((tmp_path / "r" / "trials").iterdir())
-    created = 0 if in_child else 1  # the shard whose process created its files
-    names = [f"{r}_{c}.jsonl" for r in range(11) for c in range(12) if (r * 12 + c) % 2 == created]
-    assert [f.name for f in files] == sorted(names)
-    assert all(f.stat().st_size == 0 for f in files)
+    assert not (tmp_path / "r" / "decisions.jsonl").exists()
+    assert list((tmp_path / "r" / "trials").iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [FIFO, HB], ids=["fifo", "hb"])
+def test_no_forked_child_touches_the_store(tmp_path, monkeypatch, forks, flags):
+    # every store method builds its paths through run_dir
+    parent = os.getpid()
+    run_dir = RunStore.run_dir
+
+    def in_the_parent_only(self, run_id):
+        if os.getpid() != parent:
+            raise OSError(f"the store was called in a forked child (pid {os.getpid()})")
+        return run_dir(self, run_id)
+
+    monkeypatch.setattr(RunStore, "run_dir", in_the_parent_only)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    with no_unwinding_child(tmp_path):
+        for jobs in (1, 2):
+            assert run(tmp_path / f"jobs-{jobs}", flags, jobs) == (0, "")
+    assert len(forks) == 1
+    n_files, problems = parity.compare_dirs(tmp_path / "jobs-1" / "r", tmp_path / "jobs-2" / "r")
+    assert n_files == 132 + 5 and problems == []
 
 
 def test_select_does_not_compile_the_shard_module(tmp_path):
