@@ -21,7 +21,6 @@ import numpy as np
 from twinsearch.grid import build_log_grid
 from twinsearch.matrices import assemble, build_metric_surfaces
 from twinsearch.quickshift import default_params
-from twinsearch.records import Records
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import execute_search
 from twinsearch.selector import (
@@ -51,7 +50,6 @@ def run_one(seed: int, args) -> tuple[dict, np.ndarray, int]:
     config = TrainerConfig(momentum=args.momentum, batch_size=args.batch_size, init_seed=seed)
     policy = SchedulerPolicy("fifo", args.epochs)
     records = execute_search(grid, policy, task_spec.make(), ArchSpec(tuple(args.hidden)), config)
-    records = Records.of(records.values())
     mats = assemble(records, grid)
     surfaces = build_metric_surfaces(records, grid, "fifo")
     artifacts = twin_pipeline(mats, grid, default_params(grid))

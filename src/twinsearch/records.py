@@ -6,9 +6,10 @@ epoch, trial after trial, its ``train_loss``, ``param_norm``, ``val_acc``
 and ``test_acc``. No per-trial or per-epoch Python object stands between
 the file and the matrices: ``read_records`` fills the columns from each
 line's arrays, and ``matrices.assemble`` and ``build_metric_surfaces``
-reduce them. The search's ``TrialRecord``s become ``Records`` once, through
-``Records.of``, before ``records_lines`` encodes the file's lines from them,
-each line once, the header's CRC taken line by line.
+reduce them. ``execute_search`` builds its ``Records`` once, after its last
+round, from its trials' ``trainer.TrialRecord``s, which hold their epochs
+as columns too (``Records.of``); ``records_lines`` encodes the file's lines
+from them, each line once, the header's CRC taken line by line.
 ``RunStore.write_records`` writes it after the search (from
 ``run_and_store``), replacing it whole or not at all. It is the one stored
 record of a run's trials: ``RunStore.load_run`` reads it and nothing else of
@@ -20,10 +21,11 @@ records in the order written, whole records of up to ``_LINE_EPOCHS``
 epochs in all (one record if it has more): the four per-trial arrays, then
 the four per-epoch arrays of the line's epochs end to end (floats in the
 trial lines' text, non-finite ones as strings). A record's epochs are
-numbered 0, 1, ... on load, so ``Records.of`` refuses a record whose epochs
-are not, or whose status is unknown. A loss or norm is always a float, and
-an accuracy is a finite float or null (not scored): the trainer writes no
-other, and ``Records.of`` refuses a non-finite accuracy.
+numbered 0, 1, ... on load, as in a ``TrialRecord``, where an epoch is its
+position; ``Records.of`` refuses a record whose status is unknown. A loss or
+norm is always a float, and an accuracy is a finite float or null (not
+scored): the trainer writes no other, and ``Records.of`` refuses a
+non-finite accuracy.
 
 The loader checks the body CRC first, then reads one line at a time, so
 that no copy of the whole file is held. A per-epoch column whose values
@@ -47,7 +49,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from itertools import chain
 
 import numpy as np
 
@@ -88,31 +90,26 @@ class Records:
     test_acc: np.ndarray
 
     @classmethod
-    def of(cls, records: Iterable[TrialRecord]) -> Records:
-        """The columns of ``records``, in their order; a record the format cannot hold,
-        or one with a non-finite accuracy, is refused."""
-        records = list(records)
-        runs = np.array([r.epochs_run for r in records], dtype=np.int64)
-        trial = np.repeat(np.arange(len(records)), runs)  # the trial of each epoch
-        numbers, *columns = list(zip(*(e for r in records for e in r.epochs))) or [()] * 5
-        arrays = [np.array(column, dtype=np.float64) for column in columns]  # a null is NaN
-        bad = np.array([r.status not in _STATUS_TEXT for r in records], dtype=bool)
-        first = (np.cumsum(runs) - runs)[trial]  # the index of each epoch's trial's first epoch
-        bad[trial[np.array(numbers, dtype=np.int64) != np.arange(trial.size) - first]] = True
-        if bad.any():
-            row, col = records[int(np.argmax(bad))].cell
-            raise RunStoreError(f"record of cell ({row}, {col}): epochs not 0, 1, ..., or unknown status")
-        for column, array in zip(columns[2:], arrays[2:]):
-            if np.count_nonzero(~np.isfinite(array)) != column.count(None):
-                at = next(i for i, v in enumerate(column) if v is not None and not math.isfinite(v))
-                row, col = records[trial[at]].cell
-                raise RunStoreError(f"record of cell ({row}, {col}): an accuracy is not finite")
+    def of(cls, records: list[TrialRecord]) -> Records:
+        """The columns of ``records``, in their order, each epoch at its position in its record's
+        values; a record with an unknown status, or a non-finite accuracy, is refused."""
+        runs = np.array([len(r.values) // 2 for r in records], dtype=np.int64)
+        total = int(runs.sum())
+        values = np.fromiter(chain.from_iterable(r.values for r in records), np.float64, 2 * total)
+        accuracies = np.full((2, total), np.nan)  # val, test; NaN is "not scored"
+        for start, r in zip((np.cumsum(runs) - runs).tolist(), records):
+            row, col = r.cell
+            if r.status not in _CODES:
+                raise RunStoreError(f"record of cell ({row}, {col}): unknown status")
+            for epoch, pair in (r.scored or {}).items():
+                if not all(v is None or math.isfinite(v) for v in pair):
+                    raise RunStoreError(f"record of cell ({row}, {col}): an accuracy is not finite")
+                accuracies[:, start + epoch] = [math.nan if v is None else v for v in pair]
         return cls(
             np.array([r.cell.row for r in records], dtype=np.int64),
             np.array([r.cell.col for r in records], dtype=np.int64),
             np.array([_CODES[r.status] for r in records], dtype=np.int64),
-            runs,
-            *arrays,
+            runs, values[0::2], values[1::2], *accuracies,
         )
 
     @property

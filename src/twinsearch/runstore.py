@@ -47,14 +47,15 @@ shortest-round-trip repr, which makes write/load cycles bit-exact. The
 artifacts are ``json.dumps(..., indent=2)``'s text, built by the C encoder
 (``encode_json``). ``_trial_line_text``, the only trial-line encoder,
 builds one line directly, byte for byte what ``encode_json``'s line form
-gives; an ended trial's last line carries its terminal status
-(``completed``, ``stopped_early`` or ``diverged``), every other line
-``running``.
+gives, from a ``trainer.TrialRecord``'s columns: epoch ``i``'s loss and norm
+are ``values[2i:2i + 2]`` and its accuracies its pair in ``scored``. An
+ended trial's last line carries its terminal status (``completed``,
+``stopped_early`` or ``diverged``), every other line ``running``.
 
-Trial lines written by ``execute_search`` carry ``val_acc``/``test_acc``
-only on the epochs the baseline summaries read: the last finite epoch under
-FIFO, the last five under early stopping (``matrices.metric_window``).
-Every other line has null metrics, as has that epoch in ``records.json``.
+``execute_search`` scores only the epochs the baseline summaries read: the
+last finite epoch under FIFO, the last five under early stopping
+(``matrices.metric_window``). Every other line has null metrics, as has
+that epoch in ``records.json``.
 
 A trial file is made in two steps. ``create_trial_files`` creates every
 given cell's file empty and exclusively in the ``trials`` directory
@@ -86,7 +87,7 @@ from typing import Iterable
 from . import __version__
 from .grid import GridCell, HyperGrid
 from .scheduler import SchedulerPolicy
-from .trainer import STATUS_RUNNING, TERMINAL_STATUSES, EpochLog, TrialRecord
+from .trainer import STATUS_RUNNING, TERMINAL_STATUSES, TrialRecord
 
 __all__ = [
     "RunStore",
@@ -184,13 +185,13 @@ def encode_json(obj, line: bool = False) -> str:
     return _document(_encode(obj))
 
 
-def _trial_line_text(cell: GridCell, entry: EpochLog, status: str) -> str:
-    """One trial line without its newline: ``encode_json(fields, line=True)``, built directly."""
+def _trial_line_text(cell: GridCell, epoch: int, loss: float, norm: float, val, test, status: str) -> str:
+    """One trial line without its newline, ``val``/``test`` ``None`` if not scored:
+    ``encode_json(fields, line=True)``, built directly."""
     return (
-        f'{{"row":{cell.row:d},"col":{cell.col:d},"epoch":{entry.epoch:d},'
-        f'"train_loss":{_float_text(entry.train_loss)},'
-        f'"param_norm":{_float_text(entry.param_norm)},'
-        f'"val_acc":{_float_text(entry.val_metric)},"test_acc":{_float_text(entry.test_metric)},'
+        f'{{"row":{cell.row:d},"col":{cell.col:d},"epoch":{epoch:d},'
+        f'"train_loss":{_float_text(loss)},"param_norm":{_float_text(norm)},'
+        f'"val_acc":{_float_text(val)},"test_acc":{_float_text(test)},'
         f'"status":{_STATUS_TEXT.get(status) or json.dumps(status)}}}'
     )
 
@@ -232,10 +233,11 @@ class RunStore:
         made: ``running`` on every line but the last, which carries the record's status."""
         row, col = cell = record.cell
         path = f"{self.run_dir(run_id)}/trials/{row}_{col}.jsonl"
-        last = record.epochs_run - 1
+        values, scored, last = record.values, record.scored or {}, record.epochs_run - 1
         data = "".join(
-            _trial_line_text(cell, entry, record.status if i == last else STATUS_RUNNING) + "\n"
-            for i, entry in enumerate(record.epochs)
+            _trial_line_text(cell, i, values[2 * i], values[2 * i + 1], *scored.get(i, (None, None)),
+                             record.status if i == last else STATUS_RUNNING) + "\n"
+            for i in range(last + 1)
         ).encode()
         fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         try:

@@ -34,16 +34,17 @@ they end; a forked shard only trains and never calls the store. A process
 killed mid-search can leave empty trial files; no command reads them. The
 helper thread goes when ROADMAP item 18 deletes the trial files.
 
-Every file of a run is written through ``RunStore``: after the search
-``run_and_store`` turns the records the search returns into
-``records.Records`` columns once (``Records.of``), drops the per-epoch
-records, and has the store write the columns to ``records.json``
-(``RunStore.write_records``); commands read only that. It then writes the
-run's matrices to ``matrices.json``, an export that no command reads, and
-its twin pick at ``default_params(grid)`` to ``selection.json``, the one
-record of the pick: ``select`` may replace it, and ``eval`` and ``plot``
-read it. ``slice_records`` cuts a stored run's columns to a sub-grid by
-index, for ``select`` with grid strides.
+``execute_search`` returns ``records.Records``, built once after the last
+round from the trials' columnar ``TrialRecord``s in cell order
+(``Records.of``; ``records`` is imported only then, after the search's
+memory peak). Every file of a run is written through ``RunStore``:
+``run_and_store`` has it write those columns to ``records.json``
+(``RunStore.write_records``), which is all commands read of the trials, and
+then writes the run's matrices to ``matrices.json``, an export that no
+command reads, and its twin pick at ``default_params(grid)`` to
+``selection.json``, the one record of the pick: ``select`` may replace it,
+and ``eval`` and ``plot`` read it. ``slice_records`` cuts a stored run's
+columns to a sub-grid by index, for ``select`` with grid strides.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class ShardTrials:
         stop = set(stopping or ())
         for runner in self._alive:
             if stopping is None:
-                last = runner.step_epoch()
-                losses.append(None if runner.record.status == STATUS_DIVERGED else last.train_loss)
+                loss = runner.step_epoch()
+                losses.append(None if runner.record.status == STATUS_DIVERGED else loss)
             elif runner.cell in stop:
                 runner.finish(STATUS_STOPPED_EARLY)
         ended = [runner.record for runner in self._alive if runner.done]
@@ -145,8 +146,9 @@ def execute_search(
     store: RunStore | None = None,
     run_id: str | None = None,
     jobs: int = 1,
-) -> dict[GridCell, TrialRecord]:
-    """Train every grid cell for up to ``policy.epoch_budget`` epochs; optionally persist.
+):
+    """Train every grid cell for up to ``policy.epoch_budget`` epochs, optionally persist, and
+    return every trial's record as ``records.Records`` columns, in cell order.
 
     The trials are split into ``shard_count`` shards, each a ``ShardTrials``:
     shard 0 in this process, every other one in a child forked before the
@@ -215,7 +217,10 @@ def execute_search(
         for cell in cells:
             store.append_trial_line(run_id, records[cell])
         store.append_decisions(run_id, schedule.decision_log)
-    return records
+    # imported only now, so that the module is compiled after the search's memory peak, not before
+    from .records import Records
+
+    return Records.of(list(records.values()))
 
 
 def _exchange(shards: list, commands: list) -> tuple[dict, list[TrialRecord]]:
@@ -258,9 +263,8 @@ def run_and_store(
 ) -> TwinArtifacts:
     """Full pipeline with persistence, each file written by ``store``: the manifest
     (``asdict`` of each spec), trial files and decisions (exports), ``records.json``
-    (what later commands load), matrices (an export), selection. The search's
-    ``TrialRecord``s become ``Records`` columns once, before ``records.json``
-    is written; the matrices are assembled from those columns.
+    (what later commands load), matrices (an export), selection, the last three
+    from the ``Records`` columns the search returns.
     ``execute_search`` creates the trial files on its one helper thread and
     writes them, and the decision log, when its last round is done;
     ``records.json`` is written after the search, so a killed ``run`` leaves no
@@ -279,10 +283,6 @@ def run_and_store(
     }
     store.create_run(run_id, manifest)
     records = execute_search(grid, policy, task_spec.make(), arch, config, store, run_id, jobs)
-    # imported only now, so that the module is compiled after the search's memory peak, not before
-    from .records import Records
-
-    records = Records.of(records.values())  # the search's per-epoch records are dropped here
     store.write_records(run_id, records)
     mats = assemble(records, grid)
     artifacts = twin_pipeline(mats, grid, default_params(grid))

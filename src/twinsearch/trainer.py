@@ -6,7 +6,9 @@ float64 vector; the L2 term enters the update as grad + wd * theta, and the
 logged train loss is the plain cross-entropy (mean of the epoch's batch
 means). The logged norm covers all trainable parameters, biases included.
 Val/test accuracy is not computed per epoch: a trial scores its last few
-finite epochs once, when it reaches a terminal status.
+finite epochs once, when it reaches a terminal status. A trial's
+``TrialRecord`` holds its epochs as columns from the first, two floats
+appended per epoch, so no per-epoch object is built, kept or pickled.
 
 The trials of one search form a ``Cohort``, built with all of them, which
 owns their parameters and steps them together in stacked passes of up to
@@ -51,7 +53,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,6 @@ from .tasks import SyntheticTask
 __all__ = [
     "ArchSpec",
     "TrainerConfig",
-    "EpochLog",
     "TrialRecord",
     "MLP",
     "Cohort",
@@ -129,33 +129,25 @@ class TrainerConfig:
             raise ValueError(f"init_seed must be a non-negative integer, got {self.init_seed!r}")
 
 
-class EpochLog(NamedTuple):
-    """One logged epoch of one trial; immutable.
+@dataclass(slots=True)
+class TrialRecord:
+    """One trial's log as columns; the source of the loss/norm matrices.
 
-    A ``NamedTuple`` rather than a frozen dataclass: the search builds one per
-    trial epoch, and a tuple is built in about half the time. Update a field
-    with ``_replace``. A stored run is read as ``records.Records`` columns, not
-    as these.
+    ``values`` holds each epoch's train loss and norm in epoch order,
+    ``[loss_0, norm_0, loss_1, norm_1, ...]``: an epoch is its position.
+    ``scored`` maps each scored epoch to its ``(val, test)`` accuracies
+    (``None`` for a set the task lacks); it is made only when the trial is
+    scored, so an unscored trial holds no dict.
     """
 
-    epoch: int
-    train_loss: float
-    param_norm: float
-    val_metric: float | None = None
-    test_metric: float | None = None
-
-
-@dataclass
-class TrialRecord:
-    """Per-epoch log of one trial; the source of the loss/norm matrices."""
-
     cell: GridCell
-    epochs: list[EpochLog] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
     status: str = STATUS_RUNNING
+    scored: dict[int, tuple[float | None, float | None]] | None = None
 
     @property
     def epochs_run(self) -> int:
-        return len(self.epochs)
+        return len(self.values) // 2
 
 
 def cosine_lr(lr0, t: int, epochs: int):
@@ -368,7 +360,7 @@ class Cohort:
         self._lr0, self._wd = np.empty((n, 1)), np.empty((n, 1))
         self._lr0[:, 0] = [lr0 for _, lr0, _ in trials]
         self._wd[:, 0] = [wd for _, _, wd in trials]
-        self._results: list[tuple[float, float]] = []  # (train_loss, norm) of this round, by slot
+        self._losses, self._norms = [], []  # this round's train losses and norms, by slot
         self.members: dict[TrialRunner, None] = {
             TrialRunner(self, slot, cell): None for slot, (cell, _, _) in enumerate(trials)
         }
@@ -386,7 +378,7 @@ class Cohort:
         n = len(live)
         # schedule_lr's operations on the whole column, so each row gets a lone trial's bits
         lr_t = schedule_lr(self.config.lr_schedule, self._lr0, self.epoch, self.epochs)
-        self._results = []
+        self._losses, self._norms = [], []
         for start in range(0, n, STACK_SLICE):
             rows = slice(start, min(start + STACK_SLICE, n))
             self._step_rows(rows, live[rows], lr_t[rows])
@@ -448,7 +440,8 @@ class Cohort:
             train_loss = np.stack(batch_losses, axis=1).sum(axis=1) / len(batch_losses)
             # np.linalg.norm's dot, one row at a time (a norm along axis 1 rounds differently)
             norms = np.sqrt(np.matmul(theta[:, None, :], theta[:, :, None]).reshape(-1))
-        self._results.extend(zip(train_loss.tolist(), norms.tolist()))
+        self._losses += train_loss.tolist()
+        self._norms += norms.tolist()
 
 
 class TrialRunner:
@@ -464,8 +457,9 @@ class TrialRunner:
     Val/test accuracy is computed when the trial reaches a terminal status
     (completed, diverged, or ``finish``), for its last
     ``cohort.metric_window`` finite epochs, whose theta copies it keeps
-    until then. Other epochs keep ``None`` metrics. A task with no val or
-    test set has a window of 0, and its runners hold no window at all.
+    until then; their (val, test) pairs become the record's ``scored``, and
+    other epochs have none. A task with no val or test set has a window of
+    0, and its runners hold no window and their records no ``scored``.
     """
 
     def __init__(self, cohort: Cohort, slot: int, cell: GridCell):
@@ -501,31 +495,35 @@ class TrialRunner:
         """Set the terminal status, leave the cohort and score the kept epochs."""
         self.record.status = status
         self.cohort.leave(self)
-        task, model, epochs = self.cohort.task, self.cohort.model, self.record.epochs
-        with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-            for epoch, theta in self._recent or ():
-                val_metric = test_metric = None
-                if task.n_val:
-                    val_metric = model.accuracy(theta, task.val_inputs, task.val_labels)
-                if task.n_test:
-                    test_metric = model.accuracy(theta, task.test_inputs, task.test_labels)
-                epochs[epoch] = epochs[epoch]._replace(val_metric=val_metric, test_metric=test_metric)
+        if self._recent:
+            task, model = self.cohort.task, self.cohort.model
+            with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+                self.record.scored = {
+                    epoch: (
+                        model.accuracy(theta, task.val_inputs, task.val_labels) if task.n_val else None,
+                        model.accuracy(theta, task.test_inputs, task.test_labels) if task.n_test else None,
+                    )
+                    for epoch, theta in self._recent
+                }
         self._recent = None
 
-    def step_epoch(self) -> EpochLog:
-        """Run one epoch; logs loss and norm and flags divergence on non-finite values.
+    def step_epoch(self) -> float:
+        """Run one epoch: append its train loss and norm to the record, flag divergence on
+        a non-finite one, and return the train loss.
 
         The first call of a round steps the whole cohort; every call reads
-        its own results. Metrics stay ``None`` until the epoch that ends the
-        trial; see the class doc.
+        its own results. The trial is scored at the epoch that ends it; see
+        the class doc.
         """
         if self.done:
             raise RuntimeError(f"trial {self.cell} already finished ({self.record.status})")
-        if self.record.epochs_run == self.cohort.epoch:
+        values = self.record.values
+        epoch = len(values) // 2
+        if epoch == self.cohort.epoch:
             self.cohort.step()
-        train_loss, norm = self.cohort._results[self._slot]
-        epoch = self.record.epochs_run
-        self.record.epochs.append(EpochLog(epoch, train_loss, norm))
+        train_loss, norm = self.cohort._losses[self._slot], self.cohort._norms[self._slot]
+        values.append(train_loss)
+        values.append(norm)
         if not (math.isfinite(train_loss) and math.isfinite(norm)):
             self._end(STATUS_DIVERGED)
         else:
@@ -533,4 +531,4 @@ class TrialRunner:
                 self._recent.append((epoch, self.theta))
             if epoch + 1 == self.cohort.epochs:
                 self._end(STATUS_COMPLETED)
-        return self.record.epochs[-1]
+        return train_loss

@@ -1,30 +1,82 @@
 """Frozen reference for building the grid matrices from per-record trial logs:
 ``assemble``, ``build_metric_surfaces`` and ``slice_records`` as they were
-when a stored run loaded as one ``TrialRecord`` per cell and one ``EpochLog``
-per epoch, written out once and not changed since.
+when a stored run loaded as one trial record per cell and one per-epoch
+tuple per epoch, written out once and not changed since. ``Epoch`` is that
+tuple and ``TrialLog`` that record, kept here on the test side: the package
+holds a trial's epochs as columns (``trainer.TrialRecord``).
 
 The package builds the same matrices from ``records.Records`` columns. The
 tests hold the columnar versions to these bit for bit, and read a
-``Records`` back as per-cell records with ``trial_records`` to compare them.
+``Records`` back as per-cell logs with ``trial_records`` to compare them.
+``trial_log`` reads one ``TrialRecord`` as a ``TrialLog``, and
+``trial_record`` builds a ``TrialRecord`` from per-epoch tuples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from twinsearch.grid import GridCell, HyperGrid, slice_grid
 from twinsearch.matrices import LAST_K, LogMatrices, MetricSurfaces, metric_window
 from twinsearch.records import STATUSES, Records
-from twinsearch.trainer import EpochLog, TrialRecord
+from twinsearch.trainer import STATUS_RUNNING, TrialRecord
 
-__all__ = ["reference_assemble", "reference_build_metric_surfaces", "reference_slice_records", "trial_records"]
+__all__ = [
+    "Epoch", "TrialLog", "reference_assemble", "reference_build_metric_surfaces", "reference_slice_records",
+    "trial_log", "trial_record", "trial_records",
+]
 
 
-def trial_records(records: Records) -> dict[GridCell, TrialRecord]:
-    """``records`` as one ``TrialRecord`` per cell, in their order; a NaN accuracy (not
+class Epoch(NamedTuple):
+    """One logged epoch of one trial."""
+
+    epoch: int
+    train_loss: float
+    param_norm: float
+    val_metric: float | None = None
+    test_metric: float | None = None
+
+
+@dataclass
+class TrialLog:
+    """One trial's log as one ``Epoch`` per epoch."""
+
+    cell: GridCell
+    epochs: list[Epoch] = field(default_factory=list)
+    status: str = STATUS_RUNNING
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.epochs)
+
+
+def trial_record(cell: GridCell, epochs: Iterable[tuple] = (), status: str = STATUS_RUNNING) -> TrialRecord:
+    """The ``TrialRecord`` of per-epoch ``(train_loss, param_norm, val, test)`` tuples, epoch
+    ``i`` the ``i``-th; ``val`` and ``test`` may be left out, and an epoch with either
+    accuracy not ``None`` is scored."""
+    values, scored = [], {}
+    for i, (loss, norm, *metrics) in enumerate(epochs):
+        values += (loss, norm)
+        val, test = (*metrics, None, None)[:2]
+        if val is not None or test is not None:
+            scored[i] = (val, test)
+    return TrialRecord(cell, values, status, scored or None)
+
+
+def trial_log(record: TrialRecord) -> TrialLog:
+    """``record`` as one ``Epoch`` per epoch; an epoch it did not score has ``None`` accuracies."""
+    values, scored = record.values, record.scored or {}
+    epochs = [Epoch(i, values[2 * i], values[2 * i + 1], *scored.get(i, (None, None)))
+              for i in range(record.epochs_run)]
+    return TrialLog(record.cell, epochs, record.status)
+
+
+def trial_records(records: Records) -> dict[GridCell, TrialLog]:
+    """``records`` as one ``TrialLog`` per cell, in their order; a NaN accuracy (not
     scored) is ``None``."""
     out = {}
     end = 0
@@ -35,13 +87,12 @@ def trial_records(records: Records) -> dict[GridCell, TrialRecord]:
         columns = [getattr(records, key)[end:end + count].tolist()
                    for key in ("train_loss", "param_norm", "val_acc", "test_acc")]
         columns[2:] = [[None if v != v else v for v in column] for column in columns[2:]]
-        out[cell] = TrialRecord(cell, [EpochLog(i, *values) for i, values in enumerate(zip(*columns))],
-                                STATUSES[status])
+        out[cell] = TrialLog(cell, [Epoch(i, *values) for i, values in enumerate(zip(*columns))], STATUSES[status])
         end += count
     return out
 
 
-def _check_cells(records: Mapping[GridCell, TrialRecord], grid: HyperGrid) -> None:
+def _check_cells(records: Mapping[GridCell, TrialLog], grid: HyperGrid) -> None:
     cells = set(grid.cells())
     if records.keys() != cells:
         raise ValueError(
@@ -50,7 +101,7 @@ def _check_cells(records: Mapping[GridCell, TrialRecord], grid: HyperGrid) -> No
         )
 
 
-def reference_assemble(records: Mapping[GridCell, TrialRecord], grid: HyperGrid) -> LogMatrices:
+def reference_assemble(records: Mapping[GridCell, TrialLog], grid: HyperGrid) -> LogMatrices:
     _check_cells(records, grid)
     shape = grid.shape
     flat, norms, runs = [], [], []
@@ -86,7 +137,7 @@ def _summarize_metric(values: list[float | None], kind: str) -> float:
 
 
 def reference_build_metric_surfaces(
-    records: Mapping[GridCell, TrialRecord], grid: HyperGrid, scheduler_kind: str
+    records: Mapping[GridCell, TrialLog], grid: HyperGrid, scheduler_kind: str
 ) -> MetricSurfaces:
     if scheduler_kind not in ("fifo", "hb"):
         raise ValueError(f"scheduler_kind must be 'fifo' or 'hb', got {scheduler_kind!r}")
@@ -104,14 +155,14 @@ def reference_build_metric_surfaces(
 
 
 def reference_slice_records(
-    records: dict[GridCell, TrialRecord], grid: HyperGrid, lr_stride: int, wd_stride: int
-) -> tuple[dict[GridCell, TrialRecord], HyperGrid]:
+    records: dict[GridCell, TrialLog], grid: HyperGrid, lr_stride: int, wd_stride: int
+) -> tuple[dict[GridCell, TrialLog], HyperGrid]:
     sub_grid = slice_grid(grid, lr_stride, wd_stride)
-    sub_records: dict[GridCell, TrialRecord] = {}
+    sub_records: dict[GridCell, TrialLog] = {}
     for row in range(sub_grid.n_wd):
         for col in range(sub_grid.n_lr):
             src = GridCell(row * wd_stride, col * lr_stride)
             rec = records[src]
             new_cell = GridCell(row, col)
-            sub_records[new_cell] = TrialRecord(cell=new_cell, epochs=list(rec.epochs), status=rec.status)
+            sub_records[new_cell] = TrialLog(cell=new_cell, epochs=list(rec.epochs), status=rec.status)
     return sub_records, sub_grid

@@ -20,8 +20,7 @@ from twinsearch.runstore import RunStore
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.selector import twin_pipeline
 from twinsearch.tasks import TaskSpec
-from twinsearch.trainer import EpochLog, TrialRecord
-from records_frozen import reference_assemble, reference_slice_records, trial_records
+from records_frozen import reference_assemble, reference_slice_records, trial_record, trial_records
 
 
 RUN_FLAGS = [
@@ -256,9 +255,9 @@ class TestSelect:
         losses = [[0.9, 0.5, 0.4], [0.8, 0.2, 0.1], [0.9, 0.6, 0.5]]
         norms = [[3.0, 2.5, 2.0], [2.8, 2.2, 1.8], [3.1, 2.6, 2.1]]
         records = [
-            TrialRecord(
+            trial_record(
                 GridCell(r, c),
-                [EpochLog(epoch, losses[r][c] + (0.1 if epoch == 0 else 0.0), norms[r][c]) for epoch in range(2)],
+                [(losses[r][c] + (0.1 if epoch == 0 else 0.0), norms[r][c]) for epoch in range(2)],
                 "completed",
             )
             for r in range(3)
@@ -278,7 +277,7 @@ class TestSelect:
             "partial",
             {"grid": asdict(grid), "scheduler": asdict(SchedulerPolicy("fifo", 5)), "task": "external"},
         )
-        store.write_records("partial", Records.of([TrialRecord(GridCell(0, 0), [EpochLog(0, 1.0, 2.0)])]))
+        store.write_records("partial", Records.of([trial_record(GridCell(0, 0), [(1.0, 2.0)])]))
         assert run_cli(tmp_path, "select", "partial") == 2
         assert "incomplete" in capsys.readouterr().err
 
@@ -288,7 +287,11 @@ class TestSelect:
         assert run_cli(tmp_path, "run", "--run-id", "r", *RUN_FLAGS) == 0
         store = RunStore(tmp_path / "runs")
         records = trial_records(store.load_run("r")[2])
-        store.write_records("r", Records.of(rec for cell, rec in records.items() if cell != (0, 0)))
+        kept = [
+            trial_record(cell, [e[1:] for e in rec.epochs], rec.status)
+            for cell, rec in records.items() if cell != (0, 0)
+        ]
+        store.write_records("r", Records.of(kept))
         capsys.readouterr()
         assert run_cli(tmp_path, "select", "r", *flags) == 2
         captured = capsys.readouterr()
@@ -314,10 +317,12 @@ class TestSelect:
         policy = SchedulerPolicy("hb", 3, stop_fraction=0.5)
         store.create_run("r", {"grid": asdict(grid), "scheduler": asdict(policy), "task": "external"})
         records = [
-            TrialRecord(cell, [EpochLog(e, 1.0 + 0.1 * cell.row + 0.01 * cell.col, 2.0) for e in range(3)], "completed")
+            [(1.0 + 0.1 * cell.row + 0.01 * cell.col, 2.0)] * 3
             for cell in grid.cells()
         ]
-        records[2] = TrialRecord(GridCell(1, 0), records[2].epochs[:epochs], status)
+        records[2] = records[2][:epochs]
+        records = [trial_record(cell, epochs, status if cell == GridCell(1, 0) else "completed")
+                   for cell, epochs in zip(grid.cells(), records)]
         store.write_records("r", Records.of(records))
         assert run_cli(tmp_path, "select", "r") == code
         captured = capsys.readouterr()

@@ -14,28 +14,26 @@ from twinsearch.matrices import (
     zscore_outlier_mask,
 )
 from twinsearch.records import Records
-from twinsearch.trainer import EpochLog, TrialRecord
+from records_frozen import trial_log, trial_record
 
 
 def record_for(cell, losses, norms=None, status="completed", val=None, test=None):
     norms = norms if norms is not None else [1.0] * len(losses)
-    rec = TrialRecord(cell=cell, status=status)
-    for i, (l, n) in enumerate(zip(losses, norms)):
-        rec.epochs.append(
-            EpochLog(
-                i,
-                l,
-                n,
-                None if val is None else val[i],
-                None if test is None else test[i],
-            )
+    epochs = [
+        (
+            l,
+            n,
+            None if val is None else val[i],
+            None if test is None else test[i],
         )
-    return rec
+        for i, (l, n) in enumerate(zip(losses, norms))
+    ]
+    return trial_record(cell, epochs, status)
 
 
 def columns(records):
     """``records`` as the columns the loaders hold, in their order."""
-    return Records.of(records)
+    return Records.of(list(records))
 
 
 def grid_2x2():
@@ -63,7 +61,7 @@ class TestPsiSummary:
     def test_empty_record_rejected(self):
         grid = grid_2x2()
         records = [record_for(cell, [1.0]) for cell in grid.cells() if cell != GridCell(1, 0)]
-        records.append(TrialRecord(cell=GridCell(1, 0)))
+        records.append(trial_record(GridCell(1, 0)))
         with pytest.raises(ValueError, match=r"trial GridCell\(row=1, col=0\) has no logged epochs"):
             assemble(columns(records), grid)
 
@@ -88,7 +86,7 @@ class TestPsiSummary:
         with np.errstate(over="ignore", invalid="ignore"):
             mats = assemble(columns(records[i] for i in order), grid)
             for rec in records:
-                losses = np.array([e.train_loss for e in rec.epochs], dtype=np.float64)
+                losses = np.array([e.train_loss for e in trial_log(rec).epochs], dtype=np.float64)
                 expected[rec.cell.row, rec.cell.col] = np.mean(losses[-5:])
         assert mats.psi.tobytes() == expected.tobytes()
         assert set(np.minimum(mats.epochs_run, 5).ravel()) == {1, 2, 3, 4, 5}

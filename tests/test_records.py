@@ -23,6 +23,8 @@ from records_frozen import (
     reference_assemble,
     reference_build_metric_surfaces,
     reference_slice_records,
+    trial_log,
+    trial_record,
     trial_records,
 )
 from twinsearch.grid import build_log_grid
@@ -35,8 +37,6 @@ from twinsearch.trainer import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
     STATUS_STOPPED_EARLY,
-    EpochLog,
-    TrialRecord,
 )
 
 ODD_LOSSES = (math.nan, math.inf, -math.inf)
@@ -68,11 +68,11 @@ def random_run(rng, kind, val_free, budget):
         finite = np.flatnonzero(np.isfinite(losses) & np.isfinite(norms))
         scored = set() if val_free else set(finite[-window:].tolist())
         epochs = [
-            EpochLog(e, float(losses[e]), float(norms[e]), *((float(rng.random()), float(rng.random()))
-                                                            if e in scored else (None, None)))
+            (float(losses[e]), float(norms[e]), *((float(rng.random()), float(rng.random()))
+                                                  if e in scored else (None, None)))
             for e in range(n)
         ]
-        records.append(TrialRecord(cell, epochs, status))
+        records.append(trial_record(cell, epochs, status))
     return grid, records
 
 
@@ -108,7 +108,7 @@ def bits(records):
 def test_columns_give_the_frozen_matrices_bit_for_bit(seed, kind, val_free, budget):
     rng = np.random.default_rng(seed)
     grid, records = random_run(rng, kind, val_free, budget)
-    by_cell = {r.cell: r for r in records}
+    by_cell = {r.cell: trial_log(r) for r in records}
     with np.errstate(all="ignore"):
         expected = reference_assemble(by_cell, grid)
         surfaces = reference_build_metric_surfaces(by_cell, grid, kind)
@@ -128,7 +128,8 @@ def test_a_sliced_run_is_the_frozen_sub_grid(seed, strides):
     grid, records = random_run(rng, "hb", False, 6)
     lr_stride, wd_stride = strides
     try:
-        expected, expected_grid = reference_slice_records({r.cell: r for r in records}, grid, lr_stride, wd_stride)
+        by_cell = {r.cell: trial_log(r) for r in records}
+        expected, expected_grid = reference_slice_records(by_cell, grid, lr_stride, wd_stride)
     except ValueError:  # a stride that leaves fewer than two grid lines
         with pytest.raises(ValueError):
             slice_records(Records.of(records), grid, lr_stride, wd_stride)
@@ -146,7 +147,7 @@ def test_the_generated_runs_hold_every_case():
     for seed in range(40):
         for kind in ("fifo", "hb"):
             grid, records = random_run(np.random.default_rng(seed), kind, seed % 2 == 1, 1 + seed % 9)
-            for r in records:
+            for r in map(trial_log, records):
                 scored = [e.epoch for e in r.epochs if e.val_metric is not None]
                 seen.add(f"{kind}-{r.status}")
                 seen.add("1-epoch" if r.epochs_run == 1 else "longer")
@@ -158,7 +159,7 @@ def test_the_generated_runs_hold_every_case():
                     seen.add("nan-loss")
                 if any(math.isinf(e.train_loss) for e in r.epochs):
                     seen.add("inf-loss")
-            if all(e.val_metric is None for r in records for e in r.epochs):
+            if all(e.val_metric is None for r in map(trial_log, records) for e in r.epochs):
                 seen.add("val-free")
     assert seen >= {
         "fifo-completed", "fifo-diverged", "hb-stopped_early", "stopped-under-5", "window-ends-early",
@@ -168,7 +169,7 @@ def test_the_generated_runs_hold_every_case():
 
 def test_a_status_is_terminal_unless_it_is_running():
     cell = build_log_grid(1e-4, 1e-1, 2, 1e-4, 1e-1, 2).cells()[0]
-    records = Records.of(TrialRecord(cell, [], status) for status in STATUSES)
+    records = Records.of([trial_record(cell, [], status) for status in STATUSES])
     assert [STATUSES[s] for s in records.status.tolist()] == list(STATUSES)
     assert records.terminal.tolist() == [status != "running" for status in STATUSES]
 
@@ -178,8 +179,9 @@ def test_a_status_is_terminal_unless_it_is_running():
 def test_a_non_finite_accuracy_is_refused(field, value):
     # an accuracy is a finite float or None; a NaN would be stored as "not scored"
     cells = build_log_grid(1e-4, 1e-1, 2, 1e-4, 1e-1, 2).cells()
-    records = [TrialRecord(cell, [EpochLog(0, 1.0, 2.0, 0.5, 0.5)], STATUS_COMPLETED) for cell in cells]
-    records[2].epochs[0] = records[2].epochs[0]._replace(**{field: value})
+    records = [trial_record(cell, [(1.0, 2.0, 0.5, 0.5)], STATUS_COMPLETED) for cell in cells]
+    pair = {"val_metric": 0.5, "test_metric": 0.5, field: value}
+    records[2] = trial_record(cells[2], [(1.0, 2.0, pair["val_metric"], pair["test_metric"])], STATUS_COMPLETED)
     with pytest.raises(RunStoreError) as info:
         Records.of(records)
     assert str(info.value) == "record of cell (1, 0): an accuracy is not finite"
@@ -200,7 +202,7 @@ def large_run(n=30, epochs=50):
 
 # The traced peak of load_run on large_run(): 45,000 epochs, a 2.2 MB records.json. The
 # columnar reader peaked at 3.11 MB (CPython 3.11, numpy 2.4); the reader it replaced,
-# which built an EpochLog per epoch and a TrialRecord per cell, at 6.96 MB.
+# which built a per-epoch tuple per epoch and a record per cell, at 6.96 MB.
 LOAD_PEAK_BYTES = 5_000_000
 
 

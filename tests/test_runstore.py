@@ -34,11 +34,9 @@ from twinsearch.trainer import (
     STATUS_STOPPED_EARLY,
     TERMINAL_STATUSES,
     ArchSpec,
-    EpochLog,
     TrainerConfig,
-    TrialRecord,
 )
-from records_frozen import trial_records
+from records_frozen import Epoch, trial_log, trial_record, trial_records
 from runstore_frozen import reference_read_jsonl
 
 
@@ -57,7 +55,7 @@ def small_grid(n=2):
 
 def plain_record(cell, epochs, status="running"):
     """A record of ``epochs`` epochs, each with loss 1.0 and norm 2.0."""
-    return TrialRecord(cell, [EpochLog(epoch, 1.0, 2.0) for epoch in range(epochs)], status)
+    return trial_record(cell, [(1.0, 2.0)] * epochs, status)
 
 
 def write_full_run(store, run_id, grid, epochs=3, policy=None):
@@ -69,16 +67,15 @@ def write_full_run(store, run_id, grid, epochs=3, policy=None):
     records = []
     for cell in grid.cells():
         logs = [
-            EpochLog(
-                epoch=epoch,
-                train_loss=1.0 / (epoch + 1) + 0.1 * cell.row + 0.01 * cell.col,
-                param_norm=2.0 - 0.1 * epoch,
-                val_metric=0.5 + 0.01 * epoch,
-                test_metric=0.6 + 0.01 * epoch,
+            (
+                1.0 / (epoch + 1) + 0.1 * cell.row + 0.01 * cell.col,  # train loss
+                2.0 - 0.1 * epoch,  # norm
+                0.5 + 0.01 * epoch,  # val
+                0.6 + 0.01 * epoch,  # test
             )
             for epoch in range(epochs)
         ]
-        records.append(TrialRecord(cell, logs, "completed"))
+        records.append(trial_record(cell, logs, "completed"))
         store.append_trial_line(run_id, records[-1])
     store.write_records(run_id, Records.of(records))
 
@@ -148,7 +145,7 @@ class TestAppend:
     def test_nan_encoded_as_string(self, store):
         grid = small_grid()
         store.create_run("r1", manifest_for(grid, SchedulerPolicy("fifo", 5)))
-        record = TrialRecord(GridCell(0, 0), [EpochLog(0, math.nan, math.inf)], "diverged")
+        record = trial_record(GridCell(0, 0), [(math.nan, math.inf)], "diverged")
         store.create_trial_files("r1", [record.cell])
         store.append_trial_line("r1", record)
         store.write_records("r1", Records.of([record]))
@@ -218,7 +215,7 @@ FLOAT_VALUES = (
 )
 
 
-def legacy_encoding(cell: GridCell, entry: EpochLog, status: str) -> str:
+def legacy_encoding(cell: GridCell, entry: Epoch, status: str) -> str:
     """A trial line as the generic encoder writes its field dict."""
     payload = {
         "row": cell.row,
@@ -239,14 +236,14 @@ class TestTrialLineEncoding:
     def test_float_fields_match_generic_encoder(self, field, value):
         fields = dict(train_loss=0.25, param_norm=4.5, val_acc=None, test_acc=None)
         fields[field] = value
-        line = (GridCell(1, 2), EpochLog(3, *fields.values()), "running")
-        assert _trial_line_text(*line) == legacy_encoding(*line)
+        cell, entry, status = GridCell(1, 2), Epoch(3, *fields.values()), "running"
+        assert _trial_line_text(cell, *entry, status) == legacy_encoding(cell, entry, status)
 
     @pytest.mark.parametrize("status", ["running", "completed", "stopped_early", "diverged", 'odd "x"'])
     @pytest.mark.parametrize("index", [0, 7, 10**6, 2**62])
     def test_statuses_and_large_indices_match_generic_encoder(self, status, index):
-        line = (GridCell(index, index + 1), EpochLog(2 * index, math.nan, 1.5, 0.5, None), status)
-        assert _trial_line_text(*line) == legacy_encoding(*line)
+        cell, entry = GridCell(index, index + 1), Epoch(2 * index, math.nan, 1.5, 0.5, None)
+        assert _trial_line_text(cell, *entry, status) == legacy_encoding(cell, entry, status)
 
 
 def reference_encode(obj):
@@ -333,21 +330,14 @@ class TestLoad:
             store.load_run("r1")
         assert str(info.value) == f"run 'r1' has no records at {store.run_dir('r1') / 'records.json'}"
 
-    @pytest.mark.parametrize(
-        "record",
-        [
-            TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0), EpochLog(2, 1.0, 2.0)]),
-            TrialRecord(GridCell(0, 1), [EpochLog(0, 1.0, 2.0)], "paused"),
-        ],
-        ids=["epoch-gap", "unknown-status"],
-    )
-    def test_a_record_the_format_cannot_hold_is_refused_on_write(self, store, record):
-        # epochs are numbered 0, 1, ... on load, and a status must be one the loader knows
+    def test_a_record_the_format_cannot_hold_is_refused_on_write(self, store):
+        # a status must be one the loader knows
         grid = small_grid()
         store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
+        record = plain_record(GridCell(0, 1), 1, "paused")
         with pytest.raises(RunStoreError) as info:
             store.write_records("r", Records.of([plain_record(GridCell(0, 0), 2, "completed"), record]))
-        assert str(info.value) == "record of cell (0, 1): epochs not 0, 1, ..., or unknown status"
+        assert str(info.value) == "record of cell (0, 1): unknown status"
         assert not (store.run_dir("r") / "records.json").exists()
 
     def test_duplicate_run_id_rejected(self, store):
@@ -466,7 +456,7 @@ def rewrite_records(store, run_id):
 
 
 def loaded(store, run_id):
-    """``run_id``'s stored records, one ``TrialRecord`` per cell in the order stored."""
+    """``run_id``'s stored records, one ``TrialLog`` per cell in the order stored."""
     return trial_records(store.load_run(run_id)[2])
 
 
@@ -483,7 +473,7 @@ def trial_file_faults(store, run_id):
         record = records[cell]
         last = record.epochs_run - 1
         expected = "".join(
-            _trial_line_text(cell, entry, record.status if i == last else STATUS_RUNNING) + "\n"
+            _trial_line_text(cell, *entry, record.status if i == last else STATUS_RUNNING) + "\n"
             for i, entry in enumerate(record.epochs)
         ).encode()
         path = trials / name
@@ -644,12 +634,12 @@ class TestRecords:
         grid = small_grid()
         store.create_run("r", manifest_for(grid, SchedulerPolicy("fifo", 5)))
         written = {
-            GridCell(0, 0): TrialRecord(GridCell(0, 0), [], "completed"),
-            GridCell(0, 1): TrialRecord(GridCell(0, 1), [EpochLog(0, -math.nan, -math.inf, -0.0, None)], "diverged"),
-            GridCell(1, 1): TrialRecord(GridCell(1, 1), [EpochLog(0, 0.5, 5e-324, 1.0, 0.25)], "running"),
+            GridCell(0, 0): trial_record(GridCell(0, 0), [], "completed"),
+            GridCell(0, 1): trial_record(GridCell(0, 1), [(-math.nan, -math.inf, -0.0, None)], "diverged"),
+            GridCell(1, 1): trial_record(GridCell(1, 1), [(0.5, 5e-324, 1.0, 0.25)], "running"),
         }
-        store.write_records("r", Records.of(written.values()))
-        assert bits(loaded(store, "r")) == bits(written)
+        store.write_records("r", Records.of(list(written.values())))
+        assert bits(loaded(store, "r")) == bits({cell: trial_log(r) for cell, r in written.items()})
 
 
 # -- the reader on generated records -------------------------------------
@@ -696,10 +686,10 @@ def random_records(rng):
     records = []
     for k, i in enumerate(rng.permutation(len(cells))[: int(rng.integers(3, len(cells) + 1))]):
         epochs = [
-            EpochLog(epoch, random_value(rng), random_value(rng), random_value(rng, True), random_value(rng, True))
-            for epoch in range(int(rng.integers(1 if k < 2 else 0, 10)))
+            (random_value(rng), random_value(rng), random_value(rng, True), random_value(rng, True))
+            for _ in range(int(rng.integers(1 if k < 2 else 0, 10)))
         ]
-        records.append(TrialRecord(cells[i], epochs, STATUSES[int(rng.integers(len(STATUSES)))]))
+        records.append(trial_record(cells[i], epochs, STATUSES[int(rng.integers(len(STATUSES)))]))
     return grid, records
 
 
@@ -945,7 +935,7 @@ class TestReaderOnGeneratedRecords:
         path, grid, records = write_random_run(store, rng, monkeypatch, line_epochs)
         written = path.read_bytes()
         read = loaded(store, "r")
-        assert bits(read) == bits({r.cell: r for r in records})
+        assert bits(read) == bits({r.cell: trial_log(r) for r in records})
         assert list(read) == [r.cell for r in records]
         rewrite_records(store, "r")
         assert path.read_bytes() == written
@@ -1014,7 +1004,8 @@ def logged_run(request, tmp_path_factory):
     config = TrainerConfig(batch_size=4, lr_schedule="constant", init_seed=seed)
     store = RunStore(tmp_path_factory.mktemp(name) / "runs")
     store.create_run("run", manifest_for(grid, policy))
-    records = execute_search(grid, policy, task.make(), ArchSpec((6,)), config, store=store, run_id="run")
+    columns = execute_search(grid, policy, task.make(), ArchSpec((6,)), config, store=store, run_id="run")
+    records = trial_records(columns)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         log = reference_read_jsonl(str(store.run_dir("run") / "decisions.jsonl"))
@@ -1063,8 +1054,11 @@ class TestRecordsCarryTheLoggedStops:
         store.create_run("cut", manifest_for(grid, policy))
         for k in range(max(d["epoch"] for d in stops.values()) + 1):
             ended = {cell for cell, stop in stops.items() if stop["epoch"] <= k}
-            cut = [records[c] if c in ended else TrialRecord(c, records[c].epochs[:k], STATUS_RUNNING)
-                   for c in grid.cells()]
+            cut = [
+                trial_record(c, [e[1:] for e in records[c].epochs], records[c].status) if c in ended
+                else trial_record(c, [e[1:] for e in records[c].epochs[:k]], STATUS_RUNNING)
+                for c in grid.cells()
+            ]
             store.write_records("cut", Records.of(cut))
             owed = [cell for cell in grid.cells() if cell not in ended]
             if not owed:

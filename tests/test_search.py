@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from records_frozen import trial_records
+from records_frozen import Epoch, trial_log, trial_record, trial_records
 
 from twinsearch.grid import GridCell, build_log_grid, cell_params
 from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
@@ -41,9 +41,7 @@ from twinsearch.trainer import (
     TERMINAL_STATUSES,
     ArchSpec,
     Cohort,
-    EpochLog,
     TrainerConfig,
-    TrialRecord,
     schedule_lr,
     sgdm_step,
 )
@@ -64,7 +62,7 @@ CASES = {
 }
 
 
-def _finite(entry: EpochLog) -> bool:
+def _finite(entry: Epoch) -> bool:
     return math.isfinite(entry.train_loss) and math.isfinite(entry.param_norm)
 
 
@@ -80,8 +78,9 @@ def eager_records(records, grid, task, policy):
         (runner,) = cohort.members
         model = cohort.model
         epochs = []
-        for _ in range(rec.epochs_run):
-            entry = runner.step_epoch()
+        for epoch in range(rec.epochs_run):
+            runner.step_epoch()
+            entry = Epoch(epoch, *runner.record.values[-2:])
             val = test = None
             if _finite(entry):
                 # the lone trial's row: an ended runner keeps no theta, but
@@ -89,9 +88,9 @@ def eager_records(records, grid, task, policy):
                 theta = cohort._theta[0]
                 val = model.accuracy(theta, task.val_inputs, task.val_labels)
                 test = model.accuracy(theta, task.test_inputs, task.test_labels)
-            epochs.append(EpochLog(entry.epoch, entry.train_loss, entry.param_norm, val, test))
+            epochs.append((entry.train_loss, entry.param_norm, val, test))
         status = runner.record.status if runner.done else STATUS_STOPPED_EARLY
-        out[cell] = TrialRecord(cell=cell, epochs=epochs, status=status)
+        out[cell] = trial_record(cell, epochs, status)
     return out
 
 
@@ -130,12 +129,14 @@ def searched(request, tmp_path_factory):
         mp.setattr(Schedule, "decide", counting_rounds)
         mp.setattr(store, "append_trial_line", recording)
         mp.setattr(trainer, "STACK_SLICE", 5)  # uneven slices of the 16 cells
-        records = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
-    store.write_records("run", Records.of(records.values()))
+        columns = execute_search(grid, policy, task, ARCH, CONFIG, store=store, run_id="run")
+    store.write_records("run", columns)
+    records = trial_records(columns)
     return SimpleNamespace(
         kind=kind,
         grid=grid,
         store=store,
+        columns=columns,
         records=records,
         eager=eager_records(records, grid, task, policy),
         accuracy_calls=len(calls),
@@ -194,7 +195,7 @@ def test_epochs_equal_the_one_runner_per_cell_replay_bit_for_bit(searched):
         reference = searched.eager[cell]
         assert rec.status == reference.status, cell
         logged = np.array([(e.train_loss, e.param_norm) for e in rec.epochs])
-        replayed = np.array([(e.train_loss, e.param_norm) for e in reference.epochs])
+        replayed = np.array([(e.train_loss, e.param_norm) for e in trial_log(reference).epochs])
         lr, wd = cell_params(searched.grid, cell)
         budget = CASES[searched.kind][0].epoch_budget
         looped = np.array(loop_reference(task, CONFIG, cell, lr, wd, rec.epochs_run, budget))
@@ -209,7 +210,7 @@ def test_cosine_epochs_follow_the_policy_budget_bit_for_bit(kind):
     grid = build_log_grid(1e-3, 1.0, 3, 1e-4, 1e-1, 3)
     config = dataclasses.replace(CONFIG, lr_schedule="cosine")
     task = TASK_SPEC.make()
-    records = execute_search(grid, policy, task, ARCH, config)
+    records = trial_records(execute_search(grid, policy, task, ARCH, config))
     statuses = {rec.status for rec in records.values()}
     assert STATUS_COMPLETED in statuses and (kind == "fifo" or STATUS_STOPPED_EARLY in statuses)
     for cell, rec in records.items():
@@ -227,7 +228,7 @@ def test_epochs_equal_the_loop_at_the_real_stack_slice_with_diverging_rows():
     grid = build_log_grid(1e-2, 1e8, 9, 1e-3, 100, 9)
     assert grid.n_trials > trainer.STACK_SLICE and grid.n_trials % trainer.STACK_SLICE
     task = TASK_SPEC.make()
-    records = execute_search(grid, policy, task, ARCH, CONFIG)
+    records = trial_records(execute_search(grid, policy, task, ARCH, CONFIG))
     norms = [e.param_norm for rec in records.values() for e in rec.epochs]
     assert any(math.isinf(v) for v in norms) and any(math.isnan(v) for v in norms)
     statuses = {rec.status for rec in records.values()}
@@ -241,9 +242,9 @@ def test_epochs_equal_the_loop_at_the_real_stack_slice_with_diverging_rows():
 
 def test_surfaces_equal_the_eager_reference(searched):
     kind, grid, eager = searched.kind, searched.grid, searched.eager
-    expected = build_metric_surfaces(Records.of(eager.values()), grid, kind)
+    expected = build_metric_surfaces(Records.of(list(eager.values())), grid, kind)
     _, _, loaded = searched.store.load_run("run")
-    for records in (Records.of(searched.records.values()), loaded):
+    for records in (searched.columns, loaded):
         assert {c: r.status for c, r in trial_records(records).items()} == {c: r.status for c, r in eager.items()}
         assert_same_surfaces(build_metric_surfaces(records, grid, kind), expected)
     assert np.any(np.isfinite(expected.val_acc)) and np.any(np.isfinite(expected.test_acc))
@@ -290,7 +291,7 @@ def test_records_with_metrics_on_every_epoch_load_to_the_same_surfaces(searched)
     kind, grid, store = searched.kind, searched.grid, searched.store
     policy, _ = CASES[kind]
     store.create_run("old", {"grid": dataclasses.asdict(grid), "scheduler": dataclasses.asdict(policy)})
-    store.write_records("old", Records.of(searched.eager.values()))
+    store.write_records("old", Records.of(list(searched.eager.values())))
     _, _, old = store.load_run("old")
     _, _, new = store.load_run("run")
     assert_same_surfaces(build_metric_surfaces(old, grid, kind), build_metric_surfaces(new, grid, kind))
@@ -303,7 +304,7 @@ def test_valfree_task_never_scores(monkeypatch):
     monkeypatch.setattr(MLP, "accuracy", refuse)
     policy, grid = CASES["hb"]
     task = dataclasses.replace(TASK_SPEC, n_val=0, n_test=0).make()
-    records = execute_search(grid, policy, task, ARCH, CONFIG)
+    records = trial_records(execute_search(grid, policy, task, ARCH, CONFIG))
     assert all(
         e.val_metric is None and e.test_metric is None
         for rec in records.values()
@@ -366,7 +367,7 @@ def test_survivors_match_the_loop_after_a_rung_compacts_the_stack(monkeypatch, s
     assert [r._slot for r in survivors] == list(range(len(survivors)))
     for runner in survivors:
         assert runner.record.status == STATUS_COMPLETED
-        logged = np.array([(e.train_loss, e.param_norm) for e in runner.record.epochs])
+        logged = np.array([(e.train_loss, e.param_norm) for e in trial_log(runner.record).epochs])
         looped = loop_reference(task, config, runner.cell, *cell_params(grid, runner.cell), horizon, horizon)
         assert logged.tobytes() == np.array(looped).tobytes(), runner.cell
 
@@ -385,7 +386,7 @@ def test_an_ended_trial_keeps_no_parameters():
         assert not [v for v in vars(ended).values() if isinstance(v, (np.ndarray, deque))]
         for runner in runners[:1] + runners[2:]:
             runner.step_epoch()
-    assert ended.record.epochs[-1].param_norm == norm
+    assert trial_log(ended.record).epochs[-1].param_norm == norm
 
 
 def test_the_row_arrays_hold_only_the_members_rows_after_each_rung(monkeypatch):
@@ -432,12 +433,12 @@ def test_a_profile_or_trace_hook_does_not_change_an_hb_search(hook):
     # the hook holds one more reference to each row array, so its in-place resize is refused
     policy, grid = CASES["hb"]
     task = TASK_SPEC.make()
-    records = execute_search(grid, policy, task, ARCH, CONFIG)
+    records = trial_records(execute_search(grid, policy, task, ARCH, CONFIG))
     assert any(r.status == STATUS_STOPPED_EARLY for r in records.values())
     previous = sys.getprofile() if hook is sys.setprofile else sys.gettrace()
     hook(lambda *args: None)
     try:
-        hooked = execute_search(grid, policy, task, ARCH, CONFIG)
+        hooked = trial_records(execute_search(grid, policy, task, ARCH, CONFIG))
     finally:
         hook(previous)
     assert list(hooked) == list(records)
@@ -473,7 +474,7 @@ def test_a_val_free_hb_search_peaks_no_later_than_its_first_rung(monkeypatch):
     monkeypatch.setattr(Schedule, "decide", tracing)
     tracemalloc.start()
     try:
-        records = execute_search(grid, policy, task, ArchSpec((32,)), TrainerConfig())
+        records = trial_records(execute_search(grid, policy, task, ArchSpec((32,)), TrainerConfig()))
         peaks.append((policy.epoch_budget + 1, tracemalloc.get_traced_memory()[1]))
     finally:
         tracemalloc.stop()
@@ -520,6 +521,31 @@ def test_building_a_cohort_allocates_its_stacks_once():
     assert peak - before < 3 * stack
 
 
+# The traced memory a search still holds once it returns, per trial-epoch: a 4x4 FIFO grid of
+# 60 epochs a trial (960 trial-epochs). Its records, columns from a trial's first epoch and
+# returned as ``records.Records``, held 52 B (CPython 3.11, numpy 2.4): 32 B of float64
+# columns, the rest mostly the interpreter's free lists of the last rounds' tuples and floats.
+# A record per cell of one per-epoch tuple of two floats each held 168 B.
+RECORD_BYTES_PER_TRIAL_EPOCH = 80
+
+
+def test_the_records_of_a_search_cost_at_most_80_bytes_per_trial_epoch():
+    policy = SchedulerPolicy("fifo", 60)
+    grid = build_log_grid(1e-3, 1e-2, 4, 1e-4, 1e-3, 4)
+    task = TASK_SPEC.make()
+    execute_search(grid, SchedulerPolicy("fifo", 2), task, ARCH, CONFIG, jobs=1)  # imports and warms what it runs
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        records = execute_search(grid, policy, task, ARCH, CONFIG, jobs=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    trial_epochs = int(records.epochs_run.sum())
+    assert trial_epochs == grid.n_trials * policy.epoch_budget  # no trial diverged
+    assert held / trial_epochs <= RECORD_BYTES_PER_TRIAL_EPOCH, held / trial_epochs
+
+
 def _stored_search(tmp_path, policy, grid):
     """A store with a run created for ``grid`` and ``policy``, and a call that searches into it."""
     store = RunStore(tmp_path / "runs")
@@ -531,7 +557,7 @@ def _stored_search(tmp_path, policy, grid):
 def test_a_stored_search_leaves_no_thread_and_every_file_written(tmp_path, kind):
     store, search = _stored_search(tmp_path, *CASES[kind])
     before = threading.enumerate()
-    records = search()
+    records = trial_records(search())
     assert threading.enumerate() == before
     trials = store.run_dir("run") / "trials"
     assert sorted(os.listdir(trials)) == sorted(f"{c.row}_{c.col}.jsonl" for c in records)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_oracle import reference_loss_and_grad
+from records_frozen import trial_log
 
 from twinsearch.grid import GridCell
 from twinsearch.tasks import TaskSpec
@@ -31,7 +32,7 @@ def run_to_end(task, arch, lr, wd, epochs, config=TrainerConfig(), cell=GridCell
     (runner,) = Cohort(task, arch, config, epochs, epochs, [(cell, lr, wd)]).members
     while not runner.done:
         runner.step_epoch()
-    return runner.record
+    return trial_log(runner.record)
 
 
 def param_l2_norm(theta):
