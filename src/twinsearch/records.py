@@ -7,9 +7,11 @@ and ``test_acc``. No per-trial or per-epoch Python object stands between
 the file and the matrices: ``read_records`` fills the columns from each
 line's arrays, and ``matrices.assemble`` and ``build_metric_surfaces``
 reduce them. ``execute_search`` builds its ``Records`` once, after its last
-round, from its trials' ``trainer.TrialRecord``s, which hold their epochs
-as columns too (``Records.of``); ``records_lines`` encodes the file's lines
-from them, each line once, the header's CRC taken line by line.
+round, from its trials' ``trainer.TrialRecord``s, each an ended trial's
+(epochs_run, 2) float64 copy of its column of a cohort's epoch log, which
+``Records.of`` concatenates in cell order: an epoch's loss and norm are
+float64 from the step to this file. ``records_lines`` encodes the file's
+lines from the columns, each line once, the header's CRC taken line by line.
 ``RunStore.write_records`` writes it after the search (from
 ``run_and_store``), replacing it whole or not at all. It is the one stored
 record of a run's trials: ``RunStore.load_run`` reads it and nothing else of
@@ -49,7 +51,6 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -91,11 +92,11 @@ class Records:
 
     @classmethod
     def of(cls, records: list[TrialRecord]) -> Records:
-        """The columns of ``records``, in their order, each epoch at its position in its record's
-        values; a record with an unknown status, or a non-finite accuracy, is refused."""
-        runs = np.array([len(r.values) // 2 for r in records], dtype=np.int64)
+        """The columns of ``records``, in their order, their float64 ``values`` blocks
+        concatenated; a record with an unknown status, or a non-finite accuracy, is refused."""
+        runs = np.array([len(r.values) for r in records], dtype=np.int64)
         total = int(runs.sum())
-        values = np.fromiter(chain.from_iterable(r.values for r in records), np.float64, 2 * total)
+        values = np.concatenate([np.empty((0, 2)), *(r.values for r in records)])
         accuracies = np.full((2, total), np.nan)  # val, test; NaN is "not scored"
         for start, r in zip((np.cumsum(runs) - runs).tolist(), records):
             row, col = r.cell
@@ -109,7 +110,7 @@ class Records:
             np.array([r.cell.row for r in records], dtype=np.int64),
             np.array([r.cell.col for r in records], dtype=np.int64),
             np.array([_CODES[r.status] for r in records], dtype=np.int64),
-            runs, values[0::2], values[1::2], *accuracies,
+            runs, values[:, 0], values[:, 1], *accuracies,
         )
 
     @property

@@ -47,10 +47,13 @@ shortest-round-trip repr, which makes write/load cycles bit-exact. The
 artifacts are ``json.dumps(..., indent=2)``'s text, built by the C encoder
 (``encode_json``). ``_trial_line_text``, the only trial-line encoder,
 builds one line directly, byte for byte what ``encode_json``'s line form
-gives, from a ``trainer.TrialRecord``'s columns: epoch ``i``'s loss and norm
-are ``values[2i:2i + 2]`` and its accuracies its pair in ``scored``. An
-ended trial's last line carries its terminal status (``completed``,
-``stopped_early`` or ``diverged``), every other line ``running``.
+gives. ``append_trial_line`` takes a trial's epochs from its
+``trainer.TrialRecord``: epoch ``i``'s loss and norm are row ``i`` of its
+(epochs_run, 2) float64 ``values``, read through one ``tolist()`` of that
+block, the only Python floats of its epochs, made for that trial's write,
+and its accuracies its pair in ``scored``. An ended trial's last line
+carries its terminal status (``completed``, ``stopped_early`` or
+``diverged``), every other line ``running``.
 
 ``execute_search`` scores only the epochs the baseline summaries read: the
 last finite epoch under FIFO, the last five under early stopping
@@ -233,11 +236,11 @@ class RunStore:
         made: ``running`` on every line but the last, which carries the record's status."""
         row, col = cell = record.cell
         path = f"{self.run_dir(run_id)}/trials/{row}_{col}.jsonl"
-        values, scored, last = record.values, record.scored or {}, record.epochs_run - 1
+        scored, last = record.scored or {}, record.epochs_run - 1
         data = "".join(
-            _trial_line_text(cell, i, values[2 * i], values[2 * i + 1], *scored.get(i, (None, None)),
+            _trial_line_text(cell, i, loss, norm, *scored.get(i, (None, None)),
                              record.status if i == last else STATUS_RUNNING) + "\n"
-            for i in range(last + 1)
+            for i, (loss, norm) in enumerate(record.values.tolist())
         ).encode()
         fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         try:

@@ -19,8 +19,17 @@ stacked passes over row slices of those stacks, bit for bit what each trial
 would compute alone, so the records do not depend on the shard count. A
 trial leaves its cohort when it ends, keeping no parameters, and its shard
 drops its runner then; the next step shrinks the stacks to the alive
-trials' rows. So only alive trials' state is held; the search keeps the
-record of each trial from the round it ends in, when its shard replies.
+trials' rows. So only alive trials' state is held.
+
+An epoch's train loss and norm live in float64 from the step to
+``records.json``. The stacked step writes them into its cohort's epoch log
+(``Cohort.log``, shape (epochs, trials, 2)); a trial that ends takes a
+float64 copy of its column into its ``TrialRecord``, and its shard replies
+with those records, pickled as float64 blocks by a forked one. From the
+round a trial ends in, the search keeps its record, and after the last
+round ``Records.of`` concatenates the blocks in cell order. The trial files
+are encoded from each block's ``tolist()``, one trial at a time, so no
+layer holds a Python float per trial-epoch.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads.
@@ -35,7 +44,7 @@ killed mid-search can leave empty trial files; no command reads them. The
 helper thread goes when ROADMAP item 18 deletes the trial files.
 
 ``execute_search`` returns ``records.Records``, built once after the last
-round from the trials' columnar ``TrialRecord``s in cell order
+round from the trials' ``TrialRecord``s in cell order
 (``Records.of``; ``records`` is imported only then, after the search's
 memory peak). Every file of a run is written through ``RunStore``:
 ``run_and_store`` has it write those columns to ``records.json``
@@ -89,11 +98,12 @@ class ShardTrials:
     ``run`` answers a command: ``None`` steps every live trial one epoch; a
     list of live cells finishes their trials as stopped early. The reply is
     the train loss of each trial stepped, ``None`` for one that diverged,
-    and the ``TrialRecord`` of each trial that ended, in cell order. It only
-    trains: it writes nothing and holds no store. ``send`` runs a command
-    and ``receive`` returns its reply, so the search drives this shard as it
-    drives a forked one's ``shards.Shard``. Once its last trial ends, it
-    holds no runner, and so nothing of its cohort.
+    and the ``TrialRecord`` of each trial that ended, its epochs a float64
+    block, in cell order. It only trains: it writes nothing and holds no
+    store. ``send`` runs a command and ``receive`` returns its reply, so the
+    search drives this shard as it drives a forked one's ``shards.Shard``.
+    Once its last trial ends, it holds no runner, and so nothing of its
+    cohort.
     """
 
     def __init__(self, cohort: Cohort):

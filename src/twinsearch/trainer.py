@@ -6,9 +6,15 @@ float64 vector; the L2 term enters the update as grad + wd * theta, and the
 logged train loss is the plain cross-entropy (mean of the epoch's batch
 means). The logged norm covers all trainable parameters, biases included.
 Val/test accuracy is not computed per epoch: a trial scores its last few
-finite epochs once, when it reaches a terminal status. A trial's
-``TrialRecord`` holds its epochs as columns from the first, two floats
-appended per epoch, so no per-epoch object is built, kept or pickled.
+finite epochs once, when it reaches a terminal status.
+
+An epoch's train loss and norm go from the stacked step straight into its
+cohort's epoch log, one float64 array of shape (epochs, trials, 2) indexed
+by the trial's fixed index; ``step_epoch`` reads them back as the two floats
+it checks. When a trial ends, its ``TrialRecord`` takes a (epochs_run, 2)
+float64 copy of its column, which a forked shard pickles to the search and
+``records.Records.of`` concatenates. No layer keeps a Python float per
+trial-epoch.
 
 The trials of one search form a ``Cohort``, built with all of them, which
 owns their parameters and steps them together in stacked passes of up to
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,23 +137,24 @@ class TrainerConfig:
 
 @dataclass(slots=True)
 class TrialRecord:
-    """One trial's log as columns; the source of the loss/norm matrices.
+    """One trial's log; the source of the loss/norm matrices.
 
-    ``values`` holds each epoch's train loss and norm in epoch order,
-    ``[loss_0, norm_0, loss_1, norm_1, ...]``: an epoch is its position.
-    ``scored`` maps each scored epoch to its ``(val, test)`` accuracies
-    (``None`` for a set the task lacks); it is made only when the trial is
-    scored, so an unscored trial holds no dict.
+    ``values`` is a float64 array of shape (epochs_run, 2): row ``i`` holds
+    epoch ``i``'s train loss and norm. A cohort's trial has none (None) while
+    it runs, as its epochs are its column of the cohort's log, and takes a
+    copy of that column when it ends. ``scored`` maps each scored epoch to
+    its ``(val, test)`` accuracies (``None`` for a set the task lacks); it is
+    made only when the trial is scored, so an unscored trial holds no dict.
     """
 
     cell: GridCell
-    values: list[float] = field(default_factory=list)
+    values: np.ndarray | None = None
     status: str = STATUS_RUNNING
     scored: dict[int, tuple[float | None, float | None]] | None = None
 
     @property
     def epochs_run(self) -> int:
-        return len(self.values) // 2
+        return len(self.values)
 
 
 def cosine_lr(lr0, t: int, epochs: int):
@@ -323,13 +330,17 @@ class Cohort:
     the epoch horizon ``epochs`` and ``metric_window``, the last finite
     epochs an ended trial scores, 0 on a task with nothing to score) and
     every live trial's state: theta and velocity as two (T, P) stacks and
-    lr0 and wd as (T, 1) columns, allocated once, one row per trial. It
-    makes each trial's ``TrialRunner``, which keeps its row index, its slot;
-    the live runners are ``members``, in slot order. An ended runner leaves
-    ``members`` at once, so it is not referenced from here, and keeps no
-    copy of its row. The next step compacts the rows away and shrinks each
-    array in place to the members' rows, so the stacks never hold more rows
-    than the trials still alive at the last step.
+    lr0 and wd as (T, 1) columns, allocated once, one row per trial. Its
+    ``log`` holds every epoch's train loss and norm, ``log[epoch, index]``,
+    one float64 array of shape (epochs, trials, 2) made once by ``np.empty``,
+    so its pages fill only as rounds write them. It makes each trial's
+    ``TrialRunner``, which keeps its fixed ``index`` into the log and its row
+    index, its slot; the live runners are ``members``, in slot order. An
+    ended runner leaves ``members`` at once, so it is not referenced from
+    here, and keeps no copy of its row. The next step compacts the rows
+    away and shrinks each array in place to the members' rows, so the
+    stacks never hold more rows than the trials still alive at the last
+    step; the log keeps every trial's column.
 
     The first ``TrialRunner.step_epoch`` call of a round (its trial is at
     ``epoch``) runs ``step``: one epoch for every member, on row slices of
@@ -339,9 +350,10 @@ class Cohort:
     gathered into the model's (T, B, D) buffer; each minibatch is one
     stacked forward/backward pass and one in-place momentum update with
     per-row lr and wd. After the last minibatch, the slice's norms are one
-    stacked (T, 1, P) @ (T, P, 1) product. Every call then reads its own
-    train loss and norm from the round's results. ``step`` refuses to run
-    while a member is behind, so each is at ``epoch`` or one before it.
+    stacked (T, 1, P) @ (T, P, 1) product, and the slice's losses and norms
+    go into the log, one assignment per column. Every call then reads its
+    own train loss and norm from the log. ``step`` refuses to run while a
+    member is behind, so each is at ``epoch`` or one before it.
     """
 
     def __init__(self, task: SyntheticTask, arch: ArchSpec, config: TrainerConfig, epochs: int,
@@ -360,25 +372,21 @@ class Cohort:
         self._lr0, self._wd = np.empty((n, 1)), np.empty((n, 1))
         self._lr0[:, 0] = [lr0 for _, lr0, _ in trials]
         self._wd[:, 0] = [wd for _, _, wd in trials]
-        self._losses, self._norms = [], []  # this round's train losses and norms, by slot
+        self.log = np.empty((epochs, n, 2))
         self.members: dict[TrialRunner, None] = {
             TrialRunner(self, slot, cell): None for slot, (cell, _, _) in enumerate(trials)
         }
 
-    def leave(self, runner: TrialRunner) -> None:
-        del self.members[runner]
-
     def step(self) -> None:
         """Run the next epoch for every live member; each then reads its results."""
         live = list(self.members)
-        behind = next((r for r in live if r.record.epochs_run != self.epoch), None)
+        behind = next((r for r in live if r.epochs_run != self.epoch), None)
         if behind is not None:
             raise RuntimeError(f"trial {behind.cell} stepped out of lockstep with its cohort")
         self._compact(live)
         n = len(live)
         # schedule_lr's operations on the whole column, so each row gets a lone trial's bits
         lr_t = schedule_lr(self.config.lr_schedule, self._lr0, self.epoch, self.epochs)
-        self._losses, self._norms = [], []
         for start in range(0, n, STACK_SLICE):
             rows = slice(start, min(start + STACK_SLICE, n))
             self._step_rows(rows, live[rows], lr_t[rows])
@@ -440,19 +448,22 @@ class Cohort:
             train_loss = np.stack(batch_losses, axis=1).sum(axis=1) / len(batch_losses)
             # np.linalg.norm's dot, one row at a time (a norm along axis 1 rounds differently)
             norms = np.sqrt(np.matmul(theta[:, None, :], theta[:, :, None]).reshape(-1))
-        self._losses += train_loss.tolist()
-        self._norms += norms.tolist()
+        log = self.log[self.epoch]
+        index = [r.index for r in runners]
+        log[index, 0] = train_loss
+        log[index, 1] = norms
 
 
 class TrialRunner:
-    """One trial: its cell, its random stream, its record and its slot in the cohort.
+    """One trial: its cell, its random stream, its record, its log index and its cohort slot.
 
     Its ``cohort`` makes it. Batch order and initialization derive from
     (init_seed, cell), so every trial is an independent, replayable stream.
-    Its theta, velocity, lr0 and wd are rows of the cohort's stacks (see
-    ``Cohort``). ``theta`` is a copy of its row while it is alive, so no
-    view can keep the cohort from shrinking the stacks; once the trial ends
-    it raises, since the trial keeps no parameters.
+    Its theta, velocity, lr0 and wd are rows of the cohort's stacks and its
+    epochs its column of the cohort's log (see ``Cohort``); its record takes
+    a copy of that column when it ends. ``theta`` is a copy of its row while
+    it is alive, so no view can keep the cohort from shrinking the stacks;
+    once the trial ends it raises, since the trial keeps no parameters.
 
     Val/test accuracy is computed when the trial reaches a terminal status
     (completed, diverged, or ``finish``), for its last
@@ -464,6 +475,8 @@ class TrialRunner:
 
     def __init__(self, cohort: Cohort, slot: int, cell: GridCell):
         self.cohort = cohort
+        self.index = slot  # its column of the cohort's log; the slot moves as rows compact
+        self.epochs_run = 0
         self.cell = cell
         seed = np.random.SeedSequence([cohort.config.init_seed, cell.row, cell.col])
         self.bit_generator = np.random.PCG64(seed)  # a Generator wraps it only where it draws
@@ -492,9 +505,11 @@ class TrialRunner:
             self._end(status)
 
     def _end(self, status: str) -> None:
-        """Set the terminal status, leave the cohort and score the kept epochs."""
+        """Set the terminal status, copy the log column to the record, leave the cohort and
+        score the kept epochs."""
         self.record.status = status
-        self.cohort.leave(self)
+        self.record.values = self.cohort.log[: self.epochs_run, self.index].copy()
+        del self.cohort.members[self]
         if self._recent:
             task, model = self.cohort.task, self.cohort.model
             with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
@@ -508,8 +523,8 @@ class TrialRunner:
         self._recent = None
 
     def step_epoch(self) -> float:
-        """Run one epoch: append its train loss and norm to the record, flag divergence on
-        a non-finite one, and return the train loss.
+        """Run one epoch: read its train loss and norm from the cohort's log, flag divergence
+        on a non-finite one, and return the train loss.
 
         The first call of a round steps the whole cohort; every call reads
         its own results. The trial is scored at the epoch that ends it; see
@@ -517,13 +532,11 @@ class TrialRunner:
         """
         if self.done:
             raise RuntimeError(f"trial {self.cell} already finished ({self.record.status})")
-        values = self.record.values
-        epoch = len(values) // 2
+        epoch = self.epochs_run
         if epoch == self.cohort.epoch:
             self.cohort.step()
-        train_loss, norm = self.cohort._losses[self._slot], self.cohort._norms[self._slot]
-        values.append(train_loss)
-        values.append(norm)
+        train_loss, norm = self.cohort.log[epoch, self.index].tolist()
+        self.epochs_run = epoch + 1
         if not (math.isfinite(train_loss) and math.isfinite(norm)):
             self._end(STATUS_DIVERGED)
         else:

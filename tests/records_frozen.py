@@ -3,7 +3,7 @@
 when a stored run loaded as one trial record per cell and one per-epoch
 tuple per epoch, written out once and not changed since. ``Epoch`` is that
 tuple and ``TrialLog`` that record, kept here on the test side: the package
-holds a trial's epochs as columns (``trainer.TrialRecord``).
+holds a trial's epochs as one float64 block (``trainer.TrialRecord``).
 
 The package builds the same matrices from ``records.Records`` columns. The
 tests hold the columnar versions to these bit for bit, and read a
@@ -60,18 +60,18 @@ def trial_record(cell: GridCell, epochs: Iterable[tuple] = (), status: str = STA
     accuracy not ``None`` is scored."""
     values, scored = [], {}
     for i, (loss, norm, *metrics) in enumerate(epochs):
-        values += (loss, norm)
+        values.append((loss, norm))
         val, test = (*metrics, None, None)[:2]
         if val is not None or test is not None:
             scored[i] = (val, test)
-    return TrialRecord(cell, values, status, scored or None)
+    return TrialRecord(cell, np.array(values, dtype=np.float64).reshape(-1, 2), status, scored or None)
 
 
 def trial_log(record: TrialRecord) -> TrialLog:
     """``record`` as one ``Epoch`` per epoch; an epoch it did not score has ``None`` accuracies."""
-    values, scored = record.values, record.scored or {}
-    epochs = [Epoch(i, values[2 * i], values[2 * i + 1], *scored.get(i, (None, None)))
-              for i in range(record.epochs_run)]
+    scored = record.scored or {}
+    epochs = [Epoch(i, loss, norm, *scored.get(i, (None, None)))
+              for i, (loss, norm) in enumerate(record.values.tolist())]
     return TrialLog(record.cell, epochs, record.status)
 
 

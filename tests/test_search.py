@@ -29,7 +29,7 @@ from twinsearch.matrices import LAST_K, build_metric_surfaces, metric_window
 from twinsearch.records import Records
 from twinsearch.runstore import RunStore, RunStoreError
 from twinsearch.scheduler import Schedule, SchedulerPolicy, rung_levels
-from twinsearch import trainer
+from twinsearch import search, trainer
 from twinsearch.search import execute_search
 from twinsearch.tasks import TaskSpec
 from twinsearch.trainer import (
@@ -80,7 +80,7 @@ def eager_records(records, grid, task, policy):
         epochs = []
         for epoch in range(rec.epochs_run):
             runner.step_epoch()
-            entry = Epoch(epoch, *runner.record.values[-2:])
+            entry = Epoch(epoch, *cohort.log[epoch, runner.index].tolist())
             val = test = None
             if _finite(entry):
                 # the lone trial's row: an ended runner keeps no theta, but
@@ -544,6 +544,47 @@ def test_the_records_of_a_search_cost_at_most_80_bytes_per_trial_epoch():
     trial_epochs = int(records.epochs_run.sum())
     assert trial_epochs == grid.n_trials * policy.epoch_budget  # no trial diverged
     assert held / trial_epochs <= RECORD_BYTES_PER_TRIAL_EPOCH, held / trial_epochs
+
+
+# How much the traced peak of a search's own process grows per trial-epoch: an 8x8 FIFO grid at
+# 80 epochs against 20 (3,840 trial-epochs more). With one float64 epoch log per cohort and an
+# ended trial's record a float64 copy of its column, it grew 28.6 B in one process and 24.7 B
+# with a forked child (CPython 3.11, numpy 2.4); with two Python floats a trial-epoch in the
+# records and their copy into ``Records``, 78.2 and 75.8 B.
+PEAK_BYTES_PER_TRIAL_EPOCH = 40
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_peak_of_a_search_grows_at_most_40_bytes_per_trial_epoch(monkeypatch, jobs):
+    grid = build_log_grid(1e-3, 1e-2, 8, 1e-4, 1e-3, 8)
+    task = TASK_SPEC.make()
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    # two shards of 32 cells each at jobs=2, so the search's process holds what a child replies
+    monkeypatch.setattr(search, "STACK_SLICE", 32)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    execute_search(grid, SchedulerPolicy("fifo", 2), task, ARCH, CONFIG, jobs=jobs)  # imports and warms
+
+    def peak(epochs):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            records = execute_search(grid, SchedulerPolicy("fifo", epochs), task, ARCH, CONFIG, jobs=jobs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert int(records.epochs_run.sum()) == grid.n_trials * epochs  # no trial diverged
+        return peak
+
+    growth = (peak(80) - peak(20)) / (grid.n_trials * 60)
+    assert len(forks) == 3 * (jobs - 1)
+    assert growth <= PEAK_BYTES_PER_TRIAL_EPOCH, growth
 
 
 def _stored_search(tmp_path, policy, grid):

@@ -11,6 +11,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pickle
 import signal
@@ -18,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twinsearch import search
@@ -182,7 +184,7 @@ def test_a_child_killed_mid_search_fails_the_run_with_a_pipeline_error(tmp_path,
 
 @pytest.mark.parametrize("cut", [0, 1, 40, -1])
 def test_a_reply_cut_off_within_its_pickle_is_a_lost_shard(cut):
-    record = TrialRecord(cell=(0, 1), status="diverged")
+    record = TrialRecord(cell=(0, 1), values=np.array([[1.5, 2.0], [math.inf, math.nan]]), status="diverged")
     whole = pickle.dumps((True, ([0.5, None], [record])), pickle.HIGHEST_PROTOCOL)
     shard = Shard(1, 99, io.BytesIO(), io.BytesIO(whole[:cut]), [(0, 1), (0, 3)])
     with pytest.raises(ShardLostError, match=r"^search shard 1 \(pid 99\) exited without a reply$"):
