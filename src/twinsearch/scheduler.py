@@ -9,7 +9,8 @@ The driver advances every alive trial by one epoch per lockstep round and
 then calls ``Schedule.decide`` once with the round's outcome: each alive
 trial's train loss, or ``None`` for a trial that diverged in the round.
 Rungs are synchronous, so a rung resolves within its round, over every
-trial that reported a loss there.
+trial that reported a loss there; ``decide`` returns the cells it stopped,
+which the driver finishes before it steps the next round.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class Schedule:
     def alive_count(self) -> int:
         return self.n_trials - len(self._stopped)
 
-    def is_alive(self, cell: GridCell) -> bool:
-        return cell not in self._stopped
-
     def _stop(self, cell: GridCell, epoch: int, rung: int | None) -> None:
         self._stopped.add(cell)
         self._log(cell, epoch, "stop", rung)
@@ -104,13 +102,16 @@ class Schedule:
             {"row": cell.row, "col": cell.col, "epoch": epoch, "decision": decision, "rung": rung}
         )
 
-    def decide(self, epoch: int, losses: Mapping[GridCell, float | None]) -> None:
-        """Apply one lockstep round: every alive trial has completed ``epoch`` epochs.
+    def decide(self, epoch: int, losses: Mapping[GridCell, float | None]) -> list[GridCell]:
+        """Apply one lockstep round, in which every alive trial completed ``epoch`` epochs, and
+        return the cells that the round's rung stopped, in rank order: ``[]`` with no rung.
 
         ``losses`` maps each alive cell, in cell order, to its train loss, or
         to ``None`` if it diverged this round. Divergences and budget stops
         are logged first, in cell order; then the rung at ``epoch``, if any,
         resolves over the cells that reported a loss, logged in rank order.
+        A trial that diverged or reached the budget has ended already, so
+        only the rung's stops are returned: the trials still to be finished.
         """
         stopped = [cell for cell in losses if cell in self._stopped]
         if stopped:
@@ -126,9 +127,10 @@ class Schedule:
             else:
                 reported[cell] = loss
         if reported and not self.halving_ceased and epoch in self.levels:
-            self._resolve_rung(epoch, reported)
+            return self._resolve_rung(epoch, reported)
+        return []
 
-    def _resolve_rung(self, level: int, losses: dict[GridCell, float]) -> None:
+    def _resolve_rung(self, level: int, losses: dict[GridCell, float]) -> list[GridCell]:
         ranked = sorted(
             losses,
             # NaN losses rank worst; ties break on (row, col)
@@ -146,3 +148,4 @@ class Schedule:
                 self._log(cell, level, "continue", level)
             else:
                 self._stop(cell, level, level)
+        return ranked[n_promote:]

@@ -7,19 +7,22 @@ resolve within the round and each trial line carries the status its epoch
 ended with. The trials are split into ``shard_count(jobs, ...)`` shards,
 interleaved by cell index: at most one per CPU this process may use and one
 per ``STACK_SLICE`` trials, and one where the process cannot fork or runs
-other threads. Every shard is a ``ShardTrials``, the one code path that steps
-and stops trials: shard 0 in this process, every other one in a forked
-child (``twinsearch.shards``, imported only when a search forks), and the
-search sends each the same commands, a step and then a stop, and reads the
-same replies. Each shard's ``Cohort`` holds the task, the model, the
-``TrainerConfig``, the epoch horizon (the scheduler's budget, the one epoch
-budget of the search) and every alive trial of its shard's parameters,
-velocity, lr0 and wd as rows of its stacks. A round's epoch is computed as
-stacked passes over row slices of those stacks, bit for bit what each trial
-would compute alone, so the records do not depend on the shard count. A
-trial leaves its cohort when it ends, keeping no parameters, and its shard
-drops its runner then; the next step shrinks the stacks to the alive
-trials' rows. So only alive trials' state is held.
+other threads. Every shard is a ``ShardTrials``, the one code path that stops
+and steps trials: shard 0 in this process, every other one in a forked
+child (``twinsearch.shards``, imported only when a search forks). Each
+round the search sends every shard one command, the same list: the cells
+that the last round's rung stopped, usually none. A shard finishes those it
+holds, steps its live trials and replies with their losses and the records
+that ended. Only the schedule and each cohort know which trials are alive;
+a shard's ``cells`` are fixed. Each shard's ``Cohort`` holds the task, the
+model, the ``TrainerConfig``, the epoch horizon (the scheduler's budget,
+the one epoch budget of the search) and every alive trial of its shard's
+parameters, velocity, lr0 and wd as rows of its stacks. A round's epoch is
+computed as stacked passes over row slices of those stacks, bit for bit
+what each trial would compute alone, so the records do not depend on the
+shard count. A trial leaves its cohort's ``members``, its shard's live
+runners, when it ends, keeping no parameters; the next step shrinks the
+stacks to the alive trials' rows. So only alive trials' state is held.
 
 An epoch's train loss and norm live in float64 from the step to
 ``records.json``. The stacked step writes them into its cohort's epoch log
@@ -93,41 +96,41 @@ class ShardLostError(RuntimeError):
 
 
 class ShardTrials:
-    """One shard's trials: the live runners of its ``cohort`` and their ``cells``, in cell order.
+    """One shard's trials: the live runners, its cohort's ``members``, and its ``cells``, fixed.
 
-    ``run`` answers a command: ``None`` steps every live trial one epoch; a
-    list of live cells finishes their trials as stopped early. The reply is
-    the train loss of each trial stepped, ``None`` for one that diverged,
-    and the ``TrialRecord`` of each trial that ended, its epochs a float64
-    block, in cell order. It only trains: it writes nothing and holds no
+    ``cells`` are the shard's cells in cell order, so ``cells[runner.index]``
+    is each runner's cell. ``run`` answers a command, the cells the last
+    rung stopped (usually none): it finishes those of them it holds as
+    stopped early, then steps every live trial one epoch. The reply maps
+    each stepped trial's ``runner.index`` to its train loss, ``None`` if it
+    diverged, and lists the ``TrialRecord`` of each trial that ended, its
+    epochs a float64 block. It only trains: it writes nothing and holds no
     store. ``send`` runs a command and ``receive`` returns its reply, so the
     search drives this shard as it drives a forked one's ``shards.Shard``.
-    Once its last trial ends, it holds no runner, and so nothing of its
-    cohort.
+    It holds the cohort's ``members``, not the cohort, so once its last
+    trial ends it holds nothing of its cohort.
     """
 
     def __init__(self, cohort: Cohort):
-        self._alive = list(cohort.members)
-        self.cells = [runner.cell for runner in self._alive]
+        self._members = cohort.members
+        self.cells = [runner.cell for runner in cohort.members]
 
-    def run(self, stopping: list[GridCell] | None) -> tuple[list[float | None], list[TrialRecord]]:
-        losses = []
-        stop = set(stopping or ())
-        for runner in self._alive:
-            if stopping is None:
-                loss = runner.step_epoch()
-                losses.append(None if runner.record.status == STATUS_DIVERGED else loss)
-            elif runner.cell in stop:
+    def run(self, stopping: list[GridCell]) -> tuple[dict[int, float | None], list[TrialRecord]]:
+        runners = list(self._members)
+        stop = set(stopping)
+        for runner in runners:
+            if runner.cell in stop:
                 runner.finish(STATUS_STOPPED_EARLY)
-        ended = [runner.record for runner in self._alive if runner.done]
-        self._alive = [runner for runner in self._alive if not runner.done]
-        self.cells = [runner.cell for runner in self._alive]
-        return losses, ended
+        losses = {}
+        for runner in list(self._members):
+            loss = runner.step_epoch()
+            losses[runner.index] = None if runner.record.status == STATUS_DIVERGED else loss
+        return losses, [runner.record for runner in runners if runner.done]
 
-    def send(self, command: list[GridCell] | None) -> None:
+    def send(self, command: list[GridCell]) -> None:
         self._reply = self.run(command)
 
-    def receive(self) -> tuple[list[float | None], list[TrialRecord]]:
+    def receive(self) -> tuple[dict[int, float | None], list[TrialRecord]]:
         return self._reply
 
 
@@ -164,11 +167,15 @@ def execute_search(
     shard 0 in this process, every other one in a child forked before the
     helper thread starts (``twinsearch.shards``). A process that cannot
     fork, or that runs other threads, whose held locks a fork would copy
-    without them, trains every trial itself. A round is two exchanges with
-    the shards, each sending every command, this process's own last, before
-    it reads any reply: every shard steps its trials one epoch; then
-    ``Schedule.decide`` takes the round's train losses in cell order, and
-    each shard with trials it stopped finishes them. The records, files and
+    without them, trains every trial itself. A round is one exchange with
+    the shards, which sends every command, this process's own last, before
+    it reads any reply. The command is the cells that the last
+    ``Schedule.decide`` stopped at a rung, the same for every shard: each
+    shard finishes those it holds, then steps its live trials one epoch.
+    ``decide`` then takes the round's train losses in cell order and returns
+    the next command. Rounds run while the schedule has a trial alive; no
+    stop is left then, since a rung promotes at least one trial and every
+    trial at the budget completes on its own. The records, files and
     decisions are the same at any ``jobs``. No child outlives the search,
     however it ends.
 
@@ -210,14 +217,17 @@ def execute_search(
             shards = [*children, make_shard(cells[::k])]
             schedule = Schedule(policy, grid.n_trials)
             records: dict[GridCell, TrialRecord] = dict.fromkeys(cells)
-            epoch = 0
-            while any(s.cells for s in shards):
+            epoch, stopped = 0, []
+            while schedule.alive_count:
                 epoch += 1
-                losses, ended = _exchange(shards, [None] * len(shards))
-                schedule.decide(epoch, dict(sorted(losses.items())))
-                stops = [[cell for cell in s.cells if not schedule.is_alive(cell)] for s in shards]
-                ended += _exchange(shards, stops)[1]
-                records.update((record.cell, record) for record in ended)
+                for shard in shards:
+                    shard.send(stopped)
+                losses = {}
+                for shard in shards:
+                    reply, ended = shard.receive()
+                    losses.update((shard.cells[index], loss) for index, loss in reply.items())
+                    records.update((record.cell, record) for record in ended)
+                stopped = schedule.decide(epoch, dict(sorted(losses.items())))
         finally:
             if helper:
                 helper.join()
@@ -231,22 +241,6 @@ def execute_search(
     from .records import Records
 
     return Records.of(list(records.values()))
-
-
-def _exchange(shards: list, commands: list) -> tuple[dict, list[TrialRecord]]:
-    """Send each shard its command, a step (None) or the cells to stop (none if there are
-    none), then read every reply: the train losses by cell and the records that ended."""
-    sent = []
-    for shard, command in zip(shards, commands):
-        if command is None or command:
-            sent.append((shard, shard.cells))  # the cells the reply's losses are of
-            shard.send(command)
-    losses, ended = {}, []
-    for shard, cells in sent:
-        values, records = shard.receive()
-        losses.update(zip(cells, values))
-        ended += records
-    return losses, ended
 
 
 def slice_records(records, grid: HyperGrid, lr_stride: int, wd_stride: int):

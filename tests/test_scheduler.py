@@ -20,6 +20,11 @@ def cells_grid(n_rows, n_cols):
     return [GridCell(r, c) for r in range(n_rows) for c in range(n_cols)]
 
 
+def logged_stops(schedule, since):
+    """The cells that ``schedule`` logged as stopped from entry ``since`` of its log on."""
+    return [GridCell(d["row"], d["col"]) for d in schedule.decision_log[since:] if d["decision"] == "stop"]
+
+
 def drive_lockstep(policy, cells, losses_at):
     """Advance all trials one epoch per round and hand each round to the
     scheduler; returns the schedule plus per-cell epochs consumed.
@@ -31,15 +36,20 @@ def drive_lockstep(policy, cells, losses_at):
     epochs_run = {cell: 0 for cell in cells}
     alive_after_rung = []
     epoch = 0
-    while alive:
+    while schedule.alive_count:
         epoch += 1
         for cell in alive:
             epochs_run[cell] += 1
-        schedule.decide(epoch, {cell: losses_at(cell, epoch) for cell in alive})
-        survivors = [c for c in alive if schedule.is_alive(c)]
+        logged = len(schedule.decision_log)
+        rung_stops = schedule.decide(epoch, {cell: losses_at(cell, epoch) for cell in alive})
+        ended = set(logged_stops(schedule, logged))
+        assert ended >= set(rung_stops)
+        survivors = [c for c in alive if c not in ended]
+        assert len(survivors) == schedule.alive_count
         if epoch in schedule.levels:
             alive_after_rung.append(len(survivors))
         alive = survivors
+    assert alive == []
     return schedule, epochs_run, alive_after_rung
 
 
@@ -104,10 +114,10 @@ class TestFifo:
     def test_continue_until_budget(self):
         schedule = Schedule(SchedulerPolicy("fifo", 100), 1)
         cell = GridCell(0, 0)
-        schedule.decide(50, {cell: 1.0})
-        assert schedule.is_alive(cell)
-        schedule.decide(100, {cell: 0.5})
-        assert not schedule.is_alive(cell)
+        assert schedule.decide(50, {cell: 1.0}) == []
+        assert schedule.alive_count == 1 and schedule.decision_log == []
+        assert schedule.decide(100, {cell: 0.5}) == []  # a budget stop ends the trial itself
+        assert schedule.alive_count == 0
         assert schedule.decision_log == [log_entry(cell, 100, "stop")]
 
     def test_alive_fraction_stays_one_before_budget(self):
@@ -136,7 +146,7 @@ class TestFifo:
         cell = GridCell(0, 0)
         with pytest.raises(ScheduleError, match="beyond budget"):
             schedule.decide(3, {cell: 1.0})
-        assert schedule.is_alive(cell) and schedule.decision_log == []
+        assert schedule.alive_count == 1 and schedule.decision_log == []
 
     def test_round_must_report_every_alive_trial(self):
         schedule = Schedule(SchedulerPolicy("hb", 40, stop_fraction=0.5), 3)
@@ -195,17 +205,24 @@ class TestHalving:
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.5, grace_fraction=0.05)
         schedule = Schedule(policy, 4)
         nan_cell = GridCell(0, 0)
-        schedule.decide(2, {cell: math.nan if cell == nan_cell else 0.5 for cell in cells})
-        assert not schedule.is_alive(nan_cell)
+        stopped = schedule.decide(2, {cell: math.nan if cell == nan_cell else 0.5 for cell in cells})
+        # rank order: the tied 0.5 losses by cell, then the NaN
+        assert stopped == [GridCell(1, 1), nan_cell]
+        assert schedule.alive_count == 2
 
     def test_divergence_in_a_rung_round_resolves_the_rung_without_it(self):
         # cap = ceil(0.3 * 3) = 1, so the two survivors still halve 2 -> 1
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.3, grace_fraction=0.05)
         schedule = Schedule(policy, 3)
-        schedule.decide(2, {GridCell(0, 0): 0.3, GridCell(0, 1): 0.4, GridCell(0, 2): None})
-        assert schedule.is_alive(GridCell(0, 0))
-        assert not schedule.is_alive(GridCell(0, 1))
-        assert not schedule.is_alive(GridCell(0, 2))
+        stopped = schedule.decide(2, {GridCell(0, 0): 0.3, GridCell(0, 1): 0.4, GridCell(0, 2): None})
+        # the diverged trial ended itself: only the rung's stop is returned
+        assert stopped == [GridCell(0, 1)]
+        assert schedule.alive_count == 1
+        assert schedule.decision_log == [
+            log_entry(GridCell(0, 2), 2, "stop"),
+            log_entry(GridCell(0, 0), 2, "continue", 2),
+            log_entry(GridCell(0, 1), 2, "stop", 2),
+        ]
 
     def test_round_logs_stops_in_cell_order_then_rung_in_rank_order(self):
         # cap = ceil(0.25 * 6) = 2; the four reporters halve to 2, which ends halving
@@ -213,7 +230,7 @@ class TestHalving:
         schedule = Schedule(policy, 6)
         c = cells_grid(2, 3)
         losses = {c[0]: 0.9, c[1]: None, c[2]: 0.1, c[3]: 0.5, c[4]: 0.3, c[5]: None}
-        schedule.decide(2, losses)
+        assert schedule.decide(2, losses) == [c[3], c[0]]
         assert schedule.decision_log == [
             log_entry(c[1], 2, "stop"),
             log_entry(c[5], 2, "stop"),
@@ -223,16 +240,18 @@ class TestHalving:
             log_entry(c[0], 2, "stop", 2),
         ]
         assert schedule.halving_ceased
-        assert [cell for cell in c if schedule.is_alive(cell)] == [c[2], c[4]]
+        assert schedule.alive_count == 2
 
     def test_alive_fraction_tracks_halving(self):
         cells = cells_grid(10, 10)
         policy = SchedulerPolicy("hb", 100, stop_fraction=0.25)
         schedule = Schedule(policy, 100)
         assert schedule.alive_count / schedule.n_trials == 1.0
+        alive = cells
         for epoch in range(1, 11):
-            alive = [cell for cell in cells if schedule.is_alive(cell)]
-            schedule.decide(epoch, {cell: cell.row + cell.col / 10 for cell in alive})
+            stopped = set(schedule.decide(epoch, {cell: cell.row + cell.col / 10 for cell in alive}))
+            alive = [cell for cell in alive if cell not in stopped]
+            assert len(alive) == schedule.alive_count
             if epoch == 5:
                 assert schedule.alive_count / schedule.n_trials == 0.5
         assert schedule.alive_count / schedule.n_trials == 0.25
@@ -320,18 +339,27 @@ class TestFrozenReference:
         frozen = FrozenSchedule(policy, len(cells))
         alive = list(cells)
         epoch = 0
-        while alive:
+        while schedule.alive_count:
             epoch += 1
             round_losses = {
                 cell: None if diverged[cell] == epoch else losses[cell][epoch % 3] for cell in alive
             }
+            logged = len(frozen.decision_log)
             for cell, loss in round_losses.items():
                 if loss is None:
                     frozen.mark_diverged(cell, epoch)
                 else:
                     frozen.decide(cell, epoch, loss)
-            schedule.decide(epoch, round_losses)
+            stopped = schedule.decide(epoch, round_losses)
             assert schedule.decision_log == frozen.decision_log
-            assert [c for c in cells if schedule.is_alive(c)] == [c for c in cells if frozen.is_alive(c)]
-            alive = [c for c in alive if schedule.is_alive(c)]
-        assert epoch <= policy.epoch_budget
+            # the cells the frozen schedule stopped at this round's rung, in log order; [] without one
+            assert stopped == [
+                GridCell(d["row"], d["col"])
+                for d in frozen.decision_log[logged:]
+                if d["decision"] == "stop" and d["rung"] == epoch
+            ]
+            ended = set(logged_stops(schedule, logged))
+            alive = [c for c in alive if c not in ended]
+            assert alive == [c for c in cells if frozen.is_alive(c)]
+            assert schedule.alive_count == len(alive)
+        assert alive == [] and epoch <= policy.epoch_budget

@@ -24,11 +24,13 @@ import pytest
 
 from twinsearch import search
 from twinsearch.cli import main
+from twinsearch.grid import GridCell
 from twinsearch.runstore import RunStore
 from twinsearch.scheduler import Schedule
-from twinsearch.search import ShardLostError, shard_count
+from twinsearch.search import ShardLostError, ShardTrials, shard_count
 from twinsearch.shards import Shard
-from twinsearch.trainer import STACK_SLICE, Cohort, TrialRecord
+from twinsearch.tasks import TaskSpec
+from twinsearch.trainer import STACK_SLICE, ArchSpec, Cohort, TrainerConfig, TrialRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("parity", ROOT / "scripts" / "parity.py")
@@ -118,6 +120,57 @@ def test_every_file_of_a_run_is_the_same_at_one_two_and_three_shards(tmp_path, m
         rungs = {d["epoch"] for d in decisions if d["rung"] is not None}
         diverged = {d["epoch"] for d in decisions if d["rung"] is None and d["epoch"] < 20}
         assert rungs & diverged
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_shard_gets_one_command_a_round(tmp_path, monkeypatch, forks, jobs):
+    # the HB run stops 57 trials at its first rung; every shard still gets one command a round
+    rounds, sent = [], []
+    decide, init = Schedule.decide, ShardTrials.__init__
+    local_send, forked_send = ShardTrials.send, Shard.send
+
+    def counting_decide(self, epoch, losses):
+        rounds.append(epoch)
+        return decide(self, epoch, losses)
+
+    def checked_init(self, cohort):  # runs in every shard's process, a forked child's too
+        init(self, cohort)
+        assert all(self.cells[runner.index] == runner.cell for runner in cohort.members)
+
+    def counting(send):
+        def sending(self, command):
+            sent.append((self, list(self.cells)))
+            return send(self, command)
+
+        return sending
+
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(Schedule, "decide", counting_decide)
+    monkeypatch.setattr(ShardTrials, "__init__", checked_init)
+    monkeypatch.setattr(ShardTrials, "send", counting(local_send))
+    monkeypatch.setattr(Shard, "send", counting(forked_send))
+    with no_unwinding_child(tmp_path):
+        assert run(tmp_path, HB, jobs) == (0, "")
+    assert '"stopped_early"' in (tmp_path / "r" / "records.json").read_text()
+    assert len(forks) == jobs - 1
+    assert len(sent) == len(rounds) * jobs and rounds == list(range(1, 21))
+    cells = [GridCell(row, col) for row in range(11) for col in range(12)]
+    for shard, shard_cells in sent:  # every shard's cells, in cell order, every round
+        assert shard_cells == cells[shard.index if isinstance(shard, Shard) else 0 :: jobs]
+
+
+def test_a_shard_ignores_a_stop_of_another_shards_cell():
+    task = TaskSpec(seed=0, n_train=40, n_val=0, n_test=0, input_dim=4, n_classes=3).make()
+    held, other = [GridCell(0, 0), GridCell(0, 2)], GridCell(0, 1)
+    trials = [(cell, 1e-2, 1e-4) for cell in held]
+    shard = ShardTrials(Cohort(task, ArchSpec((8,)), TrainerConfig(batch_size=4), 5, 0, trials))
+    losses, ended = shard.run([other])
+    assert list(losses) == [0, 1] and ended == []
+    losses, ended = shard.run([other, held[1]])
+    assert list(losses) == [0] and [(r.cell, r.status, r.epochs_run) for r in ended] == [
+        (held[1], "stopped_early", 1)
+    ]
+    assert shard.cells == held
 
 
 def test_a_failing_child_fails_the_run_with_its_error(tmp_path, monkeypatch, forks):
