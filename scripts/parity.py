@@ -67,6 +67,9 @@ RECIPES: dict[str, tuple[list[str], list[list[str]]]] = {
          "--n-val", "0", "--n-test", "0"],
         [],
     ),
+    # HB whose halving runs through every rung before the budget: at stop fraction 0.05 the
+    # default 100 trials halve at epochs 3, 6, 12, 24 and 48, so a search decides six times.
+    "hb-ladder": (["--scheduler", "hb", "--stop-fraction", "0.05"], EVAL_OPS),
     "reselect-40": (
         ["--n-lr", "40", "--n-wd", "40", "--epochs", "6", "--n-test", "200"],
         [["select", RUN_ID]],

@@ -54,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .runstore import _STATUS_TEXT, RunStoreError, _decode_float, encode_json
+from .runstore import _STATUS_TEXT, RunStoreError, _decode_float, _float_list
 from .trainer import TrialRecord
 
 # the arrays of a line after the first: one value per trial, and one per epoch of its trials
@@ -129,21 +129,17 @@ class Records:
         )
 
 
-def _accuracies(values: np.ndarray) -> list:
-    """``values`` as JSON-ready floats, NaN (not scored) as null."""
-    return [None if v != v else v for v in values.tolist()]
-
-
 def _line(records: Records, a: int, b: int, bounds: list[int]) -> str:
-    """The line of trials ``a`` to ``b`` of ``records``, whose epochs begin at ``bounds``."""
+    """The line of trials ``a`` to ``b`` of ``records``, whose epochs begin at ``bounds``:
+    ``encode_json(..., line=True)`` of its arrays."""
     lo, hi = bounds[a], bounds[b]
     arrays = (
         records.row[a:b].tolist(), records.col[a:b].tolist(),
         [STATUSES[s] for s in records.status[a:b].tolist()], records.epochs_run[a:b].tolist(),
-        records.train_loss[lo:hi].tolist(), records.param_norm[lo:hi].tolist(),
-        _accuracies(records.val_acc[lo:hi]), _accuracies(records.test_acc[lo:hi]),
+        _float_list(records.train_loss[lo:hi]), _float_list(records.param_norm[lo:hi]),
+        _float_list(records.val_acc[lo:hi], nulls=True), _float_list(records.test_acc[lo:hi], nulls=True),
     )
-    return encode_json(dict(zip(_PER_TRIAL + _PER_EPOCH, arrays)), line=True) + "\n"
+    return json.dumps(dict(zip(_PER_TRIAL + _PER_EPOCH, arrays)), separators=(",", ":")) + "\n"
 
 
 def records_lines(records: Records) -> list[bytes]:

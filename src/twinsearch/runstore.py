@@ -126,6 +126,20 @@ def _encode(obj):
     return "NaN" if obj != obj else _INF_TEXT.get(obj, obj)
 
 
+def _float_list(values, nulls: bool = False) -> list:
+    """A float64 array's values as ``_encode`` gives them, each NaN as null if ``nulls``: a list
+    that the C encoder takes as it is, walked value by value only if a non-finite value is left."""
+    import numpy as np
+
+    if nulls:
+        unscored = np.isnan(values)
+        floats = np.where(unscored, None, values).tolist()
+        values = values[~unscored]
+    else:
+        floats = values.tolist()
+    return floats if np.isfinite(values).all() else _encode(floats)
+
+
 def _document(obj) -> str:
     """``json.dumps(obj, indent=2)`` of ``_encode``'s output: a list of scalars is one C
     ``json.dumps``; items are indented by replacing newlines (JSON strings hold none)."""

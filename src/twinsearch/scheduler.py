@@ -5,12 +5,16 @@ eta) and prunes at each rung until at most ceil(stop_fraction * n_trials)
 trials remain alive; the survivors then run to the full epoch budget with no
 further stopping.
 
-The driver advances every alive trial by one epoch per lockstep round and
-then calls ``Schedule.decide`` once with the round's outcome: each alive
-trial's train loss, or ``None`` for a trial that diverged in the round.
-Rungs are synchronous, so a rung resolves within its round, over every
-trial that reported a loss there; ``decide`` returns the cells it stopped,
-which the driver finishes before it steps the next round.
+The driver trains every alive trial in segments that end where the schedule
+can next stop one: ``Schedule.next_decision`` gives that epoch, the next
+rung level while halving runs, else the budget. At each segment's end it
+calls ``Schedule.decide`` once with the segment's outcome: the train loss
+at that epoch of each trial that reached it, and the epoch of each trial
+that diverged within the segment. Rungs are synchronous and fall only on
+segment ends, so a rung resolves within its call, over every trial that
+reported a loss there; ``decide`` returns the cells it stopped, which the
+driver finishes before it trains the next segment. The decision log is the
+one that a call per epoch would write.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ __all__ = [
 
 
 class ScheduleError(RuntimeError):
-    """Contract violation: a round that does not match the alive set or the budget."""
+    """Contract violation: a segment that does not match the alive set or the budget."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,7 @@ class Schedule:
             math.ceil(policy.stop_fraction * n_trials) if policy.kind == "hb" else n_trials
         )
         self.halving_ceased = policy.kind == "fifo"
+        self.epoch = 0  # the epoch of the last decision
         self._stopped: set[GridCell] = set()
         self.decision_log: list[dict] = []
 
@@ -102,35 +107,60 @@ class Schedule:
             {"row": cell.row, "col": cell.col, "epoch": epoch, "decision": decision, "rung": rung}
         )
 
-    def decide(self, epoch: int, losses: Mapping[GridCell, float | None]) -> list[GridCell]:
-        """Apply one lockstep round, in which every alive trial completed ``epoch`` epochs, and
-        return the cells that the round's rung stopped, in rank order: ``[]`` with no rung.
+    def next_decision(self, epoch: int) -> int:
+        """The epoch after ``epoch`` at which the schedule can next stop a trial: the next rung
+        level while halving runs, else the budget."""
+        budget = self.policy.epoch_budget
+        if self.halving_ceased:
+            return budget
+        return next((level for level in self.levels if level > epoch), budget)
 
-        ``losses`` maps each alive cell, in cell order, to its train loss, or
-        to ``None`` if it diverged this round. Divergences and budget stops
-        are logged first, in cell order; then the rung at ``epoch``, if any,
-        resolves over the cells that reported a loss, logged in rank order.
-        A trial that diverged or reached the budget has ended already, so
-        only the rung's stops are returned: the trials still to be finished.
+    def decide(
+        self, epoch: int, losses: Mapping[GridCell, float], diverged: Mapping[GridCell, int]
+    ) -> list[GridCell]:
+        """Apply one segment, which ends at ``epoch``, after the last decision's epoch and by its
+        ``next_decision``, and return the cells that its rung stopped, in rank order: ``[]``
+        with no rung.
+
+        ``losses`` maps each cell that completed ``epoch`` epochs to its train
+        loss then; ``diverged`` maps each cell that diverged since the last
+        decision to the epoch it diverged in. Together they are the alive set,
+        in any order. Each epoch's divergences are logged in cell order at
+        that epoch; at the budget, those of the budget epoch are logged with
+        the completed trials, in cell order. Then the rung at ``epoch``, if
+        any, resolves over ``losses``, logged in rank order. A trial that
+        diverged or reached the budget has ended already, so only the rung's
+        stops are returned: the trials still to be finished.
         """
-        stopped = [cell for cell in losses if cell in self._stopped]
+        reported = [*losses, *diverged]
+        stopped = [cell for cell in reported if cell in self._stopped]
         if stopped:
-            raise ScheduleError(f"loss reported for stopped trial {stopped[0]}")
-        if len(losses) != self.alive_count:
-            raise ScheduleError(f"round reports {len(losses)} trials, {self.alive_count} alive")
-        if epoch > self.policy.epoch_budget:
-            raise ScheduleError(f"epoch {epoch} beyond budget {self.policy.epoch_budget}")
-        reported = {}
-        for cell, loss in losses.items():
-            if loss is None or epoch == self.policy.epoch_budget:
+            raise ScheduleError(f"outcome reported for stopped trial {stopped[0]}")
+        both = losses.keys() & diverged.keys()
+        if both:
+            raise ScheduleError(f"trial {min(both)} both reports a loss and diverged")
+        if len(reported) != self.alive_count:
+            raise ScheduleError(f"segment reports {len(reported)} trials, {self.alive_count} alive")
+        budget = self.policy.epoch_budget
+        if epoch > budget:
+            raise ScheduleError(f"epoch {epoch} beyond budget {budget}")
+        last = self.next_decision(self.epoch)
+        if not self.epoch < epoch <= last:
+            raise ScheduleError(f"a segment from epoch {self.epoch} ends by epoch {last}, not {epoch}")
+        if not all(self.epoch < at <= epoch for at in diverged.values()):
+            raise ScheduleError(f"a divergence outside the segment from epoch {self.epoch} to {epoch}")
+        self.epoch = epoch
+        for at, cell in sorted((at, cell) for cell, at in diverged.items() if at < epoch):
+            self._stop(cell, at, None)
+        # this epoch's divergences, or at the budget every trial that reached it, in cell order
+        for cell in sorted(reported if epoch == budget else diverged):
+            if cell not in self._stopped:
                 self._stop(cell, epoch, None)
-            else:
-                reported[cell] = loss
-        if reported and not self.halving_ceased and epoch in self.levels:
-            return self._resolve_rung(epoch, reported)
+        if epoch < budget and losses and not self.halving_ceased and epoch in self.levels:
+            return self._resolve_rung(epoch, losses)
         return []
 
-    def _resolve_rung(self, level: int, losses: dict[GridCell, float]) -> list[GridCell]:
+    def _resolve_rung(self, level: int, losses: Mapping[GridCell, float]) -> list[GridCell]:
         ranked = sorted(
             losses,
             # NaN losses rank worst; ties break on (row, col)

@@ -1,23 +1,27 @@
 """End-to-end search orchestration.
 
-Drives every grid cell's trial in lockstep epoch rounds: each round
-advances all alive trials by one epoch, then hands the whole round, in cell
-order, to the scheduler in one ``Schedule.decide`` call, so rung outcomes
-resolve within the round and each trial line carries the status its epoch
-ended with. The trials are split into ``shard_count(jobs, ...)`` shards,
-interleaved by cell index: at most one per CPU this process may use and one
-per ``STACK_SLICE`` trials, and one where the process cannot fork or runs
-other threads. Every shard is a ``ShardTrials``, the one code path that stops
-and steps trials: shard 0 in this process, every other one in a forked
-child (``twinsearch.shards``, imported only when a search forks). Each
-round the search sends every shard one command, the same list: the cells
-that the last round's rung stopped, usually none. A shard finishes those it
-holds, steps its live trials and replies with their losses and the records
-that ended. Only the schedule and each cohort know which trials are alive;
-a shard's ``cells`` are fixed. Each shard's ``Cohort`` holds the task, the
+Drives every grid cell's trial in segments of lockstep epochs, each ending
+where the scheduler can next stop a trial (``Schedule.next_decision``): a
+rung level while halving runs, else the budget. Within a segment every
+alive trial steps each epoch, and no process waits on another; at its end
+the scheduler takes the whole segment in one ``Schedule.decide`` call, so
+rung outcomes resolve there and each trial line carries the status its
+epoch ended with. The trials are split into ``shard_count(jobs, ...)``
+shards, interleaved by cell index: at most one per CPU this process may use
+and one per ``STACK_SLICE`` trials, and one where the process cannot fork or
+runs other threads. Every shard is a ``ShardTrials``, the one code path that
+stops and steps trials: shard 0 in this process, every other one in a
+forked child (``twinsearch.shards``, imported only when a search forks).
+Each segment the search sends every shard one command, the same for all:
+the cells that the last rung stopped, usually none, and the segment's
+epochs. A shard finishes those it holds, steps its live trials through the
+segment and replies with their losses at its last epoch and the records
+that ended. A FIFO search is one segment, so one exchange; HB adds one per
+rung until halving ceases. Only the schedule and each cohort know which
+trials are alive; a shard's ``cells`` are fixed. Each shard's ``Cohort`` holds the task, the
 model, the ``TrainerConfig``, the epoch horizon (the scheduler's budget,
 the one epoch budget of the search) and every alive trial of its shard's
-parameters, velocity, lr0 and wd as rows of its stacks. A round's epoch is
+parameters, velocity, lr0 and wd as rows of its stacks. An epoch is
 computed as stacked passes over row slices of those stacks, bit for bit
 what each trial would compute alone, so the records do not depend on the
 shard count. A trial leaves its cohort's ``members``, its shard's live
@@ -29,25 +33,25 @@ An epoch's train loss and norm live in float64 from the step to
 (``Cohort.log``, shape (epochs, trials, 2)); a trial that ends takes a
 float64 copy of its column into its ``TrialRecord``, and its shard replies
 with those records, pickled as float64 blocks by a forked one. From the
-round a trial ends in, the search keeps its record, and after the last
-round ``Records.of`` concatenates the blocks in cell order. The trial files
-are encoded from each block's ``tolist()``, one trial at a time, so no
+segment a trial ends in, the search keeps its record, and after the last
+segment ``Records.of`` concatenates the blocks in cell order. The trial
+files are encoded from each block's ``tolist()``, one trial at a time, so no
 layer holds a Python float per trial-epoch.
 
 Val/test accuracy is computed only when a trial ends, on the last
 ``metric_window(policy.kind)`` finite epochs its baseline summary reads.
 The trial files and the decision log are exports that no command reads,
-and only this process writes them, once, when the last round is done:
+and only this process writes them, once, when the last segment is done:
 each trial's file whole, with its metrics, in cell order, then the whole
 decision log. Creating 900-1,600 files costs more than writing them, so a
 search with a store creates them empty on one helper thread of this
-process, started after the fork and joined when the rounds end, however
-they end; a forked shard only trains and never calls the store. A process
-killed mid-search can leave empty trial files; no command reads them. The
-helper thread goes when ROADMAP item 18 deletes the trial files.
+process, started after the fork and joined when the segments end,
+however they end; a forked shard only trains and never calls the store. A
+process killed mid-search can leave empty trial files; no command reads
+them. The helper thread goes when ROADMAP item 18 deletes the trial files.
 
 ``execute_search`` returns ``records.Records``, built once after the last
-round from the trials' ``TrialRecord``s in cell order
+segment from the trials' ``TrialRecord``s in cell order
 (``Records.of``; ``records`` is imported only then, after the search's
 memory peak). Every file of a run is written through ``RunStore``:
 ``run_and_store`` has it write those columns to ``records.json``
@@ -99,38 +103,45 @@ class ShardTrials:
     """One shard's trials: the live runners, its cohort's ``members``, and its ``cells``, fixed.
 
     ``cells`` are the shard's cells in cell order, so ``cells[runner.index]``
-    is each runner's cell. ``run`` answers a command, the cells the last
-    rung stopped (usually none): it finishes those of them it holds as
-    stopped early, then steps every live trial one epoch. The reply maps
-    each stepped trial's ``runner.index`` to its train loss, ``None`` if it
-    diverged, and lists the ``TrialRecord`` of each trial that ended, its
-    epochs a float64 block. It only trains: it writes nothing and holds no
-    store. ``send`` runs a command and ``receive`` returns its reply, so the
-    search drives this shard as it drives a forked one's ``shards.Shard``.
-    It holds the cohort's ``members``, not the cohort, so once its last
-    trial ends it holds nothing of its cohort.
+    is each runner's cell. ``run`` answers a command ``(stopping, rounds)``,
+    the cells the last rung stopped (usually none) and the epochs to the
+    next decision: it finishes those of ``stopping`` it holds as stopped
+    early, then steps every live trial ``rounds`` epochs. The reply maps the
+    ``runner.index`` of each trial that stepped the last of them without
+    diverging to its train loss then, and lists the ``TrialRecord`` of each
+    trial that ended, its epochs a float64 block; a diverged record's
+    ``epochs_run`` is the epoch it diverged in. It only trains: it writes
+    nothing and holds no store. ``send`` runs a command and ``receive``
+    returns its reply, so the search drives this shard as it drives a forked
+    one's ``shards.Shard``. It holds the cohort's ``members``, not the
+    cohort, so once its last trial ends it holds nothing of its cohort.
     """
 
     def __init__(self, cohort: Cohort):
         self._members = cohort.members
         self.cells = [runner.cell for runner in cohort.members]
 
-    def run(self, stopping: list[GridCell]) -> tuple[dict[int, float | None], list[TrialRecord]]:
+    def run(self, command: tuple[list[GridCell], int]) -> tuple[dict[int, float], list[TrialRecord]]:
+        stopping, rounds = command
         runners = list(self._members)
         stop = set(stopping)
         for runner in runners:
             if runner.cell in stop:
                 runner.finish(STATUS_STOPPED_EARLY)
+        for _ in range(rounds - 1):
+            for runner in list(self._members):
+                runner.step_epoch()
         losses = {}
-        for runner in list(self._members):
+        for runner in list(self._members):  # the segment's last epoch
             loss = runner.step_epoch()
-            losses[runner.index] = None if runner.record.status == STATUS_DIVERGED else loss
+            if runner.record.status != STATUS_DIVERGED:
+                losses[runner.index] = loss
         return losses, [runner.record for runner in runners if runner.done]
 
-    def send(self, command: list[GridCell]) -> None:
+    def send(self, command: tuple[list[GridCell], int]) -> None:
         self._reply = self.run(command)
 
-    def receive(self) -> tuple[dict[int, float | None], list[TrialRecord]]:
+    def receive(self) -> tuple[dict[int, float], list[TrialRecord]]:
         return self._reply
 
 
@@ -167,21 +178,22 @@ def execute_search(
     shard 0 in this process, every other one in a child forked before the
     helper thread starts (``twinsearch.shards``). A process that cannot
     fork, or that runs other threads, whose held locks a fork would copy
-    without them, trains every trial itself. A round is one exchange with
-    the shards, which sends every command, this process's own last, before
-    it reads any reply. The command is the cells that the last
-    ``Schedule.decide`` stopped at a rung, the same for every shard: each
-    shard finishes those it holds, then steps its live trials one epoch.
-    ``decide`` then takes the round's train losses in cell order and returns
-    the next command. Rounds run while the schedule has a trial alive; no
-    stop is left then, since a rung promotes at least one trial and every
-    trial at the budget completes on its own. The records, files and
-    decisions are the same at any ``jobs``. No child outlives the search,
-    however it ends.
+    without them, trains every trial itself. A segment, the epochs up to
+    ``Schedule.next_decision``, is one exchange with the shards, which
+    sends every command, this process's own last, before it reads any
+    reply. The command is the cells that the last ``Schedule.decide``
+    stopped at a rung and the segment's epochs, the same for every shard:
+    each shard finishes those it holds, then steps its live trials through
+    the segment. ``decide`` then takes the train losses at the segment's end
+    and the epoch of each divergence in it, and returns the next stops.
+    Segments run while the schedule has a trial alive; no stop is left
+    then, since a rung promotes at least one trial and every trial at the
+    budget completes on its own. The records, files and decisions are the
+    same at any ``jobs``. No child outlives the search, however it ends.
 
     With a store, this process is the one that writes: a helper thread
     creates every trial file empty while the shards train, and is joined
-    when the rounds end, however they end. Then what it raised is raised;
+    when the segments end, however they end. Then what it raised is raised;
     else every trial file is written whole, in cell order, one line per
     epoch, and the decision log is appended in one call.
     """
@@ -217,17 +229,21 @@ def execute_search(
             shards = [*children, make_shard(cells[::k])]
             schedule = Schedule(policy, grid.n_trials)
             records: dict[GridCell, TrialRecord] = dict.fromkeys(cells)
-            epoch, stopped = 0, []
+            stopped = []
             while schedule.alive_count:
-                epoch += 1
+                epoch = schedule.next_decision(schedule.epoch)
+                command = (stopped, epoch - schedule.epoch)
                 for shard in shards:
-                    shard.send(stopped)
-                losses = {}
+                    shard.send(command)
+                losses, diverged = {}, {}
                 for shard in shards:
                     reply, ended = shard.receive()
                     losses.update((shard.cells[index], loss) for index, loss in reply.items())
-                    records.update((record.cell, record) for record in ended)
-                stopped = schedule.decide(epoch, dict(sorted(losses.items())))
+                    for record in ended:
+                        records[record.cell] = record
+                        if record.status == STATUS_DIVERGED:
+                            diverged[record.cell] = record.epochs_run
+                stopped = schedule.decide(epoch, losses, diverged)
         finally:
             if helper:
                 helper.join()
@@ -270,7 +286,7 @@ def run_and_store(
     (what later commands load), matrices (an export), selection, the last three
     from the ``Records`` columns the search returns.
     ``execute_search`` creates the trial files on its one helper thread and
-    writes them, and the decision log, when its last round is done;
+    writes them, and the decision log, when its last segment is done;
     ``records.json`` is written after the search, so a killed ``run`` leaves no
     loadable run, and maybe empty trial files. ``jobs`` is ``execute_search``'s.
 

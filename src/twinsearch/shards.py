@@ -4,9 +4,12 @@
 cell index (shard ``s`` holds cells ``s, s + k, s + 2k, ...``), each a
 ``search.ShardTrials`` that stops and steps its own ``Cohort``'s trials.
 Shard 0 runs in the search's process; ``forked`` forks one child per other
-shard, which builds its ``ShardTrials`` and answers each round's command,
-the cells the last rung stopped, with that object's ``run``, the code that
-answers it for shard 0.
+shard, which builds its ``ShardTrials`` and answers each segment's
+command, the cells the last rung stopped and the epochs to the schedule's
+next decision, with that object's ``run``, the code that answers it for
+shard 0. Between commands a child trains on without a pipe round trip, so
+a search exchanges with each child once per segment: 3 times on a 30x30
+HB run at stop fraction 0.25 over 50 epochs, once on a FIFO run.
 Every row of a cohort is computed exactly as a lone trial's would be, so a
 trial's record does not depend on its shard, and the search is the same
 search at any ``k``.
@@ -51,7 +54,8 @@ class Shard:
         self.cells = cells
 
     def send(self, command) -> None:
-        """Have the child run ``command``: stop those of these cells it holds, then step."""
+        """Have the child run ``command``: stop those of its cells it holds, then step its
+        live trials through the segment."""
         try:
             pickle.dump(command, self._commands, pickle.HIGHEST_PROTOCOL)
             self._commands.flush()
@@ -59,8 +63,8 @@ class Shard:
             raise self._lost() from None
 
     def receive(self) -> tuple[dict, list]:
-        """The child's reply to the last command: its train losses by position in ``cells``
-        and its ended records."""
+        """The child's reply to the last command: its train losses at the segment's last
+        epoch by position in ``cells``, and its ended records."""
         try:
             ok, payload = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):  # the pipe closed before the reply, or within it

@@ -29,8 +29,8 @@ from records_frozen import (
 )
 from twinsearch.grid import build_log_grid
 from twinsearch.matrices import assemble, build_metric_surfaces, metric_window
-from twinsearch.records import STATUSES, Records
-from twinsearch.runstore import RunStore, RunStoreError
+from twinsearch.records import STATUSES, Records, records_lines
+from twinsearch.runstore import RunStore, RunStoreError, encode_json
 from twinsearch.scheduler import SchedulerPolicy
 from twinsearch.search import slice_records
 from twinsearch.trainer import (
@@ -185,6 +185,24 @@ def test_a_non_finite_accuracy_is_refused(field, value):
     with pytest.raises(RunStoreError) as info:
         Records.of(records)
     assert str(info.value) == "record of cell (1, 0): an accuracy is not finite"
+
+
+def test_a_line_with_non_finite_losses_is_encode_json_s_line_form():
+    # finite columns go to the C encoder as they are; the others keep encode_json's strings
+    losses = [1.5, math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    records = Records(
+        np.array([0, 1]), np.array([2, 0]), np.array([STATUSES.index(STATUS_DIVERGED), 0]), np.array([4, 2]),
+        np.array(losses), np.array([1.0, 2.0, 3.0, 4.0, 0.1, 1e300]),
+        np.array([math.nan, 0.25, math.nan, 1.0, math.nan, math.nan]), np.full(6, math.nan),
+    )
+    fields = {
+        "row": [0, 1], "col": [2, 0], "status": [STATUS_DIVERGED, STATUSES[0]], "epochs_run": [4, 2],
+        "train_loss": losses, "param_norm": [1.0, 2.0, 3.0, 4.0, 0.1, 1e300],
+        "val_acc": [None, 0.25, None, 1.0, None, None], "test_acc": [None] * 6,
+    }
+    line = records_lines(records)[1]
+    assert line == (encode_json(fields, line=True) + "\n").encode()
+    assert b'"train_loss":[1.5,"NaN","Inf","-Inf",-0.0,5e-324]' in line
 
 
 def large_run(n=30, epochs=50):

@@ -25,11 +25,12 @@ def logged_stops(schedule, since):
     return [GridCell(d["row"], d["col"]) for d in schedule.decision_log[since:] if d["decision"] == "stop"]
 
 
-def drive_lockstep(policy, cells, losses_at):
-    """Advance all trials one epoch per round and hand each round to the
-    scheduler; returns the schedule plus per-cell epochs consumed.
+def drive_segments(policy, cells, losses_at):
+    """Advance all trials through each segment, up to the schedule's next decision, and hand
+    each segment to the scheduler; returns the schedule plus per-cell epochs consumed.
 
-    ``losses_at(cell, epoch_completed)`` supplies the loss curve.
+    ``losses_at(cell, epoch_completed)`` supplies the loss curve. Every
+    segment ends at a rung level or at the budget.
     """
     schedule = Schedule(policy, len(cells))
     alive = sorted(cells)
@@ -37,11 +38,12 @@ def drive_lockstep(policy, cells, losses_at):
     alive_after_rung = []
     epoch = 0
     while schedule.alive_count:
-        epoch += 1
+        start, epoch = epoch, schedule.next_decision(epoch)
+        assert start < epoch and epoch in [*schedule.levels, policy.epoch_budget]
         for cell in alive:
-            epochs_run[cell] += 1
+            epochs_run[cell] += epoch - start
         logged = len(schedule.decision_log)
-        rung_stops = schedule.decide(epoch, {cell: losses_at(cell, epoch) for cell in alive})
+        rung_stops = schedule.decide(epoch, {cell: losses_at(cell, epoch) for cell in alive}, {})
         ended = set(logged_stops(schedule, logged))
         assert ended >= set(rung_stops)
         survivors = [c for c in alive if c not in ended]
@@ -114,9 +116,11 @@ class TestFifo:
     def test_continue_until_budget(self):
         schedule = Schedule(SchedulerPolicy("fifo", 100), 1)
         cell = GridCell(0, 0)
-        assert schedule.decide(50, {cell: 1.0}) == []
+        assert schedule.next_decision(0) == 100  # one segment
+        assert schedule.decide(50, {cell: 1.0}, {}) == []  # a segment may end before the decision
         assert schedule.alive_count == 1 and schedule.decision_log == []
-        assert schedule.decide(100, {cell: 0.5}) == []  # a budget stop ends the trial itself
+        assert schedule.next_decision(50) == 100
+        assert schedule.decide(100, {cell: 0.5}, {}) == []  # a budget stop ends the trial itself
         assert schedule.alive_count == 0
         assert schedule.decision_log == [log_entry(cell, 100, "stop")]
 
@@ -124,34 +128,39 @@ class TestFifo:
         cells = cells_grid(2, 2)
         schedule = Schedule(SchedulerPolicy("fifo", 3), 4)
         for epoch in (1, 2):
-            schedule.decide(epoch, {cell: 1.0 for cell in cells})
+            schedule.decide(epoch, {cell: 1.0 for cell in cells}, {})
             assert schedule.alive_count / schedule.n_trials == 1.0
         assert schedule.decision_log == []
 
     def test_consumes_exactly_budget_epochs(self):
         cells = cells_grid(3, 3)
         policy = SchedulerPolicy("fifo", 7)
-        _, epochs_run, _ = drive_lockstep(policy, cells, lambda c, e: 1.0)
+        schedule, epochs_run, _ = drive_segments(policy, cells, lambda c, e: 1.0)
         assert sum(epochs_run.values()) == 9 * 7
+        assert schedule.epoch == 7 and schedule.decision_log == [log_entry(c, 7, "stop") for c in cells]
 
     def test_stopped_trial_raises(self):
         schedule = Schedule(SchedulerPolicy("fifo", 2), 2)
         a, b = GridCell(0, 0), GridCell(0, 1)
-        schedule.decide(2, {a: 1.0, b: 1.0})
+        schedule.decide(2, {a: 1.0, b: 1.0}, {})
         with pytest.raises(ScheduleError, match="stopped"):
-            schedule.decide(2, {a: 1.0})
+            schedule.decide(2, {a: 1.0}, {})
+        with pytest.raises(ScheduleError, match="stopped"):
+            schedule.decide(2, {}, {b: 2})
 
     def test_epoch_beyond_budget_raises(self):
         schedule = Schedule(SchedulerPolicy("fifo", 2), 1)
         cell = GridCell(0, 0)
         with pytest.raises(ScheduleError, match="beyond budget"):
-            schedule.decide(3, {cell: 1.0})
+            schedule.decide(3, {cell: 1.0}, {})
         assert schedule.alive_count == 1 and schedule.decision_log == []
 
     def test_round_must_report_every_alive_trial(self):
         schedule = Schedule(SchedulerPolicy("hb", 40, stop_fraction=0.5), 3)
         with pytest.raises(ScheduleError, match="3 alive"):
-            schedule.decide(2, {GridCell(0, 0): 1.0, GridCell(0, 1): 2.0})
+            schedule.decide(2, {GridCell(0, 0): 1.0, GridCell(0, 1): 2.0}, {})
+        with pytest.raises(ScheduleError, match=r"GridCell\(row=0, col=1\) both reports a loss and diverged"):
+            schedule.decide(2, {GridCell(0, 0): 1.0, GridCell(0, 1): 2.0}, {GridCell(0, 1): 1})
         assert schedule.alive_count == 3 and schedule.decision_log == []
 
 
@@ -161,7 +170,7 @@ class TestHalving:
         policy = SchedulerPolicy("hb", 100, stop_fraction=0.25)
         # deterministic loss: better cells at lower flat index
         loss = lambda cell, epoch: (cell.row * 10 + cell.col) / 100 + 1.0 / epoch
-        schedule, epochs_run, alive_after = drive_lockstep(policy, cells, loss)
+        schedule, epochs_run, alive_after = drive_segments(policy, cells, loss)
         assert schedule.levels == [5, 10, 20, 40, 80, 100]
         assert alive_after[:2] == [50, 25]
         histogram = {}
@@ -174,7 +183,7 @@ class TestHalving:
         cells = cells_grid(6, 6)
         policy = SchedulerPolicy("hb", 100, stop_fraction=0.12)
         loss = lambda cell, epoch: (cell.row * 6 + cell.col) / 36
-        schedule, epochs_run, _ = drive_lockstep(policy, cells, loss)
+        schedule, epochs_run, _ = drive_segments(policy, cells, loss)
         # 36 -> 18 -> 9 -> 5, then the cap ceil(0.12*36)=5 halts halving
         survivors = [c for c, n in epochs_run.items() if n == 100]
         assert len(survivors) == 5
@@ -189,14 +198,14 @@ class TestHalving:
             GridCell(1, 0): 0.5,
             GridCell(1, 1): 0.7,
         }
-        schedule, epochs_run, _ = drive_lockstep(policy, cells, lambda c, e: fixed[c])
+        schedule, epochs_run, _ = drive_segments(policy, cells, lambda c, e: fixed[c])
         survivors = {c for c, n in epochs_run.items() if n == 40}
         assert survivors == {GridCell(0, 1), GridCell(1, 0)}
 
     def test_ties_promote_lexicographically_smaller_cell(self):
         cells = cells_grid(2, 2)
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.25, grace_fraction=0.05)
-        schedule, epochs_run, _ = drive_lockstep(policy, cells, lambda c, e: 1.0)
+        schedule, epochs_run, _ = drive_segments(policy, cells, lambda c, e: 1.0)
         survivors = sorted(c for c, n in epochs_run.items() if n == 40)
         assert survivors == [GridCell(0, 0)]
 
@@ -205,7 +214,7 @@ class TestHalving:
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.5, grace_fraction=0.05)
         schedule = Schedule(policy, 4)
         nan_cell = GridCell(0, 0)
-        stopped = schedule.decide(2, {cell: math.nan if cell == nan_cell else 0.5 for cell in cells})
+        stopped = schedule.decide(2, {cell: math.nan if cell == nan_cell else 0.5 for cell in cells}, {})
         # rank order: the tied 0.5 losses by cell, then the NaN
         assert stopped == [GridCell(1, 1), nan_cell]
         assert schedule.alive_count == 2
@@ -214,7 +223,8 @@ class TestHalving:
         # cap = ceil(0.3 * 3) = 1, so the two survivors still halve 2 -> 1
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.3, grace_fraction=0.05)
         schedule = Schedule(policy, 3)
-        stopped = schedule.decide(2, {GridCell(0, 0): 0.3, GridCell(0, 1): 0.4, GridCell(0, 2): None})
+        assert schedule.next_decision(0) == 2
+        stopped = schedule.decide(2, {GridCell(0, 0): 0.3, GridCell(0, 1): 0.4}, {GridCell(0, 2): 2})
         # the diverged trial ended itself: only the rung's stop is returned
         assert stopped == [GridCell(0, 1)]
         assert schedule.alive_count == 1
@@ -229,8 +239,8 @@ class TestHalving:
         policy = SchedulerPolicy("hb", 40, stop_fraction=0.25, grace_fraction=0.05)
         schedule = Schedule(policy, 6)
         c = cells_grid(2, 3)
-        losses = {c[0]: 0.9, c[1]: None, c[2]: 0.1, c[3]: 0.5, c[4]: 0.3, c[5]: None}
-        assert schedule.decide(2, losses) == [c[3], c[0]]
+        losses = {c[0]: 0.9, c[2]: 0.1, c[3]: 0.5, c[4]: 0.3}
+        assert schedule.decide(2, losses, {c[5]: 2, c[1]: 2}) == [c[3], c[0]]
         assert schedule.decision_log == [
             log_entry(c[1], 2, "stop"),
             log_entry(c[5], 2, "stop"),
@@ -241,6 +251,47 @@ class TestHalving:
         ]
         assert schedule.halving_ceased
         assert schedule.alive_count == 2
+        assert schedule.next_decision(2) == 40  # no rung is left to stop a trial
+
+    def test_a_segment_logs_each_epochs_divergences_in_cell_order_before_its_rung(self):
+        # rungs at 2, 4, 8, ...; cap = ceil(0.25 * 6) = 2
+        policy = SchedulerPolicy("hb", 40, stop_fraction=0.25, grace_fraction=0.05)
+        schedule = Schedule(policy, 6)
+        c = cells_grid(2, 3)
+        assert schedule.decide(2, {cell: 1.0 + i for i, cell in enumerate(c)}, {}) == c[3:]
+        assert schedule.next_decision(2) == 4
+        assert schedule.decide(4, {c[2]: 0.5}, {c[1]: 4, c[0]: 3}) == []
+        assert schedule.decision_log[6:] == [
+            log_entry(c[0], 3, "stop"),
+            log_entry(c[1], 4, "stop"),
+            log_entry(c[2], 4, "continue", 4),  # one reporter is under the cap: halving ceases
+        ]
+        assert schedule.halving_ceased and schedule.next_decision(4) == 40
+
+    def test_the_budget_logs_its_divergences_with_the_completed_trials_in_cell_order(self):
+        schedule = Schedule(SchedulerPolicy("fifo", 5), 4)
+        c = cells_grid(1, 4)
+        assert schedule.decide(5, {c[0]: 0.5, c[2]: 0.5}, {c[3]: 5, c[1]: 5}) == []
+        assert schedule.decision_log == [log_entry(cell, 5, "stop") for cell in c]
+        assert schedule.alive_count == 0
+
+    @pytest.mark.parametrize(
+        "epoch, diverged, message",
+        [
+            (3, {}, "a segment from epoch 0 ends by epoch 2, not 3"),  # past the rung at 2
+            (2, {GridCell(0, 1): 0}, "a divergence outside the segment from epoch 0 to 2"),
+            (1, {GridCell(0, 1): 2}, "a divergence outside the segment from epoch 0 to 1"),
+        ],
+    )
+    def test_a_segment_past_its_decision_or_a_divergence_outside_it_raises(self, epoch, diverged, message):
+        schedule = Schedule(SchedulerPolicy("hb", 40, stop_fraction=0.5, grace_fraction=0.05), 2)
+        losses = {cell: 1.0 for cell in cells_grid(1, 2) if cell not in diverged}
+        with pytest.raises(ScheduleError, match=f"^{message}$"):
+            schedule.decide(epoch, losses, diverged)
+        assert schedule.epoch == 0 and schedule.alive_count == 2 and schedule.decision_log == []
+        schedule.decide(2, {GridCell(0, 0): 1.0, GridCell(0, 1): 2.0}, {})
+        with pytest.raises(ScheduleError, match="^a segment from epoch 2 ends by epoch 40, not 2$"):
+            schedule.decide(2, {GridCell(0, 0): 1.0}, {})  # not after the last decision
 
     def test_alive_fraction_tracks_halving(self):
         cells = cells_grid(10, 10)
@@ -248,18 +299,20 @@ class TestHalving:
         schedule = Schedule(policy, 100)
         assert schedule.alive_count / schedule.n_trials == 1.0
         alive = cells
-        for epoch in range(1, 11):
-            stopped = set(schedule.decide(epoch, {cell: cell.row + cell.col / 10 for cell in alive}))
+        for epoch in (5, 10):  # the segments before halving ceases
+            assert schedule.next_decision(schedule.epoch) == epoch
+            stopped = set(schedule.decide(epoch, {cell: cell.row + cell.col / 10 for cell in alive}, {}))
             alive = [cell for cell in alive if cell not in stopped]
             assert len(alive) == schedule.alive_count
             if epoch == 5:
                 assert schedule.alive_count / schedule.n_trials == 0.5
         assert schedule.alive_count / schedule.n_trials == 0.25
+        assert schedule.halving_ceased and schedule.next_decision(10) == 100
 
     def test_stop_fraction_one_never_halves(self):
         cells = cells_grid(2, 2)
         policy = SchedulerPolicy("hb", 20, stop_fraction=1.0, grace_fraction=0.05)
-        _, epochs_run, _ = drive_lockstep(policy, cells, lambda c, e: c.row + c.col)
+        _, epochs_run, _ = drive_segments(policy, cells, lambda c, e: c.row + c.col)
         assert all(n == 20 for n in epochs_run.values())
 
 
@@ -268,8 +321,8 @@ class TestReplayDeterminism:
         cells = cells_grid(4, 4)
         policy = SchedulerPolicy("hb", 50, stop_fraction=0.25, grace_fraction=0.05)
         loss = lambda cell, epoch: math.sin(cell.row * 3.1 + cell.col * 1.7) + 2.0 / epoch
-        first, _, _ = drive_lockstep(policy, cells, loss)
-        second, _, _ = drive_lockstep(policy, cells, loss)
+        first, _, _ = drive_segments(policy, cells, loss)
+        second, _, _ = drive_segments(policy, cells, loss)
         assert first.decision_log == second.decision_log
 
     @given(seed=st.integers(0, 10_000))
@@ -285,7 +338,7 @@ class TestReplayDeterminism:
             grace_fraction=0.05,
         )
         table = {cell: rng.random() for cell in cells}
-        schedule, epochs_run, _ = drive_lockstep(policy, cells, lambda c, e: table[c])
+        schedule, epochs_run, _ = drive_segments(policy, cells, lambda c, e: table[c])
         # replay: per-segment cost from the decision log's stop epochs
         total = sum(epochs_run.values())
         from_log = 0
@@ -333,33 +386,47 @@ def lockstep_cases(draw):
 class TestFrozenReference:
     @given(case=lockstep_cases())
     @settings(max_examples=300, deadline=None)
-    def test_rounds_match_the_per_cell_protocol(self, case):
+    def test_segments_match_the_per_cell_protocol(self, case):
+        # the frozen schedule hears every trial every epoch; the schedule hears each segment once
         policy, cells, losses, diverged = case
         schedule = Schedule(policy, len(cells))
         frozen = FrozenSchedule(policy, len(cells))
         alive = list(cells)
-        epoch = 0
+        ends = [0]
         while schedule.alive_count:
-            epoch += 1
-            round_losses = {
-                cell: None if diverged[cell] == epoch else losses[cell][epoch % 3] for cell in alive
-            }
+            end = schedule.next_decision(ends[-1])
             logged = len(frozen.decision_log)
-            for cell, loss in round_losses.items():
-                if loss is None:
-                    frozen.mark_diverged(cell, epoch)
-                else:
-                    frozen.decide(cell, epoch, loss)
-            stopped = schedule.decide(epoch, round_losses)
+            for epoch in range(ends[-1] + 1, end + 1):
+                for cell in alive:
+                    if not frozen.is_alive(cell):
+                        continue
+                    if diverged[cell] == epoch:
+                        frozen.mark_diverged(cell, epoch)
+                    else:
+                        frozen.decide(cell, epoch, losses[cell][epoch % 3])
+            segment_diverged = {
+                cell: diverged[cell] for cell in alive if diverged[cell] and ends[-1] < diverged[cell] <= end
+            }
+            segment_losses = {cell: losses[cell][end % 3] for cell in alive if cell not in segment_diverged}
+            stopped = schedule.decide(end, segment_losses, segment_diverged)
             assert schedule.decision_log == frozen.decision_log
-            # the cells the frozen schedule stopped at this round's rung, in log order; [] without one
+            # the cells the frozen schedule stopped at this segment's rung, in log order; [] without one
             assert stopped == [
                 GridCell(d["row"], d["col"])
                 for d in frozen.decision_log[logged:]
-                if d["decision"] == "stop" and d["rung"] == epoch
+                if d["decision"] == "stop" and d["rung"] == end
             ]
             ended = set(logged_stops(schedule, logged))
             alive = [c for c in alive if c not in ended]
             assert alive == [c for c in cells if frozen.is_alive(c)]
             assert schedule.alive_count == len(alive)
-        assert alive == [] and epoch <= policy.epoch_budget
+            ends.append(end)
+        assert alive == [] and ends[-1] <= policy.epoch_budget
+        # every epoch at which the frozen schedule resolved a rung ends a segment
+        assert {d["epoch"] for d in frozen.decision_log if d["rung"] is not None} <= set(ends)
+        # and the segments, continued past the last trial, tile 1..budget
+        while ends[-1] < policy.epoch_budget:
+            ends.append(schedule.next_decision(ends[-1]))
+            assert ends[-1] > ends[-2]
+        tiled = [epoch for a, b in zip(ends, ends[1:]) for epoch in range(a + 1, b + 1)]
+        assert tiled == list(range(1, policy.epoch_budget + 1))

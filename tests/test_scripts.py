@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from seed_ledger import RESERVED, SPENT
 
 from twinsearch.quickshift import BLOCK
 from twinsearch.trainer import STACK_SLICE
@@ -21,6 +22,11 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_seed_ledger_reserves_unspent_seeds_and_the_script_runs_spent_ones():
+    assert SPENT and RESERVED and SPENT.isdisjoint(RESERVED)
+    assert set(load_script("compare_selectors").DEFAULT_SEEDS) <= SPENT
 
 
 def test_compare_selectors_runs_on_a_tiny_setting(capsys):

@@ -112,9 +112,9 @@ def searched(request, tmp_path_factory):
     rounds = []
     decide = Schedule.decide
 
-    def counting_rounds(self, epoch, losses):
+    def counting_rounds(self, epoch, losses, diverged):
         rounds.append(epoch)
-        return decide(self, epoch, losses)
+        return decide(self, epoch, losses, diverged)
 
     # (round, cell, epochs and status of the record) at each write
     writes = []
@@ -459,17 +459,17 @@ def test_a_runner_with_nothing_to_score_holds_no_deque():
 def test_a_val_free_hb_search_peaks_no_later_than_its_first_rung(monkeypatch):
     # the first rung stops 200 of 400 trials: the step after it shrinks the
     # stacks to the survivors, and no ended trial keeps a theta, so no later
-    # round holds more than the rounds before the rung did
+    # segment holds more than the segment up to the rung did
     policy = SchedulerPolicy("hb", 12, stop_fraction=0.25, grace_fraction=0.25)
     grid = build_log_grid(5e-5, 5e-1, 20, 5e-5, 5e-1, 20)
     task = TaskSpec(seed=0, n_val=0, n_test=0).make()
-    peaks = []  # (epoch, traced peak since the previous round's decision)
+    peaks = []  # (epoch, traced peak since the previous segment's decision)
     decide = Schedule.decide
 
-    def tracing(self, epoch, losses):
+    def tracing(self, epoch, losses, diverged):
         peaks.append((epoch, tracemalloc.get_traced_memory()[1]))
         tracemalloc.reset_peak()
-        return decide(self, epoch, losses)
+        return decide(self, epoch, losses, diverged)
 
     monkeypatch.setattr(Schedule, "decide", tracing)
     tracemalloc.start()
@@ -481,6 +481,8 @@ def test_a_val_free_hb_search_peaks_no_later_than_its_first_rung(monkeypatch):
     rung = rung_levels(policy)[0]
     assert rung == 3
     assert sum(r.epochs_run == rung for r in records.values()) == 200
+    # a segment to each rung until halving ceases at the second, then one to the budget
+    assert [epoch for epoch, _ in peaks] == [3, 6, 12, 13]
     assert max(peaks, key=lambda p: p[1])[0] <= rung, peaks
 
 

@@ -123,15 +123,16 @@ def test_every_file_of_a_run_is_the_same_at_one_two_and_three_shards(tmp_path, m
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_each_shard_gets_one_command_a_round(tmp_path, monkeypatch, forks, jobs):
-    # the HB run stops 57 trials at its first rung; every shard still gets one command a round
-    rounds, sent = [], []
+def test_each_shard_gets_one_command_a_segment(tmp_path, monkeypatch, forks, jobs):
+    # the HB run stops 57 trials at its first rung; every shard gets one command a segment, a
+    # segment to each rung until halving ceases at the second, then one to the budget
+    decisions, sent = [], []
     decide, init = Schedule.decide, ShardTrials.__init__
     local_send, forked_send = ShardTrials.send, Shard.send
 
-    def counting_decide(self, epoch, losses):
-        rounds.append(epoch)
-        return decide(self, epoch, losses)
+    def counting_decide(self, epoch, losses, diverged):
+        decisions.append(epoch)
+        return decide(self, epoch, losses, diverged)
 
     def checked_init(self, cohort):  # runs in every shard's process, a forked child's too
         init(self, cohort)
@@ -139,7 +140,7 @@ def test_each_shard_gets_one_command_a_round(tmp_path, monkeypatch, forks, jobs)
 
     def counting(send):
         def sending(self, command):
-            sent.append((self, list(self.cells)))
+            sent.append((self, list(self.cells), len(command[0]), command[1]))
             return send(self, command)
 
         return sending
@@ -153,9 +154,12 @@ def test_each_shard_gets_one_command_a_round(tmp_path, monkeypatch, forks, jobs)
         assert run(tmp_path, HB, jobs) == (0, "")
     assert '"stopped_early"' in (tmp_path / "r" / "records.json").read_text()
     assert len(forks) == jobs - 1
-    assert len(sent) == len(rounds) * jobs and rounds == list(range(1, 21))
+    assert len(sent) == len(decisions) * jobs and decisions == [6, 12, 20]
+    # every shard gets the same command: the last rung's stops and the epochs to the next decision
+    commands = [(n_stopping, rounds) for _, _, n_stopping, rounds in sent]
+    assert commands == [command for command in [(0, 6), (57, 6), (29, 8)] for _ in range(jobs)]
     cells = [GridCell(row, col) for row in range(11) for col in range(12)]
-    for shard, shard_cells in sent:  # every shard's cells, in cell order, every round
+    for shard, shard_cells, _, _ in sent:  # every shard's cells, in cell order, every segment
         assert shard_cells == cells[shard.index if isinstance(shard, Shard) else 0 :: jobs]
 
 
@@ -164,12 +168,16 @@ def test_a_shard_ignores_a_stop_of_another_shards_cell():
     held, other = [GridCell(0, 0), GridCell(0, 2)], GridCell(0, 1)
     trials = [(cell, 1e-2, 1e-4) for cell in held]
     shard = ShardTrials(Cohort(task, ArchSpec((8,)), TrainerConfig(batch_size=4), 5, 0, trials))
-    losses, ended = shard.run([other])
+    losses, ended = shard.run(([other], 1))
     assert list(losses) == [0, 1] and ended == []
-    losses, ended = shard.run([other, held[1]])
+    losses, ended = shard.run(([other, held[1]], 2))
     assert list(losses) == [0] and [(r.cell, r.status, r.epochs_run) for r in ended] == [
         (held[1], "stopped_early", 1)
     ]
+    # a trial that completes at the segment's last epoch reports its loss then, and ends
+    losses, ended = shard.run(([other], 2))
+    assert [(r.cell, r.status, r.epochs_run) for r in ended] == [(held[0], "completed", 5)]
+    assert losses == {0: float(ended[0].values[-1, 0])}
     assert shard.cells == held
 
 
@@ -215,22 +223,22 @@ def test_a_child_killed_mid_search_fails_the_run_with_a_pipeline_error(tmp_path,
     step, decide = Cohort.step, Schedule.decide
 
     def killed_stepping(self):
-        if os.getpid() != parent and self.epoch == 1:  # round 2
+        if os.getpid() != parent and self.epoch == 1:  # epoch 2
             os.kill(os.getpid(), signal.SIGKILL)
         step(self)
 
-    def killing_the_waiting_child(self, epoch, losses):
-        if epoch == 1:  # the child has replied to round 1 and waits for its next command
+    def killing_the_waiting_child(self, epoch, losses, diverged):
+        if epoch == 6:  # the first rung: the child has replied to the first segment and waits
             os.kill(forks[0], signal.SIGKILL)
             os.waitpid(forks[0], 0)  # gone, and its end of the command pipe closed
-        decide(self, epoch, losses)
+        return decide(self, epoch, losses, diverged)
 
-    if waiting:
+    if waiting:  # a FIFO run is one segment, so one command: the HB run has one a rung
         monkeypatch.setattr(Schedule, "decide", killing_the_waiting_child)
     else:
         monkeypatch.setattr(Cohort, "step", killed_stepping)
     with no_unwinding_child(tmp_path):
-        rc, err = run(tmp_path, FIFO, 2)
+        rc, err = run(tmp_path, HB if waiting else FIFO, 2)
     assert len(forks) == 1
     assert (rc, err) == (2, f"error: search shard 1 (pid {forks[0]}) exited without a reply\n")
 
