@@ -11,8 +11,8 @@ run once (``_load_complete_run``): its grid, scheduler policy and records,
 as ``records.Records`` columns, which must hold a complete record of every
 cell, one whose status is terminal or that ran the whole epoch budget; the
 check runs on the columns. It builds the grid surfaces from those columns
-(a strided ``select`` from the sub-grid's, cut by index); none reads
-``matrices.json``.
+(a strided ``select`` keeps every stride-th row and column of the whole
+grid's); none reads ``matrices.json``.
 Exit codes:
 0 success, 1 usage error, 2 pipeline failure (all trials diverged,
 incomplete or missing artifacts, a search process that ended without a
@@ -31,12 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import build_log_grid, cell_params
-from .matrices import assemble, build_metric_surfaces
+from .grid import build_log_grid, cell_params, slice_grid
+from .matrices import LogMatrices, assemble, build_metric_surfaces
 from .quickshift import QuickshiftParams, default_params
 from .runstore import RunNotFoundError, RunStore, RunStoreError
 from .scheduler import SchedulerPolicy
-from .search import ShardLostError, run_and_store, slice_records, usable_cpus
+from .search import ShardLostError, run_and_store, usable_cpus
 from .selector import (
     METHOD_ORACLE,
     METHOD_SELTS,
@@ -227,11 +227,9 @@ def _cmd_run(args) -> int:
 def _cmd_select(args) -> int:
     store = _store(args)
     grid, _policy, records = _load_complete_run(store, args.run_id)
-    whole = args.lr_stride == 1 and args.wd_stride == 1
     try:
-        if not whole:
-            records, grid = slice_records(records, grid, args.lr_stride, args.wd_stride)
-        base = default_params(grid)
+        sub_grid = slice_grid(grid, args.lr_stride, args.wd_stride)
+        base = default_params(sub_grid)
         params = QuickshiftParams(
             kernel_size=base.kernel_size if args.kernel_size is None else args.kernel_size,
             max_dist=base.max_dist if args.max_dist is None else args.max_dist,
@@ -239,8 +237,12 @@ def _cmd_select(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    artifacts = twin_pipeline(assemble(records, grid), grid, params)
-    if whole:  # a sub-grid's pick is printed, never stored over the run's own
+    # each cell's entries come from its own trial alone, so the sub-grid's are a slice
+    mats = assemble(records, grid)
+    cut = np.s_[:: args.wd_stride, :: args.lr_stride]
+    mats = LogMatrices(mats.psi[cut], mats.theta[cut], mats.valid_mask[cut], mats.epochs_run[cut])
+    artifacts = twin_pipeline(mats, sub_grid, params)
+    if args.lr_stride == args.wd_stride == 1:  # a sub-grid's pick is printed, never stored
         store.write_selection(args.run_id, artifacts)
     _print_pick(args.run_id, artifacts)
     return EXIT_OK
@@ -320,14 +322,11 @@ def _cmd_plot(args) -> int:
         if not np.any(np.isfinite(surfaces.test_acc)):
             raise PipelineError(f"run {args.run_id!r} has no test metrics to scatter")
         member = labels == region
-        norms, accs, highlight = [], [], None
-        for i, (r, c) in enumerate(zip(*np.nonzero(member))):
-            norms.append(float(mats.theta[r, c]))
-            accs.append(float(surfaces.test_acc[r, c]))
-            if (r, c) == (cell.row, cell.col):
-                highlight = i
+        # the pick is a member (load_selection checks it): its index is the members before it
+        highlight = np.count_nonzero(member.flat[: cell.row * grid.n_lr + cell.col])
         svg = scatter_svg(
-            norms, accs, f"selected region: {args.run_id}", highlight=highlight
+            mats.theta[member].tolist(), surfaces.test_acc[member].tolist(),
+            f"selected region: {args.run_id}", highlight=highlight,
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -54,8 +54,8 @@ from functools import partial
 
 import numpy as np
 
-from .runstore import _STATUS_TEXT, RunStoreError, _decode_float, _float_list
-from .trainer import TrialRecord
+from .runstore import RunStoreError, _decode_float, _float_list
+from .trainer import STATUSES, TrialRecord
 
 # the arrays of a line after the first: one value per trial, and one per epoch of its trials
 _PER_TRIAL = ("row", "col", "status", "epochs_run")
@@ -63,8 +63,7 @@ _PER_EPOCH = ("train_loss", "param_norm", "val_acc", "test_acc")
 # the epochs a line holds, unless one record has more: at ~80 bytes each its text stays below
 # glibc's 128 KiB mmap threshold, so reading a line does not raise that threshold for the process
 _LINE_EPOCHS = 1024
-# a trial's status is its index here; 0 is the one status that is not terminal
-STATUSES = tuple(_STATUS_TEXT)
+# a trial's status is its index in STATUSES; 0 is the one status that is not terminal
 _CODES = {status: code for code, status in enumerate(STATUSES)}
 _FLOAT = {float}
 _FLOAT_OR_NULL = {float, type(None)}
@@ -117,16 +116,6 @@ class Records:
     def terminal(self) -> np.ndarray:
         """True for each trial whose status is terminal."""
         return self.status != 0
-
-    def take(self, trials: np.ndarray) -> Records:
-        """The records of the trials at the indices ``trials``, in that order."""
-        runs = self.epochs_run[trials]
-        starts = (np.cumsum(self.epochs_run) - self.epochs_run)[trials]
-        index = np.repeat(starts - np.cumsum(runs) + runs, runs) + np.arange(runs.sum())
-        return Records(
-            self.row[trials], self.col[trials], self.status[trials], runs,
-            *(getattr(self, key)[index] for key in _PER_EPOCH),
-        )
 
 
 def _line(records: Records, a: int, b: int, bounds: list[int]) -> str:

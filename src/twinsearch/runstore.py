@@ -87,10 +87,12 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__
 from .grid import GridCell, HyperGrid
 from .scheduler import SchedulerPolicy
-from .trainer import STATUS_RUNNING, TERMINAL_STATUSES, TrialRecord
+from .trainer import STATUS_RUNNING, STATUSES, TrialRecord
 
 __all__ = [
     "RunStore",
@@ -129,8 +131,6 @@ def _encode(obj):
 def _float_list(values, nulls: bool = False) -> list:
     """A float64 array's values as ``_encode`` gives them, each NaN as null if ``nulls``: a list
     that the C encoder takes as it is, walked value by value only if a non-finite value is left."""
-    import numpy as np
-
     if nulls:
         unscored = np.isnan(values)
         floats = np.where(unscored, None, values).tolist()
@@ -165,7 +165,7 @@ def _float_text(value: float | None) -> str:
     return '"Inf"' if value > 0 else '"-Inf"'
 
 
-_STATUS_TEXT = {s: json.dumps(s) for s in (STATUS_RUNNING, *sorted(TERMINAL_STATUSES))}
+_STATUS_TEXT = {s: json.dumps(s) for s in STATUSES}
 # the JSON name of each type a JSON value decodes to
 _JSON_KINDS = {
     dict: "object", list: "array", str: "string", int: "number", float: "number",
@@ -349,8 +349,6 @@ class RunStore:
         """(path, object, arrays) of artifact ``name``: a JSON object holding
         ``fields``, ``shape``, the run grid's, and, for each ``dtypes`` key, a
         list of one value per cell, returned as an array of that shape."""
-        import numpy as np
-
         path = self.run_dir(run_id) / name
         if not path.exists():
             raise RunNotFoundError(f"missing artifact: {path}")

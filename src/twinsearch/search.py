@@ -59,8 +59,7 @@ memory peak). Every file of a run is written through ``RunStore``:
 then writes the run's matrices to ``matrices.json``, an export that no
 command reads, and its twin pick at ``default_params(grid)`` to
 ``selection.json``, the one record of the pick: ``select`` may replace it,
-and ``eval`` and ``plot`` read it. ``slice_records`` cuts a stored run's
-columns to a sub-grid by index, for ``select`` with grid strides.
+and ``eval`` and ``plot`` read it.
 """
 
 from __future__ import annotations
@@ -68,11 +67,9 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
-import numpy as np
-
-from .grid import GridCell, HyperGrid, cell_params, slice_grid
+from .grid import GridCell, HyperGrid, cell_params
 from .matrices import assemble, metric_window
 from .quickshift import default_params
 from .runstore import RunStore
@@ -89,10 +86,7 @@ from .trainer import (
     TrialRecord,
 )
 
-__all__ = [
-    "ShardLostError", "ShardTrials", "execute_search", "run_and_store", "shard_count", "slice_records",
-    "usable_cpus",
-]
+__all__ = ["ShardLostError", "ShardTrials", "execute_search", "run_and_store", "shard_count", "usable_cpus"]
 
 
 class ShardLostError(RuntimeError):
@@ -257,18 +251,6 @@ def execute_search(
     from .records import Records
 
     return Records.of(list(records.values()))
-
-
-def slice_records(records, grid: HyperGrid, lr_stride: int, wd_stride: int):
-    """Subset a finished run's ``records.Records``, which hold every cell of ``grid``, to
-    every stride-th grid line: the sub-grid's records, cells reindexed and in row-major
-    order, and the sub-grid."""
-    sub_grid = slice_grid(grid, lr_stride, wd_stride)
-    trial = np.empty(grid.n_trials, dtype=np.int64)  # the trial of each cell, by flat index
-    trial[records.row * grid.n_lr + records.col] = np.arange(records.row.size)
-    rows, cols = np.divmod(np.arange(sub_grid.n_trials), sub_grid.n_lr)
-    trials = trial[rows * wd_stride * grid.n_lr + cols * lr_stride]
-    return replace(records.take(trials), row=rows, col=cols), sub_grid
 
 
 def run_and_store(

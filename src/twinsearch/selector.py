@@ -12,7 +12,6 @@ Oracle's across configurations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -190,7 +189,6 @@ def evaluate(
             error_row[m] = abs(value - oracle_metric)
         report.per_config_metric.append(metric_row)
         report.per_config_error.append(error_row)
-    for m in methods:
-        errors = [row[m] for row in report.per_config_error if m in row]
-        report.mae[m] = float(np.mean(errors)) if errors else math.nan
+    for m in methods:  # each method picked in some configuration, so has an error there
+        report.mae[m] = float(np.mean([row[m] for row in report.per_config_error if m in row]))
     return report

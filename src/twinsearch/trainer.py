@@ -85,7 +85,9 @@ STATUS_RUNNING = "running"
 STATUS_COMPLETED = "completed"
 STATUS_STOPPED_EARLY = "stopped_early"
 STATUS_DIVERGED = "diverged"
-TERMINAL_STATUSES = frozenset({STATUS_COMPLETED, STATUS_STOPPED_EARLY, STATUS_DIVERGED})
+# every status a trial can have: running, then the terminal ones sorted
+STATUSES = (STATUS_RUNNING, STATUS_COMPLETED, STATUS_DIVERGED, STATUS_STOPPED_EARLY)
+TERMINAL_STATUSES = frozenset(STATUSES[1:])
 
 LR_SCHEDULES = ("cosine", "piecewise", "constant")
 

@@ -3,7 +3,8 @@
 when a stored run loaded as one trial record per cell and one per-epoch
 tuple per epoch, written out once and not changed since. ``Epoch`` is that
 tuple and ``TrialLog`` that record, kept here on the test side: the package
-holds a trial's epochs as one float64 block (``trainer.TrialRecord``).
+holds a trial's epochs as one float64 block (``trainer.TrialRecord``), and
+cuts a sub-grid's matrices from the whole grid's.
 
 The package builds the same matrices from ``records.Records`` columns. The
 tests hold the columnar versions to these bit for bit, and read a

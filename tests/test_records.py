@@ -25,14 +25,12 @@ from records_frozen import (
     reference_slice_records,
     trial_log,
     trial_record,
-    trial_records,
 )
-from twinsearch.grid import build_log_grid
+from twinsearch.grid import build_log_grid, slice_grid
 from twinsearch.matrices import assemble, build_metric_surfaces, metric_window
 from twinsearch.records import STATUSES, Records, records_lines
 from twinsearch.runstore import RunStore, RunStoreError, encode_json
 from twinsearch.scheduler import SchedulerPolicy
-from twinsearch.search import slice_records
 from twinsearch.trainer import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
@@ -90,14 +88,6 @@ def same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def bits(records):
-    """Every field of per-cell ``records``, floats as ``float.hex``."""
-    def value(v):
-        return float.hex(v) if type(v) is float else v
-
-    return [(cell, r.status, [tuple(map(value, e)) for e in r.epochs]) for cell, r in records.items()]
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -124,6 +114,7 @@ def test_columns_give_the_frozen_matrices_bit_for_bit(seed, kind, val_free, budg
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), strides=st.tuples(st.integers(1, 3), st.integers(1, 3)))
 def test_a_sliced_run_is_the_frozen_sub_grid(seed, strides):
+    # a strided select keeps every stride-th row and column of the whole grid's matrices
     rng = np.random.default_rng(seed)
     grid, records = random_run(rng, "hb", False, 6)
     lr_stride, wd_stride = strides
@@ -132,13 +123,15 @@ def test_a_sliced_run_is_the_frozen_sub_grid(seed, strides):
         expected, expected_grid = reference_slice_records(by_cell, grid, lr_stride, wd_stride)
     except ValueError:  # a stride that leaves fewer than two grid lines
         with pytest.raises(ValueError):
-            slice_records(Records.of(records), grid, lr_stride, wd_stride)
+            slice_grid(grid, lr_stride, wd_stride)
         return
-    sub, sub_grid = slice_records(Records.of(records), grid, lr_stride, wd_stride)
-    assert sub_grid == expected_grid
-    assert bits(trial_records(sub)) == bits(expected)
+    assert slice_grid(grid, lr_stride, wd_stride) == expected_grid
+    cut = np.s_[::wd_stride, ::lr_stride]
     with np.errstate(all="ignore"):
-        same_bits(assemble(sub, sub_grid).psi, reference_assemble(expected, sub_grid).psi)
+        mats = assemble(Records.of(records), grid)
+        reference = reference_assemble(expected, expected_grid)
+    for key in ("psi", "theta", "valid_mask", "epochs_run"):
+        same_bits(getattr(mats, key)[cut], getattr(reference, key))
 
 
 def test_the_generated_runs_hold_every_case():
@@ -253,7 +246,10 @@ def test_writing_a_large_run_stays_under_its_memory_bound(tmp_path):
     grid = build_log_grid(1e-4, 1e-1, 30, 1e-4, 1e-1, 30)
     store = RunStore(tmp_path / "runs")
     store.create_run("r", {"grid": asdict(grid), "scheduler": asdict(SchedulerPolicy("fifo", 50))})
-    store.write_records("r", records.take(np.arange(2)))  # imports and compiles what the write runs
+    # two records, one epoch scored, import and compile what the write runs
+    store.write_records("r", Records.of([
+        trial_record(cell, [(0.5, 2.0), (0.5, 2.0, 0.5, 0.5)], STATUS_COMPLETED) for cell in grid.cells()[:2]
+    ]))
     tracemalloc.start()
     try:
         store.write_records("r", records)
